@@ -259,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     boost.add_argument("--vin", type=float, required=True, help="PV voltage at STC, V")
     boost.add_argument("--vout", type=float, required=True, help="dc-link voltage, V")
     boost.add_argument("--fsw", type=float, required=True, help="switching frequency, Hz")
-    boost.add_argument("--ripple-i-frac", type=float, default=0.07)
-    boost.add_argument("--ripple-v-frac", type=float, default=0.007)
+    boost_in = component_design.BoostDesignInput
+    boost.add_argument("--ripple-i-frac", type=float, default=boost_in.ripple_i_frac)
+    boost.add_argument("--ripple-v-frac", type=float, default=boost_in.ripple_v_frac)
     _add_common(boost)
     boost.set_defaults(handler=_cmd_design_boost)
 
@@ -270,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     lcl.add_argument("--fg", type=float, required=True, help="grid frequency, Hz")
     lcl.add_argument("--vdc", type=float, required=True, help="dc-link voltage, V")
     lcl.add_argument("--fsw", type=float, required=True, help="switching frequency, Hz")
-    lcl.add_argument("--cap-frac", type=float, default=0.05)
-    lcl.add_argument("--ripple-frac", type=float, default=0.10)
-    lcl.add_argument("--atten-factor", type=float, default=0.2)
+    lcl_in = component_design.LCLDesignInput
+    lcl.add_argument("--cap-frac", type=float, default=lcl_in.cap_frac)
+    lcl.add_argument("--ripple-frac", type=float, default=lcl_in.ripple_frac)
+    lcl.add_argument("--atten-factor", type=float, default=lcl_in.atten_factor)
     _add_common(lcl)
     lcl.set_defaults(handler=_cmd_design_lcl)
 
@@ -291,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--imp", type=float, required=True, help="module MPP current, A")
     curve.add_argument("--voc", type=float, required=True, help="module open-circuit voltage, V")
     curve.add_argument("--isc", type=float, required=True, help="module short-circuit current, A")
-    curve.add_argument("--ncells", type=int, default=60)
-    curve.add_argument("--alpha-isc", type=float, default=0.00102)
-    curve.add_argument("--beta-voc", type=float, default=-0.0036)
+    curve.add_argument("--ncells", type=int, default=PVModuleSpec.n_cells)
+    curve.add_argument("--alpha-isc", type=float, default=PVModuleSpec.alpha_isc)
+    curve.add_argument("--beta-voc", type=float, default=PVModuleSpec.beta_voc)
     curve.add_argument("--ideality-guess", type=float, default=1.3)
     curve.add_argument("--ns", type=int, default=1, help="modules in series")
     curve.add_argument("--np", type=int, default=1, help="strings in parallel")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import UndefinedPF
 
@@ -19,10 +19,20 @@ from .errors import UndefinedPF
 class NoCompensator:
     """Placeholder for the uncompensated mode."""
 
+    mode: ClassVar[str] = "none"
+    label: ClassVar[str] = "compensator"
+
+    def dispatch(self, q_demand: float, v: float) -> CompensatorOutput:
+        """No output and no loss."""
+        return CompensatorOutput(q_out=0.0, p_loss=0.0)
+
 
 @dataclass(frozen=True)
 class FixedCapacitor:
     """Fixed shunt capacitor bank; output follows the voltage-squared law."""
+
+    mode: ClassVar[str] = "fixed_capacitor"
+    label: ClassVar[str] = "capacitor bank"
 
     q_rated: float  # var, at rated voltage
     v_rated: float  # V
@@ -36,10 +46,17 @@ class FixedCapacitor:
         if self.loss_w < 0.0:
             raise ValueError(f"loss_w must be non-negative, got {self.loss_w}")
 
+    def dispatch(self, q_demand: float, v: float) -> CompensatorOutput:
+        """Output at bus voltage ``v``; the demand is ignored."""
+        return capbank_q(self.q_rated, self.v_rated, v, loss_w=self.loss_w)
+
 
 @dataclass(frozen=True)
 class Statcom:
     """Demand-following compensator clamped to its rating."""
+
+    mode: ClassVar[str] = "statcom"
+    label: ClassVar[str] = "STATCOM"
 
     q_max: float  # var
     loss_floor_w: float = 800.0  # W, standby/switching loss
@@ -53,8 +70,17 @@ class Statcom:
         if not 0.0 <= self.loss_frac <= 0.05:
             raise ValueError(f"loss_frac must lie in [0, 0.05], got {self.loss_frac}")
 
+    def dispatch(self, q_demand: float, v: float) -> CompensatorOutput:
+        """Output tracking ``q_demand``; the voltage is ignored."""
+        return statcom_dispatch(q_demand, self)
+
 
 CompensatorConfig = Union[NoCompensator, FixedCapacitor, Statcom]
+
+# Scenario ``compensator.mode`` -> configuration class.
+COMPENSATORS: dict[str, type] = {
+    cls.mode: cls for cls in (NoCompensator, FixedCapacitor, Statcom)
+}
 
 
 @dataclass(frozen=True)
@@ -98,13 +124,7 @@ def dispatch(
     config: CompensatorConfig, q_demand: float, v: float
 ) -> CompensatorOutput:
     """Evaluate any compensator configuration at one operating point."""
-    if isinstance(config, NoCompensator):
-        return CompensatorOutput(q_out=0.0, p_loss=0.0)
-    if isinstance(config, FixedCapacitor):
-        return capbank_q(config.q_rated, config.v_rated, v, loss_w=config.loss_w)
-    if isinstance(config, Statcom):
-        return statcom_dispatch(q_demand, config)
-    raise TypeError(f"unknown compensator configuration: {config!r}")
+    return config.dispatch(q_demand, v)
 
 
 class PFSense(Enum):

@@ -513,9 +513,12 @@ def mpp(
     """Locate the array maximum power point at an operating point.
 
     Golden-section search over the unimodal module P(V) curve, then a
-    bracketing refinement until the central-difference power gradient,
-    normalized by p_mp/v_mp, falls below 1e-4.  Module results scale
-    exactly by the series/parallel counts.
+    bracketing refinement until the power gradient, normalized by
+    p_mp/v_mp, falls below 1e-4.  The gradient is the closed form
+    dP/dV = i - v*g/(1 + r_s*g), g = (i_0/a)*exp((v + i*r_s)/a) + 1/r_sh,
+    which a finite difference of the solved current would bury in
+    solver noise.  Module results scale exactly by the series/parallel
+    counts.
 
     Raises:
         DarkArray: at zero irradiance, where no maximum above 0 W exists.
@@ -530,11 +533,13 @@ def mpp(
     def power(v: float) -> float:
         return v * module_current(params_e, v)
 
+    i_0, r_s, r_sh, a = params_e.i_0, params_e.r_s, params_e.r_sh, params_e.a
     x_tol = 1e-6 * v_oc_m
     v_m, p_m = golden_max(power, 0.0, v_oc_m, x_tol=x_tol)
-    h = 1e-6 * v_oc_m
     for _ in range(4):
-        slope = (power(v_m + h) - power(v_m - h)) / (2.0 * h)
+        i_m = module_current(params_e, v_m)
+        g = (i_0 / a) * math.exp((v_m + i_m * r_s) / a) + 1.0 / r_sh
+        slope = i_m - v_m * g / (1.0 + r_s * g)
         if abs(slope) * v_m / p_m < 1e-4:
             break
         lo = max(0.0, v_m - 20.0 * x_tol)
@@ -543,7 +548,6 @@ def mpp(
         v_m, p_m = golden_max(power, lo, hi, x_tol=x_tol)
     else:
         raise NonConvergence("mpp: gradient criterion not met after refinement")
-    i_m = module_current(params_e, v_m)
     v_mp = v_m * array.n_series
     i_mp = i_m * array.n_parallel
     return MPPResult(v_mp=v_mp, i_mp=i_mp, p_mp=v_mp * i_mp)

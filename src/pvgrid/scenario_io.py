@@ -10,9 +10,14 @@ all of them on emit, making parse-emit round trips exact.
 from __future__ import annotations
 
 import json
+import sys
+from dataclasses import MISSING, fields
+from functools import cache
 from importlib import resources
+from operator import attrgetter
+from typing import NamedTuple, get_type_hints
 
-from .compensation import CompensatorConfig, FixedCapacitor, NoCompensator, Statcom
+from .compensation import COMPENSATORS, NoCompensator
 from .errors import EmptySeries, InvalidScenario, ParseError, ValidationError
 from .pv_model import PVArraySpec, PVModuleSpec
 from .simulator import (
@@ -20,13 +25,13 @@ from .simulator import (
     GridSpec,
     IrradianceStep,
     LoadStep,
+    PowerFlowRecord,
     Scenario,
     TimeSeries,
 )
 
-_CSV_HEADER = (
-    "t,p_pv,p_inv,q_inv,p_load,q_load,q_comp,p_comp_loss,p_grid,q_grid,pf_grid,v_dc"
-)
+# One CSV column per record field, in field order.
+_CSV_COLUMNS = tuple(f.name for f in fields(PowerFlowRecord))
 
 _SI_PREFIXES = (
     (1e9, "G"),
@@ -46,8 +51,7 @@ def format_si(value: float, unit: str) -> str:
     mag = abs(value)
     for scale, prefix in _SI_PREFIXES:
         if mag >= scale:
-            return f"{value / scale:.5g} {prefix}{unit}"
-    scale, prefix = _SI_PREFIXES[-1]
+            break  # else the smallest prefix, left by the loop
     return f"{value / scale:.5g} {prefix}{unit}"
 
 
@@ -56,104 +60,84 @@ def format_si(value: float, unit: str) -> str:
 # ============================================================================
 
 
-def _require_table(doc: dict, key: str, where: str) -> dict:
-    if key not in doc:
-        raise ValidationError(f"{where}: missing required section '{key}'")
-    value = doc[key]
-    if not isinstance(value, dict):
-        raise ValidationError(f"{where}: section '{key}' must be an object")
-    return value
+# The ``inverter`` and ``sim`` sections hold scalar fields of Scenario.
+class _Inverter(NamedTuple):
+    efficiency: float = Scenario.inverter_efficiency
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
+class _Sim(NamedTuple):
+    t_end: float = Scenario.t_end  # s
+    dt: float = Scenario.dt  # s
+
+
+# Document section -> the record type whose numeric fields are its keys.
+# A section whose keys all have defaults may be omitted.
+_SECTIONS = {
+    "grid": GridSpec,
+    "pv_module": PVModuleSpec,
+    "pv_array": PVArraySpec,
+    "inverter": _Inverter,
+    "sim": _Sim,
+}
+# ``profiles`` key -> the record type of each entry of its list.
+_PROFILES = {"irradiance": IrradianceStep, "load": LoadStep}
+_DOCUMENT_KEYS = {"id", "compensator", "profiles", *_SECTIONS}
+
+
+@cache
+def _keys(cls: type) -> dict[str, tuple[bool, object]]:
+    """``key -> (is integer, default or MISSING)`` of each int or float field of ``cls``."""
+    hints = get_type_hints(cls)
+    if hasattr(cls, "_fields"):  # NamedTuple
+        defaults = {name: cls._field_defaults.get(name, MISSING) for name in cls._fields}
+    else:
+        defaults = {f.name: f.default for f in fields(cls)}
+    return {
+        name: (hints[name] is int, default)
+        for name, default in defaults.items()
+        if hints[name] in (int, float)
+    }
+
+
+def _reject_unknown(section: dict, allowed, where: str) -> None:
+    unknown = section.keys() - allowed
     if unknown:
-        raise ValidationError(f"{where}: unknown keys {', '.join(unknown)}")
+        raise ValidationError(f"{where}: unknown keys {', '.join(sorted(unknown))}")
 
 
-def _number(section: dict, key: str, where: str, default: float | None = None) -> float:
-    if key not in section:
+def _section(doc: dict, key: str, default: dict | None = None) -> dict:
+    """The object under ``key``: ``default`` when absent, an error if that is None."""
+    if key not in doc:
         if default is None:
-            raise ValidationError(f"{where}: missing required key '{key}'")
+            raise ValidationError(f"document: missing required section '{key}'")
         return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: key '{key}' must be a number")
-    return float(value)
+    if not isinstance(doc[key], dict):
+        raise ValidationError(f"document: section '{key}' must be an object")
+    return doc[key]
 
 
-def _integer(section: dict, key: str, where: str, default: int | None = None) -> int:
-    if key not in section:
-        if default is None:
-            raise ValidationError(f"{where}: missing required key '{key}'")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}: key '{key}' must be an integer")
-    return value
-
-
-def _parse_compensator(section: dict) -> CompensatorConfig:
-    where = "compensator"
-    if "mode" not in section:
-        raise ValidationError(f"{where}: missing required key 'mode'")
-    mode = section["mode"]
-    if mode == "none":
-        _reject_unknown(section, {"mode"}, where)
-        return NoCompensator()
-    if mode == "fixed_capacitor":
-        _reject_unknown(section, {"mode", "q_rated", "v_rated", "loss_w"}, where)
-        return FixedCapacitor(
-            q_rated=_number(section, "q_rated", where),
-            v_rated=_number(section, "v_rated", where),
-            loss_w=_number(section, "loss_w", where, default=1300.0),
-        )
-    if mode == "statcom":
-        _reject_unknown(section, {"mode", "q_max", "loss_floor_w", "loss_frac"}, where)
-        return Statcom(
-            q_max=_number(section, "q_max", where),
-            loss_floor_w=_number(section, "loss_floor_w", where, default=800.0),
-            loss_frac=_number(section, "loss_frac", where, default=0.0),
-        )
-    raise ValidationError(
-        f"{where}: mode must be one of none, fixed_capacitor, statcom; got {mode!r}"
-    )
-
-
-def _parse_profiles(section: dict) -> tuple[tuple[IrradianceStep, ...], tuple[LoadStep, ...]]:
-    _reject_unknown(section, {"irradiance", "load"}, "profiles")
-    for key in ("irradiance", "load"):
+def _read(section: object, cls: type, where: str) -> dict:
+    """Validated keyword arguments for ``cls`` from one document object."""
+    if not isinstance(section, dict):
+        raise ValidationError(f"{where} must be an object")
+    keys = _keys(cls)
+    _reject_unknown(section, keys.keys(), where)
+    values = {}
+    for key, (integer, default) in keys.items():
         if key not in section:
-            raise ValidationError(f"profiles: missing required key '{key}'")
-        if not isinstance(section[key], list) or not section[key]:
-            raise ValidationError(f"profiles.{key} must be a non-empty list")
-    irr = []
-    for idx, entry in enumerate(section["irradiance"]):
-        where = f"profiles.irradiance[{idx}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where} must be an object")
-        _reject_unknown(entry, {"t_start", "g", "t_cell"}, where)
-        irr.append(
-            IrradianceStep(
-                t_start=_number(entry, "t_start", where),
-                g=_number(entry, "g", where),
-                t_cell=_number(entry, "t_cell", where),
-            )
-        )
-    load = []
-    for idx, entry in enumerate(section["load"]):
-        where = f"profiles.load[{idx}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where} must be an object")
-        _reject_unknown(entry, {"t_start", "p", "q"}, where)
-        load.append(
-            LoadStep(
-                t_start=_number(entry, "t_start", where),
-                p=_number(entry, "p", where),
-                q=_number(entry, "q", where),
-            )
-        )
-    return tuple(irr), tuple(load)
+            if default is MISSING:
+                raise ValidationError(f"{where}: missing required key '{key}'")
+            values[key] = default
+            continue
+        value = section[key]
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            kind = "an integer" if integer else "a number"
+            raise ValidationError(f"{where}: key '{key}' must be {kind}")
+        # False for NaN and infinities; exact for integers too large for a float.
+        if not integer and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValidationError(f"{where}: key '{key}' must be a finite number")
+        values[key] = value if integer else float(value)
+    return values
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -161,8 +145,8 @@ def parse_scenario(text: str) -> Scenario:
 
     Raises:
         ParseError: for malformed JSON or a non-object document.
-        ValidationError: for missing/unknown keys, wrong types, or any
-            violated scenario invariant.
+        ValidationError: for missing/unknown keys, wrong types, non-finite
+            numbers, or any violated scenario invariant.
     """
     try:
         doc = json.loads(text)
@@ -170,76 +154,49 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
-    _reject_unknown(
-        doc,
-        {"id", "grid", "pv_module", "pv_array", "inverter", "compensator",
-         "profiles", "sim"},
-        "document",
-    )
+    _reject_unknown(doc, _DOCUMENT_KEYS, "document")
 
     scenario_id = doc.get("id", "scenario")
     if not isinstance(scenario_id, str) or not scenario_id:
         raise ValidationError("document: key 'id' must be a non-empty string")
 
-    grid_s = _require_table(doc, "grid", "document")
-    _reject_unknown(grid_s, {"v_phase", "f", "v_dc"}, "grid")
-    module_s = _require_table(doc, "pv_module", "document")
-    _reject_unknown(
-        module_s,
-        {"p_mp", "v_mp", "i_mp", "v_oc", "i_sc", "n_cells", "alpha_isc",
-         "beta_voc", "g_stc", "t_stc"},
-        "pv_module",
-    )
-    array_s = _require_table(doc, "pv_array", "document")
-    _reject_unknown(array_s, {"n_series", "n_parallel"}, "pv_array")
-    profiles_s = _require_table(doc, "profiles", "document")
-
-    inverter_s = doc.get("inverter", {})
-    if not isinstance(inverter_s, dict):
-        raise ValidationError("document: section 'inverter' must be an object")
-    _reject_unknown(inverter_s, {"efficiency"}, "inverter")
-    comp_s = doc.get("compensator", {"mode": "none"})
-    if not isinstance(comp_s, dict):
-        raise ValidationError("document: section 'compensator' must be an object")
-    sim_s = doc.get("sim", {})
-    if not isinstance(sim_s, dict):
-        raise ValidationError("document: section 'sim' must be an object")
-    _reject_unknown(sim_s, {"t_end", "dt"}, "sim")
-
-    irr, load = _parse_profiles(profiles_s)
-    try:
-        module = PVModuleSpec(
-            p_mp=_number(module_s, "p_mp", "pv_module"),
-            v_mp=_number(module_s, "v_mp", "pv_module"),
-            i_mp=_number(module_s, "i_mp", "pv_module"),
-            v_oc=_number(module_s, "v_oc", "pv_module"),
-            i_sc=_number(module_s, "i_sc", "pv_module"),
-            n_cells=_integer(module_s, "n_cells", "pv_module", default=60),
-            alpha_isc=_number(module_s, "alpha_isc", "pv_module", default=0.00102),
-            beta_voc=_number(module_s, "beta_voc", "pv_module", default=-0.0036),
-            g_stc=_number(module_s, "g_stc", "pv_module", default=1000.0),
-            t_stc=_number(module_s, "t_stc", "pv_module", default=25.0),
+    kw = {}
+    for name, cls in _SECTIONS.items():
+        optional = MISSING not in (default for _, default in _keys(cls).values())
+        kw[name] = _read(_section(doc, name, {} if optional else None), cls, name)
+    comp_s = dict(_section(doc, "compensator", {"mode": NoCompensator.mode}))
+    if "mode" not in comp_s:
+        raise ValidationError("compensator: missing required key 'mode'")
+    mode = comp_s.pop("mode")
+    comp_cls = COMPENSATORS.get(mode) if isinstance(mode, str) else None
+    if comp_cls is None:
+        raise ValidationError(
+            f"compensator: mode must be one of {', '.join(COMPENSATORS)}; got {mode!r}"
         )
+    kw["compensator"] = _read(comp_s, comp_cls, "compensator")
+
+    profiles_s = _section(doc, "profiles")
+    _reject_unknown(profiles_s, _PROFILES.keys(), "profiles")
+    for key, cls in _PROFILES.items():
+        if key not in profiles_s:
+            raise ValidationError(f"profiles: missing required key '{key}'")
+        entries = profiles_s[key]
+        if not isinstance(entries, list) or not entries:
+            raise ValidationError(f"profiles.{key} must be a non-empty list")
+        kw[key] = tuple(
+            cls(**_read(entry, cls, f"profiles.{key}[{idx}]"))
+            for idx, entry in enumerate(entries)
+        )
+    try:
         return Scenario(
-            grid=GridSpec(
-                v_phase=_number(grid_s, "v_phase", "grid"),
-                f=_number(grid_s, "f", "grid"),
-                v_dc=_number(grid_s, "v_dc", "grid"),
-            ),
-            array=PVArraySpec(
-                module=module,
-                n_series=_integer(array_s, "n_series", "pv_array"),
-                n_parallel=_integer(array_s, "n_parallel", "pv_array"),
-            ),
-            inverter_efficiency=_number(
-                inverter_s, "efficiency", "inverter", default=0.997
-            ),
-            irradiance_profile=irr,
-            load_profile=load,
-            compensator=_parse_compensator(comp_s),
-            t_end=_number(sim_s, "t_end", "sim", default=0.2),
-            dt=_number(sim_s, "dt", "sim", default=0.01),
+            grid=GridSpec(**kw["grid"]),
+            array=PVArraySpec(module=PVModuleSpec(**kw["pv_module"]), **kw["pv_array"]),
+            inverter_efficiency=kw["inverter"]["efficiency"],
+            irradiance_profile=kw["irradiance"],
+            load_profile=kw["load"],
+            compensator=comp_cls(**kw["compensator"]),
             scenario_id=scenario_id,
+            **kw["sim"],
         )
     except (ValueError, InvalidScenario) as exc:
         raise ValidationError(str(exc)) from exc
@@ -250,24 +207,9 @@ def parse_scenario(text: str) -> Scenario:
 # ============================================================================
 
 
-def _compensator_doc(config: CompensatorConfig) -> dict:
-    if isinstance(config, NoCompensator):
-        return {"mode": "none"}
-    if isinstance(config, FixedCapacitor):
-        return {
-            "mode": "fixed_capacitor",
-            "q_rated": config.q_rated,
-            "v_rated": config.v_rated,
-            "loss_w": config.loss_w,
-        }
-    if isinstance(config, Statcom):
-        return {
-            "mode": "statcom",
-            "q_max": config.q_max,
-            "loss_floor_w": config.loss_floor_w,
-            "loss_frac": config.loss_frac,
-        }
-    raise TypeError(f"unknown compensator configuration: {config!r}")
+def _doc(record: object) -> dict:
+    """The document keys of one record and their values, in field order."""
+    return {key: getattr(record, key) for key in _keys(type(record))}
 
 
 def emit_scenario(scenario: Scenario) -> str:
@@ -275,61 +217,28 @@ def emit_scenario(scenario: Scenario) -> str:
 
     ``parse_scenario(emit_scenario(s))`` reproduces ``s`` field for field.
     """
-    module = scenario.array.module
     doc = {
         "id": scenario.scenario_id,
-        "grid": {
-            "v_phase": scenario.grid.v_phase,
-            "f": scenario.grid.f,
-            "v_dc": scenario.grid.v_dc,
-        },
-        "pv_module": {
-            "p_mp": module.p_mp,
-            "v_mp": module.v_mp,
-            "i_mp": module.i_mp,
-            "v_oc": module.v_oc,
-            "i_sc": module.i_sc,
-            "n_cells": module.n_cells,
-            "alpha_isc": module.alpha_isc,
-            "beta_voc": module.beta_voc,
-            "g_stc": module.g_stc,
-            "t_stc": module.t_stc,
-        },
-        "pv_array": {
-            "n_series": scenario.array.n_series,
-            "n_parallel": scenario.array.n_parallel,
-        },
-        "inverter": {"efficiency": scenario.inverter_efficiency},
-        "compensator": _compensator_doc(scenario.compensator),
+        "grid": _doc(scenario.grid),
+        "pv_module": _doc(scenario.array.module),
+        "pv_array": _doc(scenario.array),
+        "inverter": _doc(_Inverter(scenario.inverter_efficiency)),
+        "compensator": {"mode": scenario.compensator.mode, **_doc(scenario.compensator)},
         "profiles": {
-            "irradiance": [
-                {"t_start": s.t_start, "g": s.g, "t_cell": s.t_cell}
-                for s in scenario.irradiance_profile
-            ],
-            "load": [
-                {"t_start": s.t_start, "p": s.p, "q": s.q}
-                for s in scenario.load_profile
-            ],
+            "irradiance": [_doc(s) for s in scenario.irradiance_profile],
+            "load": [_doc(s) for s in scenario.load_profile],
         },
-        "sim": {"t_end": scenario.t_end, "dt": scenario.dt},
+        "sim": _doc(_Sim(scenario.t_end, scenario.dt)),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def emit_csv(series: TimeSeries) -> str:
     """Render a run as CSV: fixed column set, 6 significant digits, LF endings."""
-    lines = [_CSV_HEADER]
+    row = attrgetter(*_CSV_COLUMNS)
+    lines = [",".join(_CSV_COLUMNS)]
     for r in series.records:
-        lines.append(
-            ",".join(
-                format(value, ".6g")
-                for value in (
-                    r.t, r.p_pv, r.p_inv, r.q_inv, r.p_load, r.q_load,
-                    r.q_comp, r.p_comp_loss, r.p_grid, r.q_grid,
-                    r.pf_grid, r.v_dc,
-                )
-            )
-        )
+        lines.append(",".join(format(value, ".6g") for value in row(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -356,16 +265,6 @@ def _segment_blocks(series: TimeSeries) -> list[tuple[float, float, object]]:
     return blocks
 
 
-def _compensator_label(scenario: Scenario | None) -> str:
-    if scenario is None:
-        return "compensator"
-    if isinstance(scenario.compensator, Statcom):
-        return "STATCOM"
-    if isinstance(scenario.compensator, FixedCapacitor):
-        return "capacitor bank"
-    return "compensator"
-
-
 def render_report(
     series: TimeSeries,
     comparison: ComparisonReport | None = None,
@@ -383,7 +282,7 @@ def render_report(
     """
     if not series.records:
         raise EmptySeries("cannot render a report for an empty series")
-    label = _compensator_label(scenario)
+    label = "compensator" if scenario is None else scenario.compensator.label
     lines = [f"scenario: {series.scenario_id}"]
     span = f"{series.records[0].t:g} s .. {series.records[-1].t:g} s"
     lines.append(f"records: {len(series.records)}   span: {span}")

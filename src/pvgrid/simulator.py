@@ -13,7 +13,7 @@ load, compensator losses, and inverter leave over:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -72,16 +72,20 @@ def _check_profile(name: str, profile: tuple, t_field: str = "t_start") -> None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run.
+
+    The keyword-only defaults are the ones a scenario document gets when
+    it omits its ``inverter`` or ``sim`` section.
+    """
 
     grid: GridSpec
     array: PVArraySpec
-    inverter_efficiency: float
+    inverter_efficiency: float = field(default=0.997, kw_only=True)
     irradiance_profile: tuple[IrradianceStep, ...]
     load_profile: tuple[LoadStep, ...]
     compensator: CompensatorConfig
-    t_end: float  # s
-    dt: float  # s
+    t_end: float = field(default=0.2, kw_only=True)  # s
+    dt: float = field(default=0.01, kw_only=True)  # s
     scenario_id: str = "scenario"
 
     def __post_init__(self) -> None:

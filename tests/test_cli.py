@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import pytest
@@ -261,6 +262,29 @@ class TestSimulate:
         bad.write_text("{oops", encoding="utf-8")
         assert cli.main(["simulate", str(bad)]) == 1
         assert "ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("path", "value", "key"),
+        [
+            pytest.param(("profiles", "irradiance", 0, "g"), math.nan, "g", id="g-nan"),
+            pytest.param(("grid", "v_phase"), math.nan, "v_phase", id="v_phase-nan"),
+            pytest.param(("sim", "t_end"), math.inf, "t_end", id="t_end-inf"),
+            pytest.param(("pv_module", "p_mp"), 10**400, "p_mp", id="p_mp-beyond-float"),
+        ],
+    )
+    def test_non_finite_number_exits_1(self, capsys, tmp_path, path, value, key):
+        """NaN, Infinity and out-of-range literals are rejected, not simulated."""
+        doc = json.loads(bundled_scenario_text("case3"))
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["simulate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "ValidationError" in err
+        assert f"key '{key}' must be a finite number" in err
 
     def test_uncalibratable_module_exits_2(self, capsys, tmp_path):
         """A scenario whose module cannot calibrate is a numerical failure."""

@@ -442,6 +442,14 @@ class TestMPP:
             assert arr.i_mp == unit.i_mp * npar, f"{ns}x{npar}: i_mp not exact"
             assert arr.p_mp == arr.v_mp * arr.i_mp
 
+    def test_converges_where_finite_difference_was_noise(self, ref_array, ref_params):
+        """An ordinary point whose finite-difference slope sat in solver noise."""
+        env = EnvCondition(g=780.91, t=35.889)
+        got = mpp(ref_array, ref_params, env)
+        _, p_star = _dense_mpp(adjust_params(ref_params, REF_MODULE, env), n=2_000)
+        unit_p = got.p_mp / (ref_array.n_series * ref_array.n_parallel)
+        assert abs(unit_p - p_star) <= 1e-4 * p_star
+
     def test_dark_array_raises(self, ref_array, ref_params):
         """Zero irradiance has no maximum power point."""
         with pytest.raises(DarkArray):

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING
 
 import jsonschema
 import numpy as np
 import pytest
 
-from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom
+from pvgrid.compensation import COMPENSATORS, FixedCapacitor, NoCompensator, Statcom
 from pvgrid.errors import EmptySeries, ParseError, ValidationError
 from pvgrid.scenario_io import (
+    _DOCUMENT_KEYS,
+    _PROFILES,
+    _SECTIONS,
+    _keys,
     bundled_scenario_text,
     emit_csv,
     emit_scenario,
@@ -192,6 +197,59 @@ class TestBundledScenarios:
         """Asking for a scenario that does not exist raises OSError."""
         with pytest.raises(OSError):
             bundled_scenario_text("case99")
+
+
+# ======================================================================
+# Schema drift: the published schema against the parser's key table
+# ======================================================================
+
+
+def _assert_node_matches(node: dict, cls: type, where: str, extra: tuple = ()) -> None:
+    """A schema object node has exactly the parser's keys, required list and defaults."""
+    keys = _keys(cls)
+    props = {k: v for k, v in node["properties"].items() if k not in extra}
+    assert set(props) == set(keys), f"{where}: keys differ"
+    required = [k for k, (_, default) in keys.items() if default is MISSING]
+    assert node.get("required", []) == [*extra, *required], f"{where}: required differs"
+    defaults = {k: d for k, (_, d) in keys.items() if d is not MISSING}
+    assert {k: v["default"] for k, v in props.items() if "default" in v} == defaults, (
+        f"{where}: defaults differ"
+    )
+    for key, (integer, _) in keys.items():
+        assert props[key]["type"] == ("integer" if integer else "number"), f"{where}.{key}"
+    assert node["additionalProperties"] is False, where
+
+
+class TestSchemaDrift:
+    """The hand-written schema stays equal to what the parser accepts."""
+
+    def test_document_sections(self):
+        """Top-level keys and required sections match the parser's table."""
+        schema = json.loads(schema_text())
+        assert set(schema["properties"]) == _DOCUMENT_KEYS
+        required = [
+            name for name, cls in _SECTIONS.items()
+            if any(default is MISSING for _, default in _keys(cls).values())
+        ]
+        assert schema["required"] == [*required, "profiles"]
+        for name, cls in _SECTIONS.items():
+            _assert_node_matches(schema["properties"][name], cls, name)
+
+    def test_profiles(self):
+        """Each profile list's entries match their record type."""
+        node = json.loads(schema_text())["properties"]["profiles"]
+        assert node["required"] == list(_PROFILES)
+        assert set(node["properties"]) == set(_PROFILES)
+        for key, cls in _PROFILES.items():
+            _assert_node_matches(node["properties"][key]["items"], cls, key)
+
+    def test_compensator_modes(self):
+        """One oneOf branch per registered mode, with that class's fields."""
+        branches = json.loads(schema_text())["properties"]["compensator"]["oneOf"]
+        modes = [b["properties"]["mode"]["const"] for b in branches]
+        assert modes == list(COMPENSATORS)
+        for mode, branch in zip(modes, branches):
+            _assert_node_matches(branch, COMPENSATORS[mode], mode, ("mode",))
 
 
 # ======================================================================
