@@ -1,13 +1,15 @@
 """Scalar root-finding and maximization primitives.
 
-The PV model needs two deterministic numeric helpers: a safeguarded
-Newton iteration for the implicit diode equation and a golden-section
-maximizer for the unimodal power-voltage curve.
+The PV model needs deterministic numeric helpers: a safeguarded Newton
+iteration for the implicit diode equation and the maximum-power
+condition, Brent's method for derivative-free roots, and a
+golden-section maximizer for unimodal curves.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from .errors import NonConvergence
@@ -75,6 +77,84 @@ def newton_bisect(
         x = x_new if step_ok else 0.5 * (lo + hi)
     raise NonConvergence(
         f"newton_bisect: no root to |f| <= {f_tol:g} within {max_iter} iterations"
+    )
+
+
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    *,
+    xtol: float = 2e-12,
+    rtol: float = 4.0 * sys.float_info.epsilon,
+    max_iter: int = 100,
+) -> float:
+    """Find a root of ``f`` on ``[a, b]`` by Brent's method.
+
+    A step-for-step port of the routine behind ``scipy.optimize.brentq``
+    (Brent 1973, ch. 4): inverse quadratic interpolation or a secant step
+    when it is short enough, bisection otherwise.  Same arithmetic in the
+    same order, so the returned root is the same double.
+
+    Args:
+        f: Continuous function with a sign change on the bracket.
+        a: One bracket endpoint.
+        b: The other bracket endpoint.
+        xtol: Absolute tolerance on the root.
+        rtol: Relative tolerance on the root.
+        max_iter: Iteration budget after the two endpoint evaluations.
+
+    Returns:
+        ``x`` within ``xtol + rtol*|x|`` of a sign change of ``f``.
+
+    Raises:
+        ValueError: if ``f(a)`` and ``f(b)`` have the same sign.
+        NonConvergence: if the budget is exhausted first.
+    """
+    x_pre, x_cur = a, b
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if (f_pre < 0.0) == (f_cur < 0.0):
+        raise ValueError(f"no sign change on bracket [{a!r}, {b!r}]")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(max_iter):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (
+                    -f_cur * (f_blk * d_blk - f_pre * d_pre)
+                    / (d_blk * d_pre * (f_blk - f_pre))
+                )
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0.0 else -delta
+        f_cur = f(x_cur)
+    raise NonConvergence(
+        f"brentq: no root to within {xtol:g} + {rtol:g}*|x| in {max_iter} iterations"
     )
 
 

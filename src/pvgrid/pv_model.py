@@ -25,11 +25,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import Boltzmann, elementary_charge
-from scipy.optimize import brentq
 
 from .errors import DarkArray, InfeasibleSpec, NonConvergence
-from .numerics import golden_max, newton_bisect
+from .numerics import brentq, golden_max, newton_bisect  # noqa: F401 (traced by name)
+
+Boltzmann = 1.380649e-23  # J/K, exact in SI
+elementary_charge = 1.602176634e-19  # C, exact in SI
 
 # Ideality values tried when calibration at the requested guess admits no
 # physical shunt resistance.  Ordered preference: unity (canonical
@@ -285,7 +286,43 @@ def module_voc(params: SingleDiodeParams) -> float:
         return i_ph - i_0 * _diode_exp(v / a) - v / r_sh
 
     v_hi = a * math.log1p(i_ph / i_0)  # diode-only voc, upper bound with shunt
-    return float(brentq(residual, 0.0, v_hi, xtol=1e-12, rtol=8.9e-16))
+    return brentq(residual, 0.0, v_hi, xtol=1e-12, rtol=8.9e-16)
+
+
+def _module_mpp(params: SingleDiodeParams) -> tuple[float, float]:
+    """Module ``(v, i)`` at maximum power of a lit curve (i_ph > 0).
+
+    The curve is explicit in the diode voltage vd = v + i*r_s (Bishop,
+    Solar Cells 25, 1988): i = i_ph - i_0*expm1(vd/a) - vd/r_sh,
+    v = vd - i*r_s.  With g = (i_0/a)*exp(vd/a) + 1/r_sh, dP/dvd =
+    i*(1 + r_s*g) - v*g is > 0 at vd = 0 and < 0 at a*log1p(i_ph/i_0).
+
+    Raises:
+        NonConvergence: if the solve fails or |dP/dV|*v/p >= 1e-4 at its result.
+    """
+    i_ph, i_0, r_s, r_sh, a = params.i_ph, params.i_0, params.r_s, params.r_sh, params.a
+
+    def point(vd: float) -> tuple[float, float, float, float]:
+        e = math.exp(vd / a)
+        i = i_ph - i_0 * math.expm1(vd / a) - vd / r_sh
+        return vd - i * r_s, i, (i_0 / a) * e + 1.0 / r_sh, e
+
+    def slope(vd: float) -> float:
+        v, i, g, _ = point(vd)
+        return i * (1.0 + r_s * g) - v * g
+
+    def curvature(vd: float) -> float:
+        v, i, g, e = point(vd)
+        return -2.0 * g * (1.0 + r_s * g) + (i_0 / a**2) * e * (i * r_s - v)
+
+    x_oc = math.log1p(i_ph / i_0)
+    # Start one fixed-point step into the ideal-diode maximum (1 + x)*e^x = e^x_oc.
+    vd = newton_bisect(slope, curvature, 0.0, a * x_oc, f_tol=1e-9 * i_ph,
+                       x0=a * (x_oc - math.log1p(x_oc)))
+    v, i, g, _ = point(vd)
+    if not abs(slope(vd) / (1.0 + r_s * g)) * v < 1e-4 * (v * i):  # |dP/dV|*v/p
+        raise NonConvergence("mpp: gradient criterion not met at the solved point")
+    return v, i
 
 
 # ============================================================================
@@ -341,13 +378,13 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
     # Restrict the search to the physical branch g_sh > 0.
     r_s_hi = r_s_cap
     if shunt_conductance(r_s_cap) <= 0.0:
-        r_s_hi = float(brentq(shunt_conductance, r_s_lo, r_s_cap)) * (1.0 - 1e-9)
+        r_s_hi = brentq(shunt_conductance, r_s_lo, r_s_cap) * (1.0 - 1e-9)
     if mpp_slope(r_s_hi) >= 0.0:
         raise InfeasibleSpec(
             f"ideality {n_ideality:g}: no physical shunt resistance "
             f"satisfies the maximum-power condition"
         )
-    r_s = float(brentq(mpp_slope, r_s_lo, r_s_hi, xtol=1e-14))
+    r_s = brentq(mpp_slope, r_s_lo, r_s_hi, xtol=1e-14)
     i_ph, i_0, g_sh = linear_fit(r_s)
     if i_0 <= 0.0 or g_sh <= 0.0:
         raise InfeasibleSpec(
@@ -371,14 +408,9 @@ def _verify_calibration(spec: PVModuleSpec, params: SingleDiodeParams) -> bool:
         return False
     if abs(module_current(params, spec.v_oc)) > tol * spec.i_sc:
         return False
-    v_mp, p_mp = golden_max(
-        lambda v: v * module_current(params, v),
-        0.0,
-        module_voc(params),
-        x_tol=1e-6 * spec.v_oc,
-    )
+    v_mp, i_mp = _module_mpp(params)
     return (
-        abs(p_mp - spec.p_mp) <= tol * spec.p_mp
+        abs(v_mp * i_mp - spec.p_mp) <= tol * spec.p_mp
         and abs(v_mp - spec.v_mp) <= tol * spec.v_mp
     )
 
@@ -512,42 +544,20 @@ def mpp(
 ) -> MPPResult:
     """Locate the array maximum power point at an operating point.
 
-    Golden-section search over the unimodal module P(V) curve, then a
-    bracketing refinement until the power gradient, normalized by
-    p_mp/v_mp, falls below 1e-4.  The gradient is the closed form
-    dP/dV = i - v*g/(1 + r_s*g), g = (i_0/a)*exp((v + i*r_s)/a) + 1/r_sh,
-    which a finite difference of the solved current would bury in
-    solver noise.  Module results scale exactly by the series/parallel
-    counts.
+    One safeguarded Newton solve of dP/dvd = 0 over the module diode
+    voltage vd, on which the curve is explicit: no nested current solves.
+    The closed-form gradient |dP/dV|*v_mp/p_mp must be below 1e-4 at the
+    result.  Module results scale exactly by the series/parallel counts.
 
     Raises:
         DarkArray: at zero irradiance, where no maximum above 0 W exists.
+        NonConvergence: if the gradient criterion is not met.
     """
     if env.g <= 0.0:
         raise DarkArray("no maximum power point at zero irradiance")
     params_e = adjust_params(params, array.module, env)
     if params_e.i_ph <= 0.0:
         raise DarkArray("no maximum power point for a dark curve")
-    v_oc_m = module_voc(params_e)
-
-    def power(v: float) -> float:
-        return v * module_current(params_e, v)
-
-    i_0, r_s, r_sh, a = params_e.i_0, params_e.r_s, params_e.r_sh, params_e.a
-    x_tol = 1e-6 * v_oc_m
-    v_m, p_m = golden_max(power, 0.0, v_oc_m, x_tol=x_tol)
-    for _ in range(4):
-        i_m = module_current(params_e, v_m)
-        g = (i_0 / a) * math.exp((v_m + i_m * r_s) / a) + 1.0 / r_sh
-        slope = i_m - v_m * g / (1.0 + r_s * g)
-        if abs(slope) * v_m / p_m < 1e-4:
-            break
-        lo = max(0.0, v_m - 20.0 * x_tol)
-        hi = min(v_oc_m, v_m + 20.0 * x_tol)
-        x_tol /= 10.0
-        v_m, p_m = golden_max(power, lo, hi, x_tol=x_tol)
-    else:
-        raise NonConvergence("mpp: gradient criterion not met after refinement")
-    v_mp = v_m * array.n_series
-    i_mp = i_m * array.n_parallel
+    v_m, i_m = _module_mpp(params_e)
+    v_mp, i_mp = v_m * array.n_series, i_m * array.n_parallel
     return MPPResult(v_mp=v_mp, i_mp=i_mp, p_mp=v_mp * i_mp)

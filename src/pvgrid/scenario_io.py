@@ -134,7 +134,7 @@ def _read(section: object, cls: type, where: str) -> dict:
             kind = "an integer" if integer else "a number"
             raise ValidationError(f"{where}: key '{key}' must be {kind}")
         # False for NaN and infinities; exact for integers too large for a float.
-        if not integer and not -sys.float_info.max <= value <= sys.float_info.max:
+        if not -sys.float_info.max <= value <= sys.float_info.max:
             raise ValidationError(f"{where}: key '{key}' must be a finite number")
         values[key] = value if integer else float(value)
     return values

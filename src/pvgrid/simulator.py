@@ -33,6 +33,11 @@ from .pv_model import EnvCondition, PVArraySpec, SingleDiodeParams
 # horizon that is an exact multiple of dt includes its final instant.
 _GRID_EPS = 1e-9
 
+# Most records one run may hold (t_end/dt + 1): over eleven days at 1 s.
+# Checked before anything is allocated, so a huge horizon is rejected
+# up front instead of exhausting memory or overflowing the count.
+MAX_RECORDS = 1_000_000
+
 
 class IrradianceStep(NamedTuple):
     t_start: float  # s
@@ -97,6 +102,11 @@ class Scenario:
             raise InvalidScenario(f"dt must be positive, got {self.dt}")
         if self.t_end < 0.0:
             raise InvalidScenario(f"t_end must be non-negative, got {self.t_end}")
+        if not self.t_end / self.dt + _GRID_EPS < MAX_RECORDS:
+            raise InvalidScenario(
+                f"t_end/dt = {self.t_end / self.dt:g} gives more than "
+                f"{MAX_RECORDS} records"
+            )
         _check_profile("irradiance", self.irradiance_profile)
         _check_profile("load", self.load_profile)
         for seg in self.irradiance_profile:
@@ -165,9 +175,16 @@ class ComparisonReport:
     winner: str | None  # run with |q_grid| <= the other at every step
 
 
-def _segment_at(profile: tuple, t: float):
+def _starts(scenario: Scenario) -> tuple[list[float], list[float]]:
+    """The t_start lists of the irradiance and load profiles."""
+    return (
+        [seg.t_start for seg in scenario.irradiance_profile],
+        [seg.t_start for seg in scenario.load_profile],
+    )
+
+
+def _segment_at(profile: tuple, starts: list[float], t: float):
     """Active segment: the one with the largest t_start <= t."""
-    starts = [seg.t_start for seg in profile]
     return profile[bisect_right(starts, t) - 1]
 
 
@@ -181,9 +198,10 @@ def _step(
     params: SingleDiodeParams,
     t: float,
     mpp_cache: dict[tuple[float, float], float],
+    starts: tuple[list[float], list[float]],
 ) -> PowerFlowRecord:
-    irr = _segment_at(scenario.irradiance_profile, t)
-    load = _segment_at(scenario.load_profile, t)
+    irr = _segment_at(scenario.irradiance_profile, starts[0], t)
+    load = _segment_at(scenario.load_profile, starts[1], t)
 
     key = (irr.g, irr.t_cell)
     p_pv = mpp_cache.get(key)
@@ -232,7 +250,7 @@ def step(scenario: Scenario, params: SingleDiodeParams, t: float) -> PowerFlowRe
     """
     if not 0.0 <= t <= scenario.t_end:
         raise ValueError(f"t = {t} outside [0, {scenario.t_end}]")
-    return _step(scenario, params, t, {})
+    return _step(scenario, params, t, {}, _starts(scenario))
 
 
 def run(scenario: Scenario) -> TimeSeries:
@@ -252,8 +270,9 @@ def run(scenario: Scenario) -> TimeSeries:
             f"module calibration failed for scenario {scenario.scenario_id!r}: {exc}"
         ) from exc
     mpp_cache: dict[tuple[float, float], float] = {}
+    starts = _starts(scenario)
     records = tuple(
-        _step(scenario, params, t, mpp_cache) for t in scenario.times()
+        _step(scenario, params, t, mpp_cache, starts) for t in scenario.times()
     )
     return TimeSeries(scenario_id=scenario.scenario_id, records=records)
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
+import pvgrid
 from pvgrid import cli
 from pvgrid.component_design import BoostDesignInput, LCLDesignInput, boost_design, lcl_design
 from pvgrid.scenario_io import bundled_scenario_text, emit_csv, parse_scenario
@@ -270,6 +273,7 @@ class TestSimulate:
             pytest.param(("grid", "v_phase"), math.nan, "v_phase", id="v_phase-nan"),
             pytest.param(("sim", "t_end"), math.inf, "t_end", id="t_end-inf"),
             pytest.param(("pv_module", "p_mp"), 10**400, "p_mp", id="p_mp-beyond-float"),
+            pytest.param(("pv_array", "n_series"), 10**400, "n_series", id="n_series-beyond-float"),
         ],
     )
     def test_non_finite_number_exits_1(self, capsys, tmp_path, path, value, key):
@@ -285,6 +289,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "ValidationError" in err
         assert f"key '{key}' must be a finite number" in err
+
+    def test_record_count_beyond_cap_exits_1(self, capsys, tmp_path):
+        """A horizon whose record count overflows is rejected before the run."""
+        doc = json.loads(bundled_scenario_text("case3"))
+        doc["sim"] = {"t_end": 1e300, "dt": 1e-10}
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["simulate", str(bad)]) == 1
+        assert "records" in capsys.readouterr().err
 
     def test_uncalibratable_module_exits_2(self, capsys, tmp_path):
         """A scenario whose module cannot calibrate is a numerical failure."""
@@ -382,3 +395,23 @@ class TestParserBehavior:
         """Pipelines (non-tty) receive plain text."""
         assert cli.main(BOOST_ARGS) == 0
         assert "\x1b[" not in capsys.readouterr().out
+
+
+# ======================================================================
+# Start-up
+# ======================================================================
+
+
+def test_import_loads_no_scipy():
+    """The runtime needs numpy only: importing the CLI loads no scipy module."""
+    src = os.path.dirname(os.path.dirname(pvgrid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, pvgrid.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

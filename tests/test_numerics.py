@@ -1,4 +1,4 @@
-"""Tests for pvgrid.numerics — safeguarded Newton and golden-section search."""
+"""Tests for pvgrid.numerics — safeguarded Newton, Brent and golden-section search."""
 
 from __future__ import annotations
 
@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from pvgrid.errors import NonConvergence
-from pvgrid.numerics import golden_max, newton_bisect
+from pvgrid.numerics import brentq, golden_max, newton_bisect
+from pvgrid.pv_model import EnvCondition, adjust_params, module_voc
+
+from conftest import REF_MODULE
 
 
 # ======================================================================
@@ -91,6 +94,85 @@ class TestNewtonBisect:
             df = lambda x, r=r: 3.0 * (x - r) ** 2 + 1.0
             x = newton_bisect(f, df, lo=r - 7.0, hi=r + 9.0, f_tol=1e-12)
             assert abs(x - r) < 1e-7, f"missed root {r} (got {x})"
+
+
+# ======================================================================
+# brentq
+# ======================================================================
+
+
+def _random_monotone(rng: np.random.Generator, kind: int):
+    """An increasing function with a root at a random point, and a bracket."""
+    r = float(rng.uniform(-5.0, 5.0))
+    c = float(rng.uniform(0.01, 10.0))
+    funcs = (
+        lambda x: (x - r) ** 3 + c * (x - r),
+        lambda x: math.expm1(c * (x - r)),
+        lambda x: math.atan(c * (x - r)),
+        lambda x: math.tanh(c * (x - r)) ** 3 + 1e-3 * (x - r),
+    )
+    return funcs[kind % 4], r - float(rng.uniform(0.1, 8.0)), r + float(rng.uniform(0.1, 8.0))
+
+
+class TestBrentq:
+    """Derivative-free root finding on a bracketing interval."""
+
+    def test_cubic_root(self):
+        """x^3 - 2x - 5 has its real root near 2.0945514815."""
+        x = brentq(lambda x: x**3 - 2.0 * x - 5.0, 1.0, 3.0)
+        assert abs(x - 2.0945514815423265) < 1e-11
+
+    def test_endpoint_root_returned_directly(self):
+        """An endpoint where f is exactly zero is returned as-is."""
+        assert brentq(lambda x: x, 0.0, 1.0) == 0.0
+        assert brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_no_sign_change_raises(self):
+        """A bracket without a sign change is a caller error."""
+        with pytest.raises(ValueError):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_budget_exhaustion_raises(self):
+        """The smallest tolerance within a tiny budget raises NonConvergence."""
+        with pytest.raises(NonConvergence):
+            brentq(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=5e-324, max_iter=3)
+
+    def test_random_monotone_functions(self):
+        """Property: roots of random increasing functions are found to xtol."""
+        rng = np.random.default_rng(3)
+        for k in range(400):
+            f, a, b = _random_monotone(rng, k)
+            x = brentq(f, a, b, xtol=1e-12)
+            lo, hi = x - 2e-12, x + 2e-12
+            assert f(lo) <= 0.0 <= f(hi), f"no sign change near {x!r}"
+
+
+class TestBrentqMatchesScipy:
+    """The port returns the same double as scipy.optimize.brentq."""
+
+    def test_random_monotone_functions(self):
+        """Bit-identical roots over random functions and tolerances."""
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(5)
+        for k in range(2_000):
+            f, a, b = _random_monotone(rng, k)
+            xtol = (2e-12, 1e-12, 1e-14, 5e-324)[k % 4]
+            want = scipy_optimize.brentq(f, a, b, xtol=xtol)
+            got = brentq(f, a, b, xtol=xtol)
+            assert got == want, f"case {k}: {got!r} vs scipy {want!r}"
+
+    def test_module_voc_residual(self, ref_params):
+        """module_voc equals scipy's root of the same residual, bit for bit."""
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        for g in (1.0, 20.0, 250.0, 640.0, 1000.0, 1200.0):
+            for t in (-40.0, 0.0, 25.0, 38.0, 90.0):
+                p = adjust_params(ref_params, REF_MODULE, EnvCondition(g, t))
+                residual = (
+                    lambda v, p=p: p.i_ph - p.i_0 * math.expm1(v / p.a) - v / p.r_sh
+                )
+                v_hi = p.a * math.log1p(p.i_ph / p.i_0)
+                want = scipy_optimize.brentq(residual, 0.0, v_hi, xtol=1e-12, rtol=8.9e-16)
+                assert module_voc(p) == want, f"(g={g}, t={t})"
 
 
 # ======================================================================

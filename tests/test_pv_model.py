@@ -383,7 +383,7 @@ class TestArraySweep:
 
 
 class TestMPP:
-    """Golden-section MPP search with gradient polish."""
+    """Newton MPP over the diode voltage, checked against independent oracles."""
 
     def test_module_stc_power(self, ref_params):
         """Module STC maximum reproduces the 213.15 W rating within 0.5%."""
@@ -400,6 +400,19 @@ class TestMPP:
         got = mpp(unit, ref_params, env)
         assert abs(got.p_mp - p_star) <= 1e-4 * p_star, (
             f"mpp {got.p_mp:.4f} W vs oracle {p_star:.4f} W"
+        )
+        assert abs(got.v_mp - v_star) <= 2e-3 * v_star
+
+    @pytest.mark.parametrize("g", [1.0, 20.0])
+    @pytest.mark.parametrize("t", [-40.0, 90.0])
+    def test_matches_dense_oracle_at_extremes(self, ref_params, g, t):
+        """Dim light at both temperature limits agrees with a 2k-point oracle."""
+        env = EnvCondition(g=g, t=t)
+        v_star, p_star = _dense_mpp(adjust_params(ref_params, REF_MODULE, env), n=2_000)
+        unit = PVArraySpec(module=REF_MODULE, n_series=1, n_parallel=1)
+        got = mpp(unit, ref_params, env)
+        assert abs(got.p_mp - p_star) <= 1e-4 * p_star, (
+            f"mpp {got.p_mp:.6g} W vs oracle {p_star:.6g} W"
         )
         assert abs(got.v_mp - v_star) <= 2e-3 * v_star
 

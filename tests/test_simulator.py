@@ -11,6 +11,7 @@ from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom
 from pvgrid.errors import CalibrationFailure, GridMismatch, InvalidScenario
 from pvgrid.pv_model import PVArraySpec, PVModuleSpec
 from pvgrid.simulator import (
+    MAX_RECORDS,
     GridSpec,
     IrradianceStep,
     LoadStep,
@@ -91,6 +92,15 @@ class TestScenarioValidation:
         """t_end = 0 still defines the t = 0 record."""
         s = make_scenario(t_end=0.0)
         assert s.times() == [0.0]
+
+    def test_record_count_capped(self):
+        """A horizon beyond MAX_RECORDS records is rejected; the cap itself is allowed."""
+        assert MAX_RECORDS >= 86_401  # one day at 1 s
+        at_cap = make_scenario(t_end=float(MAX_RECORDS - 1), dt=1.0)
+        assert int(at_cap.t_end / at_cap.dt + 1e-9) + 1 == MAX_RECORDS
+        for t_end, dt in ((float(MAX_RECORDS), 1.0), (1e300, 1e-10)):
+            with pytest.raises(InvalidScenario, match="records"):
+                make_scenario(t_end=t_end, dt=dt)
 
     def test_time_grid_count_is_robust(self):
         """Horizons that are float-inexact multiples of dt keep the endpoint."""
