@@ -184,7 +184,7 @@ def _cmd_pv_curve(args: argparse.Namespace) -> int:
 def _series_json(series: simulator.TimeSeries) -> str:
     doc = {
         "scenario_id": series.scenario_id,
-        "records": [asdict(r) for r in series.records],
+        "records": [dict(zip(simulator.COLUMNS, row)) for row in series.rows()],
     }
     return json.dumps(doc, indent=2) + "\n"
 

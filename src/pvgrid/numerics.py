@@ -1,9 +1,9 @@
 """Scalar root-finding and maximization primitives.
 
 The PV model needs deterministic numeric helpers: a safeguarded Newton
-iteration for the implicit diode equation and the maximum-power
-condition, Brent's method for derivative-free roots, and a
-golden-section maximizer for unimodal curves.
+iteration for the implicit diode equation (the maximum-power kernel in
+``pv_model`` runs the same iteration over arrays), Brent's method for
+derivative-free roots, and a golden-section maximizer for unimodal curves.
 """
 
 from __future__ import annotations

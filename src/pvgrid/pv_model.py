@@ -21,6 +21,7 @@ short-circuit current linearly and the shunt resistance inversely.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,6 +102,14 @@ class PVArraySpec:
             raise ValueError(
                 f"array needs n_series >= 1 and n_parallel >= 1, "
                 f"got {self.n_series} x {self.n_parallel}"
+            )
+        try:
+            rated = float(self.n_series) * float(self.n_parallel) * self.module.p_mp
+        except OverflowError:  # a count beyond the float range
+            rated = math.inf
+        if not math.isfinite(rated):
+            raise ValueError(
+                "array rated power n_series * n_parallel * p_mp is beyond the float range"
             )
 
     @property
@@ -289,40 +298,78 @@ def module_voc(params: SingleDiodeParams) -> float:
     return brentq(residual, 0.0, v_hi, xtol=1e-12, rtol=8.9e-16)
 
 
-def _module_mpp(params: SingleDiodeParams) -> tuple[float, float]:
-    """Module ``(v, i)`` at maximum power of a lit curve (i_ph > 0).
+def _expm1(x: np.ndarray) -> np.ndarray:
+    """``math.expm1`` elementwise: numpy's vectorised expm1 can differ in the
+    last bit, and the translation must match a scalar one bit for bit.
+
+    Raises:
+        ValueError: if an exponent overflows a double.
+    """
+    try:
+        return np.fromiter(map(math.expm1, x.tolist()), float, len(x))
+    except OverflowError:
+        raise ValueError(f"diode term exp({x.max():.6g}) overflows a double") from None
+
+
+def _module_mpp(
+    i_ph: np.ndarray, i_0: np.ndarray, r_sh: np.ndarray, r_s: float, a: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Module ``(v, i)`` at maximum power of each curve; ``(0, 0)`` where it is dark.
 
     The curve is explicit in the diode voltage vd = v + i*r_s (Bishop,
     Solar Cells 25, 1988): i = i_ph - i_0*expm1(vd/a) - vd/r_sh,
     v = vd - i*r_s.  With g = (i_0/a)*exp(vd/a) + 1/r_sh, dP/dvd =
     i*(1 + r_s*g) - v*g is > 0 at vd = 0 and < 0 at a*log1p(i_ph/i_0).
+    Every lit curve gets the iteration of ``numerics.newton_bisect`` on
+    that bracket, all curves at once.  A curve is dark when its maximum
+    power, at most i_ph*a*log1p(i_ph/i_0), is below the smallest normal
+    double: i_ph <= 0, or light so dim that the power underflows.
 
     Raises:
-        NonConvergence: if the solve fails or |dP/dV|*v/p >= 1e-4 at its result.
+        NonConvergence: if a solve fails or |dP/dV|*v/p >= 1e-4 at its result.
     """
-    i_ph, i_0, r_s, r_sh, a = params.i_ph, params.i_0, params.r_s, params.r_sh, params.a
+    v_out, i_out = np.zeros(i_ph.shape), np.zeros(i_ph.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_oc = np.log1p(i_ph / i_0)
+        lit = i_ph * (a * x_oc) >= sys.float_info.min
+    i_ph, i_0, r_sh, x_oc = i_ph[lit], i_0[lit], r_sh[lit], x_oc[lit]
 
-    def point(vd: float) -> tuple[float, float, float, float]:
-        e = math.exp(vd / a)
-        i = i_ph - i_0 * math.expm1(vd / a) - vd / r_sh
-        return vd - i * r_s, i, (i_0 / a) * e + 1.0 / r_sh, e
+    def point(vd: np.ndarray) -> tuple[np.ndarray, ...]:
+        e = np.exp(vd / a)
+        i = i_ph - i_0 * np.expm1(vd / a) - vd / r_sh
+        v, g = vd - i * r_s, (i_0 / a) * e + 1.0 / r_sh
+        return v, i, g, e, i * (1.0 + r_s * g) - v * g  # last: dP/dvd
 
-    def slope(vd: float) -> float:
-        v, i, g, _ = point(vd)
-        return i * (1.0 + r_s * g) - v * g
-
-    def curvature(vd: float) -> float:
-        v, i, g, e = point(vd)
-        return -2.0 * g * (1.0 + r_s * g) + (i_0 / a**2) * e * (i * r_s - v)
-
-    x_oc = math.log1p(i_ph / i_0)
+    f_tol = 1e-9 * i_ph
+    lo, hi = np.zeros(i_ph.shape), a * x_oc
+    f_lo, f_hi = point(lo)[-1], point(hi)[-1]
+    active = (np.abs(f_lo) > f_tol) & (np.abs(f_hi) > f_tol)
+    if (active & ((f_lo > 0.0) == (f_hi > 0.0))).any():
+        raise NonConvergence("mpp: dP/dVd does not change sign on the diode-voltage bracket")
     # Start one fixed-point step into the ideal-diode maximum (1 + x)*e^x = e^x_oc.
-    vd = newton_bisect(slope, curvature, 0.0, a * x_oc, f_tol=1e-9 * i_ph,
-                       x0=a * (x_oc - math.log1p(x_oc)))
-    v, i, g, _ = point(vd)
-    if not abs(slope(vd) / (1.0 + r_s * g)) * v < 1e-4 * (v * i):  # |dP/dV|*v/p
+    x0 = a * (x_oc - np.log1p(x_oc))
+    vd = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
+    vd = np.where(np.abs(f_lo) <= f_tol, lo, np.where(np.abs(f_hi) <= f_tol, hi, vd))
+    for _ in range(100):
+        if not active.any():
+            break
+        v, i, g, e, f = point(vd)
+        active &= np.abs(f) > f_tol
+        to_lo = active & ((f > 0.0) == (f_lo > 0.0))
+        lo, f_lo = np.where(to_lo, vd, lo), np.where(to_lo, f, f_lo)
+        hi = np.where(active & ~to_lo, vd, hi)
+        d = -2.0 * g * (1.0 + r_s * g) + (i_0 / a**2) * e * (i * r_s - v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = vd - f / d
+        step_ok = (d != 0.0) & (lo < x_new) & (x_new < hi)
+        vd = np.where(active, np.where(step_ok, x_new, 0.5 * (lo + hi)), vd)
+    if active.any():
+        raise NonConvergence("mpp: no root of dP/dVd within 100 iterations")
+    v, i, g, _, f = point(vd)
+    if not (np.abs(f / (1.0 + r_s * g)) * v < 1e-4 * (v * i)).all():  # |dP/dV|*v/p
         raise NonConvergence("mpp: gradient criterion not met at the solved point")
-    return v, i
+    v_out[lit], i_out[lit] = v, i
+    return v_out, i_out
 
 
 # ============================================================================
@@ -348,11 +395,20 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
         (spec.v_mp, spec.i_mp, spec.i_mp),
     )
 
+    def diode(fn, z: float) -> float:
+        # fn is math.exp or math.expm1; past the double range this ideality is out.
+        try:
+            return fn(z)
+        except OverflowError:
+            raise InfeasibleSpec(
+                f"ideality {n_ideality:g}: diode term exp({z:.6g}) overflows a double"
+            ) from None
+
     def linear_fit(r_s: float) -> tuple[float, float, float]:
         rows, rhs = [], []
         for v, i, target in anchors:
             x = v + i * r_s
-            rows.append([1.0, -math.expm1(x / a), -x])
+            rows.append([1.0, -diode(math.expm1, x / a), -x])
             rhs.append(target)
         i_ph, i_0, g_sh = np.linalg.solve(np.array(rows), np.array(rhs))
         return float(i_ph), float(i_0), float(g_sh)
@@ -360,7 +416,7 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
     def mpp_slope(r_s: float) -> float:
         # dP/dV at the rated MPP; zero when (v_mp, i_mp) is the maximum.
         _, i_0, g_sh = linear_fit(r_s)
-        u = (i_0 / a) * math.exp((spec.v_mp + spec.i_mp * r_s) / a)
+        u = (i_0 / a) * diode(math.exp, (spec.v_mp + spec.i_mp * r_s) / a)
         di_dv = -(u + g_sh) / (1.0 + r_s * (u + g_sh))
         return spec.i_mp + spec.v_mp * di_dv
 
@@ -408,7 +464,8 @@ def _verify_calibration(spec: PVModuleSpec, params: SingleDiodeParams) -> bool:
         return False
     if abs(module_current(params, spec.v_oc)) > tol * spec.i_sc:
         return False
-    v_mp, i_mp = _module_mpp(params)
+    one_curve = np.array([[params.i_ph], [params.i_0], [params.r_sh]])
+    (v_mp,), (i_mp,) = _module_mpp(*one_curve, params.r_s, params.a)
     return (
         abs(v_mp * i_mp - spec.p_mp) <= tol * spec.p_mp
         and abs(v_mp - spec.v_mp) <= tol * spec.v_mp
@@ -457,6 +514,56 @@ def extract_single_diode_params(
     raise InfeasibleSpec("no candidate ideality produced a verifiable calibration")
 
 
+def _translate(
+    params: SingleDiodeParams, spec: PVModuleSpec, g: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i_ph, i_0, r_sh)`` of :func:`adjust_params` at each point ``(g[k], t[k])``.
+
+    Points exactly at STC keep the calibrated values.
+
+    Raises:
+        ValueError: if a temperature drives a datasheet rating negative or a
+            diode term beyond the float range, or a point breaks an invariant
+            of :class:`SingleDiodeParams`.
+    """
+    d_t = t - spec.t_stc
+    i_sc_t = spec.i_sc * (1.0 + spec.alpha_isc * d_t)
+    v_oc_t = spec.v_oc * (1.0 + spec.beta_voc * d_t)
+    negative = (i_sc_t <= 0.0) | (v_oc_t <= 0.0)
+    if negative.any():
+        raise ValueError(
+            f"temperature {float(t[negative][0])} °C drives datasheet ratings negative"
+        )
+    r_s, r_sh_ref, a = params.r_s, params.r_sh, params.a
+
+    # Stage 1: at STC irradiance, solve the 2x2 linear system for
+    # (i_ph, i_0) that pins I(0) = i_sc_t and I(v_oc_t) = 0.
+    e_sc = _expm1(i_sc_t * r_s / a)
+    e_oc = _expm1(v_oc_t / a)
+    k = e_sc / e_oc
+    i_ph_t = (i_sc_t * (1.0 + r_s / r_sh_ref) - k * v_oc_t / r_sh_ref) / (1.0 - k)
+    i_0_t = (i_ph_t - v_oc_t / r_sh_ref) / e_oc
+
+    # Stage 2: irradiance scaling; the dark curve keeps the reference shunt.
+    lit = g > 0.0
+    with np.errstate(over="ignore"):  # an infinite r_sh is rejected below
+        r_sh = np.where(lit, r_sh_ref * spec.g_stc / np.where(lit, g, 1.0), r_sh_ref)
+    i_sc_gt = i_sc_t * g / spec.g_stc
+    i_ph = i_sc_gt * (1.0 + r_s / r_sh) + i_0_t * _expm1(i_sc_gt * r_s / a)
+    stc = (g == spec.g_stc) & (t == spec.t_stc)
+    i_ph, i_0, r_sh = (
+        np.where(stc, params.i_ph, i_ph),
+        np.where(stc, params.i_0, i_0_t),
+        np.where(stc, r_sh_ref, r_sh),
+    )
+    valid = (i_ph >= 0.0) & (0.0 < i_0) & (i_0 < math.inf)
+    valid &= (10.0 * r_s <= r_sh) & (r_sh < math.inf)
+    for bad in np.flatnonzero(~valid)[:1]:  # raises the error of a scalar translation
+        SingleDiodeParams(i_ph=float(i_ph[bad]), i_0=float(i_0[bad]),
+                          n_ideality=params.n_ideality, r_s=r_s, r_sh=float(r_sh[bad]), a=a)
+    return i_ph, i_0, r_sh
+
+
 def adjust_params(
     params: SingleDiodeParams, spec: PVModuleSpec, env: EnvCondition
 ) -> SingleDiodeParams:
@@ -474,30 +581,12 @@ def adjust_params(
     """
     if env.g == spec.g_stc and env.t == spec.t_stc:
         return params
-    d_t = env.t - spec.t_stc
-    i_sc_t = spec.i_sc * (1.0 + spec.alpha_isc * d_t)
-    v_oc_t = spec.v_oc * (1.0 + spec.beta_voc * d_t)
-    if i_sc_t <= 0.0 or v_oc_t <= 0.0:
-        raise ValueError(f"temperature {env.t} °C drives datasheet ratings negative")
-    r_s, r_sh_ref, a = params.r_s, params.r_sh, params.a
-
-    # Stage 1: at STC irradiance, solve the 2x2 linear system for
-    # (i_ph, i_0) that pins I(0) = i_sc_t and I(v_oc_t) = 0.
-    e_sc = math.expm1(i_sc_t * r_s / a)
-    e_oc = math.expm1(v_oc_t / a)
-    k = e_sc / e_oc
-    i_ph_t = (i_sc_t * (1.0 + r_s / r_sh_ref) - k * v_oc_t / r_sh_ref) / (1.0 - k)
-    i_0_t = (i_ph_t - v_oc_t / r_sh_ref) / e_oc
-
-    # Stage 2: irradiance scaling; the dark curve keeps the reference shunt.
-    if env.g > 0.0:
-        r_sh = r_sh_ref * spec.g_stc / env.g
-    else:
-        r_sh = r_sh_ref
-    i_sc_gt = i_sc_t * env.g / spec.g_stc
-    i_ph = i_sc_gt * (1.0 + r_s / r_sh) + i_0_t * math.expm1(i_sc_gt * r_s / a)
+    i_ph, i_0, r_sh = (
+        float(x[0]) for x in _translate(params, spec, np.array([env.g]), np.array([env.t]))
+    )
     return SingleDiodeParams(
-        i_ph=i_ph, i_0=i_0_t, n_ideality=params.n_ideality, r_s=r_s, r_sh=r_sh, a=a
+        i_ph=i_ph, i_0=i_0, n_ideality=params.n_ideality, r_s=params.r_s, r_sh=r_sh,
+        a=params.a,
     )
 
 
@@ -539,6 +628,21 @@ def array_iv_sweep(
     return IVCurve(points=tuple(points))
 
 
+def array_mpp(
+    array: PVArraySpec, params: SingleDiodeParams, g: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array ``(v_mp, i_mp)`` at each point ``(g[k], t[k])``, in one batched solve.
+
+    Equal, point for point, to the ``v_mp`` and ``i_mp`` of :func:`mpp`,
+    and ``(0, 0)`` where :func:`mpp` raises DarkArray.
+
+    Raises:
+        NonConvergence: if the gradient criterion is not met at some point.
+    """
+    v_m, i_m = _module_mpp(*_translate(params, array.module, g, t), params.r_s, params.a)
+    return v_m * array.n_series, i_m * array.n_parallel
+
+
 def mpp(
     array: PVArraySpec, params: SingleDiodeParams, env: EnvCondition
 ) -> MPPResult:
@@ -550,14 +654,13 @@ def mpp(
     result.  Module results scale exactly by the series/parallel counts.
 
     Raises:
-        DarkArray: at zero irradiance, where no maximum above 0 W exists.
+        DarkArray: at zero irradiance, or where the maximum power is below
+            the smallest normal double: no maximum above 0 W exists.
         NonConvergence: if the gradient criterion is not met.
     """
     if env.g <= 0.0:
         raise DarkArray("no maximum power point at zero irradiance")
-    params_e = adjust_params(params, array.module, env)
-    if params_e.i_ph <= 0.0:
+    (v_mp,), (i_mp,) = array_mpp(array, params, np.array([env.g]), np.array([env.t]))
+    if v_mp == 0.0:
         raise DarkArray("no maximum power point for a dark curve")
-    v_m, i_m = _module_mpp(params_e)
-    v_mp, i_mp = v_m * array.n_series, i_m * array.n_parallel
-    return MPPResult(v_mp=v_mp, i_mp=i_mp, p_mp=v_mp * i_mp)
+    return MPPResult(v_mp=float(v_mp), i_mp=float(i_mp), p_mp=float(v_mp * i_mp))

@@ -14,24 +14,24 @@ import sys
 from dataclasses import MISSING, fields
 from functools import cache
 from importlib import resources
-from operator import attrgetter
 from typing import NamedTuple, get_type_hints
+
+import numpy as np
 
 from .compensation import COMPENSATORS, NoCompensator
 from .errors import EmptySeries, InvalidScenario, ParseError, ValidationError
 from .pv_model import PVArraySpec, PVModuleSpec
 from .simulator import (
+    COLUMNS,
     ComparisonReport,
     GridSpec,
     IrradianceStep,
     LoadStep,
-    PowerFlowRecord,
     Scenario,
     TimeSeries,
 )
 
-# One CSV column per record field, in field order.
-_CSV_COLUMNS = tuple(f.name for f in fields(PowerFlowRecord))
+_CSV_ROW = ",".join(["%.6g"] * len(COLUMNS)) + "\n"
 
 _SI_PREFIXES = (
     (1e9, "G"),
@@ -235,11 +235,7 @@ def emit_scenario(scenario: Scenario) -> str:
 
 def emit_csv(series: TimeSeries) -> str:
     """Render a run as CSV: fixed column set, 6 significant digits, LF endings."""
-    row = attrgetter(*_CSV_COLUMNS)
-    lines = [",".join(_CSV_COLUMNS)]
-    for r in series.records:
-        lines.append(",".join(format(value, ".6g") for value in row(r)))
-    return "\n".join(lines) + "\n"
+    return ",".join(COLUMNS) + "\n" + "".join(_CSV_ROW % row for row in series.rows())
 
 
 # ============================================================================
@@ -247,22 +243,23 @@ def emit_csv(series: TimeSeries) -> str:
 # ============================================================================
 
 
-def _segment_blocks(series: TimeSeries) -> list[tuple[float, float, object]]:
-    """Group consecutive records with identical steady-state values."""
-    blocks = []
-    start = series.records[0]
-    last_t = start.t
-    key = lambda r: (
-        r.p_pv, r.p_inv, r.p_load, r.q_load, r.q_comp, r.p_comp_loss,
-        r.p_grid, r.q_grid,
-    )
-    for r in series.records[1:]:
-        if key(r) != key(start):
-            blocks.append((start.t, last_t, start))
-            start = r
-        last_t = r.t
-    blocks.append((start.t, last_t, start))
-    return blocks
+# Columns whose change starts a new report segment.
+_STEADY = ("p_pv", "p_inv", "p_load", "q_load", "q_comp", "p_comp_loss", "p_grid", "q_grid")
+
+
+def _segment_blocks(series: TimeSeries) -> list[tuple[float, float, dict]]:
+    """``(t first, t last, values)`` of each run of identical steady-state values."""
+    cols = series.columns
+    changed = np.zeros(len(series) - 1, dtype=bool)
+    for name in _STEADY:
+        changed |= cols[name][1:] != cols[name][:-1]
+    starts = [0, *(np.flatnonzero(changed) + 1).tolist()]
+    ends = [*starts[1:], len(series)]
+    t = cols["t"].tolist()
+    return [
+        (t[i], t[j - 1], {name: col[i].item() for name, col in cols.items()})
+        for i, j in zip(starts, ends)
+    ]
 
 
 def render_report(
@@ -280,34 +277,34 @@ def render_report(
     Raises:
         EmptySeries: if the series contains no records.
     """
-    if not series.records:
+    if not len(series):
         raise EmptySeries("cannot render a report for an empty series")
     label = "compensator" if scenario is None else scenario.compensator.label
     lines = [f"scenario: {series.scenario_id}"]
-    span = f"{series.records[0].t:g} s .. {series.records[-1].t:g} s"
-    lines.append(f"records: {len(series.records)}   span: {span}")
+    t, pfs = series.columns["t"], series.columns["pf_grid"]
+    span = f"{t[0]:g} s .. {t[-1]:g} s"
+    lines.append(f"records: {len(series)}   span: {span}")
     for idx, (t0, t1, r) in enumerate(_segment_blocks(series), start=1):
         lines.append(f"segment {idx}: t = {t0:g} s .. {t1:g} s")
         lines.append(
-            f"  PV P: {format_si(r.p_pv, 'W')}   "
-            f"inverter P: {format_si(r.p_inv, 'W')}   "
-            f"inverter Q: {format_si(r.q_inv, 'VAr')}"
+            f"  PV P: {format_si(r['p_pv'], 'W')}   "
+            f"inverter P: {format_si(r['p_inv'], 'W')}   "
+            f"inverter Q: {format_si(r['q_inv'], 'VAr')}"
         )
         lines.append(
-            f"  load P: {format_si(r.p_load, 'W')}   "
-            f"load Q: {format_si(r.q_load, 'VAr')}"
+            f"  load P: {format_si(r['p_load'], 'W')}   "
+            f"load Q: {format_si(r['q_load'], 'VAr')}"
         )
         lines.append(
-            f"  {label} Q: {format_si(r.q_comp, 'VAr')}   "
-            f"loss: {format_si(r.p_comp_loss, 'W')}"
+            f"  {label} Q: {format_si(r['q_comp'], 'VAr')}   "
+            f"loss: {format_si(r['p_comp_loss'], 'W')}"
         )
         lines.append(
-            f"  grid P: {format_si(r.p_grid, 'W')}   "
-            f"grid Q: {format_si(r.q_grid, 'VAr')}   "
-            f"pf: {r.pf_grid:.4f}"
+            f"  grid P: {format_si(r['p_grid'], 'W')}   "
+            f"grid Q: {format_si(r['q_grid'], 'VAr')}   "
+            f"pf: {r['pf_grid']:.4f}"
         )
-    pfs = [r.pf_grid for r in series.records]
-    lines.append(f"pf_grid: min {min(pfs):.4f}, max {max(pfs):.4f}")
+    lines.append(f"pf_grid: min {pfs.min():.4f}, max {pfs.max():.4f}")
     if comparison is not None:
         if comparison.winner is None:
             lines.append("verdict: neither run keeps |q_grid| smaller at every step")

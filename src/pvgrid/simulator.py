@@ -12,22 +12,20 @@ load, compensator losses, and inverter leave over:
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import lru_cache
+import sys
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from . import pv_model
-from .compensation import CompensatorConfig, NoCompensator, dispatch, power_factor
+from .compensation import CompensatorConfig, dispatch, power_factor  # noqa: F401 (traced by name)
 from .errors import (
-    CalibrationFailure,
-    GridMismatch,
-    InfeasibleSpec,
-    InvalidScenario,
-    NonConvergence,
-    UndefinedPF,
+    CalibrationFailure, GridMismatch, InfeasibleSpec, InvalidScenario, NonConvergence,
 )
-from .pv_model import EnvCondition, PVArraySpec, SingleDiodeParams
+from .pv_model import PVArraySpec, SingleDiodeParams
 
 # Tolerance slack applied when counting whole steps in t_end/dt, so a
 # horizon that is an exact multiple of dt includes its final instant.
@@ -51,6 +49,10 @@ class LoadStep(NamedTuple):
     q: float  # var
 
 
+# Largest finite double: NaN, infinities and larger integers all fail `<= _MAX`.
+_MAX = sys.float_info.max
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Stiff-grid interface parameters."""
@@ -61,13 +63,16 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("v_phase", "f", "v_dc"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidScenario(f"grid {name} must be positive")
+            if not 0.0 < getattr(self, name) <= _MAX:
+                raise InvalidScenario(f"grid {name} must be positive and finite")
 
 
-def _check_profile(name: str, profile: tuple, t_field: str = "t_start") -> None:
+def _check_profile(name: str, profile: tuple) -> None:
     if not profile:
         raise InvalidScenario(f"{name} profile must have at least one segment")
+    if not all(-_MAX <= value <= _MAX for seg in profile for value in seg):
+        bad = next(seg for seg in profile if not all(-_MAX <= value <= _MAX for value in seg))
+        raise InvalidScenario(f"{name} profile segment {bad} must have finite values")
     if profile[0].t_start != 0.0:
         raise InvalidScenario(f"{name} profile must start at t = 0")
     starts = [seg.t_start for seg in profile]
@@ -98,10 +103,10 @@ class Scenario:
             raise InvalidScenario(
                 f"inverter_efficiency must lie in (0, 1], got {self.inverter_efficiency}"
             )
-        if self.dt <= 0.0:
-            raise InvalidScenario(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise InvalidScenario(f"t_end must be non-negative, got {self.t_end}")
+        if not 0.0 < self.dt <= _MAX:
+            raise InvalidScenario(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.t_end <= _MAX:
+            raise InvalidScenario(f"t_end must be non-negative and finite, got {self.t_end}")
         if not self.t_end / self.dt + _GRID_EPS < MAX_RECORDS:
             raise InvalidScenario(
                 f"t_end/dt = {self.t_end / self.dt:g} gives more than "
@@ -147,19 +152,53 @@ class PowerFlowRecord:
             raise InvalidScenario(f"pf_grid must lie in [0, 1], got {self.pf_grid}")
 
 
-@dataclass(frozen=True)
+# Output columns: the PowerFlowRecord fields, in field order.
+COLUMNS = tuple(f.name for f in fields(PowerFlowRecord))
+
+
 class TimeSeries:
-    """Simulation output: one record per time-grid instant."""
+    """Simulation output: one float array per column of ``COLUMNS``.
 
-    scenario_id: str
-    records: tuple[PowerFlowRecord, ...]
+    Built from ``records`` or from ``columns={name: array}``; both check
+    the same invariants, and ``records`` is built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.records:
+    def __init__(self, scenario_id: str, records: tuple[PowerFlowRecord, ...] | None = None,
+                 *, columns: dict[str, np.ndarray] | None = None) -> None:
+        self.scenario_id = scenario_id
+        if columns is None:
+            self.records = tuple(records)
+        else:
+            self.columns = {name: np.asarray(columns[name], dtype=float) for name in COLUMNS}
+        t, pf = self.columns["t"], self.columns["pf_grid"]
+        if not len(t):
             raise InvalidScenario("time series must contain at least one record")
-        ts = [r.t for r in self.records]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        for k in np.flatnonzero(~(t >= 0.0))[:1]:
+            raise InvalidScenario(f"record time must be non-negative, got {t[k]}")
+        for k in np.flatnonzero(~((0.0 <= pf) & (pf <= 1.0)))[:1]:
+            raise InvalidScenario(f"pf_grid must lie in [0, 1], got {pf[k]}")
+        if (t[1:] <= t[:-1]).any():
             raise InvalidScenario("record times must be strictly increasing")
+
+    @cached_property
+    def columns(self) -> dict[str, np.ndarray]:
+        return {name: np.array([getattr(r, name) for r in self.records]) for name in COLUMNS}
+
+    @cached_property
+    def records(self) -> tuple[PowerFlowRecord, ...]:
+        return tuple(PowerFlowRecord(*row) for row in self.rows())
+
+    def rows(self) -> Iterator[tuple[float, ...]]:
+        """One tuple of floats per instant, in ``COLUMNS`` order."""
+        return zip(*(column.tolist() for column in self.columns.values()))
+
+    def __len__(self) -> int:
+        return len(self.columns["t"])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TimeSeries) and self.scenario_id == other.scenario_id and all(
+            np.array_equal(a, b) for a, b in zip(self.columns.values(), other.columns.values())
+        )
 
 
 @dataclass(frozen=True)
@@ -175,65 +214,42 @@ class ComparisonReport:
     winner: str | None  # run with |q_grid| <= the other at every step
 
 
-def _starts(scenario: Scenario) -> tuple[list[float], list[float]]:
-    """The t_start lists of the irradiance and load profiles."""
-    return (
-        [seg.t_start for seg in scenario.irradiance_profile],
-        [seg.t_start for seg in scenario.load_profile],
-    )
-
-
-def _segment_at(profile: tuple, starts: list[float], t: float):
-    """Active segment: the one with the largest t_start <= t."""
-    return profile[bisect_right(starts, t) - 1]
-
-
 @lru_cache(maxsize=32)
 def _calibrated(module: pv_model.PVModuleSpec) -> SingleDiodeParams:
     return pv_model.extract_single_diode_params(module)
 
 
-def _step(
-    scenario: Scenario,
-    params: SingleDiodeParams,
-    t: float,
-    mpp_cache: dict[tuple[float, float], float],
-    starts: tuple[list[float], list[float]],
-) -> PowerFlowRecord:
-    irr = _segment_at(scenario.irradiance_profile, starts[0], t)
-    load = _segment_at(scenario.load_profile, starts[1], t)
+def _columns(scenario: Scenario, params: SingleDiodeParams, times: list) -> dict[str, np.ndarray]:
+    """The balance at each instant, one array per column.
 
-    key = (irr.g, irr.t_cell)
-    p_pv = mpp_cache.get(key)
-    if p_pv is None:
-        if irr.g > 0.0:
-            env = EnvCondition(g=irr.g, t=irr.t_cell)
-            p_pv = pv_model.mpp(scenario.array, params, env).p_mp
-        else:
-            p_pv = 0.0
-        mpp_cache[key] = p_pv
+    Each instant takes the segment with the largest t_start <= t.  The
+    array maximum power is solved once for every lit irradiance segment
+    in use, and the compensator is dispatched once per load segment.
+    """
+    t = np.asarray(times, dtype=float)
+    irr_start, g, t_cell = (np.array(c, dtype=float) for c in zip(*scenario.irradiance_profile))
+    load_start, p, q = (np.array(c, dtype=float) for c in zip(*scenario.load_profile))
+    k_irr = np.searchsorted(irr_start, t, side="right") - 1
+    k_load = np.searchsorted(load_start, t, side="right") - 1
 
+    lit = (np.bincount(k_irr, minlength=len(g)) > 0) & (g > 0.0)  # lit segments in use
+    p_seg = np.zeros(len(g))
+    p_seg[lit] = np.multiply(*pv_model.array_mpp(scenario.array, params, g[lit], t_cell[lit]))
+    p_pv = p_seg[k_irr]
+    v = scenario.grid.v_phase
+    outputs = [dispatch(scenario.compensator, q_demand=q_k, v=v) for q_k in q.tolist()]
+    q_comp, p_comp_loss = np.array([(o.q_out, o.p_loss) for o in outputs]).T[:, k_load]
+    p_load, q_load = p[k_load], q[k_load]
     p_inv = scenario.inverter_efficiency * p_pv
-    comp = dispatch(scenario.compensator, q_demand=load.q, v=scenario.grid.v_phase)
-    p_grid = load.p + comp.p_loss - p_inv
-    q_grid = load.q - comp.q_out
-    try:
-        pf_grid, _ = power_factor(p_grid, q_grid)
-    except UndefinedPF:
-        pf_grid = 1.0  # zero grid exchange reported as unity by convention
-    return PowerFlowRecord(
-        t=t,
-        p_pv=p_pv,
-        p_inv=p_inv,
-        q_inv=0.0,
-        p_load=load.p,
-        q_load=load.q,
-        q_comp=comp.q_out,
-        p_comp_loss=comp.p_loss,
-        p_grid=p_grid,
-        q_grid=q_grid,
-        pf_grid=pf_grid,
-        v_dc=scenario.grid.v_dc,
+    p_grid = p_load + p_comp_loss - p_inv
+    q_grid = q_load - q_comp
+    # Zero grid exchange has no power factor; it is reported as unity.
+    s_grid = np.hypot(p_grid, q_grid)
+    pf_grid = np.divide(np.abs(p_grid), s_grid, out=np.ones(len(t)), where=s_grid != 0.0)
+    return dict(
+        t=t, p_pv=p_pv, p_inv=p_inv, q_inv=np.zeros(len(t)), p_load=p_load,
+        q_load=q_load, q_comp=q_comp, p_comp_loss=p_comp_loss, p_grid=p_grid,
+        q_grid=q_grid, pf_grid=pf_grid, v_dc=np.full(len(t), scenario.grid.v_dc),
     )
 
 
@@ -250,15 +266,15 @@ def step(scenario: Scenario, params: SingleDiodeParams, t: float) -> PowerFlowRe
     """
     if not 0.0 <= t <= scenario.t_end:
         raise ValueError(f"t = {t} outside [0, {scenario.t_end}]")
-    return _step(scenario, params, t, {}, _starts(scenario))
+    return TimeSeries(scenario.scenario_id, columns=_columns(scenario, params, [t])).records[0]
 
 
 def run(scenario: Scenario) -> TimeSeries:
     """Simulate the scenario over its whole time grid.
 
     Module calibration happens once per module spec (memoized); the
-    maximum-power solve happens once per distinct (g, t_cell) pair.
-    Identical scenarios produce identical output.
+    maximum-power solve is one batched solve over the lit irradiance
+    segments.  Identical scenarios produce identical output.
 
     Raises:
         CalibrationFailure: if the module datasheet cannot be calibrated.
@@ -269,12 +285,7 @@ def run(scenario: Scenario) -> TimeSeries:
         raise CalibrationFailure(
             f"module calibration failed for scenario {scenario.scenario_id!r}: {exc}"
         ) from exc
-    mpp_cache: dict[tuple[float, float], float] = {}
-    starts = _starts(scenario)
-    records = tuple(
-        _step(scenario, params, t, mpp_cache, starts) for t in scenario.times()
-    )
-    return TimeSeries(scenario_id=scenario.scenario_id, records=records)
+    return TimeSeries(scenario.scenario_id, columns=_columns(scenario, params, scenario.times()))
 
 
 def compare_runs(a: TimeSeries, b: TimeSeries) -> ComparisonReport:
@@ -286,34 +297,22 @@ def compare_runs(a: TimeSeries, b: TimeSeries) -> ComparisonReport:
     Raises:
         GridMismatch: if the time grids differ.
     """
-    ts_a = [r.t for r in a.records]
-    ts_b = [r.t for r in b.records]
-    if ts_a != ts_b:
+    ts_a, ts_b = a.columns["t"], b.columns["t"]
+    if not np.array_equal(ts_a, ts_b):
         raise GridMismatch(
             f"time grids differ: {len(ts_a)} records vs {len(ts_b)}"
             if len(ts_a) != len(ts_b)
             else "time grids differ in their instants"
         )
-    abs_a = [abs(r.q_grid) for r in a.records]
-    abs_b = [abs(r.q_grid) for r in b.records]
-    a_dominates = all(x <= y for x, y in zip(abs_a, abs_b))
-    b_dominates = all(y <= x for x, y in zip(abs_a, abs_b))
-    if a_dominates and not b_dominates:
-        winner = a.scenario_id
-    elif b_dominates and not a_dominates:
-        winner = b.scenario_id
-    else:
-        winner = None
+    q_a, q_b = a.columns["q_grid"], b.columns["q_grid"]
+    abs_a, abs_b = np.abs(q_a), np.abs(q_b)
+    a_dominates, b_dominates = bool((abs_a <= abs_b).all()), bool((abs_b <= abs_a).all())
+    winner = None
+    if a_dominates != b_dominates:
+        winner = a.scenario_id if a_dominates else b.scenario_id
     return ComparisonReport(
-        scenario_a=a.scenario_id,
-        scenario_b=b.scenario_id,
-        delta_q_grid=tuple(
-            rb.q_grid - ra.q_grid for ra, rb in zip(a.records, b.records)
-        ),
-        delta_pf_grid=tuple(
-            rb.pf_grid - ra.pf_grid for ra, rb in zip(a.records, b.records)
-        ),
-        max_abs_q_grid_a=max(abs_a),
-        max_abs_q_grid_b=max(abs_b),
-        winner=winner,
+        scenario_a=a.scenario_id, scenario_b=b.scenario_id,
+        delta_q_grid=tuple((q_b - q_a).tolist()),
+        delta_pf_grid=tuple((b.columns["pf_grid"] - a.columns["pf_grid"]).tolist()),
+        max_abs_q_grid_a=float(abs_a.max()), max_abs_q_grid_b=float(abs_b.max()), winner=winner,
     )

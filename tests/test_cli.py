@@ -299,6 +299,53 @@ class TestSimulate:
         assert cli.main(["simulate", str(bad)]) == 1
         assert "records" in capsys.readouterr().err
 
+    def _simulate_case3(self, capsys, tmp_path, edit) -> tuple[int, str, str]:
+        doc = json.loads(bundled_scenario_text("case3"))
+        edit(doc)
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["simulate", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_array_power_beyond_float_exits_1(self, capsys, tmp_path):
+        """Counts in the float range whose product overflows are named as such."""
+        code, _, err = self._simulate_case3(
+            capsys, tmp_path, lambda d: d["pv_array"].update(n_series=10**300, n_parallel=10**300)
+        )
+        assert code == 1
+        assert "array rated power" in err and "pf_grid" not in err
+
+    def test_calibration_overflow_exits_2(self, capsys, tmp_path):
+        """An overflowing diode term ends calibration as CalibrationFailure."""
+        module = {"p_mp": 2500.0 * 7.35, "v_mp": 2500.0, "v_oc": 3000.0, "n_cells": 1}
+        code, _, err = self._simulate_case3(capsys, tmp_path, lambda d: d["pv_module"].update(module))
+        assert code == 2
+        assert "CalibrationFailure" in err and "Traceback" not in err
+
+    def test_translation_overflow_exits_1(self, capsys, tmp_path):
+        """A cold operating point whose diode term overflows is rejected cleanly."""
+        module = {"p_mp": 16.0 * 7.35, "v_mp": 16.0, "v_oc": 20.0, "n_cells": 1}
+
+        def edit(doc):
+            doc["pv_module"].update(module)
+            doc["profiles"]["irradiance"][0]["t_cell"] = -40.0
+
+        code, _, err = self._simulate_case3(capsys, tmp_path, edit)
+        assert code == 1
+        assert "overflows a double" in err and "Traceback" not in err
+
+    def test_underflowing_irradiance_runs_dark(self, capsys, tmp_path):
+        """g = 1e-300 W/m² gives p_pv = 0 and exit 0, like g = 0."""
+        code, out, _ = self._simulate_case3(
+            capsys, tmp_path, lambda d: d["profiles"]["irradiance"][0].update(g=1e-300)
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        dark = [float(r[1]) for r in rows if float(r[0]) < 0.1]
+        assert dark and all(p == 0.0 for p in dark)
+        assert all(float(r[1]) > 0.0 for r in rows if float(r[0]) >= 0.1)
+
     def test_uncalibratable_module_exits_2(self, capsys, tmp_path):
         """A scenario whose module cannot calibrate is a numerical failure."""
         doc = json.loads(bundled_scenario_text("case1"))

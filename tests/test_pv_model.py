@@ -21,6 +21,7 @@ from pvgrid.pv_model import (
     extract_single_diode_params,
     module_current,
     module_voc,
+    array_mpp,
     mpp,
     thermal_voltage,
 )
@@ -100,6 +101,14 @@ class TestSpecs:
         """Zero series or parallel counts are rejected."""
         with pytest.raises(ValueError):
             PVArraySpec(module=REF_MODULE, n_series=0, n_parallel=47)
+
+    def test_array_rated_power_must_be_a_float(self):
+        """Counts whose rated power n_series*n_parallel*p_mp overflows are rejected."""
+        with pytest.raises(ValueError, match="array rated power"):
+            PVArraySpec(module=REF_MODULE, n_series=10**300, n_parallel=10**300)
+        with pytest.raises(ValueError, match="array rated power"):
+            PVArraySpec(module=REF_MODULE, n_series=10**400, n_parallel=1)
+        assert PVArraySpec(module=REF_MODULE, n_series=10**300, n_parallel=1).n_series == 10**300
 
     def test_array_ratings_scale(self):
         """Array v_oc / i_sc are the module ratings times the counts."""
@@ -194,6 +203,14 @@ class TestCalibration:
         impossible = PVModuleSpec(p_mp=280.0, v_mp=35.9, i_mp=7.8, v_oc=36.3, i_sc=7.84)
         with pytest.raises(InfeasibleSpec):
             extract_single_diode_params(impossible)
+
+    def test_overflowing_diode_term_is_infeasible(self):
+        """A v_oc far beyond its cell count overflows exp(); every ideality is
+        then infeasible, which is reported as InfeasibleSpec, not OverflowError."""
+        spec = PVModuleSpec(p_mp=2500.0 * 7.35, v_mp=2500.0, i_mp=7.35, v_oc=3000.0,
+                            i_sc=7.84, n_cells=1)
+        with pytest.raises(InfeasibleSpec, match="overflows"):
+            extract_single_diode_params(spec)
 
     def test_random_datasheets_round_trip(self):
         """Property: feasible random datasheets are reproduced within 0.5%."""
@@ -462,6 +479,29 @@ class TestMPP:
         _, p_star = _dense_mpp(adjust_params(ref_params, REF_MODULE, env), n=2_000)
         unit_p = got.p_mp / (ref_array.n_series * ref_array.n_parallel)
         assert abs(unit_p - p_star) <= 1e-4 * p_star
+
+    def test_batched_solve_matches_dense_oracle(self, ref_params):
+        """One batched solve over a vector of points, extremes included, agrees
+        with the 2k-point oracle and with mpp() point for point."""
+        g = np.array([1.0, 20.0, 1.0, 20.0, 1000.0, 640.0, 1000.0, 250.0, 1100.0])
+        t = np.array([-40.0, -40.0, 90.0, 90.0, 25.0, 38.0, 90.0, -40.0, 60.0])
+        unit = PVArraySpec(module=REF_MODULE, n_series=1, n_parallel=1)
+        v_batch, i_batch = array_mpp(unit, ref_params, g, t)
+        for k in range(len(g)):
+            env = EnvCondition(g=float(g[k]), t=float(t[k]))
+            _, p_star = _dense_mpp(adjust_params(ref_params, REF_MODULE, env), n=2_000)
+            p_k = v_batch[k] * i_batch[k]
+            assert abs(p_k - p_star) <= 1e-4 * p_star, f"(g={g[k]}, t={t[k]})"
+            got = mpp(unit, ref_params, env)
+            assert (v_batch[k], i_batch[k], p_k) == (got.v_mp, got.i_mp, got.p_mp)
+
+    def test_underflowing_power_is_dark(self, ref_array, ref_params):
+        """Power below the smallest normal double is a dark array, not a failure."""
+        assert 0.0 < mpp(ref_array, ref_params, EnvCondition(1e-100, 25.0)).p_mp < 1e-150
+        with pytest.raises(DarkArray):
+            mpp(ref_array, ref_params, EnvCondition(1e-300, 25.0))
+        v, i = array_mpp(ref_array, ref_params, np.array([1e-300, 1e-100]), np.array([25.0, 25.0]))
+        assert v[0] == i[0] == 0.0 and v[1] * i[1] > 0.0
 
     def test_dark_array_raises(self, ref_array, ref_params):
         """Zero irradiance has no maximum power point."""

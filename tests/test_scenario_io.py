@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import MISSING
 
@@ -334,6 +335,31 @@ class TestEmitCsv:
         a = emit_csv(run(make_scenario()))
         b = emit_csv(run(make_scenario()))
         assert a == b
+
+
+# sha256 of emit_csv and render_report(..., scenario=...) of each bundled
+# case, recorded before the simulator and writer became columnar.
+PINNED = {
+    "case1": ("11487c09a1a49fa6005ab1d0e2e367481dc4e599f046f4a9b1e74057aa574822",
+              "7d3323b71251ea5f0d48e24cb6f443481ba0e645863800161b1bbf05c46b6ddd"),
+    "case2": ("7548ed5961026b472e95bef589a7148b646ae09159f01847181b9649e7c6caef",
+              "2b9535eb2c32827a914d880620b7fe3df9168916c97b07e4cea3a646b51ca5d4"),
+    "case3": ("eebc36257206e0ab7dbe039518b2fe4742a79e353761dfa6d8cb5395c11be8cf",
+              "54121148b4ca0456f05f43649b20acc0870da61afe25179b93285a0d57265183"),
+}
+
+
+class TestPinnedOutputs:
+    """Byte-exact artifacts of the bundled reference cases."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_bundled_outputs_are_pinned(self, case):
+        """The CSV and the report of every bundled case keep their exact bytes."""
+        scenario = parse_scenario(bundled_scenario_text(case))
+        series = run(scenario)
+        digest = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest(emit_csv(series)) == PINNED[case][0]
+        assert digest(render_report(series, scenario=scenario)) == PINNED[case][1]
 
 
 # ======================================================================

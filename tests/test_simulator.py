@@ -102,6 +102,31 @@ class TestScenarioValidation:
             with pytest.raises(InvalidScenario, match="records"):
                 make_scenario(t_end=t_end, dt=dt)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"irradiance": ((0.0, math.nan, 25.0),)},
+            {"irradiance": ((0.0, 1000.0, math.nan),)},
+            {"irradiance": ((0.0, 1000.0, 25.0), (math.inf, 500.0, 25.0))},
+            {"load": ((0.0, math.nan, 1e5),)},
+            {"load": ((0.0, 1e5, -math.inf),)},
+            {"efficiency": math.nan},
+            {"t_end": math.inf},
+            {"dt": math.nan},
+        ],
+        ids=["g", "t_cell", "t_start", "p", "q", "efficiency", "t_end", "dt"],
+    )
+    def test_non_finite_values_rejected(self, override):
+        """NaN or an infinity in any scenario number is rejected, not simulated."""
+        with pytest.raises(InvalidScenario, match="finite|inverter_efficiency"):
+            make_scenario(**override)
+
+    def test_grid_spec_finite(self):
+        """A NaN or infinite grid value is rejected."""
+        for f in (math.nan, math.inf):
+            with pytest.raises(InvalidScenario, match="finite"):
+                GridSpec(v_phase=230.0, f=f, v_dc=700.0)
+
     def test_time_grid_count_is_robust(self):
         """Horizons that are float-inexact multiples of dt keep the endpoint."""
         s = make_scenario(t_end=0.2, dt=0.01)
@@ -252,6 +277,21 @@ class TestRun:
         with pytest.raises(CalibrationFailure):
             run(s)
 
+    def test_records_match_step_at_every_instant(self, ref_params):
+        """Property: each record of a run equals step() at its instant, 50 draws."""
+        rng = np.random.default_rng(47)
+        for i in range(50):
+            s = random_scenario(rng, i)
+            series = run(s)
+            for k, t in enumerate(s.times()):
+                assert series.records[k] == step(s, ref_params, t), f"draw {i}, t={t}"
+
+    def test_integer_profile_values_run_as_floats(self):
+        """Profiles built from Python ints, one beyond int64, give the float results."""
+        as_int = run(make_scenario(irradiance=((0, 1000, 25),), load=((0, 10**20, -5),)))
+        as_float = run(make_scenario(irradiance=((0.0, 1e3, 25.0),), load=((0.0, 1e20, -5.0),)))
+        assert as_int == as_float
+
     def test_random_scenarios_balance(self):
         """Property: every record of 100 random scenarios balances."""
         rng = np.random.default_rng(31)
@@ -380,6 +420,29 @@ class TestContainers:
         r = run(make_scenario()).records[0]
         with pytest.raises(InvalidScenario):
             TimeSeries(scenario_id="x", records=(r, r))
+
+    def test_column_route_checks_the_record_invariants(self):
+        """Columns get the same checks and messages as records."""
+        good = run(make_scenario()).columns
+        for name, values, message in (
+            ("t", [], "at least one record"),
+            ("t", [0.0, 0.02, 0.01, 0.03, 0.04, 0.05], "strictly increasing"),
+            ("t", [-0.01, 0.0, 0.01, 0.02, 0.03, 0.04], "non-negative, got -0.01"),
+            ("pf_grid", [1.0, 1.0, math.nan, 1.0, 1.0, 1.0], r"\[0, 1\], got nan"),
+        ):
+            columns = dict(good, **{name: np.array(values)})
+            if not values:
+                columns = {key: np.array([]) for key in good}
+            with pytest.raises(InvalidScenario, match=message):
+                TimeSeries(scenario_id="x", columns=columns)
+
+    def test_both_routes_build_equal_series(self):
+        """Records and columns describe the same series, built either way."""
+        series = run(make_scenario(load=((0.0, 1e5, 1e5), (0.02, 5e4, -2e4))))
+        from_records = TimeSeries(series.scenario_id, series.records)
+        assert from_records == series
+        assert from_records.records == series.records
+        assert len(series) == len(series.records) == 6
 
     def test_record_pf_domain(self):
         """pf_grid outside [0, 1] is rejected."""
