@@ -18,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import component_design, pv_model, scenario_io, simulator
-from .errors import CalibrationFailure, NonConvergence, PVGridError
+from .errors import CalibrationFailure, DarkArray, NonConvergence, PVGridError
 from .pv_model import EnvCondition, PVArraySpec, PVModuleSpec
 
 
@@ -161,7 +161,10 @@ def _cmd_pv_curve(args: argparse.Namespace) -> int:
     array = PVArraySpec(module=module, n_series=args.ns, n_parallel=args.np)
     env = EnvCondition(g=args.g, t=args.t)
     curve = pv_model.array_iv_sweep(array, params, env, args.points)
-    peak = pv_model.mpp(array, params, env) if env.g > 0.0 else None
+    try:
+        peak = pv_model.mpp(array, params, env)
+    except DarkArray:  # the sweep is the dark point (0, 0, 0)
+        peak = None
     if args.json:
         doc: dict = {
             "points": [{"v": pt.v, "i": pt.i, "p": pt.p} for pt in curve.points]

@@ -1,9 +1,10 @@
-"""Scalar root-finding and maximization primitives.
+"""Root-finding and maximization primitives.
 
 The PV model needs deterministic numeric helpers: a safeguarded Newton
-iteration for the implicit diode equation (the maximum-power kernel in
-``pv_model`` runs the same iteration over arrays), Brent's method for
-derivative-free roots, and a golden-section maximizer for unimodal curves.
+iteration for the implicit diode equation, the same iteration over arrays
+of independent problems (the batched maximum-power and I-V sweep solves),
+Brent's method for derivative-free roots, and a golden-section maximizer
+for unimodal curves.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 import sys
 from typing import Callable
+
+import numpy as np
 
 from .errors import NonConvergence
 
@@ -78,6 +81,73 @@ def newton_bisect(
     raise NonConvergence(
         f"newton_bisect: no root to |f| <= {f_tol:g} within {max_iter} iterations"
     )
+
+
+def newton_bisect_array(
+    fdf: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    f_lo: np.ndarray,
+    f_hi: np.ndarray,
+    *,
+    f_tol: np.ndarray | float,
+    x0: np.ndarray,
+    max_iter: int = 100,
+) -> np.ndarray:
+    """:func:`newton_bisect` on many independent problems at once.
+
+    Element k takes exactly the steps ``newton_bisect`` takes on problem k
+    alone, so with elementwise arithmetic the roots are the same doubles.
+    Only problems still above their tolerance are evaluated.
+
+    Args:
+        fdf: ``fdf(x, k)`` gives the residuals and derivatives of the
+            problems with indices ``k`` at the points ``x`` (same length).
+            It runs with numpy's floating-point warnings off.
+        lo: Lower bracket endpoints.
+        hi: Upper bracket endpoints.
+        f_lo: Residuals at ``lo``, which callers have already evaluated.
+        f_hi: Residuals at ``hi``.
+        f_tol: Absolute residual tolerance, one or one per problem.
+        x0: Initial iterates; one outside its bracket starts at the midpoint.
+        max_iter: Evaluation budget per problem.
+
+    Returns:
+        Points where ``|f| <= f_tol``.
+
+    Raises:
+        ValueError: if a bracket does not straddle a sign change.
+        NonConvergence: if a problem exhausts the budget first.
+    """
+    lo, hi, f_lo = np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(f_lo)
+    tol = np.broadcast_to(f_tol, lo.shape)
+    at_lo = np.abs(f_lo) <= tol
+    at_hi = ~at_lo & (np.abs(f_hi) <= tol)
+    x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
+    x = np.where(at_lo, lo, np.where(at_hi, hi, x))
+    k = np.flatnonzero(~(at_lo | at_hi))
+    for j in k[(f_lo[k] > 0.0) == (f_hi[k] > 0.0)][:1]:
+        raise ValueError(f"no sign change on bracket [{float(lo[j])!r}, {float(hi[j])!r}]")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            if not len(k):
+                return x
+            x_k = x[k]
+            f_x, d = fdf(x_k, k)
+            open_ = np.abs(f_x) > tol[k]
+            k, x_k, f_x, d = k[open_], x_k[open_], f_x[open_], d[open_]
+            to_lo = (f_x > 0.0) == (f_lo[k] > 0.0)
+            lo[k[to_lo]], f_lo[k[to_lo]] = x_k[to_lo], f_x[to_lo]
+            hi[k[~to_lo]] = x_k[~to_lo]
+            lo_k, hi_k = lo[k], hi[k]
+            x_new = x_k - f_x / d
+            step_ok = (d != 0.0) & (lo_k < x_new) & (x_new < hi_k)
+            x[k] = np.where(step_ok, x_new, 0.5 * (lo_k + hi_k))
+    if len(k):
+        raise NonConvergence(
+            f"newton_bisect: no root to |f| <= {tol[k[0]]:g} within {max_iter} iterations"
+        )
+    return x
 
 
 def brentq(

@@ -28,7 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DarkArray, InfeasibleSpec, NonConvergence
-from .numerics import brentq, golden_max, newton_bisect  # noqa: F401 (traced by name)
+from .numerics import (  # noqa: F401 (golden_max and newton_bisect are traced by name)
+    brentq, golden_max, newton_bisect, newton_bisect_array,
+)
 
 Boltzmann = 1.380649e-23  # J/K, exact in SI
 elementary_charge = 1.602176634e-19  # C, exact in SI
@@ -298,17 +300,75 @@ def module_voc(params: SingleDiodeParams) -> float:
     return brentq(residual, 0.0, v_hi, xtol=1e-12, rtol=8.9e-16)
 
 
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.exp`` or ``math.expm1``) elementwise.  numpy's vectorised
+    exp and expm1 can differ from libm's in the last bit, and the batched
+    translation and sweep must match their scalar versions bit for bit."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
 def _expm1(x: np.ndarray) -> np.ndarray:
-    """``math.expm1`` elementwise: numpy's vectorised expm1 can differ in the
-    last bit, and the translation must match a scalar one bit for bit.
+    """``math.expm1`` elementwise.
 
     Raises:
         ValueError: if an exponent overflows a double.
     """
     try:
-        return np.fromiter(map(math.expm1, x.tolist()), float, len(x))
+        return _libm(math.expm1, x)
     except OverflowError:
         raise ValueError(f"diode term exp({x.max():.6g}) overflows a double") from None
+
+
+def _lit(i_ph, i_0, a: float):
+    """Whether each curve has a maximum power at least the smallest normal double.
+
+    That power is at most i_ph*a*log1p(i_ph/i_0).  A curve below the cut,
+    i_ph <= 0 or light so dim that its power underflows, is dark: ``mpp``
+    raises DarkArray, ``run`` records 0 W and the sweep is the point (0, 0, 0).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return i_ph * (a * np.log1p(i_ph / i_0)) >= sys.float_info.min
+
+
+def _module_currents(params: SingleDiodeParams, v: np.ndarray) -> np.ndarray:
+    """:func:`module_current` at every voltage of ``v``, in one batched solve.
+
+    Each voltage gets the same bracket growth, start point, tolerance,
+    exponent cap and Newton-bisection steps as the scalar solve, with exp
+    and expm1 from ``math``, so each current is the double it returns.
+
+    Raises:
+        NonConvergence: if a bracket cannot be found or a budget runs out.
+    """
+    i_ph, i_0, r_s, r_sh, a = params.i_ph, params.i_0, params.r_s, params.r_sh, params.a
+
+    def residual(i: np.ndarray, k: np.ndarray) -> np.ndarray:
+        x = v[k] + i * r_s
+        z = x / a
+        e = np.where(z > _EXP_CAP, np.inf, _libm(math.expm1, np.minimum(z, _EXP_CAP)))
+        return i_ph - i_0 * e - x / r_sh - i
+
+    def residual_and_slope(i: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = (v[k] + i * r_s) / a
+        slope = -(i_0 * r_s / a) * _libm(math.exp, np.minimum(z, _EXP_CAP)) - r_s / r_sh - 1.0
+        return residual(i, k), np.where(z > _EXP_CAP, -np.inf, slope)
+
+    every = np.arange(len(v))
+    lo = np.full(len(v), -0.02 * i_ph - 1.0)
+    f_lo = residual(lo, every)
+    grow = every[f_lo <= 0.0]
+    while len(grow):
+        lo[grow] *= 4.0
+        if (lo[grow] < -1e12).any():
+            raise NonConvergence("module_current: could not bracket the root")
+        f_lo[grow] = residual(lo[grow], grow)
+        grow = grow[f_lo[grow] <= 0.0]
+    hi = np.full(len(v), i_ph + 1.0)
+    guess = i_ph - i_0 * _libm(math.expm1, np.minimum(v / a, _EXP_CAP)) - v / r_sh
+    return newton_bisect_array(
+        residual_and_slope, lo, hi, f_lo, residual(hi, every),
+        f_tol=1e-9 * max(i_ph, 1.0), x0=guess,
+    )
 
 
 def _module_mpp(
@@ -320,52 +380,44 @@ def _module_mpp(
     Solar Cells 25, 1988): i = i_ph - i_0*expm1(vd/a) - vd/r_sh,
     v = vd - i*r_s.  With g = (i_0/a)*exp(vd/a) + 1/r_sh, dP/dvd =
     i*(1 + r_s*g) - v*g is > 0 at vd = 0 and < 0 at a*log1p(i_ph/i_0).
-    Every lit curve gets the iteration of ``numerics.newton_bisect`` on
-    that bracket, all curves at once.  A curve is dark when its maximum
-    power, at most i_ph*a*log1p(i_ph/i_0), is below the smallest normal
-    double: i_ph <= 0, or light so dim that the power underflows.
+    Every lit curve (see :func:`_lit`) gets one Newton-bisection on that
+    bracket, all curves at once.
 
     Raises:
         NonConvergence: if a solve fails or |dP/dV|*v/p >= 1e-4 at its result.
     """
     v_out, i_out = np.zeros(i_ph.shape), np.zeros(i_ph.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_oc = np.log1p(i_ph / i_0)
-        lit = i_ph * (a * x_oc) >= sys.float_info.min
-    i_ph, i_0, r_sh, x_oc = i_ph[lit], i_0[lit], r_sh[lit], x_oc[lit]
+    lit = _lit(i_ph, i_0, a)
+    i_ph, i_0, r_sh = i_ph[lit], i_0[lit], r_sh[lit]
+    every = np.arange(len(i_ph))
 
-    def point(vd: np.ndarray) -> tuple[np.ndarray, ...]:
+    def point(vd: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+        i_0_k, r_sh_k = i_0[k], r_sh[k]
         e = np.exp(vd / a)
-        i = i_ph - i_0 * np.expm1(vd / a) - vd / r_sh
-        v, g = vd - i * r_s, (i_0 / a) * e + 1.0 / r_sh
+        i = i_ph[k] - i_0_k * np.expm1(vd / a) - vd / r_sh_k
+        v, g = vd - i * r_s, (i_0_k / a) * e + 1.0 / r_sh_k
         return v, i, g, e, i * (1.0 + r_s * g) - v * g  # last: dP/dvd
 
-    f_tol = 1e-9 * i_ph
+    def slope_and_curvature(vd: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v, i, g, e, f = point(vd, k)
+        return f, -2.0 * g * (1.0 + r_s * g) + (i_0[k] / a**2) * e * (i * r_s - v)
+
+    x_oc = np.log1p(i_ph / i_0)
     lo, hi = np.zeros(i_ph.shape), a * x_oc
-    f_lo, f_hi = point(lo)[-1], point(hi)[-1]
-    active = (np.abs(f_lo) > f_tol) & (np.abs(f_hi) > f_tol)
-    if (active & ((f_lo > 0.0) == (f_hi > 0.0))).any():
-        raise NonConvergence("mpp: dP/dVd does not change sign on the diode-voltage bracket")
     # Start one fixed-point step into the ideal-diode maximum (1 + x)*e^x = e^x_oc.
     x0 = a * (x_oc - np.log1p(x_oc))
-    vd = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
-    vd = np.where(np.abs(f_lo) <= f_tol, lo, np.where(np.abs(f_hi) <= f_tol, hi, vd))
-    for _ in range(100):
-        if not active.any():
-            break
-        v, i, g, e, f = point(vd)
-        active &= np.abs(f) > f_tol
-        to_lo = active & ((f > 0.0) == (f_lo > 0.0))
-        lo, f_lo = np.where(to_lo, vd, lo), np.where(to_lo, f, f_lo)
-        hi = np.where(active & ~to_lo, vd, hi)
-        d = -2.0 * g * (1.0 + r_s * g) + (i_0 / a**2) * e * (i * r_s - v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = vd - f / d
-        step_ok = (d != 0.0) & (lo < x_new) & (x_new < hi)
-        vd = np.where(active, np.where(step_ok, x_new, 0.5 * (lo + hi)), vd)
-    if active.any():
-        raise NonConvergence("mpp: no root of dP/dVd within 100 iterations")
-    v, i, g, _, f = point(vd)
+    try:
+        vd = newton_bisect_array(
+            slope_and_curvature, lo, hi, point(lo, every)[-1], point(hi, every)[-1],
+            f_tol=1e-9 * i_ph, x0=x0,
+        )
+    except ValueError:
+        raise NonConvergence(
+            "mpp: dP/dVd does not change sign on the diode-voltage bracket"
+        ) from None
+    except NonConvergence:
+        raise NonConvergence("mpp: no root of dP/dVd within 100 iterations") from None
+    v, i, g, _, f = point(vd, every)
     if not (np.abs(f / (1.0 + r_s * g)) * v < 1e-4 * (v * i)).all():  # |dP/dV|*v/p
         raise NonConvergence("mpp: gradient criterion not met at the solved point")
     v_out[lit], i_out[lit] = v, i
@@ -604,8 +656,11 @@ def array_iv_sweep(
     """Sample the array I-V / P-V characteristic at an operating point.
 
     The module curve is evaluated on an even voltage grid spanning
-    [0, v_oc] and scaled exactly by the series/parallel counts.  A dark
-    array (zero irradiance) collapses to the single point (0, 0, 0).
+    [0, v_oc], all its currents in one batched solve equal point for point
+    to :func:`module_current`, and scaled exactly by the series/parallel
+    counts.  A dark curve (zero irradiance, or light so dim that its
+    maximum power underflows, as in :func:`mpp`) collapses to the single
+    point (0, 0, 0).
 
     Args:
         array: Series/parallel composition.
@@ -616,16 +671,12 @@ def array_iv_sweep(
     if n_points < 3:
         raise ValueError(f"n_points must be at least 3, got {n_points}")
     params_e = adjust_params(params, array.module, env)
-    v_oc_m = module_voc(params_e)
-    if v_oc_m <= 0.0:
+    if not _lit(params_e.i_ph, params_e.i_0, params_e.a):
         return IVCurve(points=(IVPoint(0.0, 0.0, 0.0),))
-    points = []
-    for v_m in np.linspace(0.0, v_oc_m, n_points):
-        i_m = module_current(params_e, float(v_m))
-        v = float(v_m) * array.n_series
-        i = i_m * array.n_parallel
-        points.append(IVPoint(v, i, v * i))
-    return IVCurve(points=tuple(points))
+    v_m = np.linspace(0.0, module_voc(params_e), n_points)
+    v = v_m * float(array.n_series)
+    i = _module_currents(params_e, v_m) * float(array.n_parallel)
+    return IVCurve(points=tuple(map(IVPoint, v.tolist(), i.tolist(), (v * i).tolist())))
 
 
 def array_mpp(

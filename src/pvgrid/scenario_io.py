@@ -14,6 +14,7 @@ import sys
 from dataclasses import MISSING, fields
 from functools import cache
 from importlib import resources
+from operator import itemgetter
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -29,9 +30,8 @@ from .simulator import (
     LoadStep,
     Scenario,
     TimeSeries,
+    _float_rows,
 )
-
-_CSV_ROW = ",".join(["%.6g"] * len(COLUMNS)) + "\n"
 
 _SI_PREFIXES = (
     (1e9, "G"),
@@ -140,6 +140,29 @@ def _read(section: object, cls: type, where: str) -> dict:
     return values
 
 
+def _read_profile(entries: list, cls: type, where: str) -> tuple:
+    """The entries of one profile list as ``cls`` records, read as columns.
+
+    Every key of a profile record is a required number.  The list is
+    accepted in one pass when each entry is an object with exactly those
+    keys, each value an int or float (not a bool) and, as a float, finite
+    and strictly inside the float range.  Otherwise ``_read`` goes entry
+    by entry: it names the first bad entry, or accepts a value at the
+    edge of the range that the column pass leaves to it.
+    """
+    keys = _keys(cls)
+    if set(map(type, entries)) == {dict} and set(map(len, entries)) == {len(keys)}:
+        try:
+            rows = _float_rows(list(map(itemgetter(*keys), entries)), len(keys))
+        except KeyError:  # an unknown key in place of a required one
+            rows = None
+        if rows is not None:
+            return tuple(map(cls._make, rows.tolist()))
+    return tuple(
+        cls(**_read(entry, cls, f"{where}[{idx}]")) for idx, entry in enumerate(entries)
+    )
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
@@ -183,10 +206,7 @@ def parse_scenario(text: str) -> Scenario:
         entries = profiles_s[key]
         if not isinstance(entries, list) or not entries:
             raise ValidationError(f"profiles.{key} must be a non-empty list")
-        kw[key] = tuple(
-            cls(**_read(entry, cls, f"profiles.{key}[{idx}]"))
-            for idx, entry in enumerate(entries)
-        )
+        kw[key] = _read_profile(entries, cls, f"profiles.{key}")
     try:
         return Scenario(
             grid=GridSpec(**kw["grid"]),
@@ -234,8 +254,19 @@ def emit_scenario(scenario: Scenario) -> str:
 
 
 def emit_csv(series: TimeSeries) -> str:
-    """Render a run as CSV: fixed column set, 6 significant digits, LF endings."""
-    return ",".join(COLUMNS) + "\n" + "".join(_CSV_ROW % row for row in series.rows())
+    """Render a run as CSV: fixed column set, 6 significant digits, LF endings.
+
+    Each distinct value of a column is formatted once.  Values are told
+    apart by bit pattern, not by ``==``, so -0.0 prints ``-0`` beside 0.0.
+    """
+    cells = []
+    for column in series.columns.values():
+        _, first, inverse = np.unique(
+            column.view(np.int64), return_index=True, return_inverse=True
+        )
+        text = np.array(list(map("%.6g".__mod__, column[first].tolist())), dtype=object)
+        cells.append(text[inverse].tolist())
+    return ",".join(COLUMNS) + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 # ============================================================================

@@ -16,6 +16,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -67,17 +68,40 @@ class GridSpec:
                 raise InvalidScenario(f"grid {name} must be positive and finite")
 
 
-def _check_profile(name: str, profile: tuple) -> None:
+def _float_rows(rows: list, width: int) -> np.ndarray | None:
+    """``rows`` as an (n, width) float array, each value converted as by float().
+
+    None unless every row has ``width`` values and each value is an int or
+    a float (not a bool) strictly inside the float range.
+    """
+    values = list(chain.from_iterable(rows))
+    if set(map(len, rows)) != {width} or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        array = np.fromiter(values, float, len(values))
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return array.reshape(-1, width) if (np.abs(array) < _MAX).all() else None
+
+
+def _profile_columns(name: str, profile: tuple) -> np.ndarray:
+    """The checked profile as one read-only float array per field."""
     if not profile:
         raise InvalidScenario(f"{name} profile must have at least one segment")
-    if not all(-_MAX <= value <= _MAX for seg in profile for value in seg):
-        bad = next(seg for seg in profile if not all(-_MAX <= value <= _MAX for value in seg))
-        raise InvalidScenario(f"{name} profile segment {bad} must have finite values")
-    if profile[0].t_start != 0.0:
+    rows = _float_rows(profile, len(profile[0]))
+    if rows is None:  # other number types, or a value to reject: check one by one
+        for seg in profile:
+            if not all(-_MAX <= value <= _MAX for value in seg):
+                raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
+        rows = np.array(profile, dtype=float)
+    columns = rows.T
+    columns.flags.writeable = False
+    starts = columns[0]
+    if starts[0] != 0.0:
         raise InvalidScenario(f"{name} profile must start at t = 0")
-    starts = [seg.t_start for seg in profile]
-    if any(b <= a for a, b in zip(starts, starts[1:])):
+    if (starts[1:] <= starts[:-1]).any():
         raise InvalidScenario(f"{name} profile segments must be sorted by t_start")
+    return columns
 
 
 @dataclass(frozen=True)
@@ -112,15 +136,17 @@ class Scenario:
                 f"t_end/dt = {self.t_end / self.dt:g} gives more than "
                 f"{MAX_RECORDS} records"
             )
-        _check_profile("irradiance", self.irradiance_profile)
-        _check_profile("load", self.load_profile)
-        for seg in self.irradiance_profile:
+        irradiance = _profile_columns("irradiance", self.irradiance_profile)
+        load = _profile_columns("load", self.load_profile)
+        _, g, t_cell = irradiance
+        for k in np.flatnonzero((g < 0.0) | ~((-40.0 <= t_cell) & (t_cell <= 90.0)))[:1]:
+            seg = self.irradiance_profile[k]
             if seg.g < 0.0:
                 raise InvalidScenario(f"irradiance must be non-negative, got {seg.g}")
-            if not -40.0 <= seg.t_cell <= 90.0:
-                raise InvalidScenario(
-                    f"cell temperature {seg.t_cell} outside [-40, 90] °C"
-                )
+            raise InvalidScenario(f"cell temperature {seg.t_cell} outside [-40, 90] °C")
+        # The profiles as columns, read by every run of this scenario.
+        object.__setattr__(self, "_irradiance", irradiance)
+        object.__setattr__(self, "_load", load)
 
     def times(self) -> list[float]:
         """The record instants k*dt for k = 0 .. floor(t_end/dt)."""
@@ -227,8 +253,8 @@ def _columns(scenario: Scenario, params: SingleDiodeParams, times: list) -> dict
     in use, and the compensator is dispatched once per load segment.
     """
     t = np.asarray(times, dtype=float)
-    irr_start, g, t_cell = (np.array(c, dtype=float) for c in zip(*scenario.irradiance_profile))
-    load_start, p, q = (np.array(c, dtype=float) for c in zip(*scenario.load_profile))
+    irr_start, g, t_cell = scenario._irradiance
+    load_start, p, q = scenario._load
     k_irr = np.searchsorted(irr_start, t, side="right") - 1
     k_load = np.searchsorted(load_start, t, side="right") - 1
 

@@ -167,6 +167,14 @@ class TestPvCurve:
         assert code == 1
         assert "InfeasibleSpec" in capsys.readouterr().err
 
+    def test_underflowing_irradiance_sweeps_dark(self, capsys):
+        """g = 1e-300 W/m² sweeps to the dark point and exits 0, like g = 0."""
+        assert cli.main(self.MODULE_ARGS + ["--g", "1e-300", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"points": [{"v": 0.0, "i": 0.0, "p": 0.0}]}
+        assert cli.main(self.MODULE_ARGS + ["--g", "1e-100", "--points", "5"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 6
+
     def test_invalid_datasheet_exits_1(self, capsys):
         """A datasheet violating basic ordering fails validation."""
         code = cli.main(

@@ -393,6 +393,49 @@ class TestArraySweep:
         assert len(lines) == 12 and lines[-1] == ""
         assert "\r" not in text
 
+    def test_underflowing_power_sweeps_dark(self, ref_array, ref_params):
+        """A curve mpp() treats as dark sweeps to (0, 0, 0); a dim lit one sweeps."""
+        curve = array_iv_sweep(ref_array, ref_params, EnvCondition(1e-300, 25.0), 50)
+        assert curve.points == (IVPoint(0.0, 0.0, 0.0),)
+        dim = array_iv_sweep(ref_array, ref_params, EnvCondition(1e-100, 25.0), 50)
+        assert len(dim.points) == 50 and 0.0 < dim.points[0].i < 1e-90
+
+    @pytest.mark.parametrize("n_points", [3, 500])
+    def test_batched_sweep_equals_scalar_solves(self, n_points):
+        """Every point equals module_current at its voltage, bit for bit.
+
+        Random datasheets and arrays, with the irradiance and temperature
+        extremes among the environments.
+        """
+        rng = np.random.default_rng(55)
+        envs = [(1.0, -40.0), (1.0, 90.0), (1100.0, -40.0), (1100.0, 90.0)]
+        checked = 0
+        while checked < 6:
+            v_oc = float(rng.uniform(20.0, 50.0))
+            i_sc = float(rng.uniform(5.0, 12.0))
+            v_mp = v_oc * float(rng.uniform(0.76, 0.84))
+            i_mp = i_sc * float(rng.uniform(0.90, 0.95))
+            spec = PVModuleSpec(p_mp=v_mp * i_mp, v_mp=v_mp, i_mp=i_mp, v_oc=v_oc, i_sc=i_sc)
+            try:
+                params = extract_single_diode_params(spec)
+            except InfeasibleSpec:
+                continue
+            array = PVArraySpec(
+                module=spec, n_series=int(rng.integers(1, 30)), n_parallel=int(rng.integers(1, 60))
+            )
+            g, t = envs[checked % 4] if checked < 4 else (
+                float(rng.uniform(1.0, 1100.0)), float(rng.uniform(-40.0, 90.0))
+            )
+            adj = adjust_params(params, spec, EnvCondition(g, t))
+            want = []
+            for v_m in np.linspace(0.0, module_voc(adj), n_points):
+                v = float(v_m) * array.n_series
+                i = module_current(adj, float(v_m)) * array.n_parallel
+                want.append(IVPoint(v, i, v * i))
+            got = array_iv_sweep(array, params, EnvCondition(g, t), n_points).points
+            assert got == tuple(want), f"(g={g}, t={t}) sweep differs from scalar solves"
+            checked += 1
+
 
 # ======================================================================
 # Maximum power point

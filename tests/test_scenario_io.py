@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import MISSING
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvgrid.compensation import COMPENSATORS, FixedCapacitor, NoCompensator, Statcom
 from pvgrid.errors import EmptySeries, ParseError, ValidationError
@@ -25,7 +29,7 @@ from pvgrid.scenario_io import (
     render_report,
     schema_text,
 )
-from pvgrid.simulator import TimeSeries, compare_runs, run
+from pvgrid.simulator import COLUMNS, TimeSeries, compare_runs, run
 
 from conftest import make_scenario, random_scenario
 
@@ -149,6 +153,128 @@ class TestParseScenario:
 # ======================================================================
 # Bundled scenarios and schema
 # ======================================================================
+
+
+# Malformed values and entries of a profile list, with the message each
+# gets ("{where}" is the entry, "{key}" the key), recorded before profile
+# lists were read as columns.
+MALFORMED_ENTRY = {
+    "true": ("true", "{where}: key '{key}' must be a number"),
+    "string": ('"500"', "{where}: key '{key}' must be a number"),
+    "null": ("null", "{where}: key '{key}' must be a number"),
+    "nan": ("NaN", "{where}: key '{key}' must be a finite number"),
+    "1e400": ("1e400", "{where}: key '{key}' must be a finite number"),
+    "10**400": (str(10**400), "{where}: key '{key}' must be a finite number"),
+    # An integer that float() rounds down to the largest double.
+    "max+1": (str(int(sys.float_info.max) + 1), "{where}: key '{key}' must be a finite number"),
+    "missing-key": (None, "{where}: missing required key '{key}'"),
+    "unknown-key": (None, "{where}: unknown keys bogus"),
+    "non-object": (None, "{where} must be an object"),
+}
+
+
+def _five_entry_doc() -> dict:
+    doc = json.loads(_doc())
+    doc["profiles"] = {
+        "irradiance": [{"t_start": 0.01 * k, "g": 500.0 + k, "t_cell": 25.0} for k in range(5)],
+        "load": [{"t_start": 0.01 * k, "p": 1e5, "q": 1.5e5 - k} for k in range(5)],
+    }
+    return doc
+
+
+def _malformed(doc: dict, profile: str, key: str, pos: int, case: str) -> str:
+    """``doc`` as text with entry ``pos`` of ``profile`` broken as ``case`` says."""
+    literal, _ = MALFORMED_ENTRY[case]
+    entry = doc["profiles"][profile][pos]
+    if case == "missing-key":
+        del entry[key]
+    elif case == "unknown-key":
+        entry["bogus"] = 1.0
+    elif case == "non-object":
+        doc["profiles"][profile][pos] = [0.0, 1.0, 2.0]
+    else:
+        entry[key] = "@@"
+    return json.dumps(doc).replace('"@@"', literal or '"@@"')
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**1000), 2**1000)
+)
+_JUNK = [True, False, None, "1.0", math.nan, math.inf, -math.inf, 10**400, [1.0], {}]
+
+
+@st.composite
+def _profile_list(draw, values: dict) -> tuple[list, bool]:
+    """A valid profile list with ``values[key]`` drawing each key's values,
+    and whether one entry was then broken."""
+    entries, t = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        entries.append({"t_start": t, **{key: draw(v) for key, v in values.items()}})
+        t += draw(st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3)))
+    broken = draw(st.booleans())
+    if broken:
+        pos = draw(st.integers(0, len(entries) - 1))
+        key = draw(st.sampled_from(["t_start", *values]))
+        how = draw(st.sampled_from(["value", "missing", "unknown", "entry"]))
+        if how == "value":
+            entries[pos][key] = draw(st.sampled_from(_JUNK))
+        elif how == "missing":
+            del entries[pos][key]
+        elif how == "unknown":
+            entries[pos]["bogus"] = 1.0
+        else:
+            entries[pos] = draw(st.sampled_from(_JUNK))
+    return entries, broken
+
+
+class TestProfileLists:
+    """Profile lists are read as columns with the entry-by-entry outcome."""
+
+    @pytest.mark.parametrize("case", list(MALFORMED_ENTRY))
+    @pytest.mark.parametrize("pos", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("profile,key", [("irradiance", "g"), ("load", "q")])
+    def test_malformed_entry_is_named(self, profile, key, pos, case):
+        """The error names the broken entry with the entry-by-entry message."""
+        text = _malformed(_five_entry_doc(), profile, key, pos, case)
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert type(err.value) is ValidationError
+        where = f"profiles.{profile}[{pos}]"
+        assert str(err.value) == MALFORMED_ENTRY[case][1].format(where=where, key=key)
+
+    def test_first_broken_entry_wins(self):
+        """With two broken entries the earlier one is named."""
+        doc = _five_entry_doc()
+        doc["profiles"]["load"][3]["p"] = None
+        text = _malformed(doc, "load", "q", 1, "nan")
+        with pytest.raises(ValidationError, match=r"^profiles\.load\[1\]: key 'q' must be a finite"):
+            parse_scenario(text)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        irradiance=_profile_list({"g": st.one_of(st.floats(0.0, 1500.0), st.integers(0, 1500)),
+                                  "t_cell": st.one_of(st.floats(-40.0, 90.0),
+                                                      st.integers(-40, 90))}),
+        load=_profile_list({"p": _NUMBER, "q": _NUMBER}),
+    )
+    def test_columns_equal_entry_by_entry_construction(self, irradiance, load):
+        """Property: a valid list parses to the records built entry by entry,
+        bit for bit; a list with a broken entry raises ValidationError."""
+        doc = json.loads(_doc())
+        doc["profiles"] = {"irradiance": irradiance[0], "load": load[0]}
+        text = json.dumps(doc)
+        if irradiance[1] or load[1]:
+            with pytest.raises(ValidationError):
+                parse_scenario(text)
+            return
+        scenario = parse_scenario(text)
+        for got, entries in (
+            (scenario.irradiance_profile, irradiance[0]), (scenario.load_profile, load[0]),
+        ):
+            cls = type(got[0])
+            want = [cls(*(float(entry[k]) for k in cls._fields)) for entry in entries]
+            bits = lambda profile: [tuple(map(float.hex, seg)) for seg in profile]
+            assert bits(got) == bits(want)
 
 
 class TestBundledScenarios:
@@ -335,6 +461,20 @@ class TestEmitCsv:
         a = emit_csv(run(make_scenario()))
         b = emit_csv(run(make_scenario()))
         assert a == b
+
+    def test_signed_zero_prints_apart(self):
+        """Cells are formatted per bit pattern: q = -0.0 prints -0, 0.0 prints 0."""
+        doc = json.loads(bundled_scenario_text("case3"))
+        doc["profiles"]["load"] = [
+            {"t_start": 0.0, "p": 100000.0, "q": -0.0},
+            {"t_start": 0.1, "p": 100000.0, "q": 0.0},
+        ]
+        series = run(parse_scenario(json.dumps(doc)))
+        column = COLUMNS.index("q_load")
+        cells = [line.split(",")[column] for line in emit_csv(series).split("\n")[1:-1]]
+        t = series.columns["t"]
+        assert cells == ["-0" if t_k < 0.1 else "0" for t_k in t]
+        assert "-0" in cells and "0" in cells
 
 
 # sha256 of emit_csv and render_report(..., scenario=...) of each bundled

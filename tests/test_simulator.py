@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,44 @@ class TestScenarioValidation:
         """NaN or an infinity in any scenario number is rejected, not simulated."""
         with pytest.raises(InvalidScenario, match="finite|inverter_efficiency"):
             make_scenario(**override)
+
+    @pytest.mark.parametrize(
+        "irradiance,load,message",
+        [
+            (((0.0, 100.0, 95.0), (0.1, -5.0, 25.0)), None,
+             "cell temperature 95.0 outside [-40, 90] °C"),
+            (((0.0, -5, 95.0),), None, "irradiance must be non-negative, got -5"),
+            (((0.0, 1e3, 25.0), (0.1, math.nan, 25.0), (0.2, math.inf, 25.0)), None,
+             "irradiance profile segment IrradianceStep(t_start=0.1, g=nan, t_cell=25.0) "
+             "must have finite values"),
+            (((0.0, -5.0, 25.0),), ((0.0, 1e5, 1e5), (0.1, 1e5, -math.inf)),
+             "load profile segment LoadStep(t_start=0.1, p=100000.0, q=-inf) "
+             "must have finite values"),
+            (((0.0, 1e3, 25.0),), ((0.0, int(sys.float_info.max) + 1, 1e5),),
+             f"load profile segment LoadStep(t_start=0.0, p={int(sys.float_info.max) + 1}, "
+             f"q=100000.0) must have finite values"),
+            (((0.0, 1e3, 25.0), (0.1, 1e3, 25.0), (0.1, 1e3, 25.0)), None,
+             "irradiance profile segments must be sorted by t_start"),
+            (((1e-300, 1e3, 25.0),), None, "irradiance profile must start at t = 0"),
+        ],
+        ids=["first-bad-segment", "g-before-t_cell", "first-non-finite", "load-before-domain",
+             "int-past-float-range", "duplicate-start", "late-start"],
+    )
+    def test_profile_check_messages(self, irradiance, load, message):
+        """Each profile check keeps its message, and the first failing segment wins."""
+        kw = {"irradiance": irradiance} if load is None else {"irradiance": irradiance, "load": load}
+        with pytest.raises(InvalidScenario) as err:
+            make_scenario(**kw)
+        assert str(err.value) == message
+
+    def test_profile_values_at_float_range_edge(self):
+        """The largest double, and Python ints and bools in range, are accepted as given."""
+        s = make_scenario(
+            irradiance=((0, 1000, True), (1, 500.0, -40)),
+            load=((0.0, sys.float_info.max, -sys.float_info.max),),
+        )
+        assert s.load_profile[0].p == sys.float_info.max
+        assert s.irradiance_profile[0].t_cell is True
 
     def test_grid_spec_finite(self):
         """A NaN or infinite grid value is rejected."""
