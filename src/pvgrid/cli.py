@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import component_design, pv_model, scenario_io, simulator
@@ -60,15 +60,33 @@ def _write_artifact(text: str, out_path: str | None) -> None:
         print(f"wrote {out_path}", file=sys.stderr)
 
 
-def _block(fields: list[tuple[str, object, str]], json_mode: bool) -> str:
+# Unit of every field of the result records the design and curve commands
+# print, by field name: BoostDesign, LCLDesign, ResonanceReport, MPPResult.
+_UNITS = {
+    "i_out_max": "A", "delta_i_l": "A", "delta_v_out": "V", "l": "H", "c": "F",
+    "omega_g": "rad/s", "z_b": "Ω", "c_b": "F", "i_max": "A", "delta_i_max": "A",
+    "l_1": "H", "c_g": "F", "l_2": "H",
+    "omega_res": "rad/s", "f_res": "Hz", "f_min": "Hz", "f_max": "Hz", "passed": "",
+    "v_mp": "V", "i_mp": "A", "p_mp": "W",
+}
+
+
+def _block(results: tuple, json_mode: bool) -> str:
+    """Every field of each result record, in field order, as text or JSON."""
+    values = {name: value for result in results for name, value in asdict(result).items()}
     if json_mode:
-        return json.dumps({name: value for name, value, _ in fields}, indent=2) + "\n"
-    width = max(len(name) for name, _, _ in fields)
-    lines = [
-        f"{_bold(name.ljust(width))} = {_fmt_value(value, unit)}"
-        for name, value, unit in fields
-    ]
-    return "\n".join(lines) + "\n"
+        return json.dumps(values, indent=2) + "\n"
+    width = max(map(len, values))
+    return "".join(
+        f"{_bold(name.ljust(width))} = {_fmt_value(value, _UNITS[name])}\n"
+        for name, value in values.items()
+    )
+
+
+def _record(cls, args: argparse.Namespace, **given):
+    """A ``cls`` from the flags whose dest names one of its fields, plus ``given``."""
+    names = {f.name for f in fields(cls)}.intersection(vars(args))
+    return cls(**{name: getattr(args, name) for name in names}, **given)
 
 
 # ============================================================================
@@ -77,110 +95,43 @@ def _block(fields: list[tuple[str, object, str]], json_mode: bool) -> str:
 
 
 def _cmd_design_boost(args: argparse.Namespace) -> int:
-    out = component_design.boost_design(
-        component_design.BoostDesignInput(
-            p=args.p,
-            v_in=args.vin,
-            v_out=args.vout,
-            f_s=args.fsw,
-            ripple_i_frac=args.ripple_i_frac,
-            ripple_v_frac=args.ripple_v_frac,
-        )
-    )
-    fields = [
-        ("i_out_max", out.i_out_max, "A"),
-        ("delta_i_l", out.delta_i_l, "A"),
-        ("delta_v_out", out.delta_v_out, "V"),
-        ("l", out.l, "H"),
-        ("c", out.c, "F"),
-    ]
-    _write_artifact(_block(fields, args.json), args.output)
+    out = component_design.boost_design(_record(component_design.BoostDesignInput, args))
+    _write_artifact(_block((out,), args.json), args.output)
     return 0
 
 
 def _cmd_design_lcl(args: argparse.Namespace) -> int:
-    out = component_design.lcl_design(
-        component_design.LCLDesignInput(
-            p=args.p,
-            v_g=args.vg,
-            f_g=args.fg,
-            v_dc=args.vdc,
-            f_sw=args.fsw,
-            cap_frac=args.cap_frac,
-            ripple_frac=args.ripple_frac,
-            atten_factor=args.atten_factor,
-        )
-    )
-    res = component_design.resonance_check(out.l_1, out.l_2, out.c_g, args.fg, args.fsw)
-    fields = [
-        ("omega_g", out.omega_g, "rad/s"),
-        ("z_b", out.z_b, "Ω"),
-        ("c_b", out.c_b, "F"),
-        ("i_max", out.i_max, "A"),
-        ("delta_i_max", out.delta_i_max, "A"),
-        ("l_1", out.l_1, "H"),
-        ("c_g", out.c_g, "F"),
-        ("l_2", out.l_2, "H"),
-        ("omega_res", res.omega_res, "rad/s"),
-        ("f_res", res.f_res, "Hz"),
-        ("f_min", res.f_min, "Hz"),
-        ("f_max", res.f_max, "Hz"),
-        ("passed", res.passed, ""),
-    ]
-    _write_artifact(_block(fields, args.json), args.output)
+    out = component_design.lcl_design(_record(component_design.LCLDesignInput, args))
+    res = component_design.resonance_check(out.l_1, out.l_2, out.c_g, args.f_g, args.f_sw)
+    _write_artifact(_block((out, res), args.json), args.output)
     return 0
 
 
 def _cmd_check_resonance(args: argparse.Namespace) -> int:
     res = component_design.resonance_check(args.l1, args.l2, args.cg, args.fg, args.fsw)
-    fields = [
-        ("omega_res", res.omega_res, "rad/s"),
-        ("f_res", res.f_res, "Hz"),
-        ("f_min", res.f_min, "Hz"),
-        ("f_max", res.f_max, "Hz"),
-        ("passed", res.passed, ""),
-    ]
-    _write_artifact(_block(fields, args.json), args.output)
+    _write_artifact(_block((res,), args.json), args.output)
     return 0
 
 
 def _cmd_pv_curve(args: argparse.Namespace) -> int:
-    module = PVModuleSpec(
-        p_mp=args.pmp,
-        v_mp=args.vmp,
-        i_mp=args.imp,
-        v_oc=args.voc,
-        i_sc=args.isc,
-        n_cells=args.ncells,
-        alpha_isc=args.alpha_isc,
-        beta_voc=args.beta_voc,
-    )
-    params = pv_model.extract_single_diode_params(
-        module, n_ideality_guess=args.ideality_guess
-    )
-    array = PVArraySpec(module=module, n_series=args.ns, n_parallel=args.np)
-    env = EnvCondition(g=args.g, t=args.t)
+    module = _record(PVModuleSpec, args)
+    params = pv_model.extract_single_diode_params(module, n_ideality_guess=args.ideality_guess)
+    array = _record(PVArraySpec, args, module=module)
+    env = _record(EnvCondition, args)
     curve = pv_model.array_iv_sweep(array, params, env, args.points)
     try:
         peak = pv_model.mpp(array, params, env)
     except DarkArray:  # the sweep is the dark point (0, 0, 0)
         peak = None
     if args.json:
-        doc: dict = {
-            "points": [{"v": pt.v, "i": pt.i, "p": pt.p} for pt in curve.points]
-        }
+        doc: dict = {"points": [pt._asdict() for pt in curve.points]}
         if peak is not None:
-            doc["mpp"] = {"v_mp": peak.v_mp, "i_mp": peak.i_mp, "p_mp": peak.p_mp}
+            doc["mpp"] = asdict(peak)
         _write_artifact(json.dumps(doc, indent=2) + "\n", args.output)
         return 0
     _write_artifact(curve.to_csv(), args.output)
     if args.output is not None and peak is not None:
-        fields = [
-            ("v_mp", peak.v_mp, "V"),
-            ("i_mp", peak.i_mp, "A"),
-            ("p_mp", peak.p_mp, "W"),
-        ]
-        sys.stdout.write(_block(fields, False))
+        sys.stdout.write(_block((peak,), False))
     return 0
 
 
@@ -248,6 +199,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # ============================================================================
 
 
+# Every required flag takes a float.
+_REQUIRED = {"type": float, "required": True}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
     sub.add_argument("-o", "--output", metavar="FILE", help="write the artifact to FILE")
@@ -258,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     boost = subs.add_parser("design-boost", help="size the dc-dc boost stage")
-    boost.add_argument("--p", type=float, required=True, help="PV power at STC, W")
-    boost.add_argument("--vin", type=float, required=True, help="PV voltage at STC, V")
-    boost.add_argument("--vout", type=float, required=True, help="dc-link voltage, V")
-    boost.add_argument("--fsw", type=float, required=True, help="switching frequency, Hz")
+    boost.add_argument("--p", **_REQUIRED, help="PV power at STC, W")
+    boost.add_argument("--vin", dest="v_in", **_REQUIRED, help="PV voltage at STC, V")
+    boost.add_argument("--vout", dest="v_out", **_REQUIRED, help="dc-link voltage, V")
+    boost.add_argument("--fsw", dest="f_s", **_REQUIRED, help="switching frequency, Hz")
     boost_in = component_design.BoostDesignInput
     boost.add_argument("--ripple-i-frac", type=float, default=boost_in.ripple_i_frac)
     boost.add_argument("--ripple-v-frac", type=float, default=boost_in.ripple_v_frac)
@@ -269,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     boost.set_defaults(handler=_cmd_design_boost)
 
     lcl = subs.add_parser("design-lcl", help="size the grid-side LCL filter")
-    lcl.add_argument("--p", type=float, required=True, help="converter power, W")
-    lcl.add_argument("--vg", type=float, required=True, help="grid phase voltage, V")
-    lcl.add_argument("--fg", type=float, required=True, help="grid frequency, Hz")
-    lcl.add_argument("--vdc", type=float, required=True, help="dc-link voltage, V")
-    lcl.add_argument("--fsw", type=float, required=True, help="switching frequency, Hz")
+    lcl.add_argument("--p", **_REQUIRED, help="converter power, W")
+    lcl.add_argument("--vg", dest="v_g", **_REQUIRED, help="grid phase voltage, V")
+    lcl.add_argument("--fg", dest="f_g", **_REQUIRED, help="grid frequency, Hz")
+    lcl.add_argument("--vdc", dest="v_dc", **_REQUIRED, help="dc-link voltage, V")
+    lcl.add_argument("--fsw", dest="f_sw", **_REQUIRED, help="switching frequency, Hz")
     lcl_in = component_design.LCLDesignInput
     lcl.add_argument("--cap-frac", type=float, default=lcl_in.cap_frac)
     lcl.add_argument("--ripple-frac", type=float, default=lcl_in.ripple_frac)
@@ -282,26 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
     lcl.set_defaults(handler=_cmd_design_lcl)
 
     res = subs.add_parser("check-resonance", help="place the LCL resonance frequency")
-    res.add_argument("--l1", type=float, required=True, help="inverter-side inductor, H")
-    res.add_argument("--l2", type=float, required=True, help="grid-side inductor, H")
-    res.add_argument("--cg", type=float, required=True, help="filter capacitor, F")
-    res.add_argument("--fg", type=float, required=True, help="grid frequency, Hz")
-    res.add_argument("--fsw", type=float, required=True, help="switching frequency, Hz")
+    res.add_argument("--l1", **_REQUIRED, help="inverter-side inductor, H")
+    res.add_argument("--l2", **_REQUIRED, help="grid-side inductor, H")
+    res.add_argument("--cg", **_REQUIRED, help="filter capacitor, F")
+    res.add_argument("--fg", **_REQUIRED, help="grid frequency, Hz")
+    res.add_argument("--fsw", **_REQUIRED, help="switching frequency, Hz")
     _add_common(res)
     res.set_defaults(handler=_cmd_check_resonance)
 
     curve = subs.add_parser("pv-curve", help="sweep the array I-V / P-V curve")
-    curve.add_argument("--pmp", type=float, required=True, help="module power, W")
-    curve.add_argument("--vmp", type=float, required=True, help="module MPP voltage, V")
-    curve.add_argument("--imp", type=float, required=True, help="module MPP current, A")
-    curve.add_argument("--voc", type=float, required=True, help="module open-circuit voltage, V")
-    curve.add_argument("--isc", type=float, required=True, help="module short-circuit current, A")
-    curve.add_argument("--ncells", type=int, default=PVModuleSpec.n_cells)
+    curve.add_argument("--pmp", dest="p_mp", **_REQUIRED, help="module power, W")
+    curve.add_argument("--vmp", dest="v_mp", **_REQUIRED, help="module MPP voltage, V")
+    curve.add_argument("--imp", dest="i_mp", **_REQUIRED, help="module MPP current, A")
+    curve.add_argument("--voc", dest="v_oc", **_REQUIRED, help="module open-circuit voltage, V")
+    curve.add_argument("--isc", dest="i_sc", **_REQUIRED, help="module short-circuit current, A")
+    curve.add_argument("--ncells", dest="n_cells", type=int, default=PVModuleSpec.n_cells)
     curve.add_argument("--alpha-isc", type=float, default=PVModuleSpec.alpha_isc)
     curve.add_argument("--beta-voc", type=float, default=PVModuleSpec.beta_voc)
     curve.add_argument("--ideality-guess", type=float, default=1.3)
-    curve.add_argument("--ns", type=int, default=1, help="modules in series")
-    curve.add_argument("--np", type=int, default=1, help="strings in parallel")
+    curve.add_argument("--ns", dest="n_series", type=int, default=1, help="modules in series")
+    curve.add_argument("--np", dest="n_parallel", type=int, default=1, help="strings in parallel")
     curve.add_argument("--g", type=float, default=1000.0, help="irradiance, W/m²")
     curve.add_argument("--t", type=float, default=25.0, help="cell temperature, °C")
     curve.add_argument("--points", type=int, default=500)

@@ -211,8 +211,8 @@ def resonance_check(
     for name, value in (
         ("l_1", l_1), ("l_2", l_2), ("c_g", c_g), ("f_g", f_g), ("f_sw", f_sw),
     ):
-        if value <= 0.0:
-            raise DegenerateInput(f"{name} must be positive, got {value!r}")
+        if not 0.0 < value < math.inf:
+            raise DegenerateInput(f"{name} must be positive and finite, got {value!r}")
     omega_res = math.sqrt((l_1 + l_2) / (l_1 * l_2 * c_g))
     f_res = omega_res / (2.0 * math.pi)
     f_min = 10.0 * f_g

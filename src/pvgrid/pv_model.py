@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +45,10 @@ _IDEALITY_FALLBACKS = (
 
 # Exponent cap: beyond this exp() overflows a double; treat as saturation.
 _EXP_CAP = 690.0
+
+# Most samples one I-V sweep may hold.  Checked before anything is
+# allocated, as ``simulator.MAX_RECORDS`` is for a run.
+MAX_POINTS = 1_000_000
 
 
 def thermal_voltage(t_c: float) -> float:
@@ -72,6 +77,9 @@ class PVModuleSpec:
     t_stc: float = 25.0  # °C
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.v_mp < self.v_oc:
             raise ValueError(f"require 0 < v_mp < v_oc, got {self.v_mp}, {self.v_oc}")
         if not 0.0 < self.i_mp < self.i_sc:
@@ -163,6 +171,8 @@ class EnvCondition:
     t: float  # °C, cell temperature
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.g):
+            raise ValueError(f"irradiance must be finite, got {self.g}")
         if self.g < 0.0:
             raise ValueError(f"irradiance must be non-negative, got {self.g}")
         if not -40.0 <= self.t <= 90.0:
@@ -186,26 +196,23 @@ class IVCurve:
             raise ValueError("curve needs at least one point")
         if self.points[0].v != 0.0:
             raise ValueError("curve must start at v = 0")
+        # Not np.array(points): that is slow on NamedTuples.
+        v, i, p = np.fromiter(chain.from_iterable(self.points), float).reshape(-1, 3).T
         # Slack covers implicit-solver residual noise between samples.
         slack = 1e-9 * max(1.0, abs(self.points[0].i))
-        prev = self.points[0]
-        for pt in self.points[1:]:
-            if pt.v <= prev.v:
-                raise ValueError("curve voltages must be strictly increasing")
-            if pt.i > prev.i + slack:
-                raise ValueError("curve current must be non-increasing")
-            prev = pt
-        for pt in self.points:
-            if pt.p != pt.v * pt.i:
-                raise ValueError("curve power must equal v*i at every point")
+        bad_v = v[1:] <= v[:-1]
+        bad = bad_v | (i[1:] > i[:-1] + slack)
+        if bad.any():  # the first failing point; its voltage is checked first
+            raise ValueError(
+                "curve voltages must be strictly increasing" if bad_v[bad.argmax()]
+                else "curve current must be non-increasing"
+            )
+        if (p != v * i).any():
+            raise ValueError("curve power must equal v*i at every point")
 
     def to_csv(self) -> str:
         """Render the curve as CSV with header ``v,i,p``, 6 significant digits."""
-        lines = ["v,i,p"]
-        lines.extend(
-            f"{pt.v:.6g},{pt.i:.6g},{pt.p:.6g}" for pt in self.points
-        )
-        return "\n".join(lines) + "\n"
+        return "v,i,p\n" + "".join(map("%.6g,%.6g,%.6g\n".__mod__, self.points))
 
 
 @dataclass(frozen=True)
@@ -462,7 +469,10 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
             x = v + i * r_s
             rows.append([1.0, -diode(math.expm1, x / a), -x])
             rhs.append(target)
-        i_ph, i_0, g_sh = np.linalg.solve(np.array(rows), np.array(rhs))
+        try:
+            i_ph, i_0, g_sh = np.linalg.solve(np.array(rows), np.array(rhs))
+        except np.linalg.LinAlgError:
+            raise InfeasibleSpec(f"ideality {n_ideality:g}: singular calibration system") from None
         return float(i_ph), float(i_0), float(g_sh)
 
     def mpp_slope(r_s: float) -> float:
@@ -547,8 +557,8 @@ def extract_single_diode_params(
         InfeasibleSpec: if no candidate ideality yields a physical model.
         NonConvergence: if the underlying solves exhaust their budgets.
     """
-    if n_ideality_guess <= 0.0:
-        raise ValueError("ideality guess must be positive")
+    if not 0.0 < n_ideality_guess < math.inf:
+        raise ValueError(f"ideality guess must be finite and positive, got {n_ideality_guess}")
     candidates = [n_ideality_guess]
     candidates.extend(n for n in _IDEALITY_FALLBACKS if n != n_ideality_guess)
     last_error: InfeasibleSpec | None = None
@@ -666,10 +676,12 @@ def array_iv_sweep(
         array: Series/parallel composition.
         params: STC-calibrated module parameters.
         env: Operating environment.
-        n_points: Number of samples, >= 3.
+        n_points: Number of samples, from 3 to :data:`MAX_POINTS`.
     """
     if n_points < 3:
         raise ValueError(f"n_points must be at least 3, got {n_points}")
+    if n_points > MAX_POINTS:
+        raise ValueError(f"n_points must be at most {MAX_POINTS}, got {n_points}")
     params_e = adjust_params(params, array.module, env)
     if not _lit(params_e.i_ph, params_e.i_0, params_e.a):
         return IVCurve(points=(IVPoint(0.0, 0.0, 0.0),))

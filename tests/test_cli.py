@@ -7,12 +7,17 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import pvgrid
 from pvgrid import cli
-from pvgrid.component_design import BoostDesignInput, LCLDesignInput, boost_design, lcl_design
+from pvgrid.component_design import (
+    BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport, boost_design,
+    lcl_design,
+)
+from pvgrid.pv_model import EnvCondition, MPPResult, PVArraySpec, PVModuleSpec
 from pvgrid.scenario_io import bundled_scenario_text, emit_csv, parse_scenario
 from pvgrid.simulator import run
 
@@ -22,6 +27,10 @@ BOOST_ARGS = [
 LCL_ARGS = [
     "design-lcl", "--p", "100000", "--vg", "230", "--fg", "50",
     "--vdc", "700", "--fsw", "10000",
+]
+RESONANCE_ARGS = [
+    "check-resonance", "--l1", "0.6e-3", "--l2", "15e-6",
+    "--cg", "100.29e-6", "--fg", "50", "--fsw", "10000",
 ]
 
 
@@ -183,6 +192,78 @@ class TestPvCurve:
         )
         assert code == 1
         assert "ValueError" in capsys.readouterr().err
+
+
+# ======================================================================
+# Flag values the domain types reject
+# ======================================================================
+
+
+MODULE_ARGS = TestPvCurve.MODULE_ARGS
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("argv", "flag", "named"),
+    [
+        pytest.param(MODULE_ARGS, "--pmp=nan", "p_mp must be finite", id="pmp-nan"),
+        pytest.param(MODULE_ARGS, "--alpha-isc=nan", "alpha_isc must be finite",
+                     id="alpha_isc-nan"),
+        pytest.param(MODULE_ARGS, "--beta-voc=-inf", "beta_voc must be finite",
+                     id="beta_voc-inf"),
+        pytest.param(MODULE_ARGS, "--g=nan", "irradiance must be finite", id="g-nan"),
+        pytest.param(MODULE_ARGS, "--g=inf", "irradiance must be finite", id="g-inf"),
+        pytest.param(MODULE_ARGS, "--ideality-guess=nan", "ideality guess must be finite",
+                     id="ideality-nan"),
+        pytest.param(MODULE_ARGS, "--ideality-guess=inf", "ideality guess must be finite",
+                     id="ideality-inf"),
+        pytest.param(MODULE_ARGS, "--points=100000000", "n_points must be at most",
+                     id="points-over-cap"),
+        pytest.param(RESONANCE_ARGS, "--l1=nan", "l_1 must be positive and finite",
+                     id="l1-nan"),
+        pytest.param(RESONANCE_ARGS, "--cg=inf", "c_g must be positive and finite",
+                     id="cg-inf"),
+    ],
+)
+def test_rejected_flag_value_exits_1(capsys, argv, flag, named):
+    """A non-finite or over-cap flag value is rejected by the type it feeds,
+    with exit 1 and a message naming the input, not printed as a result."""
+    assert cli.main(argv + [flag]) == 1  # a repeated flag overrides the earlier one
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+# ======================================================================
+# Flags and printed fields stay in step with the library records
+# ======================================================================
+
+
+class TestFieldDrift:
+    """Output blocks and input records are derived from the dataclasses."""
+
+    # Dests that feed no record field: options, the handler and the subcommand.
+    CLI_ONLY = {"json", "output", "ideality_guess", "points", "handler", "command"}
+
+    def test_units_cover_every_result_field(self):
+        """One unit per field of every printed result record, and no other."""
+        results = (BoostDesign, LCLDesign, ResonanceReport, MPPResult)
+        assert set(cli._UNITS) == {f.name for cls in results for f in fields(cls)}
+
+    @pytest.mark.parametrize(
+        ("argv", "records", "unexposed"),
+        [
+            pytest.param(BOOST_ARGS, (BoostDesignInput,), set(), id="design-boost"),
+            pytest.param(LCL_ARGS, (LCLDesignInput,), set(), id="design-lcl"),
+            pytest.param(MODULE_ARGS, (PVModuleSpec, PVArraySpec, EnvCondition),
+                         {"g_stc", "t_stc", "module"}, id="pv-curve"),
+        ],
+    )
+    def test_flag_dests_are_record_fields(self, argv, records, unexposed):
+        """Every dest names a field of a record the command builds, and every
+        field but the listed unexposed ones has a flag."""
+        dests = set(vars(cli.build_parser().parse_args(argv))) - self.CLI_ONLY
+        assert dests == {f.name for cls in records for f in fields(cls)} - unexposed
 
 
 # ======================================================================

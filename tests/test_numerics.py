@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pvgrid.errors import NonConvergence
-from pvgrid.numerics import brentq, golden_max, newton_bisect
+from pvgrid.numerics import brentq, golden_max, newton_bisect, newton_bisect_array
 from pvgrid.pv_model import EnvCondition, adjust_params, module_voc
 
 from conftest import REF_MODULE
@@ -94,6 +94,128 @@ class TestNewtonBisect:
             df = lambda x, r=r: 3.0 * (x - r) ** 2 + 1.0
             x = newton_bisect(f, df, lo=r - 7.0, hi=r + 9.0, f_tol=1e-12)
             assert abs(x - r) < 1e-7, f"missed root {r} (got {x})"
+
+
+# ======================================================================
+# newton_bisect_array
+# ======================================================================
+
+
+def _newton_cases() -> dict[str, tuple]:
+    """Every TestNewtonBisect problem as (f, df, lo, hi, f_tol, x0, max_iter)."""
+    cases = {
+        "cosine": (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0,
+                   0.0, 1.0, 1e-12, None, 100),
+        "cubic": (lambda x: x**3 - 2.0 * x - 5.0, lambda x: 3.0 * x**2 - 2.0,
+                  1.0, 3.0, 1e-12, None, 100),
+        "expm1": (lambda x: math.expm1(x) - 2.0, math.exp, 0.0, 2.0, 1e-10, None, 100),
+        "endpoint": (lambda x: x, lambda x: 1.0, 0.0, 1.0, 1e-9, None, 100),
+        "flat-derivative": (lambda x: x**3 - 8.0, lambda x: 0.0, 0.0, 5.0, 1e-9, None, 100),
+        "wild-start": (lambda x: math.atan(x - 1.5), lambda x: 1.0 / (1.0 + (x - 1.5) ** 2),
+                       -50.0, 60.0, 1e-12, 59.0, 100),
+        "no-sign-change": (lambda x: x * x + 1.0, lambda x: 2.0 * x,
+                           -1.0, 1.0, 1e-9, None, 100),
+        "budget": (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0,
+                   0.0, 1.0, 0.0, None, 3),
+    }
+    rng = np.random.default_rng(42)
+    for n in range(200):
+        r = float(rng.uniform(-5.0, 5.0))
+        cases[f"cubic-{n}"] = (lambda x, r=r: (x - r) ** 3 + (x - r),
+                               lambda x, r=r: 3.0 * (x - r) ** 2 + 1.0,
+                               r - 7.0, r + 9.0, 1e-12, None, 100)
+    return cases
+
+
+NEWTON_CASES = _newton_cases()
+FAILING = ("no-sign-change", "budget")
+
+
+def _scalar(case: tuple, max_iter: int | None = None):
+    """newton_bisect's root of ``case``, or the error it raises."""
+    f, df, lo, hi, f_tol, x0, budget = case
+    try:
+        if max_iter is None:
+            max_iter = budget
+        return newton_bisect(f, df, lo, hi, f_tol=f_tol, x0=x0, max_iter=max_iter)
+    except (ValueError, NonConvergence) as exc:
+        return exc
+
+
+def _batched(cases: list[tuple], max_iter: int | None = None):
+    """newton_bisect_array's roots of ``cases`` in one batch, or the error it
+    raises.  The batch's budget is the smallest of its cases'."""
+    def column(j: int) -> np.ndarray:
+        return np.array([np.nan if c[j] is None else c[j] for c in cases], dtype=float)
+
+    def fdf(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pairs = [(cases[j][0](xj), cases[j][1](xj)) for xj, j in zip(x.tolist(), k.tolist())]
+        return np.array(pairs, dtype=float).reshape(-1, 2).T
+
+    lo, hi = column(2), column(3)
+    f_lo = np.array([c[0](c[2]) for c in cases], dtype=float)
+    f_hi = np.array([c[0](c[3]) for c in cases], dtype=float)
+    try:
+        return newton_bisect_array(
+            fdf, lo, hi, f_lo, f_hi, f_tol=column(4), x0=column(5),
+            max_iter=min(c[6] for c in cases) if max_iter is None else max_iter,
+        ).tolist()
+    except (ValueError, NonConvergence) as exc:
+        return exc
+
+
+def _same(got, want) -> bool:
+    """Equal roots, or errors of the same type with the same message."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return got == want
+
+
+class TestNewtonBisectArray:
+    """The batched solve takes newton_bisect's steps on every problem."""
+
+    @pytest.mark.parametrize("name", [n for n in NEWTON_CASES if not n.startswith("cubic-")])
+    def test_batch_of_one_matches_scalar(self, name):
+        """Each TestNewtonBisect problem alone: the scalar's double or its error."""
+        case = NEWTON_CASES[name]
+        want = _scalar(case)
+        got = _batched([case])
+        assert _same(got, want if isinstance(want, Exception) else [want]), (name, got, want)
+
+    def test_random_cubics_one_at_a_time(self):
+        """The 200 shifted cubics of TestNewtonBisect, each a batch of one."""
+        for name, case in NEWTON_CASES.items():
+            if name.startswith("cubic-"):
+                assert _batched([case]) == [_scalar(case)], name
+
+    def test_mixed_batch_matches_scalar(self):
+        """All converging problems in one batch, each root the scalar's double."""
+        cases = [c for name, c in NEWTON_CASES.items() if name not in FAILING]
+        assert _batched(cases) == [_scalar(c) for c in cases]
+
+    def test_mixed_batch_errors_carry_scalar_messages(self):
+        """A failing problem amid converging ones raises the scalar's error."""
+        cosine, endpoint = NEWTON_CASES["cosine"], NEWTON_CASES["endpoint"]
+        for name in FAILING:
+            case = NEWTON_CASES[name]
+            # The budget case runs 3 evaluations; the endpoint problem needs none.
+            batch = [endpoint, case] if name == "budget" else [cosine, case, endpoint]
+            assert _same(_batched(batch), _scalar(case)), name
+
+    @pytest.mark.parametrize("name", ["cosine", "cubic", "expm1", "flat-derivative",
+                                      "wild-start", "cubic-0"])
+    def test_budget_spent_exactly(self, name):
+        """With the budget the scalar needs, the root comes from the last
+        evaluation; one evaluation fewer raises the scalar's NonConvergence."""
+        f, *rest = NEWTON_CASES[name]
+        calls = []
+        _scalar((lambda x: calls.append(x) or f(x), *rest))
+        needed = len(calls) - 2  # the two bracket ends come first
+        case = NEWTON_CASES[name]
+        assert _batched([case], needed) == [_scalar(case, needed)]
+        want = _scalar(case, needed - 1)
+        assert isinstance(want, NonConvergence)
+        assert _same(_batched([case], needed - 1), want)
 
 
 # ======================================================================

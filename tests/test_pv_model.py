@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from pvgrid.errors import DarkArray, InfeasibleSpec
+from pvgrid.errors import DarkArray, InfeasibleSpec, NonConvergence
 from pvgrid.pv_model import (
+    MAX_POINTS,
     EnvCondition,
     IVCurve,
     IVPoint,
@@ -19,6 +21,7 @@ from pvgrid.pv_model import (
     adjust_params,
     array_iv_sweep,
     extract_single_diode_params,
+    _module_currents,
     module_current,
     module_voc,
     array_mpp,
@@ -198,6 +201,17 @@ class TestCalibration:
         with pytest.raises(ValueError):
             extract_single_diode_params(REF_MODULE, n_ideality_guess=0.0)
 
+    def test_singular_system_is_infeasible_for_that_ideality(self, ref_params):
+        """At ideality 1e308 the diode voltage is infinite and the linear system
+        singular; that ideality is infeasible and the fallbacks calibrate."""
+        assert extract_single_diode_params(REF_MODULE, n_ideality_guess=1e308) == ref_params
+
+    @pytest.mark.parametrize("guess", [math.nan, math.inf])
+    def test_non_finite_guess_rejected(self, guess):
+        """The ideality guess must be a finite positive number."""
+        with pytest.raises(ValueError, match="ideality guess must be finite and positive"):
+            extract_single_diode_params(REF_MODULE, n_ideality_guess=guess)
+
     def test_square_curve_infeasible(self):
         """A near-unity fill factor admits no single-diode model at all."""
         impossible = PVModuleSpec(p_mp=280.0, v_mp=35.9, i_mp=7.8, v_oc=36.3, i_sc=7.84)
@@ -271,6 +285,21 @@ class TestModuleCurrent:
         cur = [module_current(ref_params, float(v)) for v in vs]
         diffs = np.diff(cur)
         assert np.all(diffs <= 1e-9), f"max increase {diffs.max():.3e} A"
+
+    def test_batched_solve_grows_the_bracket_as_the_scalar_solve(self, ref_params):
+        """Beyond v_oc the current is so negative that the lower bracket end
+        must grow; the batched solve then still equals module_current bit for
+        bit, and fails with its error where it fails: about 5.1-7.2 x v_oc,
+        where the budget runs out, and at 1e12 V, where no bracket is found."""
+        v = np.concatenate([np.linspace(1.2, 5.0, 20), np.linspace(7.5, 10.0, 10)])
+        v *= REF_MODULE.v_oc
+        want = [module_current(ref_params, x) for x in v.tolist()]
+        assert _module_currents(ref_params, v).tolist() == want
+        for v_bad in (6.0 * REF_MODULE.v_oc, 1e12):
+            with pytest.raises(NonConvergence) as scalar:
+                module_current(ref_params, v_bad)
+            with pytest.raises(NonConvergence, match=re.escape(str(scalar.value))):
+                _module_currents(ref_params, np.array([2.0 * REF_MODULE.v_oc, v_bad]))
 
     def test_negative_voltage_rejected(self, ref_params):
         """Negative terminal voltage is a caller error."""
@@ -359,6 +388,11 @@ class TestArraySweep:
         """n_points < 3 is a caller error."""
         with pytest.raises(ValueError):
             array_iv_sweep(ref_array, ref_params, EnvCondition(1000.0, 25.0), 2)
+
+    def test_point_count_capped(self, ref_array, ref_params):
+        """More than MAX_POINTS samples is rejected before anything is allocated."""
+        with pytest.raises(ValueError, match=f"at most {MAX_POINTS}, got {MAX_POINTS + 1}"):
+            array_iv_sweep(ref_array, ref_params, EnvCondition(1000.0, 25.0), MAX_POINTS + 1)
 
     def test_dark_sweep_collapses(self, ref_array, ref_params):
         """Zero irradiance returns the single point (0, 0, 0)."""
@@ -582,3 +616,43 @@ class TestIVCurve:
         pts = (IVPoint(0.0, 5.0, 0.0), IVPoint(1.0, 4.0, 3.9))
         with pytest.raises(ValueError):
             IVCurve(points=pts)
+
+    @pytest.mark.parametrize(
+        ("points", "message"),
+        [
+            pytest.param((), "curve needs at least one point", id="empty"),
+            pytest.param(((1.0, 5.0, 5.0),), "curve must start at v = 0", id="off-origin"),
+            pytest.param(((math.nan, 5.0, math.nan),), "curve must start at v = 0",
+                         id="nan-start"),
+            pytest.param(((0.0, 5.0, 0.0), (0.0, 5.0, 0.0)),
+                         "curve voltages must be strictly increasing", id="repeated-voltage"),
+            pytest.param(((0.0, 5.0, 0.0), (1.0, 6.0, 6.0)),
+                         "curve current must be non-increasing", id="rising-current"),
+            pytest.param(((0.0, 5.0, 0.0), (1.0, 4.0, 3.9)),
+                         "curve power must equal v*i at every point", id="power"),
+            pytest.param(((0.0, 5.0, 0.0), (1.0, 4.0, 4.0), (0.5, 9.0, 4.5)),
+                         "curve voltages must be strictly increasing",
+                         id="voltage-before-current"),
+            pytest.param(((0.0, 5.0, 0.0), (1.0, 6.0, 6.0), (0.5, 6.0, 3.0)),
+                         "curve current must be non-increasing", id="first-point-wins"),
+            pytest.param(((0.0, 5.0, 1.0), (1.0, 4.0, 4.0), (1.0, 4.0, 4.0)),
+                         "curve voltages must be strictly increasing", id="shape-before-power"),
+            pytest.param(((0.0, 5.0, 0.0), (math.nan, 4.0, math.nan), (0.5, 4.0, 2.0)),
+                         "curve power must equal v*i at every point", id="nan-voltage"),
+            pytest.param(((0.0, 5.0, 0.0), (1.0, math.nan, math.nan), (2.0, 6.0, 12.0)),
+                         "curve power must equal v*i at every point", id="nan-current"),
+            pytest.param(((0.0, 5.0, 0.0), (1.0, 5.0 + 4e-9, 5.0 + 4e-9)), None,
+                         id="rise-within-slack"),
+        ],
+    )
+    def test_check_messages(self, points, message):
+        """Each invariant's message and their precedence (recorded from the
+        per-point checks these array checks replaced): the first failing
+        point wins, and its voltage is checked before its current."""
+        points = tuple(IVPoint(*pt) for pt in points)
+        if message is None:
+            assert IVCurve(points=points).points == points
+            return
+        with pytest.raises(ValueError) as exc:
+            IVCurve(points=points)
+        assert str(exc.value) == message
