@@ -7,7 +7,7 @@ precision; rounding to catalog component values is left to the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DegenerateInput
 
@@ -29,6 +29,12 @@ def _require_fraction(obj: object, names: tuple[str, ...]) -> None:
         value = getattr(obj, name)
         if not 0.0 < value < 1.0:
             raise DegenerateInput(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def _beyond_float_range(inp: object) -> DegenerateInput:
+    """The error for inputs whose arithmetic divides by an underflowed 0 or overflows."""
+    given = ", ".join(f"{f.name} = {getattr(inp, f.name)!r}" for f in fields(inp))
+    return DegenerateInput(f"inputs {given} put a computed value beyond the float range")
 
 
 # ============================================================================
@@ -67,9 +73,7 @@ class BoostDesign:
     c: float  # F, filter capacitor
 
     def __post_init__(self) -> None:
-        for name in ("i_out_max", "delta_i_l", "delta_v_out", "l", "c"):
-            if getattr(self, name) <= 0.0:
-                raise DegenerateInput(f"{name} must be positive")
+        _require_positive(self, ("i_out_max", "delta_i_l", "delta_v_out", "l", "c"))
 
 
 def boost_design(inp: BoostDesignInput) -> BoostDesign:
@@ -80,12 +84,18 @@ def boost_design(inp: BoostDesignInput) -> BoostDesign:
     delta_v_out = ripple_v_frac * v_out
     l = v_in * (v_out - v_in) / (delta_i_l * f_s * v_out)
     c = i_out_max * (1 - v_in/v_out) / (delta_v_out * f_s)
+
+    Raises:
+        DegenerateInput: if a value is zero or beyond the float range.
     """
-    i_out_max = inp.p / inp.v_out
-    delta_i_l = inp.ripple_i_frac * i_out_max * inp.v_out / inp.v_in
-    delta_v_out = inp.ripple_v_frac * inp.v_out
-    l = inp.v_in * (inp.v_out - inp.v_in) / (delta_i_l * inp.f_s * inp.v_out)
-    c = i_out_max * (1.0 - inp.v_in / inp.v_out) / (delta_v_out * inp.f_s)
+    try:
+        i_out_max = inp.p / inp.v_out
+        delta_i_l = inp.ripple_i_frac * i_out_max * inp.v_out / inp.v_in
+        delta_v_out = inp.ripple_v_frac * inp.v_out
+        l = inp.v_in * (inp.v_out - inp.v_in) / (delta_i_l * inp.f_s * inp.v_out)
+        c = i_out_max * (1.0 - inp.v_in / inp.v_out) / (delta_v_out * inp.f_s)
+    except ArithmeticError:  # a divisor underflowed to 0
+        raise _beyond_float_range(inp) from None
     return BoostDesign(
         i_out_max=i_out_max, delta_i_l=delta_i_l, delta_v_out=delta_v_out, l=l, c=c
     )
@@ -128,11 +138,9 @@ class LCLDesign:
     l_2: float  # H, grid-side inductor
 
     def __post_init__(self) -> None:
-        for name in (
-            "omega_g", "z_b", "c_b", "i_max", "delta_i_max", "l_1", "c_g", "l_2",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise DegenerateInput(f"{name} must be positive")
+        _require_positive(
+            self, ("omega_g", "z_b", "c_b", "i_max", "delta_i_max", "l_1", "c_g", "l_2")
+        )
         if self.l_2 >= self.l_1:
             raise DegenerateInput(
                 f"grid-side inductor l_2 {self.l_2:.4g} must be smaller "
@@ -151,16 +159,23 @@ def lcl_design(inp: LCLDesignInput) -> LCLDesign:
     l_1 = v_dc / (6 * f_sw * delta_i_max)
     c_g = cap_frac * c_b
     l_2 = sqrt(1/atten_factor^2 + 1) / (c_g * (2*pi*f_sw)^2)
+
+    Raises:
+        DegenerateInput: if a value is zero or beyond the float range, or
+            l_2 is not smaller than l_1.
     """
-    omega_g = 2.0 * math.pi * inp.f_g
-    z_b = inp.v_g**2 / (inp.p / 3.0)
-    c_b = 1.0 / (omega_g * z_b)
-    i_max = inp.p * math.sqrt(2.0) / (3.0 * inp.v_g * _PF_DERATE)
-    delta_i_max = inp.ripple_frac * i_max
-    l_1 = inp.v_dc / (6.0 * inp.f_sw * delta_i_max)
-    c_g = inp.cap_frac * c_b
-    omega_sw = 2.0 * math.pi * inp.f_sw
-    l_2 = math.sqrt(1.0 / inp.atten_factor**2 + 1.0) / (c_g * omega_sw**2)
+    try:
+        omega_g = 2.0 * math.pi * inp.f_g
+        z_b = inp.v_g**2 / (inp.p / 3.0)
+        c_b = 1.0 / (omega_g * z_b)
+        i_max = inp.p * math.sqrt(2.0) / (3.0 * inp.v_g * _PF_DERATE)
+        delta_i_max = inp.ripple_frac * i_max
+        l_1 = inp.v_dc / (6.0 * inp.f_sw * delta_i_max)
+        c_g = inp.cap_frac * c_b
+        omega_sw = 2.0 * math.pi * inp.f_sw
+        l_2 = math.sqrt(1.0 / inp.atten_factor**2 + 1.0) / (c_g * omega_sw**2)
+    except ArithmeticError:  # a divisor underflowed to 0, or a square overflowed
+        raise _beyond_float_range(inp) from None
     return LCLDesign(
         omega_g=omega_g,
         z_b=z_b,
@@ -194,6 +209,9 @@ class ResonanceReport:
     passed: bool
 
     def __post_init__(self) -> None:
+        for name in ("omega_res", "f_res", "f_min", "f_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise DegenerateInput(f"{name} must be finite, got {getattr(self, name)!r}")
         if abs(self.f_res - self.omega_res / (2.0 * math.pi)) > 1e-9 * self.f_res:
             raise DegenerateInput("f_res must equal omega_res / 2*pi")
         if self.passed != (self.f_min < self.f_res < self.f_max):
@@ -207,13 +225,25 @@ def resonance_check(
 
     omega_res = sqrt((l_1 + l_2) / (l_1 * l_2 * c_g)); the band is
     (10 * f_g, 0.5 * f_sw), compared in hertz.
+
+    Raises:
+        DegenerateInput: if an input is not positive and finite, or the
+            resonance or a bound is beyond the float range.
     """
     for name, value in (
         ("l_1", l_1), ("l_2", l_2), ("c_g", c_g), ("f_g", f_g), ("f_sw", f_sw),
     ):
         if not 0.0 < value < math.inf:
             raise DegenerateInput(f"{name} must be positive and finite, got {value!r}")
-    omega_res = math.sqrt((l_1 + l_2) / (l_1 * l_2 * c_g))
+    try:
+        omega_res = math.sqrt((l_1 + l_2) / (l_1 * l_2 * c_g))
+    except ZeroDivisionError:  # l_1 * l_2 * c_g underflowed to 0
+        omega_res = math.inf
+    if not omega_res < math.inf:  # also NaN, from an infinite sum over an infinite product
+        raise DegenerateInput(
+            f"omega_res = sqrt((l_1 + l_2) / (l_1 * l_2 * c_g)) is beyond the float range "
+            f"for l_1 = {l_1!r}, l_2 = {l_2!r}, c_g = {c_g!r}"
+        )
     f_res = omega_res / (2.0 * math.pi)
     f_min = 10.0 * f_g
     f_max = 0.5 * f_sw

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -463,6 +464,7 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
                 f"ideality {n_ideality:g}: diode term exp({z:.6g}) overflows a double"
             ) from None
 
+    @cache  # brentq evaluates its bracket ends again, which were probed already
     def linear_fit(r_s: float) -> tuple[float, float, float]:
         rows, rhs = [], []
         for v, i, target in anchors:
@@ -534,10 +536,15 @@ def _verify_calibration(spec: PVModuleSpec, params: SingleDiodeParams) -> bool:
     )
 
 
+@lru_cache(maxsize=32)
 def extract_single_diode_params(
     spec: PVModuleSpec, *, n_ideality_guess: float = 1.3
 ) -> SingleDiodeParams:
     """Calibrate the five-parameter model from datasheet ratings.
+
+    Memoized: the 32 most recent datasheets (and guesses) each keep their
+    result, so calibrating one module again returns the same object.  A
+    datasheet that raises is not remembered and raises again.
 
     The requested ideality is tried first.  Many datasheets admit no
     physical parameter set at an arbitrary ideality (the implied shunt

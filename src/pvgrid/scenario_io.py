@@ -14,6 +14,7 @@ import sys
 from dataclasses import MISSING, fields
 from functools import cache
 from importlib import resources
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple, get_type_hints
 
@@ -30,7 +31,6 @@ from .simulator import (
     LoadStep,
     Scenario,
     TimeSeries,
-    _float_rows,
 )
 
 _SI_PREFIXES = (
@@ -140,8 +140,25 @@ def _read(section: object, cls: type, where: str) -> dict:
     return values
 
 
-def _read_profile(entries: list, cls: type, where: str) -> tuple:
-    """The entries of one profile list as ``cls`` records, read as columns.
+def _float_rows(rows: list, width: int) -> np.ndarray | None:
+    """``rows`` of ``width`` values as an (n, width) float array, each value
+    converted as by float().
+
+    None unless each value is an int or a float (not a bool) strictly
+    inside the float range.
+    """
+    values = list(chain.from_iterable(rows))
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        array = np.fromiter(values, float, len(values))
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return array.reshape(-1, width) if (np.abs(array) < sys.float_info.max).all() else None
+
+
+def _read_profile(entries: list, cls: type, where: str) -> np.ndarray:
+    """The entries of one profile list as float columns, one row per field of ``cls``.
 
     Every key of a profile record is a required number.  The list is
     accepted in one pass when each entry is an object with exactly those
@@ -157,10 +174,10 @@ def _read_profile(entries: list, cls: type, where: str) -> tuple:
         except KeyError:  # an unknown key in place of a required one
             rows = None
         if rows is not None:
-            return tuple(map(cls._make, rows.tolist()))
-    return tuple(
-        cls(**_read(entry, cls, f"{where}[{idx}]")) for idx, entry in enumerate(entries)
-    )
+            return rows.T
+    return np.array(
+        [list(_read(entry, cls, f"{where}[{idx}]").values()) for idx, entry in enumerate(entries)]
+    ).T
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -212,8 +229,8 @@ def parse_scenario(text: str) -> Scenario:
             grid=GridSpec(**kw["grid"]),
             array=PVArraySpec(module=PVModuleSpec(**kw["pv_module"]), **kw["pv_array"]),
             inverter_efficiency=kw["inverter"]["efficiency"],
-            irradiance_profile=kw["irradiance"],
-            load_profile=kw["load"],
+            irradiance=kw["irradiance"],
+            load=kw["load"],
             compensator=comp_cls(**kw["compensator"]),
             scenario_id=scenario_id,
             **kw["sim"],
@@ -256,17 +273,25 @@ def emit_scenario(scenario: Scenario) -> str:
 def emit_csv(series: TimeSeries) -> str:
     """Render a run as CSV: fixed column set, 6 significant digits, LF endings.
 
-    Each distinct value of a column is formatted once.  Values are told
-    apart by bit pattern, not by ``==``, so -0.0 prints ``-0`` beside 0.0.
+    The cells after ``t`` are joined into one row tail per run of rows in
+    which none of them changes, and inside those runs each column is
+    formatted once per run of equal values.  Values are told apart by bit
+    pattern, not by ``==``, so -0.0 prints ``-0`` beside 0.0.
     """
-    cells = []
-    for column in series.columns.values():
-        _, first, inverse = np.unique(
-            column.view(np.int64), return_index=True, return_inverse=True
-        )
-        text = np.array(list(map("%.6g".__mod__, column[first].tolist())), dtype=object)
-        cells.append(text[inverse].tolist())
-    return ",".join(COLUMNS) + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n"
+    t, *rest = series.columns.values()
+    values = np.stack(rest)
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.append(True, (bits[:, 1:] != bits[:, :-1]).any(axis=0)))
+    bits = bits[:, starts]
+    new = np.ones(bits.shape, dtype=bool)  # a value differing from the tail before
+    new[:, 1:] = bits[:, 1:] != bits[:, :-1]
+    # One % over many values costs far less per value than one % each.
+    distinct = values[:, starts][new].tolist()
+    text = np.array(("%.6g\n" * len(distinct) % tuple(distinct)).split("\n"), dtype=object)
+    cells = text[np.cumsum(new).reshape(new.shape) - 1]
+    tails = map(repeat, map(",".join, cells.T.tolist()), np.diff(starts, append=len(t)).tolist())
+    rows = tuple(chain.from_iterable(zip(t.tolist(), chain.from_iterable(tails))))
+    return ",".join(COLUMNS) + "\n" + "%.6g,%s\n" * len(t) % rows
 
 
 # ============================================================================

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
-from itertools import chain
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -68,33 +67,31 @@ class GridSpec:
                 raise InvalidScenario(f"grid {name} must be positive and finite")
 
 
-def _float_rows(rows: list, width: int) -> np.ndarray | None:
-    """``rows`` as an (n, width) float array, each value converted as by float().
+def _profile_columns(name: str, step: type, columns, steps) -> np.ndarray:
+    """The checked profile as a read-only float array, one row per field of ``step``.
 
-    None unless every row has ``width`` values and each value is an int or
-    a float (not a bool) strictly inside the float range.
+    Given either as ``columns`` (one sequence per field) or as ``steps``
+    (one ``step`` record per segment), not both.
     """
-    values = list(chain.from_iterable(rows))
-    if set(map(len, rows)) != {width} or not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        array = np.fromiter(values, float, len(values))
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return array.reshape(-1, width) if (np.abs(array) < _MAX).all() else None
-
-
-def _profile_columns(name: str, profile: tuple) -> np.ndarray:
-    """The checked profile as one read-only float array per field."""
-    if not profile:
-        raise InvalidScenario(f"{name} profile must have at least one segment")
-    rows = _float_rows(profile, len(profile[0]))
-    if rows is None:  # other number types, or a value to reject: check one by one
-        for seg in profile:
+    if (columns is None) == (steps is None):
+        raise TypeError(f"give either {name} columns or {name}_profile steps")
+    if columns is None:
+        if not steps:
+            raise InvalidScenario(f"{name} profile must have at least one segment")
+        for seg in steps:
             if not all(-_MAX <= value <= _MAX for value in seg):
                 raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
-        rows = np.array(profile, dtype=float)
-    columns = rows.T
+    try:
+        columns = np.array(steps, dtype=float).T if columns is None else np.array(columns, float)
+    except (OverflowError, TypeError, ValueError):  # beyond the float range, or ragged
+        columns = None
+    if columns is None or columns.ndim != 2 or len(columns) != len(step._fields):
+        raise InvalidScenario(f"{name} profile must hold {len(step._fields)} floats per segment")
+    if not columns.shape[1]:
+        raise InvalidScenario(f"{name} profile must have at least one segment")
+    for k in np.flatnonzero(~(np.abs(columns) <= _MAX).all(axis=0))[:1]:
+        seg = step._make(columns[:, k].tolist())
+        raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
     columns.flags.writeable = False
     starts = columns[0]
     if starts[0] != 0.0:
@@ -104,54 +101,97 @@ def _profile_columns(name: str, profile: tuple) -> np.ndarray:
     return columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Scenario:
     """Complete description of one simulation run.
 
-    The keyword-only defaults are the ones a scenario document gets when
-    it omits its ``inverter`` or ``sim`` section.
+    The profiles are kept as columns, read-only float arrays of shape
+    (3, n) with one column per segment: ``irradiance`` holds the rows
+    t_start (s), g (W/m²) and t_cell (°C), ``load`` the rows t_start (s),
+    p (W) and q (var).  Each profile is given either as those columns
+    (copied) or as a tuple of steps (``irradiance_profile``,
+    ``load_profile``, kept as given); the steps of a profile given as
+    columns are built on first use.
+
+    The keyword defaults are the ones a scenario document gets when it
+    omits its ``inverter`` or ``sim`` section.
     """
 
     grid: GridSpec
     array: PVArraySpec
-    inverter_efficiency: float = field(default=0.997, kw_only=True)
-    irradiance_profile: tuple[IrradianceStep, ...]
-    load_profile: tuple[LoadStep, ...]
     compensator: CompensatorConfig
-    t_end: float = field(default=0.2, kw_only=True)  # s
-    dt: float = field(default=0.01, kw_only=True)  # s
+    irradiance: np.ndarray
+    load: np.ndarray
+    inverter_efficiency: float = 0.997
+    t_end: float = 0.2  # s
+    dt: float = 0.01  # s
     scenario_id: str = "scenario"
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.inverter_efficiency <= 1.0:
+    def __init__(
+        self, grid: GridSpec, array: PVArraySpec, *, compensator: CompensatorConfig,
+        irradiance: np.ndarray | None = None, load: np.ndarray | None = None,
+        irradiance_profile: tuple[IrradianceStep, ...] | None = None,
+        load_profile: tuple[LoadStep, ...] | None = None,
+        inverter_efficiency: float = inverter_efficiency, t_end: float = t_end,
+        dt: float = dt, scenario_id: str = scenario_id,
+    ) -> None:
+        if not 0.0 < inverter_efficiency <= 1.0:
             raise InvalidScenario(
-                f"inverter_efficiency must lie in (0, 1], got {self.inverter_efficiency}"
+                f"inverter_efficiency must lie in (0, 1], got {inverter_efficiency}"
             )
-        if not 0.0 < self.dt <= _MAX:
-            raise InvalidScenario(f"dt must be positive and finite, got {self.dt}")
-        if not 0.0 <= self.t_end <= _MAX:
-            raise InvalidScenario(f"t_end must be non-negative and finite, got {self.t_end}")
-        if not self.t_end / self.dt + _GRID_EPS < MAX_RECORDS:
+        if not 0.0 < dt <= _MAX:
+            raise InvalidScenario(f"dt must be positive and finite, got {dt}")
+        if not 0.0 <= t_end <= _MAX:
+            raise InvalidScenario(f"t_end must be non-negative and finite, got {t_end}")
+        if not t_end / dt + _GRID_EPS < MAX_RECORDS:
             raise InvalidScenario(
-                f"t_end/dt = {self.t_end / self.dt:g} gives more than "
-                f"{MAX_RECORDS} records"
+                f"t_end/dt = {t_end / dt:g} gives more than {MAX_RECORDS} records"
             )
-        irradiance = _profile_columns("irradiance", self.irradiance_profile)
-        load = _profile_columns("load", self.load_profile)
-        _, g, t_cell = irradiance
+        vars(self).update(
+            grid=grid, array=array, compensator=compensator,
+            irradiance=_profile_columns("irradiance", IrradianceStep, irradiance,
+                                        irradiance_profile),
+            load=_profile_columns("load", LoadStep, load, load_profile),
+            inverter_efficiency=inverter_efficiency, t_end=t_end, dt=dt,
+            scenario_id=scenario_id,
+        )
+        if irradiance_profile is not None:
+            vars(self)["irradiance_profile"] = irradiance_profile
+        if load_profile is not None:
+            vars(self)["load_profile"] = load_profile
+        _, g, t_cell = self.irradiance
         for k in np.flatnonzero((g < 0.0) | ~((-40.0 <= t_cell) & (t_cell <= 90.0)))[:1]:
             seg = self.irradiance_profile[k]
             if seg.g < 0.0:
                 raise InvalidScenario(f"irradiance must be non-negative, got {seg.g}")
             raise InvalidScenario(f"cell temperature {seg.t_cell} outside [-40, 90] °C")
-        # The profiles as columns, read by every run of this scenario.
-        object.__setattr__(self, "_irradiance", irradiance)
-        object.__setattr__(self, "_load", load)
 
-    def times(self) -> list[float]:
-        """The record instants k*dt for k = 0 .. floor(t_end/dt)."""
-        n = int(self.t_end / self.dt + _GRID_EPS) + 1
-        return [k * self.dt for k in range(n)]
+    @cached_property
+    def irradiance_profile(self) -> tuple[IrradianceStep, ...]:
+        return tuple(map(IrradianceStep._make, self.irradiance.T.tolist()))
+
+    @cached_property
+    def load_profile(self) -> tuple[LoadStep, ...]:
+        return tuple(map(LoadStep._make, self.load.T.tolist()))
+
+    def _scalars(self) -> tuple:
+        return (self.grid, self.array, self.compensator, self.inverter_efficiency,
+                self.t_end, self.dt, self.scenario_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scenario):
+            return NotImplemented
+        return self._scalars() == other._scalars() and all(
+            np.array_equal(a, b)
+            for a, b in ((self.irradiance, other.irradiance), (self.load, other.load))
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._scalars())
+
+    def times(self) -> np.ndarray:
+        """The record instants k*dt for k = 0 .. floor(t_end/dt), as a float array."""
+        return np.arange(int(self.t_end / self.dt + _GRID_EPS) + 1) * self.dt
 
 
 @dataclass(frozen=True)
@@ -240,12 +280,7 @@ class ComparisonReport:
     winner: str | None  # run with |q_grid| <= the other at every step
 
 
-@lru_cache(maxsize=32)
-def _calibrated(module: pv_model.PVModuleSpec) -> SingleDiodeParams:
-    return pv_model.extract_single_diode_params(module)
-
-
-def _columns(scenario: Scenario, params: SingleDiodeParams, times: list) -> dict[str, np.ndarray]:
+def _columns(scenario: Scenario, params: SingleDiodeParams, times) -> dict[str, np.ndarray]:
     """The balance at each instant, one array per column.
 
     Each instant takes the segment with the largest t_start <= t.  The
@@ -253,8 +288,8 @@ def _columns(scenario: Scenario, params: SingleDiodeParams, times: list) -> dict
     in use, and the compensator is dispatched once per load segment.
     """
     t = np.asarray(times, dtype=float)
-    irr_start, g, t_cell = scenario._irradiance
-    load_start, p, q = scenario._load
+    irr_start, g, t_cell = scenario.irradiance
+    load_start, p, q = scenario.load
     k_irr = np.searchsorted(irr_start, t, side="right") - 1
     k_load = np.searchsorted(load_start, t, side="right") - 1
 
@@ -298,7 +333,8 @@ def step(scenario: Scenario, params: SingleDiodeParams, t: float) -> PowerFlowRe
 def run(scenario: Scenario) -> TimeSeries:
     """Simulate the scenario over its whole time grid.
 
-    Module calibration happens once per module spec (memoized); the
+    Module calibration happens once per module spec (memoized by
+    :func:`pv_model.extract_single_diode_params`); the
     maximum-power solve is one batched solve over the lit irradiance
     segments.  Identical scenarios produce identical output.
 
@@ -306,7 +342,7 @@ def run(scenario: Scenario) -> TimeSeries:
         CalibrationFailure: if the module datasheet cannot be calibrated.
     """
     try:
-        params = _calibrated(scenario.array.module)
+        params = pv_model.extract_single_diode_params(scenario.array.module)
     except (InfeasibleSpec, NonConvergence) as exc:
         raise CalibrationFailure(
             f"module calibration failed for scenario {scenario.scenario_id!r}: {exc}"

@@ -234,6 +234,44 @@ def test_rejected_flag_value_exits_1(capsys, argv, flag, named):
     assert named in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        pytest.param(  # z_b = v_g**2 / (p/3) underflows to 0
+            ["design-lcl", "--p", "1e300", "--vg", "1e-300", "--fg", "50", "--vdc", "700",
+             "--fsw", "10000"],
+            "inputs p = 1e+300, v_g = 1e-300,", id="lcl-base-impedance-underflow",
+        ),
+        pytest.param(  # (2*pi*f_sw)**2 overflows
+            LCL_ARGS + ["--fsw=1e160"], "f_sw = 1e+160,", id="lcl-square-overflow",
+        ),
+        pytest.param(  # (l_1 + l_2) / (l_1*l_2*c_g) is inf / inf
+            ["check-resonance", "--l1", "1e308", "--l2", "1e308", "--cg", "1e-308",
+             "--fg", "50", "--fsw", "10000"],
+            "for l_1 = 1e+308, l_2 = 1e+308, c_g = 1e-308", id="resonance-nan",
+        ),
+        pytest.param(  # l_1*l_2*c_g underflows to 0
+            RESONANCE_ARGS + ["--l1=1e-200", "--l2=1e-200", "--cg=1e-200"],
+            "for l_1 = 1e-200, l_2 = 1e-200, c_g = 1e-200", id="resonance-underflow",
+        ),
+        pytest.param(RESONANCE_ARGS + ["--fg=1.7e308"], "f_min must be finite",
+                     id="resonance-bound-overflow"),
+        pytest.param(BOOST_ARGS + ["--p=5e-324"], "inputs p = 5e-324,", id="boost-underflow"),
+        pytest.param(BOOST_ARGS + ["--fsw=5e-324"], "l must be a positive finite number",
+                     id="boost-overflow"),
+    ],
+)
+def test_out_of_range_design_exits_1(capsys, argv, named):
+    """Finite ratings whose arithmetic leaves the float range are rejected as
+    DegenerateInput naming the inputs, with exit 1: no traceback, no nan or inf."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DegenerateInput: ")
+    assert named in captured.err
+
+
 # ======================================================================
 # Flags and printed fields stay in step with the library records
 # ======================================================================

@@ -21,6 +21,7 @@ from pvgrid.pv_model import (
     adjust_params,
     array_iv_sweep,
     extract_single_diode_params,
+    _fit_at_ideality,
     _module_currents,
     module_current,
     module_voc,
@@ -225,6 +226,38 @@ class TestCalibration:
                             i_sc=7.84, n_cells=1)
         with pytest.raises(InfeasibleSpec, match="overflows"):
             extract_single_diode_params(spec)
+
+    def test_calibration_is_memoized(self):
+        """A datasheet calibrated again returns the very same parameters object."""
+        spec = PVModuleSpec(p_mp=215.76, v_mp=29.2, i_mp=7.389, v_oc=36.5, i_sc=7.9)
+        first = extract_single_diode_params(spec)
+        assert extract_single_diode_params(spec) is first
+        assert extract_single_diode_params(
+            PVModuleSpec(p_mp=215.76, v_mp=29.2, i_mp=7.389, v_oc=36.5, i_sc=7.9)
+        ) is first
+
+    def test_failed_calibration_is_not_remembered(self):
+        """An infeasible datasheet raises on every call; each call calibrates anew."""
+        impossible = PVModuleSpec(p_mp=280.0, v_mp=35.9, i_mp=7.8, v_oc=36.3, i_sc=7.84)
+        misses = extract_single_diode_params.cache_info().misses
+        for _ in range(3):
+            with pytest.raises(InfeasibleSpec):
+                extract_single_diode_params(impossible)
+        assert extract_single_diode_params.cache_info().misses == misses + 3
+
+    def test_each_linear_system_solved_once_per_fit(self, monkeypatch, ref_params):
+        """The calibration system at one r_s is solved once, though brentq
+        evaluates its bracket ends again."""
+        solved = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            solved.append((a.tobytes(), b.tobytes()))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        assert _fit_at_ideality(REF_MODULE, ref_params.n_ideality) == ref_params
+        assert len(solved) == len(set(solved)) > 10
 
     def test_random_datasheets_round_trip(self):
         """Property: feasible random datasheets are reproduced within 0.5%."""

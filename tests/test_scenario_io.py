@@ -477,6 +477,71 @@ class TestEmitCsv:
         assert "-0" in cells and "0" in cells
 
 
+def _naive_csv(rows: list[tuple[float, ...]]) -> str:
+    """The CSV written one ``%.6g`` per cell, row by row: the oracle of emit_csv."""
+    line = ",".join(["%.6g"] * len(COLUMNS)) + "\n"
+    return ",".join(COLUMNS) + "\n" + "".join(line % row for row in rows)
+
+
+def _series_of(rows: list[tuple[float, ...]]) -> TimeSeries:
+    return TimeSeries("s", columns=dict(zip(COLUMNS, map(np.array, zip(*rows)))))
+
+
+def _row(t: float, value: float, pf: float = 1.0) -> tuple[float, ...]:
+    """A row with every column after ``t`` equal to ``value``, except pf_grid."""
+    return (t, *[value] * 9, pf, value)
+
+
+# Row tails: the cells after t.  A pool of a few values makes equal tails
+# and equal column values recur, next to each other and apart.
+_TAIL_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5e-7, 100345.0, 1234567.0, 0.1 + 0.2]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_TAIL = st.tuples(*[_TAIL_VALUE] * 9, st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0),
+                  _TAIL_VALUE)
+
+
+@st.composite
+def _csv_rows(draw) -> list[tuple[float, ...]]:
+    """Rows of runs of equal tails, each run 1-60 rows long, at increasing t."""
+    pool = draw(st.lists(_TAIL, min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 60)),
+                         min_size=1, max_size=10))
+    tails = [tail for tail, count in runs for _ in range(count)]
+    t = np.arange(len(tails)) * draw(st.floats(1e-3, 1e5))
+    return [(t_k, *tail) for t_k, tail in zip(t.tolist(), tails)]
+
+
+class TestEmitCsvOracle:
+    """emit_csv equals formatting every cell of every row on its own."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([_row(0.0, 100345.0)], id="single-row"),
+            pytest.param([_row(float(k), 0.25) for k in range(5000)], id="long-run"),
+            pytest.param([_row(k * 0.5, k + 0.125, k / 700.0) for k in range(700)],
+                         id="all-distinct"),
+            pytest.param([_row(float(k), (-0.0, 0.0)[k % 3 == 0], (-0.0, 0.0)[k % 2])
+                          for k in range(30)], id="signed-zeros"),
+            pytest.param([_row(float(k), (1.5, 2.5, 1.5, 3.5)[k // 4 % 4]) for k in range(64)],
+                         id="repeats-apart"),
+            pytest.param([(float(k), *[float(k % 2)] * 8, 7.0 + (k // 3 == 1), 1.0, 7.0)
+                          for k in range(12)], id="column-repeats-apart-inside-tails"),
+        ],
+    )
+    def test_cases(self, rows):
+        """Named shapes of rows, each written as the oracle writes it."""
+        assert emit_csv(_series_of(rows)) == _naive_csv(rows)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(rows=_csv_rows())
+    def test_property(self, rows):
+        """Property: over generated runs of tails, the same bytes as the oracle."""
+        assert emit_csv(_series_of(rows)) == _naive_csv(rows)
+
+
 # sha256 of emit_csv and render_report(..., scenario=...) of each bundled
 # case, recorded before the simulator and writer became columnar.
 PINNED = {

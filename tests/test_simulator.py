@@ -10,7 +10,7 @@ import pytest
 
 from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom
 from pvgrid.errors import CalibrationFailure, GridMismatch, InvalidScenario
-from pvgrid.pv_model import PVArraySpec, PVModuleSpec
+from pvgrid.pv_model import PVArraySpec, PVModuleSpec, extract_single_diode_params
 from pvgrid.simulator import (
     MAX_RECORDS,
     GridSpec,
@@ -165,6 +165,74 @@ class TestScenarioValidation:
         for f in (math.nan, math.inf):
             with pytest.raises(InvalidScenario, match="finite"):
                 GridSpec(v_phase=230.0, f=f, v_dc=700.0)
+
+    def test_columns_and_steps_build_equal_scenarios(self):
+        """Profiles given as columns or as steps make equal scenarios, equal
+        profile attributes and equal runs; the columns are read-only copies."""
+        steps = make_scenario(irradiance=((0.0, 1000.0, 25.0), (0.02, 500.0, 30.0)),
+                              load=((0.0, 1e5, 5e4), (0.03, 2e5, -1e4)))
+        load = np.array([[0.0, 0.03], [1e5, 2e5], [5e4, -1e4]])
+        columns = Scenario(
+            steps.grid, steps.array, compensator=steps.compensator,
+            irradiance=[[0.0, 0.02], [1000.0, 500.0], [25.0, 30.0]], load=load,
+            t_end=steps.t_end, dt=steps.dt,
+        )
+        assert columns == steps and hash(columns) == hash(steps)
+        assert columns.irradiance_profile == steps.irradiance_profile
+        assert columns.load_profile == steps.load_profile
+        assert type(columns.irradiance_profile[1]) is IrradianceStep
+        assert type(columns.load_profile[0]) is LoadStep
+        assert run(columns) == run(steps)
+        assert not columns.load.flags.writeable and load.flags.writeable
+        load[1, 0] = 3e5
+        assert columns.load[1, 0] == 1e5
+        assert columns != make_scenario(irradiance=((0.0, 1000.0, 25.0), (0.02, 500.0, 30.0)),
+                                        load=((0.0, 1e5, 5e4), (0.03, 2e5, -1e3)))
+
+    @pytest.mark.parametrize(
+        "profiles,error,message",
+        [
+            ({}, TypeError, "give either irradiance columns or irradiance_profile steps"),
+            ({"irradiance": [[0.0], [1e3], [25.0]], "irradiance_profile": ((0.0, 1e3, 25.0),)},
+             TypeError, "give either irradiance columns or irradiance_profile steps"),
+            ({"irradiance": [[0.0, 1e3, 25.0]]}, InvalidScenario,
+             "irradiance profile must hold 3 floats per segment"),
+            ({"irradiance": [[0.0, 1.0], [1e3], [25.0, 25.0]]}, InvalidScenario,
+             "irradiance profile must hold 3 floats per segment"),
+            ({"irradiance": [[0.0], [10**400], [25.0]]}, InvalidScenario,
+             "irradiance profile must hold 3 floats per segment"),
+            ({"irradiance": np.zeros((3, 0))}, InvalidScenario,
+             "irradiance profile must have at least one segment"),
+            ({"irradiance": [[0.0, 1.0], [1e3, math.nan], [25.0, 25.0]]}, InvalidScenario,
+             "irradiance profile segment IrradianceStep(t_start=1.0, g=nan, t_cell=25.0) "
+             "must have finite values"),
+            ({"irradiance": [[0.0], [-5.0], [25.0]]}, InvalidScenario,
+             "irradiance must be non-negative, got -5.0"),
+        ],
+        ids=["neither", "both", "shape", "ragged", "int-past-float-range", "empty",
+             "non-finite", "domain"],
+    )
+    def test_profile_columns_checked(self, profiles, error, message):
+        """Columns get the checks, messages and precedence that steps get."""
+        load = {"load_profile": (LoadStep(0.0, 1e5, 0.0),)}
+        with pytest.raises(error) as err:
+            Scenario(make_scenario().grid, make_scenario().array, compensator=NoCompensator(),
+                     **profiles, **load)
+        assert str(err.value) == message
+
+    def test_run_shares_the_calibration_memo(self):
+        """run() calibrates through extract_single_diode_params' memo, so
+        calibrating the scenario's module afterwards is a cache hit."""
+        module = PVModuleSpec(p_mp=214.2, v_mp=29.1, i_mp=7.36, v_oc=36.35, i_sc=7.85)
+        s = Scenario(
+            make_scenario().grid, PVArraySpec(module=module, n_series=10, n_parallel=47),
+            compensator=NoCompensator(), irradiance=[[0.0], [800.0], [30.0]],
+            load=[[0.0], [1e5], [2e4]], t_end=0.02,
+        )
+        run(s)
+        hits = extract_single_diode_params.cache_info().hits
+        extract_single_diode_params(s.array.module)
+        assert extract_single_diode_params.cache_info().hits == hits + 1
 
     def test_time_grid_count_is_robust(self):
         """Horizons that are float-inexact multiples of dt keep the endpoint."""
