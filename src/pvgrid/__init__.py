@@ -1,145 +1,94 @@
 """Design toolkit and quasi-steady-state simulator for a grid-connected
 solar PV array with reactive-power compensation.
+
+Each public name is imported from its home submodule on first read
+(PEP 562), so ``import pvgrid`` loads no submodule and no numpy, and a
+process loads only the submodules it uses.
 """
 
 from __future__ import annotations
 
-from .compensation import (
-    CompensatorConfig,
-    CompensatorOutput,
-    FixedCapacitor,
-    NoCompensator,
-    PFSense,
-    Statcom,
-    capbank_q,
-    dispatch,
-    power_factor,
-    statcom_dispatch,
-)
-from .component_design import (
-    BoostDesign,
-    BoostDesignInput,
-    LCLDesign,
-    LCLDesignInput,
-    ResonanceReport,
-    boost_design,
-    capbank_size,
-    lcl_design,
-    resonance_check,
-)
-from .errors import (
-    CalibrationFailure,
-    DarkArray,
-    DegenerateInput,
-    EmptySeries,
-    GridMismatch,
-    InfeasibleSpec,
-    InvalidScenario,
-    NonConvergence,
-    ParseError,
-    PVGridError,
-    UndefinedPF,
-    ValidationError,
-)
-from .pv_model import (
-    EnvCondition,
-    IVCurve,
-    IVPoint,
-    MPPResult,
-    PVArraySpec,
-    PVModuleSpec,
-    SingleDiodeParams,
-    adjust_params,
-    array_iv_sweep,
-    array_mpp,
-    extract_single_diode_params,
-    module_current,
-    module_voc,
-    mpp,
-)
-from .scenario_io import (
-    bundled_scenario_text,
-    emit_csv,
-    emit_scenario,
-    parse_scenario,
-    render_report,
-    schema_text,
-)
-from .simulator import (
-    ComparisonReport,
-    GridSpec,
-    IrradianceStep,
-    LoadStep,
-    PowerFlowRecord,
-    Scenario,
-    TimeSeries,
-    compare_runs,
-    run,
-    step,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoostDesign",
-    "BoostDesignInput",
-    "CalibrationFailure",
-    "ComparisonReport",
-    "CompensatorConfig",
-    "CompensatorOutput",
-    "DarkArray",
-    "DegenerateInput",
-    "EmptySeries",
-    "EnvCondition",
-    "FixedCapacitor",
-    "GridMismatch",
-    "GridSpec",
-    "IVCurve",
-    "IVPoint",
-    "InfeasibleSpec",
-    "InvalidScenario",
-    "IrradianceStep",
-    "LCLDesign",
-    "LCLDesignInput",
-    "LoadStep",
-    "MPPResult",
-    "NoCompensator",
-    "NonConvergence",
-    "PFSense",
-    "PVArraySpec",
-    "PVGridError",
-    "PVModuleSpec",
-    "ParseError",
-    "PowerFlowRecord",
-    "ResonanceReport",
-    "Scenario",
-    "SingleDiodeParams",
-    "Statcom",
-    "TimeSeries",
-    "UndefinedPF",
-    "ValidationError",
-    "adjust_params",
-    "array_iv_sweep",
-    "array_mpp",
-    "boost_design",
-    "bundled_scenario_text",
-    "capbank_q",
-    "capbank_size",
-    "compare_runs",
-    "dispatch",
-    "emit_csv",
-    "emit_scenario",
-    "extract_single_diode_params",
-    "lcl_design",
-    "module_current",
-    "module_voc",
-    "mpp",
-    "parse_scenario",
-    "power_factor",
-    "render_report",
-    "resonance_check",
-    "run",
-    "schema_text",
-    "statcom_dispatch",
-    "step",
-]
+# Public name -> the submodule that defines it.
+_HOMES = {
+    "BoostDesign": "component_design",
+    "BoostDesignInput": "component_design",
+    "CalibrationFailure": "errors",
+    "ComparisonReport": "simulator",
+    "CompensatorConfig": "compensation",
+    "CompensatorOutput": "compensation",
+    "DarkArray": "errors",
+    "DegenerateInput": "errors",
+    "EmptySeries": "errors",
+    "EnvCondition": "pv_model",
+    "FixedCapacitor": "compensation",
+    "GridMismatch": "errors",
+    "GridSpec": "simulator",
+    "IVCurve": "pv_model",
+    "IVPoint": "pv_model",
+    "InfeasibleSpec": "errors",
+    "InvalidScenario": "errors",
+    "IrradianceStep": "simulator",
+    "LCLDesign": "component_design",
+    "LCLDesignInput": "component_design",
+    "LoadStep": "simulator",
+    "MPPResult": "pv_model",
+    "NoCompensator": "compensation",
+    "NonConvergence": "errors",
+    "PFSense": "compensation",
+    "PVArraySpec": "pv_model",
+    "PVGridError": "errors",
+    "PVModuleSpec": "pv_model",
+    "ParseError": "errors",
+    "PowerFlowRecord": "simulator",
+    "ResonanceReport": "component_design",
+    "Scenario": "simulator",
+    "SingleDiodeParams": "pv_model",
+    "Statcom": "compensation",
+    "TimeSeries": "simulator",
+    "UndefinedPF": "errors",
+    "ValidationError": "errors",
+    "adjust_params": "pv_model",
+    "array_iv_sweep": "pv_model",
+    "array_mpp": "pv_model",
+    "boost_design": "component_design",
+    "bundled_scenario_text": "scenario_io",
+    "capbank_q": "compensation",
+    "capbank_size": "component_design",
+    "compare_runs": "simulator",
+    "dispatch": "compensation",
+    "emit_csv": "scenario_io",
+    "emit_scenario": "scenario_io",
+    "extract_single_diode_params": "pv_model",
+    "lcl_design": "component_design",
+    "module_current": "pv_model",
+    "module_voc": "pv_model",
+    "mpp": "pv_model",
+    "parse_scenario": "scenario_io",
+    "power_factor": "compensation",
+    "render_report": "scenario_io",
+    "resonance_check": "component_design",
+    "run": "simulator",
+    "schema_text": "scenario_io",
+    "statcom_dispatch": "compensation",
+    "step": "simulator",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

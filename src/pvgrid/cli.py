@@ -17,9 +17,8 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from . import component_design, pv_model, scenario_io, simulator
 from .errors import CalibrationFailure, DarkArray, NonConvergence, PVGridError
-from .pv_model import EnvCondition, PVArraySpec, PVModuleSpec
+from .units import format_si
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +48,7 @@ def _fmt_value(value: object, unit: str) -> str:
         return f"{value / 1e-6:.5g} µF"
     if not unit:
         return f"{value:.5g}"
-    return scenario_io.format_si(value, unit)
+    return format_si(value, unit)
 
 
 def _write_artifact(text: str, out_path: str | None) -> None:
@@ -84,23 +83,33 @@ def _block(results: tuple, json_mode: bool) -> str:
 
 
 def _record(cls, args: argparse.Namespace, **given):
-    """A ``cls`` from the flags whose dest names one of its fields, plus ``given``."""
-    names = {f.name for f in fields(cls)}.intersection(vars(args))
-    return cls(**{name: getattr(args, name) for name in names}, **given)
+    """A ``cls`` from the flags whose dest names one of its fields, plus ``given``.
+
+    A flag left at ``None`` is not passed, so the field keeps its default.
+    """
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return cls(**{name: v for name, v in flags.items() if v is not None}, **given)
 
 
 # ============================================================================
 # Subcommand handlers
 # ============================================================================
 
+# Each handler imports the modules it runs, so the design commands never load
+# numpy and no command loads a module it does not use.
+
 
 def _cmd_design_boost(args: argparse.Namespace) -> int:
+    from . import component_design
+
     out = component_design.boost_design(_record(component_design.BoostDesignInput, args))
     _write_artifact(_block((out,), args.json), args.output)
     return 0
 
 
 def _cmd_design_lcl(args: argparse.Namespace) -> int:
+    from . import component_design
+
     out = component_design.lcl_design(_record(component_design.LCLDesignInput, args))
     res = component_design.resonance_check(out.l_1, out.l_2, out.c_g, args.f_g, args.f_sw)
     _write_artifact(_block((out, res), args.json), args.output)
@@ -108,12 +117,17 @@ def _cmd_design_lcl(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_resonance(args: argparse.Namespace) -> int:
+    from . import component_design
+
     res = component_design.resonance_check(args.l1, args.l2, args.cg, args.fg, args.fsw)
     _write_artifact(_block((res,), args.json), args.output)
     return 0
 
 
 def _cmd_pv_curve(args: argparse.Namespace) -> int:
+    from . import pv_model
+    from .pv_model import EnvCondition, PVArraySpec, PVModuleSpec
+
     module = _record(PVModuleSpec, args)
     params = pv_model.extract_single_diode_params(module, n_ideality_guess=args.ideality_guess)
     array = _record(PVArraySpec, args, module=module)
@@ -136,6 +150,8 @@ def _cmd_pv_curve(args: argparse.Namespace) -> int:
 
 
 def _series_json(series: simulator.TimeSeries) -> str:
+    from . import simulator
+
     doc = {
         "scenario_id": series.scenario_id,
         "records": [dict(zip(simulator.COLUMNS, row)) for row in series.rows()],
@@ -144,6 +160,8 @@ def _series_json(series: simulator.TimeSeries) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import scenario_io, simulator
+
     if (args.scenario is None) == (args.batch is None):
         print("error: give exactly one of a scenario file or --batch DIR", file=sys.stderr)
         return 1
@@ -177,6 +195,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from . import scenario_io, simulator
+
     scenario_a = scenario_io.parse_scenario(Path(args.scenario_a).read_text("utf-8"))
     scenario_b = scenario_io.parse_scenario(Path(args.scenario_b).read_text("utf-8"))
     series_a = simulator.run(scenario_a)
@@ -217,9 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     boost.add_argument("--vin", dest="v_in", **_REQUIRED, help="PV voltage at STC, V")
     boost.add_argument("--vout", dest="v_out", **_REQUIRED, help="dc-link voltage, V")
     boost.add_argument("--fsw", dest="f_s", **_REQUIRED, help="switching frequency, Hz")
-    boost_in = component_design.BoostDesignInput
-    boost.add_argument("--ripple-i-frac", type=float, default=boost_in.ripple_i_frac)
-    boost.add_argument("--ripple-v-frac", type=float, default=boost_in.ripple_v_frac)
+    boost.add_argument("--ripple-i-frac", type=float)
+    boost.add_argument("--ripple-v-frac", type=float)
     _add_common(boost)
     boost.set_defaults(handler=_cmd_design_boost)
 
@@ -229,10 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     lcl.add_argument("--fg", dest="f_g", **_REQUIRED, help="grid frequency, Hz")
     lcl.add_argument("--vdc", dest="v_dc", **_REQUIRED, help="dc-link voltage, V")
     lcl.add_argument("--fsw", dest="f_sw", **_REQUIRED, help="switching frequency, Hz")
-    lcl_in = component_design.LCLDesignInput
-    lcl.add_argument("--cap-frac", type=float, default=lcl_in.cap_frac)
-    lcl.add_argument("--ripple-frac", type=float, default=lcl_in.ripple_frac)
-    lcl.add_argument("--atten-factor", type=float, default=lcl_in.atten_factor)
+    lcl.add_argument("--cap-frac", type=float)
+    lcl.add_argument("--ripple-frac", type=float)
+    lcl.add_argument("--atten-factor", type=float)
     _add_common(lcl)
     lcl.set_defaults(handler=_cmd_design_lcl)
 
@@ -251,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--imp", dest="i_mp", **_REQUIRED, help="module MPP current, A")
     curve.add_argument("--voc", dest="v_oc", **_REQUIRED, help="module open-circuit voltage, V")
     curve.add_argument("--isc", dest="i_sc", **_REQUIRED, help="module short-circuit current, A")
-    curve.add_argument("--ncells", dest="n_cells", type=int, default=PVModuleSpec.n_cells)
-    curve.add_argument("--alpha-isc", type=float, default=PVModuleSpec.alpha_isc)
-    curve.add_argument("--beta-voc", type=float, default=PVModuleSpec.beta_voc)
+    curve.add_argument("--ncells", dest="n_cells", type=int)
+    curve.add_argument("--alpha-isc", type=float)
+    curve.add_argument("--beta-voc", type=float)
     curve.add_argument("--ideality-guess", type=float, default=1.3)
     curve.add_argument("--ns", dest="n_series", type=int, default=1, help="modules in series")
     curve.add_argument("--np", dest="n_parallel", type=int, default=1, help="strings in parallel")

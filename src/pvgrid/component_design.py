@@ -7,6 +7,7 @@ precision; rounding to catalog component values is left to the caller.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import DegenerateInput
@@ -223,8 +224,10 @@ def resonance_check(
 ) -> ResonanceReport:
     """Place the LCL resonance and verify it sits inside the valid band.
 
-    omega_res = sqrt((l_1 + l_2) / (l_1 * l_2 * c_g)); the band is
-    (10 * f_g, 0.5 * f_sw), compared in hertz.
+    omega_res = sqrt((l_1 + l_2) / (l_1 * l_2 * c_g)), or the equal
+    sqrt(1/l_1 + 1/l_2) / sqrt(c_g) where the product or the quotient
+    leaves the float range; the band is (10 * f_g, 0.5 * f_sw), compared
+    in hertz.
 
     Raises:
         DegenerateInput: if an input is not positive and finite, or the
@@ -235,11 +238,13 @@ def resonance_check(
     ):
         if not 0.0 < value < math.inf:
             raise DegenerateInput(f"{name} must be positive and finite, got {value!r}")
-    try:
-        omega_res = math.sqrt((l_1 + l_2) / (l_1 * l_2 * c_g))
-    except ZeroDivisionError:  # l_1 * l_2 * c_g underflowed to 0
-        omega_res = math.inf
-    if not omega_res < math.inf:  # also NaN, from an infinite sum over an infinite product
+    product = l_1 * l_2 * c_g
+    omega_res = math.inf
+    if sys.float_info.min <= product < math.inf:  # the form the reference values pin
+        omega_res = math.sqrt((l_1 + l_2) / product)
+    if omega_res == math.inf:  # the product or the quotient left the float range
+        omega_res = math.sqrt(1.0 / l_1 + 1.0 / l_2) / math.sqrt(c_g)
+    if not omega_res < math.inf:
         raise DegenerateInput(
             f"omega_res = sqrt((l_1 + l_2) / (l_1 * l_2 * c_g)) is beyond the float range "
             f"for l_1 = {l_1!r}, l_2 = {l_2!r}, c_g = {c_g!r}"

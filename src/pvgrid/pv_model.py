@@ -213,7 +213,9 @@ class IVCurve:
 
     def to_csv(self) -> str:
         """Render the curve as CSV with header ``v,i,p``, 6 significant digits."""
-        return "v,i,p\n" + "".join(map("%.6g,%.6g,%.6g\n".__mod__, self.points))
+        return "v,i,p\n" + "%.6g,%.6g,%.6g\n" * len(self.points) % tuple(
+            chain.from_iterable(self.points)
+        )
 
 
 @dataclass(frozen=True)

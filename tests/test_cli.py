@@ -246,14 +246,9 @@ def test_rejected_flag_value_exits_1(capsys, argv, flag, named):
         pytest.param(  # (2*pi*f_sw)**2 overflows
             LCL_ARGS + ["--fsw=1e160"], "f_sw = 1e+160,", id="lcl-square-overflow",
         ),
-        pytest.param(  # (l_1 + l_2) / (l_1*l_2*c_g) is inf / inf
-            ["check-resonance", "--l1", "1e308", "--l2", "1e308", "--cg", "1e-308",
-             "--fg", "50", "--fsw", "10000"],
-            "for l_1 = 1e+308, l_2 = 1e+308, c_g = 1e-308", id="resonance-nan",
-        ),
-        pytest.param(  # l_1*l_2*c_g underflows to 0
-            RESONANCE_ARGS + ["--l1=1e-200", "--l2=1e-200", "--cg=1e-200"],
-            "for l_1 = 1e-200, l_2 = 1e-200, c_g = 1e-200", id="resonance-underflow",
+        pytest.param(  # l_1*l_2*c_g underflows to 0 and omega_res is ~1.4e310 rad/s
+            RESONANCE_ARGS + ["--l1=1e-320", "--l2=1e-320", "--cg=1e-300"],
+            "for l_1 = 1e-320, l_2 = 1e-320, c_g = 1e-300", id="resonance-underflow",
         ),
         pytest.param(RESONANCE_ARGS + ["--fg=1.7e308"], "f_min must be finite",
                      id="resonance-bound-overflow"),
@@ -270,6 +265,29 @@ def test_out_of_range_design_exits_1(capsys, argv, named):
     assert captured.out == ""
     assert captured.err.startswith("error: DegenerateInput: ")
     assert named in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("l_1", "l_2", "c_g", "omega_res"),
+    [
+        pytest.param("1e-200", "1e-200", "1e-200", math.sqrt(2.0) * 1e200,
+                     id="product-underflow"),
+        pytest.param("1e308", "1e308", "1e-308", math.sqrt(2.0), id="product-overflow"),
+        pytest.param("1e200", "1e200", "1", math.sqrt(2.0) * 1e-100,
+                     id="product-overflow-small-omega"),
+        pytest.param("1e300", "1e-300", "1e-300", 1e300, id="quotient-overflow"),
+    ],
+)
+def test_resonance_outside_product_range(capsys, l_1, l_2, c_g, omega_res):
+    """A resonance in the float range is computed, with exit 0, even where the
+    product l_1*l_2*c_g or the quotient (l_1 + l_2) / (l_1*l_2*c_g) leaves it."""
+    argv = ["check-resonance", "--l1", l_1, "--l2", l_2, "--cg", c_g, "--fg", "50",
+            "--fsw", "10000", "--json"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["omega_res"] == pytest.approx(omega_res, rel=1e-15, abs=0.0)
+    assert doc["passed"] is False
 
 
 # ======================================================================
@@ -576,16 +594,99 @@ class TestParserBehavior:
 # ======================================================================
 
 
-def test_import_loads_no_scipy():
-    """The runtime needs numpy only: importing the CLI loads no scipy module."""
+def _python(code: str, *argv: str) -> str:
+    """Stdout of ``python -c code argv...`` in a fresh interpreter that
+    imports this pvgrid; fails the test on a nonzero exit."""
     src = os.path.dirname(os.path.dirname(pvgrid.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_import_loads_no_scipy():
+    """The runtime needs numpy only: importing every pvgrid module loads no
+    scipy module."""
     code = (
-        "import sys, pvgrid.cli; "
+        "import importlib, pkgutil, sys, pvgrid\n"
+        "for mod in pkgutil.iter_modules(pvgrid.__path__):\n"
+        "    importlib.import_module(f'pvgrid.{mod.name}')\n"
+        "assert 'pvgrid.simulator' in sys.modules\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
+    assert _python(code).strip() == "[]"
+
+
+class TestLazyImport:
+    """``import pvgrid`` defers each submodule to first use, and each command
+    loads only the modules it runs; the design commands never load numpy."""
+
+    def test_import_loads_no_submodule(self):
+        code = (
+            "import sys, pvgrid; "
+            "print(*sorted(m for m in sys.modules if m.startswith('pvgrid') or m == 'numpy'))"
+        )
+        assert _python(code).split() == ["pvgrid"]
+
+    def test_every_public_name_resolves(self):
+        """Each name in ``__all__`` is listed by ``dir`` before its first read
+        in a fresh process, resolves, and reads as the same object again."""
+        code = (
+            "import pvgrid\n"
+            "assert set(pvgrid.__all__) <= set(dir(pvgrid))\n"
+            "for name in pvgrid.__all__:\n"
+            "    assert getattr(pvgrid, name) is getattr(pvgrid, name), name\n"
+            "print(len(pvgrid.__all__))"
+        )
+        assert _python(code).strip() == str(len(pvgrid.__all__))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+            pvgrid.not_a_name  # noqa: B018
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", [BOOST_ARGS, LCL_ARGS, RESONANCE_ARGS],
+                             ids=["design-boost", "design-lcl", "check-resonance"])
+    def test_design_commands_run_without_numpy(self, capsys, argv, json_flag):
+        """With numpy unimportable, each design command exits 0 and prints
+        what it prints in-process."""
+        assert cli.main(argv + json_flag) == 0
+        want = capsys.readouterr().out
+        code = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "from pvgrid.cli import main; sys.exit(main())"
+        )
+        assert _python(code, *argv, *json_flag) == want
+
+    @pytest.mark.parametrize(
+        ("argv", "loaded"),
+        [
+            pytest.param(RESONANCE_ARGS, ["component_design"], id="check-resonance"),
+            pytest.param(
+                ["pv-curve", "--pmp", "213.15", "--vmp", "29", "--imp", "7.35", "--voc", "36.3",
+                 "--isc", "7.84", "--points", "5"],
+                ["numerics", "pv_model"], id="pv-curve",
+            ),
+            pytest.param(
+                ["simulate", "{case1}"],
+                ["compensation", "numerics", "pv_model", "scenario_io", "simulator"],
+                id="simulate",
+            ),
+        ],
     )
-    assert out.stdout.strip() == "[]"
+    def test_command_loads_only_its_modules(self, case_file, argv, loaded):
+        """After ``pvgrid argv...``, the loaded pvgrid modules are the CLI's
+        own and ``loaded``, and numpy is loaded only with ``pv_model``."""
+        argv = [case_file("case1") if a == "{case1}" else a for a in argv]
+        code = (
+            "import contextlib, io, sys; from pvgrid import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()): code = cli.main(sys.argv[1:])\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('pvgrid') or m == 'numpy'))"
+        )
+        modules = ["pvgrid"] + [f"pvgrid.{m}" for m in ["cli", "errors", *loaded, "units"]]
+        if "pv_model" in loaded:
+            modules.append("numpy")
+        assert _python(code, *argv).split() == ["0", *sorted(modules)]
