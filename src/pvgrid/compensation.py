@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Union
 
-from .errors import UndefinedPF
+from .errors import UndefinedPF, require_finite
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class FixedCapacitor:
     loss_w: float = 1300.0  # W, constant feeder/breaker loss
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.q_rated <= 0.0:
             raise ValueError(f"q_rated must be positive, got {self.q_rated}")
         if self.v_rated <= 0.0:
@@ -63,6 +64,7 @@ class Statcom:
     loss_frac: float = 0.0  # extra loss per var dispatched
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.q_max <= 0.0:
             raise ValueError(f"q_max must be positive, got {self.q_max}")
         if self.loss_floor_w < 0.0:
@@ -102,6 +104,7 @@ def capbank_q(
 
     The bank is not dispatchable; its output depends on voltage only.
     """
+    require_finite({"q_rated": q_rated, "v_rated": v_rated, "v": v, "loss_w": loss_w})
     if v < 0.0:
         raise ValueError(f"bus voltage must be non-negative, got {v}")
     ratio = v / v_rated
@@ -114,6 +117,7 @@ def statcom_dispatch(q_demand: float, config: Statcom) -> CompensatorOutput:
     q_out = clamp(q_demand, -q_max, +q_max);
     p_loss = loss_floor_w + loss_frac * |q_out|.
     """
+    require_finite({"q_demand": q_demand})
     q_out = min(max(q_demand, -config.q_max), config.q_max)
     return CompensatorOutput(
         q_out=q_out, p_loss=config.loss_floor_w + config.loss_frac * abs(q_out)

@@ -271,10 +271,10 @@ def capbank_size(q_rated: float, v_phase: float, f_g: float) -> float:
 
     C = Q / (3 * omega * V_phase^2); zero demand sizes a zero bank.
     """
-    if q_rated < 0.0:
-        raise DegenerateInput(f"q_rated must be non-negative, got {q_rated!r}")
+    if not 0.0 <= q_rated < math.inf:
+        raise DegenerateInput(f"q_rated must be non-negative and finite, got {q_rated!r}")
     for name, value in (("v_phase", v_phase), ("f_g", f_g)):
-        if value <= 0.0:
-            raise DegenerateInput(f"{name} must be positive, got {value!r}")
+        if not 0.0 < value < math.inf:
+            raise DegenerateInput(f"{name} must be positive and finite, got {value!r}")
     omega = 2.0 * math.pi * f_g
     return q_rated / (3.0 * omega * v_phase**2)

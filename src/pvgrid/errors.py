@@ -1,4 +1,4 @@
-"""Exception hierarchy for the pvgrid package.
+"""Exception hierarchy for the pvgrid package, and its finite-value check.
 
 Every error raised by the library derives from :class:`PVGridError` so
 callers can catch the whole family with one clause.  The CLI maps the
@@ -7,6 +7,15 @@ to exit code 2 and everything else to exit code 1.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def require_finite(values: dict[str, object]) -> None:
+    """Reject NaN and infinities: ValueError naming the first non-finite float of ``values``."""
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class PVGridError(Exception):

@@ -207,10 +207,9 @@ def brentq(
             else:  # inverse quadratic interpolation
                 d_pre = (f_pre - f_cur) / (x_pre - x_cur)
                 d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (
-                    -f_cur * (f_blk * d_blk - f_pre * d_pre)
-                    / (d_blk * d_pre * (f_blk - f_pre))
-                )
+                divisor = d_blk * d_pre * (f_blk - f_pre)
+                # An underflowed divisor gives inf or nan in C, which bisects below.
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / divisor if divisor else math.inf
             if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
                 s_pre, s_cur = s_cur, s_try
             else:

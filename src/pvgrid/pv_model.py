@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import chain
+from dataclasses import dataclass, replace
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DarkArray, InfeasibleSpec, NonConvergence
+from .errors import DarkArray, InfeasibleSpec, NonConvergence, require_finite
 from .numerics import (  # noqa: F401 (golden_max and newton_bisect are traced by name)
     brentq, golden_max, newton_bisect, newton_bisect_array,
 )
@@ -46,6 +45,10 @@ _IDEALITY_FALLBACKS = (
 
 # Exponent cap: beyond this exp() overflows a double; treat as saturation.
 _EXP_CAP = 690.0
+
+# Budget of the diode-current solve: above v_oc Newton descends the exponential
+# about one e-fold per step, up to _EXP_CAP steps beyond the usual 100.
+_CURRENT_BUDGET = 100 + int(_EXP_CAP)
 
 # Most samples one I-V sweep may hold.  Checked before anything is
 # allocated, as ``simulator.MAX_RECORDS`` is for a run.
@@ -78,9 +81,7 @@ class PVModuleSpec:
     t_stc: float = 25.0  # °C
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(vars(self))
         if not 0.0 < self.v_mp < self.v_oc:
             raise ValueError(f"require 0 < v_mp < v_oc, got {self.v_mp}, {self.v_oc}")
         if not 0.0 < self.i_mp < self.i_sc:
@@ -152,11 +153,12 @@ class SingleDiodeParams:
     a: float  # V, modified diode voltage n*Ns*kT/q
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.i_ph < 0.0:
             raise ValueError(f"i_ph must be non-negative, got {self.i_ph}")
         for name in ("i_0", "n_ideality", "r_s", "r_sh", "a"):
-            if getattr(self, name) <= 0.0 or not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite and positive")
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.r_sh < 10.0 * self.r_s:
             raise ValueError(
                 f"shunt resistance {self.r_sh:.4g} is not at least "
@@ -186,21 +188,32 @@ class IVPoint(NamedTuple):
     p: float  # W
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IVCurve:
-    """Sampled I-V / P-V characteristic, voltage ascending from zero."""
+    """Sampled I-V / P-V characteristic, voltage ascending from zero.
 
-    points: tuple[IVPoint, ...]
+    ``v`` (V), ``i`` (A) and ``p`` (W) are kept as read-only float copies,
+    one value per sample; ``points`` is built from them on first read.
+    Curves compare by identity: compare their arrays or ``points``.
+    """
+
+    v: np.ndarray
+    i: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.points:
+        columns = np.array((self.v, self.i, self.p), dtype=float)  # ValueError if ragged
+        if columns.ndim != 2:
+            raise ValueError("curve v, i and p must be sequences of one value per point")
+        columns.flags.writeable = False
+        v, i, p = columns
+        vars(self).update(v=v, i=i, p=p)
+        if not len(v):
             raise ValueError("curve needs at least one point")
-        if self.points[0].v != 0.0:
+        if v[0] != 0.0:
             raise ValueError("curve must start at v = 0")
-        # Not np.array(points): that is slow on NamedTuples.
-        v, i, p = np.fromiter(chain.from_iterable(self.points), float).reshape(-1, 3).T
         # Slack covers implicit-solver residual noise between samples.
-        slack = 1e-9 * max(1.0, abs(self.points[0].i))
+        slack = 1e-9 * max(1.0, abs(i[0]))
         bad_v = v[1:] <= v[:-1]
         bad = bad_v | (i[1:] > i[:-1] + slack)
         if bad.any():  # the first failing point; its voltage is checked first
@@ -211,10 +224,14 @@ class IVCurve:
         if (p != v * i).any():
             raise ValueError("curve power must equal v*i at every point")
 
+    @cached_property
+    def points(self) -> tuple[IVPoint, ...]:
+        return tuple(map(IVPoint, self.v.tolist(), self.i.tolist(), self.p.tolist()))
+
     def to_csv(self) -> str:
         """Render the curve as CSV with header ``v,i,p``, 6 significant digits."""
-        return "v,i,p\n" + "%.6g,%.6g,%.6g\n" * len(self.points) % tuple(
-            chain.from_iterable(self.points)
+        return "v,i,p\n" + "%.6g,%.6g,%.6g\n" * len(self.v) % tuple(
+            np.column_stack((self.v, self.i, self.p)).ravel().tolist()
         )
 
 
@@ -290,7 +307,9 @@ def module_current(params: SingleDiodeParams, v: float) -> float:
     guess = i_ph - i_0 * _diode_exp(min(v / a, _EXP_CAP)) - v / r_sh
     if not lo < guess < hi:
         guess = None
-    return newton_bisect(residual, derivative, lo, hi, f_tol=f_tol, x0=guess)
+    return newton_bisect(
+        residual, derivative, lo, hi, f_tol=f_tol, x0=guess, max_iter=_CURRENT_BUDGET
+    )
 
 
 def module_voc(params: SingleDiodeParams) -> float:
@@ -377,7 +396,7 @@ def _module_currents(params: SingleDiodeParams, v: np.ndarray) -> np.ndarray:
     guess = i_ph - i_0 * _libm(math.expm1, np.minimum(v / a, _EXP_CAP)) - v / r_sh
     return newton_bisect_array(
         residual_and_slope, lo, hi, f_lo, residual(hi, every),
-        f_tol=1e-9 * max(i_ph, 1.0), x0=guess,
+        f_tol=1e-9 * max(i_ph, 1.0), x0=guess, max_iter=_CURRENT_BUDGET,
     )
 
 
@@ -630,8 +649,7 @@ def _translate(
     valid = (i_ph >= 0.0) & (0.0 < i_0) & (i_0 < math.inf)
     valid &= (10.0 * r_s <= r_sh) & (r_sh < math.inf)
     for bad in np.flatnonzero(~valid)[:1]:  # raises the error of a scalar translation
-        SingleDiodeParams(i_ph=float(i_ph[bad]), i_0=float(i_0[bad]),
-                          n_ideality=params.n_ideality, r_s=r_s, r_sh=float(r_sh[bad]), a=a)
+        replace(params, i_ph=float(i_ph[bad]), i_0=float(i_0[bad]), r_sh=float(r_sh[bad]))
     return i_ph, i_0, r_sh
 
 
@@ -655,10 +673,7 @@ def adjust_params(
     i_ph, i_0, r_sh = (
         float(x[0]) for x in _translate(params, spec, np.array([env.g]), np.array([env.t]))
     )
-    return SingleDiodeParams(
-        i_ph=i_ph, i_0=i_0, n_ideality=params.n_ideality, r_s=params.r_s, r_sh=r_sh,
-        a=params.a,
-    )
+    return replace(params, i_ph=i_ph, i_0=i_0, r_sh=r_sh)
 
 
 # ============================================================================
@@ -693,11 +708,11 @@ def array_iv_sweep(
         raise ValueError(f"n_points must be at most {MAX_POINTS}, got {n_points}")
     params_e = adjust_params(params, array.module, env)
     if not _lit(params_e.i_ph, params_e.i_0, params_e.a):
-        return IVCurve(points=(IVPoint(0.0, 0.0, 0.0),))
+        return IVCurve(v=[0.0], i=[0.0], p=[0.0])
     v_m = np.linspace(0.0, module_voc(params_e), n_points)
     v = v_m * float(array.n_series)
     i = _module_currents(params_e, v_m) * float(array.n_parallel)
-    return IVCurve(points=tuple(map(IVPoint, v.tolist(), i.tolist(), (v * i).tolist())))
+    return IVCurve(v=v, i=i, p=v * i)
 
 
 def array_mpp(

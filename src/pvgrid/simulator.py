@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import KW_ONLY, dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -67,30 +67,25 @@ class GridSpec:
                 raise InvalidScenario(f"grid {name} must be positive and finite")
 
 
-def _profile_columns(name: str, step: type, columns, steps) -> np.ndarray:
+def _profile_columns(name: str, step: type, given) -> np.ndarray:
     """The checked profile as a read-only float array, one row per field of ``step``.
 
-    Given either as ``columns`` (one sequence per field) or as ``steps``
-    (one ``step`` record per segment), not both.
+    ``given`` holds one sequence per field.  Each value is judged as given,
+    so an int past the float range is not finite though it rounds to a double.
     """
-    if (columns is None) == (steps is None):
-        raise TypeError(f"give either {name} columns or {name}_profile steps")
-    if columns is None:
-        if not steps:
-            raise InvalidScenario(f"{name} profile must have at least one segment")
-        for seg in steps:
-            if not all(-_MAX <= value <= _MAX for value in seg):
-                raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
     try:
-        columns = np.array(steps, dtype=float).T if columns is None else np.array(columns, float)
+        columns = np.array(given, dtype=float)
     except (OverflowError, TypeError, ValueError):  # beyond the float range, or ragged
         columns = None
     if columns is None or columns.ndim != 2 or len(columns) != len(step._fields):
         raise InvalidScenario(f"{name} profile must hold {len(step._fields)} floats per segment")
     if not columns.shape[1]:
         raise InvalidScenario(f"{name} profile must have at least one segment")
-    for k in np.flatnonzero(~(np.abs(columns) <= _MAX).all(axis=0))[:1]:
-        seg = step._make(columns[:, k].tolist())
+    finite = np.abs(columns) <= _MAX
+    for r, k in np.argwhere(np.abs(columns) == _MAX).tolist():  # an int past the range lands here
+        finite[r, k] = abs(given[r][k]) <= _MAX
+    for k in np.flatnonzero(~finite.all(axis=0))[:1]:
+        seg = step._make(np.array(given, dtype=object)[:, k].tolist())
         raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
     columns.flags.writeable = False
     starts = columns[0]
@@ -101,17 +96,15 @@ def _profile_columns(name: str, step: type, columns, steps) -> np.ndarray:
     return columns
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Complete description of one simulation run.
 
-    The profiles are kept as columns, read-only float arrays of shape
-    (3, n) with one column per segment: ``irradiance`` holds the rows
-    t_start (s), g (W/m²) and t_cell (°C), ``load`` the rows t_start (s),
-    p (W) and q (var).  Each profile is given either as those columns
-    (copied) or as a tuple of steps (``irradiance_profile``,
-    ``load_profile``, kept as given); the steps of a profile given as
-    columns are built on first use.
+    Each profile is given as columns, one sequence per field with one value
+    per segment, and kept as a read-only (3, n) float copy: ``irradiance``
+    has the rows t_start (s), g (W/m²) and t_cell (°C), ``load`` the rows
+    t_start (s), p (W) and q (var).  ``irradiance_profile`` and
+    ``load_profile``, one step per segment, are built on first read.
 
     The keyword defaults are the ones a scenario document gets when it
     omits its ``inverter`` or ``sim`` section.
@@ -119,6 +112,7 @@ class Scenario:
 
     grid: GridSpec
     array: PVArraySpec
+    _: KW_ONLY
     compensator: CompensatorConfig
     irradiance: np.ndarray
     load: np.ndarray
@@ -127,44 +121,26 @@ class Scenario:
     dt: float = 0.01  # s
     scenario_id: str = "scenario"
 
-    def __init__(
-        self, grid: GridSpec, array: PVArraySpec, *, compensator: CompensatorConfig,
-        irradiance: np.ndarray | None = None, load: np.ndarray | None = None,
-        irradiance_profile: tuple[IrradianceStep, ...] | None = None,
-        load_profile: tuple[LoadStep, ...] | None = None,
-        inverter_efficiency: float = inverter_efficiency, t_end: float = t_end,
-        dt: float = dt, scenario_id: str = scenario_id,
-    ) -> None:
-        if not 0.0 < inverter_efficiency <= 1.0:
-            raise InvalidScenario(
-                f"inverter_efficiency must lie in (0, 1], got {inverter_efficiency}"
-            )
+    def __post_init__(self) -> None:
+        efficiency, t_end, dt = self.inverter_efficiency, self.t_end, self.dt
+        if not 0.0 < efficiency <= 1.0:
+            raise InvalidScenario(f"inverter_efficiency must lie in (0, 1], got {efficiency}")
         if not 0.0 < dt <= _MAX:
             raise InvalidScenario(f"dt must be positive and finite, got {dt}")
         if not 0.0 <= t_end <= _MAX:
             raise InvalidScenario(f"t_end must be non-negative and finite, got {t_end}")
-        if not t_end / dt + _GRID_EPS < MAX_RECORDS:
-            raise InvalidScenario(
-                f"t_end/dt = {t_end / dt:g} gives more than {MAX_RECORDS} records"
-            )
+        steps = t_end / dt
+        if not steps + _GRID_EPS < MAX_RECORDS:
+            raise InvalidScenario(f"t_end/dt = {steps:g} gives more than {MAX_RECORDS} records")
         vars(self).update(
-            grid=grid, array=array, compensator=compensator,
-            irradiance=_profile_columns("irradiance", IrradianceStep, irradiance,
-                                        irradiance_profile),
-            load=_profile_columns("load", LoadStep, load, load_profile),
-            inverter_efficiency=inverter_efficiency, t_end=t_end, dt=dt,
-            scenario_id=scenario_id,
+            irradiance=_profile_columns("irradiance", IrradianceStep, self.irradiance),
+            load=_profile_columns("load", LoadStep, self.load),
         )
-        if irradiance_profile is not None:
-            vars(self)["irradiance_profile"] = irradiance_profile
-        if load_profile is not None:
-            vars(self)["load_profile"] = load_profile
         _, g, t_cell = self.irradiance
         for k in np.flatnonzero((g < 0.0) | ~((-40.0 <= t_cell) & (t_cell <= 90.0)))[:1]:
-            seg = self.irradiance_profile[k]
-            if seg.g < 0.0:
-                raise InvalidScenario(f"irradiance must be non-negative, got {seg.g}")
-            raise InvalidScenario(f"cell temperature {seg.t_cell} outside [-40, 90] °C")
+            if g[k] < 0.0:
+                raise InvalidScenario(f"irradiance must be non-negative, got {g[k]}")
+            raise InvalidScenario(f"cell temperature {t_cell[k]} outside [-40, 90] °C")
 
     @cached_property
     def irradiance_profile(self) -> tuple[IrradianceStep, ...]:
@@ -182,8 +158,7 @@ class Scenario:
         if not isinstance(other, Scenario):
             return NotImplemented
         return self._scalars() == other._scalars() and all(
-            np.array_equal(a, b)
-            for a, b in ((self.irradiance, other.irradiance), (self.load, other.load))
+            map(np.array_equal, (self.irradiance, self.load), (other.irradiance, other.load))
         )
 
     def __hash__(self) -> int:
@@ -222,20 +197,19 @@ class PowerFlowRecord:
 COLUMNS = tuple(f.name for f in fields(PowerFlowRecord))
 
 
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Simulation output: one float array per column of ``COLUMNS``.
 
-    Built from ``records`` or from ``columns={name: array}``; both check
-    the same invariants, and ``records`` is built on first use.
+    ``records``, one :class:`PowerFlowRecord` per instant, is built from
+    the columns on first read.
     """
 
-    def __init__(self, scenario_id: str, records: tuple[PowerFlowRecord, ...] | None = None,
-                 *, columns: dict[str, np.ndarray] | None = None) -> None:
-        self.scenario_id = scenario_id
-        if columns is None:
-            self.records = tuple(records)
-        else:
-            self.columns = {name: np.asarray(columns[name], dtype=float) for name in COLUMNS}
+    scenario_id: str
+    columns: dict[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        vars(self)["columns"] = {k: np.asarray(self.columns[k], dtype=float) for k in COLUMNS}
         t, pf = self.columns["t"], self.columns["pf_grid"]
         if not len(t):
             raise InvalidScenario("time series must contain at least one record")
@@ -245,10 +219,6 @@ class TimeSeries:
             raise InvalidScenario(f"pf_grid must lie in [0, 1], got {pf[k]}")
         if (t[1:] <= t[:-1]).any():
             raise InvalidScenario("record times must be strictly increasing")
-
-    @cached_property
-    def columns(self) -> dict[str, np.ndarray]:
-        return {name: np.array([getattr(r, name) for r in self.records]) for name in COLUMNS}
 
     @cached_property
     def records(self) -> tuple[PowerFlowRecord, ...]:

@@ -52,13 +52,18 @@ def make_scenario(
     n_parallel: int = 47,
     scenario_id: str = "scenario",
 ) -> Scenario:
-    """Build a scenario around the reference module with compact overrides."""
+    """Build a scenario around the reference module with compact overrides.
+
+    Profiles are given here as rows, one ``(t_start, g, t_cell)`` or
+    ``(t_start, p, q)`` tuple per segment, and handed to ``Scenario`` as
+    columns with each value as given.
+    """
     return Scenario(
         grid=REF_GRID,
         array=PVArraySpec(module=REF_MODULE, n_series=n_series, n_parallel=n_parallel),
         inverter_efficiency=efficiency,
-        irradiance_profile=tuple(IrradianceStep(*s) for s in irradiance),
-        load_profile=tuple(LoadStep(*s) for s in load),
+        irradiance=list(zip(*irradiance)),
+        load=list(zip(*load)),
         compensator=compensator,
         t_end=t_end,
         dt=dt,
@@ -120,8 +125,8 @@ def random_scenario(rng: np.random.Generator, index: int = 0) -> Scenario:
         ),
         array=PVArraySpec(module=REF_MODULE, n_series=10, n_parallel=47),
         inverter_efficiency=float(rng.uniform(0.9, 1.0)),
-        irradiance_profile=irr,
-        load_profile=load,
+        irradiance=list(zip(*irr)),
+        load=list(zip(*load)),
         compensator=comp,
         t_end=t_end,
         dt=dt,

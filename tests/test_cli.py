@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pvgrid
 from pvgrid import cli
@@ -288,6 +293,103 @@ def test_resonance_outside_product_range(capsys, l_1, l_2, c_g, omega_res):
     doc = json.loads(capsys.readouterr().out)
     assert doc["omega_res"] == pytest.approx(omega_res, rel=1e-15, abs=0.0)
     assert doc["passed"] is False
+
+
+# ======================================================================
+# Property: every flag value is computed or rejected, never leaked
+# ======================================================================
+
+
+# Flag values: non-finite, signed, subnormal, at the float range's edge, ordinary.
+_EDGE_VALUES = ["nan", "inf", "-inf", "-1", "-0.0", "0", "5e-324", "2.2250738585072014e-308",
+                "1e-300", "1e300", "1e308", "1.7976931348623157e308", "-1e308"]
+_FLAG_VALUE = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# Integer flags take integer values: none, negative, or past the float range.
+_COUNT_VALUE = st.sampled_from(["-1", "0", "1", "2", str(10**200), str(10**400)])
+_INTEGER_FLAGS = {"--ncells": _COUNT_VALUE, "--ns": _COUNT_VALUE, "--np": _COUNT_VALUE,
+                  "--points": st.sampled_from(["-1", "0", "2", "3", "2000"])}
+
+
+def _near(value: float) -> st.SearchStrategy[str]:
+    """Flag text of ``value`` times a factor in [0.2, 5]."""
+    return st.floats(0.2, 5.0).map(lambda k: repr(value * k))
+
+
+_OMITTED = st.none()
+# Each command's flags, with a strategy for an ordinary value (None leaves the flag out).
+_DESIGN_FLAGS = {
+    "design-boost": {"--p": _near(100345.0), "--vin": _near(290.0), "--vout": _near(700.0),
+                     "--fsw": _near(5000.0), "--ripple-i-frac": _OMITTED,
+                     "--ripple-v-frac": _OMITTED},
+    "design-lcl": {"--p": _near(1e5), "--vg": _near(230.0), "--fg": _near(50.0),
+                   "--vdc": _near(700.0), "--fsw": _near(1e4), "--cap-frac": _OMITTED,
+                   "--ripple-frac": _OMITTED, "--atten-factor": _OMITTED},
+    "check-resonance": {"--l1": _near(0.6e-3), "--l2": _near(15e-6), "--cg": _near(100e-6),
+                        "--fg": _near(50.0), "--fsw": _near(1e4)},
+}
+# Real datasheets (p_mp, v_mp, i_mp, v_oc, i_sc, n_cells): 60-cell and 72-cell modules.
+_DATASHEETS = [
+    (213.15, 29.0, 7.35, 36.3, 7.84, 60),
+    (250.0, 30.1, 8.31, 37.6, 8.87, 60),
+    (320.0, 36.8, 8.7, 45.9, 9.3, 72),
+]
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _main_outcome(data, command: str, flags: dict) -> None:
+    """Run ``cli.main`` on ``command`` with each flag's ordinary value, except up
+    to two flags given a generated value.  It returns 0, 1 or 2 without
+    raising, and a run that succeeds prints no NaN or infinity."""
+    replaced = data.draw(st.sets(st.sampled_from(sorted(flags)), max_size=2), "replaced")
+    argv = [command]
+    for flag, ordinary in flags.items():
+        raw = _INTEGER_FLAGS.get(flag, _FLAG_VALUE)
+        value = data.draw(raw if flag in replaced else ordinary, flag)
+        argv += [] if value is None else [f"{flag}={value}"]
+    argv += data.draw(st.sampled_from([[], ["--json"]]), "json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 0:
+        assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+
+@pytest.mark.parametrize("command", list(_DESIGN_FLAGS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_design_command_outcome_property(command, data):
+    """Property: each design command, over generated values of its flags,
+    exits 0, 1 or 2 and never raises; on exit 0 it prints no NaN or inf."""
+    _main_outcome(data, command, _DESIGN_FLAGS[command])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pv_curve_outcome_property(data):
+    """Property: pv-curve over real datasheets scaled in voltage and in
+    current, extreme scales included, and generated values of the other
+    flags, exits 0, 1 or 2 and never raises; on exit 0 it prints no NaN or
+    inf.  At most 2,000 points, so no case allocates much."""
+    p_mp, v_mp, i_mp, v_oc, i_sc, n_cells = data.draw(st.sampled_from(_DATASHEETS), "datasheet")
+    scale = st.sampled_from([1.0, 0.25, 0.5, 2.0, 4.0, 1e-300, 1e-100, 1e100, 1e300])
+    k_v, k_i = data.draw(scale, "voltage scale"), data.draw(scale, "current scale")
+    scaled = {"--pmp": p_mp * k_v * k_i, "--vmp": v_mp * k_v, "--imp": i_mp * k_i,
+             "--voc": v_oc * k_v, "--isc": i_sc * k_i}
+    flags = {flag: st.just(repr(value)) for flag, value in scaled.items()}
+    flags.update({
+        "--ncells": st.just(str(n_cells)), "--alpha-isc": _OMITTED, "--beta-voc": _OMITTED,
+        "--ideality-guess": _OMITTED | st.floats(0.8, 1.6).map(repr),
+        "--ns": st.integers(1, 60).map(str), "--np": st.integers(1, 60).map(str),
+        "--g": _OMITTED | st.floats(0.0, 1100.0).map(repr),
+        "--t": _OMITTED | st.floats(-40.0, 90.0).map(repr),
+        "--points": st.integers(3, 2000).map(str),
+    })
+    _main_outcome(data, "pv-curve", flags)
 
 
 # ======================================================================

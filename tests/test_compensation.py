@@ -17,7 +17,40 @@ from pvgrid.compensation import (
     power_factor,
     statcom_dispatch,
 )
-from pvgrid.errors import UndefinedPF
+from pvgrid.component_design import capbank_size
+from pvgrid.errors import PVGridError, UndefinedPF
+from pvgrid.pv_model import SingleDiodeParams
+
+
+# ======================================================================
+# Non-finite inputs of the library types
+# ======================================================================
+
+# Each library record or function with float inputs, called with valid values.
+_FINITE_CALLS = {
+    "Statcom": (Statcom, {"q_max": 2e5, "loss_floor_w": 800.0, "loss_frac": 0.01}),
+    "FixedCapacitor": (FixedCapacitor, {"q_rated": 1e5, "v_rated": 230.0, "loss_w": 1300.0}),
+    "SingleDiodeParams": (SingleDiodeParams, {"i_ph": 7.8, "i_0": 1e-9, "n_ideality": 1.0,
+                                              "r_s": 0.4, "r_sh": 480.0, "a": 1.5}),
+    "capbank_size": (capbank_size, {"q_rated": 1e5, "v_phase": 230.0, "f_g": 50.0}),
+    "statcom_dispatch": (lambda q_demand: statcom_dispatch(q_demand, Statcom(q_max=2e5)),
+                         {"q_demand": 1e5}),
+    "capbank_q": (capbank_q, {"q_rated": 1e5, "v_rated": 230.0, "v": 230.0, "loss_w": 0.0}),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    ("call", "name"),
+    [(call, name) for call, (_, kw) in _FINITE_CALLS.items() for name in kw],
+)
+def test_non_finite_value_rejected(call, name, value):
+    """NaN or an infinity in any float input is rejected with a message naming
+    it, as the scenario parser rejects it, instead of being computed with."""
+    fn, kw = _FINITE_CALLS[call]
+    fn(**kw)
+    with pytest.raises((ValueError, PVGridError), match=f"{name} must be .*finite"):
+        fn(**{**kw, name: value})
 
 
 # ======================================================================

@@ -283,6 +283,14 @@ class TestBrentqMatchesScipy:
             got = brentq(f, a, b, xtol=xtol)
             assert got == want, f"case {k}: {got!r} vs scipy {want!r}"
 
+    @pytest.mark.parametrize("scale", [1e-120, 1e-200, 1e-300])
+    def test_underflowing_interpolation_bisects(self, scale):
+        """Where the interpolation divisor underflows to 0, C's division gives
+        inf or nan and the step bisects; the port does the same."""
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        f = lambda x: (x**3 - 0.5) * scale  # noqa: E731
+        assert brentq(f, 0.0, 1.0) == scipy_optimize.brentq(f, 0.0, 1.0)
+
     def test_module_voc_residual(self, ref_params):
         """module_voc equals scipy's root of the same residual, bit for bit."""
         scipy_optimize = pytest.importorskip("scipy.optimize")

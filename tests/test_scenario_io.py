@@ -641,7 +641,7 @@ class TestRenderReport:
         """A forcibly emptied series is rejected with EmptySeries."""
         hollow = object.__new__(TimeSeries)
         object.__setattr__(hollow, "scenario_id", "hollow")
-        object.__setattr__(hollow, "records", ())
+        object.__setattr__(hollow, "columns", {"t": np.array([])})
         with pytest.raises(EmptySeries):
             render_report(hollow)
 

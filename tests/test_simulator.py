@@ -12,6 +12,7 @@ from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom
 from pvgrid.errors import CalibrationFailure, GridMismatch, InvalidScenario
 from pvgrid.pv_model import PVArraySpec, PVModuleSpec, extract_single_diode_params
 from pvgrid.simulator import (
+    COLUMNS,
     MAX_RECORDS,
     GridSpec,
     IrradianceStep,
@@ -127,7 +128,7 @@ class TestScenarioValidation:
         [
             (((0.0, 100.0, 95.0), (0.1, -5.0, 25.0)), None,
              "cell temperature 95.0 outside [-40, 90] °C"),
-            (((0.0, -5, 95.0),), None, "irradiance must be non-negative, got -5"),
+            (((0.0, -5, 95.0),), None, "irradiance must be non-negative, got -5.0"),
             (((0.0, 1e3, 25.0), (0.1, math.nan, 25.0), (0.2, math.inf, 25.0)), None,
              "irradiance profile segment IrradianceStep(t_start=0.1, g=nan, t_cell=25.0) "
              "must have finite values"),
@@ -152,13 +153,15 @@ class TestScenarioValidation:
         assert str(err.value) == message
 
     def test_profile_values_at_float_range_edge(self):
-        """The largest double, and Python ints and bools in range, are accepted as given."""
+        """The largest double, and Python ints and bools in range, are accepted
+        and kept as floats."""
         s = make_scenario(
             irradiance=((0, 1000, True), (1, 500.0, -40)),
             load=((0.0, sys.float_info.max, -sys.float_info.max),),
         )
         assert s.load_profile[0].p == sys.float_info.max
-        assert s.irradiance_profile[0].t_cell is True
+        assert s.irradiance_profile == ((0.0, 1000.0, 1.0), (1.0, 500.0, -40.0))
+        assert {type(x) for seg in s.irradiance_profile for x in seg} == {float}
 
     def test_grid_spec_finite(self):
         """A NaN or infinite grid value is rejected."""
@@ -167,8 +170,9 @@ class TestScenarioValidation:
                 GridSpec(v_phase=230.0, f=f, v_dc=700.0)
 
     def test_columns_and_steps_build_equal_scenarios(self):
-        """Profiles given as columns or as steps make equal scenarios, equal
-        profile attributes and equal runs; the columns are read-only copies."""
+        """Columns given as nested lists, as arrays or as tuples of ints make
+        equal scenarios, equal step views and equal runs; the columns are
+        read-only copies, and the step views cannot be replaced."""
         steps = make_scenario(irradiance=((0.0, 1000.0, 25.0), (0.02, 500.0, 30.0)),
                               load=((0.0, 1e5, 5e4), (0.03, 2e5, -1e4)))
         load = np.array([[0.0, 0.03], [1e5, 2e5], [5e4, -1e4]])
@@ -188,36 +192,43 @@ class TestScenarioValidation:
         assert columns.load[1, 0] == 1e5
         assert columns != make_scenario(irradiance=((0.0, 1000.0, 25.0), (0.02, 500.0, 30.0)),
                                         load=((0.0, 1e5, 5e4), (0.03, 2e5, -1e3)))
+        with pytest.raises(AttributeError):
+            columns.load_profile = ()
+        ints = make_scenario(irradiance=((0, 1000, 25), (0.02, 500, 30)),
+                             load=((0, 100_000, 50_000), (0.03, 200_000, -10_000)))
+        assert ints == steps and ints.load_profile == steps.load_profile
 
     @pytest.mark.parametrize(
-        "profiles,error,message",
+        "profiles,message",
         [
-            ({}, TypeError, "give either irradiance columns or irradiance_profile steps"),
-            ({"irradiance": [[0.0], [1e3], [25.0]], "irradiance_profile": ((0.0, 1e3, 25.0),)},
-             TypeError, "give either irradiance columns or irradiance_profile steps"),
-            ({"irradiance": [[0.0, 1e3, 25.0]]}, InvalidScenario,
+            ({"irradiance": [[0.0, 1e3, 25.0]]},
              "irradiance profile must hold 3 floats per segment"),
-            ({"irradiance": [[0.0, 1.0], [1e3], [25.0, 25.0]]}, InvalidScenario,
+            ({"irradiance": [[0.0, 1.0], [1e3], [25.0, 25.0]]},
              "irradiance profile must hold 3 floats per segment"),
-            ({"irradiance": [[0.0], [10**400], [25.0]]}, InvalidScenario,
+            ({"irradiance": [[0.0], [10**400], [25.0]]},
              "irradiance profile must hold 3 floats per segment"),
-            ({"irradiance": np.zeros((3, 0))}, InvalidScenario,
+            ({"load": [[0.0], [int(sys.float_info.max) + 1], [1e5]]},
+             f"load profile segment LoadStep(t_start=0.0, p={int(sys.float_info.max) + 1}, "
+             f"q=100000.0) must have finite values"),
+            ({"irradiance": np.zeros((3, 0))},
              "irradiance profile must have at least one segment"),
-            ({"irradiance": [[0.0, 1.0], [1e3, math.nan], [25.0, 25.0]]}, InvalidScenario,
+            ({"irradiance": [[0.0, 1.0], [1e3, math.nan], [25.0, 25.0]]},
              "irradiance profile segment IrradianceStep(t_start=1.0, g=nan, t_cell=25.0) "
              "must have finite values"),
-            ({"irradiance": [[0.0], [-5.0], [25.0]]}, InvalidScenario,
+            ({"irradiance": [[0.0], [-5.0], [25.0]]},
              "irradiance must be non-negative, got -5.0"),
         ],
-        ids=["neither", "both", "shape", "ragged", "int-past-float-range", "empty",
-             "non-finite", "domain"],
+        ids=["shape", "ragged", "int-past-float-range", "int-rounding-to-largest-double",
+             "empty", "non-finite", "domain"],
     )
-    def test_profile_columns_checked(self, profiles, error, message):
-        """Columns get the checks, messages and precedence that steps get."""
-        load = {"load_profile": (LoadStep(0.0, 1e5, 0.0),)}
-        with pytest.raises(error) as err:
+    def test_profile_columns_checked(self, profiles, message):
+        """Each check of the columns keeps its message and precedence; a value
+        is judged as given, so an int that would round to the largest double
+        is not finite."""
+        kw = {"irradiance": [[0.0], [1e3], [25.0]], "load": [[0.0], [1e5], [0.0]], **profiles}
+        with pytest.raises(InvalidScenario) as err:
             Scenario(make_scenario().grid, make_scenario().array, compensator=NoCompensator(),
-                     **profiles, **load)
+                     **kw)
         assert str(err.value) == message
 
     def test_run_shares_the_calibration_memo(self):
@@ -375,8 +386,8 @@ class TestRun:
             grid=GridSpec(v_phase=230.0, f=50.0, v_dc=700.0),
             array=PVArraySpec(module=impossible, n_series=10, n_parallel=47),
             inverter_efficiency=0.997,
-            irradiance_profile=(IrradianceStep(0.0, 1000.0, 25.0),),
-            load_profile=(LoadStep(0.0, 1e5, 1e5),),
+            irradiance=[[0.0], [1000.0], [25.0]],
+            load=[[0.0], [1e5], [1e5]],
             compensator=NoCompensator(),
             t_end=0.02,
             dt=0.01,
@@ -518,15 +529,15 @@ class TestContainers:
     """Record and series invariants."""
 
     def test_series_requires_records(self):
-        """An empty record tuple is rejected."""
+        """Empty columns are rejected."""
         with pytest.raises(InvalidScenario):
-            TimeSeries(scenario_id="x", records=())
+            TimeSeries(scenario_id="x", columns={name: [] for name in COLUMNS})
 
     def test_series_requires_increasing_times(self):
         """Record times must be strictly increasing."""
-        r = run(make_scenario()).records[0]
+        first = {name: col[[0, 0]] for name, col in run(make_scenario()).columns.items()}
         with pytest.raises(InvalidScenario):
-            TimeSeries(scenario_id="x", records=(r, r))
+            TimeSeries(scenario_id="x", columns=first)
 
     def test_column_route_checks_the_record_invariants(self):
         """Columns get the same checks and messages as records."""
@@ -543,13 +554,16 @@ class TestContainers:
             with pytest.raises(InvalidScenario, match=message):
                 TimeSeries(scenario_id="x", columns=columns)
 
-    def test_both_routes_build_equal_series(self):
-        """Records and columns describe the same series, built either way."""
+    def test_records_view_the_columns(self):
+        """``records`` holds one record per row of the columns, in order; it is
+        read-only, and a series built again from the columns is equal."""
         series = run(make_scenario(load=((0.0, 1e5, 1e5), (0.02, 5e4, -2e4))))
-        from_records = TimeSeries(series.scenario_id, series.records)
-        assert from_records == series
-        assert from_records.records == series.records
+        assert series.records == tuple(PowerFlowRecord(*row) for row in series.rows())
+        assert [r.q_load for r in series.records] == series.columns["q_load"].tolist()
+        assert TimeSeries(series.scenario_id, series.columns) == series
         assert len(series) == len(series.records) == 6
+        with pytest.raises(AttributeError):
+            series.records = ()
 
     def test_record_pf_domain(self):
         """pf_grid outside [0, 1] is rejected."""
