@@ -31,6 +31,7 @@ _HOMES = {
     "IVPoint": "pv_model",
     "InfeasibleSpec": "errors",
     "InvalidScenario": "errors",
+    "InvalidValue": "errors",
     "IrradianceStep": "simulator",
     "LCLDesign": "component_design",
     "LCLDesignInput": "component_design",

@@ -174,14 +174,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         out_dir = Path(args.output) if args.output else Path(".")
         out_dir.mkdir(parents=True, exist_ok=True)
         for path in files:
-            series = simulator.run(scenario_io.parse_scenario(path.read_text("utf-8")))
+            series = simulator.run(scenario_io.parse_scenario(path.read_bytes()))
             suffix = ".json" if args.json else ".csv"
             text = _series_json(series) if args.json else scenario_io.emit_csv(series)
             target = out_dir / (path.stem + suffix)
             target.write_text(text, encoding="utf-8", newline="")
             print(f"wrote {target}", file=sys.stderr)
         return 0
-    scenario = scenario_io.parse_scenario(Path(args.scenario).read_text("utf-8"))
+    scenario = scenario_io.parse_scenario(Path(args.scenario).read_bytes())
     series = simulator.run(scenario)
     artifact = _series_json(series) if args.json else scenario_io.emit_csv(series)
     if args.report:
@@ -197,8 +197,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from . import scenario_io, simulator
 
-    scenario_a = scenario_io.parse_scenario(Path(args.scenario_a).read_text("utf-8"))
-    scenario_b = scenario_io.parse_scenario(Path(args.scenario_b).read_text("utf-8"))
+    scenario_a = scenario_io.parse_scenario(Path(args.scenario_a).read_bytes())
+    scenario_b = scenario_io.parse_scenario(Path(args.scenario_b).read_bytes())
     series_a = simulator.run(scenario_a)
     series_b = simulator.run(scenario_b)
     comparison = simulator.compare_runs(series_a, series_b)
@@ -305,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NonConvergence, CalibrationFailure) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (PVGridError, ValueError) as exc:
+    except PVGridError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

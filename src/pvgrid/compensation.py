@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Union
 
-from .errors import UndefinedPF, require_finite
+from .errors import NON_NEGATIVE, POSITIVE, Bound, UndefinedPF, require
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,8 @@ class FixedCapacitor:
     loss_w: float = 1300.0  # W, constant feeder/breaker loss
 
     def __post_init__(self) -> None:
-        require_finite(vars(self))
-        if self.q_rated <= 0.0:
-            raise ValueError(f"q_rated must be positive, got {self.q_rated}")
-        if self.v_rated <= 0.0:
-            raise ValueError(f"v_rated must be positive, got {self.v_rated}")
-        if self.loss_w < 0.0:
-            raise ValueError(f"loss_w must be non-negative, got {self.loss_w}")
+        require({"q_rated": self.q_rated, "v_rated": self.v_rated}, POSITIVE)
+        require({"loss_w": self.loss_w}, NON_NEGATIVE)
 
     def dispatch(self, q_demand: float, v: float) -> CompensatorOutput:
         """Output at bus voltage ``v``; the demand is ignored."""
@@ -64,13 +59,10 @@ class Statcom:
     loss_frac: float = 0.0  # extra loss per var dispatched
 
     def __post_init__(self) -> None:
-        require_finite(vars(self))
-        if self.q_max <= 0.0:
-            raise ValueError(f"q_max must be positive, got {self.q_max}")
-        if self.loss_floor_w < 0.0:
-            raise ValueError(f"loss_floor_w must be non-negative, got {self.loss_floor_w}")
-        if not 0.0 <= self.loss_frac <= 0.05:
-            raise ValueError(f"loss_frac must lie in [0, 0.05], got {self.loss_frac}")
+        require({"q_max": self.q_max}, POSITIVE)
+        require({"loss_floor_w": self.loss_floor_w}, NON_NEGATIVE)
+        require({"loss_frac": self.loss_frac},
+                Bound("finite and in [0, 0.05]", lambda x: 0.0 <= x <= 0.05))
 
     def dispatch(self, q_demand: float, v: float) -> CompensatorOutput:
         """Output tracking ``q_demand``; the voltage is ignored."""
@@ -93,8 +85,7 @@ class CompensatorOutput:
     p_loss: float  # W, drawn from the grid
 
     def __post_init__(self) -> None:
-        if self.p_loss < 0.0:
-            raise ValueError(f"p_loss must be non-negative, got {self.p_loss}")
+        require({"p_loss": self.p_loss}, NON_NEGATIVE)
 
 
 def capbank_q(
@@ -104,11 +95,12 @@ def capbank_q(
 
     The bank is not dispatchable; its output depends on voltage only.
     """
-    require_finite({"q_rated": q_rated, "v_rated": v_rated, "v": v, "loss_w": loss_w})
-    if v < 0.0:
-        raise ValueError(f"bus voltage must be non-negative, got {v}")
+    require({"q_rated": q_rated, "v": v, "loss_w": loss_w}, NON_NEGATIVE)
+    require({"v_rated": v_rated}, POSITIVE)
     ratio = v / v_rated
-    return CompensatorOutput(q_out=q_rated * ratio * ratio, p_loss=loss_w)
+    q_out = q_rated * ratio * ratio
+    require({"q_rated * (v/v_rated)^2": q_out})
+    return CompensatorOutput(q_out=q_out, p_loss=loss_w)
 
 
 def statcom_dispatch(q_demand: float, config: Statcom) -> CompensatorOutput:
@@ -117,7 +109,7 @@ def statcom_dispatch(q_demand: float, config: Statcom) -> CompensatorOutput:
     q_out = clamp(q_demand, -q_max, +q_max);
     p_loss = loss_floor_w + loss_frac * |q_out|.
     """
-    require_finite({"q_demand": q_demand})
+    require({"q_demand": q_demand})
     q_out = min(max(q_demand, -config.q_max), config.q_max)
     return CompensatorOutput(
         q_out=q_out, p_loss=config.loss_floor_w + config.loss_frac * abs(q_out)

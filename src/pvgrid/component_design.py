@@ -8,34 +8,22 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import DegenerateInput
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, Bound, DegenerateInput, require
 
 # Current-rating derate in the LCL peak-current expression (fixed design
 # constant, not exposed: the ripple/capacitance/attenuation fractions are
 # the tunable knobs).
 _PF_DERATE = 0.9
 
-
-def _require_positive(obj: object, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise DegenerateInput(f"{name} must be a positive finite number, got {value!r}")
+_FRACTION = Bound("finite and in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
-def _require_fraction(obj: object, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not 0.0 < value < 1.0:
-            raise DegenerateInput(f"{name} must lie in (0, 1), got {value!r}")
-
-
-def _beyond_float_range(inp: object) -> DegenerateInput:
+def _beyond_float_range(given: dict[str, float]) -> DegenerateInput:
     """The error for inputs whose arithmetic divides by an underflowed 0 or overflows."""
-    given = ", ".join(f"{f.name} = {getattr(inp, f.name)!r}" for f in fields(inp))
-    return DegenerateInput(f"inputs {given} put a computed value beyond the float range")
+    text = ", ".join(f"{name} = {value!r}" for name, value in given.items())
+    return DegenerateInput(f"inputs {text} put a computed value beyond the float range")
 
 
 # ============================================================================
@@ -55,8 +43,9 @@ class BoostDesignInput:
     ripple_v_frac: float = 0.007  # output voltage ripple fraction
 
     def __post_init__(self) -> None:
-        _require_positive(self, ("p", "v_in", "v_out", "f_s"))
-        _require_fraction(self, ("ripple_i_frac", "ripple_v_frac"))
+        require(vars(self), POSITIVE, DegenerateInput)
+        require({"ripple_i_frac": self.ripple_i_frac, "ripple_v_frac": self.ripple_v_frac},
+                _FRACTION, DegenerateInput)
         if self.v_in >= self.v_out:
             raise DegenerateInput(
                 f"step-up requires v_in < v_out, got {self.v_in} >= {self.v_out}"
@@ -74,7 +63,7 @@ class BoostDesign:
     c: float  # F, filter capacitor
 
     def __post_init__(self) -> None:
-        _require_positive(self, ("i_out_max", "delta_i_l", "delta_v_out", "l", "c"))
+        require(vars(self), POSITIVE, DegenerateInput)
 
 
 def boost_design(inp: BoostDesignInput) -> BoostDesign:
@@ -96,7 +85,7 @@ def boost_design(inp: BoostDesignInput) -> BoostDesign:
         l = inp.v_in * (inp.v_out - inp.v_in) / (delta_i_l * inp.f_s * inp.v_out)
         c = i_out_max * (1.0 - inp.v_in / inp.v_out) / (delta_v_out * inp.f_s)
     except ArithmeticError:  # a divisor underflowed to 0
-        raise _beyond_float_range(inp) from None
+        raise _beyond_float_range(vars(inp)) from None
     return BoostDesign(
         i_out_max=i_out_max, delta_i_l=delta_i_l, delta_v_out=delta_v_out, l=l, c=c
     )
@@ -121,8 +110,9 @@ class LCLDesignInput:
     atten_factor: float = 0.2  # switching-harmonic attenuation constant
 
     def __post_init__(self) -> None:
-        _require_positive(self, ("p", "v_g", "f_g", "v_dc", "f_sw"))
-        _require_fraction(self, ("cap_frac", "ripple_frac", "atten_factor"))
+        require(vars(self), POSITIVE, DegenerateInput)
+        require({"cap_frac": self.cap_frac, "ripple_frac": self.ripple_frac,
+                 "atten_factor": self.atten_factor}, _FRACTION, DegenerateInput)
 
 
 @dataclass(frozen=True)
@@ -139,9 +129,7 @@ class LCLDesign:
     l_2: float  # H, grid-side inductor
 
     def __post_init__(self) -> None:
-        _require_positive(
-            self, ("omega_g", "z_b", "c_b", "i_max", "delta_i_max", "l_1", "c_g", "l_2")
-        )
+        require(vars(self), POSITIVE, DegenerateInput)
         if self.l_2 >= self.l_1:
             raise DegenerateInput(
                 f"grid-side inductor l_2 {self.l_2:.4g} must be smaller "
@@ -176,7 +164,7 @@ def lcl_design(inp: LCLDesignInput) -> LCLDesign:
         omega_sw = 2.0 * math.pi * inp.f_sw
         l_2 = math.sqrt(1.0 / inp.atten_factor**2 + 1.0) / (c_g * omega_sw**2)
     except ArithmeticError:  # a divisor underflowed to 0, or a square overflowed
-        raise _beyond_float_range(inp) from None
+        raise _beyond_float_range(vars(inp)) from None
     return LCLDesign(
         omega_g=omega_g,
         z_b=z_b,
@@ -210,9 +198,7 @@ class ResonanceReport:
     passed: bool
 
     def __post_init__(self) -> None:
-        for name in ("omega_res", "f_res", "f_min", "f_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise DegenerateInput(f"{name} must be finite, got {getattr(self, name)!r}")
+        require(vars(self), FINITE, DegenerateInput)  # ``passed``, a bool, is 0 or 1
         if abs(self.f_res - self.omega_res / (2.0 * math.pi)) > 1e-9 * self.f_res:
             raise DegenerateInput("f_res must equal omega_res / 2*pi")
         if self.passed != (self.f_min < self.f_res < self.f_max):
@@ -233,11 +219,8 @@ def resonance_check(
         DegenerateInput: if an input is not positive and finite, or the
             resonance or a bound is beyond the float range.
     """
-    for name, value in (
-        ("l_1", l_1), ("l_2", l_2), ("c_g", c_g), ("f_g", f_g), ("f_sw", f_sw),
-    ):
-        if not 0.0 < value < math.inf:
-            raise DegenerateInput(f"{name} must be positive and finite, got {value!r}")
+    require({"l_1": l_1, "l_2": l_2, "c_g": c_g, "f_g": f_g, "f_sw": f_sw},
+            POSITIVE, DegenerateInput)
     product = l_1 * l_2 * c_g
     omega_res = math.inf
     if sys.float_info.min <= product < math.inf:  # the form the reference values pin
@@ -270,11 +253,18 @@ def capbank_size(q_rated: float, v_phase: float, f_g: float) -> float:
     """Per-phase capacitance of a wye bank delivering ``q_rated`` vars.
 
     C = Q / (3 * omega * V_phase^2); zero demand sizes a zero bank.
+
+    Raises:
+        DegenerateInput: if an input is out of its domain, or the
+            capacitance is beyond the float range.
     """
-    if not 0.0 <= q_rated < math.inf:
-        raise DegenerateInput(f"q_rated must be non-negative and finite, got {q_rated!r}")
-    for name, value in (("v_phase", v_phase), ("f_g", f_g)):
-        if not 0.0 < value < math.inf:
-            raise DegenerateInput(f"{name} must be positive and finite, got {value!r}")
+    require({"q_rated": q_rated}, NON_NEGATIVE, DegenerateInput)
+    require({"v_phase": v_phase, "f_g": f_g}, POSITIVE, DegenerateInput)
     omega = 2.0 * math.pi * f_g
-    return q_rated / (3.0 * omega * v_phase**2)
+    try:
+        c = q_rated / (3.0 * omega * v_phase**2)
+    except ArithmeticError:  # v_phase**2 underflowed to 0 or overflowed
+        c = math.inf
+    if c == math.inf:
+        raise _beyond_float_range({"q_rated": q_rated, "v_phase": v_phase, "f_g": f_g})
+    return c

@@ -1,25 +1,24 @@
-"""Exception hierarchy for the pvgrid package, and its finite-value check.
+"""Exception hierarchy for the pvgrid package, and its one value check.
 
-Every error raised by the library derives from :class:`PVGridError` so
-callers can catch the whole family with one clause.  The CLI maps the
-numerical failures (:class:`NonConvergence`, :class:`CalibrationFailure`)
-to exit code 2 and everything else to exit code 1.
+Every error raised by the library derives from :class:`PVGridError`.  A
+rejected input value is an :class:`InvalidValue`, also a ``ValueError``,
+mostly raised by :func:`require`.  The CLI exits 2 on :class:`NonConvergence`
+and :class:`CalibrationFailure`, 1 on any other pvgrid error, and lets any
+other exception, a bug, end in a traceback.
 """
 
 from __future__ import annotations
 
-import math
-
-
-def require_finite(values: dict[str, object]) -> None:
-    """Reject NaN and infinities: ValueError naming the first non-finite float of ``values``."""
-    for name, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+import sys
+from typing import Callable, NamedTuple
 
 
 class PVGridError(Exception):
     """Base class for all pvgrid errors."""
+
+
+class InvalidValue(PVGridError, ValueError):
+    """An input value is outside the domain of the type or function it feeds."""
 
 
 class NonConvergence(PVGridError):
@@ -38,7 +37,7 @@ class DarkArray(PVGridError):
     """Maximum-power request at zero irradiance (no maximum above 0 W)."""
 
 
-class DegenerateInput(PVGridError):
+class DegenerateInput(InvalidValue):
     """Design-calculator input violates a structural requirement."""
 
 
@@ -46,7 +45,7 @@ class UndefinedPF(PVGridError):
     """Power factor of a zero power flow (p = q = 0) is undefined."""
 
 
-class InvalidScenario(PVGridError):
+class InvalidScenario(InvalidValue):
     """Scenario value violates one of its invariants."""
 
 
@@ -64,3 +63,35 @@ class GridMismatch(PVGridError):
 
 class EmptySeries(PVGridError):
     """Report requested for a series with no records."""
+
+
+class Bound(NamedTuple):
+    """What a value must be: the words an error gives, and a test of a finite number."""
+
+    text: str  # completes "<name> must be ..."
+    holds: Callable[[float], bool]
+
+
+_MAX = sys.float_info.max
+
+FINITE = Bound("finite", lambda x: True)
+POSITIVE = Bound("finite and positive", lambda x: x > 0.0)
+NON_NEGATIVE = Bound("finite and non-negative", lambda x: x >= 0.0)
+
+
+def within(value: object, bound: Bound = FINITE) -> bool:
+    """Whether ``value`` is a finite number within ``bound``, judged as given:
+    an int past the float range is not finite, though it rounds to a double."""
+    try:
+        return -_MAX <= value <= _MAX and bound.holds(value)
+    except TypeError:  # not a number
+        return False
+
+
+def require(
+    values: dict[str, object], bound: Bound = FINITE, error: type[InvalidValue] = InvalidValue
+) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not :func:`within` ``bound``."""
+    for name, value in values.items():
+        if not within(value, bound):
+            raise error(f"{name} must be {bound.text}, got {value!r}")

@@ -28,7 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DarkArray, InfeasibleSpec, NonConvergence, require_finite
+from .errors import (
+    NON_NEGATIVE, POSITIVE, Bound, DarkArray, InfeasibleSpec, InvalidValue, NonConvergence,
+    require,
+)
 from .numerics import (  # noqa: F401 (golden_max and newton_bisect are traced by name)
     brentq, golden_max, newton_bisect, newton_bisect_array,
 )
@@ -49,6 +52,9 @@ _EXP_CAP = 690.0
 # Budget of the diode-current solve: above v_oc Newton descends the exponential
 # about one e-fold per step, up to _EXP_CAP steps beyond the usual 100.
 _CURRENT_BUDGET = 100 + int(_EXP_CAP)
+
+# Series cells, modules in series and strings in parallel.
+_COUNT = Bound("finite and at least 1", lambda n: n >= 1)
 
 # Most samples one I-V sweep may hold.  Checked before anything is
 # allocated, as ``simulator.MAX_RECORDS`` is for a run.
@@ -81,24 +87,19 @@ class PVModuleSpec:
     t_stc: float = 25.0  # °C
 
     def __post_init__(self) -> None:
-        require_finite(vars(self))
-        if not 0.0 < self.v_mp < self.v_oc:
-            raise ValueError(f"require 0 < v_mp < v_oc, got {self.v_mp}, {self.v_oc}")
-        if not 0.0 < self.i_mp < self.i_sc:
-            raise ValueError(f"require 0 < i_mp < i_sc, got {self.i_mp}, {self.i_sc}")
+        require({"p_mp": self.p_mp, "v_mp": self.v_mp, "i_mp": self.i_mp, "v_oc": self.v_oc,
+                 "i_sc": self.i_sc, "alpha_isc": self.alpha_isc, "g_stc": self.g_stc}, POSITIVE)
+        require({"n_cells": self.n_cells}, _COUNT)
+        require({"beta_voc": self.beta_voc}, Bound("finite and negative", lambda x: x < 0.0))
+        require({"t_stc": self.t_stc})
+        if not self.v_mp < self.v_oc:
+            raise InvalidValue(f"require v_mp < v_oc, got {self.v_mp}, {self.v_oc}")
+        if not self.i_mp < self.i_sc:
+            raise InvalidValue(f"require i_mp < i_sc, got {self.i_mp}, {self.i_sc}")
         if abs(self.p_mp - self.v_mp * self.i_mp) > 0.01 * self.p_mp:
-            raise ValueError(
-                f"p_mp {self.p_mp} differs from v_mp*i_mp "
-                f"{self.v_mp * self.i_mp} by more than 1%"
+            raise InvalidValue(
+                f"p_mp {self.p_mp} differs from v_mp*i_mp {self.v_mp * self.i_mp} by more than 1%"
             )
-        if self.alpha_isc <= 0.0:
-            raise ValueError("alpha_isc must be positive")
-        if self.beta_voc >= 0.0:
-            raise ValueError("beta_voc must be negative")
-        if self.n_cells < 1:
-            raise ValueError("n_cells must be at least 1")
-        if self.g_stc <= 0.0:
-            raise ValueError("g_stc must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,19 +111,12 @@ class PVArraySpec:
     n_parallel: int
 
     def __post_init__(self) -> None:
-        if self.n_series < 1 or self.n_parallel < 1:
-            raise ValueError(
-                f"array needs n_series >= 1 and n_parallel >= 1, "
-                f"got {self.n_series} x {self.n_parallel}"
-            )
         try:
             rated = float(self.n_series) * float(self.n_parallel) * self.module.p_mp
         except OverflowError:  # a count beyond the float range
             rated = math.inf
-        if not math.isfinite(rated):
-            raise ValueError(
-                "array rated power n_series * n_parallel * p_mp is beyond the float range"
-            )
+        require({"array rated power n_series * n_parallel * p_mp": rated})
+        require({"n_series": self.n_series, "n_parallel": self.n_parallel}, _COUNT)
 
     @property
     def v_oc(self) -> float:
@@ -153,14 +147,11 @@ class SingleDiodeParams:
     a: float  # V, modified diode voltage n*Ns*kT/q
 
     def __post_init__(self) -> None:
-        require_finite(vars(self))
-        if self.i_ph < 0.0:
-            raise ValueError(f"i_ph must be non-negative, got {self.i_ph}")
-        for name in ("i_0", "n_ideality", "r_s", "r_sh", "a"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        require({"i_ph": self.i_ph}, NON_NEGATIVE)
+        require({"i_0": self.i_0, "n_ideality": self.n_ideality, "r_s": self.r_s,
+                 "r_sh": self.r_sh, "a": self.a}, POSITIVE)
         if self.r_sh < 10.0 * self.r_s:
-            raise ValueError(
+            raise InvalidValue(
                 f"shunt resistance {self.r_sh:.4g} is not at least "
                 f"10x series resistance {self.r_s:.4g}"
             )
@@ -174,12 +165,9 @@ class EnvCondition:
     t: float  # °C, cell temperature
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.g):
-            raise ValueError(f"irradiance must be finite, got {self.g}")
-        if self.g < 0.0:
-            raise ValueError(f"irradiance must be non-negative, got {self.g}")
+        require({"irradiance": self.g}, NON_NEGATIVE)
         if not -40.0 <= self.t <= 90.0:
-            raise ValueError(f"cell temperature {self.t} outside [-40, 90] °C")
+            raise InvalidValue(f"cell temperature {self.t} outside [-40, 90] °C")
 
 
 class IVPoint(NamedTuple):
@@ -204,25 +192,25 @@ class IVCurve:
     def __post_init__(self) -> None:
         columns = np.array((self.v, self.i, self.p), dtype=float)  # ValueError if ragged
         if columns.ndim != 2:
-            raise ValueError("curve v, i and p must be sequences of one value per point")
+            raise InvalidValue("curve v, i and p must be sequences of one value per point")
         columns.flags.writeable = False
         v, i, p = columns
         vars(self).update(v=v, i=i, p=p)
         if not len(v):
-            raise ValueError("curve needs at least one point")
+            raise InvalidValue("curve needs at least one point")
         if v[0] != 0.0:
-            raise ValueError("curve must start at v = 0")
+            raise InvalidValue("curve must start at v = 0")
         # Slack covers implicit-solver residual noise between samples.
         slack = 1e-9 * max(1.0, abs(i[0]))
         bad_v = v[1:] <= v[:-1]
         bad = bad_v | (i[1:] > i[:-1] + slack)
         if bad.any():  # the first failing point; its voltage is checked first
-            raise ValueError(
+            raise InvalidValue(
                 "curve voltages must be strictly increasing" if bad_v[bad.argmax()]
                 else "curve current must be non-increasing"
             )
         if (p != v * i).any():
-            raise ValueError("curve power must equal v*i at every point")
+            raise InvalidValue("curve power must equal v*i at every point")
 
     @cached_property
     def points(self) -> tuple[IVPoint, ...]:
@@ -245,9 +233,8 @@ class MPPResult:
 
     def __post_init__(self) -> None:
         if self.p_mp != self.v_mp * self.i_mp:
-            raise ValueError("p_mp must equal v_mp * i_mp")
-        if self.p_mp <= 0.0:
-            raise ValueError("maximum power must be positive")
+            raise InvalidValue("p_mp must equal v_mp * i_mp")
+        require({"p_mp": self.p_mp}, POSITIVE)
 
 
 # ============================================================================
@@ -277,10 +264,12 @@ def module_current(params: SingleDiodeParams, v: float) -> float:
         Module current in amperes.
 
     Raises:
-        NonConvergence: if the iteration budget is exhausted.
+        NonConvergence: if the iteration budget is exhausted; far above v_oc
+            at very low irradiance it is whatever the budget, as one ulp of i
+            moves the residual past the tolerance.  No sweep or run asks for
+            v > v_oc.
     """
-    if v < 0.0:
-        raise ValueError(f"voltage must be non-negative, got {v}")
+    require({"v": v}, NON_NEGATIVE)
     i_ph, i_0, r_s, r_sh, a = params.i_ph, params.i_0, params.r_s, params.r_sh, params.a
 
     def residual(i: float) -> float:
@@ -340,12 +329,12 @@ def _expm1(x: np.ndarray) -> np.ndarray:
     """``math.expm1`` elementwise.
 
     Raises:
-        ValueError: if an exponent overflows a double.
+        InvalidValue: if an exponent overflows a double.
     """
     try:
         return _libm(math.expm1, x)
     except OverflowError:
-        raise ValueError(f"diode term exp({x.max():.6g}) overflows a double") from None
+        raise InvalidValue(f"diode term exp({x.max():.6g}) overflows a double") from None
 
 
 def _lit(i_ph, i_0, a: float):
@@ -585,8 +574,7 @@ def extract_single_diode_params(
         InfeasibleSpec: if no candidate ideality yields a physical model.
         NonConvergence: if the underlying solves exhaust their budgets.
     """
-    if not 0.0 < n_ideality_guess < math.inf:
-        raise ValueError(f"ideality guess must be finite and positive, got {n_ideality_guess}")
+    require({"ideality guess": n_ideality_guess}, POSITIVE)
     candidates = [n_ideality_guess]
     candidates.extend(n for n in _IDEALITY_FALLBACKS if n != n_ideality_guess)
     last_error: InfeasibleSpec | None = None
@@ -612,7 +600,7 @@ def _translate(
     Points exactly at STC keep the calibrated values.
 
     Raises:
-        ValueError: if a temperature drives a datasheet rating negative or a
+        InvalidValue: if a temperature drives a datasheet rating negative or a
             diode term beyond the float range, or a point breaks an invariant
             of :class:`SingleDiodeParams`.
     """
@@ -621,7 +609,7 @@ def _translate(
     v_oc_t = spec.v_oc * (1.0 + spec.beta_voc * d_t)
     negative = (i_sc_t <= 0.0) | (v_oc_t <= 0.0)
     if negative.any():
-        raise ValueError(
+        raise InvalidValue(
             f"temperature {float(t[negative][0])} °C drives datasheet ratings negative"
         )
     r_s, r_sh_ref, a = params.r_s, params.r_sh, params.a
@@ -636,17 +624,17 @@ def _translate(
 
     # Stage 2: irradiance scaling; the dark curve keeps the reference shunt.
     lit = g > 0.0
-    with np.errstate(over="ignore"):  # an infinite r_sh is rejected below
+    with np.errstate(over="ignore"):  # an infinite r_sh or i_ph is rejected below
         r_sh = np.where(lit, r_sh_ref * spec.g_stc / np.where(lit, g, 1.0), r_sh_ref)
-    i_sc_gt = i_sc_t * g / spec.g_stc
-    i_ph = i_sc_gt * (1.0 + r_s / r_sh) + i_0_t * _expm1(i_sc_gt * r_s / a)
+        i_sc_gt = i_sc_t * g / spec.g_stc
+        i_ph = i_sc_gt * (1.0 + r_s / r_sh) + i_0_t * _expm1(i_sc_gt * r_s / a)
     stc = (g == spec.g_stc) & (t == spec.t_stc)
     i_ph, i_0, r_sh = (
         np.where(stc, params.i_ph, i_ph),
         np.where(stc, params.i_0, i_0_t),
         np.where(stc, r_sh_ref, r_sh),
     )
-    valid = (i_ph >= 0.0) & (0.0 < i_0) & (i_0 < math.inf)
+    valid = (0.0 <= i_ph) & (i_ph < math.inf) & (0.0 < i_0) & (i_0 < math.inf)
     valid &= (10.0 * r_s <= r_sh) & (r_sh < math.inf)
     for bad in np.flatnonzero(~valid)[:1]:  # raises the error of a scalar translation
         replace(params, i_ph=float(i_ph[bad]), i_0=float(i_0[bad]), r_sh=float(r_sh[bad]))
@@ -703,9 +691,9 @@ def array_iv_sweep(
         n_points: Number of samples, from 3 to :data:`MAX_POINTS`.
     """
     if n_points < 3:
-        raise ValueError(f"n_points must be at least 3, got {n_points}")
+        raise InvalidValue(f"n_points must be at least 3, got {n_points}")
     if n_points > MAX_POINTS:
-        raise ValueError(f"n_points must be at most {MAX_POINTS}, got {n_points}")
+        raise InvalidValue(f"n_points must be at most {MAX_POINTS}, got {n_points}")
     params_e = adjust_params(params, array.module, env)
     if not _lit(params_e.i_ph, params_e.i_0, params_e.a):
         return IVCurve(v=[0.0], i=[0.0], p=[0.0])

@@ -21,7 +21,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .compensation import COMPENSATORS, NoCompensator
-from .errors import EmptySeries, InvalidScenario, ParseError, ValidationError
+from .errors import EmptySeries, InvalidValue, ParseError, ValidationError, within
 from .pv_model import PVArraySpec, PVModuleSpec
 from .simulator import (
     COLUMNS,
@@ -113,8 +113,7 @@ def _read(section: object, cls: type, where: str) -> dict:
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             kind = "an integer" if integer else "a number"
             raise ValidationError(f"{where}: key '{key}' must be {kind}")
-        # False for NaN and infinities; exact for integers too large for a float.
-        if not -sys.float_info.max <= value <= sys.float_info.max:
+        if not within(value):
             raise ValidationError(f"{where}: key '{key}' must be a finite number")
         values[key] = value if integer else float(value)
     return values
@@ -160,25 +159,27 @@ def _read_profile(entries: list, cls: type, where: str) -> np.ndarray:
     ).T
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document.
+def parse_scenario(text: str | bytes) -> Scenario:
+    """Parse and validate a scenario document, given as text or as UTF-8 bytes.
 
     Raises:
-        ParseError: for malformed JSON or a non-object document.
+        ParseError: for malformed JSON, bytes that are not UTF-8, or a
+            non-object document.
         ValidationError: for missing/unknown keys, wrong types, non-finite
             numbers, or any violated scenario invariant.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text.decode() if isinstance(text, bytes) else text)
+    except ValueError as exc:  # malformed, not UTF-8, or an int past the digit limit
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     _reject_unknown(doc, _DOCUMENT_KEYS, "document")
 
     scenario_id = doc.get("id", "scenario")
-    if not isinstance(scenario_id, str) or not scenario_id:
-        raise ValidationError("document: key 'id' must be a non-empty string")
+    # A lone surrogate ("\ud800") is not printable, and no report could write it.
+    if not isinstance(scenario_id, str) or not scenario_id or not scenario_id.isprintable():
+        raise ValidationError("document: key 'id' must be a non-empty printable string")
 
     kw = {}
     for name, cls in _SECTIONS.items():
@@ -215,7 +216,7 @@ def parse_scenario(text: str) -> Scenario:
             scenario_id=scenario_id,
             **kw["sim"],
         )
-    except (ValueError, InvalidScenario) as exc:
+    except InvalidValue as exc:
         raise ValidationError(str(exc)) from exc
 
 

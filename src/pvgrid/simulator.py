@@ -23,7 +23,8 @@ import numpy as np
 from . import pv_model
 from .compensation import CompensatorConfig, dispatch, power_factor  # noqa: F401 (traced by name)
 from .errors import (
-    CalibrationFailure, GridMismatch, InfeasibleSpec, InvalidScenario, NonConvergence,
+    NON_NEGATIVE, POSITIVE, Bound, CalibrationFailure, GridMismatch, InfeasibleSpec,
+    InvalidScenario, InvalidValue, NonConvergence, require, within,
 )
 from .pv_model import PVArraySpec, SingleDiodeParams
 
@@ -49,10 +50,6 @@ class LoadStep(NamedTuple):
     q: float  # var
 
 
-# Largest finite double: NaN, infinities and larger integers all fail `<= _MAX`.
-_MAX = sys.float_info.max
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Stiff-grid interface parameters."""
@@ -62,9 +59,7 @@ class GridSpec:
     v_dc: float  # V, reported dc-link setpoint
 
     def __post_init__(self) -> None:
-        for name in ("v_phase", "f", "v_dc"):
-            if not 0.0 < getattr(self, name) <= _MAX:
-                raise InvalidScenario(f"grid {name} must be positive and finite")
+        require({f"grid {k}": v for k, v in vars(self).items()}, POSITIVE, InvalidScenario)
 
 
 def _profile_columns(name: str, step: type, given) -> np.ndarray:
@@ -81,12 +76,11 @@ def _profile_columns(name: str, step: type, given) -> np.ndarray:
         raise InvalidScenario(f"{name} profile must hold {len(step._fields)} floats per segment")
     if not columns.shape[1]:
         raise InvalidScenario(f"{name} profile must have at least one segment")
-    finite = np.abs(columns) <= _MAX
-    for r, k in np.argwhere(np.abs(columns) == _MAX).tolist():  # an int past the range lands here
-        finite[r, k] = abs(given[r][k]) <= _MAX
-    for k in np.flatnonzero(~finite.all(axis=0))[:1]:
-        seg = step._make(np.array(given, dtype=object)[:, k].tolist())
-        raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
+    # NaN, infinities, and the largest double, where an int past the float range lands
+    for k, r in np.argwhere(~(np.abs(columns) < sys.float_info.max).T).tolist():
+        if not within(given[r][k]):
+            seg = step._make(np.array(given, dtype=object)[:, k].tolist())
+            raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
     columns.flags.writeable = False
     starts = columns[0]
     if starts[0] != 0.0:
@@ -122,14 +116,11 @@ class Scenario:
     scenario_id: str = "scenario"
 
     def __post_init__(self) -> None:
-        efficiency, t_end, dt = self.inverter_efficiency, self.t_end, self.dt
-        if not 0.0 < efficiency <= 1.0:
-            raise InvalidScenario(f"inverter_efficiency must lie in (0, 1], got {efficiency}")
-        if not 0.0 < dt <= _MAX:
-            raise InvalidScenario(f"dt must be positive and finite, got {dt}")
-        if not 0.0 <= t_end <= _MAX:
-            raise InvalidScenario(f"t_end must be non-negative and finite, got {t_end}")
-        steps = t_end / dt
+        efficiency = Bound("finite and in (0, 1]", lambda x: 0.0 < x <= 1.0)
+        require({"inverter_efficiency": self.inverter_efficiency}, efficiency, InvalidScenario)
+        require({"dt": self.dt}, POSITIVE, InvalidScenario)
+        require({"t_end": self.t_end}, NON_NEGATIVE, InvalidScenario)
+        steps = self.t_end / self.dt
         if not steps + _GRID_EPS < MAX_RECORDS:
             raise InvalidScenario(f"t_end/dt = {steps:g} gives more than {MAX_RECORDS} records")
         vars(self).update(
@@ -138,8 +129,7 @@ class Scenario:
         )
         _, g, t_cell = self.irradiance
         for k in np.flatnonzero((g < 0.0) | ~((-40.0 <= t_cell) & (t_cell <= 90.0)))[:1]:
-            if g[k] < 0.0:
-                raise InvalidScenario(f"irradiance must be non-negative, got {g[k]}")
+            require({"irradiance": float(g[k])}, NON_NEGATIVE, InvalidScenario)
             raise InvalidScenario(f"cell temperature {t_cell[k]} outside [-40, 90] °C")
 
     @cached_property
@@ -272,10 +262,13 @@ def _columns(scenario: Scenario, params: SingleDiodeParams, times) -> dict[str, 
     q_comp, p_comp_loss = np.array([(o.q_out, o.p_loss) for o in outputs]).T[:, k_load]
     p_load, q_load = p[k_load], q[k_load]
     p_inv = scenario.inverter_efficiency * p_pv
-    p_grid = p_load + p_comp_loss - p_inv
-    q_grid = q_load - q_comp
+    with np.errstate(over="ignore", invalid="ignore"):  # an exchange past the range fails below
+        p_grid = p_load + p_comp_loss - p_inv
+        q_grid = q_load - q_comp
+        s_grid = np.hypot(p_grid, q_grid)
+    for k in np.flatnonzero(~(s_grid < np.inf))[:1]:
+        raise InvalidScenario(f"grid exchange at t = {float(t[k])} s is beyond the float range")
     # Zero grid exchange has no power factor; it is reported as unity.
-    s_grid = np.hypot(p_grid, q_grid)
     pf_grid = np.divide(np.abs(p_grid), s_grid, out=np.ones(len(t)), where=s_grid != 0.0)
     return dict(
         t=t, p_pv=p_pv, p_inv=p_inv, q_inv=np.zeros(len(t)), p_load=p_load,
@@ -296,7 +289,7 @@ def step(scenario: Scenario, params: SingleDiodeParams, t: float) -> PowerFlowRe
         t: Instant within [0, t_end].
     """
     if not 0.0 <= t <= scenario.t_end:
-        raise ValueError(f"t = {t} outside [0, {scenario.t_end}]")
+        raise InvalidValue(f"t = {t} outside [0, {scenario.t_end}]")
     return TimeSeries(scenario.scenario_id, columns=_columns(scenario, params, [t])).records[0]
 
 
@@ -310,6 +303,8 @@ def run(scenario: Scenario) -> TimeSeries:
 
     Raises:
         CalibrationFailure: if the module datasheet cannot be calibrated.
+        InvalidScenario: if the grid exchange at some instant is beyond the
+            float range.
     """
     try:
         params = pv_model.extract_single_diode_params(scenario.array.module)

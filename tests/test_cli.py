@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pvgrid
@@ -25,6 +25,8 @@ from pvgrid.component_design import (
 from pvgrid.pv_model import EnvCondition, MPPResult, PVArraySpec, PVModuleSpec
 from pvgrid.scenario_io import bundled_scenario_text, emit_csv, parse_scenario
 from pvgrid.simulator import run
+
+from conftest import COMPENSATOR_DOCS, DATASHEETS, scenario_documents
 
 BOOST_ARGS = [
     "design-boost", "--p", "100345", "--vin", "290", "--vout", "700", "--fsw", "5000",
@@ -196,7 +198,7 @@ class TestPvCurve:
              "--voc", "36.3", "--isc", "7.84"]
         )
         assert code == 1
-        assert "ValueError" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: InvalidValue: require v_mp < v_oc")
 
 
 # ======================================================================
@@ -224,9 +226,11 @@ MODULE_ARGS = TestPvCurve.MODULE_ARGS
                      id="ideality-inf"),
         pytest.param(MODULE_ARGS, "--points=100000000", "n_points must be at most",
                      id="points-over-cap"),
-        pytest.param(RESONANCE_ARGS, "--l1=nan", "l_1 must be positive and finite",
+        pytest.param(MODULE_ARGS, f"--ncells={10**400}", "n_cells must be finite and at least 1",
+                     id="ncells-past-float-range"),
+        pytest.param(RESONANCE_ARGS, "--l1=nan", "l_1 must be finite and positive",
                      id="l1-nan"),
-        pytest.param(RESONANCE_ARGS, "--cg=inf", "c_g must be positive and finite",
+        pytest.param(RESONANCE_ARGS, "--cg=inf", "c_g must be finite and positive",
                      id="cg-inf"),
     ],
 )
@@ -258,7 +262,7 @@ def test_rejected_flag_value_exits_1(capsys, argv, flag, named):
         pytest.param(RESONANCE_ARGS + ["--fg=1.7e308"], "f_min must be finite",
                      id="resonance-bound-overflow"),
         pytest.param(BOOST_ARGS + ["--p=5e-324"], "inputs p = 5e-324,", id="boost-underflow"),
-        pytest.param(BOOST_ARGS + ["--fsw=5e-324"], "l must be a positive finite number",
+        pytest.param(BOOST_ARGS + ["--fsw=5e-324"], "l must be finite and positive",
                      id="boost-overflow"),
     ],
 )
@@ -331,12 +335,6 @@ _DESIGN_FLAGS = {
     "check-resonance": {"--l1": _near(0.6e-3), "--l2": _near(15e-6), "--cg": _near(100e-6),
                         "--fg": _near(50.0), "--fsw": _near(1e4)},
 }
-# Real datasheets (p_mp, v_mp, i_mp, v_oc, i_sc, n_cells): 60-cell and 72-cell modules.
-_DATASHEETS = [
-    (213.15, 29.0, 7.35, 36.3, 7.84, 60),
-    (250.0, 30.1, 8.31, 37.6, 8.87, 60),
-    (320.0, 36.8, 8.7, 45.9, 9.3, 72),
-]
 _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
@@ -351,6 +349,12 @@ def _main_outcome(data, command: str, flags: dict) -> None:
         value = data.draw(raw if flag in replaced else ordinary, flag)
         argv += [] if value is None else [f"{flag}={value}"]
     argv += data.draw(st.sampled_from([[], ["--json"]]), "json")
+    _assert_outcome(argv)
+
+
+def _assert_outcome(argv: list[str]) -> None:
+    """``cli.main(argv)`` returns 0, 1 or 2 without raising, and prints no NaN
+    or infinity when it returns 0."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -375,7 +379,7 @@ def test_pv_curve_outcome_property(data):
     current, extreme scales included, and generated values of the other
     flags, exits 0, 1 or 2 and never raises; on exit 0 it prints no NaN or
     inf.  At most 2,000 points, so no case allocates much."""
-    p_mp, v_mp, i_mp, v_oc, i_sc, n_cells = data.draw(st.sampled_from(_DATASHEETS), "datasheet")
+    p_mp, v_mp, i_mp, v_oc, i_sc, n_cells = data.draw(st.sampled_from(DATASHEETS), "datasheet")
     scale = st.sampled_from([1.0, 0.25, 0.5, 2.0, 4.0, 1e-300, 1e-100, 1e100, 1e300])
     k_v, k_i = data.draw(scale, "voltage scale"), data.draw(scale, "current scale")
     scaled = {"--pmp": p_mp * k_v * k_i, "--vmp": v_mp * k_v, "--imp": i_mp * k_i,
@@ -390,6 +394,32 @@ def test_pv_curve_outcome_property(data):
         "--points": st.integers(3, 2000).map(str),
     })
     _main_outcome(data, "pv-curve", flags)
+
+
+_SCENARIO_COMMANDS = [
+    ["simulate", "a.json"], ["simulate", "a.json", "--json"], ["simulate", "a.json", "--report"],
+    ["compare", "a.json", "b.json"], ["compare", "a.json", "b.json", "--json"],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_scenario_command_outcome_property(tmp_path, data):
+    """Property: simulate and compare over generated scenario documents (edge
+    numbers, wrong types, unknown keys, unsorted profiles; see
+    ``conftest.scenario_documents``) exit 0, 1 or 2 and never raise; on exit 0
+    they print no NaN or inf.  The second document of a compare is a new one
+    or the first with another compensator.  Each horizon holds at most 200
+    records or is rejected by the record cap, so no case allocates much."""
+    doc_a = data.draw(scenario_documents(), "a.json")
+    doc_b = data.draw(st.one_of(scenario_documents(), st.sampled_from(COMPENSATOR_DOCS).map(
+        lambda comp: {**doc_a, "compensator": comp})), "b.json")
+    for name, doc in (("a.json", doc_a), ("b.json", doc_b)):
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = data.draw(st.sampled_from(_SCENARIO_COMMANDS), "command")
+    _assert_outcome([str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv])
 
 
 # ======================================================================
@@ -513,6 +543,32 @@ class TestSimulate:
         assert cli.main(["simulate", str(bad)]) == 1
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        ("data", "error"),
+        [
+            pytest.param(
+                bundled_scenario_text("case1").replace('"case1"', '"café"').encode("latin-1"),
+                "ParseError", id="latin-1",
+            ),
+            pytest.param(b'{"id": ' + b"9" * 5000 + b"}", "ParseError", id="int-past-digit-limit"),
+            pytest.param(
+                bundled_scenario_text("case1").replace('"case1"', '"\\ud800"').encode(),
+                "ValidationError", id="lone-surrogate-id",
+            ),
+        ],
+    )
+    def test_unwritable_scenario_exits_1(self, capsys, case_file, tmp_path, command, data, error):
+        """A file that is not UTF-8, JSON that json cannot load, or an id no
+        report can print exits 1 with an error line, not a traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        argv = [command, str(bad)] + ([case_file("case1")] if command == "compare" else [])
+        assert cli.main(argv + ["--report"] if command == "simulate" else argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}:")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         ("path", "value", "key"),
         [
@@ -563,6 +619,28 @@ class TestSimulate:
         assert code == 1
         assert "array rated power" in err and "pf_grid" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("edit", "named"),
+        [
+            pytest.param(lambda d: d.update(compensator=_capbank(q_rated=1e5, v_rated=1e-300)),
+                         "q_rated * (v/v_rated)^2 must be finite, got inf", id="capbank-output"),
+            pytest.param(lambda d: (d.update(compensator=_capbank(q_rated=sys.float_info.max)),
+                                    d["profiles"]["load"][0].update(q=-sys.float_info.max)),
+                         "grid exchange at t = 0.0 s is beyond the float range",
+                         id="grid-exchange"),
+            pytest.param(lambda d: d["profiles"]["irradiance"][0].update(g=sys.float_info.max),
+                         "i_ph must be finite", id="irradiance-at-float-max"),
+        ],
+    )
+    def test_value_beyond_float_range_exits_1(self, capsys, tmp_path, edit, named):
+        """A scenario whose compensator output, grid exchange or photocurrent
+        leaves the float range is rejected with exit 1: no inf in the output
+        and no numpy warning on stderr."""
+        code, out, err = self._simulate_case3(capsys, tmp_path, edit)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and named in err
+
     def test_calibration_overflow_exits_2(self, capsys, tmp_path):
         """An overflowing diode term ends calibration as CalibrationFailure."""
         module = {"p_mp": 2500.0 * 7.35, "v_mp": 2500.0, "v_oc": 3000.0, "n_cells": 1}
@@ -605,6 +683,11 @@ class TestSimulate:
         assert "CalibrationFailure" in capsys.readouterr().err
 
 
+def _capbank(q_rated: float, v_rated: float = 230.0) -> dict:
+    """The ``compensator`` section of a fixed capacitor bank."""
+    return {"mode": "fixed_capacitor", "q_rated": q_rated, "v_rated": v_rated}
+
+
 # ======================================================================
 # compare
 # ======================================================================
@@ -644,6 +727,15 @@ class TestCompare:
 # ======================================================================
 # Parser behavior
 # ======================================================================
+
+
+def _handler_raising(error: BaseException):
+    """A subcommand handler that raises ``error``."""
+
+    def handler(args):
+        raise error
+
+    return handler
 
 
 class TestParserBehavior:
@@ -689,6 +781,33 @@ class TestParserBehavior:
         """Pipelines (non-tty) receive plain text."""
         assert cli.main(BOOST_ARGS) == 0
         assert "\x1b[" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("error", "code"),
+        [
+            pytest.param(pvgrid.InvalidValue("x"), 1, id="InvalidValue"),
+            pytest.param(pvgrid.InvalidScenario("x"), 1, id="InvalidScenario"),
+            pytest.param(pvgrid.DegenerateInput("x"), 1, id="DegenerateInput"),
+            pytest.param(pvgrid.GridMismatch("x"), 1, id="GridMismatch"),
+            pytest.param(FileNotFoundError("x"), 1, id="OSError"),
+            pytest.param(pvgrid.NonConvergence("x"), 2, id="NonConvergence"),
+            pytest.param(pvgrid.CalibrationFailure("x"), 2, id="CalibrationFailure"),
+        ],
+    )
+    def test_exit_code_by_error_class(self, monkeypatch, capsys, error, code):
+        """Each pvgrid error and OSError maps to its exit code by class alone."""
+        monkeypatch.setattr(cli, "_cmd_check_resonance", _handler_raising(error))
+        assert cli.main(RESONANCE_ARGS) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x" in err
+
+    @pytest.mark.parametrize("error", [ValueError("a bug"), OverflowError("a bug")])
+    def test_bug_keeps_its_traceback(self, monkeypatch, error):
+        """An exception that is no pvgrid error, a bare ValueError included, is
+        a bug: it leaves cli.main with its traceback instead of an exit code."""
+        monkeypatch.setattr(cli, "_cmd_check_resonance", _handler_raising(error))
+        with pytest.raises(type(error), match="a bug"):
+            cli.main(RESONANCE_ARGS)
 
 
 # ======================================================================

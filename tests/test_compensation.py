@@ -18,7 +18,7 @@ from pvgrid.compensation import (
     statcom_dispatch,
 )
 from pvgrid.component_design import capbank_size
-from pvgrid.errors import PVGridError, UndefinedPF
+from pvgrid.errors import InvalidValue, PVGridError, UndefinedPF
 from pvgrid.pv_model import SingleDiodeParams
 
 
@@ -85,6 +85,16 @@ class TestCapbankQ:
         """Negative bus voltage is a caller error."""
         with pytest.raises(ValueError):
             capbank_q(100_000.0, 230.0, -1.0)
+
+    def test_zero_rated_voltage_rejected(self):
+        """A zero rated voltage is rejected naming v_rated, not divided by."""
+        with pytest.raises(InvalidValue, match="^v_rated must be finite and positive, got 0.0$"):
+            capbank_q(1e5, 0.0, 230.0)
+
+    def test_output_beyond_float_range_rejected(self):
+        """A bank whose output at the bus voltage overflows is rejected."""
+        with pytest.raises(InvalidValue, match=r"v/v_rated\)\^2 must be finite, got inf"):
+            capbank_q(1e5, 1e-300, 230.0)
 
     def test_quadratic_scaling(self):
         """Property: q(k*v) = k^2 * q(v) for random banks and voltages."""

@@ -326,3 +326,21 @@ class TestCapbankSize:
             capbank_size(1e5, 0.0, 50.0)
         with pytest.raises(DegenerateInput):
             capbank_size(1e5, 230.0, -50.0)
+
+    @pytest.mark.parametrize(
+        ("q_rated", "v_phase", "f_g"),
+        [
+            pytest.param(1e5, 1e-200, 50.0, id="voltage-square-underflow"),
+            pytest.param(1e5, 1e200, 50.0, id="voltage-square-overflow"),
+            pytest.param(1e300, 1e-100, 50.0, id="capacitance-overflow"),
+        ],
+    )
+    def test_beyond_float_range_is_degenerate(self, q_rated, v_phase, f_g):
+        """Finite ratings whose capacitance arithmetic leaves the float range are
+        rejected as DegenerateInput naming the inputs, not a ZeroDivisionError."""
+        with pytest.raises(DegenerateInput) as err:
+            capbank_size(q_rated, v_phase, f_g)
+        assert str(err.value) == (
+            f"inputs q_rated = {q_rated!r}, v_phase = {v_phase!r}, f_g = {f_g!r} "
+            "put a computed value beyond the float range"
+        )

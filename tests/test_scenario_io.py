@@ -11,7 +11,7 @@ from dataclasses import MISSING
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvgrid.compensation import COMPENSATORS, FixedCapacitor, NoCompensator, Statcom
@@ -31,7 +31,7 @@ from pvgrid.scenario_io import (
 )
 from pvgrid.simulator import COLUMNS, TimeSeries, compare_runs, run
 
-from conftest import make_scenario, random_scenario
+from conftest import make_scenario, random_scenario, scenario_documents
 
 MINIMAL_DOC = {
     "grid": {"v_phase": 230.0, "f": 50.0, "v_dc": 700.0},
@@ -324,6 +324,30 @@ class TestBundledScenarios:
         """Asking for a scenario that does not exist raises OSError."""
         with pytest.raises(OSError):
             bundled_scenario_text("case99")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(doc=scenario_documents())
+@example(doc=MINIMAL_DOC)
+def test_parser_accepts_only_what_the_schema_accepts(doc):
+    """Property: a generated document (see ``conftest.scenario_documents``)
+    that the parser accepts, the shipped schema accepts; one the schema
+    rejects, the parser rejects with ParseError or ValidationError.
+
+    The converse does not hold: the schema cannot express v_mp < v_oc,
+    p_mp = v_mp*i_mp within 1%, sorted profiles starting at t = 0, the
+    record cap or the float range, so it accepts documents the parser
+    rejects."""
+    text = json.dumps(doc)
+    schema_accepts = _VALIDATOR.is_valid(json.loads(text))
+    try:
+        parse_scenario(text)
+    except (ParseError, ValidationError):
+        return
+    assert schema_accepts, text
+
+
+_VALIDATOR = jsonschema.Draft202012Validator(json.loads(schema_text()))
 
 
 # ======================================================================

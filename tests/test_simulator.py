@@ -128,7 +128,7 @@ class TestScenarioValidation:
         [
             (((0.0, 100.0, 95.0), (0.1, -5.0, 25.0)), None,
              "cell temperature 95.0 outside [-40, 90] °C"),
-            (((0.0, -5, 95.0),), None, "irradiance must be non-negative, got -5.0"),
+            (((0.0, -5, 95.0),), None, "irradiance must be finite and non-negative, got -5.0"),
             (((0.0, 1e3, 25.0), (0.1, math.nan, 25.0), (0.2, math.inf, 25.0)), None,
              "irradiance profile segment IrradianceStep(t_start=0.1, g=nan, t_cell=25.0) "
              "must have finite values"),
@@ -216,7 +216,7 @@ class TestScenarioValidation:
              "irradiance profile segment IrradianceStep(t_start=1.0, g=nan, t_cell=25.0) "
              "must have finite values"),
             ({"irradiance": [[0.0], [-5.0], [25.0]]},
-             "irradiance must be non-negative, got -5.0"),
+             "irradiance must be finite and non-negative, got -5.0"),
         ],
         ids=["shape", "ragged", "int-past-float-range", "int-rounding-to-largest-double",
              "empty", "non-finite", "domain"],
