@@ -19,7 +19,6 @@ _HOMES = {
     "CalibrationFailure": "errors",
     "ComparisonReport": "simulator",
     "CompensatorConfig": "compensation",
-    "CompensatorOutput": "compensation",
     "DarkArray": "errors",
     "DegenerateInput": "errors",
     "EmptySeries": "errors",
@@ -39,7 +38,6 @@ _HOMES = {
     "MPPResult": "pv_model",
     "NoCompensator": "compensation",
     "NonConvergence": "errors",
-    "PFSense": "compensation",
     "PVArraySpec": "pv_model",
     "PVGridError": "errors",
     "PVModuleSpec": "pv_model",
@@ -50,7 +48,6 @@ _HOMES = {
     "SingleDiodeParams": "pv_model",
     "Statcom": "compensation",
     "TimeSeries": "simulator",
-    "UndefinedPF": "errors",
     "ValidationError": "errors",
     "adjust_params": "pv_model",
     "array_iv_sweep": "pv_model",

@@ -1,5 +1,8 @@
 """Steady-state reactive compensator models and power-factor arithmetic.
 
+Dispatch works on columns: a compensator maps the load-q column and the bus
+voltage to a ``(q_out, p_loss)`` pair of arrays, one entry per load value.
+
 Sign convention: positive ``q_out`` means vars injected toward the load
 (capacitive behavior); positive load q means vars consumed.  Compensator
 real losses are drawn from the grid.
@@ -7,24 +10,20 @@ real losses are drawn from the grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import ClassVar, Union
 
-from .errors import NON_NEGATIVE, POSITIVE, Bound, UndefinedPF, require
+import numpy as np
+
+from .errors import NON_NEGATIVE, POSITIVE, Bound, require
 
 
 @dataclass(frozen=True)
 class NoCompensator:
-    """Placeholder for the uncompensated mode."""
+    """Placeholder for the uncompensated mode: no output and no loss."""
 
     mode: ClassVar[str] = "none"
     label: ClassVar[str] = "compensator"
-
-    def dispatch(self, q_demand: float, v: float) -> CompensatorOutput:
-        """No output and no loss."""
-        return CompensatorOutput(q_out=0.0, p_loss=0.0)
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,6 @@ class FixedCapacitor:
     def __post_init__(self) -> None:
         require({"q_rated": self.q_rated, "v_rated": self.v_rated}, POSITIVE)
         require({"loss_w": self.loss_w}, NON_NEGATIVE)
-
-    def dispatch(self, q_demand: float, v: float) -> CompensatorOutput:
-        """Output at bus voltage ``v``; the demand is ignored."""
-        return capbank_q(self.q_rated, self.v_rated, v, loss_w=self.loss_w)
 
 
 @dataclass(frozen=True)
@@ -64,10 +59,6 @@ class Statcom:
         require({"loss_frac": self.loss_frac},
                 Bound("finite and in [0, 0.05]", lambda x: 0.0 <= x <= 0.05))
 
-    def dispatch(self, q_demand: float, v: float) -> CompensatorOutput:
-        """Output tracking ``q_demand``; the voltage is ignored."""
-        return statcom_dispatch(q_demand, self)
-
 
 CompensatorConfig = Union[NoCompensator, FixedCapacitor, Statcom]
 
@@ -77,76 +68,56 @@ COMPENSATORS: dict[str, type] = {
 }
 
 
-@dataclass(frozen=True)
-class CompensatorOutput:
-    """Dispatched reactive power and the real loss of producing it."""
-
-    q_out: float  # var, positive = supplied toward the load
-    p_loss: float  # W, drawn from the grid
-
-    def __post_init__(self) -> None:
-        require({"p_loss": self.p_loss}, NON_NEGATIVE)
-
-
-def capbank_q(
-    q_rated: float, v_rated: float, v: float, *, loss_w: float = 0.0
-) -> CompensatorOutput:
-    """Capacitor bank output at bus voltage ``v``: q = q_rated * (v/v_rated)^2.
+def capbank_q(q_rated: float, v_rated: float, v, *, loss_w: float = 0.0) -> tuple:
+    """Capacitor bank ``(q_out, p_loss)`` at bus voltage ``v``, a number or an
+    array: q_out = q_rated * (v/v_rated)^2, and p_loss is ``loss_w`` throughout.
 
     The bank is not dispatchable; its output depends on voltage only.
     """
     require({"q_rated": q_rated, "v": v, "loss_w": loss_w}, NON_NEGATIVE)
     require({"v_rated": v_rated}, POSITIVE)
-    ratio = v / v_rated
-    q_out = q_rated * ratio * ratio
+    with np.errstate(over="ignore"):  # an output past the float range is rejected below
+        ratio = v / v_rated
+        q_out = q_rated * ratio * ratio
     require({"q_rated * (v/v_rated)^2": q_out})
-    return CompensatorOutput(q_out=q_out, p_loss=loss_w)
+    return q_out, np.full_like(q_out, loss_w)
 
 
-def statcom_dispatch(q_demand: float, config: Statcom) -> CompensatorOutput:
-    """Track the reactive demand exactly inside the rating, clamp outside.
+def statcom_dispatch(q_demand, config: Statcom) -> tuple:
+    """STATCOM ``(q_out, p_loss)`` for the reactive demand ``q_demand``, a number
+    or an array: track it exactly inside the rating, clamp outside.
 
     q_out = clamp(q_demand, -q_max, +q_max);
     p_loss = loss_floor_w + loss_frac * |q_out|.
     """
     require({"q_demand": q_demand})
-    q_out = min(max(q_demand, -config.q_max), config.q_max)
-    return CompensatorOutput(
-        q_out=q_out, p_loss=config.loss_floor_w + config.loss_frac * abs(q_out)
-    )
+    q_out = np.clip(q_demand, -config.q_max, config.q_max)
+    with np.errstate(over="ignore"):  # a loss past the float range is rejected below
+        p_loss = config.loss_floor_w + config.loss_frac * np.abs(q_out)
+    require({"p_loss": p_loss}, NON_NEGATIVE)
+    return q_out, p_loss
 
 
-def dispatch(
-    config: CompensatorConfig, q_demand: float, v: float
-) -> CompensatorOutput:
-    """Evaluate any compensator configuration at one operating point."""
-    return config.dispatch(q_demand, v)
+def dispatch(config: CompensatorConfig, q_load, v: float) -> tuple[np.ndarray, np.ndarray]:
+    """Compensator ``(q_out, p_loss)`` arrays, one entry per entry of the
+    load-q column ``q_load``, at bus voltage ``v``.
 
-
-class PFSense(Enum):
-    """Reactive character of a power flow."""
-
-    LAGGING = "lagging"
-    LEADING = "leading"
-    UNITY = "unity"
-
-
-def power_factor(p: float, q: float) -> tuple[float, PFSense]:
-    """Power factor |p|/sqrt(p^2 + q^2) and its sense.
-
-    Lagging means reactive power consumed (q > 0), leading means
-    supplied (q < 0).
-
-    Raises:
-        UndefinedPF: for the zero flow p = q = 0.
+    A STATCOM follows the load, a capacitor bank the voltage, and no
+    compensator gives zeros.
     """
-    if p == 0.0 and q == 0.0:
-        raise UndefinedPF("power factor of a zero power flow is undefined")
-    pf = abs(p) / math.hypot(p, q)
-    if q > 0.0:
-        sense = PFSense.LAGGING
-    elif q < 0.0:
-        sense = PFSense.LEADING
-    else:
-        sense = PFSense.UNITY
-    return pf, sense
+    q_load = np.asarray(q_load, dtype=float)
+    if isinstance(config, Statcom):
+        return statcom_dispatch(q_load, config)
+    if isinstance(config, FixedCapacitor):
+        q_out, p_loss = capbank_q(config.q_rated, config.v_rated, v, loss_w=config.loss_w)
+        return np.full_like(q_load, q_out), np.full_like(q_load, p_loss)
+    return np.zeros_like(q_load), np.zeros_like(q_load)
+
+
+def power_factor(p, q) -> np.ndarray:
+    """Power factor |p|/sqrt(p^2 + q^2) of each flow, for numbers or arrays.
+
+    A zero flow p = q = 0 has no power factor; it is reported as unity.
+    """
+    s = np.hypot(p, q)
+    return np.divide(np.abs(p), s, out=np.ones(np.shape(s)), where=s != 0.0)

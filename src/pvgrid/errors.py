@@ -2,7 +2,8 @@
 
 Every error raised by the library derives from :class:`PVGridError`.  A
 rejected input value is an :class:`InvalidValue`, also a ``ValueError``,
-mostly raised by :func:`require`.  The CLI exits 2 on :class:`NonConvergence`
+mostly raised by :func:`require`, which judges a number or a whole array
+column at once.  The CLI exits 2 on :class:`NonConvergence`
 and :class:`CalibrationFailure`, 1 on any other pvgrid error, and lets any
 other exception, a bug, end in a traceback.
 """
@@ -41,10 +42,6 @@ class DegenerateInput(InvalidValue):
     """Design-calculator input violates a structural requirement."""
 
 
-class UndefinedPF(PVGridError):
-    """Power factor of a zero power flow (p = q = 0) is undefined."""
-
-
 class InvalidScenario(InvalidValue):
     """Scenario value violates one of its invariants."""
 
@@ -66,7 +63,8 @@ class EmptySeries(PVGridError):
 
 
 class Bound(NamedTuple):
-    """What a value must be: the words an error gives, and a test of a finite number."""
+    """What a value must be: the words an error gives, and a test of a finite number
+    (entry by entry, for a bound that :func:`require` applies to an array)."""
 
     text: str  # completes "<name> must be ..."
     holds: Callable[[float], bool]
@@ -91,7 +89,16 @@ def within(value: object, bound: Bound = FINITE) -> bool:
 def require(
     values: dict[str, object], bound: Bound = FINITE, error: type[InvalidValue] = InvalidValue
 ) -> None:
-    """Raise ``error`` naming the first of ``values`` that is not :func:`within` ``bound``."""
+    """Raise ``error`` naming the first of ``values`` that is not :func:`within` ``bound``.
+
+    A value may be a numpy array or number, judged in one pass; the error
+    gives its first entry that is out of bound, as a Python number.
+    """
     for name, value in values.items():
+        if hasattr(value, "ndim"):
+            out = value[~((abs(value) <= _MAX) & bound.holds(value))]
+            if not out.size:
+                continue
+            value = out.item(0)
         if not within(value, bound):
             raise error(f"{name} must be {bound.text}, got {value!r}")

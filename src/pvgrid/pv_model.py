@@ -166,8 +166,15 @@ class EnvCondition:
 
     def __post_init__(self) -> None:
         require({"irradiance": self.g}, NON_NEGATIVE)
-        if not -40.0 <= self.t <= 90.0:
-            raise InvalidValue(f"cell temperature {self.t} outside [-40, 90] °C")
+        require_cell_temperature(self.t)
+
+
+def require_cell_temperature(t_cell, error: type[InvalidValue] = InvalidValue) -> None:
+    """Raise ``error`` naming the first cell temperature of ``t_cell`` (°C, a
+    number or an array) outside [-40, 90] °C, the range the model is specified for."""
+    t_cell = np.ravel(t_cell)
+    for k in np.flatnonzero(~((-40.0 <= t_cell) & (t_cell <= 90.0)))[:1]:
+        raise error(f"cell temperature {t_cell.item(k)} outside [-40, 90] °C")
 
 
 class IVPoint(NamedTuple):
@@ -190,9 +197,12 @@ class IVCurve:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        columns = np.array((self.v, self.i, self.p), dtype=float)  # ValueError if ragged
-        if columns.ndim != 2:
-            raise InvalidValue("curve v, i and p must be sequences of one value per point")
+        try:
+            columns = np.array((self.v, self.i, self.p), dtype=float)
+        except ValueError:  # columns of unequal length
+            columns = None
+        if columns is None or columns.ndim != 2:
+            raise InvalidValue("curve v, i and p must be equal-length sequences of numbers")
         columns.flags.writeable = False
         v, i, p = columns
         vars(self).update(v=v, i=i, p=p)

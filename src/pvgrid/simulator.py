@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import KW_ONLY, dataclass, fields
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import pv_model
-from .compensation import CompensatorConfig, dispatch, power_factor  # noqa: F401 (traced by name)
+from .compensation import CompensatorConfig, dispatch, power_factor
 from .errors import (
     NON_NEGATIVE, POSITIVE, Bound, CalibrationFailure, GridMismatch, InfeasibleSpec,
     InvalidScenario, InvalidValue, NonConvergence, require, within,
@@ -128,9 +128,10 @@ class Scenario:
             load=_profile_columns("load", LoadStep, self.load),
         )
         _, g, t_cell = self.irradiance
-        for k in np.flatnonzero((g < 0.0) | ~((-40.0 <= t_cell) & (t_cell <= 90.0)))[:1]:
-            require({"irradiance": float(g[k])}, NON_NEGATIVE, InvalidScenario)
-            raise InvalidScenario(f"cell temperature {t_cell[k]} outside [-40, 90] °C")
+        for k in np.flatnonzero(g < 0.0)[:1]:  # an earlier segment's temperature is named first
+            pv_model.require_cell_temperature(t_cell[:k], InvalidScenario)
+            require({"irradiance": g.item(k)}, NON_NEGATIVE, InvalidScenario)
+        pv_model.require_cell_temperature(t_cell, InvalidScenario)
 
     @cached_property
     def irradiance_profile(self) -> tuple[IrradianceStep, ...]:
@@ -159,9 +160,9 @@ class Scenario:
         return np.arange(int(self.t_end / self.dt + _GRID_EPS) + 1) * self.dt
 
 
-@dataclass(frozen=True)
-class PowerFlowRecord:
-    """Per-step P/Q of every element at the PCC."""
+class PowerFlowRecord(NamedTuple):
+    """Per-step P/Q of every element at the PCC: one row of checked
+    :class:`TimeSeries` columns."""
 
     t: float  # s
     p_pv: float  # W, array maximum power
@@ -176,15 +177,9 @@ class PowerFlowRecord:
     pf_grid: float
     v_dc: float  # V
 
-    def __post_init__(self) -> None:
-        if self.t < 0.0:
-            raise InvalidScenario(f"record time must be non-negative, got {self.t}")
-        if not 0.0 <= self.pf_grid <= 1.0:
-            raise InvalidScenario(f"pf_grid must lie in [0, 1], got {self.pf_grid}")
-
 
 # Output columns: the PowerFlowRecord fields, in field order.
-COLUMNS = tuple(f.name for f in fields(PowerFlowRecord))
+COLUMNS = PowerFlowRecord._fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +207,7 @@ class TimeSeries:
 
     @cached_property
     def records(self) -> tuple[PowerFlowRecord, ...]:
-        return tuple(PowerFlowRecord(*row) for row in self.rows())
+        return tuple(map(PowerFlowRecord._make, self.rows()))
 
     def rows(self) -> Iterator[tuple[float, ...]]:
         """One tuple of floats per instant, in ``COLUMNS`` order."""
@@ -245,7 +240,7 @@ def _columns(scenario: Scenario, params: SingleDiodeParams, times) -> dict[str, 
 
     Each instant takes the segment with the largest t_start <= t.  The
     array maximum power is solved once for every lit irradiance segment
-    in use, and the compensator is dispatched once per load segment.
+    in use, and the compensator is dispatched once on the load-q column.
     """
     t = np.asarray(times, dtype=float)
     irr_start, g, t_cell = scenario.irradiance
@@ -257,23 +252,20 @@ def _columns(scenario: Scenario, params: SingleDiodeParams, times) -> dict[str, 
     p_seg = np.zeros(len(g))
     p_seg[lit] = np.multiply(*pv_model.array_mpp(scenario.array, params, g[lit], t_cell[lit]))
     p_pv = p_seg[k_irr]
-    v = scenario.grid.v_phase
-    outputs = [dispatch(scenario.compensator, q_demand=q_k, v=v) for q_k in q.tolist()]
-    q_comp, p_comp_loss = np.array([(o.q_out, o.p_loss) for o in outputs]).T[:, k_load]
+    q_out, p_loss = dispatch(scenario.compensator, q, scenario.grid.v_phase)
+    q_comp, p_comp_loss = q_out[k_load], p_loss[k_load]
     p_load, q_load = p[k_load], q[k_load]
     p_inv = scenario.inverter_efficiency * p_pv
     with np.errstate(over="ignore", invalid="ignore"):  # an exchange past the range fails below
         p_grid = p_load + p_comp_loss - p_inv
         q_grid = q_load - q_comp
-        s_grid = np.hypot(p_grid, q_grid)
-    for k in np.flatnonzero(~(s_grid < np.inf))[:1]:
+        beyond = ~(np.hypot(p_grid, q_grid) < np.inf)
+    for k in np.flatnonzero(beyond)[:1]:
         raise InvalidScenario(f"grid exchange at t = {float(t[k])} s is beyond the float range")
-    # Zero grid exchange has no power factor; it is reported as unity.
-    pf_grid = np.divide(np.abs(p_grid), s_grid, out=np.ones(len(t)), where=s_grid != 0.0)
     return dict(
         t=t, p_pv=p_pv, p_inv=p_inv, q_inv=np.zeros(len(t)), p_load=p_load,
-        q_load=q_load, q_comp=q_comp, p_comp_loss=p_comp_loss, p_grid=p_grid,
-        q_grid=q_grid, pf_grid=pf_grid, v_dc=np.full(len(t), scenario.grid.v_dc),
+        q_load=q_load, q_comp=q_comp, p_comp_loss=p_comp_loss, p_grid=p_grid, q_grid=q_grid,
+        pf_grid=power_factor(p_grid, q_grid), v_dc=np.full(len(t), scenario.grid.v_dc),
     )
 
 

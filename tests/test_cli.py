@@ -629,13 +629,17 @@ class TestSimulate:
                                     d["profiles"]["load"][0].update(q=-sys.float_info.max)),
                          "grid exchange at t = 0.0 s is beyond the float range",
                          id="grid-exchange"),
+            pytest.param(lambda d: (d["compensator"].update(q_max=1e308, loss_frac=0.05,
+                                                            loss_floor_w=sys.float_info.max),
+                                    d["profiles"]["load"][0].update(q=1e308)),
+                         "p_loss must be finite and non-negative, got inf", id="statcom-loss"),
             pytest.param(lambda d: d["profiles"]["irradiance"][0].update(g=sys.float_info.max),
                          "i_ph must be finite", id="irradiance-at-float-max"),
         ],
     )
     def test_value_beyond_float_range_exits_1(self, capsys, tmp_path, edit, named):
-        """A scenario whose compensator output, grid exchange or photocurrent
-        leaves the float range is rejected with exit 1: no inf in the output
+        """A scenario whose compensator output or loss, grid exchange or
+        photocurrent leaves the float range is rejected with exit 1: no inf in the output
         and no numpy warning on stderr."""
         code, out, err = self._simulate_case3(capsys, tmp_path, edit)
         assert (code, out) == (1, "")

@@ -1,16 +1,18 @@
-"""Tests for pvgrid.compensation — compensator dispatch and power factor."""
+"""Tests for pvgrid.compensation — compensator dispatch and power factor on columns."""
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvgrid.compensation import (
     FixedCapacitor,
     NoCompensator,
-    PFSense,
     Statcom,
     capbank_q,
     dispatch,
@@ -18,7 +20,7 @@ from pvgrid.compensation import (
     statcom_dispatch,
 )
 from pvgrid.component_design import capbank_size
-from pvgrid.errors import InvalidValue, PVGridError, UndefinedPF
+from pvgrid.errors import InvalidValue, PVGridError
 from pvgrid.pv_model import SingleDiodeParams
 
 
@@ -36,6 +38,11 @@ _FINITE_CALLS = {
     "statcom_dispatch": (lambda q_demand: statcom_dispatch(q_demand, Statcom(q_max=2e5)),
                          {"q_demand": 1e5}),
     "capbank_q": (capbank_q, {"q_rated": 1e5, "v_rated": 230.0, "v": 230.0, "loss_w": 0.0}),
+    # A column with one bad entry is rejected as a bad number is.
+    "statcom_dispatch_column": (
+        lambda q_demand: statcom_dispatch(np.array([1e5, q_demand]), Statcom(q_max=2e5)),
+        {"q_demand": 1e5}),
+    "capbank_q_column": (lambda v: capbank_q(1e5, 230.0, np.array([230.0, v])), {"v": 230.0}),
 }
 
 
@@ -46,10 +53,11 @@ _FINITE_CALLS = {
 )
 def test_non_finite_value_rejected(call, name, value):
     """NaN or an infinity in any float input is rejected with a message naming
-    it, as the scenario parser rejects it, instead of being computed with."""
+    it, as the scenario parser rejects it, instead of being computed with.  A
+    column names its bad entry."""
     fn, kw = _FINITE_CALLS[call]
     fn(**kw)
-    with pytest.raises((ValueError, PVGridError), match=f"{name} must be .*finite"):
+    with pytest.raises((ValueError, PVGridError), match=f"{name} must be .*finite.*, got {value}"):
         fn(**{**kw, name: value})
 
 
@@ -63,38 +71,44 @@ class TestCapbankQ:
 
     def test_rated_voltage_gives_rated_output(self):
         """At v = v_rated the bank delivers exactly its rating."""
-        out = capbank_q(100_000.0, 230.0, 230.0)
-        assert out.q_out == 100_000.0
-        assert out.p_loss == 0.0
+        q_out, p_loss = capbank_q(100_000.0, 230.0, 230.0)
+        assert q_out == 100_000.0
+        assert p_loss == 0.0
 
     def test_depressed_voltage(self):
         """At 95% voltage the output drops to 90.25% of rating."""
-        out = capbank_q(100_000.0, 230.0, 218.5)
-        assert abs(out.q_out - 90_250.0) <= 1e-12 * 90_250.0, f"{out.q_out!r}"
+        q_out, _ = capbank_q(100_000.0, 230.0, 218.5)
+        assert abs(q_out - 90_250.0) <= 1e-12 * 90_250.0, f"{q_out!r}"
 
     def test_zero_voltage_zero_output(self):
         """A dead bus draws nothing from the bank."""
-        assert capbank_q(100_000.0, 230.0, 0.0).q_out == 0.0
+        assert capbank_q(100_000.0, 230.0, 0.0)[0] == 0.0
 
     def test_loss_passthrough(self):
-        """The feeder loss rides along unchanged."""
-        out = capbank_q(100_000.0, 230.0, 230.0, loss_w=1300.0)
-        assert out.p_loss == 1300.0
+        """The feeder loss rides along unchanged, once per voltage of a column."""
+        assert capbank_q(100_000.0, 230.0, 230.0, loss_w=1300.0)[1] == 1300.0
+        q_out, p_loss = capbank_q(100_000.0, 230.0, np.array([230.0, 0.0]), loss_w=1300.0)
+        assert q_out.tolist() == [100_000.0, 0.0] and p_loss.tolist() == [1300.0, 1300.0]
 
     def test_negative_voltage_rejected(self):
         """Negative bus voltage is a caller error."""
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue, match="^v must be finite and non-negative, got -1.0$"):
             capbank_q(100_000.0, 230.0, -1.0)
+        with pytest.raises(InvalidValue, match="^v must be finite and non-negative, got -1.0$"):
+            capbank_q(100_000.0, 230.0, np.array([230.0, -1.0, -2.0]))
 
     def test_zero_rated_voltage_rejected(self):
         """A zero rated voltage is rejected naming v_rated, not divided by."""
         with pytest.raises(InvalidValue, match="^v_rated must be finite and positive, got 0.0$"):
             capbank_q(1e5, 0.0, 230.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_output_beyond_float_range_rejected(self):
-        """A bank whose output at the bus voltage overflows is rejected."""
-        with pytest.raises(InvalidValue, match=r"v/v_rated\)\^2 must be finite, got inf"):
-            capbank_q(1e5, 1e-300, 230.0)
+        """A bank whose output at the bus voltage overflows is rejected, for a
+        number and for a column, without a numpy warning."""
+        for v in (230.0, np.array([0.0, 230.0])):
+            with pytest.raises(InvalidValue, match=r"v/v_rated\)\^2 must be finite, got inf"):
+                capbank_q(1e5, 1e-300, v)
 
     def test_quadratic_scaling(self):
         """Property: q(k*v) = k^2 * q(v) for random banks and voltages."""
@@ -104,8 +118,8 @@ class TestCapbankQ:
             v_rated = float(rng.uniform(100.0, 500.0))
             v = float(rng.uniform(0.0, 600.0))
             k = float(rng.uniform(0.1, 3.0))
-            q1 = capbank_q(q_rated, v_rated, v).q_out
-            q2 = capbank_q(q_rated, v_rated, k * v).q_out
+            q1, _ = capbank_q(q_rated, v_rated, v)
+            q2, _ = capbank_q(q_rated, v_rated, k * v)
             assert abs(q2 - k * k * q1) <= 1e-9 * max(q1, 1.0), (
                 f"V^2 law violated: {q2!r} vs {k * k * q1!r}"
             )
@@ -122,33 +136,38 @@ class TestStatcomDispatch:
     def test_tracks_demand_inside_rating(self):
         """Demand below the rating is matched exactly."""
         cfg = Statcom(q_max=200_000.0)
-        out = statcom_dispatch(150_000.0, cfg)
-        assert out.q_out == 150_000.0
+        q_out, _ = statcom_dispatch(150_000.0, cfg)
+        assert q_out == 150_000.0
 
     def test_clamps_at_positive_rating(self):
         """Demand above +q_max saturates at +q_max."""
         cfg = Statcom(q_max=200_000.0)
-        assert statcom_dispatch(350_000.0, cfg).q_out == 200_000.0
+        assert statcom_dispatch(350_000.0, cfg)[0] == 200_000.0
 
     def test_clamps_at_negative_rating(self):
         """Demand below -q_max saturates at -q_max."""
         cfg = Statcom(q_max=200_000.0)
-        assert statcom_dispatch(-350_000.0, cfg).q_out == -200_000.0
+        assert statcom_dispatch(-350_000.0, cfg)[0] == -200_000.0
 
     def test_standby_loss_floor(self):
         """Zero demand still pays the loss floor."""
         cfg = Statcom(q_max=200_000.0, loss_floor_w=800.0)
-        out = statcom_dispatch(0.0, cfg)
-        assert out.q_out == 0.0
-        assert out.p_loss == 800.0
+        q_out, p_loss = statcom_dispatch(0.0, cfg)
+        assert q_out == 0.0
+        assert p_loss == 800.0
 
     def test_loss_grows_with_dispatch(self):
         """p_loss = floor + frac * |q_out|, symmetric in sign."""
         cfg = Statcom(q_max=200_000.0, loss_floor_w=800.0, loss_frac=0.01)
-        pos = statcom_dispatch(100_000.0, cfg)
-        neg = statcom_dispatch(-100_000.0, cfg)
-        assert pos.p_loss == 800.0 + 0.01 * 100_000.0
-        assert neg.p_loss == pos.p_loss
+        _, p_loss = statcom_dispatch(np.array([100_000.0, -100_000.0, 300_000.0]), cfg)
+        assert p_loss.tolist() == [800.0 + 0.01 * 100_000.0] * 2 + [800.0 + 0.01 * 200_000.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_loss_beyond_float_range_rejected(self):
+        """A loss column that overflows is rejected, not returned as inf."""
+        cfg = Statcom(q_max=1e308, loss_floor_w=sys.float_info.max, loss_frac=0.05)
+        with pytest.raises(InvalidValue, match="^p_loss must be finite and non-negative, got inf$"):
+            statcom_dispatch(np.array([0.0, 1e308]), cfg)
 
     def test_clamp_properties(self):
         """Property: |q_out| <= q_max, idempotence, and 1-Lipschitz tracking."""
@@ -161,10 +180,10 @@ class TestStatcomDispatch:
             )
             d1 = float(rng.uniform(-6e5, 6e5))
             d2 = float(rng.uniform(-6e5, 6e5))
-            q1 = statcom_dispatch(d1, cfg).q_out
-            q2 = statcom_dispatch(d2, cfg).q_out
+            q1, _ = statcom_dispatch(d1, cfg)
+            q2, _ = statcom_dispatch(d2, cfg)
             assert abs(q1) <= cfg.q_max
-            assert statcom_dispatch(q1, cfg).q_out == q1, "clamp not idempotent"
+            assert statcom_dispatch(q1, cfg)[0] == q1, "clamp not idempotent"
             assert abs(q1 - q2) <= abs(d1 - d2) + 1e-12, "clamp not 1-Lipschitz"
 
     def test_config_validation(self):
@@ -183,27 +202,26 @@ class TestStatcomDispatch:
 
 
 class TestDispatch:
-    """Mode-independent evaluation entry point."""
+    """Mode-independent dispatch of a load-q column."""
 
     def test_none_mode_is_inert(self):
-        """No compensator: zero output, zero loss."""
-        out = dispatch(NoCompensator(), q_demand=120_000.0, v=230.0)
-        assert out.q_out == 0.0 and out.p_loss == 0.0
+        """No compensator: zero output, zero loss, one entry per load value."""
+        q_out, p_loss = dispatch(NoCompensator(), [120_000.0, -5.0], v=230.0)
+        assert q_out.tolist() == p_loss.tolist() == [0.0, 0.0]
 
     def test_capacitor_mode_ignores_demand(self):
         """A fixed bank follows voltage, not demand."""
         cfg = FixedCapacitor(q_rated=100_000.0, v_rated=230.0, loss_w=1300.0)
-        low = dispatch(cfg, q_demand=0.0, v=230.0)
-        high = dispatch(cfg, q_demand=500_000.0, v=230.0)
-        assert low.q_out == high.q_out == 100_000.0
-        assert low.p_loss == 1300.0
+        q_out, p_loss = dispatch(cfg, [0.0, 500_000.0], v=230.0)
+        assert q_out.tolist() == [100_000.0, 100_000.0]
+        assert p_loss.tolist() == [1300.0, 1300.0]
 
     def test_statcom_mode_follows_demand(self):
         """A STATCOM matches demand regardless of voltage."""
         cfg = Statcom(q_max=200_000.0, loss_floor_w=800.0)
-        out = dispatch(cfg, q_demand=150_000.0, v=180.0)
-        assert out.q_out == 150_000.0
-        assert out.p_loss == 800.0
+        q_out, p_loss = dispatch(cfg, [150_000.0, -250_000.0], v=180.0)
+        assert q_out.tolist() == [150_000.0, -200_000.0]
+        assert p_loss.tolist() == [800.0, 800.0]
 
     def test_capacitor_config_validation(self):
         """Bank ratings must be positive; losses non-negative."""
@@ -215,60 +233,85 @@ class TestDispatch:
             FixedCapacitor(q_rated=1e5, v_rated=230.0, loss_w=-5.0)
 
 
+def _scalar_dispatch(config, q: float, v: float) -> tuple[float, float]:
+    """The dispatch formula of each mode for one load value, in Python floats."""
+    if isinstance(config, Statcom):
+        q_out = min(max(q, -config.q_max), config.q_max)
+        return q_out, config.loss_floor_w + config.loss_frac * abs(q_out)
+    if isinstance(config, FixedCapacitor):
+        ratio = v / config.v_rated
+        return config.q_rated * ratio * ratio, config.loss_w
+    return 0.0, 0.0
+
+
+_RATING = st.floats(1.0, 1e12)
+_LOSS = st.floats(0.0, 1e6)
+_CONFIGS = st.one_of(
+    st.just(NoCompensator()),
+    st.builds(FixedCapacitor, q_rated=_RATING, v_rated=st.floats(1.0, 1e5), loss_w=_LOSS),
+    st.builds(Statcom, q_max=_RATING, loss_floor_w=_LOSS, loss_frac=st.floats(0.0, 0.05)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    config=_CONFIGS,
+    q_load=st.lists(st.floats(-1e13, 1e13), max_size=20),
+    p=st.floats(-1e13, 1e13),
+    v=st.floats(0.0, 1e5),
+)
+def test_column_dispatch_is_the_scalar_formula(config, q_load, p, v):
+    """Property: for each mode, dispatching a load-q column gives, entry by
+    entry and bit for bit, the scalar formula of that mode; the grid power
+    factor of the balance lies in [0, 1]."""
+    q_out, p_loss = dispatch(config, q_load, v)
+    want = [_scalar_dispatch(config, q, v) for q in q_load]
+    assert list(map(float.hex, q_out.tolist())) == [float.hex(w[0]) for w in want]
+    assert list(map(float.hex, p_loss.tolist())) == [float.hex(w[1]) for w in want]
+    pf = power_factor(np.full(len(q_load), p), np.array(q_load) - q_out)
+    assert pf.shape == (len(q_load),) and ((0.0 <= pf) & (pf <= 1.0)).all()
+
+
 # ======================================================================
 # Power factor
 # ======================================================================
 
 
 class TestPowerFactor:
-    """Magnitude and sense of a P/Q flow."""
+    """Magnitude |p|/sqrt(p^2 + q^2) of a P/Q flow, entry by entry."""
 
     def test_unity(self):
-        """Pure real flow has pf 1 and unity sense."""
-        pf, sense = power_factor(100_000.0, 0.0)
-        assert pf == 1.0
-        assert sense is PFSense.UNITY
+        """Pure real flow has pf 1."""
+        assert power_factor(100_000.0, 0.0) == 1.0
 
     def test_lagging(self):
-        """Consumed vars read lagging; 50 kW / 100 kVAr gives pf 0.4472."""
-        pf, sense = power_factor(50_000.0, 100_000.0)
+        """Consumed vars: 50 kW / 100 kVAr gives pf 0.4472."""
+        pf = power_factor(50_000.0, 100_000.0)
         assert abs(pf - 0.4472136) < 1e-6, f"pf = {pf!r}"
-        assert sense is PFSense.LAGGING
 
     def test_leading(self):
-        """Supplied vars read leading with the same magnitude."""
-        pf_lag, _ = power_factor(50_000.0, 100_000.0)
-        pf_lead, sense = power_factor(50_000.0, -100_000.0)
-        assert pf_lead == pf_lag
-        assert sense is PFSense.LEADING
+        """Supplied vars give the same magnitude as consumed ones."""
+        assert power_factor(50_000.0, -100_000.0) == power_factor(50_000.0, 100_000.0)
 
     def test_sign_of_p_is_irrelevant(self):
         """Reverse real flow has the same pf magnitude."""
-        pf_fwd, _ = power_factor(50_000.0, 100_000.0)
-        pf_rev, _ = power_factor(-50_000.0, 100_000.0)
-        assert pf_rev == pf_fwd
+        assert power_factor(-50_000.0, 100_000.0) == power_factor(50_000.0, 100_000.0)
 
-    def test_zero_flow_undefined(self):
-        """p = q = 0 has no defined power factor."""
-        with pytest.raises(UndefinedPF):
-            power_factor(0.0, 0.0)
+    def test_zero_flow_is_unity(self):
+        """p = q = 0 has no power factor; it is reported as unity, in a column too."""
+        assert power_factor(0.0, 0.0) == 1.0
+        assert power_factor(np.array([0.0, 3.0]), np.array([0.0, 4.0])).tolist() == [1.0, 0.6]
 
     def test_reactive_only_flow(self):
         """Pure reactive exchange has pf 0."""
-        pf, sense = power_factor(0.0, 50_000.0)
-        assert pf == 0.0
-        assert sense is PFSense.LAGGING
+        assert power_factor(0.0, 50_000.0) == 0.0
 
     def test_range_and_scale_invariance(self):
         """Property: pf in [0, 1] and invariant under positive scaling."""
         rng = np.random.default_rng(17)
-        for _ in range(500):
-            p = float(rng.uniform(-3e5, 3e5))
-            q = float(rng.uniform(-3e5, 3e5))
-            if p == 0.0 and q == 0.0:
-                continue
-            k = float(rng.uniform(1e-3, 1e3))
-            pf, _ = power_factor(p, q)
-            pf_scaled, _ = power_factor(k * p, k * q)
-            assert 0.0 <= pf <= 1.0
-            assert abs(pf_scaled - pf) <= 1e-12, f"scaling changed pf by {pf_scaled - pf:.2e}"
+        p = rng.uniform(-3e5, 3e5, 500)
+        q = rng.uniform(-3e5, 3e5, 500)
+        k = rng.uniform(1e-3, 1e3, 500)
+        pf = power_factor(p, q)
+        assert ((0.0 <= pf) & (pf <= 1.0)).all()
+        assert np.abs(power_factor(k * p, k * q) - pf).max() <= 1e-12

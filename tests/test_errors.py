@@ -74,3 +74,12 @@ class TestRequire:
         """The error raised is the one given, a subclass of InvalidValue."""
         with pytest.raises(DegenerateInput):
             require({"x": math.nan}, FINITE, DegenerateInput)
+
+    def test_array_names_its_first_failing_entry(self):
+        """An array is judged entry by entry in one call; the first entry out of
+        bound is named as a number, and an array wholly inside passes."""
+        require({"x": np.array([]), "y": np.array([1.0, 5e-324])}, POSITIVE)
+        with pytest.raises(InvalidValue, match=r"^x must be finite and positive, got -2\.0$"):
+            require({"x": np.array([1.0, -2.0, math.nan])}, POSITIVE)
+        with pytest.raises(InvalidValue, match=r"^x must be finite, got nan$"):
+            require({"x": np.array([[1.0, math.nan], [math.inf, 0.0]])})

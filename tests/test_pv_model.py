@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from pvgrid.errors import DarkArray, InfeasibleSpec, NonConvergence
+from pvgrid.errors import DarkArray, InfeasibleSpec, InvalidValue, NonConvergence
 from pvgrid.pv_model import (
     MAX_POINTS,
     EnvCondition,
@@ -707,5 +707,5 @@ class TestIVCurve:
         i[1] = 3.0
         assert curve.i.tolist() == [5.0, 4.0, 0.0] and not curve.i.flags.writeable
         assert curve.points[1] == IVPoint(1.0, 4.0, 4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue, match="^curve v, i and p must be equal-length"):
             IVCurve(v, i, [0.0, 4.0])

@@ -540,7 +540,8 @@ class TestContainers:
             TimeSeries(scenario_id="x", columns=first)
 
     def test_column_route_checks_the_record_invariants(self):
-        """Columns get the same checks and messages as records."""
+        """The series checks the record invariants on its columns; a record is
+        a view of checked columns and has no check of its own."""
         good = run(make_scenario()).columns
         for name, values, message in (
             ("t", [], "at least one record"),
@@ -564,12 +565,3 @@ class TestContainers:
         assert len(series) == len(series.records) == 6
         with pytest.raises(AttributeError):
             series.records = ()
-
-    def test_record_pf_domain(self):
-        """pf_grid outside [0, 1] is rejected."""
-        with pytest.raises(InvalidScenario):
-            PowerFlowRecord(
-                t=0.0, p_pv=0.0, p_inv=0.0, q_inv=0.0, p_load=0.0, q_load=0.0,
-                q_comp=0.0, p_comp_loss=0.0, p_grid=0.0, q_grid=0.0,
-                pf_grid=1.5, v_dc=700.0,
-            )
