@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _HOMES = {
     "BoostDesign": "component_design",
     "BoostDesignInput": "component_design",
-    "CalibrationFailure": "errors",
     "ComparisonReport": "simulator",
     "CompensatorConfig": "compensation",
     "DarkArray": "errors",

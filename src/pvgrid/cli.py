@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .errors import CalibrationFailure, DarkArray, NonConvergence, PVGridError
+from .errors import DarkArray, NonConvergence, PVGridError
 from .units import format_si
 
 
@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (NonConvergence, CalibrationFailure) as exc:
+    except NonConvergence as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except PVGridError as exc:

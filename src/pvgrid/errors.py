@@ -3,9 +3,10 @@
 Every error raised by the library derives from :class:`PVGridError`.  A
 rejected input value is an :class:`InvalidValue`, also a ``ValueError``,
 mostly raised by :func:`require`, which judges a number or a whole array
-column at once.  The CLI exits 2 on :class:`NonConvergence`
-and :class:`CalibrationFailure`, 1 on any other pvgrid error, and lets any
-other exception, a bug, end in a traceback.
+column at once.  The CLI exits 2 on :class:`NonConvergence`,
+1 on any other pvgrid error (a datasheet that cannot be calibrated is an
+:class:`InfeasibleSpec`), and lets any other exception, a bug, end in a
+traceback.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ class NonConvergence(PVGridError):
 
 class InfeasibleSpec(PVGridError):
     """Datasheet ratings admit no physical single-diode parameter set."""
-
-
-class CalibrationFailure(PVGridError):
-    """Model calibration failed while preparing a simulation run."""
 
 
 class DarkArray(PVGridError):

@@ -170,10 +170,14 @@ class EnvCondition:
 
 
 def require_cell_temperature(t_cell, error: type[InvalidValue] = InvalidValue) -> None:
-    """Raise ``error`` naming the first cell temperature of ``t_cell`` (°C, a
-    number or an array) outside [-40, 90] °C, the range the model is specified for."""
+    """Raise ``error`` naming ``t_cell`` (°C, a number or an array) if it is not numbers,
+    or its first entry outside [-40, 90] °C, the range the model is specified for."""
     t_cell = np.ravel(t_cell)
-    for k in np.flatnonzero(~((-40.0 <= t_cell) & (t_cell <= 90.0)))[:1]:
+    try:
+        outside = ~((-40.0 <= t_cell) & (t_cell <= 90.0))
+    except TypeError:  # a string or None
+        raise error(f"cell temperature must be a number, got {t_cell.item(0)!r}") from None
+    for k in np.flatnonzero(outside)[:1]:
         raise error(f"cell temperature {t_cell.item(k)} outside [-40, 90] °C")
 
 
@@ -458,15 +462,18 @@ def _module_mpp(
 
 
 def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams:
-    """Exact four-condition calibration at a fixed ideality factor.
+    """Exact four-condition calibration at a fixed ideality factor, verified.
 
     For fixed r_s the conditions I(0) = i_sc, I(v_oc) = 0 and
     I(v_mp) = i_mp are linear in (i_ph, i_0, 1/r_sh); r_s is then the
     root of the maximum-power slope condition i_mp + v_mp*dI/dV = 0.
+    The parameters must pass the checks of :class:`SingleDiodeParams`,
+    and their STC curve must reproduce i_sc, v_oc and the rated maximum
+    power point within 0.5%.
 
     Raises:
-        InfeasibleSpec: if no r_s in (0, (v_oc - v_mp)/i_mp) gives a
-            positive shunt resistance satisfying the slope condition.
+        InfeasibleSpec: naming the ideality and the first condition it fails.
+        NonConvergence: if a solve exhausts its budget.
     """
     a = n_ideality * spec.n_cells * thermal_voltage(spec.t_stc)
     anchors = (
@@ -475,14 +482,15 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
         (spec.v_mp, spec.i_mp, spec.i_mp),
     )
 
+    def infeasible(reason: str) -> InfeasibleSpec:
+        return InfeasibleSpec(f"ideality {n_ideality:g}: {reason}")
+
     def diode(fn, z: float) -> float:
         # fn is math.exp or math.expm1; past the double range this ideality is out.
         try:
             return fn(z)
         except OverflowError:
-            raise InfeasibleSpec(
-                f"ideality {n_ideality:g}: diode term exp({z:.6g}) overflows a double"
-            ) from None
+            raise infeasible(f"diode term exp({z:.6g}) overflows a double") from None
 
     @cache  # brentq evaluates its bracket ends again, which were probed already
     def linear_fit(r_s: float) -> tuple[float, float, float]:
@@ -494,7 +502,7 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
         try:
             i_ph, i_0, g_sh = np.linalg.solve(np.array(rows), np.array(rhs))
         except np.linalg.LinAlgError:
-            raise InfeasibleSpec(f"ideality {n_ideality:g}: singular calibration system") from None
+            raise infeasible("singular calibration system") from None
         return float(i_ph), float(i_0), float(g_sh)
 
     def mpp_slope(r_s: float) -> float:
@@ -510,50 +518,41 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
     r_s_lo = 1e-9
     r_s_cap = (spec.v_oc - spec.v_mp) / spec.i_mp * (1.0 - 1e-9)
     if shunt_conductance(r_s_lo) <= 0.0:
-        raise InfeasibleSpec(
-            f"ideality {n_ideality:g}: shunt resistance negative for every r_s"
-        )
+        raise infeasible("shunt resistance negative for every r_s")
     if mpp_slope(r_s_lo) <= 0.0:
-        raise InfeasibleSpec("fill factor implies r_s < 0")
+        raise infeasible("fill factor implies r_s < 0")
     # Restrict the search to the physical branch g_sh > 0.
     r_s_hi = r_s_cap
     if shunt_conductance(r_s_cap) <= 0.0:
         r_s_hi = brentq(shunt_conductance, r_s_lo, r_s_cap) * (1.0 - 1e-9)
     if mpp_slope(r_s_hi) >= 0.0:
-        raise InfeasibleSpec(
-            f"ideality {n_ideality:g}: no physical shunt resistance "
-            f"satisfies the maximum-power condition"
-        )
+        raise infeasible("no physical shunt resistance satisfies the maximum-power condition")
     r_s = brentq(mpp_slope, r_s_lo, r_s_hi, xtol=1e-14)
     i_ph, i_0, g_sh = linear_fit(r_s)
-    if i_0 <= 0.0 or g_sh <= 0.0:
-        raise InfeasibleSpec(
-            f"ideality {n_ideality:g}: calibration gave unphysical parameters"
+    try:
+        params = SingleDiodeParams(
+            i_ph=i_ph, i_0=i_0, n_ideality=n_ideality, r_s=r_s,
+            r_sh=1.0 / g_sh if g_sh else math.inf, a=a,
         )
-    r_sh = 1.0 / g_sh
-    if r_sh < 10.0 * r_s:
-        raise InfeasibleSpec(
-            f"ideality {n_ideality:g}: shunt resistance {r_sh:.3g} below "
-            f"10x series resistance {r_s:.3g}"
-        )
-    return SingleDiodeParams(
-        i_ph=i_ph, i_0=i_0, n_ideality=n_ideality, r_s=r_s, r_sh=r_sh, a=a
-    )
+    except InvalidValue as exc:
+        raise infeasible(str(exc)) from None
 
-
-def _verify_calibration(spec: PVModuleSpec, params: SingleDiodeParams) -> bool:
-    """Check the three STC conditions to 0.5% relative error."""
     tol = 0.005
-    if abs(module_current(params, 0.0) - spec.i_sc) > tol * spec.i_sc:
-        return False
-    if abs(module_current(params, spec.v_oc)) > tol * spec.i_sc:
-        return False
+    i_short = module_current(params, 0.0)
+    if abs(i_short - spec.i_sc) > tol * spec.i_sc:
+        raise infeasible(f"I(0) = {i_short:.6g} A misses i_sc = {spec.i_sc:g} A by more than 0.5%")
+    i_open = module_current(params, spec.v_oc)
+    if abs(i_open) > tol * spec.i_sc:
+        raise infeasible(f"I(v_oc) = {i_open:.6g} A misses 0 by more than 0.5% of i_sc")
     one_curve = np.array([[params.i_ph], [params.i_0], [params.r_sh]])
     (v_mp,), (i_mp,) = _module_mpp(*one_curve, params.r_s, params.a)
-    return (
-        abs(v_mp * i_mp - spec.p_mp) <= tol * spec.p_mp
-        and abs(v_mp - spec.v_mp) <= tol * spec.v_mp
-    )
+    if not (abs(v_mp * i_mp - spec.p_mp) <= tol * spec.p_mp
+            and abs(v_mp - spec.v_mp) <= tol * spec.v_mp):
+        raise infeasible(
+            f"maximum power {v_mp * i_mp:.6g} W at {v_mp:.6g} V misses the rated "
+            f"{spec.p_mp:g} W at {spec.v_mp:g} V by more than 0.5%"
+        )
+    return params
 
 
 @lru_cache(maxsize=32)
@@ -581,25 +580,22 @@ def extract_single_diode_params(
         the rated maximum power point within 0.5%.
 
     Raises:
-        InfeasibleSpec: if no candidate ideality yields a physical model.
-        NonConvergence: if the underlying solves exhaust their budgets.
+        InvalidValue: if the guess is not a finite positive number.
+        InfeasibleSpec: if no candidate ideality yields a verified physical
+            model; the message gives each candidate's reason, in the order
+            tried.
+        NonConvergence: if an underlying solve exhausts its budget.
     """
     require({"ideality guess": n_ideality_guess}, POSITIVE)
     candidates = [n_ideality_guess]
     candidates.extend(n for n in _IDEALITY_FALLBACKS if n != n_ideality_guess)
-    last_error: InfeasibleSpec | None = None
+    reasons = []
     for n in candidates:
         try:
-            params = _fit_at_ideality(spec, n)
+            return _fit_at_ideality(spec, n)
         except InfeasibleSpec as exc:
-            if last_error is None:
-                last_error = exc
-            continue
-        if _verify_calibration(spec, params):
-            return params
-    if last_error is not None:
-        raise last_error
-    raise InfeasibleSpec("no candidate ideality produced a verifiable calibration")
+            reasons.append(str(exc))
+    raise InfeasibleSpec("no ideality calibrates the datasheet: " + "; ".join(reasons))
 
 
 def _translate(
@@ -632,10 +628,11 @@ def _translate(
     i_ph_t = (i_sc_t * (1.0 + r_s / r_sh_ref) - k * v_oc_t / r_sh_ref) / (1.0 - k)
     i_0_t = (i_ph_t - v_oc_t / r_sh_ref) / e_oc
 
-    # Stage 2: irradiance scaling; the dark curve keeps the reference shunt.
-    lit = g > 0.0
-    with np.errstate(over="ignore"):  # an infinite r_sh or i_ph is rejected below
-        r_sh = np.where(lit, r_sh_ref * spec.g_stc / np.where(lit, g, 1.0), r_sh_ref)
+    # Stage 2: irradiance scaling.  A dark curve, or one so dim that the scaled shunt
+    # overflows (its i_ph underflows and _lit marks it dark), keeps the reference shunt.
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite i_ph is rejected below
+        r_sh = r_sh_ref * spec.g_stc / g
+        r_sh = np.where((g > 0.0) & (r_sh < math.inf), r_sh, r_sh_ref)
         i_sc_gt = i_sc_t * g / spec.g_stc
         i_ph = i_sc_gt * (1.0 + r_s / r_sh) + i_0_t * _expm1(i_sc_gt * r_s / a)
     stc = (g == spec.g_stc) & (t == spec.t_stc)

@@ -23,7 +23,7 @@ import numpy as np
 from . import pv_model
 from .compensation import CompensatorConfig, dispatch, power_factor
 from .errors import (
-    NON_NEGATIVE, POSITIVE, Bound, CalibrationFailure, GridMismatch, InfeasibleSpec,
+    NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec,
     InvalidScenario, InvalidValue, NonConvergence, require, within,
 )
 from .pv_model import PVArraySpec, SingleDiodeParams
@@ -293,15 +293,19 @@ def run(scenario: Scenario) -> TimeSeries:
     maximum-power solve is one batched solve over the lit irradiance
     segments.  Identical scenarios produce identical output.
 
+    A calibration error keeps its class, with the scenario id in front of
+    its message.
+
     Raises:
-        CalibrationFailure: if the module datasheet cannot be calibrated.
+        InfeasibleSpec: if the module datasheet cannot be calibrated.
+        NonConvergence: if a calibration solve exhausts its budget.
         InvalidScenario: if the grid exchange at some instant is beyond the
             float range.
     """
     try:
         params = pv_model.extract_single_diode_params(scenario.array.module)
     except (InfeasibleSpec, NonConvergence) as exc:
-        raise CalibrationFailure(
+        raise type(exc)(
             f"module calibration failed for scenario {scenario.scenario_id!r}: {exc}"
         ) from exc
     return TimeSeries(scenario.scenario_id, columns=_columns(scenario, params, scenario.times()))

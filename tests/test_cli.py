@@ -181,13 +181,16 @@ class TestPvCurve:
              "--voc", "36.3", "--isc", "7.84"]
         )
         assert code == 1
-        assert "InfeasibleSpec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: InfeasibleSpec: ") and "ideality 1.4: " in err
 
     def test_underflowing_irradiance_sweeps_dark(self, capsys):
-        """g = 1e-300 W/m² sweeps to the dark point and exits 0, like g = 0."""
-        assert cli.main(self.MODULE_ARGS + ["--g", "1e-300", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc == {"points": [{"v": 0.0, "i": 0.0, "p": 0.0}]}
+        """g = 1e-300 W/m² and the subnormal 5e-324 W/m² sweep to the dark point
+        and exit 0, like g = 0."""
+        for g in ("1e-300", "5e-324"):
+            assert cli.main(self.MODULE_ARGS + ["--g", g, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc == {"points": [{"v": 0.0, "i": 0.0, "p": 0.0}]}
         assert cli.main(self.MODULE_ARGS + ["--g", "1e-100", "--points", "5"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 6
 
@@ -645,12 +648,13 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and named in err
 
-    def test_calibration_overflow_exits_2(self, capsys, tmp_path):
-        """An overflowing diode term ends calibration as CalibrationFailure."""
+    def test_calibration_overflow_exits_1(self, capsys, tmp_path):
+        """An overflowing diode term at every ideality is an infeasible datasheet."""
         module = {"p_mp": 2500.0 * 7.35, "v_mp": 2500.0, "v_oc": 3000.0, "n_cells": 1}
         code, _, err = self._simulate_case3(capsys, tmp_path, lambda d: d["pv_module"].update(module))
-        assert code == 2
-        assert "CalibrationFailure" in err and "Traceback" not in err
+        assert code == 1
+        assert err.startswith("error: InfeasibleSpec: module calibration failed for scenario")
+        assert "overflows a double" in err and "Traceback" not in err
 
     def test_translation_overflow_exits_1(self, capsys, tmp_path):
         """A cold operating point whose diode term overflows is rejected cleanly."""
@@ -665,26 +669,38 @@ class TestSimulate:
         assert "overflows a double" in err and "Traceback" not in err
 
     def test_underflowing_irradiance_runs_dark(self, capsys, tmp_path):
-        """g = 1e-300 W/m² gives p_pv = 0 and exit 0, like g = 0."""
-        code, out, _ = self._simulate_case3(
-            capsys, tmp_path, lambda d: d["profiles"]["irradiance"][0].update(g=1e-300)
-        )
-        assert code == 0
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        dark = [float(r[1]) for r in rows if float(r[0]) < 0.1]
-        assert dark and all(p == 0.0 for p in dark)
-        assert all(float(r[1]) > 0.0 for r in rows if float(r[0]) >= 0.1)
+        """g = 1e-300 W/m² and the subnormal 5e-324 W/m² give p_pv = 0 and exit 0,
+        like g = 0."""
+        for g in (1e-300, 5e-324):
+            code, out, _ = self._simulate_case3(
+                capsys, tmp_path, lambda d: d["profiles"]["irradiance"][0].update(g=g)
+            )
+            assert code == 0
+            rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+            dark = [float(r[1]) for r in rows if float(r[0]) < 0.1]
+            assert dark and all(p == 0.0 for p in dark)
+            assert all(float(r[1]) > 0.0 for r in rows if float(r[0]) >= 0.1)
 
-    def test_uncalibratable_module_exits_2(self, capsys, tmp_path):
-        """A scenario whose module cannot calibrate is a numerical failure."""
+    def test_uncalibratable_module_exits_1(self, capsys, tmp_path):
+        """A scenario whose module cannot calibrate exits 1 with InfeasibleSpec, as
+        pv-curve does, from simulate and from compare, naming the failing file's
+        scenario and every ideality tried."""
         doc = json.loads(bundled_scenario_text("case1"))
+        doc["id"] = "impossible"
         doc["pv_module"] = {
             "p_mp": 280.0, "v_mp": 35.9, "i_mp": 7.8, "v_oc": 36.3, "i_sc": 7.84,
         }
         path = tmp_path / "impossible.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert cli.main(["simulate", str(path)]) == 2
-        assert "CalibrationFailure" in capsys.readouterr().err
+        case1 = tmp_path / "case1.json"
+        case1.write_text(bundled_scenario_text("case1"), encoding="utf-8")
+        for argv in (["simulate", str(path)], ["compare", str(case1), str(path)]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(
+                "error: InfeasibleSpec: module calibration failed for scenario 'impossible': "
+            )
+            assert err.count("\n") == 1 and "ideality 1.3: " in err and "ideality 1.4: " in err
 
 
 def _capbank(q_rated: float, v_rated: float = 230.0) -> dict:
@@ -795,7 +811,6 @@ class TestParserBehavior:
             pytest.param(pvgrid.GridMismatch("x"), 1, id="GridMismatch"),
             pytest.param(FileNotFoundError("x"), 1, id="OSError"),
             pytest.param(pvgrid.NonConvergence("x"), 2, id="NonConvergence"),
-            pytest.param(pvgrid.CalibrationFailure("x"), 2, id="CalibrationFailure"),
         ],
     )
     def test_exit_code_by_error_class(self, monkeypatch, capsys, error, code):

@@ -7,7 +7,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pvgrid import pv_model
 from pvgrid.errors import DarkArray, InfeasibleSpec, InvalidValue, NonConvergence
 from pvgrid.pv_model import (
     MAX_POINTS,
@@ -134,6 +137,12 @@ class TestSpecs:
         with pytest.raises(ValueError):
             EnvCondition(g=1000.0, t=95.0)
 
+    @pytest.mark.parametrize("t", ["25", None])
+    def test_cell_temperature_must_be_a_number(self, t):
+        """A cell temperature that is not a number is an InvalidValue naming it."""
+        with pytest.raises(InvalidValue, match=f"cell temperature must be a number, got {t!r}"):
+            EnvCondition(1000.0, t)
+
     def test_mpp_result_product_enforced(self):
         """MPPResult requires p_mp to be exactly v_mp * i_mp."""
         with pytest.raises(ValueError):
@@ -214,10 +223,68 @@ class TestCalibration:
             extract_single_diode_params(REF_MODULE, n_ideality_guess=guess)
 
     def test_square_curve_infeasible(self):
-        """A near-unity fill factor admits no single-diode model at all."""
+        """A near-unity fill factor admits no single-diode model at all; the one
+        error gives every ideality tried, in order, with its reason."""
         impossible = PVModuleSpec(p_mp=280.0, v_mp=35.9, i_mp=7.8, v_oc=36.3, i_sc=7.84)
-        with pytest.raises(InfeasibleSpec):
+        with pytest.raises(InfeasibleSpec) as failure:
             extract_single_diode_params(impossible)
+        message = str(failure.value)
+        assert "\n" not in message
+        tried = re.findall(r"ideality ([\d.]+): shunt resistance negative for every r_s", message)
+        assert tried == ["1.3", "1", "1.05", "0.95", "1.1", "0.9", "1.15", "0.85", "1.2",
+                         "0.8", "1.25", "0.75", "1.35", "1.4"]
+        assert len(re.findall(r"ideality [\d.]+: ", message)) == 14
+
+    @pytest.mark.parametrize(
+        ("spec", "n_ideality", "reason"),
+        [
+            pytest.param(PVModuleSpec(p_mp=2500.0 * 7.35, v_mp=2500.0, i_mp=7.35, v_oc=3000.0,
+                                      i_sc=7.84, n_cells=1),
+                         1.3, "diode term exp(89819.4) overflows a double", id="overflow"),
+            pytest.param(REF_MODULE, 1e308, "singular calibration system", id="singular"),
+            pytest.param(REF_MODULE, 3.0, "shunt resistance negative for every r_s",
+                         id="negative-shunt"),
+            pytest.param(PVModuleSpec(p_mp=2.4, v_mp=22.5, i_mp=0.1067, v_oc=26.4, i_sc=0.2084,
+                                      n_cells=36),
+                         1.3, "fill factor implies r_s < 0", id="fill-factor"),
+            pytest.param(REF_MODULE, 1.4,
+                         "no physical shunt resistance satisfies the maximum-power condition",
+                         id="no-slope-root"),
+            pytest.param(PVModuleSpec(p_mp=2.4, v_mp=22.5, i_mp=0.1067, v_oc=26.4, i_sc=0.2084,
+                                      n_cells=36),
+                         0.25, "shunt resistance 200.7 is not at least 10x series resistance 20.64",
+                         id="shunt-below-10x-series"),
+            pytest.param(PVModuleSpec(p_mp=215.0, v_mp=29.0, i_mp=7.35, v_oc=36.3, i_sc=7.84),
+                         1.0, "maximum power 213.15 W at 29 V misses the rated 215 W at 29 V "
+                              "by more than 0.5%", id="rated-power"),
+        ],
+    )
+    def test_each_rejection_names_its_ideality_and_reason(self, spec, n_ideality, reason):
+        """Every way a candidate ideality fails is one InfeasibleSpec, led by that
+        ideality; a SingleDiodeParams check becomes the reason."""
+        with pytest.raises(InfeasibleSpec) as failure:
+            _fit_at_ideality(spec, n_ideality)
+        assert str(failure.value) == f"ideality {n_ideality:g}: {reason}"
+
+    @pytest.mark.parametrize(
+        ("name", "factor", "missed"),
+        [("i_ph", 1.01, r"I\(0\) = 7\.9\d* A misses i_sc = 7\.84 A"),
+         ("i_0", 1.1, r"I\(v_oc\) = -0\.\d+ A misses 0"),
+         ("r_s", 1.1, r"maximum power \S+ W at \S+ V misses the rated 213\.15 W at 29 V")],
+    )
+    def test_verification_names_the_condition_missed(
+        self, monkeypatch, ref_params, name, factor, missed
+    ):
+        """Calibrated parameters with one of them scaled fail the STC check, which
+        names the condition that missed: I(0) = i_sc, I(v_oc) = 0 or the rated MPP."""
+
+        def scaled(**fields):
+            fields[name] *= factor
+            return SingleDiodeParams(**fields)
+
+        monkeypatch.setattr(pv_model, "SingleDiodeParams", scaled)
+        with pytest.raises(InfeasibleSpec, match=f"^ideality {ref_params.n_ideality:g}: {missed}"):
+            _fit_at_ideality(REF_MODULE, ref_params.n_ideality)
 
     def test_overflowing_diode_term_is_infeasible(self):
         """A v_oc far beyond its cell count overflows exp(); every ideality is
@@ -284,6 +351,37 @@ class TestCalibration:
                 f"round-trip p_mp {got.p_mp:.2f} vs {spec.p_mp:.2f}"
             )
         assert feasible >= 25, f"only {feasible}/40 random datasheets calibrated"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    v_cell=st.floats(0.2, 1.2), n_cells=st.integers(1, 200), i_sc=st.floats(0.01, 100.0),
+    v_frac=st.floats(0.5, 0.99), i_frac=st.floats(0.7, 0.99),
+    p_skew=st.floats(-0.009, 0.009), guess=st.floats(0.1, 10.0),
+)
+def test_calibration_verifies_or_raises_a_calibration_error(
+    v_cell, n_cells, i_sc, v_frac, i_frac, p_skew, guess
+):
+    """Property: a random datasheet either calibrates to parameters that meet the
+    three STC conditions to 0.5%, or raises InfeasibleSpec or NonConvergence.
+
+    The open-circuit voltage is drawn per cell, and p_mp up to 0.9% off
+    v_mp*i_mp, so that about a third of the draws calibrate.
+    """
+    v_oc = v_cell * n_cells
+    v_mp, i_mp = v_oc * v_frac, i_sc * i_frac
+    spec = PVModuleSpec(p_mp=v_mp * i_mp * (1.0 + p_skew), v_mp=v_mp, i_mp=i_mp, v_oc=v_oc,
+                        i_sc=i_sc, n_cells=n_cells)
+    try:
+        params = extract_single_diode_params(spec, n_ideality_guess=guess)
+    except (InfeasibleSpec, NonConvergence):
+        return
+    assert abs(module_current(params, 0.0) - i_sc) <= 0.005 * i_sc
+    assert abs(module_current(params, v_oc)) <= 0.005 * i_sc
+    got = mpp(PVArraySpec(module=spec, n_series=1, n_parallel=1), params,
+              EnvCondition(g=spec.g_stc, t=spec.t_stc))
+    assert abs(got.p_mp - spec.p_mp) <= 0.005 * spec.p_mp
+    assert abs(got.v_mp - v_mp) <= 0.005 * v_mp
 
 
 # ======================================================================

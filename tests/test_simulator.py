@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom
-from pvgrid.errors import CalibrationFailure, GridMismatch, InvalidScenario
+from pvgrid import pv_model
+from pvgrid.errors import GridMismatch, InfeasibleSpec, InvalidScenario, NonConvergence
 from pvgrid.pv_model import PVArraySpec, PVModuleSpec, extract_single_diode_params
 from pvgrid.simulator import (
     COLUMNS,
@@ -380,7 +381,8 @@ class TestRun:
         assert match == single
 
     def test_uncalibratable_module_raises(self):
-        """A datasheet with no single-diode solution fails as CalibrationFailure."""
+        """A datasheet with no single-diode solution fails as InfeasibleSpec, its
+        message led by the scenario id."""
         impossible = PVModuleSpec(p_mp=280.0, v_mp=35.9, i_mp=7.8, v_oc=36.3, i_sc=7.84)
         s = Scenario(
             grid=GridSpec(v_phase=230.0, f=50.0, v_dc=700.0),
@@ -392,7 +394,23 @@ class TestRun:
             t_end=0.02,
             dt=0.01,
         )
-        with pytest.raises(CalibrationFailure):
+        with pytest.raises(
+            InfeasibleSpec, match=f"^module calibration failed for scenario {s.scenario_id!r}: "
+        ):
+            run(s)
+
+    def test_calibration_nonconvergence_keeps_its_class(self, monkeypatch):
+        """A solver failure inside calibration stays a NonConvergence, led by the
+        scenario id."""
+
+        def failing(spec):
+            raise NonConvergence("module_current: could not bracket the root")
+
+        monkeypatch.setattr(pv_model, "extract_single_diode_params", failing)
+        s = make_scenario()
+        with pytest.raises(NonConvergence, match=(
+            f"^module calibration failed for scenario {s.scenario_id!r}: module_current: "
+        )):
             run(s)
 
     def test_records_match_step_at_every_instant(self, ref_params):
