@@ -1,10 +1,10 @@
 """Root-finding and maximization primitives.
 
 The PV model needs deterministic numeric helpers: a safeguarded Newton
-iteration for the implicit diode equation, the same iteration over arrays
-of independent problems (the batched maximum-power and I-V sweep solves),
-Brent's method for derivative-free roots, and a golden-section maximizer
-for unimodal curves.
+iteration, the same iteration over arrays of independent problems (the
+diode-current and maximum-power solves; the scalar form is their
+step-for-step reference in the tests), Brent's method for derivative-free
+roots, and a golden-section maximizer for unimodal curves.
 """
 
 from __future__ import annotations

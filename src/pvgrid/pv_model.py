@@ -53,6 +53,10 @@ _EXP_CAP = 690.0
 # about one e-fold per step, up to _EXP_CAP steps beyond the usual 100.
 _CURRENT_BUDGET = 100 + int(_EXP_CAP)
 
+# Relative tolerance of a datasheet: its p_mp against v_mp*i_mp, and the
+# calibrated STC curve against its i_sc, v_oc and maximum power point.
+DATASHEET_TOL = 0.005
+
 # Series cells, modules in series and strings in parallel.
 _COUNT = Bound("finite and at least 1", lambda n: n >= 1)
 
@@ -96,10 +100,9 @@ class PVModuleSpec:
             raise InvalidValue(f"require v_mp < v_oc, got {self.v_mp}, {self.v_oc}")
         if not self.i_mp < self.i_sc:
             raise InvalidValue(f"require i_mp < i_sc, got {self.i_mp}, {self.i_sc}")
-        if abs(self.p_mp - self.v_mp * self.i_mp) > 0.01 * self.p_mp:
-            raise InvalidValue(
-                f"p_mp {self.p_mp} differs from v_mp*i_mp {self.v_mp * self.i_mp} by more than 1%"
-            )
+        if abs(self.p_mp - self.v_mp * self.i_mp) > DATASHEET_TOL * self.p_mp:
+            raise InvalidValue(f"p_mp {self.p_mp} differs from v_mp*i_mp "
+                               f"{self.v_mp * self.i_mp} by more than {DATASHEET_TOL:.1%}")
 
 
 @dataclass(frozen=True)
@@ -256,26 +259,13 @@ class MPPResult:
 # ============================================================================
 
 
-def _diode_exp(z: float) -> float:
-    """exp(z) - 1 with a saturation cap instead of overflow."""
-    if z > _EXP_CAP:
-        return math.inf
-    return math.expm1(z)
-
-
 def module_current(params: SingleDiodeParams, v: float) -> float:
-    """Solve the implicit diode equation for module current at voltage ``v``.
-
-    A safeguarded Newton iteration on the residual keeps a sign-changing
-    bracket at all times, so the result is deterministic and the residual
-    is below 1e-9 of the photocurrent scale.
+    """Module current in amperes at terminal voltage ``v`` >= 0: the implicit
+    diode equation solved by :func:`_module_currents` at one point.
 
     Args:
         params: Module parameters, already translated to the operating point.
         v: Terminal voltage, >= 0.
-
-    Returns:
-        Module current in amperes.
 
     Raises:
         NonConvergence: if the iteration budget is exhausted; far above v_oc
@@ -284,35 +274,7 @@ def module_current(params: SingleDiodeParams, v: float) -> float:
             v > v_oc.
     """
     require({"v": v}, NON_NEGATIVE)
-    i_ph, i_0, r_s, r_sh, a = params.i_ph, params.i_0, params.r_s, params.r_sh, params.a
-
-    def residual(i: float) -> float:
-        x = v + i * r_s
-        e = _diode_exp(x / a)
-        if math.isinf(e):
-            return -math.inf
-        return i_ph - i_0 * e - x / r_sh - i
-
-    def derivative(i: float) -> float:
-        z = (v + i * r_s) / a
-        if z > _EXP_CAP:
-            return -math.inf
-        return -(i_0 * r_s / a) * math.exp(z) - r_s / r_sh - 1.0
-
-    f_tol = 1e-9 * max(i_ph, 1.0)
-    hi = i_ph + 1.0
-    lo = -0.02 * i_ph - 1.0
-    while residual(lo) <= 0.0:
-        lo *= 4.0
-        if lo < -1e12:
-            raise NonConvergence("module_current: could not bracket the root")
-    # Shunt-free explicit evaluation is an excellent starting iterate.
-    guess = i_ph - i_0 * _diode_exp(min(v / a, _EXP_CAP)) - v / r_sh
-    if not lo < guess < hi:
-        guess = None
-    return newton_bisect(
-        residual, derivative, lo, hi, f_tol=f_tol, x0=guess, max_iter=_CURRENT_BUDGET
-    )
+    return float(_module_currents(params, np.array([v], dtype=float))[0])
 
 
 def module_voc(params: SingleDiodeParams) -> float:
@@ -326,7 +288,8 @@ def module_voc(params: SingleDiodeParams) -> float:
     i_ph, i_0, r_sh, a = params.i_ph, params.i_0, params.r_sh, params.a
 
     def residual(v: float) -> float:
-        return i_ph - i_0 * _diode_exp(v / a) - v / r_sh
+        z = v / a
+        return i_ph - i_0 * (math.inf if z > _EXP_CAP else math.expm1(z)) - v / r_sh
 
     v_hi = a * math.log1p(i_ph / i_0)  # diode-only voc, upper bound with shunt
     return brentq(residual, 0.0, v_hi, xtol=1e-12, rtol=8.9e-16)
@@ -363,11 +326,13 @@ def _lit(i_ph, i_0, a: float):
 
 
 def _module_currents(params: SingleDiodeParams, v: np.ndarray) -> np.ndarray:
-    """:func:`module_current` at every voltage of ``v``, in one batched solve.
+    """Module current at every voltage of ``v`` (each >= 0), in one batched solve.
 
-    Each voltage gets the same bracket growth, start point, tolerance,
-    exponent cap and Newton-bisection steps as the scalar solve, with exp
-    and expm1 from ``math``, so each current is the double it returns.
+    A safeguarded Newton iteration on the residual of each voltage keeps a
+    sign-changing bracket at all times, its lower end grown until the
+    residual there is positive, so the result is deterministic and each
+    residual is below 1e-9 of the photocurrent scale.  exp and expm1 come
+    from ``math``.
 
     Raises:
         NonConvergence: if a bracket cannot be found or a budget runs out.
@@ -469,7 +434,7 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
     root of the maximum-power slope condition i_mp + v_mp*dI/dV = 0.
     The parameters must pass the checks of :class:`SingleDiodeParams`,
     and their STC curve must reproduce i_sc, v_oc and the rated maximum
-    power point within 0.5%.
+    power point within :data:`DATASHEET_TOL` (0.5%).
 
     Raises:
         InfeasibleSpec: naming the ideality and the first condition it fails.
@@ -537,20 +502,20 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
     except InvalidValue as exc:
         raise infeasible(str(exc)) from None
 
-    tol = 0.005
-    i_short = module_current(params, 0.0)
+    tol = DATASHEET_TOL
+    i_short, i_open = _module_currents(params, np.array([0.0, spec.v_oc])).tolist()
     if abs(i_short - spec.i_sc) > tol * spec.i_sc:
-        raise infeasible(f"I(0) = {i_short:.6g} A misses i_sc = {spec.i_sc:g} A by more than 0.5%")
-    i_open = module_current(params, spec.v_oc)
+        raise infeasible(f"I(0) = {i_short:.6g} A misses i_sc = {spec.i_sc:g} A "
+                         f"by more than {tol:.1%}")
     if abs(i_open) > tol * spec.i_sc:
-        raise infeasible(f"I(v_oc) = {i_open:.6g} A misses 0 by more than 0.5% of i_sc")
+        raise infeasible(f"I(v_oc) = {i_open:.6g} A misses 0 by more than {tol:.1%} of i_sc")
     one_curve = np.array([[params.i_ph], [params.i_0], [params.r_sh]])
     (v_mp,), (i_mp,) = _module_mpp(*one_curve, params.r_s, params.a)
     if not (abs(v_mp * i_mp - spec.p_mp) <= tol * spec.p_mp
             and abs(v_mp - spec.v_mp) <= tol * spec.v_mp):
         raise infeasible(
             f"maximum power {v_mp * i_mp:.6g} W at {v_mp:.6g} V misses the rated "
-            f"{spec.p_mp:g} W at {spec.v_mp:g} V by more than 0.5%"
+            f"{spec.p_mp:g} W at {spec.v_mp:g} V by more than {tol:.1%}"
         )
     return params
 
@@ -584,18 +549,22 @@ def extract_single_diode_params(
         InfeasibleSpec: if no candidate ideality yields a verified physical
             model; the message gives each candidate's reason, in the order
             tried.
-        NonConvergence: if an underlying solve exhausts its budget.
+        NonConvergence: the same, if a solve exhausted its budget for some
+            candidate.
     """
     require({"ideality guess": n_ideality_guess}, POSITIVE)
     candidates = [n_ideality_guess]
     candidates.extend(n for n in _IDEALITY_FALLBACKS if n != n_ideality_guess)
-    reasons = []
+    reasons, error = [], InfeasibleSpec
     for n in candidates:
         try:
             return _fit_at_ideality(spec, n)
         except InfeasibleSpec as exc:
             reasons.append(str(exc))
-    raise InfeasibleSpec("no ideality calibrates the datasheet: " + "; ".join(reasons))
+        except NonConvergence as exc:  # this candidate ran out of budget; try the next
+            reasons.append(f"ideality {n:g}: {exc}")
+            error = NonConvergence
+    raise error("no ideality calibrates the datasheet: " + "; ".join(reasons))
 
 
 def _translate(
@@ -685,8 +654,7 @@ def array_iv_sweep(
     """Sample the array I-V / P-V characteristic at an operating point.
 
     The module curve is evaluated on an even voltage grid spanning
-    [0, v_oc], all its currents in one batched solve equal point for point
-    to :func:`module_current`, and scaled exactly by the series/parallel
+    [0, v_oc], all its currents in one batched solve, and scaled exactly by the series/parallel
     counts.  A dark curve (zero irradiance, or light so dim that its
     maximum power underflows, as in :func:`mpp`) collapses to the single
     point (0, 0, 0).

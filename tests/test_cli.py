@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pvgrid
-from pvgrid import cli
+from pvgrid import cli, pv_model
 from pvgrid.component_design import (
     BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport, boost_design,
     lcl_design,
@@ -26,7 +26,7 @@ from pvgrid.pv_model import EnvCondition, MPPResult, PVArraySpec, PVModuleSpec
 from pvgrid.scenario_io import bundled_scenario_text, emit_csv, parse_scenario
 from pvgrid.simulator import run
 
-from conftest import COMPENSATOR_DOCS, DATASHEETS, scenario_documents
+from conftest import COMPENSATOR_DOCS, DATASHEETS, REF_MODULE, scenario_documents
 
 BOOST_ARGS = [
     "design-boost", "--p", "100345", "--vin", "290", "--vout", "700", "--fsw", "5000",
@@ -184,6 +184,28 @@ class TestPvCurve:
         err = capsys.readouterr().err
         assert err.startswith("error: InfeasibleSpec: ") and "ideality 1.4: " in err
 
+    def test_datasheet_past_an_out_of_budget_ideality_exits_0(self, capsys):
+        """The current solve of the guessed ideality 1.3 runs out of budget on
+        this datasheet; calibration goes on to 1.35 and the sweep succeeds."""
+        assert cli.main(["pv-curve", "--pmp", "91623.728", "--vmp", "1203.228", "--imp", "76.148",
+                         "--voc", "1387.653", "--isc", "85.187", "--points", "5"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 6
+
+    def test_mpp_out_of_budget_exits_2(self, capsys, monkeypatch):
+        """An MPP solve that runs out of budget exits 2 with one NonConvergence
+        line and no traceback."""
+        params = pv_model.extract_single_diode_params(REF_MODULE)
+        monkeypatch.setattr(pv_model, "extract_single_diode_params", lambda spec, **kw: params)
+        solve = pv_model.newton_bisect_array  # the MPP solve alone takes the default budget
+        monkeypatch.setattr(pv_model, "newton_bisect_array",
+                            lambda *args, **kw: solve(*args, **{"max_iter": 1, **kw}))
+        assert cli.main(self.MODULE_ARGS) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: NonConvergence: mpp: no root of dP/dVd within 100 iterations\n"
+        )
+
     def test_underflowing_irradiance_sweeps_dark(self, capsys):
         """g = 1e-300 W/m² and the subnormal 5e-324 W/m² sweep to the dark point
         and exit 0, like g = 0."""
@@ -217,6 +239,8 @@ MODULE_ARGS = TestPvCurve.MODULE_ARGS
     ("argv", "flag", "named"),
     [
         pytest.param(MODULE_ARGS, "--pmp=nan", "p_mp must be finite", id="pmp-nan"),
+        pytest.param(MODULE_ARGS, "--pmp=214.65", "p_mp 214.65 differs from v_mp*i_mp",
+                     id="pmp-off-rated"),
         pytest.param(MODULE_ARGS, "--alpha-isc=nan", "alpha_isc must be finite",
                      id="alpha_isc-nan"),
         pytest.param(MODULE_ARGS, "--beta-voc=-inf", "beta_voc must be finite",

@@ -7,11 +7,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvgrid import pv_model
 from pvgrid.errors import DarkArray, InfeasibleSpec, InvalidValue, NonConvergence
+from pvgrid.numerics import newton_bisect_array
 from pvgrid.pv_model import (
     MAX_POINTS,
     EnvCondition,
@@ -26,6 +27,7 @@ from pvgrid.pv_model import (
     extract_single_diode_params,
     _fit_at_ideality,
     _module_currents,
+    _module_mpp,
     module_current,
     module_voc,
     array_mpp,
@@ -33,7 +35,12 @@ from pvgrid.pv_model import (
     thermal_voltage,
 )
 
-from conftest import REF_MODULE
+from conftest import DATASHEETS, REF_MODULE
+
+# A datasheet on which the current solve of the guessed ideality 1.3 runs out
+# of budget, while 1.35 calibrates.
+OUT_OF_BUDGET_AT_GUESS = PVModuleSpec(p_mp=91623.728, v_mp=1203.228, i_mp=76.148,
+                                      v_oc=1387.653, i_sc=85.187, n_cells=60)
 
 
 def _bisect_current(params: SingleDiodeParams, v: float) -> float:
@@ -54,15 +61,86 @@ def _bisect_current(params: SingleDiodeParams, v: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _lambertw_of_exp(log_x: np.ndarray) -> np.ndarray:
+    """W(exp(log_x)), the principal branch, also where exp(log_x) overflows.
+
+    There W starts at L - ln L + ln L/L with L = log_x, and Newton's method
+    on w + ln w = L refines it.
+    """
+    lambertw = pytest.importorskip("scipy.special").lambertw
+    w = np.empty_like(log_x)
+    fits = log_x < 700.0
+    w[fits] = lambertw(np.exp(log_x[fits])).real
+    big = log_x[~fits]
+    x = big - np.log(big) + np.log(big) / big
+    for _ in range(4):
+        x -= (x + np.log(x) - big) / (1.0 + 1.0 / x)
+    w[~fits] = x
+    return w
+
+
+def _oracle_current(params: SingleDiodeParams, v) -> np.ndarray:
+    """Independent oracle: the explicit Lambert-W module current at each voltage
+    of ``v`` (Jain & Kapoor, Sol. Energy Mater. Sol. Cells 81, 2004; pvlib's
+    ``singlediode(method="lambertw")``)."""
+    i_ph, i_0, r_s, r_sh, a = params.i_ph, params.i_0, params.r_s, params.r_sh, params.a
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    r = r_s + r_sh
+    log_theta = math.log(r_s * r_sh * i_0 / (a * r)) + r_sh * (r_s * (i_ph + i_0) + v) / (a * r)
+    return (r_sh * (i_ph + i_0) - v) / r - (a / r_s) * _lambertw_of_exp(log_theta)
+
+
+def _oracle_voc(params: SingleDiodeParams) -> float:
+    """Independent oracle: the root of the Lambert-W current's I = 0."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    v_hi = params.a * math.log1p(params.i_ph / params.i_0)
+    return brentq(lambda v: _oracle_current(params, v).item(), 0.0, v_hi, xtol=1e-14)
+
+
+def _oracle_mpp(params: SingleDiodeParams) -> tuple[float, float]:
+    """Independent oracle: ``(v, p)`` at the maximum of the Lambert-W P(V)."""
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    v_oc = _oracle_voc(params)
+    best = minimize_scalar(lambda v: -v * _oracle_current(params, v).item(), bounds=(0.0, v_oc),
+                           method="bounded", options={"xatol": 1e-12 * v_oc})
+    return float(best.x), -float(best.fun)
+
+
+def _current_tol(params: SingleDiodeParams) -> float:
+    """How far a solved current may be from the oracle: twice the solve's
+    residual tolerance 1e-9*max(i_ph, 1), as |dresidual/di| >= 1."""
+    return 2e-9 * max(params.i_ph, 1.0)
+
+
+def _assert_sweep_agrees(array: PVArraySpec, params: SingleDiodeParams, env: EnvCondition,
+                         n_points: int) -> None:
+    """The module curve of the array sweep is an even grid from 0 to the oracle's
+    v_oc, each current within the tolerance of the oracle at its voltage."""
+    adj = adjust_params(params, array.module, env)
+    curve = array_iv_sweep(array, params, env, n_points)
+    v_m, v_oc = curve.v / array.n_series, _oracle_voc(adj)
+    assert np.abs(v_m - np.linspace(0.0, v_oc, n_points)).max() <= 1e-11 * v_oc
+    i_m = curve.i / array.n_parallel
+    assert np.abs(i_m - _oracle_current(adj, v_m)).max() <= _current_tol(adj)
+
+
+def _assert_mpp_agrees(v_m: float, i_m: float, adj: SingleDiodeParams) -> None:
+    """A module maximum power point ``(v_m, i_m)`` lies on the oracle's curve,
+    within 1e-6 of v_oc of the oracle's maximum and as high."""
+    v_star, p_star = _oracle_mpp(adj)
+    tol, v_oc = _current_tol(adj), _oracle_voc(adj)
+    assert abs(i_m - _oracle_current(adj, v_m).item()) <= tol
+    assert abs(v_m - v_star) <= 1e-6 * v_oc
+    assert abs(v_m * i_m - p_star) <= tol * v_oc
+
+
 def _dense_mpp(params: SingleDiodeParams, n: int = 10_000) -> tuple[float, float]:
-    """Independent oracle: brute-force P-V maximum on a dense module grid."""
-    voc = module_voc(params)
-    best_v, best_p = 0.0, 0.0
-    for v in np.linspace(0.0, voc, n):
-        p = float(v) * _bisect_current(params, float(v))
-        if p > best_p:
-            best_v, best_p = float(v), p
-    return best_v, best_p
+    """Independent oracle: brute-force P-V maximum of the Lambert-W current on a
+    dense module grid from 0 to the oracle's v_oc."""
+    v = np.linspace(0.0, _oracle_voc(params), n)
+    p = v * _oracle_current(params, v)
+    k = int(p.argmax())
+    return float(v[k]), float(p[k])
 
 
 # ======================================================================
@@ -89,9 +167,16 @@ class TestSpecs:
             PVModuleSpec(p_mp=213.15, v_mp=29.0, i_mp=7.84, v_oc=36.3, i_sc=7.84)
 
     def test_power_consistency_enforced(self):
-        """p_mp must match v_mp * i_mp within 1%."""
+        """p_mp must match v_mp * i_mp within 0.5%, the tolerance of the STC
+        check: a p_mp 0.87% off could never calibrate, as the fit puts the
+        maximum at v_mp*i_mp, and is rejected naming p_mp."""
         with pytest.raises(ValueError):
             PVModuleSpec(p_mp=230.0, v_mp=29.0, i_mp=7.35, v_oc=36.3, i_sc=7.84)
+        with pytest.raises(InvalidValue, match=re.escape(
+            "p_mp 215.0 differs from v_mp*i_mp 213.14999999999998 by more than 0.5%"
+        )):
+            PVModuleSpec(p_mp=215.0, v_mp=29.0, i_mp=7.35, v_oc=36.3, i_sc=7.84)
+        PVModuleSpec(p_mp=213.15 * 1.005, v_mp=29.0, i_mp=7.35, v_oc=36.3, i_sc=7.84)
 
     def test_coefficient_signs_enforced(self):
         """alpha_isc must be positive and beta_voc negative."""
@@ -254,9 +339,6 @@ class TestCalibration:
                                       n_cells=36),
                          0.25, "shunt resistance 200.7 is not at least 10x series resistance 20.64",
                          id="shunt-below-10x-series"),
-            pytest.param(PVModuleSpec(p_mp=215.0, v_mp=29.0, i_mp=7.35, v_oc=36.3, i_sc=7.84),
-                         1.0, "maximum power 213.15 W at 29 V misses the rated 215 W at 29 V "
-                              "by more than 0.5%", id="rated-power"),
         ],
     )
     def test_each_rejection_names_its_ideality_and_reason(self, spec, n_ideality, reason):
@@ -285,6 +367,40 @@ class TestCalibration:
         monkeypatch.setattr(pv_model, "SingleDiodeParams", scaled)
         with pytest.raises(InfeasibleSpec, match=f"^ideality {ref_params.n_ideality:g}: {missed}"):
             _fit_at_ideality(REF_MODULE, ref_params.n_ideality)
+
+    def test_maximum_power_miss_names_the_rated_point(self, monkeypatch, ref_params):
+        """A maximum power point off the rated one fails the STC check with the
+        located and the rated point."""
+        monkeypatch.setattr(pv_model, "_module_mpp",
+                            lambda *curve: (np.array([29.0]), np.array([7.2])))
+        with pytest.raises(InfeasibleSpec) as failure:
+            _fit_at_ideality(REF_MODULE, ref_params.n_ideality)
+        assert str(failure.value) == (
+            f"ideality {ref_params.n_ideality:g}: maximum power 208.8 W at 29 V misses the "
+            "rated 213.15 W at 29 V by more than 0.5%"
+        )
+
+    def test_candidate_out_of_budget_gives_way_to_the_next(self):
+        """A candidate whose solve runs out of budget is that candidate's reason,
+        and the search goes on to the ideality that calibrates."""
+        spec = OUT_OF_BUDGET_AT_GUESS
+        with pytest.raises(NonConvergence):
+            _fit_at_ideality(spec, 1.3)
+        assert extract_single_diode_params(spec).n_ideality == 1.35
+
+    def test_no_candidate_after_one_out_of_budget_is_a_nonconvergence(self, monkeypatch):
+        """When no candidate calibrates and one ran out of budget, the one error
+        is a NonConvergence giving every candidate's reason in the order tried."""
+        spec = OUT_OF_BUDGET_AT_GUESS
+        monkeypatch.setattr(pv_model, "_IDEALITY_FALLBACKS", (1.0, 1.05))
+        with pytest.raises(NonConvergence) as failure:
+            extract_single_diode_params.__wrapped__(spec)
+        assert str(failure.value) == (
+            "no ideality calibrates the datasheet: "
+            "ideality 1.3: newton_bisect: no root to |f| <= 8.66332e-08 within 790 iterations; "
+            "ideality 1: diode term exp(900.165) overflows a double; "
+            "ideality 1.05: diode term exp(857.3) overflows a double"
+        )
 
     def test_overflowing_diode_term_is_infeasible(self):
         """A v_oc far beyond its cell count overflows exp(); every ideality is
@@ -363,15 +479,20 @@ def test_calibration_verifies_or_raises_a_calibration_error(
     v_cell, n_cells, i_sc, v_frac, i_frac, p_skew, guess
 ):
     """Property: a random datasheet either calibrates to parameters that meet the
-    three STC conditions to 0.5%, or raises InfeasibleSpec or NonConvergence.
+    three STC conditions to 0.5%, or raises InfeasibleSpec or NonConvergence;
+    one with p_mp more than 0.5% off v_mp*i_mp is rejected before, naming p_mp.
 
     The open-circuit voltage is drawn per cell, and p_mp up to 0.9% off
     v_mp*i_mp, so that about a third of the draws calibrate.
     """
     v_oc = v_cell * n_cells
     v_mp, i_mp = v_oc * v_frac, i_sc * i_frac
-    spec = PVModuleSpec(p_mp=v_mp * i_mp * (1.0 + p_skew), v_mp=v_mp, i_mp=i_mp, v_oc=v_oc,
-                        i_sc=i_sc, n_cells=n_cells)
+    try:
+        spec = PVModuleSpec(p_mp=v_mp * i_mp * (1.0 + p_skew), v_mp=v_mp, i_mp=i_mp, v_oc=v_oc,
+                            i_sc=i_sc, n_cells=n_cells)
+    except InvalidValue as exc:
+        assert str(exc).startswith("p_mp ") and abs(p_skew) > 0.0049
+        return
     try:
         params = extract_single_diode_params(spec, n_ideality_guess=guess)
     except (InfeasibleSpec, NonConvergence):
@@ -417,17 +538,18 @@ class TestModuleCurrent:
         diffs = np.diff(cur)
         assert np.all(diffs <= 1e-9), f"max increase {diffs.max():.3e} A"
 
-    def test_batched_solve_grows_the_bracket_as_the_scalar_solve(self, ref_params):
-        """Beyond v_oc the current is so negative that the lower bracket end
-        must grow; the batched solve then still equals module_current bit for
-        bit, and fails with its error where it fails: at 1e12 V, where no
-        bracket is found."""
+    def test_batched_solve_grows_the_bracket(self, ref_params):
+        """Beyond v_oc the current is below the first lower bracket end
+        -0.02*i_ph - 1, so the bracket must grow; the solve then agrees with
+        the oracle, and fails where no bracket is found: at 1e12 V."""
         v = np.linspace(1.2, 10.0, 45) * REF_MODULE.v_oc
-        want = [module_current(ref_params, x) for x in v.tolist()]
-        assert _module_currents(ref_params, v).tolist() == want
-        with pytest.raises(NonConvergence, match="could not bracket the root") as scalar:
+        want = _oracle_current(ref_params, v)
+        assert (want < -0.02 * ref_params.i_ph - 1.0).all()
+        assert np.abs(_module_currents(ref_params, v) - want).max() <= _current_tol(ref_params)
+        no_bracket = "^module_current: could not bracket the root$"
+        with pytest.raises(NonConvergence, match=no_bracket):
             module_current(ref_params, 1e12)
-        with pytest.raises(NonConvergence, match=re.escape(str(scalar.value))):
+        with pytest.raises(NonConvergence, match=no_bracket):
             _module_currents(ref_params, np.array([2.0 * REF_MODULE.v_oc, 1e12]))
 
     @pytest.mark.parametrize(
@@ -436,13 +558,13 @@ class TestModuleCurrent:
     def test_current_solves_up_to_ten_times_voc(self, ref_params, g, t):
         """Newton descends the steep side of the exponential about one e-fold
         per step, and the current solve has the budget for it: every voltage
-        of a 901-point scan of 1-10 x v_oc converges, batched and scalar alike."""
+        of a 901-point scan of 1-10 x v_oc converges, to a current falling with
+        voltage and within the tolerance of the oracle."""
         adj = adjust_params(ref_params, REF_MODULE, EnvCondition(g, t))
         v = np.linspace(1.0, 10.0, 901) * REF_MODULE.v_oc
         got = _module_currents(adj, v)
         assert (np.diff(got) < 0.0).all()
-        for k in range(0, 901, 50):
-            assert got[k] == module_current(adj, float(v[k]))
+        assert np.abs(got - _oracle_current(adj, v)).max() <= _current_tol(adj)
 
     def test_negative_voltage_rejected(self, ref_params):
         """Negative terminal voltage is a caller error."""
@@ -578,8 +700,9 @@ class TestArraySweep:
         assert len(dim.points) == 50 and 0.0 < dim.points[0].i < 1e-90
 
     @pytest.mark.parametrize("n_points", [3, 500])
-    def test_batched_sweep_equals_scalar_solves(self, n_points):
-        """Every point equals module_current at its voltage, bit for bit.
+    def test_batched_sweep_agrees_with_the_oracle(self, n_points):
+        """The sweep is an even grid from 0 to the oracle's v_oc, and every
+        current is within the tolerance of the oracle at its voltage.
 
         Random datasheets and arrays, with the irradiance and temperature
         extremes among the environments.
@@ -603,14 +726,7 @@ class TestArraySweep:
             g, t = envs[checked % 4] if checked < 4 else (
                 float(rng.uniform(1.0, 1100.0)), float(rng.uniform(-40.0, 90.0))
             )
-            adj = adjust_params(params, spec, EnvCondition(g, t))
-            want = []
-            for v_m in np.linspace(0.0, module_voc(adj), n_points):
-                v = float(v_m) * array.n_series
-                i = module_current(adj, float(v_m)) * array.n_parallel
-                want.append(IVPoint(v, i, v * i))
-            got = array_iv_sweep(array, params, EnvCondition(g, t), n_points).points
-            assert got == tuple(want), f"(g={g}, t={t}) sweep differs from scalar solves"
+            _assert_sweep_agrees(array, params, EnvCondition(g, t), n_points)
             checked += 1
 
 
@@ -715,6 +831,29 @@ class TestMPP:
             got = mpp(unit, ref_params, env)
             assert (v_batch[k], i_batch[k], p_k) == (got.v_mp, got.i_mp, got.p_mp)
 
+    @pytest.mark.parametrize(
+        ("solve", "message"),
+        [
+            pytest.param(lambda fdf, lo, hi, f_lo, f_hi, **kw:
+                         newton_bisect_array(fdf, lo, hi, f_lo, f_lo, **kw),
+                         "mpp: dP/dVd does not change sign on the diode-voltage bracket",
+                         id="no-sign-change"),
+            pytest.param(lambda *args, **kw: newton_bisect_array(*args, **kw, max_iter=1),
+                         "mpp: no root of dP/dVd within 100 iterations", id="budget"),
+            pytest.param(lambda *args, **kw: 0.9 * newton_bisect_array(*args, **kw),
+                         "mpp: gradient criterion not met at the solved point", id="gradient"),
+        ],
+    )
+    def test_each_nonconvergence_names_its_cause(self, monkeypatch, ref_params, solve, message):
+        """Each way the MPP solve fails is a NonConvergence saying which: a
+        bracket without a sign change, a spent budget, or a solved point 10%
+        off the maximum failing the gradient criterion."""
+        monkeypatch.setattr(pv_model, "newton_bisect_array", solve)
+        curve = np.array([[ref_params.i_ph], [ref_params.i_0], [ref_params.r_sh]])
+        with pytest.raises(NonConvergence) as failure:
+            _module_mpp(*curve, ref_params.r_s, ref_params.a)
+        assert str(failure.value) == message
+
     def test_underflowing_power_is_dark(self, ref_array, ref_params):
         """Power below the smallest normal double is a dark array, not a failure."""
         assert 0.0 < mpp(ref_array, ref_params, EnvCondition(1e-100, 25.0)).p_mp < 1e-150
@@ -727,6 +866,53 @@ class TestMPP:
         """Zero irradiance has no maximum power point."""
         with pytest.raises(DarkArray):
             mpp(ref_array, ref_params, EnvCondition(0.0, 25.0))
+
+
+# ======================================================================
+# Lambert-W oracle
+# ======================================================================
+
+
+_CORNER = {"sheet": DATASHEETS[0], "s_v": 1.0, "s_i": 1.0, "n_series": 10, "n_parallel": 47}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    sheet=st.sampled_from(DATASHEETS), s_v=st.floats(0.7, 3.0), s_i=st.floats(0.01, 100.0),
+    g=st.one_of(st.sampled_from([1.0, 1100.0]), st.floats(1.0, 1100.0)),
+    t=st.one_of(st.sampled_from([-40.0, 90.0]), st.floats(-40.0, 90.0)),
+    n_series=st.integers(1, 30), n_parallel=st.integers(1, 60),
+)
+@example(**_CORNER, g=1.0, t=-40.0)
+@example(**_CORNER, g=1.0, t=90.0)
+@example(**_CORNER, g=1100.0, t=-40.0)
+@example(**_CORNER, g=1100.0, t=90.0)
+def test_solves_agree_with_the_lambertw_oracle(sheet, s_v, s_i, g, t, n_series, n_parallel):
+    """Property: on a real datasheet with its voltages scaled by s_v and its
+    currents by s_i, at an operating point of the envelope, every solve agrees
+    with the explicit Lambert-W oracle: the currents of _module_currents and
+    module_current up to v_oc within twice the solve's tolerance, module_voc
+    within 1e-11 of v_oc, the maximum power point of mpp and array_mpp (here
+    and at STC) on the oracle's curve at its maximum, and the sweep."""
+    p_mp, v_mp, i_mp, v_oc, i_sc, n_cells = sheet
+    spec = PVModuleSpec(p_mp=p_mp * s_v * s_i, v_mp=v_mp * s_v, i_mp=i_mp * s_i,
+                        v_oc=v_oc * s_v, i_sc=i_sc * s_i, n_cells=n_cells)
+    params = extract_single_diode_params(spec)
+    env = EnvCondition(g, t)
+    adj = adjust_params(params, spec, env)
+    v_oc_star = _oracle_voc(adj)
+    assert abs(module_voc(adj) - v_oc_star) <= 1e-11 * v_oc_star
+    v = np.linspace(0.0, v_oc_star, 200)
+    assert np.abs(_module_currents(adj, v) - _oracle_current(adj, v)).max() <= _current_tol(adj)
+    for x in (0.0, 0.8 * v_oc_star, v_oc_star):
+        assert abs(module_current(adj, x) - _oracle_current(adj, x).item()) <= _current_tol(adj)
+    array = PVArraySpec(module=spec, n_series=n_series, n_parallel=n_parallel)
+    got = mpp(array, params, env)
+    _assert_mpp_agrees(got.v_mp / n_series, got.i_mp / n_parallel, adj)
+    v_b, i_b = array_mpp(array, params, np.array([g, spec.g_stc]), np.array([t, spec.t_stc]))
+    for k, at in enumerate((adj, params)):
+        _assert_mpp_agrees(v_b[k] / n_series, i_b[k] / n_parallel, at)
+    _assert_sweep_agrees(array, params, env, 64)
 
 
 # ======================================================================

@@ -335,7 +335,7 @@ def test_parser_accepts_only_what_the_schema_accepts(doc):
     rejects, the parser rejects with ParseError or ValidationError.
 
     The converse does not hold: the schema cannot express v_mp < v_oc,
-    p_mp = v_mp*i_mp within 1%, sorted profiles starting at t = 0, the
+    p_mp = v_mp*i_mp within 0.5%, sorted profiles starting at t = 0, the
     record cap or the float range, so it accepts documents the parser
     rejects."""
     text = json.dumps(doc)

@@ -401,15 +401,21 @@ class TestRun:
 
     def test_calibration_nonconvergence_keeps_its_class(self, monkeypatch):
         """A solver failure inside calibration stays a NonConvergence, led by the
-        scenario id."""
+        scenario id and giving each candidate ideality's reason."""
 
-        def failing(spec):
+        def failing(params, v):
             raise NonConvergence("module_current: could not bracket the root")
 
-        monkeypatch.setattr(pv_model, "extract_single_diode_params", failing)
+        # Calibrate afresh, past the memo, with a current solve that fails.
+        monkeypatch.setattr(pv_model, "extract_single_diode_params",
+                            pv_model.extract_single_diode_params.__wrapped__)
+        monkeypatch.setattr(pv_model, "_module_currents", failing)
         s = make_scenario()
         with pytest.raises(NonConvergence, match=(
-            f"^module calibration failed for scenario {s.scenario_id!r}: module_current: "
+            f"^module calibration failed for scenario {s.scenario_id!r}: no ideality "
+            "calibrates the datasheet: ideality 1.3: no physical shunt resistance satisfies "
+            "the maximum-power condition; ideality 1: module_current: could not bracket the "
+            "root; ideality 1.05: module_current: could not bracket the root; "
         )):
             run(s)
 
