@@ -48,7 +48,8 @@ def newton_bisect(
         max_iter: Evaluation budget.
 
     Returns:
-        A point where ``|f| <= f_tol``.
+        A point where ``|f| <= f_tol``, or, once no double lies strictly
+        inside the bracket, the end of it with the smaller ``|f|``.
 
     Raises:
         ValueError: if the bracket does not straddle a sign change.
@@ -72,6 +73,8 @@ def newton_bisect(
             lo, f_lo = x, f_x
         else:
             hi, f_hi = x, f_x
+        if math.nextafter(lo, math.inf) >= hi:  # no double strictly inside the bracket
+            return lo if abs(f_lo) <= abs(f_hi) else hi
         d = df(x)
         step_ok = d != 0.0
         if step_ok:
@@ -113,13 +116,15 @@ def newton_bisect_array(
         max_iter: Evaluation budget per problem.
 
     Returns:
-        Points where ``|f| <= f_tol``.
+        Points where ``|f| <= f_tol``, or, where no double lies strictly
+        inside the bracket, the end of it with the smaller ``|f|``.
 
     Raises:
         ValueError: if a bracket does not straddle a sign change.
         NonConvergence: if a problem exhausts the budget first.
     """
-    lo, hi, f_lo = np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(f_lo)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f_lo, f_hi = np.array(f_lo), np.array(f_hi)
     tol = np.broadcast_to(f_tol, lo.shape)
     at_lo = np.abs(f_lo) <= tol
     at_hi = ~at_lo & (np.abs(f_hi) <= tol)
@@ -138,8 +143,13 @@ def newton_bisect_array(
             k, x_k, f_x, d = k[open_], x_k[open_], f_x[open_], d[open_]
             to_lo = (f_x > 0.0) == (f_lo[k] > 0.0)
             lo[k[to_lo]], f_lo[k[to_lo]] = x_k[to_lo], f_x[to_lo]
-            hi[k[~to_lo]] = x_k[~to_lo]
+            hi[k[~to_lo]], f_hi[k[~to_lo]] = x_k[~to_lo], f_x[~to_lo]
             lo_k, hi_k = lo[k], hi[k]
+            shut = np.nextafter(lo_k, np.inf) >= hi_k  # no double strictly inside the bracket
+            if shut.any():  # stop at the end with the smaller |f|
+                j = k[shut]
+                x[j] = np.where(np.abs(f_lo[j]) <= np.abs(f_hi[j]), lo[j], hi[j])
+                k, x_k, f_x, d, lo_k, hi_k = (a[~shut] for a in (k, x_k, f_x, d, lo_k, hi_k))
             x_new = x_k - f_x / d
             step_ok = (d != 0.0) & (lo_k < x_new) & (x_new < hi_k)
             x[k] = np.where(step_ok, x_new, 0.5 * (lo_k + hi_k))

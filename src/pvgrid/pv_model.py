@@ -60,6 +60,14 @@ DATASHEET_TOL = 0.005
 # Series cells, modules in series and strings in parallel.
 _COUNT = Bound("finite and at least 1", lambda n: n >= 1)
 
+# The operating envelope: irradiance g in [0, G_MAX] W/m², above cloud-enhancement
+# peaks (~1,800 W/m²), and cell temperature t_cell in [-40, 90] °C.
+G_MAX = 2000.0
+ENVELOPE = {
+    "g": Bound(f"finite and in [0, {G_MAX:g}] W/m²", lambda g: (0.0 <= g) & (g <= G_MAX)),
+    "t_cell": Bound("finite and in [-40, 90] °C", lambda t: (-40.0 <= t) & (t <= 90.0)),
+}
+
 # Most samples one I-V sweep may hold.  Checked before anything is
 # allocated, as ``simulator.MAX_RECORDS`` is for a run.
 MAX_POINTS = 1_000_000
@@ -162,26 +170,20 @@ class SingleDiodeParams:
 
 @dataclass(frozen=True)
 class EnvCondition:
-    """Operating environment: irradiance and cell temperature."""
+    """Operating environment: irradiance and cell temperature, inside :data:`ENVELOPE`."""
 
     g: float  # W/m²
     t: float  # °C, cell temperature
 
     def __post_init__(self) -> None:
-        require({"irradiance": self.g}, NON_NEGATIVE)
-        require_cell_temperature(self.t)
+        require_envelope(self.g, self.t)
 
 
-def require_cell_temperature(t_cell, error: type[InvalidValue] = InvalidValue) -> None:
-    """Raise ``error`` naming ``t_cell`` (°C, a number or an array) if it is not numbers,
-    or its first entry outside [-40, 90] °C, the range the model is specified for."""
-    t_cell = np.ravel(t_cell)
-    try:
-        outside = ~((-40.0 <= t_cell) & (t_cell <= 90.0))
-    except TypeError:  # a string or None
-        raise error(f"cell temperature must be a number, got {t_cell.item(0)!r}") from None
-    for k in np.flatnonzero(outside)[:1]:
-        raise error(f"cell temperature {t_cell.item(k)} outside [-40, 90] °C")
+def require_envelope(g, t_cell, error: type[InvalidValue] = InvalidValue) -> None:
+    """Raise ``error`` naming ``g`` or ``t_cell`` (each a number or an array)
+    where it is not a finite number within :data:`ENVELOPE`."""
+    require({"g": g}, ENVELOPE["g"], error)
+    require({"t_cell": t_cell}, ENVELOPE["t_cell"], error)
 
 
 class IVPoint(NamedTuple):
@@ -268,10 +270,7 @@ def module_current(params: SingleDiodeParams, v: float) -> float:
         v: Terminal voltage, >= 0.
 
     Raises:
-        NonConvergence: if the iteration budget is exhausted; far above v_oc
-            at very low irradiance it is whatever the budget, as one ulp of i
-            moves the residual past the tolerance.  No sweep or run asks for
-            v > v_oc.
+        NonConvergence: if the iteration budget is exhausted.
     """
     require({"v": v}, NON_NEGATIVE)
     return float(_module_currents(params, np.array([v], dtype=float))[0])

@@ -10,7 +10,6 @@ all of them on emit, making parse-emit round trips exact.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import MISSING, fields
 from functools import cache
 from importlib import resources
@@ -119,44 +118,29 @@ def _read(section: object, cls: type, where: str) -> dict:
     return values
 
 
-def _float_rows(rows: list, width: int) -> np.ndarray | None:
-    """``rows`` of ``width`` values as an (n, width) float array, each value
-    converted as by float().
+def _read_profile(entries: list, cls: type, where: str) -> list[tuple]:
+    """The values of one profile list as given, one column per field of ``cls``.
 
-    None unless each value is an int or a float (not a bool) strictly
-    inside the float range.
-    """
-    values = list(chain.from_iterable(rows))
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        array = np.fromiter(values, float, len(values))
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return array.reshape(-1, width) if (np.abs(array) < sys.float_info.max).all() else None
-
-
-def _read_profile(entries: list, cls: type, where: str) -> np.ndarray:
-    """The entries of one profile list as float columns, one row per field of ``cls``.
-
-    Every key of a profile record is a required number.  The list is
-    accepted in one pass when each entry is an object with exactly those
-    keys, each value an int or float (not a bool) and, as a float, finite
-    and strictly inside the float range.  Otherwise ``_read`` goes entry
-    by entry: it names the first bad entry, or accepts a value at the
-    edge of the range that the column pass leaves to it.
+    Each entry must be an object with exactly the keys of ``cls``, each
+    value an int or a float, not a bool; :class:`Scenario` judges the
+    values.  ``_read`` names the first entry that breaks this rule.
     """
     keys = _keys(cls)
-    if set(map(type, entries)) == {dict} and set(map(len, entries)) == {len(keys)}:
+
+    def rows(entries: list) -> list[tuple] | None:  # None if an entry breaks the rule
+        if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(keys)}:
+            return None
         try:
-            rows = _float_rows(list(map(itemgetter(*keys), entries)), len(keys))
-        except KeyError:  # an unknown key in place of a required one
-            rows = None
-        if rows is not None:
-            return rows.T
-    return np.array(
-        [list(_read(entry, cls, f"{where}[{idx}]").values()) for idx, entry in enumerate(entries)]
-    ).T
+            values = list(map(itemgetter(*keys), entries))
+        except KeyError:  # an unknown key in place of one of ``keys``
+            return None
+        return values if set(map(type, chain.from_iterable(values))) <= {int, float} else None
+
+    values = rows(entries)
+    if values is None:
+        idx = next(idx for idx, entry in enumerate(entries) if rows([entry]) is None)
+        _read(entries[idx], cls, f"{where}[{idx}]")  # raises, naming what breaks the rule
+    return list(zip(*values))
 
 
 def parse_scenario(text: str | bytes) -> Scenario:

@@ -12,7 +12,6 @@ load, compensator losses, and inverter leave over:
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterator
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
@@ -65,22 +64,27 @@ class GridSpec:
 def _profile_columns(name: str, step: type, given) -> np.ndarray:
     """The checked profile as a read-only float array, one row per field of ``step``.
 
-    ``given`` holds one sequence per field.  Each value is judged as given,
-    so an int past the float range is not finite though it rounds to a double.
+    ``given`` holds one sequence per field.  Each value must be a finite
+    number, judged as given: an int past the float range is not finite
+    though it rounds to a double, and a numeric string is not a number.
     """
     try:
-        columns = np.array(given, dtype=float)
-    except (OverflowError, TypeError, ValueError):  # beyond the float range, or ragged
-        columns = None
-    if columns is None or columns.ndim != 2 or len(columns) != len(step._fields):
+        values = np.asarray(given)
+    except ValueError:  # ragged
+        values = None
+    if values is None or values.ndim != 2 or len(values) != len(step._fields):
         raise InvalidScenario(f"{name} profile must hold {len(step._fields)} floats per segment")
-    if not columns.shape[1]:
+    if not values.shape[1]:
         raise InvalidScenario(f"{name} profile must have at least one segment")
-    # NaN, infinities, and the largest double, where an int past the float range lands
-    for k, r in np.argwhere(~(np.abs(columns) < sys.float_info.max).T).tolist():
-        if not within(given[r][k]):
-            seg = step._make(np.array(given, dtype=object)[:, k].tolist())
-            raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
+    if values.dtype.kind in "biuf":
+        finite = np.isfinite(values)
+    else:  # strings, None, or ints past int64: each judged as given
+        values = np.array(given, dtype=object)
+        finite = np.frompyfunc(within, 1, 1)(values).astype(bool)
+    for k in np.flatnonzero(~finite.all(axis=0))[:1]:
+        seg = step._make(np.array(given, dtype=object)[:, k].tolist())
+        raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
+    columns = values.astype(float)
     columns.flags.writeable = False
     starts = columns[0]
     if starts[0] != 0.0:
@@ -127,11 +131,7 @@ class Scenario:
             irradiance=_profile_columns("irradiance", IrradianceStep, self.irradiance),
             load=_profile_columns("load", LoadStep, self.load),
         )
-        _, g, t_cell = self.irradiance
-        for k in np.flatnonzero(g < 0.0)[:1]:  # an earlier segment's temperature is named first
-            pv_model.require_cell_temperature(t_cell[:k], InvalidScenario)
-            require({"irradiance": g.item(k)}, NON_NEGATIVE, InvalidScenario)
-        pv_model.require_cell_temperature(t_cell, InvalidScenario)
+        pv_model.require_envelope(*self.irradiance[1:], InvalidScenario)
 
     @cached_property
     def irradiance_profile(self) -> tuple[IrradianceStep, ...]:

@@ -184,9 +184,13 @@ class TestPvCurve:
         err = capsys.readouterr().err
         assert err.startswith("error: InfeasibleSpec: ") and "ideality 1.4: " in err
 
-    def test_datasheet_past_an_out_of_budget_ideality_exits_0(self, capsys):
-        """The current solve of the guessed ideality 1.3 runs out of budget on
-        this datasheet; calibration goes on to 1.35 and the sweep succeeds."""
+    def test_datasheet_past_an_out_of_budget_ideality_exits_0(self, capsys, monkeypatch):
+        """With a budget of 40 iterations the current solve of the guessed ideality
+        1.3 runs out on this datasheet; calibration goes on to 1.35 and the sweep
+        succeeds."""
+        monkeypatch.setattr(pv_model, "_CURRENT_BUDGET", 40)
+        monkeypatch.setattr(pv_model, "extract_single_diode_params",
+                            pv_model.extract_single_diode_params.__wrapped__)
         assert cli.main(["pv-curve", "--pmp", "91623.728", "--vmp", "1203.228", "--imp", "76.148",
                          "--voc", "1387.653", "--isc", "85.187", "--points", "5"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 6
@@ -245,8 +249,14 @@ MODULE_ARGS = TestPvCurve.MODULE_ARGS
                      id="alpha_isc-nan"),
         pytest.param(MODULE_ARGS, "--beta-voc=-inf", "beta_voc must be finite",
                      id="beta_voc-inf"),
-        pytest.param(MODULE_ARGS, "--g=nan", "irradiance must be finite", id="g-nan"),
-        pytest.param(MODULE_ARGS, "--g=inf", "irradiance must be finite", id="g-inf"),
+        pytest.param(MODULE_ARGS, "--g=nan", "g must be finite", id="g-nan"),
+        pytest.param(MODULE_ARGS, "--g=inf", "g must be finite", id="g-inf"),
+        pytest.param(MODULE_ARGS, "--g=15000",
+                     "g must be finite and in [0, 2000] W/m², got 15000.0", id="g-above-envelope"),
+        pytest.param(MODULE_ARGS, "--g=1e300",
+                     "g must be finite and in [0, 2000] W/m², got 1e+300", id="g-1e300"),
+        pytest.param(MODULE_ARGS, "--t=-40.5", "t_cell must be finite and in [-40, 90] °C",
+                     id="t_cell-below-envelope"),
         pytest.param(MODULE_ARGS, "--ideality-guess=nan", "ideality guess must be finite",
                      id="ideality-nan"),
         pytest.param(MODULE_ARGS, "--ideality-guess=inf", "ideality guess must be finite",
@@ -597,17 +607,24 @@ class TestSimulate:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        ("path", "value", "key"),
+        ("path", "value", "named"),
         [
-            pytest.param(("profiles", "irradiance", 0, "g"), math.nan, "g", id="g-nan"),
-            pytest.param(("grid", "v_phase"), math.nan, "v_phase", id="v_phase-nan"),
-            pytest.param(("sim", "t_end"), math.inf, "t_end", id="t_end-inf"),
-            pytest.param(("pv_module", "p_mp"), 10**400, "p_mp", id="p_mp-beyond-float"),
-            pytest.param(("pv_array", "n_series"), 10**400, "n_series", id="n_series-beyond-float"),
+            pytest.param(("profiles", "irradiance", 0, "g"), math.nan,
+                         "irradiance profile segment IrradianceStep(t_start=0.0, g=nan, "
+                         "t_cell=25.0) must have finite values", id="g-nan"),
+            pytest.param(("grid", "v_phase"), math.nan, "key 'v_phase' must be a finite number",
+                         id="v_phase-nan"),
+            pytest.param(("sim", "t_end"), math.inf, "key 't_end' must be a finite number",
+                         id="t_end-inf"),
+            pytest.param(("pv_module", "p_mp"), 10**400, "key 'p_mp' must be a finite number",
+                         id="p_mp-beyond-float"),
+            pytest.param(("pv_array", "n_series"), 10**400,
+                         "key 'n_series' must be a finite number", id="n_series-beyond-float"),
         ],
     )
-    def test_non_finite_number_exits_1(self, capsys, tmp_path, path, value, key):
-        """NaN, Infinity and out-of-range literals are rejected, not simulated."""
+    def test_non_finite_number_exits_1(self, capsys, tmp_path, path, value, named):
+        """NaN, Infinity and out-of-range literals are rejected, not simulated:
+        a section key by the parser, a profile value by the scenario."""
         doc = json.loads(bundled_scenario_text("case3"))
         node = doc
         for step in path[:-1]:
@@ -618,7 +635,7 @@ class TestSimulate:
         assert cli.main(["simulate", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "ValidationError" in err
-        assert f"key '{key}' must be a finite number" in err
+        assert named in err
 
     def test_record_count_beyond_cap_exits_1(self, capsys, tmp_path):
         """A horizon whose record count overflows is rejected before the run."""
@@ -661,13 +678,17 @@ class TestSimulate:
                                     d["profiles"]["load"][0].update(q=1e308)),
                          "p_loss must be finite and non-negative, got inf", id="statcom-loss"),
             pytest.param(lambda d: d["profiles"]["irradiance"][0].update(g=sys.float_info.max),
-                         "i_ph must be finite", id="irradiance-at-float-max"),
+                         "g must be finite and in [0, 2000] W/m², got 1.7976931348623157e+308",
+                         id="irradiance-at-float-max"),
+            pytest.param(lambda d: d["profiles"]["irradiance"][0].update(g=1e300),
+                         "g must be finite and in [0, 2000] W/m², got 1e+300",
+                         id="irradiance-1e300"),
         ],
     )
     def test_value_beyond_float_range_exits_1(self, capsys, tmp_path, edit, named):
-        """A scenario whose compensator output or loss, grid exchange or
-        photocurrent leaves the float range is rejected with exit 1: no inf in the output
-        and no numpy warning on stderr."""
+        """A scenario whose compensator output or loss or grid exchange leaves the
+        float range, or whose irradiance lies far past the envelope, is rejected
+        with exit 1: no inf in the output and no numpy warning on stderr."""
         code, out, err = self._simulate_case3(capsys, tmp_path, edit)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and named in err

@@ -85,6 +85,16 @@ class TestNewtonBisect:
         x = newton_bisect(f, df, lo=-50.0, hi=60.0, x0=59.0, f_tol=1e-12)
         assert abs(x - 1.5) < 1e-9
 
+    def test_stops_when_no_double_lies_inside_the_bracket(self):
+        """Where no double meets the tolerance the bracket closes on two adjacent
+        doubles, and the end with the smaller |f| is returned."""
+        f = lambda x: 1e20 * (x * x - 2.0)
+        x = newton_bisect(f, lambda x: 2e20 * x, lo=1.0, hi=2.0, f_tol=1e-9)
+        neighbours = (math.nextafter(x, 0.0), math.nextafter(x, 2.0))
+        assert abs(f(x)) > 1e-9
+        assert min(f(x) * f(n) for n in neighbours) < 0.0  # f changes sign next to x
+        assert all(abs(f(x)) <= abs(f(n)) for n in neighbours)
+
     def test_random_monotone_cubics(self):
         """Property: roots of shifted cubics are recovered across seeds."""
         rng = np.random.default_rng(42)
@@ -117,6 +127,8 @@ def _newton_cases() -> dict[str, tuple]:
                            -1.0, 1.0, 1e-9, None, 100),
         "budget": (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0,
                    0.0, 1.0, 0.0, None, 3),
+        "no-double-inside": (lambda x: 1e20 * (x * x - 2.0), lambda x: 2e20 * x,
+                             1.0, 2.0, 1e-9, None, 100),
     }
     rng = np.random.default_rng(42)
     for n in range(200):

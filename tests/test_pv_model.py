@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvgrid import pv_model
-from pvgrid.errors import DarkArray, InfeasibleSpec, InvalidValue, NonConvergence
+from pvgrid.errors import DarkArray, InfeasibleSpec, InvalidScenario, InvalidValue, NonConvergence
 from pvgrid.numerics import newton_bisect_array
 from pvgrid.pv_model import (
+    G_MAX,
     MAX_POINTS,
     EnvCondition,
     IVCurve,
@@ -34,11 +35,13 @@ from pvgrid.pv_model import (
     mpp,
     thermal_voltage,
 )
+from pvgrid.simulator import IrradianceStep
 
-from conftest import DATASHEETS, REF_MODULE
+from conftest import DATASHEETS, REF_MODULE, make_scenario
 
 # A datasheet on which the current solve of the guessed ideality 1.3 runs out
-# of budget, while 1.35 calibrates.
+# of a budget of OUT_OF_BUDGET_ITERATIONS, while 1.35 calibrates within it.
+OUT_OF_BUDGET_ITERATIONS = 40
 OUT_OF_BUDGET_AT_GUESS = PVModuleSpec(p_mp=91623.728, v_mp=1203.228, i_mp=76.148,
                                       v_oc=1387.653, i_sc=85.187, n_cells=60)
 
@@ -225,7 +228,9 @@ class TestSpecs:
     @pytest.mark.parametrize("t", ["25", None])
     def test_cell_temperature_must_be_a_number(self, t):
         """A cell temperature that is not a number is an InvalidValue naming it."""
-        with pytest.raises(InvalidValue, match=f"cell temperature must be a number, got {t!r}"):
+        with pytest.raises(InvalidValue, match=re.escape(
+            f"t_cell must be finite and in [-40, 90] °C, got {t!r}"
+        )):
             EnvCondition(1000.0, t)
 
     def test_mpp_result_product_enforced(self):
@@ -380,24 +385,26 @@ class TestCalibration:
             "rated 213.15 W at 29 V by more than 0.5%"
         )
 
-    def test_candidate_out_of_budget_gives_way_to_the_next(self):
+    def test_candidate_out_of_budget_gives_way_to_the_next(self, monkeypatch):
         """A candidate whose solve runs out of budget is that candidate's reason,
         and the search goes on to the ideality that calibrates."""
         spec = OUT_OF_BUDGET_AT_GUESS
+        monkeypatch.setattr(pv_model, "_CURRENT_BUDGET", OUT_OF_BUDGET_ITERATIONS)
         with pytest.raises(NonConvergence):
             _fit_at_ideality(spec, 1.3)
-        assert extract_single_diode_params(spec).n_ideality == 1.35
+        assert extract_single_diode_params.__wrapped__(spec).n_ideality == 1.35
 
     def test_no_candidate_after_one_out_of_budget_is_a_nonconvergence(self, monkeypatch):
         """When no candidate calibrates and one ran out of budget, the one error
         is a NonConvergence giving every candidate's reason in the order tried."""
         spec = OUT_OF_BUDGET_AT_GUESS
+        monkeypatch.setattr(pv_model, "_CURRENT_BUDGET", OUT_OF_BUDGET_ITERATIONS)
         monkeypatch.setattr(pv_model, "_IDEALITY_FALLBACKS", (1.0, 1.05))
         with pytest.raises(NonConvergence) as failure:
             extract_single_diode_params.__wrapped__(spec)
         assert str(failure.value) == (
             "no ideality calibrates the datasheet: "
-            "ideality 1.3: newton_bisect: no root to |f| <= 8.66332e-08 within 790 iterations; "
+            "ideality 1.3: newton_bisect: no root to |f| <= 8.66332e-08 within 40 iterations; "
             "ideality 1: diode term exp(900.165) overflows a double; "
             "ideality 1.05: diode term exp(857.3) overflows a double"
         )
@@ -562,6 +569,18 @@ class TestModuleCurrent:
         voltage and within the tolerance of the oracle."""
         adj = adjust_params(ref_params, REF_MODULE, EnvCondition(g, t))
         v = np.linspace(1.0, 10.0, 901) * REF_MODULE.v_oc
+        got = _module_currents(adj, v)
+        assert (np.diff(got) < 0.0).all()
+        assert np.abs(got - _oracle_current(adj, v)).max() <= _current_tol(adj)
+
+    @pytest.mark.parametrize("t", [-40.0, 90.0])
+    def test_current_solves_far_above_voc_in_dim_light(self, ref_params, t):
+        """At 1 W/m² far above v_oc one ulp of the current moves the residual
+        past its tolerance; the solve stops where no double lies inside its
+        bracket, so every voltage of a 901-point scan of 10-100 x v_oc gives a
+        current falling with voltage and within the tolerance of the oracle."""
+        adj = adjust_params(ref_params, REF_MODULE, EnvCondition(1.0, t))
+        v = np.linspace(10.0, 100.0, 901) * REF_MODULE.v_oc
         got = _module_currents(adj, v)
         assert (np.diff(got) < 0.0).all()
         assert np.abs(got - _oracle_current(adj, v)).max() <= _current_tol(adj)
@@ -913,6 +932,78 @@ def test_solves_agree_with_the_lambertw_oracle(sheet, s_v, s_i, g, t, n_series, 
     for k, at in enumerate((adj, params)):
         _assert_mpp_agrees(v_b[k] / n_series, i_b[k] / n_parallel, at)
     _assert_sweep_agrees(array, params, env, 64)
+
+
+# ======================================================================
+# Operating envelope
+# ======================================================================
+
+
+_IN_G = st.one_of(st.sampled_from([0.0, 5e-324, G_MAX]), st.floats(0.0, G_MAX))
+_IN_T = st.one_of(st.sampled_from([-40.0, 90.0]), st.floats(-40.0, 90.0))
+_EDGES = {"sheet": DATASHEETS[0], "s_v": 1.0, "s_i": 1.0}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sheet=st.sampled_from(DATASHEETS), s_v=st.floats(0.7, 3.0), s_i=st.floats(0.01, 100.0),
+       g=_IN_G, t=_IN_T)
+@example(**_EDGES, g=G_MAX, t=-40.0)
+@example(**_EDGES, g=G_MAX, t=90.0)
+@example(**_EDGES, g=5e-324, t=-40.0)
+@example(**_EDGES, g=0.0, t=90.0)
+def test_inside_the_envelope_every_solve_converges(sheet, s_v, s_i, g, t):
+    """Property: on a real datasheet with its voltages scaled by s_v and its
+    currents by s_i, at any point of the envelope, mpp (or DarkArray on a dark
+    curve), array_mpp and the sweep return without NonConvergence, and the
+    maximum power is at most i_sc(g, t)*v_oc(t) from the datasheet coefficients."""
+    p_mp, v_mp, i_mp, v_oc, i_sc, n_cells = sheet
+    spec = PVModuleSpec(p_mp=p_mp * s_v * s_i, v_mp=v_mp * s_v, i_mp=i_mp * s_i,
+                        v_oc=v_oc * s_v, i_sc=i_sc * s_i, n_cells=n_cells)
+    params = extract_single_diode_params(spec)
+    array = PVArraySpec(module=spec, n_series=10, n_parallel=47)
+    d_t = t - spec.t_stc
+    bound = (47 * spec.i_sc * (1.0 + spec.alpha_isc * d_t) * g / spec.g_stc
+             * 10 * spec.v_oc * (1.0 + spec.beta_voc * d_t))
+    (v_b,), (i_b,) = array_mpp(array, params, np.array([g]), np.array([t]))
+    assert 0.0 <= v_b * i_b <= bound
+    try:
+        got = mpp(array, params, EnvCondition(g, t))
+    except DarkArray:
+        assert v_b == 0.0
+    else:
+        assert (got.v_mp, got.i_mp) == (v_b, i_b)
+    curve = array_iv_sweep(array, params, EnvCondition(g, t), 16)
+    assert 0.0 <= curve.p.max() <= bound
+
+
+_OUT_G = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 1.5e4]),
+                   st.floats(max_value=-5e-324), st.floats(min_value=math.nextafter(G_MAX, 3e3)))
+_OUT_T = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, "25", None]),
+                   st.floats(max_value=math.nextafter(-40.0, -50.0)),
+                   st.floats(min_value=math.nextafter(90.0, 100.0)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(g=_OUT_G, t=_OUT_T, g_in=_IN_G, t_in=_IN_T)
+def test_outside_the_envelope_is_rejected_by_name(g, t, g_in, t_in):
+    """Property: an irradiance or a cell temperature outside the envelope, or
+    not a number, is an InvalidValue naming g or t_cell, g first.  A Scenario
+    names the segment of a value that is not a finite number, and g or t_cell
+    with the same words as EnvCondition for any other."""
+    g_text = f"g must be finite and in [0, {G_MAX:g}] W/m², got "
+    t_text = "t_cell must be finite and in [-40, 90] °C, got "
+    for env, text in (((g, t_in), g_text), ((g_in, t), t_text), ((g, t), g_text)):
+        with pytest.raises(InvalidValue) as failure:
+            EnvCondition(*env)
+        assert str(failure.value).startswith(text)
+        with pytest.raises(InvalidScenario) as failure:
+            make_scenario(irradiance=((0.0, g_in, t_in), (0.01, *env)))
+        if all(isinstance(x, float) and math.isfinite(x) for x in env):
+            assert str(failure.value).startswith(text)
+        else:
+            assert str(failure.value) == (
+                f"irradiance profile segment {IrradianceStep(0.01, *env)} must have finite values"
+            )
 
 
 # ======================================================================

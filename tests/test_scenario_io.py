@@ -29,6 +29,7 @@ from pvgrid.scenario_io import (
     render_report,
     schema_text,
 )
+from pvgrid.pv_model import ENVELOPE, G_MAX
 from pvgrid.simulator import COLUMNS, TimeSeries, compare_runs, run
 
 from conftest import make_scenario, random_scenario, scenario_documents
@@ -156,17 +157,18 @@ class TestParseScenario:
 
 
 # Malformed values and entries of a profile list, with the message each
-# gets ("{where}" is the entry, "{key}" the key), recorded before profile
-# lists were read as columns.
+# gets ("{where}" is the entry, "{key}" the key, "{segment}" the entry as the
+# scenario names its segment).  The parser names an entry of the wrong shape
+# or type; the scenario names a segment holding a value that is not finite.
 MALFORMED_ENTRY = {
     "true": ("true", "{where}: key '{key}' must be a number"),
     "string": ('"500"', "{where}: key '{key}' must be a number"),
     "null": ("null", "{where}: key '{key}' must be a number"),
-    "nan": ("NaN", "{where}: key '{key}' must be a finite number"),
-    "1e400": ("1e400", "{where}: key '{key}' must be a finite number"),
-    "10**400": (str(10**400), "{where}: key '{key}' must be a finite number"),
+    "nan": ("NaN", "{segment} must have finite values"),
+    "1e400": ("1e400", "{segment} must have finite values"),
+    "10**400": (str(10**400), "{segment} must have finite values"),
     # An integer that float() rounds down to the largest double.
-    "max+1": (str(int(sys.float_info.max) + 1), "{where}: key '{key}' must be a finite number"),
+    "max+1": (str(int(sys.float_info.max) + 1), "{segment} must have finite values"),
     "missing-key": (None, "{where}: missing required key '{key}'"),
     "unknown-key": (None, "{where}: unknown keys bogus"),
     "non-object": (None, "{where} must be an object"),
@@ -228,26 +230,38 @@ def _profile_list(draw, values: dict) -> tuple[list, bool]:
 
 
 class TestProfileLists:
-    """Profile lists are read as columns with the entry-by-entry outcome."""
+    """Profile lists are read as columns: the parser checks the shape and
+    types of the entries, and the scenario judges the values."""
 
     @pytest.mark.parametrize("case", list(MALFORMED_ENTRY))
     @pytest.mark.parametrize("pos", [0, 2, 4], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("profile,key", [("irradiance", "g"), ("load", "q")])
     def test_malformed_entry_is_named(self, profile, key, pos, case):
-        """The error names the broken entry with the entry-by-entry message."""
+        """The error names the broken entry: its place in the list for a wrong
+        shape or type, its segment for a value that is not finite."""
         text = _malformed(_five_entry_doc(), profile, key, pos, case)
         with pytest.raises(ValidationError) as err:
             parse_scenario(text)
         assert type(err.value) is ValidationError
         where = f"profiles.{profile}[{pos}]"
-        assert str(err.value) == MALFORMED_ENTRY[case][1].format(where=where, key=key)
+        entry = json.loads(text)["profiles"][profile][pos]
+        try:
+            segment = f"{profile} profile segment {_PROFILES[profile](**entry)}"
+        except TypeError:  # not an object with exactly the record's keys
+            segment = None
+        want = MALFORMED_ENTRY[case][1].format(where=where, key=key, segment=segment)
+        assert str(err.value) == want
 
     def test_first_broken_entry_wins(self):
-        """With two broken entries the earlier one is named."""
+        """With two entries of the wrong type the earlier one is named, and an
+        entry of the wrong type is named before an earlier value that is not finite."""
         doc = _five_entry_doc()
         doc["profiles"]["load"][3]["p"] = None
+        text = _malformed(doc, "load", "q", 1, "string")
+        with pytest.raises(ValidationError, match=r"^profiles\.load\[1\]: key 'q' must be a"):
+            parse_scenario(text)
         text = _malformed(doc, "load", "q", 1, "nan")
-        with pytest.raises(ValidationError, match=r"^profiles\.load\[1\]: key 'q' must be a finite"):
+        with pytest.raises(ValidationError, match=r"^profiles\.load\[3\]: key 'p' must be a"):
             parse_scenario(text)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -393,6 +407,19 @@ class TestSchemaDrift:
         assert set(node["properties"]) == set(_PROFILES)
         for key, cls in _PROFILES.items():
             _assert_node_matches(node["properties"][key]["items"], cls, key)
+
+    def test_envelope(self):
+        """The bounds of g and t_cell in an irradiance entry are the model's
+        envelope: each edge is inside it and the next double past it is not."""
+        node = json.loads(schema_text())["properties"]["profiles"]["properties"]["irradiance"]
+        props = node["items"]["properties"]
+        assert props["g"]["maximum"] == G_MAX
+        for key in ("g", "t_cell"):
+            lo, hi = props[key]["minimum"], props[key]["maximum"]
+            holds = ENVELOPE[key].holds
+            assert holds(lo) and holds(hi), key
+            assert not holds(math.nextafter(lo, -math.inf)), key
+            assert not holds(math.nextafter(hi, math.inf)), key
 
     def test_compensator_modes(self):
         """One oneOf branch per registered mode, with that class's fields."""

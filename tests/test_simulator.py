@@ -127,9 +127,13 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "irradiance,load,message",
         [
+            (((0.0, 100.0, 25.0), (0.1, 100.0, 95.0), (0.2, 100.0, -45.0)), None,
+             "t_cell must be finite and in [-40, 90] °C, got 95.0"),
+            (((0.0, -5, 95.0),), None, "g must be finite and in [0, 2000] W/m², got -5.0"),
             (((0.0, 100.0, 95.0), (0.1, -5.0, 25.0)), None,
-             "cell temperature 95.0 outside [-40, 90] °C"),
-            (((0.0, -5, 95.0),), None, "irradiance must be finite and non-negative, got -5.0"),
+             "g must be finite and in [0, 2000] W/m², got -5.0"),
+            (((0.0, 100.0, 25.0), (0.1, 2000.5, 25.0)), None,
+             "g must be finite and in [0, 2000] W/m², got 2000.5"),
             (((0.0, 1e3, 25.0), (0.1, math.nan, 25.0), (0.2, math.inf, 25.0)), None,
              "irradiance profile segment IrradianceStep(t_start=0.1, g=nan, t_cell=25.0) "
              "must have finite values"),
@@ -143,11 +147,13 @@ class TestScenarioValidation:
              "irradiance profile segments must be sorted by t_start"),
             (((1e-300, 1e3, 25.0),), None, "irradiance profile must start at t = 0"),
         ],
-        ids=["first-bad-segment", "g-before-t_cell", "first-non-finite", "load-before-domain",
+        ids=["first-bad-segment", "g-before-t_cell", "g-column-before-t_cell-column",
+             "g-above-envelope", "first-non-finite", "load-before-domain",
              "int-past-float-range", "duplicate-start", "late-start"],
     )
     def test_profile_check_messages(self, irradiance, load, message):
-        """Each profile check keeps its message, and the first failing segment wins."""
+        """Each profile check keeps its message.  Within a check the first failing
+        segment wins, and the whole g column is judged before the t_cell column."""
         kw = {"irradiance": irradiance} if load is None else {"irradiance": irradiance, "load": load}
         with pytest.raises(InvalidScenario) as err:
             make_scenario(**kw)
@@ -207,7 +213,8 @@ class TestScenarioValidation:
             ({"irradiance": [[0.0, 1.0], [1e3], [25.0, 25.0]]},
              "irradiance profile must hold 3 floats per segment"),
             ({"irradiance": [[0.0], [10**400], [25.0]]},
-             "irradiance profile must hold 3 floats per segment"),
+             f"irradiance profile segment IrradianceStep(t_start=0.0, g={10**400}, "
+             "t_cell=25.0) must have finite values"),
             ({"load": [[0.0], [int(sys.float_info.max) + 1], [1e5]]},
              f"load profile segment LoadStep(t_start=0.0, p={int(sys.float_info.max) + 1}, "
              f"q=100000.0) must have finite values"),
@@ -217,15 +224,21 @@ class TestScenarioValidation:
              "irradiance profile segment IrradianceStep(t_start=1.0, g=nan, t_cell=25.0) "
              "must have finite values"),
             ({"irradiance": [[0.0], [-5.0], [25.0]]},
-             "irradiance must be finite and non-negative, got -5.0"),
+             "g must be finite and in [0, 2000] W/m², got -5.0"),
+            ({"irradiance": [["0"], ["1000"], ["25"]]},
+             "irradiance profile segment IrradianceStep(t_start='0', g='1000', t_cell='25') "
+             "must have finite values"),
+            ({"load": [[0.0, 1.0], [1e5, None], [0.0, 0.0]]},
+             "load profile segment LoadStep(t_start=1.0, p=None, q=0.0) "
+             "must have finite values"),
         ],
         ids=["shape", "ragged", "int-past-float-range", "int-rounding-to-largest-double",
-             "empty", "non-finite", "domain"],
+             "empty", "non-finite", "domain", "numeric-strings", "none"],
     )
     def test_profile_columns_checked(self, profiles, message):
         """Each check of the columns keeps its message and precedence; a value
         is judged as given, so an int that would round to the largest double
-        is not finite."""
+        is not finite, and a numeric string is not a number."""
         kw = {"irradiance": [[0.0], [1e3], [25.0]], "load": [[0.0], [1e5], [0.0]], **profiles}
         with pytest.raises(InvalidScenario) as err:
             Scenario(make_scenario().grid, make_scenario().array, compensator=NoCompensator(),
