@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -157,6 +158,16 @@ class TestPvCurve:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["points"]) == 20
         assert abs(doc["mpp"]["p_mp"] - 213.15) <= 0.005 * 213.15
+
+    @pytest.mark.parametrize("extra,sha256", [
+        ([], "93b04ee460591bcbfafb27795b5bc94ec4bb32da0850fc0a04e966be5b8fdb28"),
+        (["--g", "0"], "91c4dc968ebbe2cecff344c24d2a1b1a15655a15dd7292adde8b0fa4a0ba30d5"),
+    ], ids=["lit", "dark"])
+    def test_json_output_is_pinned(self, capsys, extra, sha256):
+        """--json stdout of a lit and of a dark sweep keeps its exact bytes
+        (recorded while the curve still had per-point views)."""
+        assert cli.main(self.MODULE_ARGS + ["--json"] + extra) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
 
     def test_array_scaling(self, capsys):
         """--ns/--np scale the curve to array level."""

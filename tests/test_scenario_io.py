@@ -604,6 +604,14 @@ PINNED = {
               "54121148b4ca0456f05f43649b20acc0870da61afe25179b93285a0d57265183"),
 }
 
+# sha256 of emit_scenario of each bundled case, recorded while the scenario
+# still had per-segment views.
+EMITTED = {
+    "case1": "225313dad59798d885bddfe1bda5716c89b16617bbe5fc50cac35744bde9e106",
+    "case2": "641ee13caacce172e3c0aba4da6f146074620797ee78c17e08372fbab628e6bd",
+    "case3": "7778fdc2aeca746052d053b73789021256a6b2002b053ee9e51219e510604c7b",
+}
+
 
 class TestPinnedOutputs:
     """Byte-exact artifacts of the bundled reference cases."""
@@ -616,6 +624,12 @@ class TestPinnedOutputs:
         digest = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest(emit_csv(series)) == PINNED[case][0]
         assert digest(render_report(series, scenario=scenario)) == PINNED[case][1]
+
+    @pytest.mark.parametrize("case", sorted(EMITTED))
+    def test_emitted_scenarios_are_pinned(self, case):
+        """emit_scenario of every bundled case keeps its exact bytes."""
+        text = emit_scenario(parse_scenario(bundled_scenario_text(case)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EMITTED[case]
 
 
 # ======================================================================
