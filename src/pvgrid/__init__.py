@@ -26,7 +26,6 @@ _HOMES = {
     "GridMismatch": "errors",
     "GridSpec": "simulator",
     "IVCurve": "pv_model",
-    "IVPoint": "pv_model",
     "InfeasibleSpec": "errors",
     "InvalidScenario": "errors",
     "InvalidValue": "errors",
@@ -71,7 +70,6 @@ _HOMES = {
     "run": "simulator",
     "schema_text": "scenario_io",
     "statcom_dispatch": "compensation",
-    "step": "simulator",
 }
 
 __all__ = list(_HOMES)

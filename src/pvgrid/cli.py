@@ -138,7 +138,8 @@ def _cmd_pv_curve(args: argparse.Namespace) -> int:
     except DarkArray:  # the sweep is the dark point (0, 0, 0)
         peak = None
     if args.json:
-        doc: dict = {"points": [pt._asdict() for pt in curve.points]}
+        columns = curve.v.tolist(), curve.i.tolist(), curve.p.tolist()
+        doc: dict = {"points": [dict(v=v, i=i, p=p) for v, i, p in zip(*columns)]}
         if peak is not None:
             doc["mpp"] = asdict(peak)
         _write_artifact(json.dumps(doc, indent=2) + "\n", args.output)
@@ -165,6 +166,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if (args.scenario is None) == (args.batch is None):
         print("error: give exactly one of a scenario file or --batch DIR", file=sys.stderr)
         return 1
+    if args.report and args.json and args.output is None:
+        print("error: --report prints to stdout, so --json needs -o FILE", file=sys.stderr)
+        return 1
     if args.batch is not None:
         batch_dir = Path(args.batch)
         files = sorted(batch_dir.glob("*.json"))
@@ -183,14 +187,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     scenario = scenario_io.parse_scenario(Path(args.scenario).read_bytes())
     series = simulator.run(scenario)
-    artifact = _series_json(series) if args.json else scenario_io.emit_csv(series)
+    if not args.report or args.output is not None:  # a report alone takes stdout
+        artifact = _series_json(series) if args.json else scenario_io.emit_csv(series)
+        _write_artifact(artifact, args.output)
     if args.report:
-        report = scenario_io.render_report(series, scenario=scenario)
-        if args.output is not None:
-            _write_artifact(artifact, args.output)
-        sys.stdout.write(report)
-        return 0
-    _write_artifact(artifact, args.output)
+        sys.stdout.write(scenario_io.render_report(series, scenario=scenario))
     return 0
 
 
@@ -283,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run a scenario to CSV")
     sim.add_argument("scenario", nargs="?", help="scenario JSON file")
-    sim.add_argument("--batch", metavar="DIR", help="run every *.json in DIR")
-    sim.add_argument("--report", action="store_true", help="print a human summary")
+    batch_or_report = sim.add_mutually_exclusive_group()
+    batch_or_report.add_argument("--batch", metavar="DIR", help="run every *.json in DIR")
+    batch_or_report.add_argument("--report", action="store_true", help="print a human summary")
     _add_common(sim)
     sim.set_defaults(handler=_cmd_simulate)
 

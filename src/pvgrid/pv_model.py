@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, lru_cache
-from typing import NamedTuple
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -176,20 +175,8 @@ class EnvCondition:
     t: float  # °C, cell temperature
 
     def __post_init__(self) -> None:
-        require_envelope(self.g, self.t)
-
-
-def require_envelope(g, t_cell, error: type[InvalidValue] = InvalidValue) -> None:
-    """Raise ``error`` naming ``g`` or ``t_cell`` (each a number or an array)
-    where it is not a finite number within :data:`ENVELOPE`."""
-    require({"g": g}, ENVELOPE["g"], error)
-    require({"t_cell": t_cell}, ENVELOPE["t_cell"], error)
-
-
-class IVPoint(NamedTuple):
-    v: float  # V
-    i: float  # A
-    p: float  # W
+        require({"g": self.g}, ENVELOPE["g"])
+        require({"t_cell": self.t}, ENVELOPE["t_cell"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +184,7 @@ class IVCurve:
     """Sampled I-V / P-V characteristic, voltage ascending from zero.
 
     ``v`` (V), ``i`` (A) and ``p`` (W) are kept as read-only float copies,
-    one value per sample; ``points`` is built from them on first read.
-    Curves compare by identity: compare their arrays or ``points``.
+    one value per sample.  Curves compare by identity: compare their arrays.
     """
 
     v: np.ndarray
@@ -230,10 +216,6 @@ class IVCurve:
             )
         if (p != v * i).any():
             raise InvalidValue("curve power must equal v*i at every point")
-
-    @cached_property
-    def points(self) -> tuple[IVPoint, ...]:
-        return tuple(map(IVPoint, self.v.tolist(), self.i.tolist(), self.p.tolist()))
 
     def to_csv(self) -> str:
         """Render the curve as CSV with header ``v,i,p``, 6 significant digits."""

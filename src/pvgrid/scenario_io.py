@@ -227,8 +227,8 @@ def emit_scenario(scenario: Scenario) -> str:
         "inverter": _doc(_Inverter(scenario.inverter_efficiency)),
         "compensator": {"mode": scenario.compensator.mode, **_doc(scenario.compensator)},
         "profiles": {
-            "irradiance": [_doc(s) for s in scenario.irradiance_profile],
-            "load": [_doc(s) for s in scenario.load_profile],
+            key: [dict(zip(_keys(cls), segment)) for segment in getattr(scenario, key).T.tolist()]
+            for key, cls in _PROFILES.items()
         },
         "sim": _doc(_Sim(scenario.t_end, scenario.dt)),
     }

@@ -22,8 +22,8 @@ import numpy as np
 from . import pv_model
 from .compensation import CompensatorConfig, dispatch, power_factor
 from .errors import (
-    NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec,
-    InvalidScenario, InvalidValue, NonConvergence, require, within,
+    FINITE, NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec, InvalidScenario,
+    NonConvergence, require, within,
 )
 from .pv_model import PVArraySpec, SingleDiodeParams
 
@@ -64,9 +64,11 @@ class GridSpec:
 def _profile_columns(name: str, step: type, given) -> np.ndarray:
     """The checked profile as a read-only float array, one row per field of ``step``.
 
-    ``given`` holds one sequence per field.  Each value must be a finite
-    number, judged as given: an int past the float range is not finite
-    though it rounds to a double, and a numeric string is not a number.
+    ``given`` holds one sequence per field.  Each value is judged as given,
+    g and t_cell against :data:`pv_model.ENVELOPE` and the others as finite
+    (an int past the float range is not finite, a numeric string not a
+    number), and t_start must be 0, then rise.  The error names the first
+    failing segment by its 0-based index, then its first failing field.
     """
     try:
         values = np.asarray(given)
@@ -76,21 +78,29 @@ def _profile_columns(name: str, step: type, given) -> np.ndarray:
         raise InvalidScenario(f"{name} profile must hold {len(step._fields)} floats per segment")
     if not values.shape[1]:
         raise InvalidScenario(f"{name} profile must have at least one segment")
+    bounds = [pv_model.ENVELOPE.get(field, FINITE) for field in step._fields]
     if values.dtype.kind in "biuf":
-        finite = np.isfinite(values)
+        columns = values = values.astype(float)
+        ok = np.isfinite(columns)
+        for row, column, bound in zip(ok, columns, bounds):
+            row &= bound.holds(column)
     else:  # strings, None, or ints past int64: each judged as given
         values = np.array(given, dtype=object)
-        finite = np.frompyfunc(within, 1, 1)(values).astype(bool)
-    for k in np.flatnonzero(~finite.all(axis=0))[:1]:
-        seg = step._make(np.array(given, dtype=object)[:, k].tolist())
-        raise InvalidScenario(f"{name} profile segment {seg} must have finite values")
-    columns = values.astype(float)
-    columns.flags.writeable = False
+        ok = np.array([[within(x, b) for x in row] for row, b in zip(values.tolist(), bounds)])
+        columns = np.where(ok, values, np.nan).astype(float)
     starts = columns[0]
-    if starts[0] != 0.0:
-        raise InvalidScenario(f"{name} profile must start at t = 0")
-    if (starts[1:] <= starts[:-1]).any():
-        raise InvalidScenario(f"{name} profile segments must be sorted by t_start")
+    ok[0, 0] &= starts[0] == 0.0
+    ok[0, 1:] &= starts[1:] > starts[:-1]
+    if not ok.all():
+        k = int(np.argmin(ok.all(axis=0)))
+        f = int(np.argmin(ok[:, k]))
+        value = values[:, k].tolist()[f]
+        text = (bounds[f].text if not within(value, bounds[f])
+                else "0" if k == 0 else f"after {starts[k - 1].item()!r}")
+        raise InvalidScenario(
+            f"{name} profile segment {k}: {step._fields[f]} must be {text}, got {value!r}"
+        )
+    columns.flags.writeable = False
     return columns
 
 
@@ -101,8 +111,8 @@ class Scenario:
     Each profile is given as columns, one sequence per field with one value
     per segment, and kept as a read-only (3, n) float copy: ``irradiance``
     has the rows t_start (s), g (W/m²) and t_cell (°C), ``load`` the rows
-    t_start (s), p (W) and q (var).  ``irradiance_profile`` and
-    ``load_profile``, one step per segment, are built on first read.
+    t_start (s), p (W) and q (var).  Column ``k`` is segment ``k``, the
+    index an error names for a value that fails its check.
 
     The keyword defaults are the ones a scenario document gets when it
     omits its ``inverter`` or ``sim`` section.
@@ -131,15 +141,6 @@ class Scenario:
             irradiance=_profile_columns("irradiance", IrradianceStep, self.irradiance),
             load=_profile_columns("load", LoadStep, self.load),
         )
-        pv_model.require_envelope(*self.irradiance[1:], InvalidScenario)
-
-    @cached_property
-    def irradiance_profile(self) -> tuple[IrradianceStep, ...]:
-        return tuple(map(IrradianceStep._make, self.irradiance.T.tolist()))
-
-    @cached_property
-    def load_profile(self) -> tuple[LoadStep, ...]:
-        return tuple(map(LoadStep._make, self.load.T.tolist()))
 
     def _scalars(self) -> tuple:
         return (self.grid, self.array, self.compensator, self.inverter_efficiency,
@@ -267,22 +268,6 @@ def _columns(scenario: Scenario, params: SingleDiodeParams, times) -> dict[str, 
         q_load=q_load, q_comp=q_comp, p_comp_loss=p_comp_loss, p_grid=p_grid, q_grid=q_grid,
         pf_grid=power_factor(p_grid, q_grid), v_dc=np.full(len(t), scenario.grid.v_dc),
     )
-
-
-def step(scenario: Scenario, params: SingleDiodeParams, t: float) -> PowerFlowRecord:
-    """Equilibrium power balance at instant ``t``.
-
-    Profile segments are selected by the largest t_start <= t, so a
-    record taken exactly at a step boundary uses the new segment.
-
-    Args:
-        scenario: Validated scenario.
-        params: STC-calibrated module parameters.
-        t: Instant within [0, t_end].
-    """
-    if not 0.0 <= t <= scenario.t_end:
-        raise InvalidValue(f"t = {t} outside [0, {scenario.t_end}]")
-    return TimeSeries(scenario.scenario_id, columns=_columns(scenario, params, [t])).records[0]
 
 
 def run(scenario: Scenario) -> TimeSeries:

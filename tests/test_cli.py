@@ -470,6 +470,69 @@ def test_scenario_command_outcome_property(tmp_path, data):
     _assert_outcome([str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv])
 
 
+# A value past the float range: Python ints that JSON carries exactly.
+_PAST_FLOAT = [10**400, int(sys.float_info.max) + 1, -(10**309)]
+
+
+@st.composite
+def _located_bad_value(draw) -> tuple[dict, str, int, str]:
+    """Valid profile columns with one bad value put at a random segment of a
+    random profile, and the profile, segment index and field it is in."""
+    profiles = {}
+    for name, (lo, hi), (lo2, hi2) in (("irradiance", (0.0, 2000.0), (-40.0, 90.0)),
+                                       ("load", (-1e6, 1e6), (-1e6, 1e6))):
+        n = draw(st.integers(1, 6), f"{name} segments")
+        starts = [0.0]
+        for _ in range(n - 1):
+            starts.append(starts[-1] + draw(st.floats(1e-3, 1e3)))
+        profiles[name] = [starts, [draw(st.floats(lo, hi)) for _ in range(n)],
+                          [draw(st.floats(lo2, hi2)) for _ in range(n)]]
+    profile = draw(st.sampled_from(["irradiance", "load"]), "profile")
+    fields = ("t_start", "g", "t_cell") if profile == "irradiance" else ("t_start", "p", "q")
+    columns = profiles[profile]
+    k = draw(st.integers(0, len(columns[0]) - 1), "segment")
+    f = draw(st.integers(0, 2), "field")
+    bad = st.sampled_from([math.nan, math.inf, -math.inf, *_PAST_FLOAT])
+    if fields[f] == "g":
+        bad |= st.floats(max_value=-5e-324) | st.floats(min_value=math.nextafter(2000.0, 3e3))
+    elif fields[f] == "t_cell":
+        bad |= st.floats(max_value=math.nextafter(-40.0, -50.0))
+        bad |= st.floats(min_value=math.nextafter(90.0, 100.0))
+    elif fields[f] == "t_start" and k == 0:  # a first t_start that is not 0
+        bad |= st.floats(allow_nan=False).filter(lambda t: t != 0.0)
+    elif fields[f] == "t_start":  # a t_start not after the one before it
+        bad |= st.floats(max_value=columns[0][k - 1])
+    columns[f][k] = draw(bad, "bad value")
+    return profiles, profile, k, fields[f]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_located_bad_value())
+def test_bad_profile_value_names_its_segment(tmp_path, case):
+    """Property: one bad profile value (NaN, an infinity, an int past the float
+    range, g or t_cell outside the envelope, or a t_start out of order) at a
+    random segment is named by that segment's index and its field, by
+    ``Scenario`` and by ``simulate`` on one error line with exit 1."""
+    profiles, profile, k, field = case
+    located = f"{profile} profile segment {k}: {field} must be "
+    base = parse_scenario(bundled_scenario_text("case1"))
+    with pytest.raises(pvgrid.InvalidScenario) as failure:
+        pvgrid.Scenario(base.grid, base.array, compensator=base.compensator, **profiles)
+    assert str(failure.value).startswith(located)
+    doc = json.loads(bundled_scenario_text("case1"))
+    for name, columns in profiles.items():
+        keys = ("t_start", "g", "t_cell") if name == "irradiance" else ("t_start", "p", "q")
+        doc["profiles"][name] = [dict(zip(keys, segment)) for segment in zip(*columns)]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["simulate", str(path)])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue() == f"error: ValidationError: {failure.value}\n"
+
+
 # ======================================================================
 # Flags and printed fields stay in step with the library records
 # ======================================================================
@@ -579,6 +642,34 @@ class TestSimulate:
         """Giving both a file and --batch is rejected."""
         assert cli.main(["simulate", case_file("case1"), "--batch", str(tmp_path)]) == 1
 
+    def test_report_with_batch_exits_1(self, capsys, case_file, tmp_path):
+        """--report, which prints one report, is a usage error with --batch:
+        exit 1 with one error line, before any scenario runs or any file is
+        written."""
+        case_file("case1")
+        out_dir = tmp_path / "results"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--batch", str(tmp_path), "--report", "-o", str(out_dir)])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and [line for line in err.splitlines() if "error:" in line] == [
+            "pvgrid simulate: error: argument --report: not allowed with argument --batch"
+        ]
+        assert not out_dir.exists()
+
+    def test_report_json_without_output_exits_1(self, capsys, case_file, tmp_path):
+        """--report --json without -o would drop the JSON, as the report takes
+        stdout: rejected before the scenario runs.  With -o both are written."""
+        argv = ["simulate", case_file("case1"), "--report", "--json"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: --report prints to stdout, so --json needs -o FILE\n"
+        )
+        target = tmp_path / "case1.json"
+        assert cli.main(argv + ["-o", str(target)]) == 0
+        assert capsys.readouterr().out.startswith("scenario: case1")
+        assert json.loads(target.read_text(encoding="utf-8"))["scenario_id"] == "case1"
+
     def test_missing_file_exits_1(self, capsys):
         """A nonexistent scenario path is an I/O error, exit 1."""
         assert cli.main(["simulate", "/nonexistent/path.json"]) == 1
@@ -621,8 +712,8 @@ class TestSimulate:
         ("path", "value", "named"),
         [
             pytest.param(("profiles", "irradiance", 0, "g"), math.nan,
-                         "irradiance profile segment IrradianceStep(t_start=0.0, g=nan, "
-                         "t_cell=25.0) must have finite values", id="g-nan"),
+                         "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², "
+                         "got nan", id="g-nan"),
             pytest.param(("grid", "v_phase"), math.nan, "key 'v_phase' must be a finite number",
                          id="v_phase-nan"),
             pytest.param(("sim", "t_end"), math.inf, "key 't_end' must be a finite number",
@@ -689,11 +780,12 @@ class TestSimulate:
                                     d["profiles"]["load"][0].update(q=1e308)),
                          "p_loss must be finite and non-negative, got inf", id="statcom-loss"),
             pytest.param(lambda d: d["profiles"]["irradiance"][0].update(g=sys.float_info.max),
-                         "g must be finite and in [0, 2000] W/m², got 1.7976931348623157e+308",
+                         "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², "
+                         "got 1.7976931348623157e+308",
                          id="irradiance-at-float-max"),
             pytest.param(lambda d: d["profiles"]["irradiance"][0].update(g=1e300),
-                         "g must be finite and in [0, 2000] W/m², got 1e+300",
-                         id="irradiance-1e300"),
+                         "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², "
+                         "got 1e+300", id="irradiance-1e300"),
         ],
     )
     def test_value_beyond_float_range_exits_1(self, capsys, tmp_path, edit, named):
@@ -942,6 +1034,13 @@ class TestLazyImport:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
             pvgrid.not_a_name  # noqa: B018
+
+    @pytest.mark.parametrize("name", ["step", "IVPoint"])
+    def test_removed_row_views_are_gone(self, name):
+        """The per-row views are not public names: results are read as columns."""
+        assert name not in pvgrid.__all__
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(pvgrid, name)
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize("argv", [BOOST_ARGS, LCL_ARGS, RESONANCE_ARGS],

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvgrid.compensation import COMPENSATORS, FixedCapacitor, NoCompensator, Statcom
-from pvgrid.errors import EmptySeries, ParseError, ValidationError
+from pvgrid.errors import FINITE, EmptySeries, ParseError, ValidationError
 from pvgrid.scenario_io import (
     _DOCUMENT_KEYS,
     _PROFILES,
@@ -157,18 +157,20 @@ class TestParseScenario:
 
 
 # Malformed values and entries of a profile list, with the message each
-# gets ("{where}" is the entry, "{key}" the key, "{segment}" the entry as the
-# scenario names its segment).  The parser names an entry of the wrong shape
-# or type; the scenario names a segment holding a value that is not finite.
+# gets ("{where}" is the entry, "{key}" the key, "{segment}" the segment as
+# the scenario names it, "{bound}" the words of the key's bound).  The parser
+# names an entry of the wrong shape or type; the scenario names the segment
+# holding a value that is not finite.
 MALFORMED_ENTRY = {
     "true": ("true", "{where}: key '{key}' must be a number"),
     "string": ('"500"', "{where}: key '{key}' must be a number"),
     "null": ("null", "{where}: key '{key}' must be a number"),
-    "nan": ("NaN", "{segment} must have finite values"),
-    "1e400": ("1e400", "{segment} must have finite values"),
-    "10**400": (str(10**400), "{segment} must have finite values"),
+    "nan": ("NaN", "{segment}: {key} must be {bound}, got nan"),
+    "1e400": ("1e400", "{segment}: {key} must be {bound}, got inf"),
+    "10**400": (str(10**400), "{segment}: {key} must be {bound}, got " + str(10**400)),
     # An integer that float() rounds down to the largest double.
-    "max+1": (str(int(sys.float_info.max) + 1), "{segment} must have finite values"),
+    "max+1": (str(int(sys.float_info.max) + 1),
+              "{segment}: {key} must be {bound}, got " + str(int(sys.float_info.max) + 1)),
     "missing-key": (None, "{where}: missing required key '{key}'"),
     "unknown-key": (None, "{where}: unknown keys bogus"),
     "non-object": (None, "{where} must be an object"),
@@ -237,19 +239,17 @@ class TestProfileLists:
     @pytest.mark.parametrize("pos", [0, 2, 4], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("profile,key", [("irradiance", "g"), ("load", "q")])
     def test_malformed_entry_is_named(self, profile, key, pos, case):
-        """The error names the broken entry: its place in the list for a wrong
-        shape or type, its segment for a value that is not finite."""
+        """The error names the broken entry by its place in the list: as the
+        document's entry for a wrong shape or type, as the profile's segment
+        for a value that is not finite."""
         text = _malformed(_five_entry_doc(), profile, key, pos, case)
         with pytest.raises(ValidationError) as err:
             parse_scenario(text)
         assert type(err.value) is ValidationError
-        where = f"profiles.{profile}[{pos}]"
-        entry = json.loads(text)["profiles"][profile][pos]
-        try:
-            segment = f"{profile} profile segment {_PROFILES[profile](**entry)}"
-        except TypeError:  # not an object with exactly the record's keys
-            segment = None
-        want = MALFORMED_ENTRY[case][1].format(where=where, key=key, segment=segment)
+        want = MALFORMED_ENTRY[case][1].format(
+            where=f"profiles.{profile}[{pos}]", key=key, segment=f"{profile} profile segment {pos}",
+            bound=ENVELOPE.get(key, FINITE).text,
+        )
         assert str(err.value) == want
 
     def test_first_broken_entry_wins(self):
@@ -282,13 +282,10 @@ class TestProfileLists:
                 parse_scenario(text)
             return
         scenario = parse_scenario(text)
-        for got, entries in (
-            (scenario.irradiance_profile, irradiance[0]), (scenario.load_profile, load[0]),
-        ):
-            cls = type(got[0])
-            want = [cls(*(float(entry[k]) for k in cls._fields)) for entry in entries]
-            bits = lambda profile: [tuple(map(float.hex, seg)) for seg in profile]
-            assert bits(got) == bits(want)
+        for key, entries in (("irradiance", irradiance[0]), ("load", load[0])):
+            want = [[float(entry[k]) for entry in entries] for k in _PROFILES[key]._fields]
+            bits = lambda columns: [list(map(float.hex, column)) for column in columns]
+            assert bits(getattr(scenario, key).tolist()) == bits(want)
 
 
 class TestBundledScenarios:
@@ -299,24 +296,21 @@ class TestBundledScenarios:
         s = parse_scenario(bundled_scenario_text("case1"))
         assert s.scenario_id == "case1"
         assert s.compensator == NoCompensator()
-        assert s.load_profile[0].p == 50_000.0
-        assert s.load_profile[0].q == 100_000.0
-        gs = [seg.g for seg in s.irradiance_profile]
-        assert gs == [1000.0, 500.0]
-        assert s.irradiance_profile[1].t_start == 0.1
+        assert s.load.T.tolist() == [[0.0, 50_000.0, 100_000.0]]
+        assert s.irradiance[:2].tolist() == [[0.0, 0.1], [1000.0, 500.0]]  # t_start, g
 
     def test_case2_contents(self):
         """case2: 100 kVAr fixed bank against a 100 kW / 100 kVAr load."""
         s = parse_scenario(bundled_scenario_text("case2"))
         assert isinstance(s.compensator, FixedCapacitor)
         assert s.compensator.q_rated == 100_000.0
-        assert s.load_profile[0].q == 100_000.0
+        assert s.load[2].tolist() == [100_000.0]
 
     def test_case3_contents(self):
         """case3: STATCOM against a 100 kW / 150 kVAr load."""
         s = parse_scenario(bundled_scenario_text("case3"))
         assert isinstance(s.compensator, Statcom)
-        assert s.load_profile[0].q == 150_000.0
+        assert s.load[2].tolist() == [150_000.0]
 
     def test_bundled_files_satisfy_schema(self):
         """Every bundled scenario validates against the shipped JSON schema."""

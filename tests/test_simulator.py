@@ -16,17 +16,20 @@ from pvgrid.simulator import (
     COLUMNS,
     MAX_RECORDS,
     GridSpec,
-    IrradianceStep,
-    LoadStep,
     PowerFlowRecord,
     Scenario,
     TimeSeries,
+    _columns,
     compare_runs,
     run,
-    step,
 )
 
 from conftest import REF_MODULE, make_scenario, random_scenario
+
+
+def _at(scenario: Scenario, params, t: float) -> PowerFlowRecord:
+    """The balance at the one instant ``t``, as a row of its columns."""
+    return PowerFlowRecord(**{k: c.item() for k, c in _columns(scenario, params, [t]).items()})
 
 
 def _assert_balanced(record: PowerFlowRecord) -> None:
@@ -128,32 +131,34 @@ class TestScenarioValidation:
         "irradiance,load,message",
         [
             (((0.0, 100.0, 25.0), (0.1, 100.0, 95.0), (0.2, 100.0, -45.0)), None,
-             "t_cell must be finite and in [-40, 90] °C, got 95.0"),
-            (((0.0, -5, 95.0),), None, "g must be finite and in [0, 2000] W/m², got -5.0"),
+             "irradiance profile segment 1: t_cell must be finite and in [-40, 90] °C, "
+             "got 95.0"),
+            (((0.0, -5, 95.0),), None,
+             "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², got -5.0"),
             (((0.0, 100.0, 95.0), (0.1, -5.0, 25.0)), None,
-             "g must be finite and in [0, 2000] W/m², got -5.0"),
+             "irradiance profile segment 0: t_cell must be finite and in [-40, 90] °C, "
+             "got 95.0"),
             (((0.0, 100.0, 25.0), (0.1, 2000.5, 25.0)), None,
-             "g must be finite and in [0, 2000] W/m², got 2000.5"),
+             "irradiance profile segment 1: g must be finite and in [0, 2000] W/m², got 2000.5"),
             (((0.0, 1e3, 25.0), (0.1, math.nan, 25.0), (0.2, math.inf, 25.0)), None,
-             "irradiance profile segment IrradianceStep(t_start=0.1, g=nan, t_cell=25.0) "
-             "must have finite values"),
+             "irradiance profile segment 1: g must be finite and in [0, 2000] W/m², got nan"),
             (((0.0, -5.0, 25.0),), ((0.0, 1e5, 1e5), (0.1, 1e5, -math.inf)),
-             "load profile segment LoadStep(t_start=0.1, p=100000.0, q=-inf) "
-             "must have finite values"),
+             "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², got -5.0"),
             (((0.0, 1e3, 25.0),), ((0.0, int(sys.float_info.max) + 1, 1e5),),
-             f"load profile segment LoadStep(t_start=0.0, p={int(sys.float_info.max) + 1}, "
-             f"q=100000.0) must have finite values"),
+             f"load profile segment 0: p must be finite, got {int(sys.float_info.max) + 1}"),
             (((0.0, 1e3, 25.0), (0.1, 1e3, 25.0), (0.1, 1e3, 25.0)), None,
-             "irradiance profile segments must be sorted by t_start"),
-            (((1e-300, 1e3, 25.0),), None, "irradiance profile must start at t = 0"),
+             "irradiance profile segment 2: t_start must be after 0.1, got 0.1"),
+            (((1e-300, 1e3, 25.0),), None,
+             "irradiance profile segment 0: t_start must be 0, got 1e-300"),
         ],
-        ids=["first-bad-segment", "g-before-t_cell", "g-column-before-t_cell-column",
-             "g-above-envelope", "first-non-finite", "load-before-domain",
+        ids=["first-bad-segment", "g-before-t_cell", "segment-before-field",
+             "g-above-envelope", "first-non-finite", "irradiance-before-load",
              "int-past-float-range", "duplicate-start", "late-start"],
     )
     def test_profile_check_messages(self, irradiance, load, message):
-        """Each profile check keeps its message.  Within a check the first failing
-        segment wins, and the whole g column is judged before the t_cell column."""
+        """Every profile check gives one message form naming the first failing
+        segment by index, and in it the first failing field.  Irradiance is
+        judged before load, and segments before fields."""
         kw = {"irradiance": irradiance} if load is None else {"irradiance": irradiance, "load": load}
         with pytest.raises(InvalidScenario) as err:
             make_scenario(**kw)
@@ -166,9 +171,9 @@ class TestScenarioValidation:
             irradiance=((0, 1000, True), (1, 500.0, -40)),
             load=((0.0, sys.float_info.max, -sys.float_info.max),),
         )
-        assert s.load_profile[0].p == sys.float_info.max
-        assert s.irradiance_profile == ((0.0, 1000.0, 1.0), (1.0, 500.0, -40.0))
-        assert {type(x) for seg in s.irradiance_profile for x in seg} == {float}
+        assert s.load[1, 0] == sys.float_info.max
+        assert s.irradiance.T.tolist() == [[0.0, 1000.0, 1.0], [1.0, 500.0, -40.0]]
+        assert s.irradiance.dtype == s.load.dtype == np.float64
 
     def test_grid_spec_finite(self):
         """A NaN or infinite grid value is rejected."""
@@ -178,8 +183,8 @@ class TestScenarioValidation:
 
     def test_columns_and_steps_build_equal_scenarios(self):
         """Columns given as nested lists, as arrays or as tuples of ints make
-        equal scenarios, equal step views and equal runs; the columns are
-        read-only copies, and the step views cannot be replaced."""
+        equal scenarios, equal columns and equal runs; the columns are
+        read-only copies, and cannot be replaced."""
         steps = make_scenario(irradiance=((0.0, 1000.0, 25.0), (0.02, 500.0, 30.0)),
                               load=((0.0, 1e5, 5e4), (0.03, 2e5, -1e4)))
         load = np.array([[0.0, 0.03], [1e5, 2e5], [5e4, -1e4]])
@@ -189,10 +194,8 @@ class TestScenarioValidation:
             t_end=steps.t_end, dt=steps.dt,
         )
         assert columns == steps and hash(columns) == hash(steps)
-        assert columns.irradiance_profile == steps.irradiance_profile
-        assert columns.load_profile == steps.load_profile
-        assert type(columns.irradiance_profile[1]) is IrradianceStep
-        assert type(columns.load_profile[0]) is LoadStep
+        assert np.array_equal(columns.irradiance, steps.irradiance)
+        assert columns.load.tolist() == steps.load.tolist() == load.tolist()
         assert run(columns) == run(steps)
         assert not columns.load.flags.writeable and load.flags.writeable
         load[1, 0] = 3e5
@@ -200,10 +203,10 @@ class TestScenarioValidation:
         assert columns != make_scenario(irradiance=((0.0, 1000.0, 25.0), (0.02, 500.0, 30.0)),
                                         load=((0.0, 1e5, 5e4), (0.03, 2e5, -1e3)))
         with pytest.raises(AttributeError):
-            columns.load_profile = ()
+            columns.load = load
         ints = make_scenario(irradiance=((0, 1000, 25), (0.02, 500, 30)),
                              load=((0, 100_000, 50_000), (0.03, 200_000, -10_000)))
-        assert ints == steps and ints.load_profile == steps.load_profile
+        assert ints == steps and ints.load.tolist() == steps.load.tolist()
 
     @pytest.mark.parametrize(
         "profiles,message",
@@ -213,24 +216,20 @@ class TestScenarioValidation:
             ({"irradiance": [[0.0, 1.0], [1e3], [25.0, 25.0]]},
              "irradiance profile must hold 3 floats per segment"),
             ({"irradiance": [[0.0], [10**400], [25.0]]},
-             f"irradiance profile segment IrradianceStep(t_start=0.0, g={10**400}, "
-             "t_cell=25.0) must have finite values"),
+             f"irradiance profile segment 0: g must be finite and in [0, 2000] W/m², "
+             f"got {10**400}"),
             ({"load": [[0.0], [int(sys.float_info.max) + 1], [1e5]]},
-             f"load profile segment LoadStep(t_start=0.0, p={int(sys.float_info.max) + 1}, "
-             f"q=100000.0) must have finite values"),
+             f"load profile segment 0: p must be finite, got {int(sys.float_info.max) + 1}"),
             ({"irradiance": np.zeros((3, 0))},
              "irradiance profile must have at least one segment"),
             ({"irradiance": [[0.0, 1.0], [1e3, math.nan], [25.0, 25.0]]},
-             "irradiance profile segment IrradianceStep(t_start=1.0, g=nan, t_cell=25.0) "
-             "must have finite values"),
+             "irradiance profile segment 1: g must be finite and in [0, 2000] W/m², got nan"),
             ({"irradiance": [[0.0], [-5.0], [25.0]]},
-             "g must be finite and in [0, 2000] W/m², got -5.0"),
+             "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², got -5.0"),
             ({"irradiance": [["0"], ["1000"], ["25"]]},
-             "irradiance profile segment IrradianceStep(t_start='0', g='1000', t_cell='25') "
-             "must have finite values"),
+             "irradiance profile segment 0: t_start must be finite, got '0'"),
             ({"load": [[0.0, 1.0], [1e5, None], [0.0, 0.0]]},
-             "load profile segment LoadStep(t_start=1.0, p=None, q=0.0) "
-             "must have finite values"),
+             "load profile segment 1: p must be finite, got None"),
         ],
         ids=["shape", "ragged", "int-past-float-range", "int-rounding-to-largest-double",
              "empty", "non-finite", "domain", "numeric-strings", "none"],
@@ -268,24 +267,24 @@ class TestScenarioValidation:
 
 
 # ======================================================================
-# Single-step equilibrium
+# Single-instant equilibrium
 # ======================================================================
 
 
 class TestStep:
-    """One equilibrium solve."""
+    """The balance columns at one instant."""
 
     def test_uncompensated_grid_carries_load_q(self, ref_params):
         """Without compensation q_grid equals q_load exactly."""
         s = make_scenario(load=((0.0, 50_000.0, 100_000.0),))
-        r = step(s, ref_params, 0.0)
+        r = _at(s, ref_params, 0.0)
         assert r.q_grid == 100_000.0
         assert r.q_comp == 0.0 and r.p_comp_loss == 0.0
 
     def test_inverter_power_is_scaled_mpp(self, ref_params):
         """p_inv = efficiency * p_pv and q_inv = 0."""
         s = make_scenario(efficiency=0.95)
-        r = step(s, ref_params, 0.0)
+        r = _at(s, ref_params, 0.0)
         assert r.p_inv == 0.95 * r.p_pv
         assert r.q_inv == 0.0
 
@@ -295,7 +294,7 @@ class TestStep:
             load=((0.0, 80_000.0, 60_000.0),),
             compensator=Statcom(q_max=50_000.0, loss_floor_w=800.0),
         )
-        r = step(s, ref_params, 0.0)
+        r = _at(s, ref_params, 0.0)
         assert r.p_grid == r.p_load + r.p_comp_loss - r.p_inv
         assert r.q_grid == r.q_load - r.q_comp
         assert r.q_comp == 50_000.0  # clamped at the rating
@@ -306,8 +305,8 @@ class TestStep:
         s = make_scenario(
             load=((0.0, 10_000.0, 0.0), (0.02, 99_000.0, 5_000.0)), t_end=0.05
         )
-        before = step(s, ref_params, 0.019999)
-        boundary = step(s, ref_params, 0.02)
+        before = _at(s, ref_params, 0.019999)
+        boundary = _at(s, ref_params, 0.02)
         assert before.p_load == 10_000.0
         assert boundary.p_load == 99_000.0
         assert boundary.q_load == 5_000.0
@@ -315,7 +314,7 @@ class TestStep:
     def test_dark_step_produces_zero_pv(self, ref_params):
         """g = 0 yields p_pv = 0 without raising."""
         s = make_scenario(irradiance=((0.0, 0.0, 25.0),))
-        r = step(s, ref_params, 0.0)
+        r = _at(s, ref_params, 0.0)
         assert r.p_pv == 0.0 and r.p_inv == 0.0
 
     def test_zero_exchange_reports_unity_pf(self, ref_params):
@@ -323,17 +322,9 @@ class TestStep:
         s = make_scenario(
             irradiance=((0.0, 0.0, 25.0),), load=((0.0, 0.0, 0.0),)
         )
-        r = step(s, ref_params, 0.0)
+        r = _at(s, ref_params, 0.0)
         assert r.p_grid == 0.0 and r.q_grid == 0.0
         assert r.pf_grid == 1.0
-
-    def test_out_of_range_time_rejected(self, ref_params):
-        """t outside [0, t_end] is a caller error."""
-        s = make_scenario(t_end=0.05)
-        with pytest.raises(ValueError):
-            step(s, ref_params, 0.06)
-        with pytest.raises(ValueError):
-            step(s, ref_params, -0.01)
 
 
 # ======================================================================
@@ -386,10 +377,10 @@ class TestRun:
         assert a == b
 
     def test_mpp_consistent_between_step_and_run(self, ref_params):
-        """run() and step() agree at a shared instant."""
+        """run() and the columns at one instant agree at a shared instant."""
         s = make_scenario()
         series = run(s)
-        single = step(s, ref_params, 0.02)
+        single = _at(s, ref_params, 0.02)
         match = [r for r in series.records if r.t == 0.02][0]
         assert match == single
 
@@ -433,13 +424,13 @@ class TestRun:
             run(s)
 
     def test_records_match_step_at_every_instant(self, ref_params):
-        """Property: each record of a run equals step() at its instant, 50 draws."""
+        """Property: each record of a run equals the columns at its one instant, 50 draws."""
         rng = np.random.default_rng(47)
         for i in range(50):
             s = random_scenario(rng, i)
             series = run(s)
             for k, t in enumerate(s.times()):
-                assert series.records[k] == step(s, ref_params, t), f"draw {i}, t={t}"
+                assert series.records[k] == _at(s, ref_params, t), f"draw {i}, t={t}"
 
     def test_integer_profile_values_run_as_floats(self):
         """Profiles built from Python ints, one beyond int64, give the float results."""
