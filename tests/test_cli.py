@@ -472,6 +472,7 @@ def test_scenario_command_outcome_property(tmp_path, data):
 
 # A value past the float range: Python ints that JSON carries exactly.
 _PAST_FLOAT = [10**400, int(sys.float_info.max) + 1, -(10**309)]
+_FIELDS = {"irradiance": pvgrid.IrradianceStep._fields, "load": pvgrid.LoadStep._fields}
 
 
 @st.composite
@@ -488,8 +489,7 @@ def _located_bad_value(draw) -> tuple[dict, str, int, str]:
         profiles[name] = [starts, [draw(st.floats(lo, hi)) for _ in range(n)],
                           [draw(st.floats(lo2, hi2)) for _ in range(n)]]
     profile = draw(st.sampled_from(["irradiance", "load"]), "profile")
-    fields = ("t_start", "g", "t_cell") if profile == "irradiance" else ("t_start", "p", "q")
-    columns = profiles[profile]
+    fields, columns = _FIELDS[profile], profiles[profile]
     k = draw(st.integers(0, len(columns[0]) - 1), "segment")
     f = draw(st.integers(0, 2), "field")
     bad = st.sampled_from([math.nan, math.inf, -math.inf, *_PAST_FLOAT])
@@ -522,8 +522,7 @@ def test_bad_profile_value_names_its_segment(tmp_path, case):
     assert str(failure.value).startswith(located)
     doc = json.loads(bundled_scenario_text("case1"))
     for name, columns in profiles.items():
-        keys = ("t_start", "g", "t_cell") if name == "irradiance" else ("t_start", "p", "q")
-        doc["profiles"][name] = [dict(zip(keys, segment)) for segment in zip(*columns)]
+        doc["profiles"][name] = [dict(zip(_FIELDS[name], segment)) for segment in zip(*columns)]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
