@@ -18,7 +18,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import DarkArray, NonConvergence, PVGridError
-from .units import format_si
+from .units import format_si, shown_magnitude
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +44,7 @@ def _fmt_value(value: object, unit: str) -> str:
         return "yes" if value else "no"
     assert isinstance(value, float)
     # Capacitances below one farad read naturally in microfarads.
-    if unit == "F" and 1e-6 <= abs(value) < 1.0:
+    if unit == "F" and 1e-6 <= shown_magnitude(value) < 1.0:
         return f"{value / 1e-6:.5g} µF"
     if not unit:
         return f"{value:.5g}"

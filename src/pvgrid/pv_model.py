@@ -349,8 +349,26 @@ def _module_currents(params: SingleDiodeParams, v: np.ndarray) -> np.ndarray:
     )
 
 
+def _current_within(params: SingleDiodeParams, v: float, c: float, d: float) -> bool:
+    """Whether the current :func:`_module_currents` solves for at ``v`` is within
+    ``d`` of ``c``, without solving.
+
+    Its residual f(v, i), with the same exponent cap :data:`_EXP_CAP`, falls
+    with i at a slope of -1 or steeper, so |I(v) - c| <= d exactly when
+    f(v, c - d) >= 0 >= f(v, c + d).
+    """
+    def residual(i: float) -> float:
+        x = v + i * params.r_s
+        z = x / params.a
+        e = math.inf if z > _EXP_CAP else math.expm1(z)
+        return params.i_ph - params.i_0 * e - x / params.r_sh - i
+
+    return residual(c - d) >= 0.0 >= residual(c + d)
+
+
 def _module_mpp(
-    i_ph: np.ndarray, i_0: np.ndarray, r_sh: np.ndarray, r_s: float, a: float
+    i_ph: np.ndarray, i_0: np.ndarray, r_sh: np.ndarray, r_s: float, a: float,
+    vd0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Module ``(v, i)`` at maximum power of each curve; ``(0, 0)`` where it is dark.
 
@@ -359,7 +377,8 @@ def _module_mpp(
     v = vd - i*r_s.  With g = (i_0/a)*exp(vd/a) + 1/r_sh, dP/dvd =
     i*(1 + r_s*g) - v*g is > 0 at vd = 0 and < 0 at a*log1p(i_ph/i_0).
     Every lit curve (see :func:`_lit`) gets one Newton-bisection on that
-    bracket, all curves at once.
+    bracket, all curves at once, started at ``vd0`` if given (one diode
+    voltage per curve), else near the ideal-diode maximum.
 
     Raises:
         NonConvergence: if a solve fails or |dP/dV|*v/p >= 1e-4 at its result.
@@ -382,8 +401,8 @@ def _module_mpp(
 
     x_oc = np.log1p(i_ph / i_0)
     lo, hi = np.zeros(i_ph.shape), a * x_oc
-    # Start one fixed-point step into the ideal-diode maximum (1 + x)*e^x = e^x_oc.
-    x0 = a * (x_oc - np.log1p(x_oc))
+    # By default, start one fixed-point step into the ideal-diode maximum (1 + x)*e^x = e^x_oc.
+    x0 = a * (x_oc - np.log1p(x_oc)) if vd0 is None else vd0[lit]
     try:
         vd = newton_bisect_array(
             slope_and_curvature, lo, hi, point(lo, every)[-1], point(hi, every)[-1],
@@ -415,7 +434,8 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
     root of the maximum-power slope condition i_mp + v_mp*dI/dV = 0.
     The parameters must pass the checks of :class:`SingleDiodeParams`,
     and their STC curve must reproduce i_sc, v_oc and the rated maximum
-    power point within :data:`DATASHEET_TOL` (0.5%).
+    power point within :data:`DATASHEET_TOL` (0.5%).  The two currents are
+    checked without a solve (:func:`_current_within`).
 
     Raises:
         InfeasibleSpec: naming the ideality and the first condition it fails.
@@ -484,14 +504,20 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
         raise infeasible(str(exc)) from None
 
     tol = DATASHEET_TOL
-    i_short, i_open = _module_currents(params, np.array([0.0, spec.v_oc])).tolist()
-    if abs(i_short - spec.i_sc) > tol * spec.i_sc:
-        raise infeasible(f"I(0) = {i_short:.6g} A misses i_sc = {spec.i_sc:g} A "
-                         f"by more than {tol:.1%}")
-    if abs(i_open) > tol * spec.i_sc:
-        raise infeasible(f"I(v_oc) = {i_open:.6g} A misses 0 by more than {tol:.1%} of i_sc")
+    d = tol * spec.i_sc
+    if not (_current_within(params, 0.0, spec.i_sc, d)
+            and _current_within(params, spec.v_oc, 0.0, d)):
+        # Solved only to give the missed value.
+        i_short, i_open = _module_currents(params, np.array([0.0, spec.v_oc])).tolist()
+        if abs(i_short - spec.i_sc) > d:
+            raise infeasible(f"I(0) = {i_short:.6g} A misses i_sc = {spec.i_sc:g} A "
+                             f"by more than {tol:.1%}")
+        if abs(i_open) > d:
+            raise infeasible(f"I(v_oc) = {i_open:.6g} A misses 0 by more than {tol:.1%} of i_sc")
     one_curve = np.array([[params.i_ph], [params.i_0], [params.r_sh]])
-    (v_mp,), (i_mp,) = _module_mpp(*one_curve, params.r_s, params.a)
+    # Start at the rated diode voltage, where the fit set dP/dV = 0.
+    vd_mp = np.array([spec.v_mp + spec.i_mp * params.r_s])
+    (v_mp,), (i_mp,) = _module_mpp(*one_curve, params.r_s, params.a, vd_mp)
     if not (abs(v_mp * i_mp - spec.p_mp) <= tol * spec.p_mp
             and abs(v_mp - spec.v_mp) <= tol * spec.v_mp):
         raise infeasible(

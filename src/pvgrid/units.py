@@ -17,11 +17,19 @@ _SI_PREFIXES = (
 )
 
 
+def shown_magnitude(value: float) -> float:
+    """``|value|`` rounded to the 5 significant digits it is printed with.
+
+    A prefix is chosen from this, so 999.9996 W prints ``1 kW``, not ``1000 W``.
+    """
+    return abs(float(f"{value:.5g}"))
+
+
 def format_si(value: float, unit: str) -> str:
     """Format a value with an engineering prefix, 5 significant digits."""
     if value == 0.0:
         return f"0 {unit}" if unit else "0"
-    mag = abs(value)
+    mag = shown_magnitude(value)
     for scale, prefix in _SI_PREFIXES:
         if mag >= scale:
             break  # else the smallest prefix, left by the loop

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 
@@ -14,6 +15,7 @@ from pvgrid import pv_model
 from pvgrid.errors import DarkArray, InfeasibleSpec, InvalidScenario, InvalidValue, NonConvergence
 from pvgrid.numerics import newton_bisect_array
 from pvgrid.pv_model import (
+    DATASHEET_TOL,
     G_MAX,
     MAX_POINTS,
     EnvCondition,
@@ -25,6 +27,7 @@ from pvgrid.pv_model import (
     adjust_params,
     array_iv_sweep,
     extract_single_diode_params,
+    _current_within,
     _fit_at_ideality,
     _module_currents,
     _module_mpp,
@@ -35,13 +38,9 @@ from pvgrid.pv_model import (
     thermal_voltage,
 )
 
-from conftest import DATASHEETS, REF_MODULE, make_scenario
-
-# A datasheet on which the current solve of the guessed ideality 1.3 runs out
-# of a budget of OUT_OF_BUDGET_ITERATIONS, while 1.35 calibrates within it.
-OUT_OF_BUDGET_ITERATIONS = 40
-OUT_OF_BUDGET_AT_GUESS = PVModuleSpec(p_mp=91623.728, v_mp=1203.228, i_mp=76.148,
-                                      v_oc=1387.653, i_sc=85.187, n_cells=60)
+from conftest import (
+    DATASHEETS, OUT_OF_BUDGET_AT_GUESS, OUT_OF_BUDGET_ITERATIONS, REF_MODULE, make_scenario,
+)
 
 
 def _bisect_current(params: SingleDiodeParams, v: float) -> float:
@@ -508,6 +507,70 @@ def test_calibration_verifies_or_raises_a_calibration_error(
               EnvCondition(g=spec.g_stc, t=spec.t_stc))
     assert abs(got.p_mp - spec.p_mp) <= 0.005 * spec.p_mp
     assert abs(got.v_mp - v_mp) <= 0.005 * v_mp
+
+
+def _fitted(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams:
+    """The parameters ``_fit_at_ideality`` fits at ``n_ideality``, whether or not
+    they pass its STC check."""
+    seen, check = [], pv_model._current_within
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pv_model, "_current_within",
+                      lambda params, *args: seen.append(params) or check(params, *args))
+        with contextlib.suppress(InfeasibleSpec):
+            _fit_at_ideality(spec, n_ideality)
+    return seen[0]
+
+
+# Each real datasheet at the ideality it calibrates at, and the 91.6 kW one at
+# 1.3, where only the exponent cap rejects I(v_oc), and at 1.35.
+_STC_FITS = [(PVModuleSpec(*sheet[:5], n_cells=sheet[5]), None) for sheet in DATASHEETS] + [
+    (OUT_OF_BUDGET_AT_GUESS, 1.3), (OUT_OF_BUDGET_AT_GUESS, 1.35)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fit=st.sampled_from(_STC_FITS), k_ph=st.floats(0.98, 1.02), k_0=st.floats(0.9, 1.1),
+       k_sh=st.floats(0.5, 2.0))
+@example(fit=(OUT_OF_BUDGET_AT_GUESS, 1.3), k_ph=1.0, k_0=1.0, k_sh=1.0)
+def test_explicit_stc_check_agrees_with_the_current_solve(fit, k_ph, k_0, k_sh):
+    """Property: the STC current check that calibration makes without a solve,
+    ``_current_within``, says |I(v) - c| <= 0.5% of i_sc exactly when the
+    current that ``_module_currents`` solves for does, at I(0) = i_sc and at
+    I(v_oc) = 0.  i_ph, i_0 and r_sh are scaled so that the current moves
+    across that tolerance; a solved current within 1e-8 of i_sc of the
+    boundary is not judged."""
+    spec, n_ideality = fit
+    params = (extract_single_diode_params(spec) if n_ideality is None
+              else _fitted(spec, n_ideality))
+    params = SingleDiodeParams(i_ph=params.i_ph * k_ph, i_0=params.i_0 * k_0,
+                               n_ideality=params.n_ideality, r_s=params.r_s,
+                               r_sh=params.r_sh * k_sh, a=params.a)
+    d = DATASHEET_TOL * spec.i_sc
+    for v, c in ((0.0, spec.i_sc), (spec.v_oc, 0.0)):
+        miss = abs(float(_module_currents(params, np.array([v]))[0]) - c)
+        if abs(miss - d) > 1e-8 * spec.i_sc:
+            assert _current_within(params, v, c, d) == (miss <= d), (v, c, miss, d)
+
+
+def test_the_exponent_cap_decides_the_stc_check():
+    """At ideality 1.3 the 91.6 kW datasheet has v_oc/a = 692.4, past the cap of
+    690, so the capped residual rejects I(v_oc) = 0 as the solve does; the
+    residual without the cap would accept it."""
+    spec = OUT_OF_BUDGET_AT_GUESS
+    params = _fitted(spec, 1.3)
+    d = DATASHEET_TOL * spec.i_sc
+    assert spec.v_oc / params.a > pv_model._EXP_CAP
+    assert not _current_within(params, spec.v_oc, 0.0, d)
+    assert f"{float(_module_currents(params, np.array([spec.v_oc]))[0]):.6g}" == "-2.16359"
+
+    def uncapped(i: float) -> float:
+        x = spec.v_oc + i * params.r_s
+        return params.i_ph - params.i_0 * math.expm1(x / params.a) - x / params.r_sh - i
+
+    assert uncapped(-d) >= 0.0 >= uncapped(d)
+    with pytest.raises(InfeasibleSpec, match=re.escape(
+        "ideality 1.3: I(v_oc) = -2.16359 A misses 0 by more than 0.5% of i_sc"
+    )):
+        _fit_at_ideality(spec, 1.3)
 
 
 # ======================================================================

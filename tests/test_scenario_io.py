@@ -21,6 +21,7 @@ from pvgrid.scenario_io import (
     _PROFILES,
     _SECTIONS,
     _keys,
+    _read_profile,
     bundled_scenario_text,
     emit_csv,
     emit_scenario,
@@ -263,6 +264,48 @@ class TestProfileLists:
         text = _malformed(doc, "load", "q", 1, "nan")
         with pytest.raises(ValidationError, match=r"^profiles\.load\[3\]: key 'p' must be a"):
             parse_scenario(text)
+
+    def test_int_values_read_as_their_float_twin(self):
+        """A fleet-like day at 60 s (1,440 irradiance and 96 load segments) written
+        with int values is read as float columns, and gives the same scenario
+        arrays and CSV bytes as its twin written with floats."""
+        irradiance = [{"t_start": 60 * k, "g": max(0, 1000 - abs(720 - k) * 2),
+                       "t_cell": 20 + k % 30} for k in range(1440)]
+        load = [{"t_start": 900 * k, "p": 40_000 + 417 * k, "q": 30_000 - 611 * k}
+                for k in range(96)]
+        ints = json.loads(_doc(id="day", sim={"t_end": 86_400, "dt": 60}))
+        ints["profiles"] = {"irradiance": irradiance, "load": load}
+        floats = json.loads(json.dumps(ints))
+        for entries in floats["profiles"].values():
+            for entry in entries:
+                entry.update((key, float(value)) for key, value in entry.items())
+        assert '"g": 1000,' in json.dumps(ints) and '"g": 1000.0,' in json.dumps(floats)
+        for key, cls in _PROFILES.items():
+            assert isinstance(_read_profile(ints["profiles"][key], cls, key), np.ndarray)
+        a, b = parse_scenario(json.dumps(ints)), parse_scenario(json.dumps(floats))
+        for key in _PROFILES:
+            assert getattr(a, key).tolist() == getattr(b, key).tolist()
+        assert a == b
+        assert emit_csv(run(a)) == emit_csv(run(b))
+
+    @pytest.mark.parametrize("value,shown", [
+        (10**20, str(10**20)), (10**400, str(10**400)),
+        (int(sys.float_info.max) + 1, str(int(sys.float_info.max) + 1)),
+        (2**62, "4.611686018427388e+18"),
+    ])
+    def test_large_int_is_judged_as_given(self, value, shown):
+        """An int past 2**63 is handed to the scenario as written, and one past
+        the range of int64 is printed as written, as are the ones past the
+        float range; a smaller int is read as a float."""
+        entries = [{"t_start": 0.0, "g": value, "t_cell": 25.0}]
+        read = _read_profile(entries, _PROFILES["irradiance"], "irradiance")
+        assert isinstance(read, np.ndarray) == (value < 2**63)
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(_doc(profiles={"irradiance": entries, "load": MINIMAL_DOC[
+                "profiles"]["load"]}))
+        assert str(err.value) == (
+            f"irradiance profile segment 0: g must be {ENVELOPE['g'].text}, got {shown}"
+        )
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -722,6 +765,15 @@ class TestFormatSi:
         assert format_si(12.88e-6, "H") == "12.88 µH"
         assert format_si(2.5e9, "W") == "2.5 GW"
         assert format_si(-150_000.0, "VAr") == "-150 kVAr"
+
+    def test_prefix_follows_the_printed_value(self):
+        """The prefix is chosen from the value rounded to the 5 digits printed,
+        so a value that rounds up to the next prefix prints 1 of it."""
+        assert format_si(999.9996, "W") == "1 kW"
+        assert format_si(-999.9996, "W") == "-1 kW"
+        assert format_si(0.99999996e-3, "H") == "1 mH"
+        assert format_si(0.99999996e-6, "F") == "1 µF"
+        assert format_si(999.94, "W") == "999.94 W"
 
     def test_tiny_values_use_smallest_prefix(self):
         """Below nano, values are still expressed in nano."""

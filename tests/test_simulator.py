@@ -407,19 +407,20 @@ class TestRun:
         """A solver failure inside calibration stays a NonConvergence, led by the
         scenario id and giving each candidate ideality's reason."""
 
-        def failing(params, v):
-            raise NonConvergence("module_current: could not bracket the root")
+        def failing(*args):
+            raise NonConvergence("mpp: no root of dP/dVd within 100 iterations")
 
-        # Calibrate afresh, past the memo, with a current solve that fails.
+        # Calibrate afresh, past the memo, with a failing maximum-power solve: the
+        # one solve that the STC check of every fitted candidate runs.
         monkeypatch.setattr(pv_model, "extract_single_diode_params",
                             pv_model.extract_single_diode_params.__wrapped__)
-        monkeypatch.setattr(pv_model, "_module_currents", failing)
+        monkeypatch.setattr(pv_model, "_module_mpp", failing)
         s = make_scenario()
         with pytest.raises(NonConvergence, match=(
             f"^module calibration failed for scenario {s.scenario_id!r}: no ideality "
             "calibrates the datasheet: ideality 1.3: no physical shunt resistance satisfies "
-            "the maximum-power condition; ideality 1: module_current: could not bracket the "
-            "root; ideality 1.05: module_current: could not bracket the root; "
+            "the maximum-power condition; ideality 1: mpp: no root of dP/dVd within 100 "
+            "iterations; ideality 1.05: mpp: no root of dP/dVd within 100 iterations; "
         )):
             run(s)
 
