@@ -306,6 +306,16 @@ def _lit(i_ph, i_0, a: float):
         return i_ph * (a * np.log1p(i_ph / i_0)) >= sys.float_info.min
 
 
+def _residual(params: SingleDiodeParams, v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The diode residual f(v, i) = i_ph - i_0*expm1(x/a) - x/r_sh - i, x = v + i*r_s,
+    at each pair of ``v`` and ``i``, with expm1 from ``math`` and taken as
+    infinite past :data:`_EXP_CAP`."""
+    x = v + i * params.r_s
+    z = x / params.a
+    e = np.where(z > _EXP_CAP, np.inf, _libm(math.expm1, np.minimum(z, _EXP_CAP)))
+    return params.i_ph - params.i_0 * e - x / params.r_sh - i
+
+
 def _module_currents(params: SingleDiodeParams, v: np.ndarray) -> np.ndarray:
     """Module current at every voltage of ``v`` (each >= 0), in one batched solve.
 
@@ -321,10 +331,7 @@ def _module_currents(params: SingleDiodeParams, v: np.ndarray) -> np.ndarray:
     i_ph, i_0, r_s, r_sh, a = params.i_ph, params.i_0, params.r_s, params.r_sh, params.a
 
     def residual(i: np.ndarray, k: np.ndarray) -> np.ndarray:
-        x = v[k] + i * r_s
-        z = x / a
-        e = np.where(z > _EXP_CAP, np.inf, _libm(math.expm1, np.minimum(z, _EXP_CAP)))
-        return i_ph - i_0 * e - x / r_sh - i
+        return _residual(params, v[k], i)
 
     def residual_and_slope(i: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = (v[k] + i * r_s) / a
@@ -353,22 +360,15 @@ def _current_within(params: SingleDiodeParams, v: float, c: float, d: float) -> 
     """Whether the current :func:`_module_currents` solves for at ``v`` is within
     ``d`` of ``c``, without solving.
 
-    Its residual f(v, i), with the same exponent cap :data:`_EXP_CAP`, falls
-    with i at a slope of -1 or steeper, so |I(v) - c| <= d exactly when
-    f(v, c - d) >= 0 >= f(v, c + d).
+    Its residual f(v, i) falls with i at a slope of -1 or steeper, so
+    |I(v) - c| <= d exactly when f(v, c - d) >= 0 >= f(v, c + d).
     """
-    def residual(i: float) -> float:
-        x = v + i * params.r_s
-        z = x / params.a
-        e = math.inf if z > _EXP_CAP else math.expm1(z)
-        return params.i_ph - params.i_0 * e - x / params.r_sh - i
-
-    return residual(c - d) >= 0.0 >= residual(c + d)
+    f_lo, f_hi = _residual(params, np.array([v, v]), np.array([c - d, c + d]))
+    return f_lo >= 0.0 >= f_hi
 
 
 def _module_mpp(
-    i_ph: np.ndarray, i_0: np.ndarray, r_sh: np.ndarray, r_s: float, a: float,
-    vd0: np.ndarray | None = None,
+    i_ph: np.ndarray, i_0: np.ndarray, r_sh: np.ndarray, r_s: float, a: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Module ``(v, i)`` at maximum power of each curve; ``(0, 0)`` where it is dark.
 
@@ -377,8 +377,7 @@ def _module_mpp(
     v = vd - i*r_s.  With g = (i_0/a)*exp(vd/a) + 1/r_sh, dP/dvd =
     i*(1 + r_s*g) - v*g is > 0 at vd = 0 and < 0 at a*log1p(i_ph/i_0).
     Every lit curve (see :func:`_lit`) gets one Newton-bisection on that
-    bracket, all curves at once, started at ``vd0`` if given (one diode
-    voltage per curve), else near the ideal-diode maximum.
+    bracket, all curves at once.
 
     Raises:
         NonConvergence: if a solve fails or |dP/dV|*v/p >= 1e-4 at its result.
@@ -401,8 +400,8 @@ def _module_mpp(
 
     x_oc = np.log1p(i_ph / i_0)
     lo, hi = np.zeros(i_ph.shape), a * x_oc
-    # By default, start one fixed-point step into the ideal-diode maximum (1 + x)*e^x = e^x_oc.
-    x0 = a * (x_oc - np.log1p(x_oc)) if vd0 is None else vd0[lit]
+    # Start one fixed-point step into the ideal-diode maximum (1 + x)*e^x = e^x_oc.
+    x0 = a * (x_oc - np.log1p(x_oc))
     try:
         vd = newton_bisect_array(
             slope_and_curvature, lo, hi, point(lo, every)[-1], point(hi, every)[-1],
@@ -515,9 +514,7 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
         if abs(i_open) > d:
             raise infeasible(f"I(v_oc) = {i_open:.6g} A misses 0 by more than {tol:.1%} of i_sc")
     one_curve = np.array([[params.i_ph], [params.i_0], [params.r_sh]])
-    # Start at the rated diode voltage, where the fit set dP/dV = 0.
-    vd_mp = np.array([spec.v_mp + spec.i_mp * params.r_s])
-    (v_mp,), (i_mp,) = _module_mpp(*one_curve, params.r_s, params.a, vd_mp)
+    (v_mp,), (i_mp,) = _module_mpp(*one_curve, params.r_s, params.a)
     if not (abs(v_mp * i_mp - spec.p_mp) <= tol * spec.p_mp
             and abs(v_mp - spec.v_mp) <= tol * spec.v_mp):
         raise infeasible(

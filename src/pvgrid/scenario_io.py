@@ -118,16 +118,12 @@ def _read(section: object, cls: type, where: str) -> dict:
     return values
 
 
-def _read_profile(entries: list, cls: type, where: str) -> np.ndarray | list[list]:
-    """One profile list as columns, one per field of ``cls``: a float array,
-    or the values as given if one is 2**63 or more in magnitude.
+def _read_profile(entries: list, cls: type, where: str) -> list[list]:
+    """The values of one profile list as given, one column per field of ``cls``.
 
     Each entry must be an object with exactly the keys of ``cls``, each
     value an int or a float, not a bool; :class:`Scenario` judges the
-    values.  ``_read`` names the first entry that breaks this rule.  Given
-    an int past 2**63, Scenario judges it as written, as it would without
-    this conversion: one past the float range is not finite, though it
-    rounds to a double, and an error prints it as written.
+    values.  ``_read`` names the first entry that breaks this rule.
     """
     keys = _keys(cls)
 
@@ -144,11 +140,7 @@ def _read_profile(entries: list, cls: type, where: str) -> np.ndarray | list[lis
     if values is None:
         idx = next(idx for idx, entry in enumerate(entries) if columns([entry]) is None)
         _read(entries[idx], cls, f"{where}[{idx}]")  # raises, naming what breaks the rule
-    try:
-        floats = np.array(values, dtype=float)
-    except OverflowError:  # an int past the float range
-        return values
-    return floats if (abs(floats) < 2.0**63).all() else values
+    return values
 
 
 def parse_scenario(text: str | bytes) -> Scenario:

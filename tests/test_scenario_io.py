@@ -21,7 +21,6 @@ from pvgrid.scenario_io import (
     _PROFILES,
     _SECTIONS,
     _keys,
-    _read_profile,
     bundled_scenario_text,
     emit_csv,
     emit_scenario,
@@ -267,8 +266,8 @@ class TestProfileLists:
 
     def test_int_values_read_as_their_float_twin(self):
         """A fleet-like day at 60 s (1,440 irradiance and 96 load segments) written
-        with int values is read as float columns, and gives the same scenario
-        arrays and CSV bytes as its twin written with floats."""
+        with int values gives the same scenario arrays and CSV bytes as its twin
+        written with floats."""
         irradiance = [{"t_start": 60 * k, "g": max(0, 1000 - abs(720 - k) * 2),
                        "t_cell": 20 + k % 30} for k in range(1440)]
         load = [{"t_start": 900 * k, "p": 40_000 + 417 * k, "q": 30_000 - 611 * k}
@@ -280,8 +279,6 @@ class TestProfileLists:
             for entry in entries:
                 entry.update((key, float(value)) for key, value in entry.items())
         assert '"g": 1000,' in json.dumps(ints) and '"g": 1000.0,' in json.dumps(floats)
-        for key, cls in _PROFILES.items():
-            assert isinstance(_read_profile(ints["profiles"][key], cls, key), np.ndarray)
         a, b = parse_scenario(json.dumps(ints)), parse_scenario(json.dumps(floats))
         for key in _PROFILES:
             assert getattr(a, key).tolist() == getattr(b, key).tolist()
@@ -294,12 +291,9 @@ class TestProfileLists:
         (2**62, "4.611686018427388e+18"),
     ])
     def test_large_int_is_judged_as_given(self, value, shown):
-        """An int past 2**63 is handed to the scenario as written, and one past
-        the range of int64 is printed as written, as are the ones past the
-        float range; a smaller int is read as a float."""
+        """An int past the range of int64 is printed as written, as are the
+        ones past the float range; a smaller int is read as a float."""
         entries = [{"t_start": 0.0, "g": value, "t_cell": 25.0}]
-        read = _read_profile(entries, _PROFILES["irradiance"], "irradiance")
-        assert isinstance(read, np.ndarray) == (value < 2**63)
         with pytest.raises(ValidationError) as err:
             parse_scenario(_doc(profiles={"irradiance": entries, "load": MINIMAL_DOC[
                 "profiles"]["load"]}))
