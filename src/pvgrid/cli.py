@@ -43,8 +43,9 @@ def _fmt_value(value: object, unit: str) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     assert isinstance(value, float)
-    # Capacitances below one farad read naturally in microfarads.
-    if unit == "F" and 1e-6 <= shown_magnitude(value) < 1.0:
+    # Capacitances from 1 µF up to 0.1 F read naturally in microfarads, below
+    # 1e5 µF, where the count would print in exponent form.
+    if unit == "F" and 1e-6 <= shown_magnitude(value) < 0.1:
         return f"{value / 1e-6:.5g} µF"
     if not unit:
         return f"{value:.5g}"

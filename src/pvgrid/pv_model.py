@@ -128,16 +128,6 @@ class PVArraySpec:
         require({"array rated power n_series * n_parallel * p_mp": rated})
         require({"n_series": self.n_series, "n_parallel": self.n_parallel}, _COUNT)
 
-    @property
-    def v_oc(self) -> float:
-        """Array open-circuit voltage at STC, volts."""
-        return self.n_series * self.module.v_oc
-
-    @property
-    def i_sc(self) -> float:
-        """Array short-circuit current at STC, amperes."""
-        return self.n_parallel * self.module.i_sc
-
 
 @dataclass(frozen=True)
 class SingleDiodeParams:
@@ -367,20 +357,40 @@ def _current_within(params: SingleDiodeParams, v: float, c: float, d: float) -> 
     return f_lo >= 0.0 >= f_hi
 
 
+def _curve_point(i_ph, i_0, r_sh, r_s: float, a: float, vd) -> tuple[np.ndarray, ...]:
+    """``(v, i, g, e, f)`` of each curve at its diode voltage ``vd`` = v + i*r_s.
+
+    The curve is explicit in the diode voltage (Bishop, Solar Cells 25, 1988):
+    i = i_ph - i_0*expm1(vd/a) - vd/r_sh and v = vd - i*r_s.  With e = exp(vd/a)
+    and g = -di/dvd = (i_0/a)*e + 1/r_sh, f = dP/dvd = i*(1 + r_s*g) - v*g and
+    dP/dV = f/(1 + r_s*g).
+    """
+    e = np.exp(vd / a)
+    i = i_ph - i_0 * np.expm1(vd / a) - vd / r_sh
+    v, g = vd - i * r_s, (i_0 / a) * e + 1.0 / r_sh
+    return v, i, g, e, i * (1.0 + r_s * g) - v * g
+
+
+def _is_maximum(v, i, g, f, r_s: float):
+    """The gradient criterion |dP/dV|*v < 1e-4*p at each point of :func:`_curve_point`.
+
+    P(V) is strictly concave on a physical curve, so a point meeting it is the
+    maximum power point to that tolerance.
+    """
+    return np.abs(f / (1.0 + r_s * g)) * v < 1e-4 * (v * i)
+
+
 def _module_mpp(
     i_ph: np.ndarray, i_0: np.ndarray, r_sh: np.ndarray, r_s: float, a: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Module ``(v, i)`` at maximum power of each curve; ``(0, 0)`` where it is dark.
 
-    The curve is explicit in the diode voltage vd = v + i*r_s (Bishop,
-    Solar Cells 25, 1988): i = i_ph - i_0*expm1(vd/a) - vd/r_sh,
-    v = vd - i*r_s.  With g = (i_0/a)*exp(vd/a) + 1/r_sh, dP/dvd =
-    i*(1 + r_s*g) - v*g is > 0 at vd = 0 and < 0 at a*log1p(i_ph/i_0).
-    Every lit curve (see :func:`_lit`) gets one Newton-bisection on that
-    bracket, all curves at once.
+    dP/dvd (:func:`_curve_point`) is > 0 at vd = 0 and < 0 at
+    a*log1p(i_ph/i_0).  Every lit curve (see :func:`_lit`) gets one
+    Newton-bisection on that bracket, all curves at once.
 
     Raises:
-        NonConvergence: if a solve fails or |dP/dV|*v/p >= 1e-4 at its result.
+        NonConvergence: if a solve fails or its result fails :func:`_is_maximum`.
     """
     v_out, i_out = np.zeros(i_ph.shape), np.zeros(i_ph.shape)
     lit = _lit(i_ph, i_0, a)
@@ -388,11 +398,7 @@ def _module_mpp(
     every = np.arange(len(i_ph))
 
     def point(vd: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-        i_0_k, r_sh_k = i_0[k], r_sh[k]
-        e = np.exp(vd / a)
-        i = i_ph[k] - i_0_k * np.expm1(vd / a) - vd / r_sh_k
-        v, g = vd - i * r_s, (i_0_k / a) * e + 1.0 / r_sh_k
-        return v, i, g, e, i * (1.0 + r_s * g) - v * g  # last: dP/dvd
+        return _curve_point(i_ph[k], i_0[k], r_sh[k], r_s, a, vd)
 
     def slope_and_curvature(vd: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v, i, g, e, f = point(vd, k)
@@ -414,7 +420,7 @@ def _module_mpp(
     except NonConvergence:
         raise NonConvergence("mpp: no root of dP/dVd within 100 iterations") from None
     v, i, g, _, f = point(vd, every)
-    if not (np.abs(f / (1.0 + r_s * g)) * v < 1e-4 * (v * i)).all():  # |dP/dV|*v/p
+    if not _is_maximum(v, i, g, f, r_s).all():
         raise NonConvergence("mpp: gradient criterion not met at the solved point")
     v_out[lit], i_out[lit] = v, i
     return v_out, i_out
@@ -433,12 +439,18 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
     root of the maximum-power slope condition i_mp + v_mp*dI/dV = 0.
     The parameters must pass the checks of :class:`SingleDiodeParams`,
     and their STC curve must reproduce i_sc, v_oc and the rated maximum
-    power point within :data:`DATASHEET_TOL` (0.5%).  The two currents are
-    checked without a solve (:func:`_current_within`).
+    power point within :data:`DATASHEET_TOL` (0.5%).  All three are checked
+    without a solve: the two currents by :func:`_current_within`, and the
+    maximum power point on the explicit curve at the rated diode voltage
+    v_mp + i_mp*r_s, which must meet the gradient criterion of
+    :func:`_is_maximum` and lie within 0.5% of the rated power and voltage.
+    So a parameter set whose rated point is not itself the maximum fails,
+    even when the true maximum is within 0.5%; the fit never builds one.
 
     Raises:
         InfeasibleSpec: naming the ideality and the first condition it fails.
-        NonConvergence: if a solve exhausts its budget.
+        NonConvergence: if a solve exhausts its budget: a ``brentq`` search,
+            or the current solve that gives a missed current's value.
     """
     a = n_ideality * spec.n_cells * thermal_voltage(spec.t_stc)
     anchors = (
@@ -513,12 +525,16 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
                              f"by more than {tol:.1%}")
         if abs(i_open) > d:
             raise infeasible(f"I(v_oc) = {i_open:.6g} A misses 0 by more than {tol:.1%} of i_sc")
-    one_curve = np.array([[params.i_ph], [params.i_0], [params.r_sh]])
-    (v_mp,), (i_mp,) = _module_mpp(*one_curve, params.r_s, params.a)
-    if not (abs(v_mp * i_mp - spec.p_mp) <= tol * spec.p_mp
-            and abs(v_mp - spec.v_mp) <= tol * spec.v_mp):
+    # P(V) is strictly concave, and r_s zeroes dP/dV at the rated point: it is the
+    # maximum exactly when it meets the gradient criterion.
+    v, i, g, _, f = _curve_point(params.i_ph, params.i_0, params.r_sh, params.r_s, params.a,
+                                 spec.v_mp + spec.i_mp * params.r_s)
+    if not _is_maximum(v, i, g, f, params.r_s):
+        raise infeasible(f"maximum power is not at the rated point: {v * i:.6g} W at "
+                         f"{v:.6g} V fails the gradient criterion |dP/dV|*v < 1e-4*p")
+    if not (abs(v * i - spec.p_mp) <= tol * spec.p_mp and abs(v - spec.v_mp) <= tol * spec.v_mp):
         raise infeasible(
-            f"maximum power {v_mp * i_mp:.6g} W at {v_mp:.6g} V misses the rated "
+            f"maximum power {v * i:.6g} W at {v:.6g} V misses the rated "
             f"{spec.p_mp:g} W at {spec.v_mp:g} V by more than {tol:.1%}"
         )
     return params

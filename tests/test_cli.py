@@ -128,10 +128,15 @@ class TestDesignCommands:
 
     def test_microfarads_follow_the_printed_value(self):
         """A capacitance prints in µF when its value rounded to the 5 digits
-        printed lies in [1 µF, 1 F), so one that rounds up to 1 F prints ``1 F``."""
+        printed lies in [1 µF, 0.1 F), so one that rounds up to 0.1 F prints
+        ``100 mF``; no count of µF prints in exponent form."""
         assert cli._fmt_value(0.99999996, "F") == "1 F"
         assert cli._fmt_value(0.99999996e-6, "F") == "1 µF"
         assert cli._fmt_value(3.427e-3, "F") == "3427 µF"
+        assert cli._fmt_value(0.0999994, "F") == "99999 µF"
+        assert cli._fmt_value(0.0999996, "F") == "100 mF"
+        assert cli._fmt_value(0.123456, "F") == "123.46 mF"
+        assert cli._fmt_value(0.5, "F") == "500 mF"
         assert cli._fmt_value(0.99999996e-3, "H") == "1 mH"
 
     def test_output_file_written(self, capsys, tmp_path):

@@ -407,20 +407,23 @@ class TestRun:
         """A solver failure inside calibration stays a NonConvergence, led by the
         scenario id and giving each candidate ideality's reason."""
 
-        def failing(*args):
-            raise NonConvergence("mpp: no root of dP/dVd within 100 iterations")
+        brentq = pv_model.brentq
 
-        # Calibrate afresh, past the memo, with a failing maximum-power solve: the
-        # one solve that the STC check of every fitted candidate runs.
+        def failing(f, a, b, **kwargs):
+            return brentq(f, a, b, **kwargs, max_iter=1 if kwargs.get("xtol") == 1e-14 else 100)
+
+        # Calibrate afresh, past the memo, with the search for the r_s that meets the
+        # maximum-power condition (the one run at xtol 1e-14) out of budget.
         monkeypatch.setattr(pv_model, "extract_single_diode_params",
                             pv_model.extract_single_diode_params.__wrapped__)
-        monkeypatch.setattr(pv_model, "_module_mpp", failing)
+        monkeypatch.setattr(pv_model, "brentq", failing)
         s = make_scenario()
+        out_of_budget = r"brentq: no root to within 1e-14 \+ 8\.88178e-16\*\|x\| in 1 iterations"
         with pytest.raises(NonConvergence, match=(
             f"^module calibration failed for scenario {s.scenario_id!r}: no ideality "
             "calibrates the datasheet: ideality 1.3: no physical shunt resistance satisfies "
-            "the maximum-power condition; ideality 1: mpp: no root of dP/dVd within 100 "
-            "iterations; ideality 1.05: mpp: no root of dP/dVd within 100 iterations; "
+            f"the maximum-power condition; ideality 1: {out_of_budget}; "
+            f"ideality 1.05: {out_of_budget}; "
         )):
             run(s)
 
