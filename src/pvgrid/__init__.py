@@ -20,7 +20,6 @@ _HOMES = {
     "CompensatorConfig": "compensation",
     "DarkArray": "errors",
     "DegenerateInput": "errors",
-    "EmptySeries": "errors",
     "EnvCondition": "pv_model",
     "FixedCapacitor": "compensation",
     "GridMismatch": "errors",

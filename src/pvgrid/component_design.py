@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import FINITE, NON_NEGATIVE, POSITIVE, Bound, DegenerateInput, require
 
@@ -188,21 +188,19 @@ class ResonanceReport:
 
     Bounds are compared in hertz: a valid design places the resonance
     above ten times the grid frequency and below half the switching
-    frequency.
+    frequency.  ``f_res`` and ``passed`` are derived from the other fields.
     """
 
     omega_res: float  # rad/s
-    f_res: float  # Hz
+    f_res: float = field(init=False)  # Hz, omega_res / 2*pi
     f_min: float  # Hz, lower placement bound (10 * f_g)
     f_max: float  # Hz, upper placement bound (0.5 * f_sw)
-    passed: bool
+    passed: bool = field(init=False)  # f_min < f_res < f_max
 
     def __post_init__(self) -> None:
-        require(vars(self), FINITE, DegenerateInput)  # ``passed``, a bool, is 0 or 1
-        if abs(self.f_res - self.omega_res / (2.0 * math.pi)) > 1e-9 * self.f_res:
-            raise DegenerateInput("f_res must equal omega_res / 2*pi")
-        if self.passed != (self.f_min < self.f_res < self.f_max):
-            raise DegenerateInput("passed flag inconsistent with bounds")
+        require(vars(self), FINITE, DegenerateInput)
+        f_res = self.omega_res / (2.0 * math.pi)
+        vars(self).update(f_res=f_res, passed=self.f_min < f_res < self.f_max)
 
 
 def resonance_check(
@@ -232,16 +230,7 @@ def resonance_check(
             f"omega_res = sqrt((l_1 + l_2) / (l_1 * l_2 * c_g)) is beyond the float range "
             f"for l_1 = {l_1!r}, l_2 = {l_2!r}, c_g = {c_g!r}"
         )
-    f_res = omega_res / (2.0 * math.pi)
-    f_min = 10.0 * f_g
-    f_max = 0.5 * f_sw
-    return ResonanceReport(
-        omega_res=omega_res,
-        f_res=f_res,
-        f_min=f_min,
-        f_max=f_max,
-        passed=f_min < f_res < f_max,
-    )
+    return ResonanceReport(omega_res=omega_res, f_min=10.0 * f_g, f_max=0.5 * f_sw)
 
 
 # ============================================================================

@@ -32,7 +32,8 @@ class InfeasibleSpec(PVGridError):
 
 
 class DarkArray(PVGridError):
-    """Maximum-power request at zero irradiance (no maximum above 0 W)."""
+    """Maximum-power request on a dark curve: zero irradiance, or light so dim
+    that the maximum power underflows (no maximum above 0 W)."""
 
 
 class DegenerateInput(InvalidValue):
@@ -53,10 +54,6 @@ class ValidationError(PVGridError):
 
 class GridMismatch(PVGridError):
     """Two time series cannot be compared because their time grids differ."""
-
-
-class EmptySeries(PVGridError):
-    """Report requested for a series with no records."""
 
 
 class Bound(NamedTuple):

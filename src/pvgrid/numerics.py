@@ -1,10 +1,13 @@
 """Root-finding and maximization primitives.
 
-The PV model needs deterministic numeric helpers: a safeguarded Newton
-iteration, the same iteration over arrays of independent problems (the
-diode-current and maximum-power solves; the scalar form is their
-step-for-step reference in the tests), Brent's method for derivative-free
-roots, and a golden-section maximizer for unimodal curves.
+The PV model uses two of them: a safeguarded Newton iteration over arrays
+of independent problems (the diode-current and maximum-power solves), and
+Brent's method for derivative-free roots (calibration and open-circuit
+voltage).  The scalar Newton iteration and the golden-section maximizer
+have no caller in the package.  They stay only because the benchmark
+tracer (``perfbench/tracing.COUNTED_F``) looks both up by name, and the
+scalar iteration is also the tests' step-for-step reference for the
+batched one; both go with ROADMAP item 2.
 """
 
 from __future__ import annotations

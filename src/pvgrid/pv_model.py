@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 
 import numpy as np
@@ -31,7 +31,9 @@ from .errors import (
     NON_NEGATIVE, POSITIVE, Bound, DarkArray, InfeasibleSpec, InvalidValue, NonConvergence,
     require,
 )
-from .numerics import (  # noqa: F401 (golden_max and newton_bisect are traced by name)
+# golden_max and the scalar newton_bisect have no caller: they are imported only for
+# perfbench/tracing.COUNTED_F, which looks them up here by name (ROADMAP item 2).
+from .numerics import (  # noqa: F401
     brentq, golden_max, newton_bisect, newton_bisect_array,
 )
 
@@ -173,24 +175,26 @@ class EnvCondition:
 class IVCurve:
     """Sampled I-V / P-V characteristic, voltage ascending from zero.
 
-    ``v`` (V), ``i`` (A) and ``p`` (W) are kept as read-only float copies,
-    one value per sample.  Curves compare by identity: compare their arrays.
+    ``v`` (V) and ``i`` (A) are kept as read-only float copies, one value
+    per sample, and ``p`` (W) is their product.  Curves compare by
+    identity: compare their arrays.
     """
 
     v: np.ndarray
     i: np.ndarray
-    p: np.ndarray
+    p: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         try:
-            columns = np.array((self.v, self.i, self.p), dtype=float)
+            columns = np.array((self.v, self.i), dtype=float)
         except ValueError:  # columns of unequal length
             columns = None
         if columns is None or columns.ndim != 2:
-            raise InvalidValue("curve v, i and p must be equal-length sequences of numbers")
+            raise InvalidValue("curve v and i must be equal-length sequences of numbers")
         columns.flags.writeable = False
-        v, i, p = columns
-        vars(self).update(v=v, i=i, p=p)
+        v, i = columns
+        vars(self).update(v=v, i=i, p=v * i)
+        self.p.flags.writeable = False
         if not len(v):
             raise InvalidValue("curve needs at least one point")
         if v[0] != 0.0:
@@ -204,8 +208,8 @@ class IVCurve:
                 "curve voltages must be strictly increasing" if bad_v[bad.argmax()]
                 else "curve current must be non-increasing"
             )
-        if (p != v * i).any():
-            raise InvalidValue("curve power must equal v*i at every point")
+        if not np.isfinite(columns).all():
+            raise InvalidValue("curve v and i must be finite")
 
     def to_csv(self) -> str:
         """Render the curve as CSV with header ``v,i,p``, 6 significant digits."""
@@ -216,15 +220,14 @@ class IVCurve:
 
 @dataclass(frozen=True)
 class MPPResult:
-    """Located maximum power point."""
+    """Located maximum power point; ``p_mp`` is ``v_mp * i_mp``."""
 
     v_mp: float  # V
     i_mp: float  # A
-    p_mp: float  # W
+    p_mp: float = field(init=False)  # W
 
     def __post_init__(self) -> None:
-        if self.p_mp != self.v_mp * self.i_mp:
-            raise InvalidValue("p_mp must equal v_mp * i_mp")
+        vars(self)["p_mp"] = self.v_mp * self.i_mp
         require({"p_mp": self.p_mp}, POSITIVE)
 
 
@@ -268,8 +271,10 @@ def module_voc(params: SingleDiodeParams) -> float:
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` (``math.exp`` or ``math.expm1``) elementwise.  numpy's vectorised
-    exp and expm1 can differ from libm's in the last bit, and the batched
-    translation and sweep must match their scalar versions bit for bit."""
+    exp and expm1 can differ from libm's in the last bit, which moves the
+    sweep's last current, solver noise at v_oc (``pv-curve --points 3`` ends
+    at -9.4369e-16 A).  The fleet_minutely and cli_mix benchmark references
+    and the ``pv-curve --json`` pin record that current exactly."""
     return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
@@ -289,8 +294,9 @@ def _lit(i_ph, i_0, a: float):
     """Whether each curve has a maximum power at least the smallest normal double.
 
     That power is at most i_ph*a*log1p(i_ph/i_0).  A curve below the cut,
-    i_ph <= 0 or light so dim that its power underflows, is dark: ``mpp``
-    raises DarkArray, ``run`` records 0 W and the sweep is the point (0, 0, 0).
+    i_ph <= 0 (zero irradiance) or light so dim that its power underflows, is
+    dark: ``mpp`` raises DarkArray, ``run`` records 0 W and the sweep is the
+    point (0, 0, 0).  This is the one rule that decides darkness.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return i_ph * (a * np.log1p(i_ph / i_0)) >= sys.float_info.min
@@ -691,11 +697,11 @@ def array_iv_sweep(
         raise InvalidValue(f"n_points must be at most {MAX_POINTS}, got {n_points}")
     params_e = adjust_params(params, array.module, env)
     if not _lit(params_e.i_ph, params_e.i_0, params_e.a):
-        return IVCurve(v=[0.0], i=[0.0], p=[0.0])
+        return IVCurve(v=[0.0], i=[0.0])
     v_m = np.linspace(0.0, module_voc(params_e), n_points)
     v = v_m * float(array.n_series)
     i = _module_currents(params_e, v_m) * float(array.n_parallel)
-    return IVCurve(v=v, i=i, p=v * i)
+    return IVCurve(v=v, i=i)
 
 
 def array_mpp(
@@ -724,13 +730,12 @@ def mpp(
     result.  Module results scale exactly by the series/parallel counts.
 
     Raises:
-        DarkArray: at zero irradiance, or where the maximum power is below
-            the smallest normal double: no maximum above 0 W exists.
+        DarkArray: where the curve is dark (see :func:`_lit`): at zero
+            irradiance, or where the maximum power is below the smallest
+            normal double.  No maximum above 0 W exists.
         NonConvergence: if the gradient criterion is not met.
     """
-    if env.g <= 0.0:
-        raise DarkArray("no maximum power point at zero irradiance")
     (v_mp,), (i_mp,) = array_mpp(array, params, np.array([env.g]), np.array([env.t]))
     if v_mp == 0.0:
         raise DarkArray("no maximum power point for a dark curve")
-    return MPPResult(v_mp=float(v_mp), i_mp=float(i_mp), p_mp=float(v_mp * i_mp))
+    return MPPResult(v_mp=float(v_mp), i_mp=float(i_mp))

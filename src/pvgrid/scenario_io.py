@@ -20,7 +20,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .compensation import COMPENSATORS, NoCompensator
-from .errors import EmptySeries, InvalidValue, ParseError, ValidationError, within
+from .errors import InvalidValue, ParseError, ValidationError, within
 from .pv_model import PVArraySpec, PVModuleSpec
 from .simulator import (
     COLUMNS,
@@ -294,12 +294,7 @@ def render_report(
     When the originating scenario is supplied, the compensator row is
     labeled by its mode; when a comparison is supplied, a verdict line
     names the run that kept grid reactive power smaller.
-
-    Raises:
-        EmptySeries: if the series contains no records.
     """
-    if not len(series):
-        raise EmptySeries("cannot render a report for an empty series")
     label = "compensator" if scenario is None else scenario.compensator.label
     lines = [f"scenario: {series.scenario_id}"]
     t, pfs = series.columns["t"], series.columns["pf_grid"]

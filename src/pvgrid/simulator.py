@@ -12,9 +12,10 @@ load, compensator losses, and inverter leave over:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -187,15 +188,19 @@ COLUMNS = PowerFlowRecord._fields
 class TimeSeries:
     """Simulation output: one float array per column of ``COLUMNS``.
 
+    The columns are kept as read-only float copies in a read-only mapping,
+    so a series holds at least one record for its whole life.
     ``records``, one :class:`PowerFlowRecord` per instant, is built from
     the columns on first read.
     """
 
     scenario_id: str
-    columns: dict[str, np.ndarray]
+    columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        vars(self)["columns"] = {k: np.asarray(self.columns[k], dtype=float) for k in COLUMNS}
+        block = np.array([self.columns[k] for k in COLUMNS], dtype=float)
+        block.flags.writeable = False
+        vars(self)["columns"] = MappingProxyType(dict(zip(COLUMNS, block)))
         t, pf = self.columns["t"], self.columns["pf_grid"]
         if not len(t):
             raise InvalidScenario("time series must contain at least one record")

@@ -126,6 +126,16 @@ class TestDesignCommands:
         assert abs(doc["f_res"] - 4154.0) <= 0.01 * 4154.0
         assert doc["passed"] is True
 
+    @pytest.mark.parametrize("argv,sha256", [
+        (LCL_ARGS, "275f69de2ed6e4c187e48018f47d17e622add6861f747bfeb7ef52a683225001"),
+        (RESONANCE_ARGS, "0132bb54dbbfff08c9b2d93040a0a65924ab0c34b6e2f6a17b49c686f8ae993a"),
+    ], ids=["design-lcl", "check-resonance"])
+    def test_json_output_is_pinned(self, capsys, argv, sha256):
+        """--json stdout keeps its exact bytes and key order (recorded while
+        ResonanceReport still took f_res and passed as arguments)."""
+        assert cli.main(argv + ["--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
+
     def test_microfarads_follow_the_printed_value(self):
         """A capacitance prints in µF when its value rounded to the 5 digits
         printed lies in [1 µF, 0.1 F), so one that rounds up to 0.1 F prints
@@ -201,6 +211,16 @@ class TestPvCurve:
         out = capsys.readouterr().out
         assert "p_mp" in out
         assert target.read_text(encoding="utf-8").startswith("v,i,p\n")
+
+    def test_mpp_block_is_pinned(self, capsys, tmp_path):
+        """With -o, the text MPP block on stdout keeps its exact bytes (recorded
+        while MPPResult still took p_mp as an argument)."""
+        assert cli.main(self.MODULE_ARGS + ["-o", str(tmp_path / "curve.csv")]) == 0
+        out = capsys.readouterr().out
+        assert out == "v_mp = 29 V\ni_mp = 7.35 A\np_mp = 213.15 W\n"
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "893d7e46e55dde5ecf421a68b5229b719f53a73ec6ff16584cac73c2d8d52a2f"
+        )
 
     def test_impossible_datasheet_exits_1(self, capsys):
         """A fill factor no diode model can reach fails datasheet validation."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -270,16 +271,18 @@ class TestResonanceCheck:
         with pytest.raises(DegenerateInput):
             resonance_check(0.0, 15e-6, 100e-6, 50.0, 1e4)
 
-    def test_report_consistency_enforced(self):
-        """ResonanceReport rejects an inconsistent passed flag."""
-        with pytest.raises(DegenerateInput):
-            ResonanceReport(
-                omega_res=2.0 * math.pi * 1000.0,
-                f_res=1000.0,
-                f_min=500.0,
-                f_max=5000.0,
-                passed=False,
-            )
+    def test_report_derives_f_res_and_passed(self):
+        """ResonanceReport computes f_res and passed from omega_res and the
+        bounds, takes neither as an argument, and keeps its field order."""
+        report = ResonanceReport(omega_res=2.0 * math.pi * 1000.0, f_min=500.0, f_max=5000.0)
+        assert list(asdict(report)) == ["omega_res", "f_res", "f_min", "f_max", "passed"]
+        assert report.f_res == 2.0 * math.pi * 1000.0 / (2.0 * math.pi) and report.passed
+        assert not ResonanceReport(report.omega_res, report.f_res, 5000.0).passed  # strict bounds
+        assert not ResonanceReport(report.omega_res, 500.0, report.f_res).passed
+        with pytest.raises(TypeError):
+            ResonanceReport(omega_res=6283.0, f_res=1000.0, f_min=500.0, f_max=5000.0)
+        with pytest.raises(DegenerateInput, match="^f_min must be finite, got inf$"):
+            ResonanceReport(omega_res=6283.0, f_min=math.inf, f_max=5000.0)
 
 
 # ======================================================================

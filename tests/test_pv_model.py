@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -234,10 +235,16 @@ class TestSpecs:
         )):
             EnvCondition(1000.0, t)
 
-    def test_mpp_result_product_enforced(self):
-        """MPPResult requires p_mp to be exactly v_mp * i_mp."""
-        with pytest.raises(ValueError):
+    def test_mpp_result_derives_its_power(self):
+        """MPPResult computes p_mp as exactly v_mp * i_mp, takes no p_mp
+        argument, and rejects a point without positive power."""
+        peak = MPPResult(v_mp=29.1, i_mp=7.3)
+        assert peak.p_mp == 29.1 * 7.3
+        assert list(asdict(peak)) == ["v_mp", "i_mp", "p_mp"]
+        with pytest.raises(TypeError):
             MPPResult(v_mp=29.0, i_mp=7.35, p_mp=213.0)
+        with pytest.raises(InvalidValue, match=r"^p_mp must be finite and positive, got 0\.0$"):
+            MPPResult(v_mp=0.0, i_mp=7.35)
 
     def test_thermal_voltage_at_25c(self):
         """kT/q at 25 °C is 25.693 mV."""
@@ -995,9 +1002,11 @@ class TestMPP:
         assert v[0] == i[0] == 0.0 and v[1] * i[1] > 0.0
 
     def test_dark_array_raises(self, ref_array, ref_params):
-        """Zero irradiance has no maximum power point."""
-        with pytest.raises(DarkArray):
-            mpp(ref_array, ref_params, EnvCondition(0.0, 25.0))
+        """Zero irradiance has no maximum power point: its photocurrent is 0,
+        so the one dark rule raises the one DarkArray, at any cell temperature."""
+        for g, t in [(0.0, 25.0), (-0.0, 25.0), (0.0, -40.0), (0.0, 90.0)]:
+            with pytest.raises(DarkArray, match="^no maximum power point for a dark curve$"):
+                mpp(ref_array, ref_params, EnvCondition(g, t))
 
 
 # ======================================================================
@@ -1125,72 +1134,75 @@ class TestIVCurve:
     def test_must_start_at_zero(self):
         """A curve whose first sample is off-origin is rejected."""
         with pytest.raises(ValueError):
-            IVCurve(v=[1.0], i=[5.0], p=[5.0])
+            IVCurve(v=[1.0], i=[5.0])
 
     def test_voltage_strictly_increasing(self):
         """Duplicate voltages are rejected."""
         with pytest.raises(ValueError):
-            IVCurve(v=[0.0, 0.0], i=[5.0, 5.0], p=[0.0, 0.0])
+            IVCurve(v=[0.0, 0.0], i=[5.0, 5.0])
 
     def test_current_non_increasing(self):
         """A rising current violates the diode-curve shape."""
         with pytest.raises(ValueError):
-            IVCurve(v=[0.0, 1.0], i=[5.0, 6.0], p=[0.0, 6.0])
+            IVCurve(v=[0.0, 1.0], i=[5.0, 6.0])
 
-    def test_power_consistency(self):
-        """p must equal v * i at every sample."""
-        with pytest.raises(ValueError):
-            IVCurve(v=[0.0, 1.0], i=[5.0, 4.0], p=[0.0, 3.9])
-
+    # Each case is a sequence of (v, i) samples.  Finiteness is checked after
+    # the shape, so a shape failure ahead of a NaN is the one named.
     @pytest.mark.parametrize(
         ("points", "message"),
         [
             pytest.param((), "curve needs at least one point", id="empty"),
-            pytest.param(((1.0, 5.0, 5.0),), "curve must start at v = 0", id="off-origin"),
-            pytest.param(((math.nan, 5.0, math.nan),), "curve must start at v = 0",
-                         id="nan-start"),
-            pytest.param(((0.0, 5.0, 0.0), (0.0, 5.0, 0.0)),
+            pytest.param(((1.0, 5.0),), "curve must start at v = 0", id="off-origin"),
+            pytest.param(((math.nan, 5.0),), "curve must start at v = 0", id="nan-start"),
+            pytest.param(((0.0, 5.0), (0.0, 5.0)),
                          "curve voltages must be strictly increasing", id="repeated-voltage"),
-            pytest.param(((0.0, 5.0, 0.0), (1.0, 6.0, 6.0)),
+            pytest.param(((0.0, 5.0), (1.0, 6.0)),
                          "curve current must be non-increasing", id="rising-current"),
-            pytest.param(((0.0, 5.0, 0.0), (1.0, 4.0, 3.9)),
-                         "curve power must equal v*i at every point", id="power"),
-            pytest.param(((0.0, 5.0, 0.0), (1.0, 4.0, 4.0), (0.5, 9.0, 4.5)),
+            pytest.param(((0.0, 5.0), (0.1, 0.3)), None, id="power"),  # p = 0.1*0.3, inexact
+            pytest.param(((0.0, 5.0), (1.0, 4.0), (0.5, 9.0)),
                          "curve voltages must be strictly increasing",
                          id="voltage-before-current"),
-            pytest.param(((0.0, 5.0, 0.0), (1.0, 6.0, 6.0), (0.5, 6.0, 3.0)),
+            pytest.param(((0.0, 5.0), (1.0, 6.0), (0.5, 6.0)),
                          "curve current must be non-increasing", id="first-point-wins"),
-            pytest.param(((0.0, 5.0, 1.0), (1.0, 4.0, 4.0), (1.0, 4.0, 4.0)),
+            pytest.param(((0.0, 5.0), (1.0, 4.0), (1.0, math.nan)),
                          "curve voltages must be strictly increasing", id="shape-before-power"),
-            pytest.param(((0.0, 5.0, 0.0), (math.nan, 4.0, math.nan), (0.5, 4.0, 2.0)),
-                         "curve power must equal v*i at every point", id="nan-voltage"),
-            pytest.param(((0.0, 5.0, 0.0), (1.0, math.nan, math.nan), (2.0, 6.0, 12.0)),
-                         "curve power must equal v*i at every point", id="nan-current"),
-            pytest.param(((0.0, 5.0, 0.0), (1.0, 5.0 + 4e-9, 5.0 + 4e-9)), None,
-                         id="rise-within-slack"),
+            pytest.param(((0.0, 5.0), (math.nan, 4.0), (0.5, 4.0)),
+                         "curve v and i must be finite", id="nan-voltage"),
+            pytest.param(((0.0, 5.0), (1.0, math.nan), (2.0, 6.0)),
+                         "curve v and i must be finite", id="nan-current"),
+            pytest.param(((0.0, 5.0), (math.inf, 4.0)),
+                         "curve v and i must be finite", id="infinite-voltage"),
+            pytest.param(((0.0, 5.0), (1.0, -math.inf)),
+                         "curve v and i must be finite", id="infinite-current"),
+            pytest.param(((0.0, 5.0), (1.0, 5.0 + 4e-9)), None, id="rise-within-slack"),
         ],
     )
     def test_check_messages(self, points, message):
         """Each invariant's message and their precedence (recorded from the
         per-point checks these array checks replaced): the first failing
-        point wins, and its voltage is checked before its current."""
-        v, i, p = np.reshape(points, (-1, 3)).T
+        point wins, and its voltage is checked before its current.  An
+        accepted curve keeps its samples, with p exactly v*i at each."""
+        v, i = np.reshape(points, (-1, 2)).T
         if message is None:
-            curve = IVCurve(v, i, p)
-            assert np.column_stack((curve.v, curve.i, curve.p)).tolist() == list(map(list, points))
+            curve = IVCurve(v, i)
+            assert np.column_stack((curve.v, curve.i)).tolist() == list(map(list, points))
+            assert curve.p.tolist() == [x * y for x, y in points]
             return
         with pytest.raises(ValueError) as exc:
-            IVCurve(v, i, p)
+            IVCurve(v, i)
         assert str(exc.value) == message
 
     def test_columns_are_read_only_copies(self):
-        """The curve keeps a read-only float copy of each column, and columns
-        of unequal length are rejected."""
-        v, i, p = [0.0, 1.0, 2.0], np.array([5.0, 4.0, 0.0]), [0.0, 4.0, 0.0]
-        curve = IVCurve(v, i, p)
+        """The curve keeps a read-only float copy of v and i and their product
+        p, takes no p argument, and rejects columns of unequal length."""
+        v, i = [0.0, 1.0, 2.0], np.array([5.0, 4.0, 0.0])
+        curve = IVCurve(v, i)
         i[1] = 3.0
-        assert curve.i.tolist() == [5.0, 4.0, 0.0] and not curve.i.flags.writeable
+        assert curve.i.tolist() == [5.0, 4.0, 0.0]
+        assert not (curve.v.flags.writeable or curve.i.flags.writeable or curve.p.flags.writeable)
         assert (curve.v[1], curve.i[1], curve.p[1]) == (1.0, 4.0, 4.0)
         assert curve.v.dtype == curve.p.dtype == np.float64
-        with pytest.raises(InvalidValue, match="^curve v, i and p must be equal-length"):
-            IVCurve(v, i, [0.0, 4.0])
+        with pytest.raises(TypeError):
+            IVCurve(v, i, [0.0, 4.0, 0.0])
+        with pytest.raises(InvalidValue, match="^curve v and i must be equal-length"):
+            IVCurve(v, [5.0, 4.0])

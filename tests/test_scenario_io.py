@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvgrid.compensation import COMPENSATORS, FixedCapacitor, NoCompensator, Statcom
-from pvgrid.errors import FINITE, EmptySeries, ParseError, ValidationError
+from pvgrid.errors import FINITE, ParseError, ValidationError
 from pvgrid.scenario_io import (
     _DOCUMENT_KEYS,
     _PROFILES,
@@ -100,6 +100,16 @@ class TestParseScenario:
         doc["grid"]["v_phse"] = 230.0
         with pytest.raises(ValidationError, match="v_phse"):
             parse_scenario(json.dumps(doc))
+
+    @pytest.mark.xfail(strict=True, reason="json.loads keeps the last of repeated keys; "
+                       "rejecting them costs ~0.4-0.5 ms per fleet document (ROADMAP)")
+    def test_repeated_key_rejected(self):
+        """A key written twice in one object is a ParseError naming it, not a
+        run on its last value (today this document simulates at 230 V)."""
+        text = _doc().replace('"v_phase": 230.0', '"v_phase": 1.0, "v_phase": 230.0', 1)
+        assert text.count('"v_phase"') == 2
+        with pytest.raises(ParseError, match="v_phase"):
+            parse_scenario(text)
 
     def test_wrong_type_rejected(self):
         """Strings where numbers belong are ValidationErrors."""
@@ -732,14 +742,6 @@ class TestRenderReport:
         report = compare_runs(series, series)
         text = render_report(series, report)
         assert "verdict: neither run keeps |q_grid| smaller" in text
-
-    def test_empty_series_guarded(self):
-        """A forcibly emptied series is rejected with EmptySeries."""
-        hollow = object.__new__(TimeSeries)
-        object.__setattr__(hollow, "scenario_id", "hollow")
-        object.__setattr__(hollow, "columns", {"t": np.array([])})
-        with pytest.raises(EmptySeries):
-            render_report(hollow)
 
 
 # ======================================================================

@@ -565,6 +565,24 @@ class TestContainers:
         with pytest.raises(InvalidScenario):
             TimeSeries(scenario_id="x", columns={name: [] for name in COLUMNS})
 
+    def test_series_columns_are_read_only(self):
+        """The series keeps read-only float copies of its columns in a read-only
+        mapping: a column cannot be replaced or written into, and a change to
+        the arrays it was built from does not reach it."""
+        given = {name: col.copy() for name, col in run(make_scenario()).columns.items()}
+        series = TimeSeries(scenario_id="x", columns=given)
+        with pytest.raises(TypeError):
+            series.columns["t"] = np.array([])
+        with pytest.raises(TypeError):
+            del series.columns["t"]
+        with pytest.raises(ValueError):
+            series.columns["t"][0] = 1.0
+        given["q_grid"][:] = 123.0
+        assert series.columns["q_grid"].tolist() != given["q_grid"].tolist()
+        assert all(column.dtype == np.float64 for column in series.columns.values())
+        with pytest.raises(ValueError):  # columns of unequal length
+            TimeSeries(scenario_id="x", columns=dict(given, p_pv=given["p_pv"][:1]))
+
     def test_series_requires_increasing_times(self):
         """Record times must be strictly increasing."""
         first = {name: col[[0, 0]] for name, col in run(make_scenario()).columns.items()}
