@@ -19,14 +19,12 @@ _HOMES = {
     "ComparisonReport": "simulator",
     "CompensatorConfig": "compensation",
     "DarkArray": "errors",
-    "DegenerateInput": "errors",
     "EnvCondition": "pv_model",
     "FixedCapacitor": "compensation",
     "GridMismatch": "errors",
     "GridSpec": "simulator",
     "IVCurve": "pv_model",
     "InfeasibleSpec": "errors",
-    "InvalidScenario": "errors",
     "InvalidValue": "errors",
     "IrradianceStep": "simulator",
     "LCLDesign": "component_design",
@@ -45,7 +43,6 @@ _HOMES = {
     "SingleDiodeParams": "pv_model",
     "Statcom": "compensation",
     "TimeSeries": "simulator",
-    "ValidationError": "errors",
     "adjust_params": "pv_model",
     "array_iv_sweep": "pv_model",
     "array_mpp": "pv_model",

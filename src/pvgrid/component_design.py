@@ -10,7 +10,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import FINITE, NON_NEGATIVE, POSITIVE, Bound, DegenerateInput, require
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, require
 
 # Current-rating derate in the LCL peak-current expression (fixed design
 # constant, not exposed: the ripple/capacitance/attenuation fractions are
@@ -20,10 +20,10 @@ _PF_DERATE = 0.9
 _FRACTION = Bound("finite and in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
-def _beyond_float_range(given: dict[str, float]) -> DegenerateInput:
+def _beyond_float_range(given: dict[str, float]) -> InvalidValue:
     """The error for inputs whose arithmetic divides by an underflowed 0 or overflows."""
     text = ", ".join(f"{name} = {value!r}" for name, value in given.items())
-    return DegenerateInput(f"inputs {text} put a computed value beyond the float range")
+    return InvalidValue(f"inputs {text} put a computed value beyond the float range")
 
 
 # ============================================================================
@@ -43,11 +43,11 @@ class BoostDesignInput:
     ripple_v_frac: float = 0.007  # output voltage ripple fraction
 
     def __post_init__(self) -> None:
-        require(vars(self), POSITIVE, DegenerateInput)
+        require(vars(self), POSITIVE)
         require({"ripple_i_frac": self.ripple_i_frac, "ripple_v_frac": self.ripple_v_frac},
-                _FRACTION, DegenerateInput)
+                _FRACTION)
         if self.v_in >= self.v_out:
-            raise DegenerateInput(
+            raise InvalidValue(
                 f"step-up requires v_in < v_out, got {self.v_in} >= {self.v_out}"
             )
 
@@ -63,7 +63,7 @@ class BoostDesign:
     c: float  # F, filter capacitor
 
     def __post_init__(self) -> None:
-        require(vars(self), POSITIVE, DegenerateInput)
+        require(vars(self), POSITIVE)
 
 
 def boost_design(inp: BoostDesignInput) -> BoostDesign:
@@ -76,7 +76,7 @@ def boost_design(inp: BoostDesignInput) -> BoostDesign:
     c = i_out_max * (1 - v_in/v_out) / (delta_v_out * f_s)
 
     Raises:
-        DegenerateInput: if a value is zero or beyond the float range.
+        InvalidValue: if a value is zero or beyond the float range.
     """
     try:
         i_out_max = inp.p / inp.v_out
@@ -110,9 +110,9 @@ class LCLDesignInput:
     atten_factor: float = 0.2  # switching-harmonic attenuation constant
 
     def __post_init__(self) -> None:
-        require(vars(self), POSITIVE, DegenerateInput)
+        require(vars(self), POSITIVE)
         require({"cap_frac": self.cap_frac, "ripple_frac": self.ripple_frac,
-                 "atten_factor": self.atten_factor}, _FRACTION, DegenerateInput)
+                 "atten_factor": self.atten_factor}, _FRACTION)
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,9 @@ class LCLDesign:
     l_2: float  # H, grid-side inductor
 
     def __post_init__(self) -> None:
-        require(vars(self), POSITIVE, DegenerateInput)
+        require(vars(self), POSITIVE)
         if self.l_2 >= self.l_1:
-            raise DegenerateInput(
+            raise InvalidValue(
                 f"grid-side inductor l_2 {self.l_2:.4g} must be smaller "
                 f"than inverter-side l_1 {self.l_1:.4g}"
             )
@@ -150,7 +150,7 @@ def lcl_design(inp: LCLDesignInput) -> LCLDesign:
     l_2 = sqrt(1/atten_factor^2 + 1) / (c_g * (2*pi*f_sw)^2)
 
     Raises:
-        DegenerateInput: if a value is zero or beyond the float range, or
+        InvalidValue: if a value is zero or beyond the float range, or
             l_2 is not smaller than l_1.
     """
     try:
@@ -198,7 +198,7 @@ class ResonanceReport:
     passed: bool = field(init=False)  # f_min < f_res < f_max
 
     def __post_init__(self) -> None:
-        require(vars(self), FINITE, DegenerateInput)
+        require(vars(self), FINITE)
         f_res = self.omega_res / (2.0 * math.pi)
         vars(self).update(f_res=f_res, passed=self.f_min < f_res < self.f_max)
 
@@ -214,11 +214,10 @@ def resonance_check(
     in hertz.
 
     Raises:
-        DegenerateInput: if an input is not positive and finite, or the
+        InvalidValue: if an input is not positive and finite, or the
             resonance or a bound is beyond the float range.
     """
-    require({"l_1": l_1, "l_2": l_2, "c_g": c_g, "f_g": f_g, "f_sw": f_sw},
-            POSITIVE, DegenerateInput)
+    require({"l_1": l_1, "l_2": l_2, "c_g": c_g, "f_g": f_g, "f_sw": f_sw}, POSITIVE)
     product = l_1 * l_2 * c_g
     omega_res = math.inf
     if sys.float_info.min <= product < math.inf:  # the form the reference values pin
@@ -226,7 +225,7 @@ def resonance_check(
     if omega_res == math.inf:  # the product or the quotient left the float range
         omega_res = math.sqrt(1.0 / l_1 + 1.0 / l_2) / math.sqrt(c_g)
     if not omega_res < math.inf:
-        raise DegenerateInput(
+        raise InvalidValue(
             f"omega_res = sqrt((l_1 + l_2) / (l_1 * l_2 * c_g)) is beyond the float range "
             f"for l_1 = {l_1!r}, l_2 = {l_2!r}, c_g = {c_g!r}"
         )
@@ -244,11 +243,11 @@ def capbank_size(q_rated: float, v_phase: float, f_g: float) -> float:
     C = Q / (3 * omega * V_phase^2); zero demand sizes a zero bank.
 
     Raises:
-        DegenerateInput: if an input is out of its domain, or the
+        InvalidValue: if an input is out of its domain, or the
             capacitance is beyond the float range.
     """
-    require({"q_rated": q_rated}, NON_NEGATIVE, DegenerateInput)
-    require({"v_phase": v_phase, "f_g": f_g}, POSITIVE, DegenerateInput)
+    require({"q_rated": q_rated}, NON_NEGATIVE)
+    require({"v_phase": v_phase, "f_g": f_g}, POSITIVE)
     omega = 2.0 * math.pi * f_g
     try:
         c = q_rated / (3.0 * omega * v_phase**2)

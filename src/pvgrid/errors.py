@@ -1,9 +1,13 @@
 """Exception hierarchy for the pvgrid package, and its one value check.
 
-Every error raised by the library derives from :class:`PVGridError`.  A
-rejected input value is an :class:`InvalidValue`, also a ``ValueError``,
-mostly raised by :func:`require`, which judges a number or a whole array
-column at once.  The CLI exits 2 on :class:`NonConvergence`,
+Every error raised by the library derives from :class:`PVGridError`, and
+each kind of rejection has one class.  A scenario document whose shape
+the parser rejects (JSON syntax, UTF-8, structure, keys, JSON types, the
+id or the compensator mode) is a :class:`ParseError`.  A value outside
+the domain of the record, design calculator or run it feeds is an
+:class:`InvalidValue`, also a ``ValueError``, wherever it is found;
+mostly it is raised by :func:`require`, which judges a number or a whole
+array column at once.  The CLI exits 2 on :class:`NonConvergence`,
 1 on any other pvgrid error (a datasheet that cannot be calibrated is an
 :class:`InfeasibleSpec`), and lets any other exception, a bug, end in a
 traceback.
@@ -36,20 +40,8 @@ class DarkArray(PVGridError):
     that the maximum power underflows (no maximum above 0 W)."""
 
 
-class DegenerateInput(InvalidValue):
-    """Design-calculator input violates a structural requirement."""
-
-
-class InvalidScenario(InvalidValue):
-    """Scenario value violates one of its invariants."""
-
-
 class ParseError(PVGridError):
-    """Scenario document is not well-formed."""
-
-
-class ValidationError(PVGridError):
-    """Scenario document is well-formed but names an invalid configuration."""
+    """Scenario document is not well-formed, or has the wrong keys or JSON types."""
 
 
 class GridMismatch(PVGridError):
@@ -80,10 +72,8 @@ def within(value: object, bound: Bound = FINITE) -> bool:
         return False
 
 
-def require(
-    values: dict[str, object], bound: Bound = FINITE, error: type[InvalidValue] = InvalidValue
-) -> None:
-    """Raise ``error`` naming the first of ``values`` that is not :func:`within` ``bound``.
+def require(values: dict[str, object], bound: Bound = FINITE) -> None:
+    """Raise :class:`InvalidValue` naming the first of ``values`` not :func:`within` ``bound``.
 
     A value may be a numpy array or number, judged in one pass; the error
     gives its first entry that is out of bound, as a Python number.
@@ -95,4 +85,4 @@ def require(
                 continue
             value = out.item(0)
         if not within(value, bound):
-            raise error(f"{name} must be {bound.text}, got {value!r}")
+            raise InvalidValue(f"{name} must be {bound.text}, got {value!r}")

@@ -20,7 +20,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .compensation import COMPENSATORS, NoCompensator
-from .errors import InvalidValue, ParseError, ValidationError, within
+from .errors import ParseError, within
 from .pv_model import PVArraySpec, PVModuleSpec
 from .simulator import (
     COLUMNS,
@@ -81,39 +81,39 @@ def _keys(cls: type) -> dict[str, tuple[bool, object]]:
 def _reject_unknown(section: dict, allowed, where: str) -> None:
     unknown = section.keys() - allowed
     if unknown:
-        raise ValidationError(f"{where}: unknown keys {', '.join(sorted(unknown))}")
+        raise ParseError(f"{where}: unknown keys {', '.join(sorted(unknown))}")
 
 
 def _section(doc: dict, key: str, default: dict | None = None) -> dict:
     """The object under ``key``: ``default`` when absent, an error if that is None."""
     if key not in doc:
         if default is None:
-            raise ValidationError(f"document: missing required section '{key}'")
+            raise ParseError(f"document: missing required section '{key}'")
         return default
     if not isinstance(doc[key], dict):
-        raise ValidationError(f"document: section '{key}' must be an object")
+        raise ParseError(f"document: section '{key}' must be an object")
     return doc[key]
 
 
 def _read(section: object, cls: type, where: str) -> dict:
     """Validated keyword arguments for ``cls`` from one document object."""
     if not isinstance(section, dict):
-        raise ValidationError(f"{where} must be an object")
+        raise ParseError(f"{where} must be an object")
     keys = _keys(cls)
     _reject_unknown(section, keys.keys(), where)
     values = {}
     for key, (integer, default) in keys.items():
         if key not in section:
             if default is MISSING:
-                raise ValidationError(f"{where}: missing required key '{key}'")
+                raise ParseError(f"{where}: missing required key '{key}'")
             values[key] = default
             continue
         value = section[key]
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             kind = "an integer" if integer else "a number"
-            raise ValidationError(f"{where}: key '{key}' must be {kind}")
+            raise ParseError(f"{where}: key '{key}' must be {kind}")
         if not within(value):
-            raise ValidationError(f"{where}: key '{key}' must be a finite number")
+            raise ParseError(f"{where}: key '{key}' must be a finite number")
         values[key] = value if integer else float(value)
     return values
 
@@ -147,14 +147,17 @@ def parse_scenario(text: str | bytes) -> Scenario:
     """Parse and validate a scenario document, given as text or as UTF-8 bytes.
 
     Raises:
-        ParseError: for malformed JSON, bytes that are not UTF-8, or a
-            non-object document.
-        ValidationError: for missing/unknown keys, wrong types, non-finite
-            numbers, or any violated scenario invariant.
+        ParseError: for malformed or too deeply nested JSON, bytes that are
+            not UTF-8, a non-object document, missing or unknown keys,
+            wrong JSON types, a non-finite section value, a bad ``id`` or an
+            unknown compensator ``mode``.
+        InvalidValue: for a value that a record or :class:`Scenario`
+            rejects, such as a negative grid voltage or an irradiance
+            outside the envelope.
     """
     try:
         doc = json.loads(text.decode() if isinstance(text, bytes) else text)
-    except ValueError as exc:  # malformed, not UTF-8, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, too deep, not UTF-8, or a huge int
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
@@ -163,7 +166,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
     scenario_id = doc.get("id", "scenario")
     # A lone surrogate ("\ud800") is not printable, and no report could write it.
     if not isinstance(scenario_id, str) or not scenario_id or not scenario_id.isprintable():
-        raise ValidationError("document: key 'id' must be a non-empty printable string")
+        raise ParseError("document: key 'id' must be a non-empty printable string")
 
     kw = {}
     for name, cls in _SECTIONS.items():
@@ -171,11 +174,11 @@ def parse_scenario(text: str | bytes) -> Scenario:
         kw[name] = _read(_section(doc, name, {} if optional else None), cls, name)
     comp_s = dict(_section(doc, "compensator", {"mode": NoCompensator.mode}))
     if "mode" not in comp_s:
-        raise ValidationError("compensator: missing required key 'mode'")
+        raise ParseError("compensator: missing required key 'mode'")
     mode = comp_s.pop("mode")
     comp_cls = COMPENSATORS.get(mode) if isinstance(mode, str) else None
     if comp_cls is None:
-        raise ValidationError(
+        raise ParseError(
             f"compensator: mode must be one of {', '.join(COMPENSATORS)}; got {mode!r}"
         )
     kw["compensator"] = _read(comp_s, comp_cls, "compensator")
@@ -184,24 +187,21 @@ def parse_scenario(text: str | bytes) -> Scenario:
     _reject_unknown(profiles_s, _PROFILES.keys(), "profiles")
     for key, cls in _PROFILES.items():
         if key not in profiles_s:
-            raise ValidationError(f"profiles: missing required key '{key}'")
+            raise ParseError(f"profiles: missing required key '{key}'")
         entries = profiles_s[key]
         if not isinstance(entries, list) or not entries:
-            raise ValidationError(f"profiles.{key} must be a non-empty list")
+            raise ParseError(f"profiles.{key} must be a non-empty list")
         kw[key] = _read_profile(entries, cls, f"profiles.{key}")
-    try:
-        return Scenario(
-            grid=GridSpec(**kw["grid"]),
-            array=PVArraySpec(module=PVModuleSpec(**kw["pv_module"]), **kw["pv_array"]),
-            inverter_efficiency=kw["inverter"]["efficiency"],
-            irradiance=kw["irradiance"],
-            load=kw["load"],
-            compensator=comp_cls(**kw["compensator"]),
-            scenario_id=scenario_id,
-            **kw["sim"],
-        )
-    except InvalidValue as exc:
-        raise ValidationError(str(exc)) from exc
+    return Scenario(
+        grid=GridSpec(**kw["grid"]),
+        array=PVArraySpec(module=PVModuleSpec(**kw["pv_module"]), **kw["pv_array"]),
+        inverter_efficiency=kw["inverter"]["efficiency"],
+        irradiance=kw["irradiance"],
+        load=kw["load"],
+        compensator=comp_cls(**kw["compensator"]),
+        scenario_id=scenario_id,
+        **kw["sim"],
+    )
 
 
 # ============================================================================

@@ -23,7 +23,7 @@ import numpy as np
 from . import pv_model
 from .compensation import CompensatorConfig, dispatch, power_factor
 from .errors import (
-    FINITE, NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec, InvalidScenario,
+    FINITE, NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec, InvalidValue,
     NonConvergence, require, within,
 )
 from .pv_model import PVArraySpec, SingleDiodeParams
@@ -59,7 +59,7 @@ class GridSpec:
     v_dc: float  # V, reported dc-link setpoint
 
     def __post_init__(self) -> None:
-        require({f"grid {k}": v for k, v in vars(self).items()}, POSITIVE, InvalidScenario)
+        require({f"grid {k}": v for k, v in vars(self).items()}, POSITIVE)
 
 
 def _profile_columns(name: str, step: type, given) -> np.ndarray:
@@ -76,9 +76,9 @@ def _profile_columns(name: str, step: type, given) -> np.ndarray:
     except ValueError:  # ragged
         values = None
     if values is None or values.ndim != 2 or len(values) != len(step._fields):
-        raise InvalidScenario(f"{name} profile must hold {len(step._fields)} floats per segment")
+        raise InvalidValue(f"{name} profile must hold {len(step._fields)} floats per segment")
     if not values.shape[1]:
-        raise InvalidScenario(f"{name} profile must have at least one segment")
+        raise InvalidValue(f"{name} profile must have at least one segment")
     bounds = [pv_model.ENVELOPE.get(field, FINITE) for field in step._fields]
     if values.dtype.kind in "biuf":
         columns = values = values.astype(float)
@@ -98,7 +98,7 @@ def _profile_columns(name: str, step: type, given) -> np.ndarray:
         value = values[:, k].tolist()[f]
         text = (bounds[f].text if not within(value, bounds[f])
                 else "0" if k == 0 else f"after {starts[k - 1].item()!r}")
-        raise InvalidScenario(
+        raise InvalidValue(
             f"{name} profile segment {k}: {step._fields[f]} must be {text}, got {value!r}"
         )
     columns.flags.writeable = False
@@ -132,12 +132,12 @@ class Scenario:
 
     def __post_init__(self) -> None:
         efficiency = Bound("finite and in (0, 1]", lambda x: 0.0 < x <= 1.0)
-        require({"inverter_efficiency": self.inverter_efficiency}, efficiency, InvalidScenario)
-        require({"dt": self.dt}, POSITIVE, InvalidScenario)
-        require({"t_end": self.t_end}, NON_NEGATIVE, InvalidScenario)
+        require({"inverter_efficiency": self.inverter_efficiency}, efficiency)
+        require({"dt": self.dt}, POSITIVE)
+        require({"t_end": self.t_end}, NON_NEGATIVE)
         steps = self.t_end / self.dt
         if not steps + _GRID_EPS < MAX_RECORDS:
-            raise InvalidScenario(f"t_end/dt = {steps:g} gives more than {MAX_RECORDS} records")
+            raise InvalidValue(f"t_end/dt = {steps:g} gives more than {MAX_RECORDS} records")
         vars(self).update(
             irradiance=_profile_columns("irradiance", IrradianceStep, self.irradiance),
             load=_profile_columns("load", LoadStep, self.load),
@@ -203,13 +203,13 @@ class TimeSeries:
         vars(self)["columns"] = MappingProxyType(dict(zip(COLUMNS, block)))
         t, pf = self.columns["t"], self.columns["pf_grid"]
         if not len(t):
-            raise InvalidScenario("time series must contain at least one record")
+            raise InvalidValue("time series must contain at least one record")
         for k in np.flatnonzero(~(t >= 0.0))[:1]:
-            raise InvalidScenario(f"record time must be non-negative, got {t[k]}")
+            raise InvalidValue(f"record time must be non-negative, got {t[k]}")
         for k in np.flatnonzero(~((0.0 <= pf) & (pf <= 1.0)))[:1]:
-            raise InvalidScenario(f"pf_grid must lie in [0, 1], got {pf[k]}")
+            raise InvalidValue(f"pf_grid must lie in [0, 1], got {pf[k]}")
         if (t[1:] <= t[:-1]).any():
-            raise InvalidScenario("record times must be strictly increasing")
+            raise InvalidValue("record times must be strictly increasing")
 
     @cached_property
     def records(self) -> tuple[PowerFlowRecord, ...]:
@@ -267,7 +267,7 @@ def _columns(scenario: Scenario, params: SingleDiodeParams, times) -> dict[str, 
         q_grid = q_load - q_comp
         beyond = ~(np.hypot(p_grid, q_grid) < np.inf)
     for k in np.flatnonzero(beyond)[:1]:
-        raise InvalidScenario(f"grid exchange at t = {float(t[k])} s is beyond the float range")
+        raise InvalidValue(f"grid exchange at t = {float(t[k])} s is beyond the float range")
     return dict(
         t=t, p_pv=p_pv, p_inv=p_inv, q_inv=np.zeros(len(t)), p_load=p_load,
         q_load=q_load, q_comp=q_comp, p_comp_loss=p_comp_loss, p_grid=p_grid, q_grid=q_grid,
@@ -289,7 +289,7 @@ def run(scenario: Scenario) -> TimeSeries:
     Raises:
         InfeasibleSpec: if the module datasheet cannot be calibrated.
         NonConvergence: if a calibration solve exhausts its budget.
-        InvalidScenario: if the grid exchange at some instant is beyond the
+        InvalidValue: if the grid exchange at some instant is beyond the
             float range.
     """
     try:

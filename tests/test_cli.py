@@ -92,7 +92,7 @@ class TestDesignCommands:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "DegenerateInput" in err
+        assert err.startswith("error: InvalidValue: step-up requires v_in < v_out")
 
     def test_lcl_human_output(self, capsys):
         """LCL values and the resonance verdict print together."""
@@ -353,11 +353,11 @@ def test_rejected_flag_value_exits_1(capsys, argv, flag, named):
 )
 def test_out_of_range_design_exits_1(capsys, argv, named):
     """Finite ratings whose arithmetic leaves the float range are rejected as
-    DegenerateInput naming the inputs, with exit 1: no traceback, no nan or inf."""
+    InvalidValue naming the inputs, with exit 1: no traceback, no nan or inf."""
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: DegenerateInput: ")
+    assert captured.err.startswith("error: InvalidValue: ")
     assert named in captured.err
 
 
@@ -623,7 +623,7 @@ def test_bad_profile_value_names_its_segment(tmp_path, case):
     profiles, profile, k, field = case
     located = f"{profile} profile segment {k}: {field} must be "
     base = parse_scenario(bundled_scenario_text("case1"))
-    with pytest.raises(pvgrid.InvalidScenario) as failure:
+    with pytest.raises(pvgrid.InvalidValue) as failure:
         pvgrid.Scenario(base.grid, base.array, compensator=base.compensator, **profiles)
     assert str(failure.value).startswith(located)
     doc = json.loads(bundled_scenario_text("case1"))
@@ -635,7 +635,7 @@ def test_bad_profile_value_names_its_segment(tmp_path, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["simulate", str(path)])
     assert (code, out.getvalue()) == (1, "")
-    assert err.getvalue() == f"error: ValidationError: {failure.value}\n"
+    assert err.getvalue() == f"error: InvalidValue: {failure.value}\n"
 
 
 # ======================================================================
@@ -798,40 +798,49 @@ class TestSimulate:
             pytest.param(b'{"id": ' + b"9" * 5000 + b"}", "ParseError", id="int-past-digit-limit"),
             pytest.param(
                 bundled_scenario_text("case1").replace('"case1"', '"\\ud800"').encode(),
-                "ValidationError", id="lone-surrogate-id",
+                "ParseError", id="lone-surrogate-id",
+            ),
+            pytest.param(
+                b'{"id": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "ParseError",
+                id="deep-nesting",
             ),
         ],
     )
     def test_unwritable_scenario_exits_1(self, capsys, case_file, tmp_path, command, data, error):
-        """A file that is not UTF-8, JSON that json cannot load, or an id no
-        report can print exits 1 with an error line, not a traceback."""
+        """A file that is not UTF-8, JSON that json cannot load (an int past the
+        digit limit, or arrays nested past the recursion limit), or an id no
+        report can print exits 1 with one error line, not a traceback."""
         bad = tmp_path / "bad.json"
         bad.write_bytes(data)
         argv = [command, str(bad)] + ([case_file("case1")] if command == "compare" else [])
         assert cli.main(argv + ["--report"] if command == "simulate" else argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {error}:")
+        assert err.startswith(f"error: {error}:") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         ("path", "value", "named"),
         [
             pytest.param(("profiles", "irradiance", 0, "g"), math.nan,
-                         "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², "
-                         "got nan", id="g-nan"),
-            pytest.param(("grid", "v_phase"), math.nan, "key 'v_phase' must be a finite number",
+                         "InvalidValue: irradiance profile segment 0: g must be finite and in "
+                         "[0, 2000] W/m², got nan", id="g-nan"),
+            pytest.param(("grid", "v_phase"), math.nan,
+                         "ParseError: grid: key 'v_phase' must be a finite number",
                          id="v_phase-nan"),
-            pytest.param(("sim", "t_end"), math.inf, "key 't_end' must be a finite number",
-                         id="t_end-inf"),
-            pytest.param(("pv_module", "p_mp"), 10**400, "key 'p_mp' must be a finite number",
+            pytest.param(("sim", "t_end"), math.inf,
+                         "ParseError: sim: key 't_end' must be a finite number", id="t_end-inf"),
+            pytest.param(("pv_module", "p_mp"), 10**400,
+                         "ParseError: pv_module: key 'p_mp' must be a finite number",
                          id="p_mp-beyond-float"),
             pytest.param(("pv_array", "n_series"), 10**400,
-                         "key 'n_series' must be a finite number", id="n_series-beyond-float"),
+                         "ParseError: pv_array: key 'n_series' must be a finite number",
+                         id="n_series-beyond-float"),
         ],
     )
     def test_non_finite_number_exits_1(self, capsys, tmp_path, path, value, named):
         """NaN, Infinity and out-of-range literals are rejected, not simulated:
-        a section key by the parser, a profile value by the scenario."""
+        a section key by the parser as a ParseError, a profile value by the
+        scenario as an InvalidValue."""
         doc = json.loads(bundled_scenario_text("case3"))
         node = doc
         for step in path[:-1]:
@@ -840,9 +849,7 @@ class TestSimulate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["simulate", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "ValidationError" in err
-        assert named in err
+        assert capsys.readouterr().err == f"error: {named}\n"
 
     def test_record_count_beyond_cap_exits_1(self, capsys, tmp_path):
         """A horizon whose record count overflows is rejected before the run."""
@@ -1059,8 +1066,9 @@ class TestParserBehavior:
         ("error", "code"),
         [
             pytest.param(pvgrid.InvalidValue("x"), 1, id="InvalidValue"),
-            pytest.param(pvgrid.InvalidScenario("x"), 1, id="InvalidScenario"),
-            pytest.param(pvgrid.DegenerateInput("x"), 1, id="DegenerateInput"),
+            pytest.param(pvgrid.ParseError("x"), 1, id="ParseError"),
+            pytest.param(pvgrid.InfeasibleSpec("x"), 1, id="InfeasibleSpec"),
+            pytest.param(pvgrid.DarkArray("x"), 1, id="DarkArray"),
             pytest.param(pvgrid.GridMismatch("x"), 1, id="GridMismatch"),
             pytest.param(FileNotFoundError("x"), 1, id="OSError"),
             pytest.param(pvgrid.NonConvergence("x"), 2, id="NonConvergence"),

@@ -19,7 +19,7 @@ from pvgrid.component_design import (
     lcl_design,
     resonance_check,
 )
-from pvgrid.errors import DegenerateInput
+from pvgrid.errors import InvalidValue
 
 # Reference operating point used across the design tests.
 BOOST_IN = BoostDesignInput(p=100_345.0, v_in=290.0, v_out=700.0, f_s=5_000.0)
@@ -95,26 +95,26 @@ class TestBoostDesign:
 
     def test_step_down_rejected(self):
         """v_in >= v_out cannot be boosted."""
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             BoostDesignInput(p=1e5, v_in=700.0, v_out=700.0, f_s=5e3)
 
     def test_nonpositive_ratings_rejected(self):
         """Zero power or frequency is degenerate."""
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             BoostDesignInput(p=0.0, v_in=290.0, v_out=700.0, f_s=5e3)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             BoostDesignInput(p=1e5, v_in=290.0, v_out=700.0, f_s=0.0)
 
     def test_ripple_fractions_bounded(self):
         """Ripple fractions outside (0, 1) are degenerate."""
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             BoostDesignInput(p=1e5, v_in=290.0, v_out=700.0, f_s=5e3, ripple_i_frac=0.0)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             BoostDesignInput(p=1e5, v_in=290.0, v_out=700.0, f_s=5e3, ripple_v_frac=1.0)
 
     def test_output_type_guards(self):
         """BoostDesign rejects non-positive component values."""
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             BoostDesign(i_out_max=1.0, delta_i_l=1.0, delta_v_out=1.0, l=0.0, c=1.0)
 
 
@@ -207,9 +207,9 @@ class TestLCLDesign:
 
     def test_degenerate_inputs_rejected(self):
         """Non-positive ratings and out-of-range fractions are degenerate."""
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             LCLDesignInput(p=-1.0, v_g=230.0, f_g=50.0, v_dc=700.0, f_sw=1e4)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             LCLDesignInput(p=1e5, v_g=230.0, f_g=50.0, v_dc=700.0, f_sw=1e4, cap_frac=1.5)
 
 
@@ -268,7 +268,7 @@ class TestResonanceCheck:
 
     def test_nonpositive_values_rejected(self):
         """Zero or negative components are degenerate."""
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             resonance_check(0.0, 15e-6, 100e-6, 50.0, 1e4)
 
     def test_report_derives_f_res_and_passed(self):
@@ -281,7 +281,7 @@ class TestResonanceCheck:
         assert not ResonanceReport(report.omega_res, 500.0, report.f_res).passed
         with pytest.raises(TypeError):
             ResonanceReport(omega_res=6283.0, f_res=1000.0, f_min=500.0, f_max=5000.0)
-        with pytest.raises(DegenerateInput, match="^f_min must be finite, got inf$"):
+        with pytest.raises(InvalidValue, match="^f_min must be finite, got inf$"):
             ResonanceReport(omega_res=6283.0, f_min=math.inf, f_max=5000.0)
 
 
@@ -323,11 +323,11 @@ class TestCapbankSize:
 
     def test_invalid_inputs_rejected(self):
         """Negative rating or non-positive voltage/frequency is degenerate."""
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             capbank_size(-1.0, 230.0, 50.0)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             capbank_size(1e5, 0.0, 50.0)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidValue):
             capbank_size(1e5, 230.0, -50.0)
 
     @pytest.mark.parametrize(
@@ -340,8 +340,8 @@ class TestCapbankSize:
     )
     def test_beyond_float_range_is_degenerate(self, q_rated, v_phase, f_g):
         """Finite ratings whose capacitance arithmetic leaves the float range are
-        rejected as DegenerateInput naming the inputs, not a ZeroDivisionError."""
-        with pytest.raises(DegenerateInput) as err:
+        rejected as InvalidValue naming the inputs, not a ZeroDivisionError."""
+        with pytest.raises(InvalidValue) as err:
             capbank_size(q_rated, v_phase, f_g)
         assert str(err.value) == (
             f"inputs q_rated = {q_rated!r}, v_phase = {v_phase!r}, f_g = {f_g!r} "

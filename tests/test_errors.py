@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 import sys
@@ -10,17 +11,34 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pvgrid import errors
 from pvgrid.errors import (
-    FINITE, NON_NEGATIVE, POSITIVE, Bound, DegenerateInput, InvalidScenario, InvalidValue,
-    PVGridError, require,
+    FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, ParseError, PVGridError, require,
 )
 
 
-@pytest.mark.parametrize("cls", [InvalidValue, InvalidScenario, DegenerateInput])
+@pytest.mark.parametrize("cls", [InvalidValue])
 def test_rejections_are_pvgrid_errors_and_value_errors(cls):
     """A rejected value is caught by ``except PVGridError`` and by ``except ValueError``."""
     assert issubclass(cls, PVGridError) and issubclass(cls, ValueError)
-    assert issubclass(cls, InvalidValue)
+
+
+def test_one_class_per_kind_of_rejection():
+    """The hierarchy is these seven classes, each a PVGridError; only a value out
+    of its domain is also a ValueError, not a document the parser rejects."""
+    classes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    assert classes == {
+        "PVGridError", "InvalidValue", "ParseError", "NonConvergence", "InfeasibleSpec",
+        "DarkArray", "GridMismatch",
+    }
+    assert all(issubclass(getattr(errors, name), PVGridError) for name in classes)
+    assert [name for name in classes if issubclass(getattr(errors, name), ValueError)] == [
+        "InvalidValue"
+    ]
+    assert not issubclass(ParseError, ValueError)
 
 
 class TestRequire:
@@ -70,10 +88,9 @@ class TestRequire:
             with pytest.raises(InvalidValue, match=f"^x must be {re.escape(bound.text)}"):
                 require({"x": value}, bound)
 
-    def test_error_class_is_chosen_by_the_caller(self):
-        """The error raised is the one given, a subclass of InvalidValue."""
-        with pytest.raises(DegenerateInput):
-            require({"x": math.nan}, FINITE, DegenerateInput)
+    def test_takes_values_and_bound(self):
+        """The error is always an InvalidValue; no caller chooses another class."""
+        assert list(inspect.signature(require).parameters) == ["values", "bound"]
 
     def test_array_names_its_first_failing_entry(self):
         """An array is judged entry by entry in one call; the first entry out of

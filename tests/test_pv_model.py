@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvgrid import pv_model
-from pvgrid.errors import DarkArray, InfeasibleSpec, InvalidScenario, InvalidValue, NonConvergence
+from pvgrid.errors import DarkArray, InfeasibleSpec, InvalidValue, NonConvergence
 from pvgrid.numerics import newton_bisect_array
 from pvgrid.pv_model import (
     DATASHEET_TOL,
@@ -1118,7 +1118,7 @@ def test_outside_the_envelope_is_rejected_by_name(g, t, g_in, t_in):
             EnvCondition(*env)
         assert str(failure.value).startswith(text)
         words = str(failure.value)
-        with pytest.raises(InvalidScenario) as failure:
+        with pytest.raises(InvalidValue) as failure:
             make_scenario(irradiance=((0.0, g_in, t_in), (0.01, *env)))
         assert str(failure.value) == f"irradiance profile segment 1: {words}"
 

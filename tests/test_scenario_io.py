@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvgrid.compensation import COMPENSATORS, FixedCapacitor, NoCompensator, Statcom
-from pvgrid.errors import FINITE, ParseError, ValidationError
+from pvgrid.errors import FINITE, InvalidValue, ParseError, PVGridError
 from pvgrid.scenario_io import (
     _DOCUMENT_KEYS,
     _PROFILES,
@@ -83,22 +83,22 @@ class TestParseScenario:
             parse_scenario("[1, 2, 3]")
 
     def test_missing_required_section(self):
-        """Dropping the grid section is a ValidationError naming it."""
+        """Dropping the grid section is a ParseError naming it."""
         doc = json.loads(_doc())
         del doc["grid"]
-        with pytest.raises(ValidationError, match="grid"):
+        with pytest.raises(ParseError, match="grid"):
             parse_scenario(json.dumps(doc))
 
     def test_unknown_top_level_key(self):
         """Unknown keys are hard errors, named in the message."""
-        with pytest.raises(ValidationError, match="voltage_class"):
+        with pytest.raises(ParseError, match="voltage_class"):
             parse_scenario(_doc(voltage_class="LV"))
 
     def test_unknown_nested_key(self):
         """Typos inside a section are caught too."""
         doc = json.loads(_doc())
         doc["grid"]["v_phse"] = 230.0
-        with pytest.raises(ValidationError, match="v_phse"):
+        with pytest.raises(ParseError, match="v_phse"):
             parse_scenario(json.dumps(doc))
 
     @pytest.mark.xfail(strict=True, reason="json.loads keeps the last of repeated keys; "
@@ -112,22 +112,22 @@ class TestParseScenario:
             parse_scenario(text)
 
     def test_wrong_type_rejected(self):
-        """Strings where numbers belong are ValidationErrors."""
+        """Strings where numbers belong are ParseErrors."""
         doc = json.loads(_doc())
         doc["grid"]["v_phase"] = "230"
-        with pytest.raises(ValidationError, match="v_phase"):
+        with pytest.raises(ParseError, match="v_phase"):
             parse_scenario(json.dumps(doc))
 
     def test_booleans_are_not_numbers(self):
         """JSON true must not silently coerce to 1.0."""
         doc = json.loads(_doc())
         doc["grid"]["v_phase"] = True
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError):
             parse_scenario(json.dumps(doc))
 
     def test_unknown_compensator_mode(self):
-        """An unrecognized mode is a ValidationError."""
-        with pytest.raises(ValidationError, match="mode"):
+        """An unrecognized mode is a ParseError."""
+        with pytest.raises(ParseError, match="mode"):
             parse_scenario(_doc(compensator={"mode": "svc"}))
 
     def test_compensator_modes_parse(self):
@@ -143,21 +143,65 @@ class TestParseScenario:
 
     def test_extra_key_on_none_mode(self):
         """mode none accepts no other keys."""
-        with pytest.raises(ValidationError, match="q_rated"):
+        with pytest.raises(ParseError, match="q_rated"):
             parse_scenario(_doc(compensator={"mode": "none", "q_rated": 1e5}))
 
     def test_domain_violations_become_validation_errors(self):
-        """Scenario invariants surface as ValidationError, not bare ValueError."""
+        """A scenario invariant reaches the caller as the InvalidValue that the
+        scenario raised, a ValueError, not wrapped by the parser."""
         doc = json.loads(_doc())
         doc["profiles"]["irradiance"][0]["g"] = -5.0
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidValue) as err:
             parse_scenario(json.dumps(doc))
+        assert type(err.value) is InvalidValue and err.value.__cause__ is None
+
+    @pytest.mark.parametrize(
+        ("path", "value", "error", "message"),
+        [
+            pytest.param(("voltage_class",), "LV", ParseError,
+                         "document: unknown keys voltage_class", id="unknown-key"),
+            pytest.param(("grid", "v_phase"), "230", ParseError,
+                         "grid: key 'v_phase' must be a number", id="string-v_phase"),
+            pytest.param(("id",), "", ParseError,
+                         "document: key 'id' must be a non-empty printable string", id="empty-id"),
+            pytest.param(("compensator",), {"mode": "svc"}, ParseError,
+                         "compensator: mode must be one of none, fixed_capacitor, statcom; "
+                         "got 'svc'", id="unknown-mode"),
+            pytest.param(("grid", "v_phase"), -1, InvalidValue,
+                         "grid v_phase must be finite and positive, got -1.0", id="v_phase-negative"),
+            pytest.param(("profiles", "irradiance", 0, "g"), 3000.0, InvalidValue,
+                         "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², "
+                         "got 3000.0", id="g-3000"),
+            pytest.param(("sim", "dt"), 0, InvalidValue,
+                         "dt must be finite and positive, got 0.0", id="dt-zero"),
+            pytest.param(("inverter", "efficiency"), 1.5, InvalidValue,
+                         "inverter_efficiency must be finite and in (0, 1], got 1.5",
+                         id="efficiency-1.5"),
+            pytest.param(("pv_module", "v_mp"), 40.0, InvalidValue,
+                         "require v_mp < v_oc, got 40.0, 36.3", id="v_mp-above-v_oc"),
+            pytest.param(("compensator",), {"mode": "statcom", "q_max": -1.0}, InvalidValue,
+                         "q_max must be finite and positive, got -1.0", id="q_max-negative"),
+        ],
+    )
+    def test_rejection_class_and_message(self, path, value, error, message):
+        """What the parser rejects by itself, the document's shape, is a
+        ParseError and no ValueError; a value out of its domain is the
+        InvalidValue, a ValueError, that its record or the scenario raised."""
+        doc = json.loads(_doc())
+        node = doc
+        for step in path[:-1]:
+            node = node.setdefault(step, {}) if isinstance(step, str) else node[step]
+        node[path[-1]] = value
+        with pytest.raises(PVGridError) as err:
+            parse_scenario(json.dumps(doc))
+        assert type(err.value) is error and str(err.value) == message
+        assert isinstance(err.value, ValueError) is (error is InvalidValue)
 
     def test_fractional_integer_rejected(self):
         """Array counts must be JSON integers."""
         doc = json.loads(_doc())
         doc["pv_array"]["n_series"] = 10.5
-        with pytest.raises(ValidationError, match="n_series"):
+        with pytest.raises(ParseError, match="n_series"):
             parse_scenario(json.dumps(doc))
 
 
@@ -166,24 +210,26 @@ class TestParseScenario:
 # ======================================================================
 
 
-# Malformed values and entries of a profile list, with the message each
-# gets ("{where}" is the entry, "{key}" the key, "{segment}" the segment as
-# the scenario names it, "{bound}" the words of the key's bound).  The parser
-# names an entry of the wrong shape or type; the scenario names the segment
-# holding a value that is not finite.
+# Malformed values and entries of a profile list, with the error class and
+# message each gets ("{where}" is the entry, "{key}" the key, "{segment}" the
+# segment as the scenario names it, "{bound}" the words of the key's bound).
+# The parser names an entry of the wrong shape or type in a ParseError; the
+# scenario names the segment holding a value that is not finite in an
+# InvalidValue.
 MALFORMED_ENTRY = {
-    "true": ("true", "{where}: key '{key}' must be a number"),
-    "string": ('"500"', "{where}: key '{key}' must be a number"),
-    "null": ("null", "{where}: key '{key}' must be a number"),
-    "nan": ("NaN", "{segment}: {key} must be {bound}, got nan"),
-    "1e400": ("1e400", "{segment}: {key} must be {bound}, got inf"),
-    "10**400": (str(10**400), "{segment}: {key} must be {bound}, got " + str(10**400)),
+    "true": ("true", ParseError, "{where}: key '{key}' must be a number"),
+    "string": ('"500"', ParseError, "{where}: key '{key}' must be a number"),
+    "null": ("null", ParseError, "{where}: key '{key}' must be a number"),
+    "nan": ("NaN", InvalidValue, "{segment}: {key} must be {bound}, got nan"),
+    "1e400": ("1e400", InvalidValue, "{segment}: {key} must be {bound}, got inf"),
+    "10**400": (str(10**400), InvalidValue,
+                "{segment}: {key} must be {bound}, got " + str(10**400)),
     # An integer that float() rounds down to the largest double.
-    "max+1": (str(int(sys.float_info.max) + 1),
+    "max+1": (str(int(sys.float_info.max) + 1), InvalidValue,
               "{segment}: {key} must be {bound}, got " + str(int(sys.float_info.max) + 1)),
-    "missing-key": (None, "{where}: missing required key '{key}'"),
-    "unknown-key": (None, "{where}: unknown keys bogus"),
-    "non-object": (None, "{where} must be an object"),
+    "missing-key": (None, ParseError, "{where}: missing required key '{key}'"),
+    "unknown-key": (None, ParseError, "{where}: unknown keys bogus"),
+    "non-object": (None, ParseError, "{where} must be an object"),
 }
 
 
@@ -198,7 +244,7 @@ def _five_entry_doc() -> dict:
 
 def _malformed(doc: dict, profile: str, key: str, pos: int, case: str) -> str:
     """``doc`` as text with entry ``pos`` of ``profile`` broken as ``case`` says."""
-    literal, _ = MALFORMED_ENTRY[case]
+    literal, _, _ = MALFORMED_ENTRY[case]
     entry = doc["profiles"][profile][pos]
     if case == "missing-key":
         del entry[key]
@@ -218,27 +264,31 @@ _JUNK = [True, False, None, "1.0", math.nan, math.inf, -math.inf, 10**400, [1.0]
 
 
 @st.composite
-def _profile_list(draw, values: dict) -> tuple[list, bool]:
+def _profile_list(draw, values: dict) -> tuple[list, type | None]:
     """A valid profile list with ``values[key]`` drawing each key's values,
-    and whether one entry was then broken."""
+    and the class of the error the parser raises for it: None if no entry
+    was broken, InvalidValue if one value was made not finite, else ParseError."""
     entries, t = [], 0
     for _ in range(draw(st.integers(1, 5))):
         entries.append({"t_start": t, **{key: draw(v) for key, v in values.items()}})
         t += draw(st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3)))
-    broken = draw(st.booleans())
-    if broken:
+    error = None
+    if draw(st.booleans()):
+        error = ParseError
         pos = draw(st.integers(0, len(entries) - 1))
         key = draw(st.sampled_from(["t_start", *values]))
         how = draw(st.sampled_from(["value", "missing", "unknown", "entry"]))
         if how == "value":
-            entries[pos][key] = draw(st.sampled_from(_JUNK))
+            entries[pos][key] = junk = draw(st.sampled_from(_JUNK))
+            if type(junk) in (int, float):
+                error = InvalidValue
         elif how == "missing":
             del entries[pos][key]
         elif how == "unknown":
             entries[pos]["bogus"] = 1.0
         else:
             entries[pos] = draw(st.sampled_from(_JUNK))
-    return entries, broken
+    return entries, error
 
 
 class TestProfileLists:
@@ -253,10 +303,11 @@ class TestProfileLists:
         document's entry for a wrong shape or type, as the profile's segment
         for a value that is not finite."""
         text = _malformed(_five_entry_doc(), profile, key, pos, case)
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(PVGridError) as err:
             parse_scenario(text)
-        assert type(err.value) is ValidationError
-        want = MALFORMED_ENTRY[case][1].format(
+        _, error, message = MALFORMED_ENTRY[case]
+        assert type(err.value) is error
+        want = message.format(
             where=f"profiles.{profile}[{pos}]", key=key, segment=f"{profile} profile segment {pos}",
             bound=ENVELOPE.get(key, FINITE).text,
         )
@@ -268,10 +319,10 @@ class TestProfileLists:
         doc = _five_entry_doc()
         doc["profiles"]["load"][3]["p"] = None
         text = _malformed(doc, "load", "q", 1, "string")
-        with pytest.raises(ValidationError, match=r"^profiles\.load\[1\]: key 'q' must be a"):
+        with pytest.raises(ParseError, match=r"^profiles\.load\[1\]: key 'q' must be a"):
             parse_scenario(text)
         text = _malformed(doc, "load", "q", 1, "nan")
-        with pytest.raises(ValidationError, match=r"^profiles\.load\[3\]: key 'p' must be a"):
+        with pytest.raises(ParseError, match=r"^profiles\.load\[3\]: key 'p' must be a"):
             parse_scenario(text)
 
     def test_int_values_read_as_their_float_twin(self):
@@ -304,7 +355,7 @@ class TestProfileLists:
         """An int past the range of int64 is printed as written, as are the
         ones past the float range; a smaller int is read as a float."""
         entries = [{"t_start": 0.0, "g": value, "t_cell": 25.0}]
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidValue) as err:
             parse_scenario(_doc(profiles={"irradiance": entries, "load": MINIMAL_DOC[
                 "profiles"]["load"]}))
         assert str(err.value) == (
@@ -320,13 +371,17 @@ class TestProfileLists:
     )
     def test_columns_equal_entry_by_entry_construction(self, irradiance, load):
         """Property: a valid list parses to the records built entry by entry,
-        bit for bit; a list with a broken entry raises ValidationError."""
+        bit for bit; a list with a broken entry raises a ParseError if an entry
+        has the wrong shape or type (the parser checks both lists for that
+        first), else an InvalidValue for its value that is not finite."""
         doc = json.loads(_doc())
         doc["profiles"] = {"irradiance": irradiance[0], "load": load[0]}
         text = json.dumps(doc)
-        if irradiance[1] or load[1]:
-            with pytest.raises(ValidationError):
+        errors = {irradiance[1], load[1]} - {None}
+        if errors:
+            with pytest.raises(PVGridError) as err:
                 parse_scenario(text)
+            assert type(err.value) is (ParseError if ParseError in errors else InvalidValue)
             return
         scenario = parse_scenario(text)
         for key, entries in (("irradiance", irradiance[0]), ("load", load[0])):
@@ -387,7 +442,7 @@ class TestBundledScenarios:
 def test_parser_accepts_only_what_the_schema_accepts(doc):
     """Property: a generated document (see ``conftest.scenario_documents``)
     that the parser accepts, the shipped schema accepts; one the schema
-    rejects, the parser rejects with ParseError or ValidationError.
+    rejects, the parser rejects with ParseError or InvalidValue.
 
     The converse does not hold: the schema cannot express v_mp < v_oc,
     p_mp = v_mp*i_mp within 0.5%, sorted profiles starting at t = 0, the
@@ -397,7 +452,7 @@ def test_parser_accepts_only_what_the_schema_accepts(doc):
     schema_accepts = _VALIDATOR.is_valid(json.loads(text))
     try:
         parse_scenario(text)
-    except (ParseError, ValidationError):
+    except (ParseError, InvalidValue):
         return
     assert schema_accepts, text
 

@@ -10,7 +10,7 @@ import pytest
 
 from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom
 from pvgrid import pv_model
-from pvgrid.errors import GridMismatch, InfeasibleSpec, InvalidScenario, NonConvergence
+from pvgrid.errors import GridMismatch, InfeasibleSpec, InvalidValue, NonConvergence
 from pvgrid.pv_model import PVArraySpec, PVModuleSpec, extract_single_diode_params
 from pvgrid.simulator import (
     COLUMNS,
@@ -62,36 +62,36 @@ class TestScenarioValidation:
 
     def test_efficiency_bounds(self):
         """Inverter efficiency outside (0, 1] is rejected."""
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             make_scenario(efficiency=0.0)
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             make_scenario(efficiency=1.2)
 
     def test_dt_positive(self):
         """Non-positive dt is rejected."""
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             make_scenario(dt=0.0)
 
     def test_profile_must_start_at_zero(self):
         """A profile whose first segment starts late leaves t=0 undefined."""
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             make_scenario(irradiance=((0.05, 1000.0, 25.0),))
 
     def test_profile_must_be_sorted(self):
         """Unsorted or duplicate segment starts are rejected."""
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             make_scenario(load=((0.0, 1e5, 1e5), (0.02, 2e5, 0.0), (0.01, 1e5, 0.0)))
 
     def test_irradiance_domain(self):
         """Negative irradiance and out-of-range cell temperature are rejected."""
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             make_scenario(irradiance=((0.0, -5.0, 25.0),))
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             make_scenario(irradiance=((0.0, 1000.0, 120.0),))
 
     def test_grid_spec_positive(self):
         """Grid voltage, frequency, and dc link must be positive."""
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             GridSpec(v_phase=0.0, f=50.0, v_dc=700.0)
 
     def test_zero_horizon_single_instant(self):
@@ -105,7 +105,7 @@ class TestScenarioValidation:
         at_cap = make_scenario(t_end=float(MAX_RECORDS - 1), dt=1.0)
         assert int(at_cap.t_end / at_cap.dt + 1e-9) + 1 == MAX_RECORDS
         for t_end, dt in ((float(MAX_RECORDS), 1.0), (1e300, 1e-10)):
-            with pytest.raises(InvalidScenario, match="records"):
+            with pytest.raises(InvalidValue, match="records"):
                 make_scenario(t_end=t_end, dt=dt)
 
     @pytest.mark.parametrize(
@@ -124,7 +124,7 @@ class TestScenarioValidation:
     )
     def test_non_finite_values_rejected(self, override):
         """NaN or an infinity in any scenario number is rejected, not simulated."""
-        with pytest.raises(InvalidScenario, match="finite|inverter_efficiency"):
+        with pytest.raises(InvalidValue, match="finite|inverter_efficiency"):
             make_scenario(**override)
 
     @pytest.mark.parametrize(
@@ -160,7 +160,7 @@ class TestScenarioValidation:
         segment by index, and in it the first failing field.  Irradiance is
         judged before load, and segments before fields."""
         kw = {"irradiance": irradiance} if load is None else {"irradiance": irradiance, "load": load}
-        with pytest.raises(InvalidScenario) as err:
+        with pytest.raises(InvalidValue) as err:
             make_scenario(**kw)
         assert str(err.value) == message
 
@@ -178,7 +178,7 @@ class TestScenarioValidation:
     def test_grid_spec_finite(self):
         """A NaN or infinite grid value is rejected."""
         for f in (math.nan, math.inf):
-            with pytest.raises(InvalidScenario, match="finite"):
+            with pytest.raises(InvalidValue, match="finite"):
                 GridSpec(v_phase=230.0, f=f, v_dc=700.0)
 
     def test_columns_and_steps_build_equal_scenarios(self):
@@ -239,7 +239,7 @@ class TestScenarioValidation:
         is judged as given, so an int that would round to the largest double
         is not finite, and a numeric string is not a number."""
         kw = {"irradiance": [[0.0], [1e3], [25.0]], "load": [[0.0], [1e5], [0.0]], **profiles}
-        with pytest.raises(InvalidScenario) as err:
+        with pytest.raises(InvalidValue) as err:
             Scenario(make_scenario().grid, make_scenario().array, compensator=NoCompensator(),
                      **kw)
         assert str(err.value) == message
@@ -562,7 +562,7 @@ class TestContainers:
 
     def test_series_requires_records(self):
         """Empty columns are rejected."""
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             TimeSeries(scenario_id="x", columns={name: [] for name in COLUMNS})
 
     def test_series_columns_are_read_only(self):
@@ -586,7 +586,7 @@ class TestContainers:
     def test_series_requires_increasing_times(self):
         """Record times must be strictly increasing."""
         first = {name: col[[0, 0]] for name, col in run(make_scenario()).columns.items()}
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidValue):
             TimeSeries(scenario_id="x", columns=first)
 
     def test_column_route_checks_the_record_invariants(self):
@@ -602,7 +602,7 @@ class TestContainers:
             columns = dict(good, **{name: np.array(values)})
             if not values:
                 columns = {key: np.array([]) for key in good}
-            with pytest.raises(InvalidScenario, match=message):
+            with pytest.raises(InvalidValue, match=message):
                 TimeSeries(scenario_id="x", columns=columns)
 
     def test_records_view_the_columns(self):
