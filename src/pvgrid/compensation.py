@@ -15,7 +15,10 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import NON_NEGATIVE, POSITIVE, Bound, require
+from .errors import NON_NEGATIVE, POSITIVE, Bound, bounded, check_fields, require
+
+_LOSS_FRAC = Bound("finite and in [0, 0.05]", lambda x: 0.0 <= x <= 0.05,
+                   {"minimum": 0, "maximum": 0.05})
 
 
 @dataclass(frozen=True)
@@ -33,13 +36,12 @@ class FixedCapacitor:
     mode: ClassVar[str] = "fixed_capacitor"
     label: ClassVar[str] = "capacitor bank"
 
-    q_rated: float  # var, at rated voltage
-    v_rated: float  # V
-    loss_w: float = 1300.0  # W, constant feeder/breaker loss
+    q_rated: float = bounded(POSITIVE)  # var, at rated voltage
+    v_rated: float = bounded(POSITIVE)  # V
+    loss_w: float = bounded(NON_NEGATIVE, 1300.0)  # W, constant feeder/breaker loss
 
     def __post_init__(self) -> None:
-        require({"q_rated": self.q_rated, "v_rated": self.v_rated}, POSITIVE)
-        require({"loss_w": self.loss_w}, NON_NEGATIVE)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,12 @@ class Statcom:
     mode: ClassVar[str] = "statcom"
     label: ClassVar[str] = "STATCOM"
 
-    q_max: float  # var
-    loss_floor_w: float = 800.0  # W, standby/switching loss
-    loss_frac: float = 0.0  # extra loss per var dispatched
+    q_max: float = bounded(POSITIVE)  # var
+    loss_floor_w: float = bounded(NON_NEGATIVE, 800.0)  # W, standby/switching loss
+    loss_frac: float = bounded(_LOSS_FRAC, 0.0)  # extra loss per var dispatched
 
     def __post_init__(self) -> None:
-        require({"q_max": self.q_max}, POSITIVE)
-        require({"loss_floor_w": self.loss_floor_w}, NON_NEGATIVE)
-        require({"loss_frac": self.loss_frac},
-                Bound("finite and in [0, 0.05]", lambda x: 0.0 <= x <= 0.05))
+        check_fields(self)
 
 
 CompensatorConfig = Union[NoCompensator, FixedCapacitor, Statcom]

@@ -5,9 +5,12 @@ each kind of rejection has one class.  A scenario document whose shape
 the parser rejects (JSON syntax, UTF-8, structure, keys, JSON types, the
 id or the compensator mode) is a :class:`ParseError`.  A value outside
 the domain of the record, design calculator or run it feeds is an
-:class:`InvalidValue`, also a ``ValueError``, wherever it is found;
-mostly it is raised by :func:`require`, which judges a number or a whole
-array column at once.  The CLI exits 2 on :class:`NonConvergence`,
+:class:`InvalidValue`, also a ``ValueError``, wherever it is found.
+Mostly it is raised by :func:`require`, which judges a number or a whole
+array column at once, or by :func:`check_fields`, the one check of a
+record's numeric fields against the bounds they declare (with
+:func:`bounded`); those bounds also write the scenario document's JSON
+schema.  The CLI exits 2 on :class:`NonConvergence`,
 1 on any other pvgrid error (a datasheet that cannot be calibrated is an
 :class:`InfeasibleSpec`), and lets any other exception, a bug, end in a
 traceback.
@@ -15,8 +18,12 @@ traceback.
 
 from __future__ import annotations
 
+import operator
 import sys
-from typing import Callable, NamedTuple
+from collections.abc import Mapping
+from dataclasses import MISSING, field, fields
+from functools import cache
+from typing import Callable, NamedTuple, get_type_hints
 
 
 class PVGridError(Exception):
@@ -49,18 +56,20 @@ class GridMismatch(PVGridError):
 
 
 class Bound(NamedTuple):
-    """What a value must be: the words an error gives, and a test of a finite number
-    (entry by entry, for a bound that :func:`require` applies to an array)."""
+    """What a value must be: the words an error gives, a test of a finite number
+    (entry by entry, for a bound that :func:`require` applies to an array), and
+    the JSON-schema keywords that say the same of a number."""
 
     text: str  # completes "<name> must be ..."
     holds: Callable[[float], bool]
+    schema: Mapping[str, float] = {}  # e.g. {"exclusiveMinimum": 0}
 
 
 _MAX = sys.float_info.max
 
 FINITE = Bound("finite", lambda x: True)
-POSITIVE = Bound("finite and positive", lambda x: x > 0.0)
-NON_NEGATIVE = Bound("finite and non-negative", lambda x: x >= 0.0)
+POSITIVE = Bound("finite and positive", lambda x: x > 0.0, {"exclusiveMinimum": 0})
+NON_NEGATIVE = Bound("finite and non-negative", lambda x: x >= 0.0, {"minimum": 0})
 
 
 def within(value: object, bound: Bound = FINITE) -> bool:
@@ -86,3 +95,42 @@ def require(values: dict[str, object], bound: Bound = FINITE) -> None:
             value = out.item(0)
         if not within(value, bound):
             raise InvalidValue(f"{name} must be {bound.text}, got {value!r}")
+
+
+def bounded(bound: Bound, default: object = MISSING):
+    """A dataclass field whose value :func:`check_fields` holds to ``bound``."""
+    return field(default=default, metadata={"bound": bound})
+
+
+@cache
+def numeric_fields(cls: type) -> dict[str, tuple[Bound, bool]]:
+    """``name -> (bound, is integer)`` of each int or float field of the record type
+    ``cls``, in field order.  A dataclass field declares its bound with
+    :func:`bounded`, a NamedTuple field in the class's ``BOUNDS`` mapping; a
+    field that declares none is :data:`FINITE`."""
+    if hasattr(cls, "_fields"):  # NamedTuple
+        declared = getattr(cls, "BOUNDS", {})
+    else:
+        declared = {f.name: f.metadata["bound"] for f in fields(cls) if "bound" in f.metadata}
+    return {
+        name: (declared.get(name, FINITE), hint is int)
+        for name, hint in get_type_hints(cls).items()
+        if hint in (int, float)
+    }
+
+
+def check_fields(record: object, prefix: str = "") -> None:
+    """Raise :class:`InvalidValue` naming the first of the :func:`numeric_fields` of
+    ``record``, in field order, that is a bool, is not within its bound, or is
+    declared ``int`` and holds no integer (Python or numpy).  ``prefix`` goes
+    in front of the field's name."""
+    for name, (bound, integer) in numeric_fields(type(record)).items():
+        value = getattr(record, name)
+        if isinstance(value, bool):
+            raise InvalidValue(f"{prefix}{name} must be {bound.text}, got {value!r}")
+        require({prefix + name: value}, bound)
+        if integer:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise InvalidValue(f"{prefix}{name} must be an integer, got {value!r}") from None

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (
     NON_NEGATIVE, POSITIVE, Bound, DarkArray, InfeasibleSpec, InvalidValue, NonConvergence,
-    require,
+    bounded, check_fields, require,
 )
 # golden_max and the scalar newton_bisect have no caller: they are imported only for
 # perfbench/tracing.COUNTED_F, which looks them up here by name (ROADMAP item 2).
@@ -59,14 +59,18 @@ _CURRENT_BUDGET = 100 + int(_EXP_CAP)
 DATASHEET_TOL = 0.005
 
 # Series cells, modules in series and strings in parallel.
-_COUNT = Bound("finite and at least 1", lambda n: n >= 1)
+_COUNT = Bound("finite and at least 1", lambda n: n >= 1, {"minimum": 1})
+# The open-circuit voltage falls as a cell warms.
+_NEGATIVE = Bound("finite and negative", lambda x: x < 0.0, {"exclusiveMaximum": 0})
 
 # The operating envelope: irradiance g in [0, G_MAX] W/m², above cloud-enhancement
 # peaks (~1,800 W/m²), and cell temperature t_cell in [-40, 90] °C.
 G_MAX = 2000.0
 ENVELOPE = {
-    "g": Bound(f"finite and in [0, {G_MAX:g}] W/m²", lambda g: (0.0 <= g) & (g <= G_MAX)),
-    "t_cell": Bound("finite and in [-40, 90] °C", lambda t: (-40.0 <= t) & (t <= 90.0)),
+    "g": Bound(f"finite and in [0, {G_MAX:g}] W/m²", lambda g: (0.0 <= g) & (g <= G_MAX),
+               {"minimum": 0, "maximum": G_MAX}),
+    "t_cell": Bound("finite and in [-40, 90] °C", lambda t: (-40.0 <= t) & (t <= 90.0),
+                    {"minimum": -40, "maximum": 90}),
 }
 
 # Most samples one I-V sweep may hold.  Checked before anything is
@@ -88,23 +92,19 @@ def thermal_voltage(t_c: float) -> float:
 class PVModuleSpec:
     """Datasheet ratings of one PV module at standard test conditions."""
 
-    p_mp: float  # W, rated maximum power
-    v_mp: float  # V, voltage at maximum power
-    i_mp: float  # A, current at maximum power
-    v_oc: float  # V, open-circuit voltage
-    i_sc: float  # A, short-circuit current
-    n_cells: int = 60  # series cells per module
-    alpha_isc: float = 0.00102  # 1/°C, short-circuit current coefficient
-    beta_voc: float = -0.0036  # 1/°C, open-circuit voltage coefficient
-    g_stc: float = 1000.0  # W/m²
+    p_mp: float = bounded(POSITIVE)  # W, rated maximum power
+    v_mp: float = bounded(POSITIVE)  # V, voltage at maximum power
+    i_mp: float = bounded(POSITIVE)  # A, current at maximum power
+    v_oc: float = bounded(POSITIVE)  # V, open-circuit voltage
+    i_sc: float = bounded(POSITIVE)  # A, short-circuit current
+    n_cells: int = bounded(_COUNT, 60)  # series cells per module
+    alpha_isc: float = bounded(POSITIVE, 0.00102)  # 1/°C, short-circuit current coefficient
+    beta_voc: float = bounded(_NEGATIVE, -0.0036)  # 1/°C, open-circuit voltage coefficient
+    g_stc: float = bounded(POSITIVE, 1000.0)  # W/m²
     t_stc: float = 25.0  # °C
 
     def __post_init__(self) -> None:
-        require({"p_mp": self.p_mp, "v_mp": self.v_mp, "i_mp": self.i_mp, "v_oc": self.v_oc,
-                 "i_sc": self.i_sc, "alpha_isc": self.alpha_isc, "g_stc": self.g_stc}, POSITIVE)
-        require({"n_cells": self.n_cells}, _COUNT)
-        require({"beta_voc": self.beta_voc}, Bound("finite and negative", lambda x: x < 0.0))
-        require({"t_stc": self.t_stc})
+        check_fields(self)
         if not self.v_mp < self.v_oc:
             raise InvalidValue(f"require v_mp < v_oc, got {self.v_mp}, {self.v_oc}")
         if not self.i_mp < self.i_sc:
@@ -119,16 +119,18 @@ class PVArraySpec:
     """Series/parallel composition of identical modules."""
 
     module: PVModuleSpec
-    n_series: int
-    n_parallel: int
+    n_series: int = bounded(_COUNT)
+    n_parallel: int = bounded(_COUNT)
 
     def __post_init__(self) -> None:
         try:
             rated = float(self.n_series) * float(self.n_parallel) * self.module.p_mp
         except OverflowError:  # a count beyond the float range
             rated = math.inf
+        except (TypeError, ValueError):  # a count that is no number, named below
+            rated = 0.0
         require({"array rated power n_series * n_parallel * p_mp": rated})
-        require({"n_series": self.n_series, "n_parallel": self.n_parallel}, _COUNT)
+        check_fields(self)
 
 
 @dataclass(frozen=True)

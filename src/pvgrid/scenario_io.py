@@ -15,12 +15,12 @@ from functools import cache
 from importlib import resources
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
 from .compensation import COMPENSATORS, NoCompensator
-from .errors import ParseError, within
+from .errors import ParseError, numeric_fields, within
 from .pv_model import PVArraySpec, PVModuleSpec
 from .simulator import (
     COLUMNS,
@@ -39,14 +39,21 @@ from .units import format_si
 # ============================================================================
 
 
-# The ``inverter`` and ``sim`` sections hold scalar fields of Scenario.
+# The ``inverter`` and ``sim`` sections hold scalar fields of Scenario, with their bounds.
+_SCENARIO_BOUNDS = {name: bound for name, (bound, _) in numeric_fields(Scenario).items()}
+
+
 class _Inverter(NamedTuple):
     efficiency: float = Scenario.inverter_efficiency
+
+    BOUNDS = {"efficiency": _SCENARIO_BOUNDS["inverter_efficiency"]}
 
 
 class _Sim(NamedTuple):
     t_end: float = Scenario.t_end  # s
     dt: float = Scenario.dt  # s
+
+    BOUNDS = _SCENARIO_BOUNDS
 
 
 # Document section -> the record type whose numeric fields are its keys.
@@ -66,15 +73,13 @@ _DOCUMENT_KEYS = {"id", "compensator", "profiles", *_SECTIONS}
 @cache
 def _keys(cls: type) -> dict[str, tuple[bool, object]]:
     """``key -> (is integer, default or MISSING)`` of each int or float field of ``cls``."""
-    hints = get_type_hints(cls)
     if hasattr(cls, "_fields"):  # NamedTuple
-        defaults = {name: cls._field_defaults.get(name, MISSING) for name in cls._fields}
+        defaults = cls._field_defaults
     else:
         defaults = {f.name: f.default for f in fields(cls)}
     return {
-        name: (hints[name] is int, default)
-        for name, default in defaults.items()
-        if hints[name] in (int, float)
+        name: (integer, defaults.get(name, MISSING))
+        for name, (_, integer) in numeric_fields(cls).items()
     }
 
 
@@ -210,8 +215,12 @@ def parse_scenario(text: str | bytes) -> Scenario:
 
 
 def _doc(record: object) -> dict:
-    """The document keys of one record and their values, in field order."""
-    return {key: getattr(record, key) for key in _keys(type(record))}
+    """The document keys of one record and their values, in field order; a count
+    held as a numpy integer is written as an int."""
+    return {
+        key: int(getattr(record, key)) if integer else getattr(record, key)
+        for key, (integer, _) in _keys(type(record)).items()
+    }
 
 
 def emit_scenario(scenario: Scenario) -> str:
@@ -346,8 +355,54 @@ def bundled_scenario_text(name: str) -> str:
     return (resources.files("pvgrid") / "scenarios" / fname).read_text("utf-8")
 
 
+def _object_schema(cls: type, mode: str | None = None) -> dict:
+    """The schema of a document object whose keys are the numeric fields of ``cls``
+    (and ``mode``, if given, as a constant): each key's JSON type, its bound's
+    keywords and its default; a key without a default is required."""
+    keys, bounds = _keys(cls), numeric_fields(cls)
+    props = {} if mode is None else {"mode": {"const": mode}}
+    for key, (integer, default) in keys.items():
+        props[key] = {"type": "integer" if integer else "number", **bounds[key][0].schema}
+        if default is not MISSING:
+            props[key]["default"] = default
+    required = [key for key in props if key == "mode" or keys[key][1] is MISSING]
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        **({"required": required} if required else {}),
+        "properties": props,
+    }
+
+
 def schema_text() -> str:
-    """Text of the scenario JSON schema shipped with the package."""
-    return (resources.files("pvgrid") / "schemas" / "scenario.schema.json").read_text(
-        "utf-8"
-    )
+    """Text of the scenario document's JSON schema (draft 2020-12), built from the
+    keys, defaults and bounds of the record types the parser reads."""
+    sections = {name: _object_schema(cls) for name, cls in _SECTIONS.items()}
+    profiles = {}
+    for key, cls in _PROFILES.items():
+        entry = _object_schema(cls)
+        entry["properties"]["t_start"]["minimum"] = 0  # the first is 0, the others rise
+        profiles[key] = {"type": "array", "minItems": 1, "items": entry}
+    schema = {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "title": "pvgrid scenario",
+        "description": "Scenario configuration for the quasi-steady-state PV grid simulator. "
+        "Optional keys have documented defaults; unknown keys are rejected.",
+        "type": "object",
+        "additionalProperties": False,
+        "required": [*(name for name, node in sections.items() if "required" in node), "profiles"],
+        "properties": {
+            "id": {"type": "string", "minLength": 1},
+            **sections,
+            "compensator": {
+                "oneOf": [_object_schema(cls, mode) for mode, cls in COMPENSATORS.items()]
+            },
+            "profiles": {
+                "type": "object",
+                "additionalProperties": False,
+                "required": list(profiles),
+                "properties": profiles,
+            },
+        },
+    }
+    return json.dumps(schema, indent=2) + "\n"

@@ -23,8 +23,8 @@ import numpy as np
 from . import pv_model
 from .compensation import CompensatorConfig, dispatch, power_factor
 from .errors import (
-    FINITE, NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec, InvalidValue,
-    NonConvergence, require, within,
+    NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec, InvalidValue, NonConvergence,
+    bounded, check_fields, numeric_fields, within,
 )
 from .pv_model import PVArraySpec, SingleDiodeParams
 
@@ -37,11 +37,16 @@ _GRID_EPS = 1e-9
 # up front instead of exhausting memory or overflowing the count.
 MAX_RECORDS = 1_000_000
 
+_EFFICIENCY = Bound("finite and in (0, 1]", lambda x: 0.0 < x <= 1.0,
+                    {"exclusiveMinimum": 0, "maximum": 1})
+
 
 class IrradianceStep(NamedTuple):
     t_start: float  # s
     g: float  # W/m²
     t_cell: float  # °C
+
+    BOUNDS = pv_model.ENVELOPE  # g and t_cell; t_start is finite
 
 
 class LoadStep(NamedTuple):
@@ -54,20 +59,20 @@ class LoadStep(NamedTuple):
 class GridSpec:
     """Stiff-grid interface parameters."""
 
-    v_phase: float  # V, phase voltage at the PCC
-    f: float  # Hz
-    v_dc: float  # V, reported dc-link setpoint
+    v_phase: float = bounded(POSITIVE)  # V, phase voltage at the PCC
+    f: float = bounded(POSITIVE)  # Hz
+    v_dc: float = bounded(POSITIVE)  # V, reported dc-link setpoint
 
     def __post_init__(self) -> None:
-        require({f"grid {k}": v for k, v in vars(self).items()}, POSITIVE)
+        check_fields(self, "grid ")
 
 
 def _profile_columns(name: str, step: type, given) -> np.ndarray:
     """The checked profile as a read-only float array, one row per field of ``step``.
 
-    ``given`` holds one sequence per field.  Each value is judged as given,
-    g and t_cell against :data:`pv_model.ENVELOPE` and the others as finite
-    (an int past the float range is not finite, a numeric string not a
+    ``given`` holds one sequence per field.  Each value is judged as given
+    against its field's bound in ``step.BOUNDS``, finite if it has none (an
+    int past the float range is not finite, a numeric string not a
     number), and t_start must be 0, then rise.  The error names the first
     failing segment by its 0-based index, then its first failing field.
     """
@@ -79,7 +84,7 @@ def _profile_columns(name: str, step: type, given) -> np.ndarray:
         raise InvalidValue(f"{name} profile must hold {len(step._fields)} floats per segment")
     if not values.shape[1]:
         raise InvalidValue(f"{name} profile must have at least one segment")
-    bounds = [pv_model.ENVELOPE.get(field, FINITE) for field in step._fields]
+    bounds = [bound for bound, _ in numeric_fields(step).values()]
     if values.dtype.kind in "biuf":
         columns = values = values.astype(float)
         ok = np.isfinite(columns)
@@ -125,16 +130,13 @@ class Scenario:
     compensator: CompensatorConfig
     irradiance: np.ndarray
     load: np.ndarray
-    inverter_efficiency: float = 0.997
-    t_end: float = 0.2  # s
-    dt: float = 0.01  # s
+    inverter_efficiency: float = bounded(_EFFICIENCY, 0.997)
+    t_end: float = bounded(NON_NEGATIVE, 0.2)  # s
+    dt: float = bounded(POSITIVE, 0.01)  # s
     scenario_id: str = "scenario"
 
     def __post_init__(self) -> None:
-        efficiency = Bound("finite and in (0, 1]", lambda x: 0.0 < x <= 1.0)
-        require({"inverter_efficiency": self.inverter_efficiency}, efficiency)
-        require({"dt": self.dt}, POSITIVE)
-        require({"t_end": self.t_end}, NON_NEGATIVE)
+        check_fields(self)
         steps = self.t_end / self.dt
         if not steps + _GRID_EPS < MAX_RECORDS:
             raise InvalidValue(f"t_end/dt = {steps:g} gives more than {MAX_RECORDS} records")

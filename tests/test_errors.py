@@ -8,13 +8,22 @@ import re
 import sys
 from fractions import Fraction
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvgrid import errors
+from pvgrid.compensation import FixedCapacitor, Statcom
 from pvgrid.errors import (
-    FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, ParseError, PVGridError, require,
+    FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, ParseError, PVGridError,
+    numeric_fields, require,
 )
+from pvgrid.pv_model import PVArraySpec
+
+from conftest import REF_GRID, REF_MODULE, make_scenario
 
 
 @pytest.mark.parametrize("cls", [InvalidValue])
@@ -100,3 +109,57 @@ class TestRequire:
             require({"x": np.array([1.0, -2.0, math.nan])}, POSITIVE)
         with pytest.raises(InvalidValue, match=r"^x must be finite, got nan$"):
             require({"x": np.array([[1.0, math.nan], [math.inf, 0.0]])})
+
+
+# A valid record of each type whose numeric fields ``check_fields`` holds to their
+# declared bounds, and the prefix its messages give a field's name.
+RECORDS = {
+    "GridSpec": (REF_GRID, "grid "),
+    "PVModuleSpec": (REF_MODULE, ""),
+    "PVArraySpec": (PVArraySpec(REF_MODULE, 10, 47), ""),
+    "FixedCapacitor": (FixedCapacitor(q_rated=100_000.0, v_rated=230.0), ""),
+    "Statcom": (Statcom(q_max=200_000.0, loss_frac=0.01), ""),
+    "Scenario": (make_scenario(), ""),
+}
+
+
+class TestCheckFields:
+    """``check_fields(record, prefix)``, the one check of a record's numeric fields."""
+
+    @pytest.mark.parametrize(("record", "prefix"), RECORDS.values(), ids=RECORDS)
+    def test_a_bool_is_not_a_number(self, record, prefix):
+        """A bool in any numeric field is rejected as an InvalidValue naming the
+        field and its bound, though it compares as the number 1 or 0."""
+        for name, (bound, _) in numeric_fields(type(record)).items():
+            for flag in (True, False):
+                message = f"{prefix}{name} must be {bound.text}, got {flag}"
+                with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+                    replace(record, **{name: flag})
+
+
+def _violations(bound: Bound, integer: bool):
+    """Values that a field with ``bound`` rejects: a bool, a number outside the
+    bound (not finite, for a bound that only asks for that) and, for an int
+    field, a number inside the bound that is not an integer.  The numbers stay
+    small, so an array's rated power, checked first, stays finite."""
+    outside = (st.sampled_from([math.nan, math.inf, -math.inf]) if bound is FINITE
+               else st.floats(-1e6, 1e6).filter(lambda x: not bound.holds(x)))
+    choices = [st.booleans(), outside]
+    if integer:
+        choices.append(st.floats(1.0, 1e6).filter(lambda x: bound.holds(x) and not x.is_integer()))
+    return st.one_of(choices)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_of_two_faults_the_earlier_field_is_named(data):
+    """Property: with two numeric fields of a record out of bound, the error names
+    the one that comes first in field order."""
+    record, prefix = data.draw(st.sampled_from(list(RECORDS.values())))
+    table = numeric_fields(type(record))
+    pair = data.draw(st.lists(st.sampled_from(list(table)), min_size=2, max_size=2, unique=True))
+    first, second = sorted(pair, key=[f.name for f in fields(record)].index)
+    bad = {name: data.draw(_violations(*table[name])) for name in (first, second)}
+    with pytest.raises(InvalidValue) as err:
+        replace(record, **bad)
+    assert str(err.value).startswith(f"{prefix}{first} must be "), (type(record), bad)

@@ -192,9 +192,27 @@ class TestSpecs:
             )
 
     def test_array_counts_positive(self):
-        """Zero series or parallel counts are rejected."""
+        """Zero series or parallel counts are rejected, and so is a count that is
+        not an integer (a bool included), in the array and in the module's cells;
+        a numpy integer is an integer."""
         with pytest.raises(ValueError):
             PVArraySpec(module=REF_MODULE, n_series=0, n_parallel=47)
+        module = dict(p_mp=213.15, v_mp=29.0, i_mp=7.35, v_oc=36.3, i_sc=7.84)
+        for build, message in [
+            (lambda: PVArraySpec(REF_MODULE, 10.5, 47), "n_series must be an integer, got 10.5"),
+            (lambda: PVArraySpec(REF_MODULE, 10, np.float64(47.0)),
+             "n_parallel must be an integer, got np.float64(47.0)"),
+            (lambda: PVArraySpec(REF_MODULE, True, 47),
+             "n_series must be finite and at least 1, got True"),
+            (lambda: PVArraySpec(REF_MODULE, None, 47),
+             "n_series must be finite and at least 1, got None"),
+            (lambda: PVModuleSpec(**module, n_cells=60.5), "n_cells must be an integer, got 60.5"),
+            (lambda: PVModuleSpec(**module, n_cells=60.0), "n_cells must be an integer, got 60.0"),
+        ]:
+            with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+                build()
+        assert PVArraySpec(REF_MODULE, np.int64(10), 47).n_series == 10
+        assert PVModuleSpec(**module, n_cells=np.int32(72)).n_cells == 72
 
     def test_array_rated_power_must_be_a_float(self):
         """Counts whose rated power n_series*n_parallel*p_mp overflows are rejected."""

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvgrid.compensation import COMPENSATORS, FixedCapacitor, NoCompensator, Statcom
-from pvgrid.errors import FINITE, InvalidValue, ParseError, PVGridError
+from pvgrid.errors import FINITE, InvalidValue, ParseError, PVGridError, numeric_fields
 from pvgrid.scenario_io import (
     _DOCUMENT_KEYS,
     _PROFILES,
@@ -517,6 +517,30 @@ class TestSchemaDrift:
             assert not holds(math.nextafter(lo, -math.inf)), key
             assert not holds(math.nextafter(hi, math.inf)), key
 
+    def test_bound_keywords_agree_with_their_tests(self):
+        """Every bound in the key table says with its schema keywords what its
+        test holds: an inclusive edge holds and the next double past it does not,
+        an exclusive edge does not hold and the next double inside it does, and a
+        bound without keywords holds at both ends of the float range."""
+        outward = {"minimum": -math.inf, "exclusiveMinimum": -math.inf,
+                   "maximum": math.inf, "exclusiveMaximum": math.inf}
+        seen = set()
+        for cls in (*_SECTIONS.values(), *_PROFILES.values(), *COMPENSATORS.values()):
+            for key, (bound, _) in numeric_fields(cls).items():
+                where = f"{cls.__name__}.{key}"
+                if not bound.schema:
+                    assert bound.holds(sys.float_info.max), where
+                    assert bound.holds(-sys.float_info.max), where
+                for word, edge in bound.schema.items():
+                    seen.add(word)
+                    past = math.nextafter(edge, outward[word])
+                    inside = math.nextafter(edge, -outward[word])
+                    if word.startswith("exclusive"):
+                        assert not bound.holds(edge) and bound.holds(inside), (where, word)
+                    else:
+                        assert bound.holds(edge) and not bound.holds(past), (where, word)
+        assert seen == set(outward)
+
     def test_compensator_modes(self):
         """One oneOf branch per registered mode, with that class's fields."""
         branches = json.loads(schema_text())["properties"]["compensator"]["oneOf"]
@@ -547,6 +571,13 @@ class TestEmitScenario:
         for i in range(50):
             s = random_scenario(rng, i)
             assert parse_scenario(emit_scenario(s)) == s
+
+    def test_round_trip_numpy_counts(self):
+        """A count held as a numpy integer is written as a JSON integer and reads
+        back equal."""
+        s = make_scenario(n_series=np.int64(10), n_parallel=np.int32(47))
+        assert parse_scenario(emit_scenario(s)) == s
+        assert json.loads(emit_scenario(s))["pv_array"] == {"n_series": 10, "n_parallel": 47}
 
     def test_emit_materializes_defaults(self):
         """A minimal document emits with every optional section present."""
