@@ -10,7 +10,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, require
+from .errors import (
+    NON_NEGATIVE, POSITIVE, Bound, InvalidValue, bounded, check_fields, require, within,
+)
 
 # Current-rating derate in the LCL peak-current expression (fixed design
 # constant, not exposed: the ripple/capacitance/attenuation fractions are
@@ -35,17 +37,15 @@ def _beyond_float_range(given: dict[str, float]) -> InvalidValue:
 class BoostDesignInput:
     """Ratings and ripple targets for the dc-dc step-up stage."""
 
-    p: float  # W, PV array power at STC
-    v_in: float  # V, PV array voltage at STC
-    v_out: float  # V, dc-link voltage
-    f_s: float  # Hz, switching frequency
-    ripple_i_frac: float = 0.07  # inductor current ripple fraction
-    ripple_v_frac: float = 0.007  # output voltage ripple fraction
+    p: float = bounded(POSITIVE)  # W, PV array power at STC
+    v_in: float = bounded(POSITIVE)  # V, PV array voltage at STC
+    v_out: float = bounded(POSITIVE)  # V, dc-link voltage
+    f_s: float = bounded(POSITIVE)  # Hz, switching frequency
+    ripple_i_frac: float = bounded(_FRACTION, 0.07)  # inductor current ripple fraction
+    ripple_v_frac: float = bounded(_FRACTION, 0.007)  # output voltage ripple fraction
 
     def __post_init__(self) -> None:
-        require(vars(self), POSITIVE)
-        require({"ripple_i_frac": self.ripple_i_frac, "ripple_v_frac": self.ripple_v_frac},
-                _FRACTION)
+        check_fields(self)
         if self.v_in >= self.v_out:
             raise InvalidValue(
                 f"step-up requires v_in < v_out, got {self.v_in} >= {self.v_out}"
@@ -56,14 +56,14 @@ class BoostDesignInput:
 class BoostDesign:
     """Computed boost-converter component values."""
 
-    i_out_max: float  # A, maximum output current
-    delta_i_l: float  # A, inductor current ripple
-    delta_v_out: float  # V, output voltage ripple
-    l: float  # H, filter inductor
-    c: float  # F, filter capacitor
+    i_out_max: float = bounded(POSITIVE)  # A, maximum output current
+    delta_i_l: float = bounded(POSITIVE)  # A, inductor current ripple
+    delta_v_out: float = bounded(POSITIVE)  # V, output voltage ripple
+    l: float = bounded(POSITIVE)  # H, filter inductor
+    c: float = bounded(POSITIVE)  # F, filter capacitor
 
     def __post_init__(self) -> None:
-        require(vars(self), POSITIVE)
+        check_fields(self)
 
 
 def boost_design(inp: BoostDesignInput) -> BoostDesign:
@@ -100,36 +100,34 @@ def boost_design(inp: BoostDesignInput) -> BoostDesign:
 class LCLDesignInput:
     """Ratings and design fractions for the grid-side LCL filter."""
 
-    p: float  # W, converter power rating
-    v_g: float  # V, grid phase voltage (RMS)
-    f_g: float  # Hz, grid frequency
-    v_dc: float  # V, dc-link voltage
-    f_sw: float  # Hz, inverter switching frequency
-    cap_frac: float = 0.05  # filter capacitance as fraction of base
-    ripple_frac: float = 0.10  # inductor current ripple fraction
-    atten_factor: float = 0.2  # switching-harmonic attenuation constant
+    p: float = bounded(POSITIVE)  # W, converter power rating
+    v_g: float = bounded(POSITIVE)  # V, grid phase voltage (RMS)
+    f_g: float = bounded(POSITIVE)  # Hz, grid frequency
+    v_dc: float = bounded(POSITIVE)  # V, dc-link voltage
+    f_sw: float = bounded(POSITIVE)  # Hz, inverter switching frequency
+    cap_frac: float = bounded(_FRACTION, 0.05)  # filter capacitance as fraction of base
+    ripple_frac: float = bounded(_FRACTION, 0.10)  # inductor current ripple fraction
+    atten_factor: float = bounded(_FRACTION, 0.2)  # switching-harmonic attenuation constant
 
     def __post_init__(self) -> None:
-        require(vars(self), POSITIVE)
-        require({"cap_frac": self.cap_frac, "ripple_frac": self.ripple_frac,
-                 "atten_factor": self.atten_factor}, _FRACTION)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class LCLDesign:
     """Computed LCL filter values with their base quantities."""
 
-    omega_g: float  # rad/s, grid angular frequency
-    z_b: float  # ohm, per-phase base impedance
-    c_b: float  # F, base capacitance
-    i_max: float  # A, peak current rating
-    delta_i_max: float  # A, inverter-side current ripple
-    l_1: float  # H, inverter-side inductor
-    c_g: float  # F, filter capacitor
-    l_2: float  # H, grid-side inductor
+    omega_g: float = bounded(POSITIVE)  # rad/s, grid angular frequency
+    z_b: float = bounded(POSITIVE)  # ohm, per-phase base impedance
+    c_b: float = bounded(POSITIVE)  # F, base capacitance
+    i_max: float = bounded(POSITIVE)  # A, peak current rating
+    delta_i_max: float = bounded(POSITIVE)  # A, inverter-side current ripple
+    l_1: float = bounded(POSITIVE)  # H, inverter-side inductor
+    c_g: float = bounded(POSITIVE)  # F, filter capacitor
+    l_2: float = bounded(POSITIVE)  # H, grid-side inductor
 
     def __post_init__(self) -> None:
-        require(vars(self), POSITIVE)
+        check_fields(self)
         if self.l_2 >= self.l_1:
             raise InvalidValue(
                 f"grid-side inductor l_2 {self.l_2:.4g} must be smaller "
@@ -188,7 +186,8 @@ class ResonanceReport:
 
     Bounds are compared in hertz: a valid design places the resonance
     above ten times the grid frequency and below half the switching
-    frequency.  ``f_res`` and ``passed`` are derived from the other fields.
+    frequency.  ``f_res`` and ``passed`` are derived from the other fields,
+    each of which is finite.
     """
 
     omega_res: float  # rad/s
@@ -198,9 +197,10 @@ class ResonanceReport:
     passed: bool = field(init=False)  # f_min < f_res < f_max
 
     def __post_init__(self) -> None:
-        require(vars(self), FINITE)
-        f_res = self.omega_res / (2.0 * math.pi)
-        vars(self).update(f_res=f_res, passed=self.f_min < f_res < self.f_max)
+        if within(self.omega_res):  # else check_fields names omega_res first
+            vars(self)["f_res"] = self.omega_res / (2.0 * math.pi)
+        check_fields(self)
+        vars(self)["passed"] = self.f_min < self.f_res < self.f_max
 
 
 def resonance_check(

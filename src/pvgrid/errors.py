@@ -1,4 +1,4 @@
-"""Exception hierarchy for the pvgrid package, and its one value check.
+"""Exception hierarchy for the pvgrid package, and its two value checks.
 
 Every error raised by the library derives from :class:`PVGridError`, and
 each kind of rejection has one class.  A scenario document whose shape
@@ -6,14 +6,15 @@ the parser rejects (JSON syntax, UTF-8, structure, keys, JSON types, the
 id or the compensator mode) is a :class:`ParseError`.  A value outside
 the domain of the record, design calculator or run it feeds is an
 :class:`InvalidValue`, also a ``ValueError``, wherever it is found.
-Mostly it is raised by :func:`require`, which judges a number or a whole
-array column at once, or by :func:`check_fields`, the one check of a
-record's numeric fields against the bounds they declare (with
-:func:`bounded`); those bounds also write the scenario document's JSON
-schema.  The CLI exits 2 on :class:`NonConvergence`,
-1 on any other pvgrid error (a datasheet that cannot be calibrated is an
-:class:`InfeasibleSpec`), and lets any other exception, a bug, end in a
-traceback.
+Mostly it is raised by one of two checks.  Every record declares the
+bound of each numeric field once (with :func:`bounded`), and
+:func:`check_fields` holds each field to it as one real number; the same
+table (:func:`numeric_fields`) gives the scenario document's keys,
+defaults and JSON schema.  :func:`require` judges a function's arguments,
+or a whole array column at once.  The CLI exits 2 on
+:class:`NonConvergence`, 1 on any other pvgrid error (a datasheet that
+cannot be calibrated is an :class:`InfeasibleSpec`), and lets any other
+exception, a bug, end in a traceback.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, field, fields
 from functools import cache
+from numbers import Real
 from typing import Callable, NamedTuple, get_type_hints
 
 
@@ -66,6 +68,8 @@ class Bound(NamedTuple):
 
 
 _MAX = sys.float_info.max
+# Real numbers; float and int come first, because the numbers.Real check is slow.
+_REAL = (float, int, Real)
 
 FINITE = Bound("finite", lambda x: True)
 POSITIVE = Bound("finite and positive", lambda x: x > 0.0, {"exclusiveMinimum": 0})
@@ -73,12 +77,10 @@ NON_NEGATIVE = Bound("finite and non-negative", lambda x: x >= 0.0, {"minimum": 
 
 
 def within(value: object, bound: Bound = FINITE) -> bool:
-    """Whether ``value`` is a finite number within ``bound``, judged as given:
-    an int past the float range is not finite, though it rounds to a double."""
-    try:
-        return -_MAX <= value <= _MAX and bound.holds(value)
-    except TypeError:  # not a number
-        return False
+    """Whether ``value`` is one real number (Python or numpy; an array is not),
+    finite and within ``bound``, judged as given: an int past the float range
+    is not finite, though it rounds to a double."""
+    return isinstance(value, _REAL) and -_MAX <= value <= _MAX and bound.holds(value)
 
 
 def require(values: dict[str, object], bound: Bound = FINITE) -> None:
@@ -103,17 +105,20 @@ def bounded(bound: Bound, default: object = MISSING):
 
 
 @cache
-def numeric_fields(cls: type) -> dict[str, tuple[Bound, bool]]:
-    """``name -> (bound, is integer)`` of each int or float field of the record type
-    ``cls``, in field order.  A dataclass field declares its bound with
-    :func:`bounded`, a NamedTuple field in the class's ``BOUNDS`` mapping; a
-    field that declares none is :data:`FINITE`."""
+def numeric_fields(cls: type) -> dict[str, tuple[Bound, bool, object]]:
+    """``name -> (bound, is integer, default or MISSING)`` of each int or float
+    field of the record type ``cls``, in field order: the one table of a
+    record's numeric fields.  A dataclass field declares its bound with
+    :func:`bounded` (a derived field in its ``metadata["bound"]``), a NamedTuple
+    field in the class's ``BOUNDS`` mapping; a field that declares none is
+    :data:`FINITE`."""
     if hasattr(cls, "_fields"):  # NamedTuple
-        declared = getattr(cls, "BOUNDS", {})
+        declared, defaults = getattr(cls, "BOUNDS", {}), cls._field_defaults
     else:
         declared = {f.name: f.metadata["bound"] for f in fields(cls) if "bound" in f.metadata}
+        defaults = {f.name: f.default for f in fields(cls)}
     return {
-        name: (declared.get(name, FINITE), hint is int)
+        name: (declared.get(name, FINITE), hint is int, defaults.get(name, MISSING))
         for name, hint in get_type_hints(cls).items()
         if hint in (int, float)
     }
@@ -121,14 +126,15 @@ def numeric_fields(cls: type) -> dict[str, tuple[Bound, bool]]:
 
 def check_fields(record: object, prefix: str = "") -> None:
     """Raise :class:`InvalidValue` naming the first of the :func:`numeric_fields` of
-    ``record``, in field order, that is a bool, is not within its bound, or is
-    declared ``int`` and holds no integer (Python or numpy).  ``prefix`` goes
-    in front of the field's name."""
-    for name, (bound, integer) in numeric_fields(type(record)).items():
+    ``record``, in field order, that is not one real number (Python or numpy; a
+    bool or an array is not) within its bound, or is declared ``int`` and holds
+    no integer.  A numpy number is shown as the Python number it holds.
+    ``prefix`` goes in front of the field's name."""
+    for name, (bound, integer, _) in numeric_fields(type(record)).items():
         value = getattr(record, name)
-        if isinstance(value, bool):
-            raise InvalidValue(f"{prefix}{name} must be {bound.text}, got {value!r}")
-        require({prefix + name: value}, bound)
+        if isinstance(value, bool) or not within(value, bound):
+            shown = value.item() if isinstance(value, _REAL) and hasattr(value, "item") else value
+            raise InvalidValue(f"{prefix}{name} must be {bound.text}, got {shown!r}")
         if integer:
             try:
                 operator.index(value)

@@ -143,17 +143,15 @@ class SingleDiodeParams:
     operating-point translation.
     """
 
-    i_ph: float  # A, photocurrent (0 for a dark curve)
-    i_0: float  # A, diode saturation current
-    n_ideality: float  # per-cell diode ideality factor
-    r_s: float  # ohm, series resistance
-    r_sh: float  # ohm, shunt resistance
-    a: float  # V, modified diode voltage n*Ns*kT/q
+    i_ph: float = bounded(NON_NEGATIVE)  # A, photocurrent (0 for a dark curve)
+    i_0: float = bounded(POSITIVE)  # A, diode saturation current
+    n_ideality: float = bounded(POSITIVE)  # per-cell diode ideality factor
+    r_s: float = bounded(POSITIVE)  # ohm, series resistance
+    r_sh: float = bounded(POSITIVE)  # ohm, shunt resistance
+    a: float = bounded(POSITIVE)  # V, modified diode voltage n*Ns*kT/q
 
     def __post_init__(self) -> None:
-        require({"i_ph": self.i_ph}, NON_NEGATIVE)
-        require({"i_0": self.i_0, "n_ideality": self.n_ideality, "r_s": self.r_s,
-                 "r_sh": self.r_sh, "a": self.a}, POSITIVE)
+        check_fields(self)
         if self.r_sh < 10.0 * self.r_s:
             raise InvalidValue(
                 f"shunt resistance {self.r_sh:.4g} is not at least "
@@ -226,11 +224,11 @@ class MPPResult:
 
     v_mp: float  # V
     i_mp: float  # A
-    p_mp: float = field(init=False)  # W
+    p_mp: float = field(init=False, metadata={"bound": POSITIVE})  # W
 
     def __post_init__(self) -> None:
         vars(self)["p_mp"] = self.v_mp * self.i_mp
-        require({"p_mp": self.p_mp}, POSITIVE)
+        check_fields(self)
 
 
 # ============================================================================

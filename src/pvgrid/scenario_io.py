@@ -10,8 +10,7 @@ all of them on emit, making parse-emit round trips exact.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
-from functools import cache
+from dataclasses import MISSING
 from importlib import resources
 from itertools import chain, repeat
 from operator import itemgetter
@@ -40,7 +39,7 @@ from .units import format_si
 
 
 # The ``inverter`` and ``sim`` sections hold scalar fields of Scenario, with their bounds.
-_SCENARIO_BOUNDS = {name: bound for name, (bound, _) in numeric_fields(Scenario).items()}
+_SCENARIO_BOUNDS = {name: bound for name, (bound, *_) in numeric_fields(Scenario).items()}
 
 
 class _Inverter(NamedTuple):
@@ -70,19 +69,6 @@ _PROFILES = {"irradiance": IrradianceStep, "load": LoadStep}
 _DOCUMENT_KEYS = {"id", "compensator", "profiles", *_SECTIONS}
 
 
-@cache
-def _keys(cls: type) -> dict[str, tuple[bool, object]]:
-    """``key -> (is integer, default or MISSING)`` of each int or float field of ``cls``."""
-    if hasattr(cls, "_fields"):  # NamedTuple
-        defaults = cls._field_defaults
-    else:
-        defaults = {f.name: f.default for f in fields(cls)}
-    return {
-        name: (integer, defaults.get(name, MISSING))
-        for name, (_, integer) in numeric_fields(cls).items()
-    }
-
-
 def _reject_unknown(section: dict, allowed, where: str) -> None:
     unknown = section.keys() - allowed
     if unknown:
@@ -104,10 +90,10 @@ def _read(section: object, cls: type, where: str) -> dict:
     """Validated keyword arguments for ``cls`` from one document object."""
     if not isinstance(section, dict):
         raise ParseError(f"{where} must be an object")
-    keys = _keys(cls)
+    keys = numeric_fields(cls)
     _reject_unknown(section, keys.keys(), where)
     values = {}
-    for key, (integer, default) in keys.items():
+    for key, (_, integer, default) in keys.items():
         if key not in section:
             if default is MISSING:
                 raise ParseError(f"{where}: missing required key '{key}'")
@@ -130,7 +116,7 @@ def _read_profile(entries: list, cls: type, where: str) -> list[list]:
     value an int or a float, not a bool; :class:`Scenario` judges the
     values.  ``_read`` names the first entry that breaks this rule.
     """
-    keys = _keys(cls)
+    keys = numeric_fields(cls)
 
     def columns(entries: list) -> list[list] | None:  # None if an entry breaks the rule
         if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(keys)}:
@@ -175,7 +161,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
 
     kw = {}
     for name, cls in _SECTIONS.items():
-        optional = MISSING not in (default for _, default in _keys(cls).values())
+        optional = MISSING not in (default for *_, default in numeric_fields(cls).values())
         kw[name] = _read(_section(doc, name, {} if optional else None), cls, name)
     comp_s = dict(_section(doc, "compensator", {"mode": NoCompensator.mode}))
     if "mode" not in comp_s:
@@ -219,7 +205,7 @@ def _doc(record: object) -> dict:
     held as a numpy integer is written as an int."""
     return {
         key: int(getattr(record, key)) if integer else getattr(record, key)
-        for key, (integer, _) in _keys(type(record)).items()
+        for key, (_, integer, _) in numeric_fields(type(record)).items()
     }
 
 
@@ -236,7 +222,8 @@ def emit_scenario(scenario: Scenario) -> str:
         "inverter": _doc(_Inverter(scenario.inverter_efficiency)),
         "compensator": {"mode": scenario.compensator.mode, **_doc(scenario.compensator)},
         "profiles": {
-            key: [dict(zip(_keys(cls), segment)) for segment in getattr(scenario, key).T.tolist()]
+            key: [dict(zip(numeric_fields(cls), segment))
+                  for segment in getattr(scenario, key).T.tolist()]
             for key, cls in _PROFILES.items()
         },
         "sim": _doc(_Sim(scenario.t_end, scenario.dt)),
@@ -359,13 +346,13 @@ def _object_schema(cls: type, mode: str | None = None) -> dict:
     """The schema of a document object whose keys are the numeric fields of ``cls``
     (and ``mode``, if given, as a constant): each key's JSON type, its bound's
     keywords and its default; a key without a default is required."""
-    keys, bounds = _keys(cls), numeric_fields(cls)
+    keys = numeric_fields(cls)
     props = {} if mode is None else {"mode": {"const": mode}}
-    for key, (integer, default) in keys.items():
-        props[key] = {"type": "integer" if integer else "number", **bounds[key][0].schema}
+    for key, (bound, integer, default) in keys.items():
+        props[key] = {"type": "integer" if integer else "number", **bound.schema}
         if default is not MISSING:
             props[key]["default"] = default
-    required = [key for key in props if key == "mode" or keys[key][1] is MISSING]
+    required = [key for key in props if key == "mode" or keys[key][2] is MISSING]
     return {
         "type": "object",
         "additionalProperties": False,

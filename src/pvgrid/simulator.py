@@ -84,7 +84,7 @@ def _profile_columns(name: str, step: type, given) -> np.ndarray:
         raise InvalidValue(f"{name} profile must hold {len(step._fields)} floats per segment")
     if not values.shape[1]:
         raise InvalidValue(f"{name} profile must have at least one segment")
-    bounds = [bound for bound, _ in numeric_fields(step).values()]
+    bounds = [bound for bound, *_ in numeric_fields(step).values()]
     if values.dtype.kind in "biuf":
         columns = values = values.astype(float)
         ok = np.isfinite(columns)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -111,6 +112,24 @@ class TestBoostDesign:
             BoostDesignInput(p=1e5, v_in=290.0, v_out=700.0, f_s=5e3, ripple_i_frac=0.0)
         with pytest.raises(InvalidValue):
             BoostDesignInput(p=1e5, v_in=290.0, v_out=700.0, f_s=5e3, ripple_v_frac=1.0)
+
+    @pytest.mark.parametrize(
+        ("cls", "given", "name"),
+        [
+            (BoostDesignInput, BOOST_IN, "ripple_i_frac"),
+            (BoostDesignInput, BOOST_IN, "ripple_v_frac"),
+            (LCLDesignInput, LCL_IN, "cap_frac"),
+            (LCLDesignInput, LCL_IN, "ripple_frac"),
+            (LCLDesignInput, LCL_IN, "atten_factor"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.0, math.nan, math.inf])
+    def test_a_fraction_is_judged_by_its_own_bound(self, cls, given, name, value):
+        """A design fraction outside (0, 1), or not finite, is named with the
+        fraction's bound, at or below 0 too."""
+        message = f"{name} must be finite and in (0, 1), got {value!r}"
+        with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+            cls(**{**asdict(given), name: value})
 
     def test_output_type_guards(self):
         """BoostDesign rejects non-positive component values."""
@@ -283,6 +302,9 @@ class TestResonanceCheck:
             ResonanceReport(omega_res=6283.0, f_res=1000.0, f_min=500.0, f_max=5000.0)
         with pytest.raises(InvalidValue, match="^f_min must be finite, got inf$"):
             ResonanceReport(omega_res=6283.0, f_min=math.inf, f_max=5000.0)
+        for omega_res in (None, "6283", 10**400):  # named before f_res is derived from it
+            with pytest.raises(InvalidValue, match="^omega_res must be finite, got "):
+                ResonanceReport(omega_res=omega_res, f_min=500.0, f_max=5000.0)
 
 
 # ======================================================================

@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 
 from pvgrid import errors
 from pvgrid.compensation import FixedCapacitor, Statcom
+from pvgrid.component_design import (
+    BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport,
+)
 from pvgrid.errors import (
     FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, ParseError, PVGridError,
     numeric_fields, require,
 )
-from pvgrid.pv_model import PVArraySpec
+from pvgrid.pv_model import MPPResult, PVArraySpec, SingleDiodeParams
 
 from conftest import REF_GRID, REF_MODULE, make_scenario
 
@@ -120,7 +123,21 @@ RECORDS = {
     "FixedCapacitor": (FixedCapacitor(q_rated=100_000.0, v_rated=230.0), ""),
     "Statcom": (Statcom(q_max=200_000.0, loss_frac=0.01), ""),
     "Scenario": (make_scenario(), ""),
+    "SingleDiodeParams": (SingleDiodeParams(7.85, 1e-10, 1.0, 0.3, 300.0, 1.5), ""),
+    "MPPResult": (MPPResult(v_mp=290.0, i_mp=345.0), ""),
+    "BoostDesignInput": (BoostDesignInput(100_345.0, 290.0, 700.0, 5000.0), ""),
+    "BoostDesign": (BoostDesign(143.35, 24.2, 4.9, 1.4e-3, 3.4e-3), ""),
+    "LCLDesignInput": (LCLDesignInput(100_000.0, 230.0, 50.0, 700.0, 10_000.0), ""),
+    "LCLDesign": (LCLDesign(314.2, 1.6, 2e-3, 205.0, 20.5, 5.7e-4, 1e-4, 1.3e-5), ""),
+    "ResonanceReport": (ResonanceReport(26_103.0, 500.0, 5000.0), ""),
 }
+
+
+def _given_fields(record: object) -> dict:
+    """The :func:`numeric_fields` of ``record`` that ``replace`` can set: all but
+    those the record derives from the others."""
+    given = {f.name for f in fields(record) if f.init}
+    return {name: row for name, row in numeric_fields(type(record)).items() if name in given}
 
 
 class TestCheckFields:
@@ -130,11 +147,29 @@ class TestCheckFields:
     def test_a_bool_is_not_a_number(self, record, prefix):
         """A bool in any numeric field is rejected as an InvalidValue naming the
         field and its bound, though it compares as the number 1 or 0."""
-        for name, (bound, _) in numeric_fields(type(record)).items():
+        for name, (bound, *_) in _given_fields(record).items():
             for flag in (True, False):
                 message = f"{prefix}{name} must be {bound.text}, got {flag}"
                 with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
                     replace(record, **{name: flag})
+
+    @pytest.mark.parametrize(("record", "prefix"), RECORDS.values(), ids=RECORDS)
+    def test_an_array_is_not_a_number(self, record, prefix):
+        """An array in any numeric field is rejected as an InvalidValue naming the
+        field and its bound, though each of its entries is inside the bound; a
+        numpy number of the field's kind is accepted, and one out of bound is
+        shown as the Python number it holds."""
+        for name, (bound, integer, _) in _given_fields(record).items():
+            value = getattr(record, name)
+            array = np.array([value, value])
+            message = f"{prefix}{name} must be {bound.text}, got {array!r}"
+            with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+                replace(record, **{name: array})
+            assert getattr(replace(record, **{name: array[0]}), name) == value
+            if not integer:
+                message = f"{prefix}{name} must be {bound.text}, got nan"
+                with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+                    replace(record, **{name: np.float64(math.nan)})
 
 
 def _violations(bound: Bound, integer: bool):
@@ -156,10 +191,10 @@ def test_of_two_faults_the_earlier_field_is_named(data):
     """Property: with two numeric fields of a record out of bound, the error names
     the one that comes first in field order."""
     record, prefix = data.draw(st.sampled_from(list(RECORDS.values())))
-    table = numeric_fields(type(record))
+    table = _given_fields(record)
     pair = data.draw(st.lists(st.sampled_from(list(table)), min_size=2, max_size=2, unique=True))
     first, second = sorted(pair, key=[f.name for f in fields(record)].index)
-    bad = {name: data.draw(_violations(*table[name])) for name in (first, second)}
+    bad = {name: data.draw(_violations(*table[name][:2])) for name in (first, second)}
     with pytest.raises(InvalidValue) as err:
         replace(record, **bad)
     assert str(err.value).startswith(f"{prefix}{first} must be "), (type(record), bad)

@@ -20,7 +20,6 @@ from pvgrid.scenario_io import (
     _DOCUMENT_KEYS,
     _PROFILES,
     _SECTIONS,
-    _keys,
     bundled_scenario_text,
     emit_csv,
     emit_scenario,
@@ -467,16 +466,16 @@ _VALIDATOR = jsonschema.Draft202012Validator(json.loads(schema_text()))
 
 def _assert_node_matches(node: dict, cls: type, where: str, extra: tuple = ()) -> None:
     """A schema object node has exactly the parser's keys, required list and defaults."""
-    keys = _keys(cls)
+    keys = numeric_fields(cls)
     props = {k: v for k, v in node["properties"].items() if k not in extra}
     assert set(props) == set(keys), f"{where}: keys differ"
-    required = [k for k, (_, default) in keys.items() if default is MISSING]
+    required = [k for k, (*_, default) in keys.items() if default is MISSING]
     assert node.get("required", []) == [*extra, *required], f"{where}: required differs"
-    defaults = {k: d for k, (_, d) in keys.items() if d is not MISSING}
+    defaults = {k: d for k, (*_, d) in keys.items() if d is not MISSING}
     assert {k: v["default"] for k, v in props.items() if "default" in v} == defaults, (
         f"{where}: defaults differ"
     )
-    for key, (integer, _) in keys.items():
+    for key, (_, integer, _) in keys.items():
         assert props[key]["type"] == ("integer" if integer else "number"), f"{where}.{key}"
     assert node["additionalProperties"] is False, where
 
@@ -490,7 +489,7 @@ class TestSchemaDrift:
         assert set(schema["properties"]) == _DOCUMENT_KEYS
         required = [
             name for name, cls in _SECTIONS.items()
-            if any(default is MISSING for _, default in _keys(cls).values())
+            if any(default is MISSING for *_, default in numeric_fields(cls).values())
         ]
         assert schema["required"] == [*required, "profiles"]
         for name, cls in _SECTIONS.items():
@@ -526,7 +525,7 @@ class TestSchemaDrift:
                    "maximum": math.inf, "exclusiveMaximum": math.inf}
         seen = set()
         for cls in (*_SECTIONS.values(), *_PROFILES.values(), *COMPENSATORS.values()):
-            for key, (bound, _) in numeric_fields(cls).items():
+            for key, (bound, *_) in numeric_fields(cls).items():
                 where = f"{cls.__name__}.{key}"
                 if not bound.schema:
                     assert bound.holds(sys.float_info.max), where
