@@ -47,8 +47,6 @@ def _fmt_value(value: object, unit: str) -> str:
     # 1e5 µF, where the count would print in exponent form.
     if unit == "F" and 1e-6 <= shown_magnitude(value) < 0.1:
         return f"{value / 1e-6:.5g} µF"
-    if not unit:
-        return f"{value:.5g}"
     return format_si(value, unit)
 
 
@@ -60,26 +58,16 @@ def _write_artifact(text: str, out_path: str | None) -> None:
         print(f"wrote {out_path}", file=sys.stderr)
 
 
-# Unit of every field of the result records the design and curve commands
-# print, by field name: BoostDesign, LCLDesign, ResonanceReport, MPPResult.
-_UNITS = {
-    "i_out_max": "A", "delta_i_l": "A", "delta_v_out": "V", "l": "H", "c": "F",
-    "omega_g": "rad/s", "z_b": "Ω", "c_b": "F", "i_max": "A", "delta_i_max": "A",
-    "l_1": "H", "c_g": "F", "l_2": "H",
-    "omega_res": "rad/s", "f_res": "Hz", "f_min": "Hz", "f_max": "Hz", "passed": "",
-    "v_mp": "V", "i_mp": "A", "p_mp": "W",
-}
-
-
 def _block(results: tuple, json_mode: bool) -> str:
-    """Every field of each result record, in field order, as text or JSON."""
-    values = {name: value for result in results for name, value in asdict(result).items()}
+    """Every field of each result record, in field order, as text or JSON; text
+    shows each number in the unit its field declares, and a bool as yes/no."""
+    rows = [(f.name, getattr(result, f.name), f.metadata.get("unit", ""))
+            for result in results for f in fields(result)]
     if json_mode:
-        return json.dumps(values, indent=2) + "\n"
-    width = max(map(len, values))
+        return json.dumps({name: value for name, value, _ in rows}, indent=2) + "\n"
+    width = max(len(name) for name, *_ in rows)
     return "".join(
-        f"{_bold(name.ljust(width))} = {_fmt_value(value, _UNITS[name])}\n"
-        for name, value in values.items()
+        f"{_bold(name.ljust(width))} = {_fmt_value(value, unit)}\n" for name, value, unit in rows
     )
 
 

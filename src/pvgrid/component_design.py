@@ -56,11 +56,11 @@ class BoostDesignInput:
 class BoostDesign:
     """Computed boost-converter component values."""
 
-    i_out_max: float = bounded(POSITIVE)  # A, maximum output current
-    delta_i_l: float = bounded(POSITIVE)  # A, inductor current ripple
-    delta_v_out: float = bounded(POSITIVE)  # V, output voltage ripple
-    l: float = bounded(POSITIVE)  # H, filter inductor
-    c: float = bounded(POSITIVE)  # F, filter capacitor
+    i_out_max: float = bounded(POSITIVE, unit="A")  # maximum output current
+    delta_i_l: float = bounded(POSITIVE, unit="A")  # inductor current ripple
+    delta_v_out: float = bounded(POSITIVE, unit="V")  # output voltage ripple
+    l: float = bounded(POSITIVE, unit="H")  # filter inductor
+    c: float = bounded(POSITIVE, unit="F")  # filter capacitor
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -117,14 +117,14 @@ class LCLDesignInput:
 class LCLDesign:
     """Computed LCL filter values with their base quantities."""
 
-    omega_g: float = bounded(POSITIVE)  # rad/s, grid angular frequency
-    z_b: float = bounded(POSITIVE)  # ohm, per-phase base impedance
-    c_b: float = bounded(POSITIVE)  # F, base capacitance
-    i_max: float = bounded(POSITIVE)  # A, peak current rating
-    delta_i_max: float = bounded(POSITIVE)  # A, inverter-side current ripple
-    l_1: float = bounded(POSITIVE)  # H, inverter-side inductor
-    c_g: float = bounded(POSITIVE)  # F, filter capacitor
-    l_2: float = bounded(POSITIVE)  # H, grid-side inductor
+    omega_g: float = bounded(POSITIVE, unit="rad/s")  # grid angular frequency
+    z_b: float = bounded(POSITIVE, unit="Ω")  # per-phase base impedance
+    c_b: float = bounded(POSITIVE, unit="F")  # base capacitance
+    i_max: float = bounded(POSITIVE, unit="A")  # peak current rating
+    delta_i_max: float = bounded(POSITIVE, unit="A")  # inverter-side current ripple
+    l_1: float = bounded(POSITIVE, unit="H")  # inverter-side inductor
+    c_g: float = bounded(POSITIVE, unit="F")  # filter capacitor
+    l_2: float = bounded(POSITIVE, unit="H")  # grid-side inductor
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -186,14 +186,14 @@ class ResonanceReport:
 
     Bounds are compared in hertz: a valid design places the resonance
     above ten times the grid frequency and below half the switching
-    frequency.  ``f_res`` and ``passed`` are derived from the other fields,
-    each of which is finite.
+    frequency.  ``f_res`` (omega_res / 2*pi) and ``passed`` are derived from
+    the other fields, each of which is positive.
     """
 
-    omega_res: float  # rad/s
-    f_res: float = field(init=False)  # Hz, omega_res / 2*pi
-    f_min: float  # Hz, lower placement bound (10 * f_g)
-    f_max: float  # Hz, upper placement bound (0.5 * f_sw)
+    omega_res: float = bounded(POSITIVE, unit="rad/s")
+    f_res: float = field(init=False, metadata={"bound": POSITIVE, "unit": "Hz"})
+    f_min: float = bounded(POSITIVE, unit="Hz")  # lower placement bound (10 * f_g)
+    f_max: float = bounded(POSITIVE, unit="Hz")  # upper placement bound (0.5 * f_sw)
     passed: bool = field(init=False)  # f_min < f_res < f_max
 
     def __post_init__(self) -> None:

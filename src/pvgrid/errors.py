@@ -7,7 +7,8 @@ id or the compensator mode) is a :class:`ParseError`.  A value outside
 the domain of the record, design calculator or run it feeds is an
 :class:`InvalidValue`, also a ``ValueError``, wherever it is found.
 Mostly it is raised by one of two checks.  Every record declares the
-bound of each numeric field once (with :func:`bounded`), and
+bound of each numeric field once (with :func:`bounded`, beside the unit a
+printed result shows it in), and
 :func:`check_fields` holds each field to it as one real number; the same
 table (:func:`numeric_fields`) gives the scenario document's keys,
 defaults and JSON schema.  :func:`require` judges a function's arguments,
@@ -77,10 +78,11 @@ NON_NEGATIVE = Bound("finite and non-negative", lambda x: x >= 0.0, {"minimum": 
 
 
 def within(value: object, bound: Bound = FINITE) -> bool:
-    """Whether ``value`` is one real number (Python or numpy; an array is not),
-    finite and within ``bound``, judged as given: an int past the float range
-    is not finite, though it rounds to a double."""
-    return isinstance(value, _REAL) and -_MAX <= value <= _MAX and bound.holds(value)
+    """Whether ``value`` is one real number (Python or numpy; a bool or an array
+    is not), finite and within ``bound``, judged as given: an int past the float
+    range is not finite, though it rounds to a double."""
+    return (isinstance(value, _REAL) and not isinstance(value, bool)
+            and -_MAX <= value <= _MAX and bound.holds(value))
 
 
 def require(values: dict[str, object], bound: Bound = FINITE) -> None:
@@ -91,7 +93,9 @@ def require(values: dict[str, object], bound: Bound = FINITE) -> None:
     """
     for name, value in values.items():
         if hasattr(value, "ndim"):
-            out = value[~((abs(value) <= _MAX) & bound.holds(value))]
+            out = value  # a bool array is out of bound throughout
+            if value.dtype != bool:
+                out = value[~((abs(value) <= _MAX) & bound.holds(value))]
             if not out.size:
                 continue
             value = out.item(0)
@@ -99,9 +103,10 @@ def require(values: dict[str, object], bound: Bound = FINITE) -> None:
             raise InvalidValue(f"{name} must be {bound.text}, got {value!r}")
 
 
-def bounded(bound: Bound, default: object = MISSING):
-    """A dataclass field whose value :func:`check_fields` holds to ``bound``."""
-    return field(default=default, metadata={"bound": bound})
+def bounded(bound: Bound, default: object = MISSING, *, unit: str = ""):
+    """A dataclass field whose value :func:`check_fields` holds to ``bound``;
+    ``unit`` is the SI unit its value is printed in."""
+    return field(default=default, metadata={"bound": bound, "unit": unit})
 
 
 @cache
@@ -132,7 +137,7 @@ def check_fields(record: object, prefix: str = "") -> None:
     ``prefix`` goes in front of the field's name."""
     for name, (bound, integer, _) in numeric_fields(type(record)).items():
         value = getattr(record, name)
-        if isinstance(value, bool) or not within(value, bound):
+        if not within(value, bound):
             shown = value.item() if isinstance(value, _REAL) and hasattr(value, "item") else value
             raise InvalidValue(f"{prefix}{name} must be {bound.text}, got {shown!r}")
         if integer:

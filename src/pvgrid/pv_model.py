@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (
     NON_NEGATIVE, POSITIVE, Bound, DarkArray, InfeasibleSpec, InvalidValue, NonConvergence,
-    bounded, check_fields, require,
+    bounded, check_fields, require, within,
 )
 # golden_max and the scalar newton_bisect have no caller: they are imported only for
 # perfbench/tracing.COUNTED_F, which looks them up here by name (ROADMAP item 2).
@@ -222,12 +222,13 @@ class IVCurve:
 class MPPResult:
     """Located maximum power point; ``p_mp`` is ``v_mp * i_mp``."""
 
-    v_mp: float  # V
-    i_mp: float  # A
-    p_mp: float = field(init=False, metadata={"bound": POSITIVE})  # W
+    v_mp: float = bounded(POSITIVE, unit="V")
+    i_mp: float = bounded(POSITIVE, unit="A")
+    p_mp: float = field(init=False, metadata={"bound": POSITIVE, "unit": "W"})
 
     def __post_init__(self) -> None:
-        vars(self)["p_mp"] = self.v_mp * self.i_mp
+        if within(self.v_mp) and within(self.i_mp):  # else check_fields names it
+            vars(self)["p_mp"] = self.v_mp * self.i_mp
         check_fields(self)
 
 

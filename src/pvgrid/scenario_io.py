@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING
-from importlib import resources
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -338,6 +337,8 @@ def render_report(
 
 def bundled_scenario_text(name: str) -> str:
     """Text of a bundled reference scenario, e.g. ``case1``."""
+    from importlib import resources  # a slow import that no run needs: only this reads a file
+
     fname = name if name.endswith(".json") else f"{name}.json"
     return (resources.files("pvgrid") / "scenarios" / fname).read_text("utf-8")
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import pvgrid
 from pvgrid import cli, pv_model
-from pvgrid.errors import NonConvergence
+from pvgrid.errors import FINITE, NonConvergence, numeric_fields
 from pvgrid.component_design import (
     BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport, boost_design,
     lcl_design,
@@ -649,10 +649,17 @@ class TestFieldDrift:
     # Dests that feed no record field: options, the handler and the subcommand.
     CLI_ONLY = {"json", "output", "ideality_guess", "points", "handler", "command"}
 
-    def test_units_cover_every_result_field(self):
-        """One unit per field of every printed result record, and no other."""
-        results = (BoostDesign, LCLDesign, ResonanceReport, MPPResult)
-        assert set(cli._UNITS) == {f.name for cls in results for f in fields(cls)}
+    @pytest.mark.parametrize("cls", [BoostDesign, LCLDesign, ResonanceReport, MPPResult])
+    def test_printed_fields_declare_unit_and_bound(self, cls):
+        """Every int and float field of a printed result record declares the unit
+        it prints in and a bound stricter than finite; every other field is a
+        bool, printed yes/no, and declares no unit."""
+        numeric = numeric_fields(cls)
+        for f in fields(cls):
+            if f.name in numeric:
+                assert f.metadata.get("unit") and numeric[f.name][0] is not FINITE, f.name
+            else:
+                assert f.type == "bool" and "unit" not in f.metadata, f.name
 
     @pytest.mark.parametrize(
         ("argv", "records", "unexposed"),

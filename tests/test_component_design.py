@@ -300,10 +300,10 @@ class TestResonanceCheck:
         assert not ResonanceReport(report.omega_res, 500.0, report.f_res).passed
         with pytest.raises(TypeError):
             ResonanceReport(omega_res=6283.0, f_res=1000.0, f_min=500.0, f_max=5000.0)
-        with pytest.raises(InvalidValue, match="^f_min must be finite, got inf$"):
+        with pytest.raises(InvalidValue, match="^f_min must be finite and positive, got inf$"):
             ResonanceReport(omega_res=6283.0, f_min=math.inf, f_max=5000.0)
         for omega_res in (None, "6283", 10**400):  # named before f_res is derived from it
-            with pytest.raises(InvalidValue, match="^omega_res must be finite, got "):
+            with pytest.raises(InvalidValue, match="^omega_res must be finite and positive, got "):
                 ResonanceReport(omega_res=omega_res, f_min=500.0, f_max=5000.0)
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvgrid import errors
-from pvgrid.compensation import FixedCapacitor, Statcom
+from pvgrid.compensation import FixedCapacitor, Statcom, capbank_q, statcom_dispatch
 from pvgrid.component_design import (
     BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport,
 )
@@ -24,7 +24,9 @@ from pvgrid.errors import (
     FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, ParseError, PVGridError,
     numeric_fields, require,
 )
-from pvgrid.pv_model import MPPResult, PVArraySpec, SingleDiodeParams
+from pvgrid.pv_model import (
+    ENVELOPE, EnvCondition, MPPResult, PVArraySpec, SingleDiodeParams, module_current,
+)
 
 from conftest import REF_GRID, REF_MODULE, make_scenario
 
@@ -57,7 +59,7 @@ class TestRequire:
     """``require(values, bound, error)``."""
 
     @pytest.mark.parametrize(
-        "value", [0.0, -0.0, 1, -1e308, sys.float_info.max, int(sys.float_info.max), True,
+        "value", [0.0, -0.0, 1, -1e308, sys.float_info.max, int(sys.float_info.max),
                   np.float64(2.5), np.int64(3), Fraction(1, 3)],
     )
     def test_finite_numbers_pass(self, value):
@@ -66,13 +68,14 @@ class TestRequire:
 
     @pytest.mark.parametrize(
         "value", [math.nan, math.inf, -math.inf, int(sys.float_info.max) * 2, -(10**400),
-                  None, "1.0", [1.0], 1j],
+                  None, "1.0", [1.0], 1j, True, False],
         ids=["nan", "inf", "-inf", "int-past-range", "negative-int-past-range", "None",
-             "str", "list", "complex"],
+             "str", "list", "complex", "True", "False"],
     )
     def test_non_numbers_and_non_finite_fail(self, value):
         """NaN, infinities, ints past the float range (judged as given, not as
-        the double they round to) and values that are not numbers fail."""
+        the double they round to) and values that are not numbers fail; a bool
+        is not a number, though it compares as 1 or 0."""
         with pytest.raises(InvalidValue) as err:
             require({"x": value})
         assert str(err.value) == f"x must be finite, got {value!r}"
@@ -112,6 +115,14 @@ class TestRequire:
             require({"x": np.array([1.0, -2.0, math.nan])}, POSITIVE)
         with pytest.raises(InvalidValue, match=r"^x must be finite, got nan$"):
             require({"x": np.array([[1.0, math.nan], [math.inf, 0.0]])})
+
+    @pytest.mark.parametrize("value", [np.array([True, False]), np.array([False]), np.True_])
+    def test_bool_array_fails(self, value):
+        """A bool array or numpy bool is out of bound throughout, and its first
+        entry is named."""
+        shown = value.flat[0].item()
+        with pytest.raises(InvalidValue, match=f"^x must be finite and non-negative, got {shown}$"):
+            require({"x": value}, NON_NEGATIVE)
 
 
 # A valid record of each type whose numeric fields ``check_fields`` holds to their
@@ -198,3 +209,34 @@ def test_of_two_faults_the_earlier_field_is_named(data):
     with pytest.raises(InvalidValue) as err:
         replace(record, **bad)
     assert str(err.value).startswith(f"{prefix}{first} must be "), (type(record), bad)
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        pytest.param(lambda: MPPResult(-290.0, -345.0),
+                     "v_mp must be finite and positive, got -290.0", id="MPPResult-negative"),
+        pytest.param(lambda: MPPResult(None, 345.0),
+                     "v_mp must be finite and positive, got None", id="MPPResult-None"),
+        pytest.param(lambda: MPPResult(290.0, "345"),
+                     "i_mp must be finite and positive, got '345'", id="MPPResult-str"),
+        pytest.param(lambda: ResonanceReport(-5.0, 500.0, 5000.0),
+                     "omega_res must be finite and positive, got -5.0", id="ResonanceReport"),
+        pytest.param(lambda: EnvCondition(True, 25.0),
+                     f"g must be {ENVELOPE['g'].text}, got True", id="EnvCondition-bool"),
+        pytest.param(lambda: module_current(RECORDS["SingleDiodeParams"][0], True),
+                     "v must be finite and non-negative, got True", id="module_current-bool"),
+        pytest.param(lambda: capbank_q(1e5, 230.0, np.array([True])),
+                     "v must be finite and non-negative, got True", id="capbank_q-bool"),
+        pytest.param(lambda: capbank_q(1e5, 230.0, np.array([True, False])),
+                     "v must be finite and non-negative, got True", id="capbank_q-bools"),
+        pytest.param(lambda: statcom_dispatch(np.array([True]), Statcom(q_max=2e5)),
+                     "q_demand must be finite, got True", id="statcom_dispatch-bool"),
+    ],
+)
+def test_value_out_of_domain_is_named(build, message):
+    """A record or calculator given a value outside its domain (a maximum power
+    point or a resonance that is not positive, a bool where a number goes)
+    raises an InvalidValue naming the argument, not a TypeError or a result."""
+    with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+        build()

@@ -255,14 +255,17 @@ class TestSpecs:
 
     def test_mpp_result_derives_its_power(self):
         """MPPResult computes p_mp as exactly v_mp * i_mp, takes no p_mp
-        argument, and rejects a point without positive power."""
+        argument, and rejects a point whose voltage, current or power is not
+        finite and positive, naming the first such field."""
         peak = MPPResult(v_mp=29.1, i_mp=7.3)
         assert peak.p_mp == 29.1 * 7.3
         assert list(asdict(peak)) == ["v_mp", "i_mp", "p_mp"]
         with pytest.raises(TypeError):
             MPPResult(v_mp=29.0, i_mp=7.35, p_mp=213.0)
-        with pytest.raises(InvalidValue, match=r"^p_mp must be finite and positive, got 0\.0$"):
+        with pytest.raises(InvalidValue, match=r"^v_mp must be finite and positive, got 0\.0$"):
             MPPResult(v_mp=0.0, i_mp=7.35)
+        with pytest.raises(InvalidValue, match=r"^p_mp must be finite and positive, got inf$"):
+            MPPResult(v_mp=1e300, i_mp=1e300)
 
     def test_thermal_voltage_at_25c(self):
         """kT/q at 25 °C is 25.693 mV."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from dataclasses import MISSING
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pvgrid
 from pvgrid.compensation import COMPENSATORS, FixedCapacitor, NoCompensator, Statcom
 from pvgrid.errors import FINITE, InvalidValue, ParseError, PVGridError, numeric_fields
 from pvgrid.scenario_io import (
@@ -428,6 +431,24 @@ class TestBundledScenarios:
         doc["surprise"] = 1
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, schema)
+
+    def test_run_imports_load_no_importlib_resources(self):
+        """Without ``site``, importing the modules a run needs leaves
+        ``importlib.resources`` (a slow import) unloaded; only reading a
+        bundled case loads it, and the case then reads as in-process."""
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:]\n"
+            "import pvgrid.cli, pvgrid.scenario_io, pvgrid.simulator\n"
+            "assert 'importlib.resources' not in sys.modules, 'importlib.resources is loaded'\n"
+            "sys.stdout.write(pvgrid.scenario_io.bundled_scenario_text('case1'))\n"
+        )
+        paths = [os.path.dirname(os.path.dirname(module.__file__)) for module in (pvgrid, np)]
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code, *paths], capture_output=True, text=True,
+            encoding="utf-8", check=False,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == bundled_scenario_text("case1")
 
     def test_unknown_bundle_name(self):
         """Asking for a scenario that does not exist raises OSError."""
