@@ -118,7 +118,7 @@ def _cmd_pv_curve(args: argparse.Namespace) -> int:
     from .pv_model import EnvCondition, PVArraySpec, PVModuleSpec
 
     module = _record(PVModuleSpec, args)
-    params = pv_model.extract_single_diode_params(module, n_ideality_guess=args.ideality_guess)
+    params = pv_model.extract_single_diode_params(module)
     array = _record(PVArraySpec, args, module=module)
     env = _record(EnvCondition, args)
     curve = pv_model.array_iv_sweep(array, params, env, args.points)
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--ncells", dest="n_cells", type=int)
     curve.add_argument("--alpha-isc", type=float)
     curve.add_argument("--beta-voc", type=float)
-    curve.add_argument("--ideality-guess", type=float, default=1.3)
     curve.add_argument("--ns", dest="n_series", type=int, default=1, help="modules in series")
     curve.add_argument("--np", dest="n_parallel", type=int, default=1, help="strings in parallel")
     curve.add_argument("--g", type=float, default=1000.0, help="irradiance, W/m²")

@@ -15,7 +15,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import NON_NEGATIVE, POSITIVE, Bound, bounded, check_fields, require
+from .errors import NON_NEGATIVE, POSITIVE, Bound, bounded, check_fields, require, require_each
 
 _LOSS_FRAC = Bound("finite and in [0, 0.05]", lambda x: 0.0 <= x <= 0.05,
                    {"minimum": 0, "maximum": 0.05})
@@ -73,12 +73,13 @@ def capbank_q(q_rated: float, v_rated: float, v, *, loss_w: float = 0.0) -> tupl
 
     The bank is not dispatchable; its output depends on voltage only.
     """
-    require({"q_rated": q_rated, "v": v, "loss_w": loss_w}, NON_NEGATIVE)
+    require({"q_rated": q_rated, "loss_w": loss_w}, NON_NEGATIVE)
+    require_each({"v": v}, NON_NEGATIVE)
     require({"v_rated": v_rated}, POSITIVE)
     with np.errstate(over="ignore"):  # an output past the float range is rejected below
         ratio = v / v_rated
         q_out = q_rated * ratio * ratio
-    require({"q_rated * (v/v_rated)^2": q_out})
+    require_each({"q_rated * (v/v_rated)^2": q_out})
     return q_out, np.full_like(q_out, loss_w)
 
 
@@ -89,11 +90,11 @@ def statcom_dispatch(q_demand, config: Statcom) -> tuple:
     q_out = clamp(q_demand, -q_max, +q_max);
     p_loss = loss_floor_w + loss_frac * |q_out|.
     """
-    require({"q_demand": q_demand})
+    require_each({"q_demand": q_demand})
     q_out = np.clip(q_demand, -config.q_max, config.q_max)
     with np.errstate(over="ignore"):  # a loss past the float range is rejected below
         p_loss = config.loss_floor_w + config.loss_frac * np.abs(q_out)
-    require({"p_loss": p_loss}, NON_NEGATIVE)
+    require_each({"p_loss": p_loss}, NON_NEGATIVE)
     return q_out, p_loss
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the pvgrid package, and its two value checks.
+"""Exception hierarchy for the pvgrid package, and its value checks.
 
 Every error raised by the library derives from :class:`PVGridError`, and
 each kind of rejection has one class.  A scenario document whose shape
@@ -6,13 +6,13 @@ the parser rejects (JSON syntax, UTF-8, structure, keys, JSON types, the
 id or the compensator mode) is a :class:`ParseError`.  A value outside
 the domain of the record, design calculator or run it feeds is an
 :class:`InvalidValue`, also a ``ValueError``, wherever it is found.
-Mostly it is raised by one of two checks.  Every record declares the
+Mostly it is raised by one of its checks.  Every record declares the
 bound of each numeric field once (with :func:`bounded`, beside the unit a
 printed result shows it in), and
 :func:`check_fields` holds each field to it as one real number; the same
 table (:func:`numeric_fields`) gives the scenario document's keys,
-defaults and JSON schema.  :func:`require` judges a function's arguments,
-or a whole array column at once.  The CLI exits 2 on
+defaults and JSON schema.  :func:`require` judges a function's numbers,
+and :func:`require_each` an array's entries.  The CLI exits 2 on
 :class:`NonConvergence`, 1 on any other pvgrid error (a datasheet that
 cannot be calibrated is an :class:`InfeasibleSpec`), and lets any other
 exception, a bug, end in a traceback.
@@ -86,11 +86,19 @@ def within(value: object, bound: Bound = FINITE) -> bool:
 
 
 def require(values: dict[str, object], bound: Bound = FINITE) -> None:
-    """Raise :class:`InvalidValue` naming the first of ``values`` not :func:`within` ``bound``.
+    """Raise :class:`InvalidValue` naming the first of ``values`` not :func:`within`
+    ``bound``, so not one real number (an array is not); a numpy number is
+    shown as the Python number it holds."""
+    for name, value in values.items():
+        if not within(value, bound):
+            shown = value.item() if isinstance(value, _REAL) and hasattr(value, "item") else value
+            raise InvalidValue(f"{name} must be {bound.text}, got {shown!r}")
 
-    A value may be a numpy array or number, judged in one pass; the error
-    gives its first entry that is out of bound, as a Python number.
-    """
+
+def require_each(values: dict[str, object], bound: Bound = FINITE) -> None:
+    """:func:`require` for values that are each a number or a numpy array, an
+    array judged entry by entry in one pass; the error gives its first entry
+    that is out of bound, as a Python number."""
     for name, value in values.items():
         if hasattr(value, "ndim"):
             out = value  # a bool array is out of bound throughout
@@ -99,8 +107,7 @@ def require(values: dict[str, object], bound: Bound = FINITE) -> None:
             if not out.size:
                 continue
             value = out.item(0)
-        if not within(value, bound):
-            raise InvalidValue(f"{name} must be {bound.text}, got {value!r}")
+        require({name: value}, bound)
 
 
 def bounded(bound: Bound, default: object = MISSING, *, unit: str = ""):
@@ -137,9 +144,7 @@ def check_fields(record: object, prefix: str = "") -> None:
     ``prefix`` goes in front of the field's name."""
     for name, (bound, integer, _) in numeric_fields(type(record)).items():
         value = getattr(record, name)
-        if not within(value, bound):
-            shown = value.item() if isinstance(value, _REAL) and hasattr(value, "item") else value
-            raise InvalidValue(f"{prefix}{name} must be {bound.text}, got {shown!r}")
+        require({prefix + name: value}, bound)
         if integer:
             try:
                 operator.index(value)

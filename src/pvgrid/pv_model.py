@@ -40,12 +40,9 @@ from .numerics import (  # noqa: F401
 Boltzmann = 1.380649e-23  # J/K, exact in SI
 elementary_charge = 1.602176634e-19  # C, exact in SI
 
-# Ideality values tried when calibration at the requested guess admits no
-# physical shunt resistance.  Ordered preference: unity (canonical
-# crystalline silicon) outward.
-_IDEALITY_FALLBACKS = (
-    1.0, 1.05, 0.95, 1.1, 0.9, 1.15, 0.85, 1.2, 0.8, 1.25, 0.75, 1.3, 1.35, 1.4,
-)
+# Ideality values calibration tries, in this order, until one verifies: 1.3
+# first, then unity (canonical crystalline silicon) outward.
+_IDEALITIES = (1.3, 1.0, 1.05, 0.95, 1.1, 0.9, 1.15, 0.85, 1.2, 0.8, 1.25, 0.75, 1.35, 1.4)
 
 # Exponent cap: beyond this exp() overflows a double; treat as saturation.
 _EXP_CAP = 690.0
@@ -453,9 +450,11 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
     :func:`_is_maximum` and lie within 0.5% of the rated power and voltage.
     So a parameter set whose rated point is not itself the maximum fails,
     even when the true maximum is within 0.5%; the fit never builds one.
+    :func:`extract_single_diode_params` tries each of :data:`_IDEALITIES`.
 
     Raises:
-        InfeasibleSpec: naming the ideality and the first condition it fails.
+        InfeasibleSpec: naming the ideality and the first condition it fails
+            (a singular system where ``a`` is infinite, as at ideality 1e308).
         NonConvergence: if a solve exhausts its budget: a ``brentq`` search,
             or the current solve that gives a missed current's value.
     """
@@ -548,47 +547,35 @@ def _fit_at_ideality(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams
 
 
 @lru_cache(maxsize=32)
-def extract_single_diode_params(
-    spec: PVModuleSpec, *, n_ideality_guess: float = 1.3
-) -> SingleDiodeParams:
+def extract_single_diode_params(spec: PVModuleSpec) -> SingleDiodeParams:
     """Calibrate the five-parameter model from datasheet ratings.
 
-    Memoized: the 32 most recent datasheets (and guesses) each keep their
-    result, so calibrating one module again returns the same object.  A
-    datasheet that raises is not remembered and raises again.
+    Memoized: the 32 most recent datasheets each keep their result, so
+    calibrating one module again returns the same object.  A datasheet
+    that raises is not remembered and raises again.
 
-    The requested ideality is tried first.  Many datasheets admit no
-    physical parameter set at an arbitrary ideality (the implied shunt
-    resistance turns negative), so canonical fallback values are tried
-    in order of preference until one verifies; the chosen value is
-    recorded in the returned parameters.
-
-    Args:
-        spec: Datasheet ratings.
-        n_ideality_guess: Per-cell diode ideality tried first.
+    Many datasheets admit no physical parameter set at an arbitrary
+    ideality (the implied shunt resistance turns negative), so the values
+    of :data:`_IDEALITIES` are tried in order until one verifies; the
+    chosen value is recorded in the returned parameters.
 
     Returns:
         Calibrated parameters whose STC curve reproduces i_sc, v_oc and
         the rated maximum power point within 0.5%.
 
     Raises:
-        InvalidValue: if the guess is not a finite positive number.
-        InfeasibleSpec: if no candidate ideality yields a verified physical
-            model; the message gives each candidate's reason, in the order
-            tried.
+        InfeasibleSpec: if no ideality yields a verified physical model;
+            the message gives each one's reason, in the order tried.
         NonConvergence: the same, if a solve exhausted its budget for some
-            candidate.
+            ideality.
     """
-    require({"ideality guess": n_ideality_guess}, POSITIVE)
-    candidates = [n_ideality_guess]
-    candidates.extend(n for n in _IDEALITY_FALLBACKS if n != n_ideality_guess)
     reasons, error = [], InfeasibleSpec
-    for n in candidates:
+    for n in _IDEALITIES:
         try:
             return _fit_at_ideality(spec, n)
         except InfeasibleSpec as exc:
             reasons.append(str(exc))
-        except NonConvergence as exc:  # this candidate ran out of budget; try the next
+        except NonConvergence as exc:  # this ideality ran out of budget; try the next
             reasons.append(f"ideality {n:g}: {exc}")
             error = NonConvergence
     raise error("no ideality calibrates the datasheet: " + "; ".join(reasons))
@@ -655,12 +642,9 @@ def adjust_params(
     voltage by beta_voc.  Irradiance then scales the short-circuit
     current linearly and the shunt resistance inversely (partial
     shunt currents shrink with light), while r_s and the diode voltage
-    stay at their calibration values.
-
-    At env exactly equal to STC the input is returned unchanged.
+    stay at their calibration values.  At STC the calibrated values come
+    back unchanged (:func:`_translate`).
     """
-    if env.g == spec.g_stc and env.t == spec.t_stc:
-        return params
     i_ph, i_0, r_sh = (
         float(x[0]) for x in _translate(params, spec, np.array([env.g]), np.array([env.t]))
     )

@@ -108,12 +108,13 @@ def _read(section: object, cls: type, where: str) -> dict:
     return values
 
 
-def _read_profile(entries: list, cls: type, where: str) -> list[list]:
-    """The values of one profile list as given, one column per field of ``cls``.
+def _read_profile(entries: list, cls: type, where: str) -> np.ndarray:
+    """The values of one profile list as given, an array row per field of ``cls``.
 
     Each entry must be an object with exactly the keys of ``cls``, each
     value an int or a float, not a bool; :class:`Scenario` judges the
-    values.  ``_read`` names the first entry that breaks this rule.
+    values, and in an array it need not look for a bool again.  ``_read``
+    names the first entry that breaks this rule.
     """
     keys = numeric_fields(cls)
 
@@ -130,7 +131,7 @@ def _read_profile(entries: list, cls: type, where: str) -> list[list]:
     if values is None:
         idx = next(idx for idx, entry in enumerate(entries) if columns([entry]) is None)
         _read(entries[idx], cls, f"{where}[{idx}]")  # raises, naming what breaks the rule
-    return values
+    return np.asarray(values)
 
 
 def parse_scenario(text: str | bytes) -> Scenario:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -72,9 +73,9 @@ def _profile_columns(name: str, step: type, given) -> np.ndarray:
 
     ``given`` holds one sequence per field.  Each value is judged as given
     against its field's bound in ``step.BOUNDS``, finite if it has none (an
-    int past the float range is not finite, a numeric string not a
-    number), and t_start must be 0, then rise.  The error names the first
-    failing segment by its 0-based index, then its first failing field.
+    int past the float range is not finite; a numeric string or a bool is
+    no number), and t_start must be 0, then rise.  The error names the
+    first failing segment by its 0-based index, then its first failing field.
     """
     try:
         values = np.asarray(given)
@@ -85,12 +86,15 @@ def _profile_columns(name: str, step: type, given) -> np.ndarray:
     if not values.shape[1]:
         raise InvalidValue(f"{name} profile must have at least one segment")
     bounds = [bound for bound, *_ in numeric_fields(step).values()]
-    if values.dtype.kind in "biuf":
+    # np.asarray turns a bool among numbers into a number, so one type pass looks
+    # for a bool; an array's dtype already tells.
+    listed = () if isinstance(given, np.ndarray) else chain.from_iterable(given)
+    if values.dtype.kind in "iuf" and {bool, np.bool_}.isdisjoint(map(type, listed)):
         columns = values = values.astype(float)
         ok = np.isfinite(columns)
         for row, column, bound in zip(ok, columns, bounds):
             row &= bound.holds(column)
-    else:  # strings, None, or ints past int64: each judged as given
+    else:  # strings, None, bools, or ints past int64: each judged as given
         values = np.array(given, dtype=object)
         ok = np.array([[within(x, b) for x in row] for row, b in zip(values.tolist(), bounds)])
         columns = np.where(ok, values, np.nan).astype(float)

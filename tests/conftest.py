@@ -27,11 +27,11 @@ REF_MODULE = PVModuleSpec(
 
 REF_GRID = GridSpec(v_phase=230.0, f=50.0, v_dc=700.0)
 
-# A 91.6 kW datasheet whose guessed ideality 1.3 misses I(v_oc) = 0 only through
+# A 91.6 kW datasheet whose first ideality, 1.3, misses I(v_oc) = 0 only through
 # the exponent cap (v_oc/a = 692.4 > 690); its current solve there runs out of a
 # budget of OUT_OF_BUDGET_ITERATIONS, while 1.35 calibrates within it.
 OUT_OF_BUDGET_ITERATIONS = 40
-OUT_OF_BUDGET_AT_GUESS = PVModuleSpec(p_mp=91623.728, v_mp=1203.228, i_mp=76.148,
+OUT_OF_BUDGET_AT_FIRST = PVModuleSpec(p_mp=91623.728, v_mp=1203.228, i_mp=76.148,
                                       v_oc=1387.653, i_sc=85.187, n_cells=60)
 
 

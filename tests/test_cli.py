@@ -29,7 +29,7 @@ from pvgrid.scenario_io import bundled_scenario_text, emit_csv, parse_scenario
 from pvgrid.simulator import run
 
 from conftest import (
-    COMPENSATOR_DOCS, DATASHEETS, OUT_OF_BUDGET_AT_GUESS, OUT_OF_BUDGET_ITERATIONS, REF_MODULE,
+    COMPENSATOR_DOCS, DATASHEETS, OUT_OF_BUDGET_AT_FIRST, OUT_OF_BUDGET_ITERATIONS, REF_MODULE,
     scenario_documents,
 )
 
@@ -233,8 +233,8 @@ class TestPvCurve:
         assert err.startswith("error: InfeasibleSpec: ") and "ideality 1.4: " in err
 
     def test_datasheet_past_an_out_of_budget_ideality_exits_0(self, capsys, monkeypatch):
-        """With a budget of 40 iterations the current solve of the guessed ideality
-        1.3 runs out on this datasheet; calibration goes on to 1.35 and the sweep
+        """With a budget of 40 iterations the current solve of the first ideality
+        tried, 1.3, runs out on this datasheet; calibration goes on to 1.35 and the sweep
         succeeds."""
         monkeypatch.setattr(pv_model, "_CURRENT_BUDGET", 40)
         monkeypatch.setattr(pv_model, "extract_single_diode_params",
@@ -247,7 +247,7 @@ class TestPvCurve:
         """An MPP solve that runs out of budget exits 2 with one NonConvergence
         line and no traceback."""
         params = pv_model.extract_single_diode_params(REF_MODULE)
-        monkeypatch.setattr(pv_model, "extract_single_diode_params", lambda spec, **kw: params)
+        monkeypatch.setattr(pv_model, "extract_single_diode_params", lambda spec: params)
         solve = pv_model.newton_bisect_array  # the MPP solve alone takes the default budget
         monkeypatch.setattr(pv_model, "newton_bisect_array",
                             lambda *args, **kw: solve(*args, **{"max_iter": 1, **kw}))
@@ -305,10 +305,6 @@ MODULE_ARGS = TestPvCurve.MODULE_ARGS
                      "g must be finite and in [0, 2000] W/m², got 1e+300", id="g-1e300"),
         pytest.param(MODULE_ARGS, "--t=-40.5", "t_cell must be finite and in [-40, 90] °C",
                      id="t_cell-below-envelope"),
-        pytest.param(MODULE_ARGS, "--ideality-guess=nan", "ideality guess must be finite",
-                     id="ideality-nan"),
-        pytest.param(MODULE_ARGS, "--ideality-guess=inf", "ideality guess must be finite",
-                     id="ideality-inf"),
         pytest.param(MODULE_ARGS, "--points=100000000", "n_points must be at most",
                      id="points-over-cap"),
         pytest.param(MODULE_ARGS, f"--ncells={10**400}", "n_cells must be finite and at least 1",
@@ -472,7 +468,6 @@ def test_pv_curve_outcome_property(data):
     flags = {flag: st.just(repr(value)) for flag, value in scaled.items()}
     flags.update({
         "--ncells": st.just(str(n_cells)), "--alpha-isc": _OMITTED, "--beta-voc": _OMITTED,
-        "--ideality-guess": _OMITTED | st.floats(0.8, 1.6).map(repr),
         "--ns": st.integers(1, 60).map(str), "--np": st.integers(1, 60).map(str),
         "--g": _OMITTED | st.floats(0.0, 1100.0).map(repr),
         "--t": _OMITTED | st.floats(-40.0, 90.0).map(repr),
@@ -481,16 +476,16 @@ def test_pv_curve_outcome_property(data):
     _main_outcome(data, "pv-curve", flags)
 
 
-# Real datasheets and the 91.6 kW one, whose guessed ideality 1.3 misses I(v_oc) = 0.
-_SHEETS = [*DATASHEETS, astuple(OUT_OF_BUDGET_AT_GUESS)[:6]]
-# (current-solve budget, ideality fallbacks) of calibration: the defaults, and ones
-# under which the 91.6 kW datasheet runs out of budget at 1.3, then calibrates at
-# 1.35 or has no candidate left.
+# Real datasheets and the 91.6 kW one, whose first ideality 1.3 misses I(v_oc) = 0.
+_SHEETS = [*DATASHEETS, astuple(OUT_OF_BUDGET_AT_FIRST)[:6]]
+# (current-solve budget, idealities) of calibration: the defaults, and ones under
+# which the 91.6 kW datasheet runs out of budget at 1.3, then calibrates at 1.35
+# or has no ideality left.
 _SEARCHES = [
-    (pv_model._CURRENT_BUDGET, pv_model._IDEALITY_FALLBACKS),
-    (OUT_OF_BUDGET_ITERATIONS, pv_model._IDEALITY_FALLBACKS),
-    (OUT_OF_BUDGET_ITERATIONS, (1.0, 1.05)),
-    (5, (1.0, 1.05, 1.35)),
+    (pv_model._CURRENT_BUDGET, pv_model._IDEALITIES),
+    (OUT_OF_BUDGET_ITERATIONS, pv_model._IDEALITIES),
+    (OUT_OF_BUDGET_ITERATIONS, (1.3, 1.0, 1.05)),
+    (5, (1.3, 1.0, 1.05, 1.35)),
 ]
 
 
@@ -507,18 +502,18 @@ def test_exit_2_only_on_a_calibration_nonconvergence(tmp_path, sheet, search, co
     point inside the envelope exit 2 exactly when calibration raises
     NonConvergence, with that error on one line; the MPP and the sweep
     converge there.  (Another rejection, such as a temperature whose
-    translation overflows, exits 1.)  The budget and fallbacks drawn apply to
+    translation overflows, exits 1.)  The budget and idealities drawn apply to
     calibration alone."""
-    budget, fallbacks = search
+    budget, idealities = search
     failures = []
     calibrate_afresh = pv_model.extract_single_diode_params.__wrapped__
 
-    def calibrate(spec, **kw):
+    def calibrate(spec):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pv_model, "_CURRENT_BUDGET", budget)
-            patch.setattr(pv_model, "_IDEALITY_FALLBACKS", fallbacks)
+            patch.setattr(pv_model, "_IDEALITIES", idealities)
             try:
-                return calibrate_afresh(spec, **kw)
+                return calibrate_afresh(spec)
             except NonConvergence as exc:
                 failures.append(str(exc))
                 raise
@@ -647,7 +642,7 @@ class TestFieldDrift:
     """Output blocks and input records are derived from the dataclasses."""
 
     # Dests that feed no record field: options, the handler and the subcommand.
-    CLI_ONLY = {"json", "output", "ideality_guess", "points", "handler", "command"}
+    CLI_ONLY = {"json", "output", "points", "handler", "command"}
 
     @pytest.mark.parametrize("cls", [BoostDesign, LCLDesign, ResonanceReport, MPPResult])
     def test_printed_fields_declare_unit_and_bound(self, cls):
@@ -1028,11 +1023,18 @@ def _handler_raising(error: BaseException):
 class TestParserBehavior:
     """Exit codes and environment handling of the argparse front end."""
 
-    def test_unknown_flag_exits_1(self):
-        """Usage errors exit with status 1, not argparse's default 2."""
+    @pytest.mark.parametrize(
+        "argv,unknown",
+        [(BOOST_ARGS, ["--nope"]), (MODULE_ARGS, ["--ideality-guess", "1.0"])],
+        ids=["nope", "ideality-guess"],
+    )
+    def test_unknown_flag_exits_1(self, argv, unknown, capsys):
+        """Usage errors exit with status 1, not argparse's default 2.  pv-curve
+        calibrates from the datasheet alone: it takes no ideality guess."""
         with pytest.raises(SystemExit) as exc:
-            cli.main(["design-boost", "--nope"])
+            cli.main([*argv, *unknown])
         assert exc.value.code == 1
+        assert f"error: unrecognized arguments: {' '.join(unknown)}" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_1(self):
         """No subcommand is a usage error."""

@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 from pvgrid import errors
 from pvgrid.compensation import FixedCapacitor, Statcom, capbank_q, statcom_dispatch
 from pvgrid.component_design import (
-    BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport,
+    BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport, capbank_size,
+    resonance_check,
 )
 from pvgrid.errors import (
     FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, ParseError, PVGridError,
-    numeric_fields, require,
+    numeric_fields, require, require_each,
 )
 from pvgrid.pv_model import (
-    ENVELOPE, EnvCondition, MPPResult, PVArraySpec, SingleDiodeParams, module_current,
+    ENVELOPE, EnvCondition, MPPResult, PVArraySpec, SingleDiodeParams, module_current, mpp,
 )
 
 from conftest import REF_GRID, REF_MODULE, make_scenario
@@ -56,7 +57,7 @@ def test_one_class_per_kind_of_rejection():
 
 
 class TestRequire:
-    """``require(values, bound, error)``."""
+    """``require(values, bound)``, and ``require_each`` for values that may be arrays."""
 
     @pytest.mark.parametrize(
         "value", [0.0, -0.0, 1, -1e308, sys.float_info.max, int(sys.float_info.max),
@@ -104,17 +105,30 @@ class TestRequire:
                 require({"x": value}, bound)
 
     def test_takes_values_and_bound(self):
-        """The error is always an InvalidValue; no caller chooses another class."""
-        assert list(inspect.signature(require).parameters) == ["values", "bound"]
+        """The error is always an InvalidValue; no caller chooses another class,
+        nor whether an array may stand for a number."""
+        for check in (require, require_each):
+            assert list(inspect.signature(check).parameters) == ["values", "bound"]
+
+    @pytest.mark.parametrize("value", [np.array([1.0]), np.array(1.0), np.array([])])
+    def test_array_is_not_a_number(self, value):
+        """``require`` judges numbers: an array fails, even one whose every entry
+        is inside the bound, and is shown as the array."""
+        with pytest.raises(InvalidValue) as err:
+            require({"x": value}, POSITIVE)
+        assert str(err.value) == f"x must be finite and positive, got {value!r}"
 
     def test_array_names_its_first_failing_entry(self):
-        """An array is judged entry by entry in one call; the first entry out of
-        bound is named as a number, and an array wholly inside passes."""
-        require({"x": np.array([]), "y": np.array([1.0, 5e-324])}, POSITIVE)
+        """``require_each`` judges an array entry by entry in one call; the first
+        entry out of bound is named as a number, and an array wholly inside
+        passes, as does a number."""
+        require_each({"x": np.array([]), "y": np.array([1.0, 5e-324]), "z": 2.0}, POSITIVE)
         with pytest.raises(InvalidValue, match=r"^x must be finite and positive, got -2\.0$"):
-            require({"x": np.array([1.0, -2.0, math.nan])}, POSITIVE)
+            require_each({"x": np.array([1.0, -2.0, math.nan])}, POSITIVE)
         with pytest.raises(InvalidValue, match=r"^x must be finite, got nan$"):
-            require({"x": np.array([[1.0, math.nan], [math.inf, 0.0]])})
+            require_each({"x": np.array([[1.0, math.nan], [math.inf, 0.0]])})
+        with pytest.raises(InvalidValue, match=r"^x must be finite, got True$"):
+            require_each({"x": True})
 
     @pytest.mark.parametrize("value", [np.array([True, False]), np.array([False]), np.True_])
     def test_bool_array_fails(self, value):
@@ -122,7 +136,7 @@ class TestRequire:
         entry is named."""
         shown = value.flat[0].item()
         with pytest.raises(InvalidValue, match=f"^x must be finite and non-negative, got {shown}$"):
-            require({"x": value}, NON_NEGATIVE)
+            require_each({"x": value}, NON_NEGATIVE)
 
 
 # A valid record of each type whose numeric fields ``check_fields`` holds to their
@@ -232,11 +246,30 @@ def test_of_two_faults_the_earlier_field_is_named(data):
                      "v must be finite and non-negative, got True", id="capbank_q-bools"),
         pytest.param(lambda: statcom_dispatch(np.array([True]), Statcom(q_max=2e5)),
                      "q_demand must be finite, got True", id="statcom_dispatch-bool"),
+        pytest.param(lambda: resonance_check(np.array([6e-4]), 1.5e-5, 1e-4, 50.0, 1e4),
+                     "l_1 must be finite and positive, got array([0.0006])",
+                     id="resonance_check-array"),
+        pytest.param(lambda: module_current(RECORDS["SingleDiodeParams"][0], np.array([1.0])),
+                     "v must be finite and non-negative, got array([1.])",
+                     id="module_current-array"),
+        pytest.param(lambda: mpp(RECORDS["PVArraySpec"][0], RECORDS["SingleDiodeParams"][0],
+                                 EnvCondition(g=np.array([500.0]), t=25.0)),
+                     f"g must be {ENVELOPE['g'].text}, got array([500.])", id="mpp-array-g"),
+        pytest.param(lambda: capbank_size(np.array([1e5]), 230.0, 50.0),
+                     "q_rated must be finite and non-negative, got array([100000.])",
+                     id="capbank_size-array"),
+        pytest.param(lambda: capbank_size(np.array([1e5, 2e5]), 230.0, 50.0),
+                     "q_rated must be finite and non-negative, got array([100000., 200000.])",
+                     id="capbank_size-arrays"),
+        pytest.param(lambda: capbank_q(np.array([1e5]), 230.0, 230.0),
+                     "q_rated must be finite and non-negative, got array([100000.])",
+                     id="capbank_q-array-q_rated"),
     ],
 )
 def test_value_out_of_domain_is_named(build, message):
     """A record or calculator given a value outside its domain (a maximum power
-    point or a resonance that is not positive, a bool where a number goes)
-    raises an InvalidValue naming the argument, not a TypeError or a result."""
+    point or a resonance that is not positive, a bool where a number goes, an
+    array where one number goes) raises an InvalidValue naming the argument,
+    not a TypeError or a result."""
     with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
         build()

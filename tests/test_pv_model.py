@@ -41,7 +41,7 @@ from pvgrid.pv_model import (
 )
 
 from conftest import (
-    DATASHEETS, OUT_OF_BUDGET_AT_GUESS, OUT_OF_BUDGET_ITERATIONS, REF_MODULE, make_scenario,
+    DATASHEETS, OUT_OF_BUDGET_AT_FIRST, OUT_OF_BUDGET_ITERATIONS, REF_MODULE, make_scenario,
 )
 
 
@@ -314,32 +314,21 @@ class TestCalibration:
             f"oracle peak at {v_star:.3f} V vs rated {REF_MODULE.v_mp} V"
         )
 
-    def test_custom_feasible_guess_is_honored(self):
-        """A requested ideality that calibrates cleanly is used as-is."""
-        params = extract_single_diode_params(REF_MODULE, n_ideality_guess=1.05)
-        assert params.n_ideality == 1.05
-
-    def test_infeasible_guess_falls_back(self):
-        """An ideality with no physical solution falls back to a canonical one."""
-        params = extract_single_diode_params(REF_MODULE, n_ideality_guess=1.4)
-        assert params.n_ideality != 1.4
-        assert params.n_ideality == 1.0
-
-    def test_nonpositive_guess_rejected(self):
-        """A non-positive ideality guess is a caller error."""
-        with pytest.raises(ValueError):
-            extract_single_diode_params(REF_MODULE, n_ideality_guess=0.0)
-
-    def test_singular_system_is_infeasible_for_that_ideality(self, ref_params):
+    def test_singular_system_is_infeasible_for_that_ideality(self, monkeypatch, ref_params):
         """At ideality 1e308 the diode voltage is infinite and the linear system
-        singular; that ideality is infeasible and the fallbacks calibrate."""
-        assert extract_single_diode_params(REF_MODULE, n_ideality_guess=1e308) == ref_params
+        singular; that ideality is infeasible, and put first in the idealities
+        tried, the next one calibrates."""
+        with pytest.raises(InfeasibleSpec, match="^ideality 1e[+]308: singular calibration system$"):
+            _fit_at_ideality(REF_MODULE, 1e308)
+        monkeypatch.setattr(pv_model, "_IDEALITIES", (1e308, *pv_model._IDEALITIES))
+        assert extract_single_diode_params.__wrapped__(REF_MODULE) == ref_params
 
-    @pytest.mark.parametrize("guess", [math.nan, math.inf])
-    def test_non_finite_guess_rejected(self, guess):
-        """The ideality guess must be a finite positive number."""
-        with pytest.raises(ValueError, match="ideality guess must be finite and positive"):
-            extract_single_diode_params(REF_MODULE, n_ideality_guess=guess)
+    def test_reference_module_keeps_the_first_ideality_that_fits(self):
+        """The reference datasheet calibrates at the first of the idealities tried
+        that fits it, not at the first one tried (1.3)."""
+        params = extract_single_diode_params(REF_MODULE)
+        assert params == _first_fit(REF_MODULE)
+        assert params.n_ideality != pv_model._IDEALITIES[0]
 
     def test_square_curve_infeasible(self):
         """A near-unity fill factor admits no single-diode model at all; the one
@@ -420,7 +409,7 @@ class TestCalibration:
     def test_candidate_out_of_budget_gives_way_to_the_next(self, monkeypatch):
         """A candidate whose solve runs out of budget is that candidate's reason,
         and the search goes on to the ideality that calibrates."""
-        spec = OUT_OF_BUDGET_AT_GUESS
+        spec = OUT_OF_BUDGET_AT_FIRST
         monkeypatch.setattr(pv_model, "_CURRENT_BUDGET", OUT_OF_BUDGET_ITERATIONS)
         with pytest.raises(NonConvergence):
             _fit_at_ideality(spec, 1.3)
@@ -429,9 +418,9 @@ class TestCalibration:
     def test_no_candidate_after_one_out_of_budget_is_a_nonconvergence(self, monkeypatch):
         """When no candidate calibrates and one ran out of budget, the one error
         is a NonConvergence giving every candidate's reason in the order tried."""
-        spec = OUT_OF_BUDGET_AT_GUESS
+        spec = OUT_OF_BUDGET_AT_FIRST
         monkeypatch.setattr(pv_model, "_CURRENT_BUDGET", OUT_OF_BUDGET_ITERATIONS)
-        monkeypatch.setattr(pv_model, "_IDEALITY_FALLBACKS", (1.0, 1.05))
+        monkeypatch.setattr(pv_model, "_IDEALITIES", (1.3, 1.0, 1.05))
         with pytest.raises(NonConvergence) as failure:
             extract_single_diode_params.__wrapped__(spec)
         assert str(failure.value) == (
@@ -508,40 +497,78 @@ class TestCalibration:
         assert feasible >= 25, f"only {feasible}/40 random datasheets calibrated"
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(
+# The calibration property generator: a datasheet from its open-circuit voltage per
+# cell, cell count, short-circuit current, the fractions of them at maximum power and
+# p_mp up to 0.9% off v_mp*i_mp, so that about a third of the draws calibrate.
+_DATASHEET_DRAWS = dict(
     v_cell=st.floats(0.2, 1.2), n_cells=st.integers(1, 200), i_sc=st.floats(0.01, 100.0),
-    v_frac=st.floats(0.5, 0.99), i_frac=st.floats(0.7, 0.99),
-    p_skew=st.floats(-0.009, 0.009), guess=st.floats(0.1, 10.0),
+    v_frac=st.floats(0.5, 0.99), i_frac=st.floats(0.7, 0.99), p_skew=st.floats(-0.009, 0.009),
 )
-def test_calibration_verifies_or_raises_a_calibration_error(
-    v_cell, n_cells, i_sc, v_frac, i_frac, p_skew, guess
-):
-    """Property: a random datasheet either calibrates to parameters that meet the
-    three STC conditions to 0.5%, or raises InfeasibleSpec or NonConvergence;
-    one with p_mp more than 0.5% off v_mp*i_mp is rejected before, naming p_mp.
 
-    The open-circuit voltage is drawn per cell, and p_mp up to 0.9% off
-    v_mp*i_mp, so that about a third of the draws calibrate.
+
+def _drawn_datasheet(v_cell, n_cells, i_sc, v_frac, i_frac, p_skew) -> PVModuleSpec:
+    """The datasheet of one draw of :data:`_DATASHEET_DRAWS`.
+
+    Raises:
+        InvalidValue: naming p_mp, where it is more than 0.5% off v_mp*i_mp.
     """
     v_oc = v_cell * n_cells
     v_mp, i_mp = v_oc * v_frac, i_sc * i_frac
     try:
-        spec = PVModuleSpec(p_mp=v_mp * i_mp * (1.0 + p_skew), v_mp=v_mp, i_mp=i_mp, v_oc=v_oc,
+        return PVModuleSpec(p_mp=v_mp * i_mp * (1.0 + p_skew), v_mp=v_mp, i_mp=i_mp, v_oc=v_oc,
                             i_sc=i_sc, n_cells=n_cells)
     except InvalidValue as exc:
         assert str(exc).startswith("p_mp ") and abs(p_skew) > 0.0049
+        raise
+
+
+def _first_fit(spec: PVModuleSpec) -> SingleDiodeParams | None:
+    """What ``_fit_at_ideality`` returns at the first of ``_IDEALITIES`` at which it
+    returns, or None if it raises at each."""
+    for n_ideality in pv_model._IDEALITIES:
+        with contextlib.suppress(InfeasibleSpec, NonConvergence):
+            return _fit_at_ideality(spec, n_ideality)
+    return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(**_DATASHEET_DRAWS)
+def test_calibration_verifies_or_raises_a_calibration_error(**draw):
+    """Property: a random datasheet either calibrates to parameters that meet the
+    three STC conditions to 0.5%, or raises InfeasibleSpec or NonConvergence;
+    one with p_mp more than 0.5% off v_mp*i_mp is rejected before, naming p_mp."""
+    try:
+        spec = _drawn_datasheet(**draw)
+    except InvalidValue:
         return
     try:
-        params = extract_single_diode_params(spec, n_ideality_guess=guess)
+        params = extract_single_diode_params(spec)
     except (InfeasibleSpec, NonConvergence):
         return
-    assert abs(module_current(params, 0.0) - i_sc) <= 0.005 * i_sc
-    assert abs(module_current(params, v_oc)) <= 0.005 * i_sc
+    assert abs(module_current(params, 0.0) - spec.i_sc) <= 0.005 * spec.i_sc
+    assert abs(module_current(params, spec.v_oc)) <= 0.005 * spec.i_sc
     got = mpp(PVArraySpec(module=spec, n_series=1, n_parallel=1), params,
               EnvCondition(g=spec.g_stc, t=spec.t_stc))
     assert abs(got.p_mp - spec.p_mp) <= 0.005 * spec.p_mp
-    assert abs(got.v_mp - v_mp) <= 0.005 * v_mp
+    assert abs(got.v_mp - spec.v_mp) <= 0.005 * spec.v_mp
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(**_DATASHEET_DRAWS)
+def test_calibration_keeps_the_first_ideality_that_fits(**draw):
+    """Property: calibration tries ``_IDEALITIES`` in order and keeps the first
+    at which ``_fit_at_ideality`` returns, with exactly its parameters; a
+    datasheet that none of them fits raises."""
+    try:
+        spec = _drawn_datasheet(**draw)
+    except InvalidValue:
+        return
+    first = _first_fit(spec)
+    if first is None:
+        with pytest.raises((InfeasibleSpec, NonConvergence)):
+            extract_single_diode_params(spec)
+    else:
+        assert extract_single_diode_params(spec) == first
 
 
 def _fitted(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams:
@@ -559,13 +586,13 @@ def _fitted(spec: PVModuleSpec, n_ideality: float) -> SingleDiodeParams:
 # Each real datasheet at the ideality it calibrates at, and the 91.6 kW one at
 # 1.3, where only the exponent cap rejects I(v_oc), and at 1.35.
 _STC_FITS = [(PVModuleSpec(*sheet[:5], n_cells=sheet[5]), None) for sheet in DATASHEETS] + [
-    (OUT_OF_BUDGET_AT_GUESS, 1.3), (OUT_OF_BUDGET_AT_GUESS, 1.35)]
+    (OUT_OF_BUDGET_AT_FIRST, 1.3), (OUT_OF_BUDGET_AT_FIRST, 1.35)]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(fit=st.sampled_from(_STC_FITS), k_ph=st.floats(0.98, 1.02), k_0=st.floats(0.9, 1.1),
        k_sh=st.floats(0.5, 2.0))
-@example(fit=(OUT_OF_BUDGET_AT_GUESS, 1.3), k_ph=1.0, k_0=1.0, k_sh=1.0)
+@example(fit=(OUT_OF_BUDGET_AT_FIRST, 1.3), k_ph=1.0, k_0=1.0, k_sh=1.0)
 def test_explicit_stc_check_agrees_with_the_current_solve(fit, k_ph, k_0, k_sh):
     """Property: the STC current check that calibration makes without a solve,
     ``_current_within``, says |I(v) - c| <= 0.5% of i_sc exactly when the
@@ -594,7 +621,7 @@ _NEAR_ONE = st.builds(lambda e, sign: 1.0 + sign * 10.0**e, st.floats(-7.0, -1.7
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(fit=st.sampled_from(_STC_FITS), k_ph=_NEAR_ONE, k_0=_NEAR_ONE, k_sh=_NEAR_ONE)
-@example(fit=(OUT_OF_BUDGET_AT_GUESS, 1.3), k_ph=1.0, k_0=1.0, k_sh=1.0)
+@example(fit=(OUT_OF_BUDGET_AT_FIRST, 1.3), k_ph=1.0, k_0=1.0, k_sh=1.0)
 @example(fit=_STC_FITS[0], k_ph=1.0, k_0=1.0, k_sh=1.0)
 def test_explicit_mpp_check_agrees_with_the_mpp_solve(fit, k_ph, k_0, k_sh):
     """Property: where the maximum-power check that calibration makes on the
@@ -636,7 +663,7 @@ def test_the_exponent_cap_decides_the_stc_check():
     """At ideality 1.3 the 91.6 kW datasheet has v_oc/a = 692.4, past the cap of
     690, so the capped residual rejects I(v_oc) = 0 as the solve does; the
     residual without the cap would accept it."""
-    spec = OUT_OF_BUDGET_AT_GUESS
+    spec = OUT_OF_BUDGET_AT_FIRST
     params = _fitted(spec, 1.3)
     d = DATASHEET_TOL * spec.i_sc
     assert spec.v_oc / params.a > pv_model._EXP_CAP

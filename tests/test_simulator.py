@@ -150,10 +150,20 @@ class TestScenarioValidation:
              "irradiance profile segment 2: t_start must be after 0.1, got 0.1"),
             (((1e-300, 1e3, 25.0),), None,
              "irradiance profile segment 0: t_start must be 0, got 1e-300"),
+            (((0.0, 1000.0, 25.0), (0.01, True, 25.0)), None,
+             "irradiance profile segment 1: g must be finite and in [0, 2000] W/m², got True"),
+            (((0, 1000, True), (1, 500.0, -40)), None,
+             "irradiance profile segment 0: t_cell must be finite and in [-40, 90] °C, "
+             "got True"),
+            (((0.0, 1e3, 25.0),), ((0.0, 1e5, 1e5), (0.01, False, 1e5)),
+             "load profile segment 1: p must be finite, got False"),
+            (((0.0, 1e3, 25.0),), ((0.0, 1e5, 1e5), (0.01, 1e5, np.True_)),
+             "load profile segment 1: q must be finite, got np.True_"),
         ],
         ids=["first-bad-segment", "g-before-t_cell", "segment-before-field",
              "g-above-envelope", "first-non-finite", "irradiance-before-load",
-             "int-past-float-range", "duplicate-start", "late-start"],
+             "int-past-float-range", "duplicate-start", "late-start", "bool-among-floats",
+             "bool-among-ints", "load-bool", "load-numpy-bool"],
     )
     def test_profile_check_messages(self, irradiance, load, message):
         """Every profile check gives one message form naming the first failing
@@ -165,10 +175,10 @@ class TestScenarioValidation:
         assert str(err.value) == message
 
     def test_profile_values_at_float_range_edge(self):
-        """The largest double, and Python ints and bools in range, are accepted
-        and kept as floats."""
+        """The largest double, and Python ints in range, are accepted and kept as
+        floats."""
         s = make_scenario(
-            irradiance=((0, 1000, True), (1, 500.0, -40)),
+            irradiance=((0, 1000, 1), (1, 500.0, -40)),
             load=((0.0, sys.float_info.max, -sys.float_info.max),),
         )
         assert s.load[1, 0] == sys.float_info.max
@@ -230,9 +240,16 @@ class TestScenarioValidation:
              "irradiance profile segment 0: t_start must be finite, got '0'"),
             ({"load": [[0.0, 1.0], [1e5, None], [0.0, 0.0]]},
              "load profile segment 1: p must be finite, got None"),
+            ({"irradiance": [[0.0, 0.01], [1000.0, True], [25.0, 25.0]]},
+             "irradiance profile segment 1: g must be finite and in [0, 2000] W/m², got True"),
+            ({"load": np.array([[False], [True], [True]])},
+             "load profile segment 0: t_start must be finite, got False"),
+            ({"irradiance": [np.zeros(1), np.array([True]), np.full(1, 25.0)]},
+             "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², got True"),
         ],
         ids=["shape", "ragged", "int-past-float-range", "int-rounding-to-largest-double",
-             "empty", "non-finite", "domain", "numeric-strings", "none"],
+             "empty", "non-finite", "domain", "numeric-strings", "none", "bool-in-list",
+             "bool-array", "bool-array-row"],
     )
     def test_profile_columns_checked(self, profiles, message):
         """Each check of the columns keeps its message and precedence; a value
