@@ -12,10 +12,10 @@ printed result shows it in), and
 :func:`check_fields` holds each field to it as one real number; the same
 table (:func:`numeric_fields`) gives the scenario document's keys,
 defaults and JSON schema.  :func:`require` judges a function's numbers,
-and :func:`require_each` an array's entries.  The CLI exits 2 on
-:class:`NonConvergence`, 1 on any other pvgrid error (a datasheet that
-cannot be calibrated is an :class:`InfeasibleSpec`), and lets any other
-exception, a bug, end in a traceback.
+:func:`require_each` an array's entries and :func:`require_integer` a
+count.  The CLI exits 2 on :class:`NonConvergence`, 1 on any other pvgrid
+error (a datasheet that cannot be calibrated is an :class:`InfeasibleSpec`),
+and lets any other exception, a bug, end in a traceback.
 """
 
 from __future__ import annotations
@@ -110,6 +110,16 @@ def require_each(values: dict[str, object], bound: Bound = FINITE) -> None:
         require({name: value}, bound)
 
 
+def require_integer(values: dict[str, object]) -> None:
+    """Raise :class:`InvalidValue` naming the first of ``values`` that is no
+    integer by ``operator.index`` (a numpy integer is one, a bool is none)."""
+    for name, value in values.items():
+        try:
+            operator.index(None if isinstance(value, bool) else value)
+        except TypeError:
+            raise InvalidValue(f"{name} must be an integer, got {value!r}") from None
+
+
 def bounded(bound: Bound, default: object = MISSING, *, unit: str = ""):
     """A dataclass field whose value :func:`check_fields` holds to ``bound``;
     ``unit`` is the SI unit its value is printed in."""
@@ -146,7 +156,4 @@ def check_fields(record: object, prefix: str = "") -> None:
         value = getattr(record, name)
         require({prefix + name: value}, bound)
         if integer:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise InvalidValue(f"{prefix}{name} must be an integer, got {value!r}") from None
+            require_integer({prefix + name: value})

@@ -3,11 +3,12 @@
 The PV model uses two of them: a safeguarded Newton iteration over arrays
 of independent problems (the diode-current and maximum-power solves), and
 Brent's method for derivative-free roots (calibration and open-circuit
-voltage).  The scalar Newton iteration and the golden-section maximizer
-have no caller in the package.  They stay only because the benchmark
-tracer (``perfbench/tracing.COUNTED_F``) looks both up by name, and the
-scalar iteration is also the tests' step-for-step reference for the
-batched one; both go with ROADMAP item 2.
+voltage).  The batched iteration runs on whole arrays, freezing converged
+problems by a mask.  The scalar Newton iteration and the golden-section
+maximizer have no caller in the package.  They stay only because the
+benchmark tracer (``perfbench/tracing.COUNTED_F``) looks both up by name,
+and the scalar iteration is also the tests' step-for-step reference for
+the batched one; both go with ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -90,30 +91,33 @@ def newton_bisect(
 
 
 def newton_bisect_array(
-    fdf: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    fdf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     lo: np.ndarray,
     hi: np.ndarray,
-    f_lo: np.ndarray,
-    f_hi: np.ndarray,
+    f_lo: np.ndarray | float,
+    f_hi: np.ndarray | float,
     *,
     f_tol: np.ndarray | float,
     x0: np.ndarray,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """:func:`newton_bisect` on many independent problems at once.
+    """:func:`newton_bisect` on many independent problems at once, on whole arrays.
 
     Element k takes exactly the steps ``newton_bisect`` takes on problem k
     alone, so with elementwise arithmetic the roots are the same doubles.
-    Only problems still above their tolerance are evaluated.
+    Every call of ``fdf`` gets the points of all problems; one that has
+    converged stays frozen at its root by a mask while the others move.
 
     Args:
-        fdf: ``fdf(x, k)`` gives the residuals and derivatives of the
-            problems with indices ``k`` at the points ``x`` (same length).
-            It runs with numpy's floating-point warnings off.
+        fdf: ``fdf(x)`` gives the residuals and derivatives of all problems
+            at the points ``x``, elementwise: entry k depends on ``x[k]``
+            alone.  It runs with numpy's floating-point warnings off.
         lo: Lower bracket endpoints.
         hi: Upper bracket endpoints.
-        f_lo: Residuals at ``lo``, which callers have already evaluated.
-        f_hi: Residuals at ``hi``.
+        f_lo: Residuals at ``lo``, one or one per problem.  An end known only
+            to be outside the tolerance may be given as ``inf`` or ``-inf`` of
+            its sign: the steps are the same, bar the tie-break below.
+        f_hi: Residuals at ``hi``, likewise.
         f_tol: Absolute residual tolerance, one or one per problem.
         x0: Initial iterates; one outside its bracket starts at the midpoint.
         max_iter: Evaluation budget per problem.
@@ -127,38 +131,41 @@ def newton_bisect_array(
         NonConvergence: if a problem exhausts the budget first.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f_lo, f_hi = np.array(f_lo), np.array(f_hi)
-    tol = np.broadcast_to(f_tol, lo.shape)
+    f_lo, f_hi, tol = (np.full(lo.shape, f, dtype=float) for f in (f_lo, f_hi, f_tol))
     at_lo = np.abs(f_lo) <= tol
     at_hi = ~at_lo & (np.abs(f_hi) <= tol)
-    x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
-    x = np.where(at_lo, lo, np.where(at_hi, hi, x))
-    k = np.flatnonzero(~(at_lo | at_hi))
-    for j in k[(f_lo[k] > 0.0) == (f_hi[k] > 0.0)][:1]:
+    open_ = ~(at_lo | at_hi)
+    up = f_lo > 0.0  # the sign of f at lo, which lo keeps as it moves
+    for j in np.flatnonzero(open_ & (up == (f_hi > 0.0)))[:1]:
         raise ValueError(f"no sign change on bracket [{float(lo[j])!r}, {float(hi[j])!r}]")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
+        x = np.where(at_lo, lo, np.where(at_hi, hi, x))
         for _ in range(max_iter):
-            if not len(k):
+            if not open_.any():
                 return x
-            x_k = x[k]
-            f_x, d = fdf(x_k, k)
-            open_ = np.abs(f_x) > tol[k]
-            k, x_k, f_x, d = k[open_], x_k[open_], f_x[open_], d[open_]
-            to_lo = (f_x > 0.0) == (f_lo[k] > 0.0)
-            lo[k[to_lo]], f_lo[k[to_lo]] = x_k[to_lo], f_x[to_lo]
-            hi[k[~to_lo]], f_hi[k[~to_lo]] = x_k[~to_lo], f_x[~to_lo]
-            lo_k, hi_k = lo[k], hi[k]
-            shut = np.nextafter(lo_k, np.inf) >= hi_k  # no double strictly inside the bracket
+            f_x, d = fdf(x)
+            open_ &= ~(np.abs(f_x) <= tol)
+            # A frozen problem's bracket no longer matters, so every bracket moves.
+            to_lo = (f_x > 0.0) == up
+            to_hi = ~to_lo
+            np.putmask(lo, to_lo, x)
+            np.putmask(hi, to_hi, x)
+            np.putmask(f_lo, to_lo, f_x)
+            np.putmask(f_hi, to_hi, f_x)
+            # A midpoint strictly inside is a double there; elsewhere nextafter decides.
+            mid = 0.5 * (lo + hi)
+            shut = open_ & ((mid <= lo) | (mid >= hi))
             if shut.any():  # stop at the end with the smaller |f|
-                j = k[shut]
-                x[j] = np.where(np.abs(f_lo[j]) <= np.abs(f_hi[j]), lo[j], hi[j])
-                k, x_k, f_x, d, lo_k, hi_k = (a[~shut] for a in (k, x_k, f_x, d, lo_k, hi_k))
-            x_new = x_k - f_x / d
-            step_ok = (d != 0.0) & (lo_k < x_new) & (x_new < hi_k)
-            x[k] = np.where(step_ok, x_new, 0.5 * (lo_k + hi_k))
-    if len(k):
+                shut &= np.nextafter(lo, np.inf) >= hi
+                np.putmask(x, shut, np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi))
+                open_ ^= shut
+            # A zero derivative gives an infinite or NaN step, which is not inside.
+            x_new = x - f_x / d
+            np.putmask(x, open_, np.where((lo < x_new) & (x_new < hi), x_new, mid))
+    if open_.any():
         raise NonConvergence(
-            f"newton_bisect: no root to |f| <= {tol[k[0]]:g} within {max_iter} iterations"
+            f"newton_bisect: no root to |f| <= {tol[open_.argmax()]:g} within {max_iter} iterations"
         )
     return x
 

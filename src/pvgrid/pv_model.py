@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (
     NON_NEGATIVE, POSITIVE, Bound, DarkArray, InfeasibleSpec, InvalidValue, NonConvergence,
-    bounded, check_fields, require, within,
+    bounded, check_fields, require, require_integer, within,
 )
 # golden_max and the scalar newton_bisect have no caller: they are imported only for
 # perfbench/tracing.COUNTED_F, which looks them up here by name (ROADMAP item 2).
@@ -267,23 +267,19 @@ def module_voc(params: SingleDiodeParams) -> float:
     return brentq(residual, 0.0, v_hi, xtol=1e-12, rtol=8.9e-16)
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` (``math.exp`` or ``math.expm1``) elementwise.  numpy's vectorised
-    exp and expm1 can differ from libm's in the last bit, which moves the
-    sweep's last current, solver noise at v_oc (``pv-curve --points 3`` ends
-    at -9.4369e-16 A).  The fleet_minutely and cli_mix benchmark references
-    and the ``pv-curve --json`` pin record that current exactly."""
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
-
-
 def _expm1(x: np.ndarray) -> np.ndarray:
-    """``math.expm1`` elementwise.
+    """libm's expm1 (``math.expm1``) elementwise.  numpy's can differ in the last
+    bit, and the sweep's last current, solver noise at v_oc (``pv-curve --points
+    3`` ends at -9.4369e-16 A), depends on every bit of three libm results: the
+    start of :func:`_module_currents`, :func:`_translate` and :func:`module_voc`.
+    The benchmark references and the ``pv-curve --json`` pins record that
+    current exactly, until ROADMAP item 3 makes it exactly 0.
 
     Raises:
         InvalidValue: if an exponent overflows a double.
     """
     try:
-        return _libm(math.expm1, x)
+        return np.fromiter(map(math.expm1, x.tolist()), float, len(x))
     except OverflowError:
         raise InvalidValue(f"diode term exp({x.max():.6g}) overflows a double") from None
 
@@ -300,53 +296,44 @@ def _lit(i_ph, i_0, a: float):
         return i_ph * (a * np.log1p(i_ph / i_0)) >= sys.float_info.min
 
 
-def _residual(params: SingleDiodeParams, v: np.ndarray, i: np.ndarray) -> np.ndarray:
+def _residual(params: SingleDiodeParams, v: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, ...]:
     """The diode residual f(v, i) = i_ph - i_0*expm1(x/a) - x/r_sh - i, x = v + i*r_s,
-    at each pair of ``v`` and ``i``, with expm1 from ``math`` and taken as
-    infinite past :data:`_EXP_CAP`."""
+    and its slope df/di, at each pair of ``v`` and ``i``.  expm1 is numpy's,
+    taken as infinite past :data:`_EXP_CAP`, where f and df/di are -inf."""
     x = v + i * params.r_s
     z = x / params.a
-    e = np.where(z > _EXP_CAP, np.inf, _libm(math.expm1, np.minimum(z, _EXP_CAP)))
-    return params.i_ph - params.i_0 * e - x / params.r_sh - i
+    e = np.expm1(np.where(z > _EXP_CAP, np.inf, z))
+    return (params.i_ph - params.i_0 * e - x / params.r_sh - i,
+            -(params.i_0 * params.r_s / params.a) * (e + 1.0) - params.r_s / params.r_sh - 1.0)
 
 
 def _module_currents(params: SingleDiodeParams, v: np.ndarray) -> np.ndarray:
     """Module current at every voltage of ``v`` (each >= 0), in one batched solve.
 
-    A safeguarded Newton iteration on the residual of each voltage keeps a
-    sign-changing bracket at all times, its lower end grown until the
+    A safeguarded Newton iteration on :func:`_residual` at each voltage keeps
+    a sign-changing bracket at all times, its lower end grown until the
     residual there is positive, so the result is deterministic and each
-    residual is below 1e-9 of the photocurrent scale.  exp and expm1 come
-    from ``math``.
+    residual is below 1e-9 of the photocurrent scale.  The iterations take
+    numpy's expm1; the start, the current at diode voltage v, takes libm's
+    (:func:`_expm1`), and at v = v_oc it already meets the tolerance, so the
+    sweep's last current is the start, bit for bit, whatever numpy's loop.
 
     Raises:
         NonConvergence: if a bracket cannot be found or a budget runs out.
     """
-    i_ph, i_0, r_s, r_sh, a = params.i_ph, params.i_0, params.r_s, params.r_sh, params.a
-
-    def residual(i: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return _residual(params, v[k], i)
-
-    def residual_and_slope(i: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = (v[k] + i * r_s) / a
-        slope = -(i_0 * r_s / a) * _libm(math.exp, np.minimum(z, _EXP_CAP)) - r_s / r_sh - 1.0
-        return residual(i, k), np.where(z > _EXP_CAP, -np.inf, slope)
-
-    every = np.arange(len(v))
+    i_ph, i_0, r_sh, a = params.i_ph, params.i_0, params.r_sh, params.a
     lo = np.full(len(v), -0.02 * i_ph - 1.0)
-    f_lo = residual(lo, every)
-    grow = every[f_lo <= 0.0]
-    while len(grow):
+    f_lo, _ = _residual(params, v, lo)
+    while (grow := f_lo <= 0.0).any():
         lo[grow] *= 4.0
         if (lo[grow] < -1e12).any():
             raise NonConvergence("module_current: could not bracket the root")
-        f_lo[grow] = residual(lo[grow], grow)
-        grow = grow[f_lo[grow] <= 0.0]
+        f_lo, _ = _residual(params, v, lo)
     hi = np.full(len(v), i_ph + 1.0)
-    guess = i_ph - i_0 * _libm(math.expm1, np.minimum(v / a, _EXP_CAP)) - v / r_sh
+    start = i_ph - i_0 * _expm1(np.minimum(v / a, _EXP_CAP)) - v / r_sh
     return newton_bisect_array(
-        residual_and_slope, lo, hi, f_lo, residual(hi, every),
-        f_tol=1e-9 * max(i_ph, 1.0), x0=guess, max_iter=_CURRENT_BUDGET,
+        lambda i: _residual(params, v, i), lo, hi, f_lo, _residual(params, v, hi)[0],
+        f_tol=1e-9 * max(i_ph, 1.0), x0=start, max_iter=_CURRENT_BUDGET,
     )
 
 
@@ -357,7 +344,7 @@ def _current_within(params: SingleDiodeParams, v: float, c: float, d: float) -> 
     Its residual f(v, i) falls with i at a slope of -1 or steeper, so
     |I(v) - c| <= d exactly when f(v, c - d) >= 0 >= f(v, c + d).
     """
-    f_lo, f_hi = _residual(params, np.array([v, v]), np.array([c - d, c + d]))
+    (f_lo, f_hi), _ = _residual(params, np.array([v, v]), np.array([c - d, c + d]))
     return f_lo >= 0.0 >= f_hi
 
 
@@ -389,9 +376,10 @@ def _module_mpp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Module ``(v, i)`` at maximum power of each curve; ``(0, 0)`` where it is dark.
 
-    dP/dvd (:func:`_curve_point`) is > 0 at vd = 0 and < 0 at
-    a*log1p(i_ph/i_0).  Every lit curve (see :func:`_lit`) gets one
-    Newton-bisection on that bracket, all curves at once.
+    dP/dvd (:func:`_curve_point`) is i_ph*(1 + 2*r_s*g) at vd = 0 and below
+    -i_ph at a*log1p(i_ph/i_0), so both ends are far outside the tolerance
+    and the solve is given only their signs.  Every lit curve (see
+    :func:`_lit`) gets one Newton-bisection on that bracket, all curves at once.
 
     Raises:
         NonConvergence: if a solve fails or its result fails :func:`_is_maximum`.
@@ -399,31 +387,24 @@ def _module_mpp(
     v_out, i_out = np.zeros(i_ph.shape), np.zeros(i_ph.shape)
     lit = _lit(i_ph, i_0, a)
     i_ph, i_0, r_sh = i_ph[lit], i_0[lit], r_sh[lit]
-    every = np.arange(len(i_ph))
 
-    def point(vd: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-        return _curve_point(i_ph[k], i_0[k], r_sh[k], r_s, a, vd)
-
-    def slope_and_curvature(vd: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v, i, g, e, f = point(vd, k)
-        return f, -2.0 * g * (1.0 + r_s * g) + (i_0[k] / a**2) * e * (i * r_s - v)
+    def slope_and_curvature(vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v, i, g, e, f = _curve_point(i_ph, i_0, r_sh, r_s, a, vd)
+        return f, -2.0 * g * (1.0 + r_s * g) + (i_0 / a**2) * e * (i * r_s - v)
 
     x_oc = np.log1p(i_ph / i_0)
-    lo, hi = np.zeros(i_ph.shape), a * x_oc
     # Start one fixed-point step into the ideal-diode maximum (1 + x)*e^x = e^x_oc.
     x0 = a * (x_oc - np.log1p(x_oc))
     try:
-        vd = newton_bisect_array(
-            slope_and_curvature, lo, hi, point(lo, every)[-1], point(hi, every)[-1],
-            f_tol=1e-9 * i_ph, x0=x0,
-        )
+        vd = newton_bisect_array(slope_and_curvature, np.zeros(i_ph.shape), a * x_oc,
+                                 np.inf, -np.inf, f_tol=1e-9 * i_ph, x0=x0)
     except ValueError:
         raise NonConvergence(
             "mpp: dP/dVd does not change sign on the diode-voltage bracket"
         ) from None
     except NonConvergence:
         raise NonConvergence("mpp: no root of dP/dVd within 100 iterations") from None
-    v, i, g, _, f = point(vd, every)
+    v, i, g, _, f = _curve_point(i_ph, i_0, r_sh, r_s, a, vd)
     if not _is_maximum(v, i, g, f, r_s).all():
         raise NonConvergence("mpp: gradient criterion not met at the solved point")
     v_out[lit], i_out[lit] = v, i
@@ -674,8 +655,9 @@ def array_iv_sweep(
         array: Series/parallel composition.
         params: STC-calibrated module parameters.
         env: Operating environment.
-        n_points: Number of samples, from 3 to :data:`MAX_POINTS`.
+        n_points: Number of samples, an integer (not a bool) from 3 to :data:`MAX_POINTS`.
     """
+    require_integer({"n_points": n_points})
     if n_points < 3:
         raise InvalidValue(f"n_points must be at least 3, got {n_points}")
     if n_points > MAX_POINTS:

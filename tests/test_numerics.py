@@ -6,10 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pvgrid.errors import NonConvergence
+from pvgrid import pv_model
+from pvgrid.errors import InfeasibleSpec, InvalidValue, NonConvergence
 from pvgrid.numerics import brentq, golden_max, newton_bisect, newton_bisect_array
-from pvgrid.pv_model import EnvCondition, adjust_params, module_voc
+from pvgrid.pv_model import (
+    G_MAX, EnvCondition, PVArraySpec, PVModuleSpec, adjust_params, array_iv_sweep,
+    extract_single_diode_params, module_voc,
+)
 
 from conftest import REF_MODULE
 
@@ -129,6 +135,14 @@ def _newton_cases() -> dict[str, tuple]:
                    0.0, 1.0, 0.0, None, 3),
         "no-double-inside": (lambda x: 1e20 * (x * x - 2.0), lambda x: 2e20 * x,
                              1.0, 2.0, 1e-9, None, 100),
+        # The bracket closes on two doubles whose residuals differ in size.
+        "no-double-inside-uneven": (lambda x: 1e20 * (x * x - 5.0), lambda x: 2e20 * x,
+                                    1.0, 4.0, 1e-9, None, 100),
+        # lo + hi overflows, so the midpoint is inf although doubles lie inside.
+        "overflowing-midpoint": (lambda x: x - 1.5e308, lambda x: 1.0,
+                                 1e308, 1.7e308, 1e293, 1.2e308, 100),
+        # A zero derivative bisects every step: 40 evaluations to this tolerance.
+        "bisection-40": (lambda x: x - 1.0 / 3.0, lambda x: 0.0, 0.0, 1.0, 5e-13, None, 100),
     }
     rng = np.random.default_rng(42)
     for n in range(200):
@@ -154,19 +168,26 @@ def _scalar(case: tuple, max_iter: int | None = None):
         return exc
 
 
-def _batched(cases: list[tuple], max_iter: int | None = None):
+def _batched(cases: list[tuple], max_iter: int | None = None, *, calls: list | None = None,
+             signs_only: bool = False):
     """newton_bisect_array's roots of ``cases`` in one batch, or the error it
-    raises.  The batch's budget is the smallest of its cases'."""
+    raises.  The batch's budget is the smallest of its cases'.  Each point
+    array ``fdf`` gets is appended to ``calls``; with ``signs_only`` the
+    bracket ends' residuals go in as +-inf of their sign."""
     def column(j: int) -> np.ndarray:
         return np.array([np.nan if c[j] is None else c[j] for c in cases], dtype=float)
 
-    def fdf(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [(cases[j][0](xj), cases[j][1](xj)) for xj, j in zip(x.tolist(), k.tolist())]
+    def fdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if calls is not None:
+            calls.append(x.copy())
+        pairs = [(c[0](xj), c[1](xj)) for c, xj in zip(cases, x.tolist())]
         return np.array(pairs, dtype=float).reshape(-1, 2).T
 
     lo, hi = column(2), column(3)
     f_lo = np.array([c[0](c[2]) for c in cases], dtype=float)
     f_hi = np.array([c[0](c[3]) for c in cases], dtype=float)
+    if signs_only:
+        f_lo, f_hi = np.copysign(np.inf, f_lo), np.copysign(np.inf, f_hi)
     try:
         return newton_bisect_array(
             fdf, lo, hi, f_lo, f_hi, f_tol=column(4), x0=column(5),
@@ -228,6 +249,63 @@ class TestNewtonBisectArray:
         want = _scalar(case, needed - 1)
         assert isinstance(want, NonConvergence)
         assert _same(_batched([case], needed - 1), want)
+
+    def test_fdf_gets_whole_arrays_and_a_converged_root_stays_frozen(self):
+        """Every call of fdf gets the points of all problems, and a problem that
+        converges in 5 steps beside one that takes 40 stays frozen at its root:
+        the scalar's double, as it is alone."""
+        fast, slow = NEWTON_CASES["cosine"], NEWTON_CASES["bisection-40"]
+        calls = []
+        assert _batched([fast, slow], calls=calls) == [_scalar(fast), _scalar(slow)]
+        assert len(calls) == 40
+        assert all(x.shape == (2,) for x in calls)
+        assert [x[0] for x in calls[5:]] == [_scalar(fast)] * 35
+        assert _batched([fast]) == [_scalar(fast)]
+
+    def test_signs_of_the_ends_suffice(self):
+        """Bracket-end residuals given only as +-inf of their sign, when both
+        ends are outside the tolerance, give every converging problem the
+        scalar's double, and still reject a bracket without a sign change."""
+        cases = [c for name, c in NEWTON_CASES.items()
+                 if name not in (*FAILING, "endpoint")]
+        assert _batched(cases, signs_only=True) == [_scalar(c) for c in cases]
+        no_sign_change = NEWTON_CASES["no-sign-change"]
+        assert _same(_batched([no_sign_change], signs_only=True), _scalar(no_sign_change))
+
+
+_EDGE_G = st.sampled_from([1.0, G_MAX]) | st.floats(1.0, G_MAX)
+_EDGE_T = st.sampled_from([-40.0, 90.0]) | st.floats(-40.0, 90.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(v_cell=st.floats(0.5, 0.75), n_cells=st.sampled_from([36, 60, 72, 96, 144]),
+       i_sc=st.floats(0.5, 15.0), v_frac=st.floats(0.74, 0.86), i_frac=st.floats(0.88, 0.96),
+       g=_EDGE_G, t=_EDGE_T, n_points=st.sampled_from([3, 500]))
+@example(v_cell=0.605, n_cells=60, i_sc=7.84, v_frac=0.8, i_frac=0.9375, g=1.0, t=-40.0, n_points=3)
+@example(v_cell=0.605, n_cells=60, i_sc=7.84, v_frac=0.8, i_frac=0.9375, g=G_MAX, t=90.0,
+         n_points=500)
+def test_sweep_ends_at_the_libm_start(v_cell, n_cells, i_sc, v_frac, i_frac, g, t, n_points):
+    """Property: the last current of a sweep, at v = v_oc, is the start of the
+    current solve, i_ph - i_0*expm1(v/a) - v/r_sh with libm's expm1, bit for bit.
+    The solve accepts that start before any step, so the numpy exponentials of
+    its iterations do not reach the end point that the benchmark references and
+    the pv-curve pins record.  ROADMAP item 3, which ends every sweep at exactly
+    (v_oc, 0), retires this property."""
+    v_oc = v_cell * n_cells
+    try:
+        spec = PVModuleSpec(p_mp=v_oc * v_frac * i_sc * i_frac, v_mp=v_oc * v_frac,
+                            i_mp=i_sc * i_frac, v_oc=v_oc, i_sc=i_sc, n_cells=n_cells)
+        params = extract_single_diode_params(spec)
+    except (InvalidValue, InfeasibleSpec, NonConvergence):
+        return
+    env = EnvCondition(g, t)
+    p = adjust_params(params, spec, env)
+    curve = array_iv_sweep(PVArraySpec(module=spec, n_series=1, n_parallel=1), params, env,
+                           n_points)
+    v = float(curve.v[-1])
+    assert v == module_voc(p)
+    start = p.i_ph - p.i_0 * math.expm1(min(v / p.a, pv_model._EXP_CAP)) - v / p.r_sh
+    assert float(curve.i[-1]) == start, (float(curve.i[-1]), start)
 
 
 # ======================================================================

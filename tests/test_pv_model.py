@@ -839,8 +839,24 @@ class TestArraySweep:
 
     def test_too_few_points_rejected(self, ref_array, ref_params):
         """n_points < 3 is a caller error."""
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue, match="^n_points must be at least 3, got 2$"):
             array_iv_sweep(ref_array, ref_params, EnvCondition(1000.0, 25.0), 2)
+
+    @pytest.mark.parametrize("n_points", [3.5, 3.0, math.nan, "5", None, True],
+                             ids=["3.5", "3.0", "nan", "str", "None", "True"])
+    def test_point_count_is_an_integer(self, ref_array, ref_params, n_points):
+        """A count that holds no integer, a bool included, is an InvalidValue
+        naming n_points, not a TypeError from numpy or a count of 1."""
+        with pytest.raises(InvalidValue) as failure:
+            array_iv_sweep(ref_array, ref_params, EnvCondition(1000.0, 25.0), n_points)
+        assert str(failure.value) == f"n_points must be an integer, got {n_points!r}"
+
+    def test_numpy_integer_point_count(self, ref_array, ref_params):
+        """A numpy integer is a count, and one out of range keeps the int's message."""
+        env = EnvCondition(1000.0, 25.0)
+        assert len(array_iv_sweep(ref_array, ref_params, env, np.int64(37)).v) == 37
+        with pytest.raises(InvalidValue, match="^n_points must be at least 3, got 2$"):
+            array_iv_sweep(ref_array, ref_params, env, np.int32(2))
 
     def test_point_count_capped(self, ref_array, ref_params):
         """More than MAX_POINTS samples is rejected before anything is allocated."""
