@@ -50,7 +50,7 @@ def _fmt_value(value: object, unit: str) -> str:
     return format_si(value, unit)
 
 
-def _write_artifact(text: str, out_path: str | None) -> None:
+def _write_artifact(text: str, out_path: str | Path | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -149,6 +149,17 @@ def _series_json(series: simulator.TimeSeries) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _run_document(path: str | Path) -> tuple:
+    """The scenario at ``path`` and its run; a pvgrid error ends `` (in PATH)``."""
+    from . import scenario_io, simulator
+
+    try:
+        scenario = scenario_io.parse_scenario(Path(path).read_bytes())
+        return scenario, simulator.run(scenario)
+    except PVGridError as exc:
+        raise type(exc)(f"{exc} (in {path})") from exc
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import scenario_io, simulator
 
@@ -166,13 +177,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 1
         out_dir = Path(args.output) if args.output else Path(".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path in files:
-            series = simulator.run(scenario_io.parse_scenario(path.read_bytes()))
-            suffix = ".json" if args.json else ".csv"
+        for path in files:  # the first failing document stops the batch
+            _, series = _run_document(path)
             text = _series_json(series) if args.json else scenario_io.emit_csv(series)
-            target = out_dir / (path.stem + suffix)
-            target.write_text(text, encoding="utf-8", newline="")
-            print(f"wrote {target}", file=sys.stderr)
+            _write_artifact(text, out_dir / (path.stem + (".json" if args.json else ".csv")))
         return 0
     scenario = scenario_io.parse_scenario(Path(args.scenario).read_bytes())
     series = simulator.run(scenario)
@@ -187,10 +195,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from . import scenario_io, simulator
 
-    scenario_a = scenario_io.parse_scenario(Path(args.scenario_a).read_bytes())
-    scenario_b = scenario_io.parse_scenario(Path(args.scenario_b).read_bytes())
-    series_a = simulator.run(scenario_a)
-    series_b = simulator.run(scenario_b)
+    scenario_a, series_a = _run_document(args.scenario_a)
+    scenario_b, series_b = _run_document(args.scenario_b)
     comparison = simulator.compare_runs(series_a, series_b)
     if args.json:
         _write_artifact(json.dumps(asdict(comparison), indent=2) + "\n", args.output)

@@ -4,7 +4,9 @@ The PV model uses two of them: a safeguarded Newton iteration over arrays
 of independent problems (the diode-current and maximum-power solves), and
 Brent's method for derivative-free roots (calibration and open-circuit
 voltage).  The batched iteration runs on whole arrays, freezing converged
-problems by a mask.  The scalar Newton iteration and the golden-section
+problems by a mask, on brackets known by sign alone: f > 0 at the lower end
+and f < 0 at the upper.  Both callers have such ends in closed form, so it
+never evaluates them.  The scalar Newton iteration and the golden-section
 maximizer have no caller in the package.  They stay only because the
 benchmark tracer (``perfbench/tracing.COUNTED_F``) looks both up by name,
 and the scalar iteration is also the tests' step-for-step reference for
@@ -94,8 +96,6 @@ def newton_bisect_array(
     fdf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     lo: np.ndarray,
     hi: np.ndarray,
-    f_lo: np.ndarray | float,
-    f_hi: np.ndarray | float,
     *,
     f_tol: np.ndarray | float,
     x0: np.ndarray,
@@ -103,51 +103,42 @@ def newton_bisect_array(
 ) -> np.ndarray:
     """:func:`newton_bisect` on many independent problems at once, on whole arrays.
 
-    Element k takes exactly the steps ``newton_bisect`` takes on problem k
-    alone, so with elementwise arithmetic the roots are the same doubles.
-    Every call of ``fdf`` gets the points of all problems; one that has
-    converged stays frozen at its root by a mask while the others move.
+    Element k takes the steps ``newton_bisect`` takes on problem k alone (on
+    -f, if f rises), so with elementwise arithmetic the roots are the same
+    doubles, bar the tie-break below.  Every call of ``fdf`` gets the points
+    of all problems; one that has converged stays frozen at its root by a
+    mask while the others move.
 
     Args:
         fdf: ``fdf(x)`` gives the residuals and derivatives of all problems
             at the points ``x``, elementwise: entry k depends on ``x[k]``
             alone.  It runs with numpy's floating-point warnings off.
-        lo: Lower bracket endpoints.
-        hi: Upper bracket endpoints.
-        f_lo: Residuals at ``lo``, one or one per problem.  An end known only
-            to be outside the tolerance may be given as ``inf`` or ``-inf`` of
-            its sign: the steps are the same, bar the tie-break below.
-        f_hi: Residuals at ``hi``, likewise.
+        lo: Lower bracket endpoints, finite, where each f > 0; never evaluated.
+        hi: Upper bracket endpoints, finite, where each f < 0; never evaluated.
         f_tol: Absolute residual tolerance, one or one per problem.
         x0: Initial iterates; one outside its bracket starts at the midpoint.
         max_iter: Evaluation budget per problem.
 
     Returns:
         Points where ``|f| <= f_tol``, or, where no double lies strictly
-        inside the bracket, the end of it with the smaller ``|f|``.
+        inside the bracket, the end of it with the smaller ``|f|``, an end
+        that has not moved counting as infinite.
 
     Raises:
-        ValueError: if a bracket does not straddle a sign change.
         NonConvergence: if a problem exhausts the budget first.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f_lo, f_hi, tol = (np.full(lo.shape, f, dtype=float) for f in (f_lo, f_hi, f_tol))
-    at_lo = np.abs(f_lo) <= tol
-    at_hi = ~at_lo & (np.abs(f_hi) <= tol)
-    open_ = ~(at_lo | at_hi)
-    up = f_lo > 0.0  # the sign of f at lo, which lo keeps as it moves
-    for j in np.flatnonzero(open_ & (up == (f_hi > 0.0)))[:1]:
-        raise ValueError(f"no sign change on bracket [{float(lo[j])!r}, {float(hi[j])!r}]")
+    tol, open_ = np.full(lo.shape, f_tol, dtype=float), np.ones(lo.shape, dtype=bool)
+    f_lo, f_hi = np.full(lo.shape, np.inf), np.full(lo.shape, -np.inf)  # known by sign
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
-        x = np.where(at_lo, lo, np.where(at_hi, hi, x))
         for _ in range(max_iter):
             if not open_.any():
                 return x
             f_x, d = fdf(x)
             open_ &= ~(np.abs(f_x) <= tol)
             # A frozen problem's bracket no longer matters, so every bracket moves.
-            to_lo = (f_x > 0.0) == up
+            to_lo = f_x > 0.0
             to_hi = ~to_lo
             np.putmask(lo, to_lo, x)
             np.putmask(hi, to_hi, x)

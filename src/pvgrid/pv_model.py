@@ -243,6 +243,8 @@ def module_current(params: SingleDiodeParams, v: float) -> float:
         v: Terminal voltage, >= 0.
 
     Raises:
+        InvalidValue: if ``v`` is negative or not one finite number, or so
+            large that -v/r_s is beyond half the largest double.
         NonConvergence: if the iteration budget is exhausted.
     """
     require({"v": v}, NON_NEGATIVE)
@@ -311,28 +313,29 @@ def _module_currents(params: SingleDiodeParams, v: np.ndarray) -> np.ndarray:
     """Module current at every voltage of ``v`` (each >= 0), in one batched solve.
 
     A safeguarded Newton iteration on :func:`_residual` at each voltage keeps
-    a sign-changing bracket at all times, its lower end grown until the
-    residual there is positive, so the result is deterministic and each
-    residual is below 1e-9 of the photocurrent scale.  The iterations take
+    a sign-changing bracket at all times, so the result is deterministic and
+    each residual is below 1e-9 of the photocurrent scale.  The ends are
+    known by sign: a little below i = -v/r_s the diode voltage v + i*r_s is
+    <= 0, so f > 0; at i_ph + 1 it is >= 0, so f <= -1.  The iterations take
     numpy's expm1; the start, the current at diode voltage v, takes libm's
     (:func:`_expm1`), and at v = v_oc it already meets the tolerance, so the
     sweep's last current is the start, bit for bit, whatever numpy's loop.
 
     Raises:
-        NonConvergence: if a bracket cannot be found or a budget runs out.
+        InvalidValue: if -v/r_s is beyond half the largest double, where a
+            bisection midpoint (lo + hi)/2 could overflow.
+        NonConvergence: if a budget runs out.
     """
-    i_ph, i_0, r_sh, a = params.i_ph, params.i_0, params.r_sh, params.a
-    lo = np.full(len(v), -0.02 * i_ph - 1.0)
-    f_lo, _ = _residual(params, v, lo)
-    while (grow := f_lo <= 0.0).any():
-        lo[grow] *= 4.0
-        if (lo[grow] < -1e12).any():
-            raise NonConvergence("module_current: could not bracket the root")
-        f_lo, _ = _residual(params, v, lo)
-    hi = np.full(len(v), i_ph + 1.0)
-    start = i_ph - i_0 * _expm1(np.minimum(v / a, _EXP_CAP)) - v / r_sh
+    i_ph, i_0, r_s, r_sh, a = params.i_ph, params.i_0, params.r_s, params.r_sh, params.a
+    with np.errstate(over="ignore"):  # an infinite start lies outside the bracket
+        # 1 + 2**-50 covers the three roundings between lo and v + lo*r_s.
+        lo = -(v / r_s) * (1.0 + 2.0**-50) - 1.0
+        start = i_ph - i_0 * _expm1(np.minimum(v / a, _EXP_CAP)) - v / r_sh
+    if (past := lo < -0.5 * sys.float_info.max).any():  # a midpoint lo + hi could overflow
+        raise InvalidValue(f"v = {float(v[past.argmax()])!r} V: the lower bound -v/r_s "
+                           "of its current is beyond half the largest double")
     return newton_bisect_array(
-        lambda i: _residual(params, v, i), lo, hi, f_lo, _residual(params, v, hi)[0],
+        lambda i: _residual(params, v, i), lo, np.full(len(v), i_ph + 1.0),
         f_tol=1e-9 * max(i_ph, 1.0), x0=start, max_iter=_CURRENT_BUDGET,
     )
 
@@ -397,11 +400,7 @@ def _module_mpp(
     x0 = a * (x_oc - np.log1p(x_oc))
     try:
         vd = newton_bisect_array(slope_and_curvature, np.zeros(i_ph.shape), a * x_oc,
-                                 np.inf, -np.inf, f_tol=1e-9 * i_ph, x0=x0)
-    except ValueError:
-        raise NonConvergence(
-            "mpp: dP/dVd does not change sign on the diode-voltage bracket"
-        ) from None
+                                 f_tol=1e-9 * i_ph, x0=x0)
     except NonConvergence:
         raise NonConvergence("mpp: no root of dP/dVd within 100 iterations") from None
     v, i, g, _, f = _curve_point(i_ph, i_0, r_sh, r_s, a, vd)

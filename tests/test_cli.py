@@ -753,6 +753,29 @@ class TestSimulate:
         ]
         assert err.index("case1.csv") < err.index("case2.csv") < err.index("case3.csv")
 
+    def test_failing_document_is_named(self, capsys, tmp_path):
+        """A batch stops at its first failing document, keeps what it wrote
+        before and names that document on the one error line, exit 1; compare
+        names whichever of its two documents fails.  A single-file simulate
+        keeps its line as it was."""
+        doc = json.loads(bundled_scenario_text("case1"))
+        src_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        src_dir.mkdir()
+        a, b, c = (src_dir / name for name in ("a.json", "b.json", "c.json"))
+        a.write_text(json.dumps(doc), encoding="utf-8")
+        doc["grid"]["v_phase"] = -1
+        b.write_text(json.dumps(doc), encoding="utf-8")
+        c.write_text(bundled_scenario_text("case3"), encoding="utf-8")
+        line = "error: InvalidValue: grid v_phase must be finite and positive, got -1.0"
+        assert cli.main(["simulate", "--batch", str(src_dir), "-o", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"wrote {out_dir / 'a.csv'}\n{line} (in {b})\n"
+        assert [p.name for p in out_dir.iterdir()] == ["a.csv"]
+        for argv in (["compare", str(b), str(a)], ["compare", str(a), str(b)]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr() == ("", f"{line} (in {b})\n")
+        assert cli.main(["simulate", str(b)]) == 1
+        assert capsys.readouterr() == ("", f"{line}\n")
+
     def test_batch_empty_dir_exits_1(self, capsys, tmp_path):
         """A batch directory without scenarios is an error."""
         assert cli.main(["simulate", "--batch", str(tmp_path)]) == 1

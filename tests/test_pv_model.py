@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import re
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -61,6 +62,14 @@ def _bisect_current(params: SingleDiodeParams, v: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _diode_residual(params: SingleDiodeParams, v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Independent residual f(v, i) of the diode equation at each pair of ``v``
+    and ``i``, with numpy's expm1 and no cap: an overflowing exponential is inf."""
+    x = v + i * params.r_s
+    with np.errstate(over="ignore"):
+        return params.i_ph - params.i_0 * np.expm1(x / params.a) - x / params.r_sh - i
 
 
 def _lambertw_of_exp(log_x: np.ndarray) -> np.ndarray:
@@ -714,19 +723,73 @@ class TestModuleCurrent:
         diffs = np.diff(cur)
         assert np.all(diffs <= 1e-9), f"max increase {diffs.max():.3e} A"
 
-    def test_batched_solve_grows_the_bracket(self, ref_params):
-        """Beyond v_oc the current is below the first lower bracket end
-        -0.02*i_ph - 1, so the bracket must grow; the solve then agrees with
-        the oracle, and fails where no bracket is found: at 1e12 V."""
-        v = np.linspace(1.2, 10.0, 45) * REF_MODULE.v_oc
-        want = _oracle_current(ref_params, v)
-        assert (want < -0.02 * ref_params.i_ph - 1.0).all()
-        assert np.abs(_module_currents(ref_params, v) - want).max() <= _current_tol(ref_params)
-        no_bracket = "^module_current: could not bracket the root$"
-        with pytest.raises(NonConvergence, match=no_bracket):
-            module_current(ref_params, 1e12)
-        with pytest.raises(NonConvergence, match=no_bracket):
-            _module_currents(ref_params, np.array([2.0 * REF_MODULE.v_oc, 1e12]))
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [-40.0, 90.0])
+    @pytest.mark.parametrize("g", [0.0, 1.0, G_MAX])
+    @pytest.mark.parametrize("sheet", DATASHEETS)
+    def test_closed_form_bracket_from_0_to_1e300_volts(self, monkeypatch, sheet, g, t):
+        """Property: at every voltage from 0 to 1e300 V the bracket the current
+        solve is given has f > 0 at its lower end and f < 0 at its upper, by an
+        independent residual, and the current is the Lambert-W oracle's (within
+        twice the solve's tolerance, or 1e-15 of the current where an ulp of it
+        is already coarser), one voltage at a time or all at once, with no
+        warning.  A dark curve (g = 0, i_ph = 0) is included: at v = 0 its
+        current is 0, so the lower end must lie below it."""
+        p_mp, v_mp, i_mp, v_oc, i_sc, n_cells = sheet
+        spec = PVModuleSpec(p_mp=p_mp, v_mp=v_mp, i_mp=i_mp, v_oc=v_oc, i_sc=i_sc,
+                            n_cells=n_cells)
+        adj = adjust_params(extract_single_diode_params(spec), spec, EnvCondition(g, t))
+        v = np.concatenate([[0.0], np.logspace(-3.0, 300.0, 102)])
+        brackets = []
+
+        def solve(fdf, lo, hi, **kw):
+            brackets.append((lo.copy(), hi.copy()))
+            return newton_bisect_array(fdf, lo, hi, **kw)
+
+        monkeypatch.setattr(pv_model, "newton_bisect_array", solve)
+        got = _module_currents(adj, v)
+        ((lo, hi),) = brackets
+        assert (_diode_residual(adj, v, lo) > 0.0).all()
+        assert (_diode_residual(adj, v, hi) < 0.0).all()
+        want = _oracle_current(adj, v)
+        assert np.isfinite(want).all()
+        tol = np.maximum(_current_tol(adj), 1e-15 * np.abs(want))
+        assert (np.abs(got - want) <= tol).all()
+        assert [module_current(adj, x) for x in v.tolist()] == got.tolist()
+
+    @pytest.mark.filterwarnings("error")
+    def test_current_up_to_the_largest_double(self, ref_params):
+        """Past 1e300 V the oracle's exponent overflows, but the diode voltage,
+        tens of volts, is below an ulp of v, so the current is -v/r_s to the ulp,
+        up to where -v/r_s, the bracket's lower end, is beyond half the largest
+        double (a midpoint of two ends there could overflow).  Past that the
+        solve raises one InvalidValue naming the first such voltage."""
+        edge = 0.5 * sys.float_info.max * ref_params.r_s
+        v = np.sort(np.concatenate([np.logspace(300.0, 308.25, 60), [sys.float_info.max],
+                                    [edge * (1.0 - 2.0**-48), edge * (1.0 + 2.0**-48)]]))
+        message = "v = {!r} V: the lower bound -v/r_s of its current is beyond half the largest double"
+        solved = []
+        for x in v.tolist():
+            try:
+                i = module_current(ref_params, x)
+            except InvalidValue as exc:
+                assert str(exc) == message.format(x)
+            else:
+                assert abs(i + x / ref_params.r_s) <= np.spacing(x / ref_params.r_s), x
+                solved.append(x)
+        assert solved == [x for x in v.tolist() if x < edge]
+        with pytest.raises(InvalidValue, match=f"^{re.escape(message.format(1.7e308))}$"):
+            _module_currents(ref_params, np.array([1.0, 1.7e308, sys.float_info.max]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_start_is_outside_the_bracket(self):
+        """A start whose diode term overflows (i_0*expm1(v/a) with i_0 = 1e300 at
+        v/a = 667) is -inf, outside the bracket, so the solve starts at the
+        midpoint, warns nothing, and finds the current where the diode voltage
+        is about 0: -v/r_s."""
+        params = SingleDiodeParams(i_ph=8.0, i_0=1e300, n_ideality=1.3, r_s=0.3, r_sh=300.0,
+                                   a=1.5)
+        assert module_current(params, 1e3) == pytest.approx(-1e3 / 0.3, rel=1e-15)
 
     @pytest.mark.parametrize(
         ("g", "t"), [(1000.0, 25.0), (1.0, -40.0), (1.0, 90.0), (1100.0, -40.0), (1100.0, 90.0)]
@@ -1037,10 +1100,6 @@ class TestMPP:
     @pytest.mark.parametrize(
         ("solve", "message"),
         [
-            pytest.param(lambda fdf, lo, hi, f_lo, f_hi, **kw:
-                         newton_bisect_array(fdf, lo, hi, f_lo, f_lo, **kw),
-                         "mpp: dP/dVd does not change sign on the diode-voltage bracket",
-                         id="no-sign-change"),
             pytest.param(lambda *args, **kw: newton_bisect_array(*args, **kw, max_iter=1),
                          "mpp: no root of dP/dVd within 100 iterations", id="budget"),
             pytest.param(lambda *args, **kw: 0.9 * newton_bisect_array(*args, **kw),
@@ -1049,8 +1108,8 @@ class TestMPP:
     )
     def test_each_nonconvergence_names_its_cause(self, monkeypatch, ref_params, solve, message):
         """Each way the MPP solve fails is a NonConvergence saying which: a
-        bracket without a sign change, a spent budget, or a solved point 10%
-        off the maximum failing the gradient criterion."""
+        spent budget, or a solved point 10% off the maximum failing the
+        gradient criterion."""
         monkeypatch.setattr(pv_model, "newton_bisect_array", solve)
         curve = np.array([[ref_params.i_ph], [ref_params.i_0], [ref_params.r_sh]])
         with pytest.raises(NonConvergence) as failure:
