@@ -195,7 +195,8 @@ class TimeSeries:
     """Simulation output: one float array per column of ``COLUMNS``.
 
     The columns are kept as read-only float copies in a read-only mapping,
-    so a series holds at least one record for its whole life.
+    so a series holds at least one record, and only finite values, for its
+    whole life.
     ``records``, one :class:`PowerFlowRecord` per instant, is built from
     the columns on first read.
     """
@@ -216,6 +217,9 @@ class TimeSeries:
             raise InvalidValue(f"pf_grid must lie in [0, 1], got {pf[k]}")
         if (t[1:] <= t[:-1]).any():
             raise InvalidValue("record times must be strictly increasing")
+        for k, c in np.argwhere(~np.isfinite(block.T))[:1]:
+            raise InvalidValue(f"record {k} at t = {t[k]} s: {COLUMNS[c]} must be finite, "
+                               f"got {block[c, k]}")
 
     @cached_property
     def records(self) -> tuple[PowerFlowRecord, ...]:

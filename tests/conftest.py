@@ -34,6 +34,31 @@ OUT_OF_BUDGET_ITERATIONS = 40
 OUT_OF_BUDGET_AT_FIRST = PVModuleSpec(p_mp=91623.728, v_mp=1203.228, i_mp=76.148,
                                       v_oc=1387.653, i_sc=85.187, n_cells=60)
 
+SUBCOMMANDS = ["design-boost", "design-lcl", "check-resonance", "pv-curve", "simulate", "compare"]
+# Flags of the three design commands: a 100 kW boost stage, a 100 kW LCL filter
+# and a resonance check of that filter.
+BOOST_ARGS = [
+    "design-boost", "--p", "100345", "--vin", "290", "--vout", "700", "--fsw", "5000",
+]
+LCL_ARGS = [
+    "design-lcl", "--p", "100000", "--vg", "230", "--fg", "50",
+    "--vdc", "700", "--fsw", "10000",
+]
+RESONANCE_ARGS = [
+    "check-resonance", "--l1", "0.6e-3", "--l2", "15e-6",
+    "--cg", "100.29e-6", "--fg", "50", "--fsw", "10000",
+]
+# Each design command, and one given an input outside its field's bound, with
+# the stderr each prints.
+DESIGN_RUNS = [
+    pytest.param(BOOST_ARGS, "", id="design-boost"),
+    pytest.param(LCL_ARGS, "", id="design-lcl"),
+    pytest.param(RESONANCE_ARGS, "", id="check-resonance"),
+    pytest.param(BOOST_ARGS + ["--ripple-i-frac", "0"],
+                 "error: InvalidValue: ripple_i_frac must be finite and in (0, 1), got 0.0\n",
+                 id="design-boost-rejected"),
+]
+
 
 @pytest.fixture(scope="session")
 def ref_module() -> PVModuleSpec:

@@ -30,21 +30,9 @@ from pvgrid.scenario_io import bundled_scenario_text, emit_csv, parse_scenario
 from pvgrid.simulator import run
 
 from conftest import (
-    COMPENSATOR_DOCS, DATASHEETS, OUT_OF_BUDGET_AT_FIRST, OUT_OF_BUDGET_ITERATIONS, REF_MODULE,
-    scenario_documents,
+    BOOST_ARGS, COMPENSATOR_DOCS, DATASHEETS, DESIGN_RUNS, LCL_ARGS, OUT_OF_BUDGET_AT_FIRST,
+    OUT_OF_BUDGET_ITERATIONS, REF_MODULE, RESONANCE_ARGS, SUBCOMMANDS, scenario_documents,
 )
-
-BOOST_ARGS = [
-    "design-boost", "--p", "100345", "--vin", "290", "--vout", "700", "--fsw", "5000",
-]
-LCL_ARGS = [
-    "design-lcl", "--p", "100000", "--vg", "230", "--fg", "50",
-    "--vdc", "700", "--fsw", "10000",
-]
-RESONANCE_ARGS = [
-    "check-resonance", "--l1", "0.6e-3", "--l2", "15e-6",
-    "--cg", "100.29e-6", "--fg", "50", "--fsw", "10000",
-]
 
 
 @pytest.fixture()
@@ -67,13 +55,25 @@ def case_file(tmp_path):
 class TestDesignCommands:
     """design-boost, design-lcl, check-resonance."""
 
-    def test_boost_human_output(self, capsys):
-        """Values print with engineering prefixes; exit code 0."""
-        assert cli.main(BOOST_ARGS) == 0
+    @pytest.mark.parametrize(("argv", "shown"), [
+        pytest.param(BOOST_ARGS, ["i_out_max", "143.35 A", "1.4025 mH", "3427 µF"],
+                     id="design-boost"),
+        pytest.param(["design-boost", "--p", "1000000", "--vin", "290", "--vout", "700",
+                      "--fsw", "1000"], ["170.76 mF"], id="design-boost-mF"),
+        pytest.param(LCL_ARGS, ["512.3 µH", "100.29 µF", "12.879 µH", "4.4838 kHz",
+                                "passed      = yes"], id="design-lcl"),
+        pytest.param(RESONANCE_ARGS, ["26.103 krad/s", "4.1544 kHz", "passed    = yes"],
+                     id="check-resonance"),
+    ])
+    def test_human_output(self, capsys, argv, shown):
+        """Values print with engineering prefixes, and the LCL filter with its
+        resonance verdict; exit code 0.  A capacitance of 0.1 F and more prints
+        in mF, and no value prints in exponent form."""
+        assert cli.main(argv) == 0
         out = capsys.readouterr().out
-        assert "i_out_max" in out and "143.35 A" in out
-        assert "1.4025 mH" in out
-        assert "3427 µF" in out
+        for text in shown:
+            assert text in out
+        assert "e+" not in out
 
     def test_boost_json_matches_library(self, capsys):
         """--json emits exactly the library-computed values."""
@@ -94,14 +94,6 @@ class TestDesignCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidValue: step-up requires v_in < v_out")
-
-    def test_lcl_human_output(self, capsys):
-        """LCL values and the resonance verdict print together."""
-        assert cli.main(LCL_ARGS) == 0
-        out = capsys.readouterr().out
-        assert "512.3 µH" in out
-        assert "100.29 µF" in out
-        assert "passed" in out and "yes" in out
 
     def test_lcl_json_matches_library(self, capsys):
         """--json carries the filter values plus the resonance report."""
@@ -245,16 +237,20 @@ class TestPvCurve:
         err = capsys.readouterr().err
         assert err.startswith("error: InfeasibleSpec: ") and "ideality 1.4: " in err
 
-    def test_datasheet_past_an_out_of_budget_ideality_exits_0(self, capsys, monkeypatch):
-        """With a budget of 40 iterations the current solve of the first ideality
-        tried, 1.3, runs out on this datasheet; calibration goes on to 1.35 and the sweep
-        succeeds."""
-        monkeypatch.setattr(pv_model, "_CURRENT_BUDGET", 40)
+    @pytest.mark.parametrize("budget", [pv_model._CURRENT_BUDGET, OUT_OF_BUDGET_ITERATIONS],
+                             ids=["default-budget", "out-of-budget"])
+    def test_datasheet_past_its_first_ideality_exits_0(self, capsys, monkeypatch, budget):
+        """The first ideality tried, 1.3, cannot calibrate this datasheet: its
+        current at v_oc misses 0, and with a budget of 40 iterations its current
+        solve runs out.  Calibration goes on to 1.35 and the sweep succeeds,
+        with nothing on stderr."""
+        monkeypatch.setattr(pv_model, "_CURRENT_BUDGET", budget)
         monkeypatch.setattr(pv_model, "extract_single_diode_params",
                             pv_model.extract_single_diode_params.__wrapped__)
         assert cli.main(["pv-curve", "--pmp", "91623.728", "--vmp", "1203.228", "--imp", "76.148",
                          "--voc", "1387.653", "--isc", "85.187", "--points", "5"]) == 0
-        assert len(capsys.readouterr().out.strip().split("\n")) == 6
+        out, err = capsys.readouterr()
+        assert (len(out.strip().split("\n")), err) == (6, "")
 
     def test_mpp_out_of_budget_exits_2(self, capsys, monkeypatch):
         """An MPP solve that runs out of budget exits 2 with one NonConvergence
@@ -272,12 +268,14 @@ class TestPvCurve:
         )
 
     def test_underflowing_irradiance_sweeps_dark(self, capsys):
-        """g = 1e-300 W/m² and the subnormal 5e-324 W/m² sweep to the dark point
-        and exit 0, like g = 0."""
-        for g in ("1e-300", "5e-324"):
+        """g = 0, 1e-300 W/m² and the subnormal 5e-324 W/m² sweep to the dark
+        point and exit 0: the CSV is its header and one row 0,0,0."""
+        for g in ("0", "1e-300", "5e-324"):
             assert cli.main(self.MODULE_ARGS + ["--g", g, "--json"]) == 0
             doc = json.loads(capsys.readouterr().out)
             assert doc == {"points": [{"v": 0.0, "i": 0.0, "p": 0.0}]}
+            assert cli.main(self.MODULE_ARGS + ["--g", g]) == 0
+            assert capsys.readouterr() == ("v,i,p\n0,0,0\n", "")
         assert cli.main(self.MODULE_ARGS + ["--g", "1e-100", "--points", "5"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 6
 
@@ -330,10 +328,12 @@ MODULE_ARGS = TestPvCurve.MODULE_ARGS
 )
 def test_rejected_flag_value_exits_1(capsys, argv, flag, named):
     """A non-finite or over-cap flag value is rejected by the type it feeds,
-    with exit 1 and a message naming the input, not printed as a result."""
+    with exit 1 and one InvalidValue line naming the input, not printed as a
+    result."""
     assert cli.main(argv + [flag]) == 1  # a repeated flag overrides the earlier one
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("error: InvalidValue: ") and captured.err.count("\n") == 1
     assert named in captured.err
 
 
@@ -825,7 +825,7 @@ class TestSimulate:
         assert cli.main(["simulate", str(bad)]) == 1
         assert "ParseError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("command", ["simulate", "compare", "compare-second"])
     @pytest.mark.parametrize(
         ("data", "error"),
         [
@@ -839,19 +839,22 @@ class TestSimulate:
                 "ParseError", id="lone-surrogate-id",
             ),
             pytest.param(
-                b'{"id": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "ParseError",
-                id="deep-nesting",
+                b'{"id": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                "ParseError: scenario is not valid JSON", id="deep-nesting",
             ),
         ],
     )
     def test_unwritable_scenario_exits_1(self, capsys, case_file, tmp_path, command, data, error):
         """A file that is not UTF-8, JSON that json cannot load (an int past the
         digit limit, or arrays nested past the recursion limit), or an id no
-        report can print exits 1 with one error line, not a traceback."""
+        report can print exits 1 with one error line, not a traceback, from
+        simulate and from compare with it as either document."""
         bad = tmp_path / "bad.json"
         bad.write_bytes(data)
-        argv = [command, str(bad)] + ([case_file("case1")] if command == "compare" else [])
-        assert cli.main(argv + ["--report"] if command == "simulate" else argv) == 1
+        argv = {"simulate": ["simulate", str(bad), "--report"],
+                "compare": ["compare", str(bad), case_file("case1")],
+                "compare-second": ["compare", case_file("case1"), str(bad)]}[command]
+        assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}:") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -862,6 +865,10 @@ class TestSimulate:
             pytest.param(("profiles", "irradiance", 0, "g"), math.nan,
                          "InvalidValue: irradiance profile segment 0: g must be finite and in "
                          "[0, 2000] W/m², got nan", id="g-nan"),
+            pytest.param(("profiles", "irradiance", 0, "g"), int(sys.float_info.max) + 1,
+                         "InvalidValue: irradiance profile segment 0: g must be finite and in "
+                         f"[0, 2000] W/m², got {int(sys.float_info.max) + 1}",
+                         id="g-past-largest-double"),
             pytest.param(("grid", "v_phase"), math.nan,
                          "ParseError: grid: key 'v_phase' must be a finite number",
                          id="v_phase-nan"),
@@ -941,10 +948,11 @@ class TestSimulate:
     def test_value_beyond_float_range_exits_1(self, capsys, tmp_path, edit, named):
         """A scenario whose compensator output or loss or grid exchange leaves the
         float range, or whose irradiance lies far past the envelope, is rejected
-        with exit 1: no inf in the output and no numpy warning on stderr."""
+        with exit 1 and one error line: no inf in the output and no numpy
+        warning on stderr."""
         code, out, err = self._simulate_case3(capsys, tmp_path, edit)
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and named in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
     def test_calibration_overflow_exits_1(self, capsys, tmp_path):
         """An overflowing diode term at every ideality is an infeasible datasheet."""
@@ -1070,13 +1078,23 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, *unknown])
         assert exc.value.code == 1
-        assert f"error: unrecognized arguments: {' '.join(unknown)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"pvgrid: error: unrecognized arguments: {' '.join(unknown)}" in err
 
     def test_missing_subcommand_exits_1(self):
         """No subcommand is a usage error."""
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_exits_0(self, capsys, command):
+        """Each subcommand's --help prints its usage to stdout and exits 0."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: pvgrid {command} ") and err == ""
 
     def test_style_disabled_without_tty(self, monkeypatch):
         """Captured stdout is not a tty, so ANSI styling stays off."""
@@ -1140,15 +1158,20 @@ class TestParserBehavior:
 # ======================================================================
 
 
-def _python(code: str, *argv: str) -> str:
-    """Stdout of ``python -c code argv...`` in a fresh interpreter that
-    imports this pvgrid; fails the test on a nonzero exit."""
+def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code argv...`` in a fresh interpreter that imports this
+    pvgrid, with its output captured."""
     src = os.path.dirname(os.path.dirname(pvgrid.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
-        timeout=60,
+        encoding="utf-8", timeout=60,
     )
+
+
+def _python(code: str, *argv: str) -> str:
+    """Stdout of ``_run_python``; fails the test on a nonzero exit."""
+    out = _run_python(code, *argv)
     assert out.returncode == 0, out.stderr
     return out.stdout
 
@@ -1201,18 +1224,20 @@ class TestLazyImport:
             getattr(pvgrid, name)
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-    @pytest.mark.parametrize("argv", [BOOST_ARGS, LCL_ARGS, RESONANCE_ARGS],
-                             ids=["design-boost", "design-lcl", "check-resonance"])
-    def test_design_commands_run_without_numpy(self, capsys, argv, json_flag):
-        """With numpy unimportable, each design command exits 0 and prints
-        what it prints in-process."""
-        assert cli.main(argv + json_flag) == 0
-        want = capsys.readouterr().out
-        code = (
+    @pytest.mark.parametrize(("argv", "err"), DESIGN_RUNS)
+    def test_design_commands_run_without_numpy(self, capsys, argv, err, json_flag):
+        """With numpy unimportable, each design command exits as it does
+        in-process and prints what it prints there: exit 0, or exit 1 and one
+        error line for an input outside its field's bound."""
+        code = cli.main(argv + json_flag)
+        want = capsys.readouterr()
+        assert (code, want.err) == (1 if err else 0, err)
+        script = (
             "import sys; sys.modules['numpy'] = None\n"
             "from pvgrid.cli import main; sys.exit(main())"
         )
-        assert _python(code, *argv, *json_flag) == want
+        out = _run_python(script, *argv, *json_flag)
+        assert (out.returncode, out.stdout, out.stderr) == (code, want.out, want.err)
 
     @pytest.mark.parametrize(
         ("argv", "loaded"),

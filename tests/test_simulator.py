@@ -607,7 +607,8 @@ class TestContainers:
             TimeSeries(scenario_id="x", columns=first)
 
     def test_column_route_checks_the_record_invariants(self):
-        """The series checks the record invariants on its columns; a record is
+        """The series checks the record invariants on its columns, every value
+        finite among them, naming the first record that breaks one; a record is
         a view of checked columns and has no check of its own."""
         good = run(make_scenario()).columns
         for name, values, message in (
@@ -615,6 +616,13 @@ class TestContainers:
             ("t", [0.0, 0.02, 0.01, 0.03, 0.04, 0.05], "strictly increasing"),
             ("t", [-0.01, 0.0, 0.01, 0.02, 0.03, 0.04], "non-negative, got -0.01"),
             ("pf_grid", [1.0, 1.0, math.nan, 1.0, 1.0, 1.0], r"\[0, 1\], got nan"),
+            ("t", [0.0, 0.01, 0.02, 0.03, 0.04, math.inf],
+             r"^record 5 at t = inf s: t must be finite, got inf$"),
+            ("p_pv", [0.0, 0.0, math.nan, math.inf, 0.0, 0.0],
+             r"^record 2 at t = 0.02 s: p_pv must be finite, got nan$"),
+            ("q_grid", [0.0, 0.0, 0.0, 0.0, -math.inf, 0.0],
+             r"^record 4 at t = 0.04 s: q_grid must be finite, got -inf$"),
+            ("v_dc", [700.0] * 5 + [math.nan], r"^record 5 at t = 0.05 s: v_dc must be finite"),
         ):
             columns = dict(good, **{name: np.array(values)})
             if not values:
