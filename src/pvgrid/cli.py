@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -50,12 +51,23 @@ def _fmt_value(value: object, unit: str) -> str:
     return format_si(value, unit)
 
 
-def _write_artifact(text: str, out_path: str | Path | None) -> None:
+def _write_artifact(text: str | Iterable[str], out_path: str | Path | None) -> None:
+    pieces = (text,) if isinstance(text, str) else text  # a str goes out in one write
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out_path).write_text(text, encoding="utf-8", newline="")
+        with Path(out_path).open("w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
         print(f"wrote {out_path}", file=sys.stderr)
+
+
+def _refuse_overwrite(inputs: Iterable, outputs: Iterable) -> None:
+    """Raise FileExistsError naming the first of ``outputs`` (None is stdout) that is an
+    existing file among ``inputs``: no artifact replaces a document the command reads."""
+    read = {os.stat(path)[1:3] for path in inputs if os.path.exists(path)}  # (inode, device)
+    for out in filter(None, outputs):
+        if os.path.exists(out) and os.stat(out)[1:3] in read:
+            raise FileExistsError(f"will not write over the scenario document {out}")
 
 
 def _block(results: tuple, json_mode: bool) -> str:
@@ -139,16 +151,6 @@ def _cmd_pv_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _series_json(series: simulator.TimeSeries) -> str:
-    from . import simulator
-
-    doc = {
-        "scenario_id": series.scenario_id,
-        "records": [dict(zip(simulator.COLUMNS, row)) for row in series.rows()],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _run_document(path: str | Path) -> tuple:
     """The scenario at ``path`` and its run; a pvgrid error ends `` (in PATH)``."""
     from . import scenario_io, simulator
@@ -169,6 +171,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.report and args.json and args.output is None:
         print("error: --report prints to stdout, so --json needs -o FILE", file=sys.stderr)
         return 1
+    emit = scenario_io.emit_json if args.json else scenario_io.emit_csv
     if args.batch is not None:
         batch_dir = Path(args.batch)
         files = sorted(batch_dir.glob("*.json"))
@@ -176,17 +179,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"error: no *.json scenarios in {batch_dir}", file=sys.stderr)
             return 1
         out_dir = Path(args.output) if args.output else Path(".")
+        outputs = [out_dir / (path.stem + (".json" if args.json else ".csv")) for path in files]
+        _refuse_overwrite(files, outputs)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path in files:  # the first failing document stops the batch
+        for path, output in zip(files, outputs):  # the first failing document stops the batch
             _, series = _run_document(path)
-            text = _series_json(series) if args.json else scenario_io.emit_csv(series)
-            _write_artifact(text, out_dir / (path.stem + (".json" if args.json else ".csv")))
+            _write_artifact(emit(series), output)
         return 0
+    _refuse_overwrite([args.scenario], [args.output])
     scenario = scenario_io.parse_scenario(Path(args.scenario).read_bytes())
     series = simulator.run(scenario)
     if not args.report or args.output is not None:  # a report alone takes stdout
-        artifact = _series_json(series) if args.json else scenario_io.emit_csv(series)
-        _write_artifact(artifact, args.output)
+        _write_artifact(emit(series), args.output)
     if args.report:
         sys.stdout.write(scenario_io.render_report(series, scenario=scenario))
     return 0
@@ -195,18 +199,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from . import scenario_io, simulator
 
+    _refuse_overwrite([args.scenario_a, args.scenario_b], [args.output])
     scenario_a, series_a = _run_document(args.scenario_a)
     scenario_b, series_b = _run_document(args.scenario_b)
     comparison = simulator.compare_runs(series_a, series_b)
     if args.json:
-        _write_artifact(json.dumps(asdict(comparison), indent=2) + "\n", args.output)
+        _write_artifact(json.dumps(vars(comparison), indent=2) + "\n", args.output)
         return 0
-    text = (
-        scenario_io.render_report(series_a, scenario=scenario_a)
-        + "\n"
-        + scenario_io.render_report(series_b, comparison, scenario=scenario_b)
-    )
-    _write_artifact(text, args.output)
+    report_a = scenario_io.render_report(series_a, scenario=scenario_a)
+    report_b = scenario_io.render_report(series_b, comparison, scenario=scenario_b)
+    _write_artifact((report_a, "\n", report_b), args.output)
     return 0
 
 

@@ -12,7 +12,7 @@ load, compensator losses, and inverter leave over:
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from itertools import chain
@@ -223,11 +223,7 @@ class TimeSeries:
 
     @cached_property
     def records(self) -> tuple[PowerFlowRecord, ...]:
-        return tuple(map(PowerFlowRecord._make, self.rows()))
-
-    def rows(self) -> Iterator[tuple[float, ...]]:
-        """One tuple of floats per instant, in ``COLUMNS`` order."""
-        return zip(*(column.tolist() for column in self.columns.values()))
+        return tuple(map(PowerFlowRecord._make, zip(*(c.tolist() for c in self.columns.values()))))
 
     def __len__(self) -> int:
         return len(self.columns["t"])

@@ -740,6 +740,45 @@ class TestSimulate:
         assert len(doc["records"]) == 21
         assert doc["records"][0]["q_grid"] == 100_000.0
 
+    @pytest.mark.parametrize("case,sha256", [
+        ("case1", "e7e4c244e651e88f7a0ab8ef7448994e10b98c60dc879b23dda8a74f8f3de3e2"),
+        ("case2", "6e2933f867961109bffa07d9d3dc5e6403473cc2b193d5b2666cd9390f4c99ff"),
+        ("case3", "af93623510570a1792572f479069b273eeea4ac9fb0d360d77dc9b420ffb75d2"),
+    ])
+    def test_json_output_is_pinned(self, capsys, case_file, case, sha256):
+        """--json stdout keeps its exact bytes (recorded while the CLI built one
+        dict per record for json.dumps).  The digests are the same whether
+        numpy's exp and expm1 give libm's bits or those of its AVX-512 loops."""
+        assert cli.main(["simulate", case_file(case), "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
+
+    @pytest.mark.parametrize("extra,pieces", [([], 1), (["--json"], 3)], ids=["csv", "json"])
+    def test_artifact_write_count(self, monkeypatch, case_file, extra, pieces):
+        """The CSV, a string, goes to stdout in one write, not one per
+        character; the JSON of 21 records goes in its three pieces."""
+        writes = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert cli.main(["simulate", case_file("case1"), *extra]) == 0
+        assert len(writes) == pieces
+
+    def test_batch_json_equals_single_file_stdout(self, capsys, case_file, tmp_path):
+        """Each file that --batch --json writes holds exactly what simulate
+        --json of its document prints."""
+        paths = [case_file(name) for name in ("case1", "case2", "case3")]
+        out_dir = tmp_path / "results"
+        assert cli.main(["simulate", "--batch", str(tmp_path), "--json", "-o", str(out_dir)]) == 0
+        capsys.readouterr()
+        for path in paths:
+            assert cli.main(["simulate", path, "--json"]) == 0
+            written = (out_dir / os.path.basename(path)).read_bytes().decode("utf-8")
+            assert written == capsys.readouterr().out
+
     def test_batch_mode(self, capsys, case_file, tmp_path):
         """--batch runs every scenario in a directory, sorted by name."""
         for name in ("case1", "case2", "case3"):
@@ -808,7 +847,7 @@ class TestSimulate:
         assert capsys.readouterr() == (
             "", "error: --report prints to stdout, so --json needs -o FILE\n"
         )
-        target = tmp_path / "case1.json"
+        target = tmp_path / "case1-run.json"  # not the scenario itself, which is case1.json
         assert cli.main(argv + ["-o", str(target)]) == 0
         assert capsys.readouterr().out.startswith("scenario: case1")
         assert json.loads(target.read_text(encoding="utf-8"))["scenario_id"] == "case1"
@@ -1040,6 +1079,14 @@ class TestCompare:
         assert doc["scenario_a"] == "case1"
         assert len(doc["delta_q_grid"]) == 21
 
+    def test_json_output_is_pinned(self, capsys, case_file):
+        """--json stdout keeps its exact bytes (recorded while the CLI passed a
+        deep copy of the report to json.dumps)."""
+        assert cli.main(["compare", case_file("case1"), case_file("case3"), "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+            "1d62612c1da3a9975428947ad21ac0d9475de6c22e85f6b97d3c0a8eab727af8"
+        )
+
     def test_mismatched_grids_exit_1(self, capsys, case_file, tmp_path):
         """Scenarios on different time grids cannot be compared."""
         doc = json.loads(bundled_scenario_text("case1"))
@@ -1048,6 +1095,56 @@ class TestCompare:
         short.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["compare", case_file("case1"), str(short)]) == 1
         assert "GridMismatch" in capsys.readouterr().err
+
+
+class TestNoOverwrite:
+    """No artifact is written over a scenario document that the command reads."""
+
+    @pytest.mark.parametrize(("argv", "named"), [
+        (["simulate", "--batch", ".", "--json"], "a.json"),
+        (["simulate", "--batch", "{d}", "--json", "-o", "{d}"], "{d}/a.json"),
+        (["simulate", "--batch", "{d}", "--json", "-o", "out"], "out/b.json"),
+        (["simulate", "a.json", "--json", "-o", "{d}/a.json"], "{d}/a.json"),
+        (["simulate", "a.json", "--report", "-o", "a.json"], "a.json"),
+        (["compare", "a.json", "b.json", "-o", "a.json"], "a.json"),
+        (["compare", "a.json", "b.json", "--json", "-o", "out/b.json"], "out/b.json"),
+    ], ids=["batch-cwd", "batch-into-itself", "batch-symlink", "simulate-json", "simulate-report",
+            "compare-first", "compare-second-symlink"])
+    def test_output_over_an_input_exits_1(self, capsys, monkeypatch, tmp_path, argv, named):
+        """An output that is one of the command's scenario documents, under any
+        name (``out/b.json`` is a symlink to ``b.json``), ends the command
+        before its first run: exit 1, one error line naming that output, and
+        every file as it was."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.json").write_text(bundled_scenario_text("case1"), encoding="utf-8")
+        (tmp_path / "b.json").write_text(bundled_scenario_text("case3"), encoding="utf-8")
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "b.json").symlink_to(tmp_path / "b.json")
+        files = lambda: {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        before = files()
+        argv = [arg.format(d=tmp_path) for arg in argv]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: will not write over the scenario document {named.format(d=tmp_path)}\n"
+        )
+        assert files() == before
+
+    def test_output_beside_its_documents_is_written(self, capsys, monkeypatch, tmp_path):
+        """A CSV batch into its own directory writes each run beside its
+        document, and a document the command does not read may be replaced."""
+        monkeypatch.chdir(tmp_path)
+        text = bundled_scenario_text("case1")
+        (tmp_path / "a.json").write_text(text, encoding="utf-8")
+        (tmp_path / "b.json").write_text(text, encoding="utf-8")
+        assert cli.main(["simulate", "--batch", "."]) == 0
+        assert capsys.readouterr() == ("", "wrote a.csv\nwrote b.csv\n")
+        assert cli.main(["simulate", "a.json", "-o", "b.json"]) == 0
+        assert capsys.readouterr() == ("", "wrote b.json\n")
+        assert (tmp_path / "a.json").read_text(encoding="utf-8") == text
+        assert (tmp_path / "a.csv").read_text(encoding="utf-8").startswith("t,p_pv,")
+        assert (tmp_path / "b.json").read_text(encoding="utf-8") == (
+            (tmp_path / "a.csv").read_text(encoding="utf-8")
+        )
 
 
 # ======================================================================

@@ -89,6 +89,16 @@ def test_simulate_prints_what_the_checkout_prints(tmp_path):
     assert (out.returncode, out.stdout, out.stderr) == _in_process(["simulate", str(case)])
 
 
+def test_simulate_json_prints_what_the_checkout_prints(tmp_path):
+    """``pvgrid simulate --json`` of bundled case1 prints the JSON that
+    ``cli.main`` prints from the checkout."""
+    case = tmp_path / "case1.json"
+    case.write_text(bundled_scenario_text("case1"), encoding="utf-8")
+    argv = ["simulate", str(case), "--json"]
+    out = _run([SCRIPT, *argv], tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == _in_process(argv)
+
+
 def test_schema_is_valid_and_the_bundled_cases_satisfy_it(tmp_path):
     """``schema_text()`` of the installed package, built from its record types
     (no schema file ships), is a valid draft 2020-12 schema, and its bundled

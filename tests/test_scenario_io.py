@@ -25,6 +25,7 @@ from pvgrid.scenario_io import (
     _SECTIONS,
     bundled_scenario_text,
     emit_csv,
+    emit_json,
     emit_scenario,
     format_si,
     parse_scenario,
@@ -738,6 +739,71 @@ class TestEmitCsvOracle:
     def test_property(self, rows):
         """Property: over generated runs of tails, the same bytes as the oracle."""
         assert emit_csv(_series_of(rows)) == _naive_csv(rows)
+
+
+# ======================================================================
+# JSON emission
+# ======================================================================
+
+
+def _dumped(series: TimeSeries) -> str:
+    """The run as json.dumps writes one dict per record: the oracle of emit_json."""
+    rows = np.column_stack(tuple(series.columns.values())).tolist()
+    records = [dict(zip(COLUMNS, row)) for row in rows]
+    return json.dumps({"scenario_id": series.scenario_id, "records": records}, indent=2) + "\n"
+
+
+# Cell values: signed zeros, the smallest subnormal and normal doubles, and
+# plus and minus the largest double, among any finite floats.
+_JSON_VALUE = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+) | st.floats(allow_nan=False, allow_infinity=False)
+# Ids with a quote, a backslash, non-ASCII and control characters, which json escapes.
+_JSON_ID = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\u2028é€😀a') | st.characters(), min_size=1)
+
+
+@st.composite
+def _json_series(draw, lengths) -> TimeSeries:
+    """A series with a length from ``lengths``, whose cells are drawn from a
+    pool of a few values, so that long series cost no more draws than short."""
+    n = draw(lengths)
+    pool = np.array(draw(st.lists(_JSON_VALUE, min_size=1, max_size=8)))
+    pf = np.array(draw(st.lists(st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0),
+                                min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {name: pool[rng.integers(len(pool), size=n)] for name in COLUMNS}
+    columns["pf_grid"] = pf[rng.integers(len(pf), size=n)]
+    step = draw(st.sampled_from([5e-324, 0.01]) | st.floats(5e-324, sys.float_info.max / n))
+    columns["t"] = np.arange(n) * step
+    return TimeSeries(draw(_JSON_ID), columns=columns)
+
+
+def _check_json(series: TimeSeries) -> None:
+    """emit_json gives the oracle's bytes, and no piece holds more than 10,000
+    records (each record opens with a line of four spaces and a brace)."""
+    pieces = list(emit_json(series))
+    same = "".join(pieces) == _dumped(series)  # no diff of megabytes on a failure
+    assert same, "emit_json's text differs from json.dumps's"
+    per_piece = [piece.count("    {\n") for piece in pieces]
+    assert max(per_piece) <= 10_000 and sum(per_piece) == len(series)
+
+
+class TestEmitJson:
+    """emit_json equals json.dumps(..., indent=2) of one dict per record."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(series=_json_series(st.integers(1, 40)))
+    def test_property(self, series):
+        """Property: short series of any finite values and any id."""
+        _check_json(series)
+
+    @pytest.mark.parametrize("n", [1, 9_999, 10_000, 10_001, 20_001])
+    @settings(derandomize=True, max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_piece_boundaries(self, n, data):
+        """Property: series of one record, and of lengths about the piece size
+        of 10,000 records and twice it."""
+        _check_json(data.draw(_json_series(st.just(n))))
 
 
 # sha256 of emit_csv and render_report(..., scenario=...) of each bundled

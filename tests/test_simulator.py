@@ -634,7 +634,8 @@ class TestContainers:
         """``records`` holds one record per row of the columns, in order; it is
         read-only, and a series built again from the columns is equal."""
         series = run(make_scenario(load=((0.0, 1e5, 1e5), (0.02, 5e4, -2e4))))
-        assert series.records == tuple(PowerFlowRecord(*row) for row in series.rows())
+        rows = np.column_stack(tuple(series.columns.values())).tolist()
+        assert series.records == tuple(PowerFlowRecord(*row) for row in rows)
         assert [r.q_load for r in series.records] == series.columns["q_load"].tolist()
         assert TimeSeries(series.scenario_id, series.columns) == series
         assert len(series) == len(series.records) == 6
