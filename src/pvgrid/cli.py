@@ -14,8 +14,9 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable
-from dataclasses import asdict, fields
+from collections.abc import Iterable, Iterator
+from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 from .errors import DarkArray, NonConvergence, PVGridError
@@ -83,6 +84,25 @@ def _block(results: tuple, json_mode: bool) -> str:
     )
 
 
+_JSON_PIECE = 10_000  # most rows in one piece of _json_rows: its memory holds one piece
+
+
+def _json_rows(head: dict, key: str, columns: dict, tail: dict) -> Iterator[str]:
+    """``json.dumps({**head, key: rows, **tail}, indent=2)`` and a newline, where ``rows``
+    holds one object per row of ``columns``, in pieces of at most 10,000 rows.  Each
+    piece fills a ``%r`` row template, which prints a finite float as json does: every
+    column is an array of finite floats, as ``TimeSeries`` and ``IVCurve`` ensure."""
+    before, after = (json.dumps(members, indent=2)[2:-2] for members in (head, tail))
+    values = list(columns.values())
+    row = "    {\n" + ",\n".join(f'      "{name}": %r' for name in columns) + "\n    }"
+    yield "{\n" + before + ",\n" * bool(before) + f'  "{key}": [\n'
+    for start in range(0, len(values[0]), _JSON_PIECE):  # each piece after the first opens ",\n"
+        piece = [column[start:start + _JSON_PIECE] for column in values]  # views, not floats
+        yield ",\n" * bool(start) + ",\n".join([row] * len(piece[0])) % tuple(
+            chain.from_iterable(zip(*[cells.tolist() for cells in piece])))
+    yield "\n  ]" + ",\n" * bool(after) + after + "\n}\n"
+
+
 def _record(cls, args: argparse.Namespace, **given):
     """A ``cls`` from the flags whose dest names one of its fields, plus ``given``.
 
@@ -139,11 +159,9 @@ def _cmd_pv_curve(args: argparse.Namespace) -> int:
     except DarkArray:  # the sweep is the dark point (0, 0, 0)
         peak = None
     if args.json:
-        columns = curve.v.tolist(), curve.i.tolist(), curve.p.tolist()
-        doc: dict = {"points": [dict(v=v, i=i, p=p) for v, i, p in zip(*columns)]}
-        if peak is not None:
-            doc["mpp"] = asdict(peak)
-        _write_artifact(json.dumps(doc, indent=2) + "\n", args.output)
+        columns = {"v": curve.v, "i": curve.i, "p": curve.p}
+        tail = {} if peak is None else {"mpp": vars(peak)}
+        _write_artifact(_json_rows({}, "points", columns, tail), args.output)
         return 0
     _write_artifact(curve.to_csv(), args.output)
     if args.output is not None and peak is not None:
@@ -171,7 +189,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.report and args.json and args.output is None:
         print("error: --report prints to stdout, so --json needs -o FILE", file=sys.stderr)
         return 1
-    emit = scenario_io.emit_json if args.json else scenario_io.emit_csv
+    emit = scenario_io.emit_csv if not args.json else lambda series: _json_rows(
+        {"scenario_id": series.scenario_id}, "records", series.columns, {})
     if args.batch is not None:
         batch_dir = Path(args.batch)
         files = sorted(batch_dir.glob("*.json"))

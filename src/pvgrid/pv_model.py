@@ -190,7 +190,8 @@ class IVCurve:
             raise InvalidValue("curve v and i must be equal-length sequences of numbers")
         columns.flags.writeable = False
         v, i = columns
-        vars(self).update(v=v, i=i, p=v * i)
+        with np.errstate(over="ignore", invalid="ignore"):  # a power past the range fails below
+            vars(self).update(v=v, i=i, p=v * i)
         self.p.flags.writeable = False
         if not len(v):
             raise InvalidValue("curve needs at least one point")
@@ -207,6 +208,8 @@ class IVCurve:
             )
         if not np.isfinite(columns).all():
             raise InvalidValue("curve v and i must be finite")
+        for k in np.flatnonzero(~np.isfinite(self.p))[:1]:
+            raise InvalidValue(f"curve power at v = {float(v[k])} V is beyond the float range")
 
     def to_csv(self) -> str:
         """Render the curve as CSV with header ``v,i,p``, 6 significant digits."""

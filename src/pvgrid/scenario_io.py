@@ -10,7 +10,6 @@ all of them on emit, making parse-emit round trips exact.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import MISSING
 from itertools import chain, repeat
 from operator import itemgetter
@@ -254,20 +253,6 @@ def emit_csv(series: TimeSeries) -> str:
     tails = map(repeat, map(",".join, cells.T.tolist()), np.diff(starts, append=len(t)).tolist())
     rows = tuple(chain.from_iterable(zip(t.tolist(), chain.from_iterable(tails))))
     return ",".join(COLUMNS) + "\n" + "%.6g,%s\n" * len(t) % rows
-
-
-_JSON_PIECE = 10_000  # most records in one piece of emit_json: its memory holds one piece
-
-
-def emit_json(series: TimeSeries) -> Iterator[str]:
-    """``json.dumps({"scenario_id": ..., "records": [...]}, indent=2)`` and a newline, in
-    pieces of at most 10,000 records; ``%r`` prints each finite float as json does."""
-    row = "    {\n" + ",\n".join(f'      "{name}": %r' for name in COLUMNS) + "\n    }"
-    yield '{\n  "scenario_id": %s,\n  "records": [\n' % json.dumps(series.scenario_id)
-    for start in range(0, len(series), _JSON_PIECE):  # each piece after the first opens ",\n"
-        cells = np.stack([c[start:start + _JSON_PIECE] for c in series.columns.values()], axis=1)
-        yield ",\n" * bool(start) + ",\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())
-    yield "\n  ]\n}\n"
 
 
 # ============================================================================

@@ -315,6 +315,7 @@ def compare_runs(a: TimeSeries, b: TimeSeries) -> ComparisonReport:
 
     Raises:
         GridMismatch: if the time grids differ.
+        InvalidValue: if a q_grid delta is beyond the float range.
     """
     ts_a, ts_b = a.columns["t"], b.columns["t"]
     if not np.array_equal(ts_a, ts_b):
@@ -324,6 +325,10 @@ def compare_runs(a: TimeSeries, b: TimeSeries) -> ComparisonReport:
             else "time grids differ in their instants"
         )
     q_a, q_b = a.columns["q_grid"], b.columns["q_grid"]
+    with np.errstate(over="ignore"):  # a delta past the range fails below
+        delta_q = q_b - q_a
+    for k in np.flatnonzero(~np.isfinite(delta_q))[:1]:
+        raise InvalidValue(f"delta_q_grid at t = {float(ts_a[k])} s is beyond the float range")
     abs_a, abs_b = np.abs(q_a), np.abs(q_b)
     a_dominates, b_dominates = bool((abs_a <= abs_b).all()), bool((abs_b <= abs_a).all())
     winner = None
@@ -331,7 +336,7 @@ def compare_runs(a: TimeSeries, b: TimeSeries) -> ComparisonReport:
         winner = a.scenario_id if a_dominates else b.scenario_id
     return ComparisonReport(
         scenario_a=a.scenario_id, scenario_b=b.scenario_id,
-        delta_q_grid=tuple((q_b - q_a).tolist()),
+        delta_q_grid=tuple(delta_q.tolist()),
         delta_pf_grid=tuple((b.columns["pf_grid"] - a.columns["pf_grid"]).tolist()),
         max_abs_q_grid_a=float(abs_a.max()), max_abs_q_grid_b=float(abs_b.max()), winner=winner,
     )

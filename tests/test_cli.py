@@ -27,7 +27,7 @@ from pvgrid.component_design import (
 )
 from pvgrid.pv_model import G_MAX, EnvCondition, MPPResult, PVArraySpec, PVModuleSpec
 from pvgrid.scenario_io import bundled_scenario_text, emit_csv, parse_scenario
-from pvgrid.simulator import run
+from pvgrid.simulator import COLUMNS, TimeSeries, run
 
 from conftest import (
     BOOST_ARGS, COMPENSATOR_DOCS, DATASHEETS, DESIGN_RUNS, LCL_ARGS, OUT_OF_BUDGET_AT_FIRST,
@@ -164,6 +164,20 @@ def _numpy_expm1_is_libm() -> bool:
     return np.expm1(z).tolist() == [math.expm1(x) for x in z.tolist()]
 
 
+def _stdout_writes(monkeypatch, argv: list[str]) -> int:
+    """How many writes ``pvgrid argv...`` makes to stdout, once it has exited 0."""
+    writes = []
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert cli.main(argv) == 0
+    return len(writes)
+
+
 class TestPvCurve:
     """Curve sweep subcommand."""
 
@@ -200,6 +214,11 @@ class TestPvCurve:
         if isinstance(sha256, dict):
             sha256 = sha256["libm" if _numpy_expm1_is_libm() else "SIMD"]
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
+
+    def test_json_write_count(self, monkeypatch):
+        """--json of 10,001 points reaches stdout in four writes, not one: the
+        head, a piece of 10,000 points, a piece of one and the tail."""
+        assert _stdout_writes(monkeypatch, self.MODULE_ARGS + ["--json", "--points", "10001"]) == 4
 
     def test_array_scaling(self, capsys):
         """--ns/--np scale the curve to array level."""
@@ -756,16 +775,7 @@ class TestSimulate:
     def test_artifact_write_count(self, monkeypatch, case_file, extra, pieces):
         """The CSV, a string, goes to stdout in one write, not one per
         character; the JSON of 21 records goes in its three pieces."""
-        writes = []
-
-        class Stdout(io.StringIO):
-            def write(self, text):
-                writes.append(text)
-                return super().write(text)
-
-        monkeypatch.setattr(sys, "stdout", Stdout())
-        assert cli.main(["simulate", case_file("case1"), *extra]) == 0
-        assert len(writes) == pieces
+        assert _stdout_writes(monkeypatch, ["simulate", case_file("case1"), *extra]) == pieces
 
     def test_batch_json_equals_single_file_stdout(self, capsys, case_file, tmp_path):
         """Each file that --batch --json writes holds exactly what simulate
@@ -1087,6 +1097,24 @@ class TestCompare:
             "1d62612c1da3a9975428947ad21ac0d9475de6c22e85f6b97d3c0a8eab727af8"
         )
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.filterwarnings("error")
+    def test_delta_beyond_float_range_exits_1(self, capsys, tmp_path, json_flag):
+        """Two runs whose q_grid are near plus and minus the largest double have a
+        delta_q_grid past the float range, which JSON cannot hold: exit 1 and one
+        error line naming the first such instant, without a warning."""
+        paths = []
+        for name, q in (("a", 1.7e308), ("b", -1.7e308)):
+            doc = json.loads(bundled_scenario_text("case1"))
+            for segment in doc["profiles"]["load"]:
+                segment["q"] = q
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["compare", *map(str, paths), *json_flag]) == 1
+        assert capsys.readouterr() == (
+            "", "error: InvalidValue: delta_q_grid at t = 0.0 s is beyond the float range\n"
+        )
+
     def test_mismatched_grids_exit_1(self, capsys, case_file, tmp_path):
         """Scenarios on different time grids cannot be compared."""
         doc = json.loads(bundled_scenario_text("case1"))
@@ -1145,6 +1173,83 @@ class TestNoOverwrite:
         assert (tmp_path / "b.json").read_text(encoding="utf-8") == (
             (tmp_path / "a.csv").read_text(encoding="utf-8")
         )
+
+
+# ======================================================================
+# JSON rows: the one writer of a run's records and a curve's points
+# ======================================================================
+
+
+def _dumped(head: dict, key: str, columns: dict, tail: dict) -> str:
+    """The document as json.dumps writes one dict per row: the oracle of _json_rows."""
+    rows = np.column_stack(tuple(columns.values())).tolist()
+    records = [dict(zip(columns, row)) for row in rows]
+    return json.dumps({**head, key: records, **tail}, indent=2) + "\n"
+
+
+# Cell values: signed zeros, the smallest subnormal and normal doubles, and
+# plus and minus the largest double, among any finite floats.
+_JSON_VALUE = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+) | st.floats(allow_nan=False, allow_infinity=False)
+# Ids with a quote, a backslash, non-ASCII and control characters, which json escapes.
+_JSON_ID = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\u2028é€😀a') | st.characters(), min_size=1)
+# The shapes the CLI writes: a run's records under its id, and a curve's
+# points, lit with its maximum power point after them or dark without.
+_JSON_SHAPES = ["run", "curve", "curve-mpp"]
+
+
+@st.composite
+def _json_documents(draw, lengths, shape: str) -> tuple:
+    """``_json_rows`` arguments of ``shape`` with a row count from ``lengths``,
+    whose cells are drawn from a pool of a few values, so that long documents
+    cost no more draws than short."""
+    n = draw(lengths)
+    pool = np.array(draw(st.lists(_JSON_VALUE, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape != "run":
+        columns = {name: pool[rng.integers(len(pool), size=n)] for name in ("v", "i", "p")}
+        mpp = st.fixed_dictionaries({name: _JSON_VALUE for name in ("v_mp", "i_mp", "p_mp")})
+        return {}, "points", columns, {"mpp": draw(mpp)} if shape == "curve-mpp" else {}
+    pf = np.array(draw(st.lists(st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0),
+                                min_size=1, max_size=4)))
+    columns = {name: pool[rng.integers(len(pool), size=n)] for name in COLUMNS}
+    columns["pf_grid"] = pf[rng.integers(len(pf), size=n)]
+    step = draw(st.sampled_from([5e-324, 0.01]) | st.floats(5e-324, sys.float_info.max / n))
+    columns["t"] = np.arange(n) * step
+    series = TimeSeries(draw(_JSON_ID), columns=columns)
+    return {"scenario_id": series.scenario_id}, "records", series.columns, {}
+
+
+def _check_json(document: tuple) -> None:
+    """_json_rows gives the oracle's bytes, and no piece holds more than 10,000
+    rows (each row opens with a line of four spaces and a brace)."""
+    pieces = list(cli._json_rows(*document))
+    same = "".join(pieces) == _dumped(*document)  # no diff of megabytes on a failure
+    assert same, "_json_rows's text differs from json.dumps's"
+    per_piece = [piece.count("    {\n") for piece in pieces]
+    _, _, columns, _ = document
+    assert max(per_piece) <= 10_000 and sum(per_piece) == len(next(iter(columns.values())))
+
+
+class TestJsonRows:
+    """_json_rows equals json.dumps(..., indent=2) of one dict per row."""
+
+    @pytest.mark.parametrize("shape", _JSON_SHAPES)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_property(self, shape, data):
+        """Property: short documents of any finite values and, for a run, any id."""
+        _check_json(data.draw(_json_documents(st.integers(1, 40), shape)))
+
+    @pytest.mark.parametrize("shape", _JSON_SHAPES)
+    @pytest.mark.parametrize("n", [1, 9_999, 10_000, 10_001, 20_001])
+    @settings(derandomize=True, max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_piece_boundaries(self, n, shape, data):
+        """Property: documents of one row, and of lengths about the piece size
+        of 10,000 rows and twice it."""
+        _check_json(data.draw(_json_documents(st.just(n), shape)))
 
 
 # ======================================================================
@@ -1344,6 +1449,11 @@ class TestLazyImport:
                 ["pv-curve", "--pmp", "213.15", "--vmp", "29", "--imp", "7.35", "--voc", "36.3",
                  "--isc", "7.84", "--points", "5"],
                 ["numerics", "pv_model"], id="pv-curve",
+            ),
+            pytest.param(
+                ["pv-curve", "--pmp", "213.15", "--vmp", "29", "--imp", "7.35", "--voc", "36.3",
+                 "--isc", "7.84", "--points", "5", "--json"],
+                ["numerics", "pv_model"], id="pv-curve-json",
             ),
             pytest.param(
                 ["simulate", "{case1}"],

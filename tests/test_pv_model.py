@@ -1298,13 +1298,21 @@ class TestIVCurve:
             pytest.param(((0.0, 5.0), (1.0, -math.inf)),
                          "curve v and i must be finite", id="infinite-current"),
             pytest.param(((0.0, 5.0), (1.0, 5.0 + 4e-9)), None, id="rise-within-slack"),
+            pytest.param(((0.0, 1e200), (1e200, 1e200)),
+                         "curve power at v = 1e+200 V is beyond the float range",
+                         id="infinite-power"),
+            pytest.param(((0.0, 1e200), (1e100, 1.0), (1e200, -1e200), (2e200, -1e300)),
+                         "curve power at v = 1e+200 V is beyond the float range",
+                         id="first-infinite-power-wins"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_check_messages(self, points, message):
         """Each invariant's message and their precedence (recorded from the
         per-point checks these array checks replaced): the first failing
         point wins, and its voltage is checked before its current.  An
-        accepted curve keeps its samples, with p exactly v*i at each."""
+        accepted curve keeps its samples, with p exactly v*i at each, and a
+        power past the float range is rejected without a warning."""
         v, i = np.reshape(points, (-1, 2)).T
         if message is None:
             curve = IVCurve(v, i)
