@@ -48,7 +48,6 @@ _HOMES = {
     "array_mpp": "pv_model",
     "boost_design": "component_design",
     "bundled_scenario_text": "scenario_io",
-    "capbank_q": "compensation",
     "capbank_size": "component_design",
     "compare_runs": "simulator",
     "dispatch": "compensation",
@@ -65,7 +64,6 @@ _HOMES = {
     "resonance_check": "component_design",
     "run": "simulator",
     "schema_text": "scenario_io",
-    "statcom_dispatch": "compensation",
 }
 
 __all__ = list(_HOMES)

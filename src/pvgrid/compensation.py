@@ -1,7 +1,7 @@
 """Steady-state reactive compensator models and power-factor arithmetic.
 
-Dispatch works on columns: a compensator maps the load-q column and the bus
-voltage to a ``(q_out, p_loss)`` pair of arrays, one entry per load value.
+:func:`dispatch` is the one entry to both laws: for a compensator, the load-q
+column and the bus voltage it gives a ``(q_out, p_loss)`` pair of arrays.
 
 Sign convention: positive ``q_out`` means vars injected toward the load
 (capacitive behavior); positive load q means vars consumed.  Compensator
@@ -15,7 +15,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import NON_NEGATIVE, POSITIVE, Bound, bounded, check_fields, require, require_each
+from .errors import NON_NEGATIVE, POSITIVE, Bound, InvalidValue, bounded, check_fields, require
 
 _LOSS_FRAC = Bound("finite and in [0, 0.05]", lambda x: 0.0 <= x <= 0.05,
                    {"minimum": 0, "maximum": 0.05})
@@ -67,51 +67,47 @@ COMPENSATORS: dict[str, type] = {
 }
 
 
-def capbank_q(q_rated: float, v_rated: float, v, *, loss_w: float = 0.0) -> tuple:
-    """Capacitor bank ``(q_out, p_loss)`` at bus voltage ``v``, a number or an
-    array: q_out = q_rated * (v/v_rated)^2, and p_loss is ``loss_w`` throughout.
-
-    The bank is not dispatchable; its output depends on voltage only.
-    """
-    require({"q_rated": q_rated, "loss_w": loss_w}, NON_NEGATIVE)
-    require_each({"v": v}, NON_NEGATIVE)
-    require({"v_rated": v_rated}, POSITIVE)
-    with np.errstate(over="ignore"):  # an output past the float range is rejected below
-        ratio = v / v_rated
-        q_out = q_rated * ratio * ratio
-    require_each({"q_rated * (v/v_rated)^2": q_out})
-    return q_out, np.full_like(q_out, loss_w)
-
-
-def statcom_dispatch(q_demand, config: Statcom) -> tuple:
-    """STATCOM ``(q_out, p_loss)`` for the reactive demand ``q_demand``, a number
-    or an array: track it exactly inside the rating, clamp outside.
-
-    q_out = clamp(q_demand, -q_max, +q_max);
-    p_loss = loss_floor_w + loss_frac * |q_out|.
-    """
-    require_each({"q_demand": q_demand})
-    q_out = np.clip(q_demand, -config.q_max, config.q_max)
-    with np.errstate(over="ignore"):  # a loss past the float range is rejected below
-        p_loss = config.loss_floor_w + config.loss_frac * np.abs(q_out)
-    require_each({"p_loss": p_loss}, NON_NEGATIVE)
-    return q_out, p_loss
+def require_compensator(name: str, config: object) -> None:
+    """Raise :class:`InvalidValue` naming ``name`` and the type of ``config``
+    unless it is one of the :data:`COMPENSATORS` classes."""
+    if not isinstance(config, CompensatorConfig):
+        names = ", ".join(cls.__name__ for cls in COMPENSATORS.values())
+        raise InvalidValue(f"{name} must be one of {names}, got {type(config).__name__}")
 
 
 def dispatch(config: CompensatorConfig, q_load, v: float) -> tuple[np.ndarray, np.ndarray]:
     """Compensator ``(q_out, p_loss)`` arrays, one entry per entry of the
-    load-q column ``q_load``, at bus voltage ``v``.
+    load-q column ``q_load`` (finite real numbers; a bool is none), at bus voltage ``v``.
 
-    A STATCOM follows the load, a capacitor bank the voltage, and no
-    compensator gives zeros.
+    A STATCOM tracks the load inside its rating, q_out = clamp(q_load, -q_max, +q_max),
+    and loses p_loss = loss_floor_w + loss_frac * |q_out|.  A capacitor bank follows
+    the voltage, q_out = q_rated * (v/v_rated)^2, and loses loss_w.  No compensator
+    gives zeros.
     """
-    q_load = np.asarray(q_load, dtype=float)
+    require_compensator("config", config)
+    require({"v": v}, NON_NEGATIVE)
+    q = np.asarray(q_load)
+    if q.ndim != 1:
+        raise InvalidValue(f"q_load must be a column of numbers, got {q_load!r}")
+    # np.asarray makes a bool among numbers a number, so a list's types are looked at too.
+    if not (q.dtype.kind in "iuf" and np.isfinite(q).all() and (
+            isinstance(q_load, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, q_load)))):
+        for value in q.tolist() if isinstance(q_load, np.ndarray) else q_load:
+            require({"q_load": value})
+    q = q.astype(float)
     if isinstance(config, Statcom):
-        return statcom_dispatch(q_load, config)
+        q_out = np.clip(q, -config.q_max, config.q_max)
+        with np.errstate(over="ignore"):  # a loss past the float range is rejected below
+            p_loss = config.loss_floor_w + config.loss_frac * np.abs(q_out)
+        require({"p_loss": p_loss.max(initial=0.0)}, NON_NEGATIVE)
+        return q_out, p_loss
     if isinstance(config, FixedCapacitor):
-        q_out, p_loss = capbank_q(config.q_rated, config.v_rated, v, loss_w=config.loss_w)
-        return np.full_like(q_load, q_out), np.full_like(q_load, p_loss)
-    return np.zeros_like(q_load), np.zeros_like(q_load)
+        with np.errstate(over="ignore"):  # an output past the float range is rejected below
+            ratio = v / config.v_rated
+            q_out = config.q_rated * ratio * ratio
+        require({"q_rated * (v/v_rated)^2": q_out})
+        return np.full_like(q, q_out), np.full_like(q, config.loss_w)
+    return np.zeros_like(q), np.zeros_like(q)
 
 
 def power_factor(p, q) -> np.ndarray:

@@ -12,10 +12,10 @@ printed result shows it in), and
 :func:`check_fields` holds each field to it as one real number; the same
 table (:func:`numeric_fields`) gives the scenario document's keys,
 defaults and JSON schema.  :func:`require` judges a function's numbers,
-:func:`require_each` an array's entries and :func:`require_integer` a
-count.  The CLI exits 2 on :class:`NonConvergence`, 1 on any other pvgrid
-error (a datasheet that cannot be calibrated is an :class:`InfeasibleSpec`),
-and lets any other exception, a bug, end in a traceback.
+each one number (an array is none), and :func:`require_integer` a count.
+The CLI exits 2 on :class:`NonConvergence`, 1 on any other pvgrid error (a
+datasheet that cannot be calibrated is an :class:`InfeasibleSpec`), and lets
+any other exception, a bug, end in a traceback.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class GridMismatch(PVGridError):
 
 class Bound(NamedTuple):
     """What a value must be: the words an error gives, a test of a finite number
-    (entry by entry, for a bound that :func:`require` applies to an array), and
+    (entry by entry, for a bound that a profile check applies to a column), and
     the JSON-schema keywords that say the same of a number."""
 
     text: str  # completes "<name> must be ..."
@@ -93,21 +93,6 @@ def require(values: dict[str, object], bound: Bound = FINITE) -> None:
         if not within(value, bound):
             shown = value.item() if isinstance(value, _REAL) and hasattr(value, "item") else value
             raise InvalidValue(f"{name} must be {bound.text}, got {shown!r}")
-
-
-def require_each(values: dict[str, object], bound: Bound = FINITE) -> None:
-    """:func:`require` for values that are each a number or a numpy array, an
-    array judged entry by entry in one pass; the error gives its first entry
-    that is out of bound, as a Python number."""
-    for name, value in values.items():
-        if hasattr(value, "ndim"):
-            out = value  # a bool array is out of bound throughout
-            if value.dtype != bool:
-                out = value[~((abs(value) <= _MAX) & bound.holds(value))]
-            if not out.size:
-                continue
-            value = out.item(0)
-        require({name: value}, bound)
 
 
 def require_integer(values: dict[str, object]) -> None:

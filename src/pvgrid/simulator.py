@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pv_model
-from .compensation import CompensatorConfig, dispatch, power_factor
+from .compensation import CompensatorConfig, dispatch, power_factor, require_compensator
 from .errors import (
     NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec, InvalidValue, NonConvergence,
     bounded, check_fields, numeric_fields, within,
@@ -140,6 +140,7 @@ class Scenario:
     scenario_id: str = "scenario"
 
     def __post_init__(self) -> None:
+        require_compensator("compensator", self.compensator)
         check_fields(self)
         steps = self.t_end / self.dt
         if not steps + _GRID_EPS < MAX_RECORDS:

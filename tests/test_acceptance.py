@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from pvgrid import cli
-from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom, capbank_q, statcom_dispatch
+from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom, dispatch
 from pvgrid.component_design import (
     BoostDesignInput,
     LCLDesignInput,
@@ -291,14 +291,15 @@ def test_criterion_7_properties(criterion, ref_params, tmp_path):
     for _ in range(500):
         cfg = Statcom(q_max=float(law_rng.uniform(1e3, 3e5)))
         demand = float(law_rng.uniform(-6e5, 6e5))
-        q_out, _ = statcom_dispatch(demand, cfg)
+        q_out = dispatch(cfg, [demand], 230.0)[0].item()
         law_ok &= abs(q_out) <= cfg.q_max
         law_ok &= q_out == demand if abs(demand) <= cfg.q_max else True
         q_r = float(law_rng.uniform(1e3, 5e5))
         v_r = float(law_rng.uniform(100.0, 500.0))
         v = float(law_rng.uniform(0.0, 600.0))
         expect = q_r * (v / v_r) ** 2
-        law_ok &= abs(capbank_q(q_r, v_r, v)[0] - expect) <= 1e-9 * max(expect, 1.0)
+        q_bank = dispatch(FixedCapacitor(q_rated=q_r, v_rated=v_r), [0.0], v)[0].item()
+        law_ok &= abs(q_bank - expect) <= 1e-9 * max(expect, 1.0)
     checks.append(("statcom clamp and capacitor V^2 laws hold", law_ok))
 
     # (e) Parse/emit round trip.

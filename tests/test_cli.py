@@ -157,6 +157,20 @@ class TestDesignCommands:
 # ======================================================================
 
 
+# The lit pv-curve --json digest for each float64 expm1 loop of numpy: its baseline
+# loop gives libm's bits, its AVX-512 (SIMD) loop not always.
+_LIT_SHA256 = {"libm": "97083c09dc57ae2c2a212e68c548e80d0ac5e971fb50573bf1889c27108dcffb",
+               "SIMD": "9770daa33b432090c2b6ba4eea92beaeb33917a2253474ff806b627960d500fd"}
+_DARK_SHA256 = "91c4dc968ebbe2cecff344c24d2a1b1a15655a15dd7292adde8b0fa4a0ba30d5"
+
+
+# Prints the float64 expm1 loop that numpy runs, e.g. X86_V4.
+_PRINT_EXPM1_LOOP = (
+    "from numpy.lib.introspect import opt_func_info\n"
+    "print(opt_func_info(func_name='^expm1$')['expm1']['dd']['current'])\n"
+)
+
+
 def _numpy_expm1_is_libm() -> bool:
     """Whether numpy's float64 expm1 gives libm's bits on 2,001 arguments over
     the diode exponents of a sweep; its AVX-512 loop differs on about a tenth."""
@@ -201,9 +215,8 @@ class TestPvCurve:
         assert abs(doc["mpp"]["p_mp"] - 213.15) <= 0.005 * 213.15
 
     @pytest.mark.parametrize("extra,sha256", [
-        ([], {"libm": "97083c09dc57ae2c2a212e68c548e80d0ac5e971fb50573bf1889c27108dcffb",
-              "SIMD": "9770daa33b432090c2b6ba4eea92beaeb33917a2253474ff806b627960d500fd"}),
-        (["--g", "0"], "91c4dc968ebbe2cecff344c24d2a1b1a15655a15dd7292adde8b0fa4a0ba30d5"),
+        ([], _LIT_SHA256),
+        (["--g", "0"], _DARK_SHA256),
     ], ids=["lit", "dark"])
     def test_json_output_is_pinned(self, capsys, extra, sha256):
         """--json stdout of a lit and of a dark sweep keeps its exact bytes.  The
@@ -214,6 +227,32 @@ class TestPvCurve:
         if isinstance(sha256, dict):
             sha256 = sha256["libm" if _numpy_expm1_is_libm() else "SIMD"]
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
+
+    def test_json_other_digest_with_avx512_off(self, monkeypatch):
+        """With numpy's AVX-512 features switched off by NPY_DISABLE_CPU_FEATURES,
+        a fresh interpreter runs another float64 expm1 loop and prints the other
+        pinned digest of the lit sweep, and the dark sweep's, so both lit digests
+        are checked here."""
+        found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+        off = " ".join(f for f in found if f.startswith("AVX512") or f == "X86_V4")
+        if not off:
+            pytest.skip("this runner's CPU has no AVX-512, so only the libm digest of the "
+                        "lit pv-curve sweep ran")
+        on = _python(_PRINT_EXPM1_LOOP).strip()
+        code = _PRINT_EXPM1_LOOP + (
+            "import contextlib, hashlib, io, sys\n"
+            "from pvgrid import cli\n"
+            "for extra in ([], ['--g', '0']):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert cli.main(sys.argv[1:] + extra) == 0\n"
+            "    print(hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest())"
+        )
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", off)
+        switched, lit, dark = _python(code, *self.MODULE_ARGS, "--json").split()
+        assert switched != on, f"switching off {off} does not change the expm1 loop ({on})"
+        assert lit == _LIT_SHA256["SIMD" if _numpy_expm1_is_libm() else "libm"]
+        assert dark == _DARK_SHA256
 
     def test_json_write_count(self, monkeypatch):
         """--json of 10,001 points reaches stdout in four writes, not one: the

@@ -10,15 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvgrid.compensation import (
-    FixedCapacitor,
-    NoCompensator,
-    Statcom,
-    capbank_q,
-    dispatch,
-    power_factor,
-    statcom_dispatch,
-)
+from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom, dispatch, power_factor
 from pvgrid.component_design import capbank_size
 from pvgrid.errors import InvalidValue, PVGridError
 from pvgrid.pv_model import SingleDiodeParams
@@ -35,14 +27,14 @@ _FINITE_CALLS = {
     "SingleDiodeParams": (SingleDiodeParams, {"i_ph": 7.8, "i_0": 1e-9, "n_ideality": 1.0,
                                               "r_s": 0.4, "r_sh": 480.0, "a": 1.5}),
     "capbank_size": (capbank_size, {"q_rated": 1e5, "v_phase": 230.0, "f_g": 50.0}),
-    "statcom_dispatch": (lambda q_demand: statcom_dispatch(q_demand, Statcom(q_max=2e5)),
-                         {"q_demand": 1e5}),
-    "capbank_q": (capbank_q, {"q_rated": 1e5, "v_rated": 230.0, "v": 230.0, "loss_w": 0.0}),
-    # A column with one bad entry is rejected as a bad number is.
-    "statcom_dispatch_column": (
-        lambda q_demand: statcom_dispatch(np.array([1e5, q_demand]), Statcom(q_max=2e5)),
-        {"q_demand": 1e5}),
-    "capbank_q_column": (lambda v: capbank_q(1e5, 230.0, np.array([230.0, v])), {"v": 230.0}),
+    # Each mode judges its bus voltage, and a load column with one bad entry, alike.
+    **{
+        f"dispatch-{config.mode}": (
+            lambda q_load, v, config=config: dispatch(config, np.array([1e5, q_load]), v),
+            {"q_load": 1e5, "v": 230.0})
+        for config in (NoCompensator(), FixedCapacitor(q_rated=1e5, v_rated=230.0),
+                       Statcom(q_max=2e5))
+    },
 }
 
 
@@ -66,49 +58,55 @@ def test_non_finite_value_rejected(call, name, value):
 # ======================================================================
 
 
-class TestCapbankQ:
-    """Voltage-squared output law of a fixed bank."""
+class TestCapacitorLaw:
+    """Voltage-squared output law of a fixed bank, through ``dispatch``."""
+
+    @staticmethod
+    def law(v, q_load=(0.0,), loss_w=0.0, q_rated=100_000.0, v_rated=230.0):
+        """``(q_out, p_loss)`` of a bank over the load column ``q_load``."""
+        return dispatch(FixedCapacitor(q_rated=q_rated, v_rated=v_rated, loss_w=loss_w),
+                        list(q_load), v)
 
     def test_rated_voltage_gives_rated_output(self):
         """At v = v_rated the bank delivers exactly its rating."""
-        q_out, p_loss = capbank_q(100_000.0, 230.0, 230.0)
-        assert q_out == 100_000.0
-        assert p_loss == 0.0
+        q_out, p_loss = self.law(230.0)
+        assert q_out.tolist() == [100_000.0]
+        assert p_loss.tolist() == [0.0]
 
     def test_depressed_voltage(self):
         """At 95% voltage the output drops to 90.25% of rating."""
-        q_out, _ = capbank_q(100_000.0, 230.0, 218.5)
+        q_out = self.law(218.5)[0].item()
         assert abs(q_out - 90_250.0) <= 1e-12 * 90_250.0, f"{q_out!r}"
 
     def test_zero_voltage_zero_output(self):
         """A dead bus draws nothing from the bank."""
-        assert capbank_q(100_000.0, 230.0, 0.0)[0] == 0.0
+        assert self.law(0.0)[0].tolist() == [0.0]
 
     def test_loss_passthrough(self):
-        """The feeder loss rides along unchanged, once per voltage of a column."""
-        assert capbank_q(100_000.0, 230.0, 230.0, loss_w=1300.0)[1] == 1300.0
-        q_out, p_loss = capbank_q(100_000.0, 230.0, np.array([230.0, 0.0]), loss_w=1300.0)
-        assert q_out.tolist() == [100_000.0, 0.0] and p_loss.tolist() == [1300.0, 1300.0]
+        """The feeder loss rides along unchanged, once per entry of the load column."""
+        q_out, p_loss = self.law(230.0, q_load=(0.0, 500_000.0), loss_w=1300.0)
+        assert q_out.tolist() == [100_000.0, 100_000.0] and p_loss.tolist() == [1300.0, 1300.0]
 
     def test_negative_voltage_rejected(self):
-        """Negative bus voltage is a caller error."""
+        """Negative bus voltage is a caller error, and so is an array of voltages."""
         with pytest.raises(InvalidValue, match="^v must be finite and non-negative, got -1.0$"):
-            capbank_q(100_000.0, 230.0, -1.0)
-        with pytest.raises(InvalidValue, match="^v must be finite and non-negative, got -1.0$"):
-            capbank_q(100_000.0, 230.0, np.array([230.0, -1.0, -2.0]))
+            self.law(-1.0)
+        with pytest.raises(InvalidValue, match=r"^v must be finite and non-negative, got array"):
+            self.law(np.array([230.0, -1.0, -2.0]))
 
     def test_zero_rated_voltage_rejected(self):
         """A zero rated voltage is rejected naming v_rated, not divided by."""
         with pytest.raises(InvalidValue, match="^v_rated must be finite and positive, got 0.0$"):
-            capbank_q(1e5, 0.0, 230.0)
+            self.law(230.0, v_rated=0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_output_beyond_float_range_rejected(self):
         """A bank whose output at the bus voltage overflows is rejected, for a
-        number and for a column, without a numpy warning."""
-        for v in (230.0, np.array([0.0, 230.0])):
-            with pytest.raises(InvalidValue, match=r"v/v_rated\)\^2 must be finite, got inf"):
-                capbank_q(1e5, 1e-300, v)
+        load column of one entry and of two, without a numpy warning."""
+        for q_load in ((0.0,), (0.0, 1e5)):
+            with pytest.raises(InvalidValue,
+                               match=r"^q_rated \* \(v/v_rated\)\^2 must be finite, got inf$"):
+                self.law(230.0, q_load=q_load, q_rated=1e5, v_rated=1e-300)
 
     def test_quadratic_scaling(self):
         """Property: q(k*v) = k^2 * q(v) for random banks and voltages."""
@@ -118,8 +116,8 @@ class TestCapbankQ:
             v_rated = float(rng.uniform(100.0, 500.0))
             v = float(rng.uniform(0.0, 600.0))
             k = float(rng.uniform(0.1, 3.0))
-            q1, _ = capbank_q(q_rated, v_rated, v)
-            q2, _ = capbank_q(q_rated, v_rated, k * v)
+            q1 = self.law(v, q_rated=q_rated, v_rated=v_rated)[0].item()
+            q2 = self.law(k * v, q_rated=q_rated, v_rated=v_rated)[0].item()
             assert abs(q2 - k * k * q1) <= 1e-9 * max(q1, 1.0), (
                 f"V^2 law violated: {q2!r} vs {k * k * q1!r}"
             )
@@ -130,36 +128,42 @@ class TestCapbankQ:
 # ======================================================================
 
 
-class TestStatcomDispatch:
-    """Clamped demand-following dispatch."""
+class TestStatcomLaw:
+    """Clamped demand-following law of a STATCOM, through ``dispatch``."""
+
+    @staticmethod
+    def law(q_load, config):
+        """``(q_out, p_loss)`` of one load value, as Python floats."""
+        q_out, p_loss = dispatch(config, [q_load], 230.0)
+        return q_out.item(), p_loss.item()
 
     def test_tracks_demand_inside_rating(self):
         """Demand below the rating is matched exactly."""
         cfg = Statcom(q_max=200_000.0)
-        q_out, _ = statcom_dispatch(150_000.0, cfg)
+        q_out, _ = self.law(150_000.0, cfg)
         assert q_out == 150_000.0
 
     def test_clamps_at_positive_rating(self):
         """Demand above +q_max saturates at +q_max."""
         cfg = Statcom(q_max=200_000.0)
-        assert statcom_dispatch(350_000.0, cfg)[0] == 200_000.0
+        assert self.law(350_000.0, cfg)[0] == 200_000.0
 
     def test_clamps_at_negative_rating(self):
         """Demand below -q_max saturates at -q_max."""
         cfg = Statcom(q_max=200_000.0)
-        assert statcom_dispatch(-350_000.0, cfg)[0] == -200_000.0
+        assert self.law(-350_000.0, cfg)[0] == -200_000.0
 
     def test_standby_loss_floor(self):
         """Zero demand still pays the loss floor."""
         cfg = Statcom(q_max=200_000.0, loss_floor_w=800.0)
-        q_out, p_loss = statcom_dispatch(0.0, cfg)
+        q_out, p_loss = self.law(0.0, cfg)
         assert q_out == 0.0
         assert p_loss == 800.0
 
     def test_loss_grows_with_dispatch(self):
         """p_loss = floor + frac * |q_out|, symmetric in sign."""
         cfg = Statcom(q_max=200_000.0, loss_floor_w=800.0, loss_frac=0.01)
-        _, p_loss = statcom_dispatch(np.array([100_000.0, -100_000.0, 300_000.0]), cfg)
+        _, p_loss = dispatch(cfg, np.array([100_000.0, -100_000.0, 300_000.0]), 230.0)
         assert p_loss.tolist() == [800.0 + 0.01 * 100_000.0] * 2 + [800.0 + 0.01 * 200_000.0]
 
     @pytest.mark.filterwarnings("error")
@@ -167,7 +171,7 @@ class TestStatcomDispatch:
         """A loss column that overflows is rejected, not returned as inf."""
         cfg = Statcom(q_max=1e308, loss_floor_w=sys.float_info.max, loss_frac=0.05)
         with pytest.raises(InvalidValue, match="^p_loss must be finite and non-negative, got inf$"):
-            statcom_dispatch(np.array([0.0, 1e308]), cfg)
+            dispatch(cfg, np.array([0.0, 1e308]), 230.0)
 
     def test_clamp_properties(self):
         """Property: |q_out| <= q_max, idempotence, and 1-Lipschitz tracking."""
@@ -180,10 +184,10 @@ class TestStatcomDispatch:
             )
             d1 = float(rng.uniform(-6e5, 6e5))
             d2 = float(rng.uniform(-6e5, 6e5))
-            q1, _ = statcom_dispatch(d1, cfg)
-            q2, _ = statcom_dispatch(d2, cfg)
+            q1, _ = self.law(d1, cfg)
+            q2, _ = self.law(d2, cfg)
             assert abs(q1) <= cfg.q_max
-            assert statcom_dispatch(q1, cfg)[0] == q1, "clamp not idempotent"
+            assert self.law(q1, cfg)[0] == q1, "clamp not idempotent"
             assert abs(q1 - q2) <= abs(d1 - d2) + 1e-12, "clamp not 1-Lipschitz"
 
     def test_config_validation(self):
@@ -231,6 +235,37 @@ class TestDispatch:
             FixedCapacitor(q_rated=1e5, v_rated=-230.0)
         with pytest.raises(ValueError):
             FixedCapacitor(q_rated=1e5, v_rated=230.0, loss_w=-5.0)
+
+
+# Inputs that every mode rejects, from the mode's config, and the input each names.
+_BAD_INPUTS = {
+    "nan-entry": (lambda c: (c, [1e5, math.nan], 230.0), "q_load"),
+    "inf-entry": (lambda c: (c, [1e5, math.inf], 230.0), "q_load"),
+    "-inf-entry": (lambda c: (c, np.array([-math.inf, 1e5]), 230.0), "q_load"),
+    "bool-entry": (lambda c: (c, [1e5, True], 230.0), "q_load"),
+    "bool-array": (lambda c: (c, np.array([True, False]), 230.0), "q_load"),
+    "number-q_load": (lambda c: (c, 1e5, 230.0), "q_load"),
+    "table-q_load": (lambda c: (c, [[1e5, 2e5]], 230.0), "q_load"),
+    "negative-v": (lambda c: (c, [1e5], -1.0), "v"),
+    "nan-v": (lambda c: (c, [1e5], math.nan), "v"),
+    "bool-v": (lambda c: (c, [1e5], True), "v"),
+    "mode-name-config": (lambda c: (c.mode, [1e5], 230.0), "config"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("bad", "name"), _BAD_INPUTS.values(), ids=_BAD_INPUTS)
+@pytest.mark.parametrize(
+    "config", [NoCompensator(), FixedCapacitor(q_rated=1e5, v_rated=230.0), Statcom(q_max=2e5)],
+    ids=lambda config: config.mode,
+)
+def test_every_mode_judges_its_inputs_alike(config, bad, name):
+    """A load column that is not a column, or holds an entry that is not a
+    finite real number (a bool included), a bus voltage that is not one finite
+    non-negative number, and a config that is not a compensator are each an
+    InvalidValue naming the input, whatever the mode, without a warning."""
+    with pytest.raises(InvalidValue, match=f"^{name} must be "):
+        dispatch(*bad(config))
 
 
 def _scalar_dispatch(config, q: float, v: float) -> tuple[float, float]:

@@ -16,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvgrid import errors
-from pvgrid.compensation import FixedCapacitor, Statcom, capbank_q, statcom_dispatch
+from pvgrid.compensation import FixedCapacitor, Statcom, dispatch
 from pvgrid.component_design import (
     BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport, capbank_size,
     resonance_check,
 )
 from pvgrid.errors import (
     FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, ParseError, PVGridError,
-    numeric_fields, require, require_each,
+    numeric_fields, require,
 )
 from pvgrid.pv_model import (
     ENVELOPE, EnvCondition, MPPResult, PVArraySpec, SingleDiodeParams, module_current, mpp,
@@ -57,7 +57,7 @@ def test_one_class_per_kind_of_rejection():
 
 
 class TestRequire:
-    """``require(values, bound)``, and ``require_each`` for values that may be arrays."""
+    """``require(values, bound)``, the one check of a function's numbers."""
 
     @pytest.mark.parametrize(
         "value", [0.0, -0.0, 1, -1e308, sys.float_info.max, int(sys.float_info.max),
@@ -107,8 +107,7 @@ class TestRequire:
     def test_takes_values_and_bound(self):
         """The error is always an InvalidValue; no caller chooses another class,
         nor whether an array may stand for a number."""
-        for check in (require, require_each):
-            assert list(inspect.signature(check).parameters) == ["values", "bound"]
+        assert list(inspect.signature(require).parameters) == ["values", "bound"]
 
     @pytest.mark.parametrize("value", [np.array([1.0]), np.array(1.0), np.array([])])
     def test_array_is_not_a_number(self, value):
@@ -117,26 +116,6 @@ class TestRequire:
         with pytest.raises(InvalidValue) as err:
             require({"x": value}, POSITIVE)
         assert str(err.value) == f"x must be finite and positive, got {value!r}"
-
-    def test_array_names_its_first_failing_entry(self):
-        """``require_each`` judges an array entry by entry in one call; the first
-        entry out of bound is named as a number, and an array wholly inside
-        passes, as does a number."""
-        require_each({"x": np.array([]), "y": np.array([1.0, 5e-324]), "z": 2.0}, POSITIVE)
-        with pytest.raises(InvalidValue, match=r"^x must be finite and positive, got -2\.0$"):
-            require_each({"x": np.array([1.0, -2.0, math.nan])}, POSITIVE)
-        with pytest.raises(InvalidValue, match=r"^x must be finite, got nan$"):
-            require_each({"x": np.array([[1.0, math.nan], [math.inf, 0.0]])})
-        with pytest.raises(InvalidValue, match=r"^x must be finite, got True$"):
-            require_each({"x": True})
-
-    @pytest.mark.parametrize("value", [np.array([True, False]), np.array([False]), np.True_])
-    def test_bool_array_fails(self, value):
-        """A bool array or numpy bool is out of bound throughout, and its first
-        entry is named."""
-        shown = value.flat[0].item()
-        with pytest.raises(InvalidValue, match=f"^x must be finite and non-negative, got {shown}$"):
-            require_each({"x": value}, NON_NEGATIVE)
 
 
 # A valid record of each type whose numeric fields ``check_fields`` holds to their
@@ -240,12 +219,12 @@ def test_of_two_faults_the_earlier_field_is_named(data):
                      f"g must be {ENVELOPE['g'].text}, got True", id="EnvCondition-bool"),
         pytest.param(lambda: module_current(RECORDS["SingleDiodeParams"][0], True),
                      "v must be finite and non-negative, got True", id="module_current-bool"),
-        pytest.param(lambda: capbank_q(1e5, 230.0, np.array([True])),
-                     "v must be finite and non-negative, got True", id="capbank_q-bool"),
-        pytest.param(lambda: capbank_q(1e5, 230.0, np.array([True, False])),
-                     "v must be finite and non-negative, got True", id="capbank_q-bools"),
-        pytest.param(lambda: statcom_dispatch(np.array([True]), Statcom(q_max=2e5)),
-                     "q_demand must be finite, got True", id="statcom_dispatch-bool"),
+        pytest.param(lambda: dispatch(RECORDS["FixedCapacitor"][0], [1e5], True),
+                     "v must be finite and non-negative, got True", id="dispatch-bool-v"),
+        pytest.param(lambda: dispatch(Statcom(q_max=2e5), np.array([True, False]), 230.0),
+                     "q_load must be finite, got True", id="dispatch-bools"),
+        pytest.param(lambda: dispatch(Statcom(q_max=2e5), np.array([True]), 230.0),
+                     "q_load must be finite, got True", id="dispatch-bool"),
         pytest.param(lambda: resonance_check(np.array([6e-4]), 1.5e-5, 1e-4, 50.0, 1e4),
                      "l_1 must be finite and positive, got array([0.0006])",
                      id="resonance_check-array"),
@@ -261,9 +240,9 @@ def test_of_two_faults_the_earlier_field_is_named(data):
         pytest.param(lambda: capbank_size(np.array([1e5, 2e5]), 230.0, 50.0),
                      "q_rated must be finite and non-negative, got array([100000., 200000.])",
                      id="capbank_size-arrays"),
-        pytest.param(lambda: capbank_q(np.array([1e5]), 230.0, 230.0),
-                     "q_rated must be finite and non-negative, got array([100000.])",
-                     id="capbank_q-array-q_rated"),
+        pytest.param(lambda: dispatch(RECORDS["FixedCapacitor"][0], [1e5], np.array([230.0])),
+                     "v must be finite and non-negative, got array([230.])",
+                     id="dispatch-array-v"),
     ],
 )
 def test_value_out_of_domain_is_named(build, message):

@@ -60,6 +60,17 @@ class TestScenarioValidation:
         s = make_scenario()
         assert s.times() == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
 
+    @pytest.mark.parametrize("compensator", ["statcom", {"mode": "statcom", "q_max": 2e5},
+                                             None, Statcom], ids=["str", "dict", "None", "class"])
+    def test_compensator_must_be_a_compensator(self, compensator):
+        """A compensator that is none of the configuration classes is rejected
+        when the scenario is built, naming the field and the type it got, so no
+        run treats it as no compensator and no document is emitted from it."""
+        with pytest.raises(InvalidValue) as err:
+            make_scenario(compensator=compensator)
+        assert str(err.value) == ("compensator must be one of NoCompensator, FixedCapacitor, "
+                                  f"Statcom, got {type(compensator).__name__}")
+
     def test_efficiency_bounds(self):
         """Inverter efficiency outside (0, 1] is rejected."""
         with pytest.raises(InvalidValue):
