@@ -11,11 +11,13 @@ real losses are drawn from the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
-from .errors import NON_NEGATIVE, POSITIVE, Bound, InvalidValue, bounded, check_fields, require
+from .errors import (
+    NON_NEGATIVE, POSITIVE, Bound, InvalidValue, bounded, check_fields, require, require_numbers,
+)
 
 _LOSS_FRAC = Bound("finite and in [0, 0.05]", lambda x: 0.0 <= x <= 0.05,
                    {"minimum": 0, "maximum": 0.05})
@@ -62,17 +64,7 @@ class Statcom:
 CompensatorConfig = Union[NoCompensator, FixedCapacitor, Statcom]
 
 # Scenario ``compensator.mode`` -> configuration class.
-COMPENSATORS: dict[str, type] = {
-    cls.mode: cls for cls in (NoCompensator, FixedCapacitor, Statcom)
-}
-
-
-def require_compensator(name: str, config: object) -> None:
-    """Raise :class:`InvalidValue` naming ``name`` and the type of ``config``
-    unless it is one of the :data:`COMPENSATORS` classes."""
-    if not isinstance(config, CompensatorConfig):
-        names = ", ".join(cls.__name__ for cls in COMPENSATORS.values())
-        raise InvalidValue(f"{name} must be one of {names}, got {type(config).__name__}")
+COMPENSATORS: dict[str, type] = {cls.mode: cls for cls in get_args(CompensatorConfig)}
 
 
 def dispatch(config: CompensatorConfig, q_load, v: float) -> tuple[np.ndarray, np.ndarray]:
@@ -84,16 +76,17 @@ def dispatch(config: CompensatorConfig, q_load, v: float) -> tuple[np.ndarray, n
     the voltage, q_out = q_rated * (v/v_rated)^2, and loses loss_w.  No compensator
     gives zeros.
     """
-    require_compensator("config", config)
+    require({"config": config}, CompensatorConfig)
     require({"v": v}, NON_NEGATIVE)
-    q = np.asarray(q_load)
+    try:
+        q = np.asarray(q_load)
+    except ValueError:  # ragged
+        q = np.empty(())
     if q.ndim != 1:
         raise InvalidValue(f"q_load must be a column of numbers, got {q_load!r}")
-    # np.asarray makes a bool among numbers a number, so a list's types are looked at too.
-    if not (q.dtype.kind in "iuf" and np.isfinite(q).all() and (
-            isinstance(q_load, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, q_load)))):
-        for value in q.tolist() if isinstance(q_load, np.ndarray) else q_load:
-            require({"q_load": value})
+    require_numbers({"q_load": q_load})  # a bool or a string, which numpy reads as a number
+    if not (q.dtype.kind in "iuf" and np.isfinite(q).all()):  # NaN, ±inf or an int past int64
+        require_numbers({"q_load": q.astype(object)})
     q = q.astype(float)
     if isinstance(config, Statcom):
         q_out = np.clip(q, -config.q_max, config.q_max)

@@ -194,7 +194,7 @@ class ResonanceReport:
     f_res: float = field(init=False, metadata={"bound": POSITIVE, "unit": "Hz"})
     f_min: float = bounded(POSITIVE, unit="Hz")  # lower placement bound (10 * f_g)
     f_max: float = bounded(POSITIVE, unit="Hz")  # upper placement bound (0.5 * f_sw)
-    passed: bool = field(init=False)  # f_min < f_res < f_max
+    passed: bool = field(init=False, default=False)  # f_min < f_res < f_max, once checked
 
     def __post_init__(self) -> None:
         if within(self.omega_res):  # else check_fields names omega_res first

@@ -6,13 +6,13 @@ the parser rejects (JSON syntax, UTF-8, structure, keys, JSON types, the
 id or the compensator mode) is a :class:`ParseError`.  A value outside
 the domain of the record, design calculator or run it feeds is an
 :class:`InvalidValue`, also a ``ValueError``, wherever it is found.
-Mostly it is raised by one of its checks.  Every record declares the
-bound of each numeric field once (with :func:`bounded`, beside the unit a
-printed result shows it in), and
-:func:`check_fields` holds each field to it as one real number; the same
-table (:func:`numeric_fields`) gives the scenario document's keys,
-defaults and JSON schema.  :func:`require` judges a function's numbers,
-each one number (an array is none), and :func:`require_integer` a count.
+Mostly it is raised by one of its checks.  :func:`check_fields` judges each
+field of a record by the one rule its annotation picks (:func:`field_rules`): a
+number by the bound declared beside its unit (:func:`bounded`), a ``str`` id by
+:data:`IDENTIFIER`, as the parser judges a document's, and a record by its type;
+the same table gives the scenario document's keys, defaults and JSON schema.
+:func:`require` judges a function's numbers and records by the same rules,
+:func:`require_integer` a count and :func:`require_numbers` a column.
 The CLI exits 2 on :class:`NonConvergence`, 1 on any other pvgrid error (a
 datasheet that cannot be calibrated is an :class:`InfeasibleSpec`), and lets
 any other exception, a bug, end in a traceback.
@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import MISSING, field, fields
 from functools import cache
 from numbers import Real
-from typing import Callable, NamedTuple, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 
 class PVGridError(Exception):
@@ -59,13 +59,15 @@ class GridMismatch(PVGridError):
 
 
 class Bound(NamedTuple):
-    """What a value must be: the words an error gives, a test of a finite number
-    (entry by entry, for a bound that a profile check applies to a column), and
-    the JSON-schema keywords that say the same of a number."""
+    """What a value must be: the words an error gives, a test of it, and the
+    JSON-schema keywords that say the same of a number.  A number's test sees a
+    finite real number (or, in a profile check, a column of them, entry by entry);
+    the id's sees any value."""
 
     text: str  # completes "<name> must be ..."
     holds: Callable[[float], bool]
     schema: Mapping[str, float] = {}  # e.g. {"exclusiveMinimum": 0}
+    number: bool = True  # whether only a finite real number can meet it
 
 
 _MAX = sys.float_info.max
@@ -75,24 +77,37 @@ _REAL = (float, int, Real)
 FINITE = Bound("finite", lambda x: True)
 POSITIVE = Bound("finite and positive", lambda x: x > 0.0, {"exclusiveMinimum": 0})
 NON_NEGATIVE = Bound("finite and non-negative", lambda x: x >= 0.0, {"minimum": 0})
+# A scenario's id, in a document or a record; a lone surrogate ("\ud800") is not
+# printable, and no output could write it.
+IDENTIFIER = Bound("a non-empty printable string",
+                   lambda s: isinstance(s, str) and s.isprintable() and s != "", number=False)
 
 
 def within(value: object, bound: Bound = FINITE) -> bool:
-    """Whether ``value`` is one real number (Python or numpy; a bool or an array
-    is not), finite and within ``bound``, judged as given: an int past the float
-    range is not finite, though it rounds to a double."""
+    """Whether ``value`` meets ``bound``: the id's when its test holds, a number's
+    when it is one real number (Python or numpy; a bool or an array is not),
+    finite and within it, judged as given: an int past the float range is not
+    finite, though it rounds to a double."""
+    if not bound.number:
+        return bound.holds(value)
     return (isinstance(value, _REAL) and not isinstance(value, bool)
             and -_MAX <= value <= _MAX and bound.holds(value))
 
 
-def require(values: dict[str, object], bound: Bound = FINITE) -> None:
-    """Raise :class:`InvalidValue` naming the first of ``values`` not :func:`within`
-    ``bound``, so not one real number (an array is not); a numpy number is
-    shown as the Python number it holds."""
+def require(values: dict[str, object], rule: Bound | type = FINITE) -> None:
+    """Raise :class:`InvalidValue` naming the first of ``values`` that breaks ``rule``:
+    that is not :func:`within` a :class:`Bound` (so, for a number's, not one real
+    number: an array is not), shown as the Python number a numpy number holds; or
+    that is no instance of a class or a union of classes, shown by its type."""
     for name, value in values.items():
-        if not within(value, bound):
+        if not isinstance(rule, Bound):
+            if not isinstance(value, rule):
+                kinds = [cls.__name__ for cls in get_args(rule) or (rule,)]
+                wanted = f"one of {', '.join(kinds)}" if kinds[1:] else f"a {kinds[0]}"
+                raise InvalidValue(f"{name} must be {wanted}, got {type(value).__name__}")
+        elif not within(value, rule):
             shown = value.item() if isinstance(value, _REAL) and hasattr(value, "item") else value
-            raise InvalidValue(f"{name} must be {bound.text}, got {shown!r}")
+            raise InvalidValue(f"{name} must be {rule.text}, got {shown!r}")
 
 
 def require_integer(values: dict[str, object]) -> None:
@@ -105,6 +120,23 @@ def require_integer(values: dict[str, object]) -> None:
             raise InvalidValue(f"{name} must be an integer, got {value!r}") from None
 
 
+def numbers_only(column) -> bool:
+    """Whether each entry of ``column`` is a number by its type alone: an array of an
+    int or float dtype, or Python ints and floats.  numpy reads a bool, and in a
+    float array a numeric string, as a number, so other entries need judging."""
+    dtype = getattr(column, "dtype", None)
+    return dtype.kind in "iuf" if dtype is not None else {int, float}.issuperset(map(type, column))
+
+
+def require_numbers(columns: dict[str, object]) -> None:
+    """:func:`require` each entry of each of ``columns`` (an array's as the Python
+    value it holds) as the column's name, unless :func:`numbers_only` holds."""
+    for name, column in columns.items():
+        if not numbers_only(column):
+            for value in column.tolist() if hasattr(column, "tolist") else column:
+                require({name: value})
+
+
 def bounded(bound: Bound, default: object = MISSING, *, unit: str = ""):
     """A dataclass field whose value :func:`check_fields` holds to ``bound``;
     ``unit`` is the SI unit its value is printed in."""
@@ -112,33 +144,45 @@ def bounded(bound: Bound, default: object = MISSING, *, unit: str = ""):
 
 
 @cache
-def numeric_fields(cls: type) -> dict[str, tuple[Bound, bool, object]]:
-    """``name -> (bound, is integer, default or MISSING)`` of each int or float
-    field of the record type ``cls``, in field order: the one table of a
-    record's numeric fields.  A dataclass field declares its bound with
-    :func:`bounded` (a derived field in its ``metadata["bound"]``), a NamedTuple
-    field in the class's ``BOUNDS`` mapping; a field that declares none is
-    :data:`FINITE`."""
+def field_rules(cls: type) -> dict[str, tuple[object, object, object]]:
+    """``name -> (rule, annotation, default or MISSING)`` of each field of the record
+    type ``cls``, in field order: the one table of a record's fields.  An int or
+    float field's rule is the :class:`Bound` it declares (with :func:`bounded`, a
+    derived field in its ``metadata["bound"]``, a NamedTuple field in the class's
+    ``BOUNDS``), else :data:`FINITE`; a ``str`` field's is :data:`IDENTIFIER`; a
+    column's (an array, a mapping or a tuple) is None, as its record checks it; any
+    other field's is its annotation, a class or a union of classes."""
     if hasattr(cls, "_fields"):  # NamedTuple
         declared, defaults = getattr(cls, "BOUNDS", {}), cls._field_defaults
     else:
         declared = {f.name: f.metadata["bound"] for f in fields(cls) if "bound" in f.metadata}
         defaults = {f.name: f.default for f in fields(cls)}
-    return {
-        name: (declared.get(name, FINITE), hint is int, defaults.get(name, MISSING))
-        for name, hint in get_type_hints(cls).items()
-        if hint in (int, float)
-    }
+    hints, rules = get_type_hints(cls), {}
+    for name in getattr(cls, "_fields", defaults):
+        hint = hints[name]
+        column = get_origin(hint) in (tuple, Mapping) or getattr(hint, "__module__", "") == "numpy"
+        rule = (declared.get(name, FINITE) if hint in (int, float) else IDENTIFIER if hint is str
+                else None if column else hint)
+        rules[name] = (rule, hint, defaults.get(name, MISSING))
+    return rules
+
+
+@cache
+def numeric_fields(cls: type) -> dict[str, tuple[Bound, bool, object]]:
+    """``name -> (bound, is integer, default or MISSING)`` of each int or float field
+    of the record type ``cls``, from :func:`field_rules`: a document section's keys."""
+    return {name: (bound, hint is int, default)
+            for name, (bound, hint, default) in field_rules(cls).items() if hint in (int, float)}
 
 
 def check_fields(record: object, prefix: str = "") -> None:
-    """Raise :class:`InvalidValue` naming the first of the :func:`numeric_fields` of
-    ``record``, in field order, that is not one real number (Python or numpy; a
-    bool or an array is not) within its bound, or is declared ``int`` and holds
-    no integer.  A numpy number is shown as the Python number it holds.
-    ``prefix`` goes in front of the field's name."""
-    for name, (bound, integer, _) in numeric_fields(type(record)).items():
-        value = getattr(record, name)
-        require({prefix + name: value}, bound)
-        if integer:
-            require_integer({prefix + name: value})
+    """Raise :class:`InvalidValue` naming the first field of ``record``, in field
+    order, that breaks its rule in :func:`field_rules` (:func:`require`), or is
+    declared ``int`` and holds no integer.  ``prefix`` goes in front of the
+    field's name."""
+    for name, (rule, hint, _) in field_rules(type(record)).items():
+        values = {prefix + name: getattr(record, name)}
+        if rule is not None:
+            require(values, rule)
+        if hint is int:
+            require_integer(values)

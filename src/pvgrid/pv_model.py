@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (
     NON_NEGATIVE, POSITIVE, Bound, DarkArray, InfeasibleSpec, InvalidValue, NonConvergence,
-    bounded, check_fields, require, require_integer, within,
+    bounded, check_fields, require, require_integer, require_numbers, within,
 )
 # golden_max and the scalar newton_bisect have no caller: they are imported only for
 # perfbench/tracing.COUNTED_F, which looks them up here by name (ROADMAP item 2).
@@ -120,14 +120,9 @@ class PVArraySpec:
     n_parallel: int = bounded(_COUNT)
 
     def __post_init__(self) -> None:
-        try:
-            rated = float(self.n_series) * float(self.n_parallel) * self.module.p_mp
-        except OverflowError:  # a count beyond the float range
-            rated = math.inf
-        except (TypeError, ValueError):  # a count that is no number, named below
-            rated = 0.0
-        require({"array rated power n_series * n_parallel * p_mp": rated})
         check_fields(self)
+        require({"array rated power n_series * n_parallel * p_mp":
+                 float(self.n_series) * float(self.n_parallel) * self.module.p_mp})
 
 
 @dataclass(frozen=True)
@@ -188,6 +183,7 @@ class IVCurve:
             columns = None
         if columns is None or columns.ndim != 2:
             raise InvalidValue("curve v and i must be equal-length sequences of numbers")
+        require_numbers({"curve v": self.v, "curve i": self.i})
         columns.flags.writeable = False
         v, i = columns
         with np.errstate(over="ignore", invalid="ignore"):  # a power past the range fails below

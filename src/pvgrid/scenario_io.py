@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compensation import COMPENSATORS, NoCompensator
-from .errors import ParseError, numeric_fields, within
+from .errors import IDENTIFIER, ParseError, numbers_only, numeric_fields, within
 from .pv_model import PVArraySpec, PVModuleSpec
 from .simulator import (
     COLUMNS,
@@ -125,7 +125,7 @@ def _read_profile(entries: list, cls: type, where: str) -> np.ndarray:
             values = [list(map(itemgetter(key), entries)) for key in keys]
         except KeyError:  # an unknown key in place of one of ``keys``
             return None
-        return values if set(map(type, chain.from_iterable(values))) <= {int, float} else None
+        return values if all(map(numbers_only, values)) else None
 
     values = columns(entries)
     if values is None:
@@ -155,9 +155,8 @@ def parse_scenario(text: str | bytes) -> Scenario:
     _reject_unknown(doc, _DOCUMENT_KEYS, "document")
 
     scenario_id = doc.get("id", "scenario")
-    # A lone surrogate ("\ud800") is not printable, and no report could write it.
-    if not isinstance(scenario_id, str) or not scenario_id or not scenario_id.isprintable():
-        raise ParseError("document: key 'id' must be a non-empty printable string")
+    if not IDENTIFIER.holds(scenario_id):
+        raise ParseError(f"document: key 'id' must be {IDENTIFIER.text}")
 
     kw = {}
     for name, cls in _SECTIONS.items():
@@ -212,7 +211,8 @@ def _doc(record: object) -> dict:
 def emit_scenario(scenario: Scenario) -> str:
     """Serialize a scenario to canonical JSON with all defaults materialized.
 
-    ``parse_scenario(emit_scenario(s))`` reproduces ``s`` field for field.
+    ``parse_scenario(emit_scenario(s))`` reproduces ``s`` field for field, since
+    a ``Scenario`` holds only what a document carries (an id included).
     """
     doc = {
         "id": scenario.scenario_id,

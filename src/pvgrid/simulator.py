@@ -15,17 +15,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from . import pv_model
-from .compensation import CompensatorConfig, dispatch, power_factor, require_compensator
+from .compensation import CompensatorConfig, dispatch, power_factor
 from .errors import (
     NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec, InvalidValue, NonConvergence,
-    bounded, check_fields, numeric_fields, within,
+    bounded, check_fields, numeric_fields, numbers_only, require_numbers, within,
 )
 from .pv_model import PVArraySpec, SingleDiodeParams
 
@@ -86,10 +85,7 @@ def _profile_columns(name: str, step: type, given) -> np.ndarray:
     if not values.shape[1]:
         raise InvalidValue(f"{name} profile must have at least one segment")
     bounds = [bound for bound, *_ in numeric_fields(step).values()]
-    # np.asarray turns a bool among numbers into a number, so one type pass looks
-    # for a bool; an array's dtype already tells.
-    listed = () if isinstance(given, np.ndarray) else chain.from_iterable(given)
-    if values.dtype.kind in "iuf" and {bool, np.bool_}.isdisjoint(map(type, listed)):
+    if values.dtype.kind in "iuf" and all(map(numbers_only, given)):
         columns = values = values.astype(float)
         ok = np.isfinite(columns)
         for row, column, bound in zip(ok, columns, bounds):
@@ -140,7 +136,6 @@ class Scenario:
     scenario_id: str = "scenario"
 
     def __post_init__(self) -> None:
-        require_compensator("compensator", self.compensator)
         check_fields(self)
         steps = self.t_end / self.dt
         if not steps + _GRID_EPS < MAX_RECORDS:
@@ -206,6 +201,8 @@ class TimeSeries:
     columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        check_fields(self)
+        require_numbers({name: self.columns[name] for name in COLUMNS})
         block = np.array([self.columns[k] for k in COLUMNS], dtype=float)
         block.flags.writeable = False
         vars(self)["columns"] = MappingProxyType(dict(zip(COLUMNS, block)))

@@ -246,6 +246,8 @@ _BAD_INPUTS = {
     "bool-array": (lambda c: (c, np.array([True, False]), 230.0), "q_load"),
     "number-q_load": (lambda c: (c, 1e5, 230.0), "q_load"),
     "table-q_load": (lambda c: (c, [[1e5, 2e5]], 230.0), "q_load"),
+    "ragged-q_load": (lambda c: (c, [1.0, [2.0]], 230.0), "q_load"),
+    "str-entry": (lambda c: (c, [1e5, "2"], 230.0), "q_load"),
     "negative-v": (lambda c: (c, [1e5], -1.0), "v"),
     "nan-v": (lambda c: (c, [1e5], math.nan), "v"),
     "bool-v": (lambda c: (c, [1e5], True), "v"),

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import inspect
+import json
 import math
 import re
 import sys
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
-
-from dataclasses import fields, replace
+from typing import get_args
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pvgrid
 from pvgrid import errors
 from pvgrid.compensation import FixedCapacitor, Statcom, dispatch
 from pvgrid.component_design import (
@@ -22,12 +24,14 @@ from pvgrid.component_design import (
     resonance_check,
 )
 from pvgrid.errors import (
-    FINITE, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, ParseError, PVGridError,
-    numeric_fields, require,
+    FINITE, IDENTIFIER, NON_NEGATIVE, POSITIVE, Bound, InvalidValue, ParseError, PVGridError,
+    field_rules, numeric_fields, require,
 )
 from pvgrid.pv_model import (
     ENVELOPE, EnvCondition, MPPResult, PVArraySpec, SingleDiodeParams, module_current, mpp,
 )
+from pvgrid.scenario_io import emit_scenario, parse_scenario
+from pvgrid.simulator import TimeSeries, run
 
 from conftest import REF_GRID, REF_MODULE, make_scenario
 
@@ -106,8 +110,9 @@ class TestRequire:
 
     def test_takes_values_and_bound(self):
         """The error is always an InvalidValue; no caller chooses another class,
-        nor whether an array may stand for a number."""
-        assert list(inspect.signature(require).parameters) == ["values", "bound"]
+        nor whether an array may stand for a number.  The rule is a bound, or a
+        class or union of classes for a record."""
+        assert list(inspect.signature(require).parameters) == ["values", "rule"]
 
     @pytest.mark.parametrize("value", [np.array([1.0]), np.array(1.0), np.array([])])
     def test_array_is_not_a_number(self, value):
@@ -252,3 +257,120 @@ def test_value_out_of_domain_is_named(build, message):
     not a TypeError or a result."""
     with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
         build()
+
+
+# Every public record type: a dataclass or a named tuple in the lazy namespace.
+RECORD_TYPES = {
+    name: cls for name in pvgrid._HOMES
+    if isinstance(cls := getattr(pvgrid, name), type)
+    and (is_dataclass(cls) or issubclass(cls, tuple))
+}
+# Each column field (an array, a mapping of arrays or a tuple of floats) and what
+# judges its entries: its record's own check, or the function that builds it.
+COLUMN_CHECKS = {
+    ("Scenario", "irradiance"): "simulator._profile_columns",
+    ("Scenario", "load"): "simulator._profile_columns",
+    ("IVCurve", "v"): "IVCurve.__post_init__",
+    ("IVCurve", "i"): "IVCurve.__post_init__",
+    ("IVCurve", "p"): "IVCurve.__post_init__",
+    ("TimeSeries", "columns"): "TimeSeries.__post_init__",
+    ("ComparisonReport", "delta_q_grid"): "simulator.compare_runs",
+    ("ComparisonReport", "delta_pf_grid"): "simulator.compare_runs",
+}
+
+
+def _record_kinds(rule) -> tuple:
+    """The record types a field's rule asks for, if it asks for records only."""
+    kinds = () if rule is None or isinstance(rule, Bound) else get_args(rule) or (rule,)
+    return kinds if kinds and all(map(is_dataclass, kinds)) else ()
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES.values(), ids=RECORD_TYPES)
+def test_every_record_field_has_one_rule(cls):
+    """Structural guard: every field of every public record is judged by one rule
+    that its annotation picks: an int or float by a bound, a str by the id rule,
+    a column by the check named in COLUMN_CHECKS, and any other field by its
+    type, a class or a union of classes.  A record with a record-valued field has
+    a valid instance in RECORDS, so the test below covers the field."""
+    rules = field_rules(cls)
+    assert list(rules) == list(cls._fields if issubclass(cls, tuple) else
+                               [f.name for f in fields(cls)])
+    for name, (rule, hint, _) in rules.items():
+        if hint in (int, float):
+            assert isinstance(rule, Bound) and rule is not IDENTIFIER, name
+        elif hint is str:
+            assert rule is IDENTIFIER, name
+        elif rule is None:
+            assert (cls.__name__, name) in COLUMN_CHECKS, name
+        else:
+            kinds = get_args(rule) or (rule,)
+            assert rule is hint and all(isinstance(kind, type) for kind in kinds), name
+            if _record_kinds(rule):
+                assert cls.__name__ in RECORDS, name
+    assert {record for record, _ in COLUMN_CHECKS} <= set(RECORD_TYPES)
+
+
+def _wrong_record(kinds: tuple) -> object:
+    """A valid record of none of ``kinds``."""
+    return next(record for record, _ in RECORDS.values() if not isinstance(record, kinds))
+
+
+_RECORD_FIELD_CASES = [
+    pytest.param(record, prefix + name, bad, kinds,
+                 id=f"{key}.{name}-{type(bad).__name__}")
+    for key, (record, prefix) in RECORDS.items()
+    for name, (rule, *_) in field_rules(type(record)).items()
+    if (kinds := _record_kinds(rule))
+    for bad in (None, "x", _wrong_record(kinds))
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("record", "name", "bad", "kinds"), _RECORD_FIELD_CASES)
+def test_record_valued_field_is_judged_by_its_type(record, name, bad, kinds):
+    """None, a string or a record of another type in a record-valued field is an
+    InvalidValue naming the field, the type it must be and the type it got, when
+    the record is built, with no warning: never an AttributeError later."""
+    wanted = (f"one of {', '.join(kind.__name__ for kind in kinds)}" if kinds[1:]
+              else f"a {kinds[0].__name__}")
+    message = f"{name} must be {wanted}, got {type(bad).__name__}"
+    with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+        replace(record, **{name: bad})
+
+
+def test_record_cases_cover_every_record_valued_field():
+    """The cases above cover Scenario's grid, array and compensator and
+    PVArraySpec's module."""
+    covered = {case.id.rsplit("-", 1)[0] for case in _RECORD_FIELD_CASES}
+    assert covered == {"Scenario.grid", "Scenario.array", "Scenario.compensator",
+                       "PVArraySpec.module"}
+
+
+_IDS = ["scenario", "é€😀", "a b", "", "a\nb", "\t", "\ud800", 5, None, 1.5, True, ["a"]]
+
+
+@pytest.mark.parametrize("scenario_id", _IDS, ids=repr)
+def test_the_parser_and_the_records_judge_an_id_alike(scenario_id):
+    """One rule judges an id: the parser accepts a document's ``id`` exactly when
+    a Scenario and a TimeSeries accept it.  The parser's rejection is its
+    ParseError; a record's is an InvalidValue naming the field and the value."""
+    holds = IDENTIFIER.holds(scenario_id)
+    assert holds is (type(scenario_id) is str and scenario_id not in ("", "a\nb", "\t", "\ud800"))
+    doc = json.loads(emit_scenario(make_scenario()))
+    doc["id"] = scenario_id
+    series = run(make_scenario())
+    builds = [lambda: parse_scenario(json.dumps(doc)),
+              lambda: make_scenario(scenario_id=scenario_id),
+              lambda: TimeSeries(scenario_id, series.columns)]
+    if holds:
+        assert parse_scenario(json.dumps(doc)).scenario_id == scenario_id
+        for build in builds[1:]:
+            assert build().scenario_id == scenario_id
+        return
+    parse_message = "document: key 'id' must be a non-empty printable string"
+    with pytest.raises(ParseError, match=f"^{re.escape(parse_message)}$"):
+        builds[0]()
+    message = f"scenario_id must be a non-empty printable string, got {scenario_id!r}"
+    for build in builds[1:]:
+        with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+            build()

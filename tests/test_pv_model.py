@@ -224,10 +224,13 @@ class TestSpecs:
         assert PVModuleSpec(**module, n_cells=np.int32(72)).n_cells == 72
 
     def test_array_rated_power_must_be_a_float(self):
-        """Counts whose rated power n_series*n_parallel*p_mp overflows are rejected."""
+        """Counts whose rated power n_series*n_parallel*p_mp overflows are rejected;
+        a count past the float range is named as the count, since the fields are
+        judged before their product is formed."""
         with pytest.raises(ValueError, match="array rated power"):
             PVArraySpec(module=REF_MODULE, n_series=10**300, n_parallel=10**300)
-        with pytest.raises(ValueError, match="array rated power"):
+        message = f"n_series must be finite and at least 1, got {10**400}"
+        with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
             PVArraySpec(module=REF_MODULE, n_series=10**400, n_parallel=1)
         assert PVArraySpec(module=REF_MODULE, n_series=10**300, n_parallel=1).n_series == 10**300
 
@@ -1322,6 +1325,31 @@ class TestIVCurve:
         with pytest.raises(ValueError) as exc:
             IVCurve(v, i)
         assert str(exc.value) == message
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("v", "i", "message"),
+        [
+            ([False, True], [1.0, 0.5], "curve v must be finite, got False"),
+            (["0", "1.5"], ["1", "0.5"], "curve v must be finite, got '0'"),
+            ([0.0, 1.5], [1.0, np.True_], "curve i must be finite, got np.True_"),
+            (np.array([False, True]), [1.0, 0.5], "curve v must be finite, got False"),
+            (np.array(["0", "1.5"]), [1.0, 0.5], "curve v must be finite, got '0'"),
+            ([0.0, None], [1.0, 0.5], "curve v must be finite, got None"),
+        ],
+        ids=["bools", "numeric-strings", "numpy-bool", "bool-array", "str-array", "None"],
+    )
+    def test_column_entries_must_be_numbers(self, v, i, message):
+        """A bool or a numeric string in v or i, which a float array would read as
+        a number, is an InvalidValue naming the column and the entry as given."""
+        with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+            IVCurve(v, i)
+
+    def test_numbers_of_any_real_type_are_columns(self):
+        """Python and numpy numbers, ints among them, make a curve; a column of
+        Python floats or a float array needs no entry judged alone."""
+        curve = IVCurve([np.float64(0.0), 1, np.int32(2)], (np.float64(5.0), 4.0, 0))
+        assert curve.v.tolist() == [0.0, 1.0, 2.0] and curve.i.tolist() == [5.0, 4.0, 0.0]
 
     def test_columns_are_read_only_copies(self):
         """The curve keeps a read-only float copy of v and i and their product

@@ -31,10 +31,10 @@ from pvgrid.scenario_io import (
     render_report,
     schema_text,
 )
-from pvgrid.pv_model import ENVELOPE, G_MAX
-from pvgrid.simulator import COLUMNS, TimeSeries, compare_runs, run
+from pvgrid.pv_model import ENVELOPE, G_MAX, PVArraySpec
+from pvgrid.simulator import COLUMNS, GridSpec, Scenario, TimeSeries, compare_runs, run
 
-from conftest import make_scenario, random_scenario, scenario_documents
+from conftest import REF_MODULE, make_scenario, random_scenario, scenario_documents
 
 MINIMAL_DOC = {
     "grid": {"v_phase": 230.0, "f": 50.0, "v_dc": 700.0},
@@ -575,6 +575,34 @@ class TestSchemaDrift:
 # ======================================================================
 
 
+# Ids: printable text in about half the draws, else any text, an int or None.
+_PRINTABLE_IDS = st.text(st.characters(exclude_categories=["C", "Z"]) | st.just(" "), min_size=1)
+_DRAWN_IDS = st.integers(0, 3).flatmap(
+    lambda k: _PRINTABLE_IDS if k < 2 else st.text() if k == 2 else st.integers() | st.none())
+_DRAWN_COMPENSATORS = st.one_of(
+    st.just(NoCompensator()),
+    st.builds(FixedCapacitor, q_rated=st.floats(1.0, 1e9), v_rated=st.floats(1.0, 1e4),
+              loss_w=st.floats(0.0, 1e4)),
+    st.builds(Statcom, q_max=st.floats(1.0, 1e9), loss_floor_w=st.floats(0.0, 1e4),
+              loss_frac=st.floats(0.0, 0.05)),
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _drawn_profile(draw, *values):
+    """Profile columns of 1 to 50 segments: starts from 0 (a start may repeat),
+    then one column per strategy of ``values``; one entry of them may then be
+    replaced by a value that may be out of its bound or no number."""
+    n = draw(st.integers(1, 50))
+    starts = [0.0, *sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=n - 1, max_size=n - 1)))]
+    columns = [starts, *(draw(st.lists(value, min_size=n, max_size=n)) for value in values)]
+    bad = draw(st.none() | st.sampled_from([math.nan, -math.inf, -1.0, 3000.0, True, "1", None]))
+    if bad is not None:
+        columns[draw(st.integers(0, len(values)))][draw(st.integers(0, n - 1))] = bad
+    return columns
+
+
 class TestEmitScenario:
     """Canonical serialization."""
 
@@ -591,6 +619,32 @@ class TestEmitScenario:
         for i in range(50):
             s = random_scenario(rng, i)
             assert parse_scenario(emit_scenario(s)) == s
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(scenario_id=_DRAWN_IDS, compensator=_DRAWN_COMPENSATORS,
+           irradiance=_drawn_profile(st.floats(0.0, G_MAX), st.floats(-40.0, 90.0)),
+           load=_drawn_profile(_FINITE, _FINITE),
+           efficiency=st.floats(0.5, 1.0), t_end=st.floats(0.0, 10.0), dt=st.floats(1e-3, 10.0))
+    @example(scenario_id=5, compensator=NoCompensator(), irradiance=[[0.0], [1e3], [25.0]],
+             load=[[0.0], [1e5], [0.0]], efficiency=0.997, t_end=0.2, dt=0.01)
+    def test_round_trip_of_drawn_scenarios(self, scenario_id, compensator, irradiance, load,
+                                           efficiency, t_end, dt):
+        """Property: a Scenario built from drawn fields (an id that may be no string,
+        or not a printable one; each compensator mode; profiles of 1 to 50
+        segments, perhaps with one value out of its bound) either is rejected by an
+        InvalidValue naming the field, or comes back equal from emit_scenario and
+        parse_scenario, as emit_scenario promises."""
+        try:
+            s = Scenario(grid=GridSpec(230.0, 50.0, 700.0), array=PVArraySpec(REF_MODULE, 10, 47),
+                         compensator=compensator, irradiance=irradiance, load=load,
+                         inverter_efficiency=efficiency, t_end=t_end, dt=dt,
+                         scenario_id=scenario_id)
+        except InvalidValue as exc:
+            assert str(exc).startswith(
+                ("scenario_id must be ", "irradiance profile segment ", "load profile segment ")
+            ), exc
+            return
+        assert parse_scenario(emit_scenario(s)) == s
 
     def test_round_trip_numpy_counts(self):
         """A count held as a numpy integer is written as a JSON integer and reads

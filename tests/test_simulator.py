@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -640,6 +641,24 @@ class TestContainers:
                 columns = {key: np.array([]) for key in good}
             with pytest.raises(InvalidValue, match=message):
                 TimeSeries(scenario_id="x", columns=columns)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("name", "values", "message"),
+        [
+            ("t", ["0", "0.01", "0.02", "0.03", "0.04", "0.05"], "t must be finite, got '0'"),
+            ("t", [False, True, 2, 3, 4, 5], "t must be finite, got False"),
+            ("p_pv", np.zeros(6, dtype=bool), "p_pv must be finite, got False"),
+            ("q_grid", [0.0, 0.0, np.True_, 0.0, 0.0, 0.0], "q_grid must be finite, got np.True_"),
+        ],
+        ids=["str-times", "bool-times", "bool-array", "numpy-bool"],
+    )
+    def test_column_entries_must_be_numbers(self, name, values, message):
+        """A bool or a numeric string in a column, which a float array would read
+        as a number, is an InvalidValue naming the column and the entry."""
+        columns = dict(run(make_scenario()).columns, **{name: values})
+        with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+            TimeSeries(scenario_id="x", columns=columns)
 
     def test_records_view_the_columns(self):
         """``records`` holds one record per row of the columns, in order; it is
