@@ -16,7 +16,7 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 
 from .errors import (
-    NON_NEGATIVE, POSITIVE, Bound, InvalidValue, bounded, check_fields, require, require_numbers,
+    FINITE, NON_NEGATIVE, POSITIVE, Bound, bounded, check_fields, require, require_columns,
 )
 
 _LOSS_FRAC = Bound("finite and in [0, 0.05]", lambda x: 0.0 <= x <= 0.05,
@@ -69,7 +69,8 @@ COMPENSATORS: dict[str, type] = {cls.mode: cls for cls in get_args(CompensatorCo
 
 def dispatch(config: CompensatorConfig, q_load, v: float) -> tuple[np.ndarray, np.ndarray]:
     """Compensator ``(q_out, p_loss)`` arrays, one entry per entry of the
-    load-q column ``q_load`` (finite real numbers; a bool is none), at bus voltage ``v``.
+    load-q column ``q_load`` at bus voltage ``v``.  ``q_load`` is judged by the one
+    column rule, :func:`~pvgrid.errors.require_columns`: finite real numbers, no bool.
 
     A STATCOM tracks the load inside its rating, q_out = clamp(q_load, -q_max, +q_max),
     and loses p_loss = loss_floor_w + loss_frac * |q_out|.  A capacitor bank follows
@@ -78,16 +79,7 @@ def dispatch(config: CompensatorConfig, q_load, v: float) -> tuple[np.ndarray, n
     """
     require({"config": config}, CompensatorConfig)
     require({"v": v}, NON_NEGATIVE)
-    try:
-        q = np.asarray(q_load)
-    except ValueError:  # ragged
-        q = np.empty(())
-    if q.ndim != 1:
-        raise InvalidValue(f"q_load must be a column of numbers, got {q_load!r}")
-    require_numbers({"q_load": q_load})  # a bool or a string, which numpy reads as a number
-    if not (q.dtype.kind in "iuf" and np.isfinite(q).all()):  # NaN, ±inf or an int past int64
-        require_numbers({"q_load": q.astype(object)})
-    q = q.astype(float)
+    q = require_columns((q_load,), {"q_load": FINITE}, "q_load", "entry")[0]
     if isinstance(config, Statcom):
         q_out = np.clip(q, -config.q_max, config.q_max)
         with np.errstate(over="ignore"):  # a loss past the float range is rejected below

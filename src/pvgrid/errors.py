@@ -12,7 +12,8 @@ number by the bound declared beside its unit (:func:`bounded`), a ``str`` id by
 :data:`IDENTIFIER`, as the parser judges a document's, and a record by its type;
 the same table gives the scenario document's keys, defaults and JSON schema.
 :func:`require` judges a function's numbers and records by the same rules,
-:func:`require_integer` a count and :func:`require_numbers` a column.
+:func:`require_integer` a count, and :func:`require_columns` each column, entry by
+entry by its column's bound, naming the first failing entry by its index.
 The CLI exits 2 on :class:`NonConvergence`, 1 on any other pvgrid error (a
 datasheet that cannot be calibrated is an :class:`InfeasibleSpec`), and lets
 any other exception, a bug, end in a traceback.
@@ -61,7 +62,7 @@ class GridMismatch(PVGridError):
 class Bound(NamedTuple):
     """What a value must be: the words an error gives, a test of it, and the
     JSON-schema keywords that say the same of a number.  A number's test sees a
-    finite real number (or, in a profile check, a column of them, entry by entry);
+    finite real number (or, in :func:`require_columns`, a float column of them);
     the id's sees any value."""
 
     text: str  # completes "<name> must be ..."
@@ -102,7 +103,8 @@ def require(values: dict[str, object], rule: Bound | type = FINITE) -> None:
     for name, value in values.items():
         if not isinstance(rule, Bound):
             if not isinstance(value, rule):
-                kinds = [cls.__name__ for cls in get_args(rule) or (rule,)]
+                kinds = ["None" if cls is type(None) else cls.__name__
+                         for cls in get_args(rule) or (rule,)]
                 wanted = f"one of {', '.join(kinds)}" if kinds[1:] else f"a {kinds[0]}"
                 raise InvalidValue(f"{name} must be {wanted}, got {type(value).__name__}")
         elif not within(value, rule):
@@ -128,13 +130,52 @@ def numbers_only(column) -> bool:
     return dtype.kind in "iuf" if dtype is not None else {int, float}.issuperset(map(type, column))
 
 
-def require_numbers(columns: dict[str, object]) -> None:
-    """:func:`require` each entry of each of ``columns`` (an array's as the Python
-    value it holds) as the column's name, unless :func:`numbers_only` holds."""
-    for name, column in columns.items():
-        if not numbers_only(column):
-            for value in column.tolist() if hasattr(column, "tolist") else column:
-                require({name: value})
+def require_columns(given, bounds: Mapping[str, Bound] | type, where: str, unit: str, *,
+                    rising: bool = False, from_zero: bool = False):
+    """The columns ``given``, one per entry of ``bounds`` (or per field of a record
+    type, by its :func:`numeric_fields`), as a read-only float block.  Each entry must
+    be :func:`within` its column's bound, judged as given unless every column is
+    :func:`numbers_only`; if ``rising``, the first column must have an entry and rise
+    strictly, from 0 if ``from_zero``.  The error names the first failing entry, then
+    its column: ``<where> <unit> <k>: <column> must be <bound>, got <value>``."""
+    import numpy as np  # here, so that importing the errors loads no numpy
+
+    if isinstance(bounds, type):
+        bounds = {name: bound for name, (bound, *_) in numeric_fields(bounds).items()}
+    names, rules = list(bounds), list(bounds.values())
+    try:
+        values = np.array(given)
+    except ValueError:  # ragged
+        values = None
+    if values is None or values.ndim != 2 or len(values) != len(rules):
+        raise InvalidValue(f"{where} must hold {len(rules)} float{'s'[:len(rules) - 1]} "
+                           f"per {unit}")
+    if rising and not values.shape[1]:
+        raise InvalidValue(f"{where} must have at least one {unit}")
+    if values.dtype.kind in "iuf" and all(map(numbers_only, given)):
+        block = values = values.astype(float, copy=False)
+        ok = np.isfinite(block)
+        for row, column, bound in zip(ok, block, rules):
+            row &= bound.holds(column)
+    else:  # strings, None, bools, or ints past int64: each judged as given
+        values = np.array(given, dtype=object)
+        ok = np.array([[within(x, b) for x in row] for row, b in zip(values.tolist(), rules)],
+                      dtype=bool)
+        block = np.where(ok, values, np.nan).astype(float)
+    first = block[0]
+    if rising:
+        ok[0, 1:] &= first[1:] > first[:-1]
+        if from_zero:
+            ok[0, 0] &= first[0] == 0.0
+    if not ok.all():
+        k = int(np.argmin(ok.all(axis=0)))
+        f = int(np.argmin(ok[:, k]))
+        name, value = f"{where} {unit} {k}: {names[f]}", values[:, k].tolist()[f]
+        require({name: value}, rules[f])  # else the first column is out of order
+        order = "0" if k == 0 else f"after {first[k - 1].item()!r}"
+        raise InvalidValue(f"{name} must be {order}, got {value!r}")
+    block.flags.writeable = False
+    return block
 
 
 def bounded(bound: Bound, default: object = MISSING, *, unit: str = ""):
@@ -150,7 +191,7 @@ def field_rules(cls: type) -> dict[str, tuple[object, object, object]]:
     float field's rule is the :class:`Bound` it declares (with :func:`bounded`, a
     derived field in its ``metadata["bound"]``, a NamedTuple field in the class's
     ``BOUNDS``), else :data:`FINITE`; a ``str`` field's is :data:`IDENTIFIER`; a
-    column's (an array, a mapping or a tuple) is None, as its record checks it; any
+    column's (an array, a mapping or a tuple) is None, for :func:`require_columns`; any
     other field's is its annotation, a class or a union of classes."""
     if hasattr(cls, "_fields"):  # NamedTuple
         declared, defaults = getattr(cls, "BOUNDS", {}), cls._field_defaults

@@ -28,8 +28,8 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .errors import (
-    NON_NEGATIVE, POSITIVE, Bound, DarkArray, InfeasibleSpec, InvalidValue, NonConvergence,
-    bounded, check_fields, require, require_integer, require_numbers, within,
+    FINITE, NON_NEGATIVE, POSITIVE, Bound, DarkArray, InfeasibleSpec, InvalidValue,
+    NonConvergence, bounded, check_fields, require, require_columns, require_integer, within,
 )
 # golden_max and the scalar newton_bisect have no caller: they are imported only for
 # perfbench/tracing.COUNTED_F, which looks them up here by name (ROADMAP item 2).
@@ -168,8 +168,9 @@ class IVCurve:
     """Sampled I-V / P-V characteristic, voltage ascending from zero.
 
     ``v`` (V) and ``i`` (A) are kept as read-only float copies, one value
-    per sample, and ``p`` (W) is their product.  Curves compare by
-    identity: compare their arrays.
+    per sample, and ``p`` (W) is their product.  Each sample is finite, ``v``
+    rises from 0, then ``i`` must not rise and ``p`` be finite.  Curves
+    compare by identity: compare their arrays.
     """
 
     v: np.ndarray
@@ -177,33 +178,16 @@ class IVCurve:
     p: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        try:
-            columns = np.array((self.v, self.i), dtype=float)
-        except ValueError:  # columns of unequal length
-            columns = None
-        if columns is None or columns.ndim != 2:
-            raise InvalidValue("curve v and i must be equal-length sequences of numbers")
-        require_numbers({"curve v": self.v, "curve i": self.i})
-        columns.flags.writeable = False
-        v, i = columns
-        with np.errstate(over="ignore", invalid="ignore"):  # a power past the range fails below
-            vars(self).update(v=v, i=i, p=v * i)
-        self.p.flags.writeable = False
-        if not len(v):
-            raise InvalidValue("curve needs at least one point")
-        if v[0] != 0.0:
-            raise InvalidValue("curve must start at v = 0")
+        v, i = require_columns((self.v, self.i), {"v": FINITE, "i": FINITE}, "curve", "point",
+                               rising=True, from_zero=True)
         # Slack covers implicit-solver residual noise between samples.
         slack = 1e-9 * max(1.0, abs(i[0]))
-        bad_v = v[1:] <= v[:-1]
-        bad = bad_v | (i[1:] > i[:-1] + slack)
-        if bad.any():  # the first failing point; its voltage is checked first
-            raise InvalidValue(
-                "curve voltages must be strictly increasing" if bad_v[bad.argmax()]
-                else "curve current must be non-increasing"
-            )
-        if not np.isfinite(columns).all():
-            raise InvalidValue("curve v and i must be finite")
+        with np.errstate(over="ignore"):  # a power past the range fails below
+            vars(self).update(v=v, i=i, p=v * i)
+            rises = (i[1:] > i[:-1] + slack).any()  # no current is above an overflowed sum
+        self.p.flags.writeable = False
+        if rises:
+            raise InvalidValue("curve current must be non-increasing")
         for k in np.flatnonzero(~np.isfinite(self.p))[:1]:
             raise InvalidValue(f"curve power at v = {float(v[k])} V is beyond the float range")
 

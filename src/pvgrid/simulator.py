@@ -23,8 +23,8 @@ import numpy as np
 from . import pv_model
 from .compensation import CompensatorConfig, dispatch, power_factor
 from .errors import (
-    NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec, InvalidValue, NonConvergence,
-    bounded, check_fields, numeric_fields, numbers_only, require_numbers, within,
+    FINITE, NON_NEGATIVE, POSITIVE, Bound, GridMismatch, InfeasibleSpec, InvalidValue,
+    NonConvergence, bounded, check_fields, require_columns,
 )
 from .pv_model import PVArraySpec, SingleDiodeParams
 
@@ -67,49 +67,6 @@ class GridSpec:
         check_fields(self, "grid ")
 
 
-def _profile_columns(name: str, step: type, given) -> np.ndarray:
-    """The checked profile as a read-only float array, one row per field of ``step``.
-
-    ``given`` holds one sequence per field.  Each value is judged as given
-    against its field's bound in ``step.BOUNDS``, finite if it has none (an
-    int past the float range is not finite; a numeric string or a bool is
-    no number), and t_start must be 0, then rise.  The error names the
-    first failing segment by its 0-based index, then its first failing field.
-    """
-    try:
-        values = np.asarray(given)
-    except ValueError:  # ragged
-        values = None
-    if values is None or values.ndim != 2 or len(values) != len(step._fields):
-        raise InvalidValue(f"{name} profile must hold {len(step._fields)} floats per segment")
-    if not values.shape[1]:
-        raise InvalidValue(f"{name} profile must have at least one segment")
-    bounds = [bound for bound, *_ in numeric_fields(step).values()]
-    if values.dtype.kind in "iuf" and all(map(numbers_only, given)):
-        columns = values = values.astype(float)
-        ok = np.isfinite(columns)
-        for row, column, bound in zip(ok, columns, bounds):
-            row &= bound.holds(column)
-    else:  # strings, None, bools, or ints past int64: each judged as given
-        values = np.array(given, dtype=object)
-        ok = np.array([[within(x, b) for x in row] for row, b in zip(values.tolist(), bounds)])
-        columns = np.where(ok, values, np.nan).astype(float)
-    starts = columns[0]
-    ok[0, 0] &= starts[0] == 0.0
-    ok[0, 1:] &= starts[1:] > starts[:-1]
-    if not ok.all():
-        k = int(np.argmin(ok.all(axis=0)))
-        f = int(np.argmin(ok[:, k]))
-        value = values[:, k].tolist()[f]
-        text = (bounds[f].text if not within(value, bounds[f])
-                else "0" if k == 0 else f"after {starts[k - 1].item()!r}")
-        raise InvalidValue(
-            f"{name} profile segment {k}: {step._fields[f]} must be {text}, got {value!r}"
-        )
-    columns.flags.writeable = False
-    return columns
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Complete description of one simulation run.
@@ -118,7 +75,8 @@ class Scenario:
     per segment, and kept as a read-only (3, n) float copy: ``irradiance``
     has the rows t_start (s), g (W/m²) and t_cell (°C), ``load`` the rows
     t_start (s), p (W) and q (var).  Column ``k`` is segment ``k``, the
-    index an error names for a value that fails its check.
+    index an error names for a value that fails its field's bound (else
+    finite), or a t_start that is not 0, then rising.
 
     The keyword defaults are the ones a scenario document gets when it
     omits its ``inverter`` or ``sim`` section.
@@ -140,10 +98,9 @@ class Scenario:
         steps = self.t_end / self.dt
         if not steps + _GRID_EPS < MAX_RECORDS:
             raise InvalidValue(f"t_end/dt = {steps:g} gives more than {MAX_RECORDS} records")
-        vars(self).update(
-            irradiance=_profile_columns("irradiance", IrradianceStep, self.irradiance),
-            load=_profile_columns("load", LoadStep, self.load),
-        )
+        for name, step in (("irradiance", IrradianceStep), ("load", LoadStep)):
+            vars(self)[name] = require_columns(getattr(self, name), step, f"{name} profile",
+                                               "segment", rising=True, from_zero=True)
 
     def _scalars(self) -> tuple:
         return (self.grid, self.array, self.compensator, self.inverter_efficiency,
@@ -181,6 +138,9 @@ class PowerFlowRecord(NamedTuple):
     pf_grid: float
     v_dc: float  # V
 
+    BOUNDS = {"t": NON_NEGATIVE, "pf_grid": Bound("finite and in [0, 1]",
+                                                 lambda x: (0.0 <= x) & (x <= 1.0))}
+
 
 # Output columns: the PowerFlowRecord fields, in field order.
 COLUMNS = PowerFlowRecord._fields
@@ -190,9 +150,10 @@ COLUMNS = PowerFlowRecord._fields
 class TimeSeries:
     """Simulation output: one float array per column of ``COLUMNS``.
 
-    The columns are kept as read-only float copies in a read-only mapping,
-    so a series holds at least one record, and only finite values, for its
-    whole life.
+    ``columns`` must map each of them to at least one value, each within its
+    bound in ``PowerFlowRecord.BOUNDS`` (else finite), with t rising.  They
+    are kept as read-only float copies in a read-only mapping, for the
+    series' whole life.
     ``records``, one :class:`PowerFlowRecord` per instant, is built from
     the columns on first read.
     """
@@ -202,22 +163,12 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require_numbers({name: self.columns[name] for name in COLUMNS})
-        block = np.array([self.columns[k] for k in COLUMNS], dtype=float)
-        block.flags.writeable = False
+        given = self.columns if isinstance(self.columns, Mapping) else {}
+        for name in [name for name in COLUMNS if name not in given][:1]:
+            raise InvalidValue(f"columns must map every column to its values, missing {name!r}")
+        block = require_columns([given[name] for name in COLUMNS], PowerFlowRecord,
+                                "time series", "record", rising=True)
         vars(self)["columns"] = MappingProxyType(dict(zip(COLUMNS, block)))
-        t, pf = self.columns["t"], self.columns["pf_grid"]
-        if not len(t):
-            raise InvalidValue("time series must contain at least one record")
-        for k in np.flatnonzero(~(t >= 0.0))[:1]:
-            raise InvalidValue(f"record time must be non-negative, got {t[k]}")
-        for k in np.flatnonzero(~((0.0 <= pf) & (pf <= 1.0)))[:1]:
-            raise InvalidValue(f"pf_grid must lie in [0, 1], got {pf[k]}")
-        if (t[1:] <= t[:-1]).any():
-            raise InvalidValue("record times must be strictly increasing")
-        for k, c in np.argwhere(~np.isfinite(block.T))[:1]:
-            raise InvalidValue(f"record {k} at t = {t[k]} s: {COLUMNS[c]} must be finite, "
-                               f"got {block[c, k]}")
 
     @cached_property
     def records(self) -> tuple[PowerFlowRecord, ...]:
@@ -243,6 +194,12 @@ class ComparisonReport:
     max_abs_q_grid_a: float
     max_abs_q_grid_b: float
     winner: str | None  # run with |q_grid| <= the other at every step
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        require_columns((self.delta_q_grid, self.delta_pf_grid),
+                        dict.fromkeys(("delta_q_grid", "delta_pf_grid"), FINITE),
+                        "comparison", "step")
 
 
 def _columns(scenario: Scenario, params: SingleDiodeParams, times) -> dict[str, np.ndarray]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -237,36 +238,39 @@ class TestDispatch:
             FixedCapacitor(q_rated=1e5, v_rated=230.0, loss_w=-5.0)
 
 
-# Inputs that every mode rejects, from the mode's config, and the input each names.
+# Inputs that every mode rejects, from the mode's config, and how the message
+# naming the input starts.
 _BAD_INPUTS = {
-    "nan-entry": (lambda c: (c, [1e5, math.nan], 230.0), "q_load"),
-    "inf-entry": (lambda c: (c, [1e5, math.inf], 230.0), "q_load"),
-    "-inf-entry": (lambda c: (c, np.array([-math.inf, 1e5]), 230.0), "q_load"),
-    "bool-entry": (lambda c: (c, [1e5, True], 230.0), "q_load"),
-    "bool-array": (lambda c: (c, np.array([True, False]), 230.0), "q_load"),
-    "number-q_load": (lambda c: (c, 1e5, 230.0), "q_load"),
-    "table-q_load": (lambda c: (c, [[1e5, 2e5]], 230.0), "q_load"),
-    "ragged-q_load": (lambda c: (c, [1.0, [2.0]], 230.0), "q_load"),
-    "str-entry": (lambda c: (c, [1e5, "2"], 230.0), "q_load"),
-    "negative-v": (lambda c: (c, [1e5], -1.0), "v"),
-    "nan-v": (lambda c: (c, [1e5], math.nan), "v"),
-    "bool-v": (lambda c: (c, [1e5], True), "v"),
-    "mode-name-config": (lambda c: (c.mode, [1e5], 230.0), "config"),
+    "nan-entry": (lambda c: (c, [1e5, math.nan], 230.0), "q_load entry 1: q_load must be"),
+    "inf-entry": (lambda c: (c, [1e5, math.inf], 230.0), "q_load entry 1: q_load must be"),
+    "-inf-entry": (lambda c: (c, np.array([-math.inf, 1e5]), 230.0),
+                   "q_load entry 0: q_load must be"),
+    "bool-entry": (lambda c: (c, [1e5, True], 230.0), "q_load entry 1: q_load must be"),
+    "bool-array": (lambda c: (c, np.array([True, False]), 230.0),
+                   "q_load entry 0: q_load must be"),
+    "number-q_load": (lambda c: (c, 1e5, 230.0), "q_load must hold 1 float per entry"),
+    "table-q_load": (lambda c: (c, [[1e5, 2e5]], 230.0), "q_load must hold 1 float per entry"),
+    "ragged-q_load": (lambda c: (c, [1.0, [2.0]], 230.0), "q_load must hold 1 float per entry"),
+    "str-entry": (lambda c: (c, [1e5, "2"], 230.0), "q_load entry 1: q_load must be"),
+    "negative-v": (lambda c: (c, [1e5], -1.0), "v must be"),
+    "nan-v": (lambda c: (c, [1e5], math.nan), "v must be"),
+    "bool-v": (lambda c: (c, [1e5], True), "v must be"),
+    "mode-name-config": (lambda c: (c.mode, [1e5], 230.0), "config must be"),
 }
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(("bad", "name"), _BAD_INPUTS.values(), ids=_BAD_INPUTS)
+@pytest.mark.parametrize(("bad", "start"), _BAD_INPUTS.values(), ids=_BAD_INPUTS)
 @pytest.mark.parametrize(
     "config", [NoCompensator(), FixedCapacitor(q_rated=1e5, v_rated=230.0), Statcom(q_max=2e5)],
     ids=lambda config: config.mode,
 )
-def test_every_mode_judges_its_inputs_alike(config, bad, name):
+def test_every_mode_judges_its_inputs_alike(config, bad, start):
     """A load column that is not a column, or holds an entry that is not a
     finite real number (a bool included), a bus voltage that is not one finite
     non-negative number, and a config that is not a compensator are each an
     InvalidValue naming the input, whatever the mode, without a warning."""
-    with pytest.raises(InvalidValue, match=f"^{name} must be "):
+    with pytest.raises(InvalidValue, match=f"^{re.escape(start)}"):
         dispatch(*bad(config))
 
 

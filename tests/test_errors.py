@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import pvgrid
 from pvgrid import errors
-from pvgrid.compensation import FixedCapacitor, Statcom, dispatch
+from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom, dispatch
 from pvgrid.component_design import (
     BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport, capbank_size,
     resonance_check,
@@ -28,10 +28,13 @@ from pvgrid.errors import (
     field_rules, numeric_fields, require,
 )
 from pvgrid.pv_model import (
-    ENVELOPE, EnvCondition, MPPResult, PVArraySpec, SingleDiodeParams, module_current, mpp,
+    ENVELOPE, EnvCondition, IVCurve, MPPResult, PVArraySpec, SingleDiodeParams, module_current,
+    mpp,
 )
 from pvgrid.scenario_io import emit_scenario, parse_scenario
-from pvgrid.simulator import TimeSeries, run
+from pvgrid.simulator import (
+    COLUMNS, IrradianceStep, PowerFlowRecord, Scenario, TimeSeries, run,
+)
 
 from conftest import REF_GRID, REF_MODULE, make_scenario
 
@@ -227,9 +230,9 @@ def test_of_two_faults_the_earlier_field_is_named(data):
         pytest.param(lambda: dispatch(RECORDS["FixedCapacitor"][0], [1e5], True),
                      "v must be finite and non-negative, got True", id="dispatch-bool-v"),
         pytest.param(lambda: dispatch(Statcom(q_max=2e5), np.array([True, False]), 230.0),
-                     "q_load must be finite, got True", id="dispatch-bools"),
+                     "q_load entry 0: q_load must be finite, got True", id="dispatch-bools"),
         pytest.param(lambda: dispatch(Statcom(q_max=2e5), np.array([True]), 230.0),
-                     "q_load must be finite, got True", id="dispatch-bool"),
+                     "q_load entry 0: q_load must be finite, got True", id="dispatch-bool"),
         pytest.param(lambda: resonance_check(np.array([6e-4]), 1.5e-5, 1e-4, 50.0, 1e4),
                      "l_1 must be finite and positive, got array([0.0006])",
                      id="resonance_check-array"),
@@ -266,16 +269,16 @@ RECORD_TYPES = {
     and (is_dataclass(cls) or issubclass(cls, tuple))
 }
 # Each column field (an array, a mapping of arrays or a tuple of floats) and what
-# judges its entries: its record's own check, or the function that builds it.
+# judges its entries: the one column rule, or for a derived column its record.
 COLUMN_CHECKS = {
-    ("Scenario", "irradiance"): "simulator._profile_columns",
-    ("Scenario", "load"): "simulator._profile_columns",
-    ("IVCurve", "v"): "IVCurve.__post_init__",
-    ("IVCurve", "i"): "IVCurve.__post_init__",
+    ("Scenario", "irradiance"): "errors.require_columns",
+    ("Scenario", "load"): "errors.require_columns",
+    ("IVCurve", "v"): "errors.require_columns",
+    ("IVCurve", "i"): "errors.require_columns",
     ("IVCurve", "p"): "IVCurve.__post_init__",
-    ("TimeSeries", "columns"): "TimeSeries.__post_init__",
-    ("ComparisonReport", "delta_q_grid"): "simulator.compare_runs",
-    ("ComparisonReport", "delta_pf_grid"): "simulator.compare_runs",
+    ("TimeSeries", "columns"): "errors.require_columns",
+    ("ComparisonReport", "delta_q_grid"): "errors.require_columns",
+    ("ComparisonReport", "delta_pf_grid"): "errors.require_columns",
 }
 
 
@@ -374,3 +377,110 @@ def test_the_parser_and_the_records_judge_an_id_alike(scenario_id):
     for build in builds[1:]:
         with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
             build()
+
+
+# The sites of the one column rule: each builds from columns given as a list, and
+# names (where, unit, bounds by column, rising, from zero) as the rule does.
+def _curve_site(columns):
+    return IVCurve(*columns)
+
+
+def _series_site(columns):
+    return TimeSeries("x", dict(zip(COLUMNS, columns)))
+
+
+def _profile_site(columns):
+    return Scenario(REF_GRID, PVArraySpec(REF_MODULE, 10, 47), compensator=NoCompensator(),
+                    irradiance=columns, load=[[0.0], [1e5], [0.0]])
+
+
+def _dispatch_site(columns):
+    return dispatch(Statcom(q_max=2e5), columns[0], 230.0)
+
+
+def _column_sites() -> dict:
+    series = run(make_scenario()).columns
+    bounds = {name: bound for name, (bound, *_) in numeric_fields(PowerFlowRecord).items()}
+    irradiance = {name: bound for name, (bound, *_) in numeric_fields(IrradianceStep).items()}
+    return {
+        "profile": (_profile_site, [[0.0, 0.01, 0.02], [1000.0, 500.0, 0.0], [25.0, 30.0, 35.0]],
+                    ("irradiance profile", "segment", irradiance, True, True)),
+        "dispatch": (_dispatch_site, [[1e5, -2e4, 0.0]],
+                     ("q_load", "entry", {"q_load": FINITE}, False, False)),
+        "curve": (_curve_site, [[0.0, 10.0, 20.0], [5.0, 4.0, 0.0]],
+                  ("curve", "point", {"v": FINITE, "i": FINITE}, True, True)),
+        "series": (_series_site, [series[name].tolist() for name in COLUMNS],
+                   ("time series", "record", bounds, True, False)),
+    }
+
+
+_COLUMN_SITES = _column_sites()
+# An entry in place of one given: a number of either Python kind, near the
+# bounds and the base values, or a value no column may hold.
+_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, 25, -1, 5000, 0.0, 0.5, 1.0, 0.01, -0.5, 2000.5, 95.0, 1e5]),
+    st.floats(-1e3, 3e3), st.integers(-50, 3000),
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, np.True_, "1", "0.5", None,
+                     10**400, -(10**400), int(sys.float_info.max) + 1]),
+)
+
+
+def _first_fault(columns, bounds, rising, from_zero):
+    """``(entry, column)`` of the first entry the column rule rejects, or None."""
+    for k in range(len(columns[0])):
+        for f, (name, bound) in enumerate(bounds.items()):
+            x = columns[f][k]
+            if not errors.within(x, bound):
+                return k, name
+            if f == 0 and rising and (x != 0.0 if k == 0 else not x > columns[0][k - 1]):
+                if k > 0 or from_zero:
+                    return k, name
+    return None
+
+
+def _held(columns: list) -> list:
+    """``columns`` as arrays that hold each value as given: when every entry is a
+    float or an int a float holds exactly, a column of int dtype if it holds
+    ints only, else of float dtype; otherwise every column of object dtype, as
+    the rule then judges each entry as given, an int as an int."""
+    entries = [x for column in columns for x in column]
+    if not {int, float}.issuperset(map(type, entries)) or any(
+            type(x) is int and abs(x) > 2**53 for x in entries):
+        return [np.array(column, dtype=object) for column in columns]
+    return [np.array(column, dtype=np.int64 if {int}.issuperset(map(type, column)) else float)
+            for column in columns]
+
+
+def _outcome(site, columns):
+    """None if the site accepts ``columns``, else its InvalidValue's message."""
+    try:
+        site(columns)
+    except InvalidValue as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_column_rule_judges_lists_and_arrays_alike(data):
+    """Property: at each site of the one column rule (a profile, the load-q column
+    of ``dispatch``, a curve and a series), columns with entries swapped for
+    drawn ones are accepted, or rejected naming the first bad entry by index and
+    then its column; the site may then apply a check of its own.  Given as
+    Python lists or as arrays that hold their values as given, of float, int or
+    object dtype, they get the same verdict and the same message."""
+    site, base, (where, unit, bounds, rising, from_zero) = _COLUMN_SITES[
+        data.draw(st.sampled_from(sorted(_COLUMN_SITES)))]
+    columns = [list(column) for column in base]
+    for _ in range(data.draw(st.integers(0, 3))):
+        f = data.draw(st.integers(0, len(columns) - 1))
+        columns[f][data.draw(st.integers(0, len(columns[f]) - 1))] = data.draw(_ENTRIES)
+    lists = _outcome(site, columns)
+    assert _outcome(site, _held(columns)) == lists, columns
+    fault = _first_fault(columns, bounds, rising, from_zero)
+    if fault is not None:
+        k, name = fault
+        assert lists is not None and lists.startswith(f"{where} {unit} {k}: {name} must be "), (
+            columns, lists)
+    else:
+        assert lists is None or not lists.startswith(f"{where} {unit} "), (columns, lists)

@@ -1272,35 +1272,37 @@ class TestIVCurve:
         with pytest.raises(ValueError):
             IVCurve(v=[0.0, 1.0], i=[5.0, 6.0])
 
-    # Each case is a sequence of (v, i) samples.  Finiteness is checked after
-    # the shape, so a shape failure ahead of a NaN is the one named.
+    # Each case is a sequence of (v, i) samples.  The entries (finite, v from 0
+    # and rising) are judged first, point by point, then the current's shape.
     @pytest.mark.parametrize(
         ("points", "message"),
         [
-            pytest.param((), "curve needs at least one point", id="empty"),
-            pytest.param(((1.0, 5.0),), "curve must start at v = 0", id="off-origin"),
-            pytest.param(((math.nan, 5.0),), "curve must start at v = 0", id="nan-start"),
+            pytest.param((), "curve must have at least one point", id="empty"),
+            pytest.param(((1.0, 5.0),), "curve point 0: v must be 0, got 1.0", id="off-origin"),
+            pytest.param(((math.nan, 5.0),), "curve point 0: v must be finite, got nan",
+                         id="nan-start"),
             pytest.param(((0.0, 5.0), (0.0, 5.0)),
-                         "curve voltages must be strictly increasing", id="repeated-voltage"),
+                         "curve point 1: v must be after 0.0, got 0.0", id="repeated-voltage"),
             pytest.param(((0.0, 5.0), (1.0, 6.0)),
                          "curve current must be non-increasing", id="rising-current"),
             pytest.param(((0.0, 5.0), (0.1, 0.3)), None, id="power"),  # p = 0.1*0.3, inexact
             pytest.param(((0.0, 5.0), (1.0, 4.0), (0.5, 9.0)),
-                         "curve voltages must be strictly increasing",
+                         "curve point 2: v must be after 1.0, got 0.5",
                          id="voltage-before-current"),
             pytest.param(((0.0, 5.0), (1.0, 6.0), (0.5, 6.0)),
-                         "curve current must be non-increasing", id="first-point-wins"),
+                         "curve point 2: v must be after 1.0, got 0.5", id="first-point-wins"),
             pytest.param(((0.0, 5.0), (1.0, 4.0), (1.0, math.nan)),
-                         "curve voltages must be strictly increasing", id="shape-before-power"),
+                         "curve point 2: v must be after 1.0, got 1.0", id="shape-before-power"),
             pytest.param(((0.0, 5.0), (math.nan, 4.0), (0.5, 4.0)),
-                         "curve v and i must be finite", id="nan-voltage"),
+                         "curve point 1: v must be finite, got nan", id="nan-voltage"),
             pytest.param(((0.0, 5.0), (1.0, math.nan), (2.0, 6.0)),
-                         "curve v and i must be finite", id="nan-current"),
+                         "curve point 1: i must be finite, got nan", id="nan-current"),
             pytest.param(((0.0, 5.0), (math.inf, 4.0)),
-                         "curve v and i must be finite", id="infinite-voltage"),
+                         "curve point 1: v must be finite, got inf", id="infinite-voltage"),
             pytest.param(((0.0, 5.0), (1.0, -math.inf)),
-                         "curve v and i must be finite", id="infinite-current"),
+                         "curve point 1: i must be finite, got -inf", id="infinite-current"),
             pytest.param(((0.0, 5.0), (1.0, 5.0 + 4e-9)), None, id="rise-within-slack"),
+            pytest.param(((0.0, sys.float_info.max), (1.0, 0.0)), None, id="largest-current"),
             pytest.param(((0.0, 1e200), (1e200, 1e200)),
                          "curve power at v = 1e+200 V is beyond the float range",
                          id="infinite-power"),
@@ -1311,9 +1313,9 @@ class TestIVCurve:
     )
     @pytest.mark.filterwarnings("error")
     def test_check_messages(self, points, message):
-        """Each invariant's message and their precedence (recorded from the
-        per-point checks these array checks replaced): the first failing
-        point wins, and its voltage is checked before its current.  An
+        """Each invariant's message and their precedence: the first point whose
+        entries fail is named, its voltage before its current, and the
+        current's shape is judged after every entry.  An
         accepted curve keeps its samples, with p exactly v*i at each, and a
         power past the float range is rejected without a warning."""
         v, i = np.reshape(points, (-1, 2)).T
@@ -1330,12 +1332,12 @@ class TestIVCurve:
     @pytest.mark.parametrize(
         ("v", "i", "message"),
         [
-            ([False, True], [1.0, 0.5], "curve v must be finite, got False"),
-            (["0", "1.5"], ["1", "0.5"], "curve v must be finite, got '0'"),
-            ([0.0, 1.5], [1.0, np.True_], "curve i must be finite, got np.True_"),
-            (np.array([False, True]), [1.0, 0.5], "curve v must be finite, got False"),
-            (np.array(["0", "1.5"]), [1.0, 0.5], "curve v must be finite, got '0'"),
-            ([0.0, None], [1.0, 0.5], "curve v must be finite, got None"),
+            ([False, True], [1.0, 0.5], "curve point 0: v must be finite, got False"),
+            (["0", "1.5"], ["1", "0.5"], "curve point 0: v must be finite, got '0'"),
+            ([0.0, 1.5], [1.0, np.True_], "curve point 1: i must be finite, got np.True_"),
+            (np.array([False, True]), [1.0, 0.5], "curve point 0: v must be finite, got False"),
+            (np.array(["0", "1.5"]), [1.0, 0.5], "curve point 0: v must be finite, got '0'"),
+            ([0.0, None], [1.0, 0.5], "curve point 1: v must be finite, got None"),
         ],
         ids=["bools", "numeric-strings", "numpy-bool", "bool-array", "str-array", "None"],
     )
@@ -1363,5 +1365,5 @@ class TestIVCurve:
         assert curve.v.dtype == curve.p.dtype == np.float64
         with pytest.raises(TypeError):
             IVCurve(v, i, [0.0, 4.0, 0.0])
-        with pytest.raises(InvalidValue, match="^curve v and i must be equal-length"):
+        with pytest.raises(InvalidValue, match="^curve must hold 2 floats per point$"):
             IVCurve(v, [5.0, 4.0])

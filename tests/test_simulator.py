@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,10 +259,12 @@ class TestScenarioValidation:
              "load profile segment 0: t_start must be finite, got False"),
             ({"irradiance": [np.zeros(1), np.array([True]), np.full(1, 25.0)]},
              "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², got True"),
+            ({"irradiance": np.array([[0], [-5], [25]])},
+             "irradiance profile segment 0: g must be finite and in [0, 2000] W/m², got -5.0"),
         ],
         ids=["shape", "ragged", "int-past-float-range", "int-rounding-to-largest-double",
              "empty", "non-finite", "domain", "numeric-strings", "none", "bool-in-list",
-             "bool-array", "bool-array-row"],
+             "bool-array", "bool-array-row", "int-array"],
     )
     def test_profile_columns_checked(self, profiles, message):
         """Each check of the columns keeps its message and precedence; a value
@@ -580,6 +583,37 @@ class TestCompareRuns:
         report = compare_runs(a, b)
         assert report.winner is None
 
+    @pytest.mark.parametrize(
+        ("change", "message"),
+        [
+            ({"scenario_a": 5}, "scenario_a must be a non-empty printable string, got 5"),
+            ({"scenario_b": ""}, "scenario_b must be a non-empty printable string, got ''"),
+            ({"max_abs_q_grid_a": math.nan}, "max_abs_q_grid_a must be finite, got nan"),
+            ({"max_abs_q_grid_b": True}, "max_abs_q_grid_b must be finite, got True"),
+            ({"winner": 3}, "winner must be one of str, None, got int"),
+            ({"delta_q_grid": (0.0, math.inf, 0.0, 0.0, 0.0, 0.0)},
+             "comparison step 1: delta_q_grid must be finite, got inf"),
+            ({"delta_pf_grid": (0.0, 0.0, 0.0, 0.0, 0.0, "0")},
+             "comparison step 5: delta_pf_grid must be finite, got '0'"),
+            ({"delta_pf_grid": (0.0,)}, "comparison must hold 2 floats per step"),
+            ({"delta_q_grid": None}, "comparison must hold 2 floats per step"),
+            (dict(zip(("scenario_a", "scenario_b", "delta_q_grid", "delta_pf_grid",
+                       "max_abs_q_grid_a", "max_abs_q_grid_b", "winner"),
+                      (5, None, "ab", (), math.nan, "x", 3))),
+             "scenario_a must be a non-empty printable string, got 5"),
+        ],
+        ids=["id-type", "empty-id", "nan-maximum", "bool-maximum", "winner-type",
+             "infinite-delta", "str-delta", "unequal-deltas", "no-deltas", "every-field"],
+    )
+    def test_report_fields_are_judged(self, change, message):
+        """A report built directly judges every field by its rule, in field order
+        but for the two delta columns, which the column rule judges last, naming
+        the first failing step."""
+        report = compare_runs(run(make_scenario(scenario_id="a")),
+                              run(make_scenario(scenario_id="b")))
+        with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+            replace(report, **change)
+
 
 # ======================================================================
 # Output containers
@@ -588,6 +622,20 @@ class TestCompareRuns:
 
 class TestContainers:
     """Record and series invariants."""
+
+    @pytest.mark.parametrize(
+        ("columns", "missing"),
+        [(None, "t"), ({}, "t"), ({"t": [0.0]}, "p_pv"), ([("t", [0.0])], "t"),
+         ({name: [0.0] for name in COLUMNS if name != "v_dc"}, "v_dc")],
+        ids=["None", "empty", "t-only", "pairs", "no-v_dc"],
+    )
+    def test_columns_must_map_every_column(self, columns, missing):
+        """``columns`` that is no mapping, or lacks a column, is an InvalidValue
+        naming ``columns`` and the first missing column, not a TypeError or a
+        KeyError."""
+        message = f"columns must map every column to its values, missing {missing!r}"
+        with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+            TimeSeries("x", columns)
 
     def test_series_requires_records(self):
         """Empty columns are rejected."""
@@ -625,16 +673,16 @@ class TestContainers:
         good = run(make_scenario()).columns
         for name, values, message in (
             ("t", [], "at least one record"),
-            ("t", [0.0, 0.02, 0.01, 0.03, 0.04, 0.05], "strictly increasing"),
+            ("t", [0.0, 0.02, 0.01, 0.03, 0.04, 0.05], "t must be after 0.02, got 0.01"),
             ("t", [-0.01, 0.0, 0.01, 0.02, 0.03, 0.04], "non-negative, got -0.01"),
             ("pf_grid", [1.0, 1.0, math.nan, 1.0, 1.0, 1.0], r"\[0, 1\], got nan"),
             ("t", [0.0, 0.01, 0.02, 0.03, 0.04, math.inf],
-             r"^record 5 at t = inf s: t must be finite, got inf$"),
+             r"^time series record 5: t must be finite and non-negative, got inf$"),
             ("p_pv", [0.0, 0.0, math.nan, math.inf, 0.0, 0.0],
-             r"^record 2 at t = 0.02 s: p_pv must be finite, got nan$"),
+             r"^time series record 2: p_pv must be finite, got nan$"),
             ("q_grid", [0.0, 0.0, 0.0, 0.0, -math.inf, 0.0],
-             r"^record 4 at t = 0.04 s: q_grid must be finite, got -inf$"),
-            ("v_dc", [700.0] * 5 + [math.nan], r"^record 5 at t = 0.05 s: v_dc must be finite"),
+             r"^time series record 4: q_grid must be finite, got -inf$"),
+            ("v_dc", [700.0] * 5 + [math.nan], r"^time series record 5: v_dc must be finite"),
         ):
             columns = dict(good, **{name: np.array(values)})
             if not values:
@@ -646,10 +694,14 @@ class TestContainers:
     @pytest.mark.parametrize(
         ("name", "values", "message"),
         [
-            ("t", ["0", "0.01", "0.02", "0.03", "0.04", "0.05"], "t must be finite, got '0'"),
-            ("t", [False, True, 2, 3, 4, 5], "t must be finite, got False"),
-            ("p_pv", np.zeros(6, dtype=bool), "p_pv must be finite, got False"),
-            ("q_grid", [0.0, 0.0, np.True_, 0.0, 0.0, 0.0], "q_grid must be finite, got np.True_"),
+            ("t", ["0", "0.01", "0.02", "0.03", "0.04", "0.05"],
+             "time series record 0: t must be finite and non-negative, got '0'"),
+            ("t", [False, True, 2, 3, 4, 5],
+             "time series record 0: t must be finite and non-negative, got False"),
+            ("p_pv", np.zeros(6, dtype=bool),
+             "time series record 0: p_pv must be finite, got False"),
+            ("q_grid", [0.0, 0.0, np.True_, 0.0, 0.0, 0.0],
+             "time series record 2: q_grid must be finite, got np.True_"),
         ],
         ids=["str-times", "bool-times", "bool-array", "numpy-bool"],
     )
