@@ -223,7 +223,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     scenario_b, series_b = _run_document(args.scenario_b)
     comparison = simulator.compare_runs(series_a, series_b)
     if args.json:
-        _write_artifact(json.dumps(vars(comparison), indent=2) + "\n", args.output)
+        text = json.dumps(vars(comparison), indent=2, default=lambda column: column.tolist())
+        _write_artifact(text + "\n", args.output)
         return 0
     report_a = scenario_io.render_report(series_a, scenario=scenario_a)
     report_b = scenario_io.render_report(series_b, comparison, scenario=scenario_b)
@@ -319,12 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except NonConvergence as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except PVGridError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NonConvergence) else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,14 @@ def _beyond_float_range(given: dict[str, float]) -> InvalidValue:
     return InvalidValue(f"inputs {text} put a computed value beyond the float range")
 
 
+def _design(cls: type, given: dict[str, float], **values: float):
+    """A ``cls`` of ``values``, which positive inputs make positive: one that is 0, inf
+    or nan left the float range, and the error names the ``given`` inputs."""
+    if not all(within(value, POSITIVE) for value in values.values()):
+        raise _beyond_float_range(given)
+    return cls(**values)
+
+
 # ============================================================================
 # Boost converter
 # ============================================================================
@@ -86,9 +94,8 @@ def boost_design(inp: BoostDesignInput) -> BoostDesign:
         c = i_out_max * (1.0 - inp.v_in / inp.v_out) / (delta_v_out * inp.f_s)
     except ArithmeticError:  # a divisor underflowed to 0
         raise _beyond_float_range(vars(inp)) from None
-    return BoostDesign(
-        i_out_max=i_out_max, delta_i_l=delta_i_l, delta_v_out=delta_v_out, l=l, c=c
-    )
+    return _design(BoostDesign, vars(inp), i_out_max=i_out_max, delta_i_l=delta_i_l,
+                   delta_v_out=delta_v_out, l=l, c=c)
 
 
 # ============================================================================
@@ -163,16 +170,8 @@ def lcl_design(inp: LCLDesignInput) -> LCLDesign:
         l_2 = math.sqrt(1.0 / inp.atten_factor**2 + 1.0) / (c_g * omega_sw**2)
     except ArithmeticError:  # a divisor underflowed to 0, or a square overflowed
         raise _beyond_float_range(vars(inp)) from None
-    return LCLDesign(
-        omega_g=omega_g,
-        z_b=z_b,
-        c_b=c_b,
-        i_max=i_max,
-        delta_i_max=delta_i_max,
-        l_1=l_1,
-        c_g=c_g,
-        l_2=l_2,
-    )
+    return _design(LCLDesign, vars(inp), omega_g=omega_g, z_b=z_b, c_b=c_b, i_max=i_max,
+                   delta_i_max=delta_i_max, l_1=l_1, c_g=c_g, l_2=l_2)
 
 
 # ============================================================================
@@ -217,19 +216,16 @@ def resonance_check(
         InvalidValue: if an input is not positive and finite, or the
             resonance or a bound is beyond the float range.
     """
-    require({"l_1": l_1, "l_2": l_2, "c_g": c_g, "f_g": f_g, "f_sw": f_sw}, POSITIVE)
+    given = {"l_1": l_1, "l_2": l_2, "c_g": c_g, "f_g": f_g, "f_sw": f_sw}
+    require(given, POSITIVE)
     product = l_1 * l_2 * c_g
     omega_res = math.inf
     if sys.float_info.min <= product < math.inf:  # the form the reference values pin
         omega_res = math.sqrt((l_1 + l_2) / product)
     if omega_res == math.inf:  # the product or the quotient left the float range
         omega_res = math.sqrt(1.0 / l_1 + 1.0 / l_2) / math.sqrt(c_g)
-    if not omega_res < math.inf:
-        raise InvalidValue(
-            f"omega_res = sqrt((l_1 + l_2) / (l_1 * l_2 * c_g)) is beyond the float range "
-            f"for l_1 = {l_1!r}, l_2 = {l_2!r}, c_g = {c_g!r}"
-        )
-    return ResonanceReport(omega_res=omega_res, f_min=10.0 * f_g, f_max=0.5 * f_sw)
+    return _design(ResonanceReport, given, omega_res=omega_res, f_min=10.0 * f_g,
+                   f_max=0.5 * f_sw)
 
 
 # ============================================================================

@@ -191,8 +191,8 @@ def field_rules(cls: type) -> dict[str, tuple[object, object, object]]:
     float field's rule is the :class:`Bound` it declares (with :func:`bounded`, a
     derived field in its ``metadata["bound"]``, a NamedTuple field in the class's
     ``BOUNDS``), else :data:`FINITE`; a ``str`` field's is :data:`IDENTIFIER`; a
-    column's (an array, a mapping or a tuple) is None, for :func:`require_columns`; any
-    other field's is its annotation, a class or a union of classes."""
+    column's (an array, or a mapping of arrays) is None, for :func:`require_columns`;
+    any other field's is its annotation, a class or a union of classes."""
     if hasattr(cls, "_fields"):  # NamedTuple
         declared, defaults = getattr(cls, "BOUNDS", {}), cls._field_defaults
     else:
@@ -201,7 +201,7 @@ def field_rules(cls: type) -> dict[str, tuple[object, object, object]]:
     hints, rules = get_type_hints(cls), {}
     for name in getattr(cls, "_fields", defaults):
         hint = hints[name]
-        column = get_origin(hint) in (tuple, Mapping) or getattr(hint, "__module__", "") == "numpy"
+        column = get_origin(hint) is Mapping or getattr(hint, "__module__", "") == "numpy"
         rule = (declared.get(name, FINITE) if hint in (int, float) else IDENTIFIER if hint is str
                 else None if column else hint)
         rules[name] = (rule, hint, defaults.get(name, MISSING))

@@ -10,7 +10,7 @@ never evaluates them.  The scalar Newton iteration and the golden-section
 maximizer have no caller in the package.  They stay only because the
 benchmark tracer (``perfbench/tracing.COUNTED_F``) looks both up by name,
 and the scalar iteration is also the tests' step-for-step reference for
-the batched one; both go with ROADMAP item 2.
+the batched one; both go with ROADMAP item 2a.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .errors import (
     NonConvergence, bounded, check_fields, require, require_columns, require_integer, within,
 )
 # golden_max and the scalar newton_bisect have no caller: they are imported only for
-# perfbench/tracing.COUNTED_F, which looks them up here by name (ROADMAP item 2).
+# perfbench/tracing.COUNTED_F, which looks them up here by name (ROADMAP item 2a).
 from .numerics import (  # noqa: F401
     brentq, golden_max, newton_bisect, newton_bisect_array,
 )

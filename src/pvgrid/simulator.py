@@ -183,23 +183,23 @@ class TimeSeries:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Step-by-step comparison of grid reactive power between two runs."""
+    """Step-by-step comparison of grid reactive power between two runs, deltas read-only."""
 
     scenario_a: str
     scenario_b: str
-    delta_q_grid: tuple[float, ...]  # b minus a, per step
-    delta_pf_grid: tuple[float, ...]  # b minus a, per step
+    delta_q_grid: np.ndarray  # b minus a, per step, a read-only float array
+    delta_pf_grid: np.ndarray  # b minus a, per step, a read-only float array
     max_abs_q_grid_a: float
     max_abs_q_grid_b: float
     winner: str | None  # run with |q_grid| <= the other at every step
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require_columns((self.delta_q_grid, self.delta_pf_grid),
-                        dict.fromkeys(("delta_q_grid", "delta_pf_grid"), FINITE),
-                        "comparison", "step")
+        vars(self)["delta_q_grid"], vars(self)["delta_pf_grid"] = require_columns(
+            (self.delta_q_grid, self.delta_pf_grid),
+            dict.fromkeys(("delta_q_grid", "delta_pf_grid"), FINITE), "comparison", "step")
 
 
 def _columns(scenario: Scenario, params: SingleDiodeParams, times) -> dict[str, np.ndarray]:
@@ -291,7 +291,6 @@ def compare_runs(a: TimeSeries, b: TimeSeries) -> ComparisonReport:
         winner = a.scenario_id if a_dominates else b.scenario_id
     return ComparisonReport(
         scenario_a=a.scenario_id, scenario_b=b.scenario_id,
-        delta_q_grid=tuple(delta_q.tolist()),
-        delta_pf_grid=tuple((b.columns["pf_grid"] - a.columns["pf_grid"]).tolist()),
+        delta_q_grid=delta_q, delta_pf_grid=b.columns["pf_grid"] - a.columns["pf_grid"],
         max_abs_q_grid_a=float(abs_a.max()), max_abs_q_grid_b=float(abs_b.max()), winner=winner,
     )

@@ -409,22 +409,47 @@ def test_rejected_flag_value_exits_1(capsys, argv, flag, named):
         ),
         pytest.param(  # l_1*l_2*c_g underflows to 0 and omega_res is ~1.4e310 rad/s
             RESONANCE_ARGS + ["--l1=1e-320", "--l2=1e-320", "--cg=1e-300"],
-            "for l_1 = 1e-320, l_2 = 1e-320, c_g = 1e-300", id="resonance-underflow",
+            "inputs l_1 = 1e-320, l_2 = 1e-320, c_g = 1e-300,", id="resonance-underflow",
         ),
-        pytest.param(RESONANCE_ARGS + ["--fg=1.7e308"], "f_min must be finite",
-                     id="resonance-bound-overflow"),
+        pytest.param(  # f_min = 10*f_g overflows to inf, with no error raised
+            RESONANCE_ARGS + ["--fg=1.7e308"], "inputs l_1 = 0.0006, l_2 = 1.5e-05, "
+            "c_g = 0.00010029, f_g = 1.7e+308, f_sw = 10000.0 put", id="resonance-bound-overflow",
+        ),
+        pytest.param(  # f_max = 0.5*f_sw underflows to 0
+            RESONANCE_ARGS + ["--fsw=5e-324"], "f_g = 50.0, f_sw = 5e-324 put",
+            id="resonance-bound-underflow",
+        ),
         pytest.param(BOOST_ARGS + ["--p=5e-324"], "inputs p = 5e-324,", id="boost-underflow"),
-        pytest.param(BOOST_ARGS + ["--fsw=5e-324"], "l must be finite and positive",
-                     id="boost-overflow"),
+        pytest.param(  # l = .../(delta_i_l*f_s*v_out) overflows to inf
+            BOOST_ARGS + ["--fsw=5e-324"], "inputs p = 100345.0, v_in = 290.0, v_out = 700.0, "
+            "f_s = 5e-324, ripple_i_frac = 0.07, ripple_v_frac = 0.007 put", id="boost-overflow",
+        ),
+        pytest.param(  # l's divisor overflows to inf, so l underflows to 0
+            ["design-boost", "--p", "1e5", "--vin", "290", "--vout", "700", "--fsw", "1e308"],
+            "inputs p = 100000.0, v_in = 290.0, v_out = 700.0, f_s = 1e+308,",
+            id="boost-inductor-underflow",
+        ),
+        pytest.param(  # delta_i_l = ... / v_in overflows to inf
+            ["design-boost", "--p", "1e308", "--vin", "1e-300", "--vout", "700", "--fsw", "1"],
+            "inputs p = 1e+308, v_in = 1e-300,", id="boost-ripple-overflow",
+        ),
+        pytest.param(  # l_1's divisor overflows to inf, so l_1 underflows to 0
+            ["design-lcl", "--p", "1e308", "--vg", "230", "--fg", "50", "--vdc", "700",
+             "--fsw", "5000"],
+            "inputs p = 1e+308, v_g = 230.0,", id="lcl-inductor-underflow",
+        ),
     ],
 )
 def test_out_of_range_design_exits_1(capsys, argv, named):
     """Finite ratings whose arithmetic leaves the float range are rejected as
-    InvalidValue naming the inputs, with exit 1: no traceback, no nan or inf."""
+    InvalidValue naming the inputs, with exit 1: no traceback, no nan or inf.
+    A value that underflows to 0 or overflows to inf without raising is named
+    by the inputs too, not as a field of the result."""
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: InvalidValue: ")
+    assert captured.err.startswith("error: InvalidValue: inputs ")
+    assert captured.err.endswith(" put a computed value beyond the float range\n")
     assert named in captured.err
 
 

@@ -268,7 +268,7 @@ RECORD_TYPES = {
     if isinstance(cls := getattr(pvgrid, name), type)
     and (is_dataclass(cls) or issubclass(cls, tuple))
 }
-# Each column field (an array, a mapping of arrays or a tuple of floats) and what
+# Each column field (an array or a mapping of arrays) and what
 # judges its entries: the one column rule, or for a derived column its record.
 COLUMN_CHECKS = {
     ("Scenario", "irradiance"): "errors.require_columns",

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import re
 import sys
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvgrid.compensation import FixedCapacitor, NoCompensator, Statcom
-from pvgrid import pv_model
+from pvgrid import cli, pv_model
 from pvgrid.errors import GridMismatch, InfeasibleSpec, InvalidValue, NonConvergence
 from pvgrid.pv_model import PVArraySpec, PVModuleSpec, extract_single_diode_params
 from pvgrid.simulator import (
@@ -582,6 +588,45 @@ class TestCompareRuns:
         b = run(make_scenario(load=load_b, scenario_id="b"))
         report = compare_runs(a, b)
         assert report.winner is None
+
+    def test_deltas_are_read_only_float_columns(self):
+        """Both deltas are read-only float64 arrays, bit for bit b minus a."""
+        a = run(make_scenario(load=((0.0, 1e5, 50_000.0), (0.03, 1e5, -0.0)), scenario_id="a"))
+        b = run(make_scenario(compensator=Statcom(q_max=60_000.0), scenario_id="b"))
+        report = compare_runs(a, b)
+        for name in ("q_grid", "pf_grid"):
+            delta = getattr(report, f"delta_{name}")
+            assert isinstance(delta, np.ndarray) and delta.dtype == np.float64
+            assert delta.tobytes() == (b.columns[name] - a.columns[name]).tobytes()
+            assert not delta.flags.writeable
+            with pytest.raises(ValueError):
+                delta[0] = 1.0
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_compare_json_writes_the_deltas_as_lists(self, data):
+        """Property: ``compare --json`` is ``json.dumps(indent=2)`` of the report
+        with its deltas as lists, over short runs whose q_grid and pf_grid hold
+        signed zeros and subnormals."""
+        tiny = [0.0, -0.0, 5e-324, 1e-310, sys.float_info.min / 3]
+        q = st.one_of(st.sampled_from(tiny + [-x for x in tiny]), st.floats(-1e300, 1e300))
+        pf = st.one_of(st.sampled_from(tiny + [1.0]), st.floats(0.0, 1.0))
+        n = data.draw(st.integers(1, 6))
+        runs = {}
+        for name in ("a.json", "b.json"):
+            columns = {column: np.zeros(n) for column in COLUMNS}
+            columns.update(t=np.arange(n) * 0.5,
+                           q_grid=data.draw(st.lists(q, min_size=n, max_size=n)),
+                           pf_grid=data.draw(st.lists(pf, min_size=n, max_size=n)))
+            runs[name] = TimeSeries(name[0], columns)
+        report = compare_runs(runs["a.json"], runs["b.json"])
+        lists = {name: getattr(report, name).tolist() for name in ("delta_q_grid", "delta_pf_grid")}
+        want = json.dumps({**vars(report), **lists}, indent=2) + "\n"
+        out = io.StringIO()
+        with patch.object(cli, "_run_document", lambda path: (None, runs[path])), \
+                contextlib.redirect_stdout(out):
+            assert cli.main(["compare", "a.json", "b.json", "--json"]) == 0
+        assert out.getvalue() == want
 
     @pytest.mark.parametrize(
         ("change", "message"),
