@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import fields
@@ -24,7 +25,12 @@ from .units import format_si, shown_magnitude
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with status 1, not 2."""
+    """Argument parser whose usage errors exit with status 1, not 2, and that reads a
+    negative number in exponent form (``--beta-voc -3.6e-3``) as a value, not a flag."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # argparse's omits "-4e1"
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -170,7 +176,8 @@ def _cmd_pv_curve(args: argparse.Namespace) -> int:
 
 
 def _run_document(path: str | Path) -> tuple:
-    """The scenario at ``path`` and its run; a pvgrid error ends `` (in PATH)``."""
+    """The scenario at ``path`` and its run, for every command that reads a document; a
+    pvgrid error keeps its class, and its message ends `` (in PATH)``."""
     from . import scenario_io, simulator
 
     try:
@@ -181,7 +188,7 @@ def _run_document(path: str | Path) -> tuple:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from . import scenario_io, simulator
+    from . import scenario_io
 
     if (args.scenario is None) == (args.batch is None):
         print("error: give exactly one of a scenario file or --batch DIR", file=sys.stderr)
@@ -191,27 +198,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 1
     emit = scenario_io.emit_csv if not args.json else lambda series: _json_rows(
         {"scenario_id": series.scenario_id}, "records", series.columns, {})
+    files, outputs = [args.scenario], [args.output]  # a file is a batch of one: -o FILE or stdout
+    out_dir = Path(args.output or ".")  # where a batch writes
     if args.batch is not None:
-        batch_dir = Path(args.batch)
-        files = sorted(batch_dir.glob("*.json"))
+        files = sorted(Path(args.batch).glob("*.json"))
         if not files:
-            print(f"error: no *.json scenarios in {batch_dir}", file=sys.stderr)
+            print(f"error: no *.json scenarios in {Path(args.batch)}", file=sys.stderr)
             return 1
-        out_dir = Path(args.output) if args.output else Path(".")
         outputs = [out_dir / (path.stem + (".json" if args.json else ".csv")) for path in files]
-        _refuse_overwrite(files, outputs)
+    _refuse_overwrite(files, outputs)
+    if args.batch is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path, output in zip(files, outputs):  # the first failing document stops the batch
-            _, series = _run_document(path)
+    for path, output in zip(files, outputs):  # the first failing document stops the batch
+        scenario, series = _run_document(path)
+        if not args.report or output is not None:  # a report alone takes stdout
             _write_artifact(emit(series), output)
-        return 0
-    _refuse_overwrite([args.scenario], [args.output])
-    scenario = scenario_io.parse_scenario(Path(args.scenario).read_bytes())
-    series = simulator.run(scenario)
-    if not args.report or args.output is not None:  # a report alone takes stdout
-        _write_artifact(emit(series), args.output)
-    if args.report:
-        sys.stdout.write(scenario_io.render_report(series, scenario=scenario))
+        if args.report:
+            sys.stdout.write(scenario_io.render_report(series, scenario=scenario))
     return 0
 
 

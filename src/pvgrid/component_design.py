@@ -239,8 +239,8 @@ def capbank_size(q_rated: float, v_phase: float, f_g: float) -> float:
     C = Q / (3 * omega * V_phase^2); zero demand sizes a zero bank.
 
     Raises:
-        InvalidValue: if an input is out of its domain, or the
-            capacitance is beyond the float range.
+        InvalidValue: if an input is out of its domain, or the capacitance
+            overflows, or underflows to 0 for a positive demand.
     """
     require({"q_rated": q_rated}, NON_NEGATIVE)
     require({"v_phase": v_phase, "f_g": f_g}, POSITIVE)
@@ -249,6 +249,6 @@ def capbank_size(q_rated: float, v_phase: float, f_g: float) -> float:
         c = q_rated / (3.0 * omega * v_phase**2)
     except ArithmeticError:  # v_phase**2 underflowed to 0 or overflowed
         c = math.inf
-    if c == math.inf:
+    if c == math.inf or c == 0.0 < q_rated:
         raise _beyond_float_range({"q_rated": q_rated, "v_phase": v_phase, "f_g": f_g})
     return c

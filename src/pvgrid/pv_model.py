@@ -552,17 +552,18 @@ def _translate(
     Points exactly at STC keep the calibrated values.
 
     Raises:
-        InvalidValue: if a temperature drives a datasheet rating negative or a
-            diode term beyond the float range, or a point breaks an invariant
-            of :class:`SingleDiodeParams`.
+        InvalidValue: if a temperature drives a datasheet rating out of (0, inf)
+            or a diode term beyond the float range, or a point breaks an
+            invariant of :class:`SingleDiodeParams`.
     """
     d_t = t - spec.t_stc
-    i_sc_t = spec.i_sc * (1.0 + spec.alpha_isc * d_t)
-    v_oc_t = spec.v_oc * (1.0 + spec.beta_voc * d_t)
-    negative = (i_sc_t <= 0.0) | (v_oc_t <= 0.0)
-    if negative.any():
+    with np.errstate(over="ignore"):  # a rating past the float range is rejected below
+        i_sc_t = spec.i_sc * (1.0 + spec.alpha_isc * d_t)
+        v_oc_t = spec.v_oc * (1.0 + spec.beta_voc * d_t)
+    outside = ~((0.0 < i_sc_t) & (i_sc_t < math.inf) & (0.0 < v_oc_t) & (v_oc_t < math.inf))
+    if outside.any():
         raise InvalidValue(
-            f"temperature {float(t[negative][0])} °C drives datasheet ratings negative"
+            f"temperature {float(t[outside][0])} °C drives datasheet ratings out of (0, inf)"
         )
     r_s, r_sh_ref, a = params.r_s, params.r_sh, params.a
 

@@ -86,7 +86,7 @@ def _section(doc: dict, key: str, default: dict | None = None) -> dict:
 
 
 def _read(section: object, cls: type, where: str) -> dict:
-    """Validated keyword arguments for ``cls`` from one document object."""
+    """Keyword arguments for ``cls`` from one document object, its keys and JSON types checked."""
     if not isinstance(section, dict):
         raise ParseError(f"{where} must be an object")
     keys = numeric_fields(cls)
@@ -102,9 +102,8 @@ def _read(section: object, cls: type, where: str) -> dict:
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             kind = "an integer" if integer else "a number"
             raise ParseError(f"{where}: key '{key}' must be {kind}")
-        if not within(value):
-            raise ParseError(f"{where}: key '{key}' must be a finite number")
-        values[key] = value if integer else float(value)
+        # The record judges a value that is not finite, as given: an int past the float range too.
+        values[key] = float(value) if within(value) and not integer else value
     return values
 
 
@@ -140,11 +139,10 @@ def parse_scenario(text: str | bytes) -> Scenario:
     Raises:
         ParseError: for malformed or too deeply nested JSON, bytes that are
             not UTF-8, a non-object document, missing or unknown keys,
-            wrong JSON types, a non-finite section value, a bad ``id`` or an
-            unknown compensator ``mode``.
+            wrong JSON types, a bad ``id`` or an unknown compensator ``mode``.
         InvalidValue: for a value that a record or :class:`Scenario`
-            rejects, such as a negative grid voltage or an irradiance
-            outside the envelope.
+            rejects, such as a negative grid voltage, a NaN, an infinity or an
+            irradiance outside the envelope, with the message a flag gets.
     """
     try:
         doc = json.loads(text.decode() if isinstance(text, bytes) else text)

@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pvgrid
-from pvgrid import cli, pv_model
+from pvgrid import cli, pv_model, scenario_io
+from pvgrid.compensation import COMPENSATORS
 from pvgrid.errors import FINITE, NonConvergence, numeric_fields
 from pvgrid.component_design import (
     BoostDesign, BoostDesignInput, LCLDesign, LCLDesignInput, ResonanceReport, boost_design,
@@ -27,7 +28,7 @@ from pvgrid.component_design import (
 )
 from pvgrid.pv_model import G_MAX, EnvCondition, MPPResult, PVArraySpec, PVModuleSpec
 from pvgrid.scenario_io import bundled_scenario_text, emit_csv, parse_scenario
-from pvgrid.simulator import COLUMNS, TimeSeries, run
+from pvgrid.simulator import COLUMNS, Scenario, TimeSeries, run
 
 from conftest import (
     BOOST_ARGS, COMPENSATOR_DOCS, DATASHEETS, DESIGN_RUNS, LCL_ARGS, OUT_OF_BUDGET_AT_FIRST,
@@ -353,6 +354,10 @@ class TestPvCurve:
 
 
 MODULE_ARGS = TestPvCurve.MODULE_ARGS
+# The flag of each pv_module key that pv-curve takes.
+_MODULE_FLAGS = {"p_mp": "--pmp", "v_mp": "--vmp", "i_mp": "--imp", "v_oc": "--voc",
+                 "i_sc": "--isc", "n_cells": "--ncells", "alpha_isc": "--alpha-isc",
+                 "beta_voc": "--beta-voc"}
 
 
 @pytest.mark.filterwarnings("error")
@@ -393,6 +398,44 @@ def test_rejected_flag_value_exits_1(capsys, argv, flag, named):
     assert captured.out == ""
     assert captured.err.startswith("error: InvalidValue: ") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+@pytest.mark.parametrize(("key", "value", "t_cell"), [
+    pytest.param("alpha_isc", 1e308, 30.0, id="i_sc-overflow"),
+    pytest.param("alpha_isc", 1e308, 20.0, id="i_sc-negative-overflow"),
+    pytest.param("beta_voc", -1e308, 40.0, id="v_oc-negative-overflow"),
+    pytest.param("beta_voc", -1e308, 10.0, id="v_oc-overflow"),
+])
+def test_rating_beyond_float_range_names_the_temperature(capsys, tmp_path, key, value, t_cell):
+    """A temperature coefficient so large that a rating translated to the cell
+    temperature leaves the float range is rejected by that temperature, as a
+    negative rating is: exit 1 and one error line, with no numpy warning (the
+    suite turns one into an error), from pv-curve and simulate alike."""
+    line = f"error: InvalidValue: temperature {t_cell} °C drives datasheet ratings out of (0, inf)"
+    assert cli.main(MODULE_ARGS + [f"{_MODULE_FLAGS[key]}={value!r}", f"--t={t_cell!r}"]) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+    doc = json.loads(bundled_scenario_text("case1"))
+    doc["pv_module"][key] = value
+    for segment in doc["profiles"]["irradiance"]:
+        segment["t_cell"] = t_cell
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["simulate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"{line} (in {path})\n")
+
+
+def test_negative_flag_value_in_exponent_form(capsys):
+    """A negative flag value in exponent form is a value, as its decimal
+    spelling is, after a space or an ``=``: ``--beta-voc -3.6e-3 --t -4e1``
+    prints what ``--beta-voc -0.0036 --t -40`` prints."""
+    outs = set()
+    for beta_voc, t in (("-0.0036", "-40"), ("-3.6e-3", "-4e1"), ("-36E-4", "-.4e2")):
+        for flags in (["--beta-voc", beta_voc, "--t", t], [f"--beta-voc={beta_voc}", f"--t={t}"]):
+            assert cli.main(MODULE_ARGS + flags + ["--points", "5"]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith("v,i,p\n")
+            outs.add(out)
+    assert len(outs) == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -599,7 +642,7 @@ def test_exit_2_only_on_a_calibration_nonconvergence(tmp_path, sheet, search, co
     NonConvergence, with that error on one line; the MPP and the sweep
     converge there.  (Another rejection, such as a temperature whose
     translation overflows, exits 1.)  The budget and idealities drawn apply to
-    calibration alone."""
+    calibration alone.  From simulate the line ends with the document's path."""
     budget, idealities = search
     failures = []
     calibrate_afresh = pv_model.extract_single_diode_params.__wrapped__
@@ -619,7 +662,7 @@ def test_exit_2_only_on_a_calibration_nonconvergence(tmp_path, sheet, search, co
         argv = ["pv-curve", f"--pmp={p_mp!r}", f"--vmp={v_mp!r}", f"--imp={i_mp!r}",
                 f"--voc={v_oc!r}", f"--isc={i_sc!r}", f"--ncells={n_cells}", f"--g={g!r}",
                 f"--t={t!r}", "--points=5"]
-        lead = ""
+        lead = tail = ""
     else:
         doc = json.loads(bundled_scenario_text("case1"))
         doc["pv_module"] = {"p_mp": p_mp, "v_mp": v_mp, "i_mp": i_mp, "v_oc": v_oc,
@@ -629,6 +672,7 @@ def test_exit_2_only_on_a_calibration_nonconvergence(tmp_path, sheet, search, co
         path.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["simulate", str(path)]
         lead = f"module calibration failed for scenario {doc['id']!r}: "
+        tail = f" (in {path})"
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pv_model, "extract_single_diode_params", calibrate)
@@ -637,7 +681,7 @@ def test_exit_2_only_on_a_calibration_nonconvergence(tmp_path, sheet, search, co
     assert (code == 2) == bool(failures), (argv, search, code, err.getvalue())
     if failures:
         assert (out.getvalue(), err.getvalue()) == (
-            "", f"error: NonConvergence: {lead}{failures[0]}\n"
+            "", f"error: NonConvergence: {lead}{failures[0]}{tail}\n"
         )
 
 
@@ -710,7 +754,8 @@ def test_bad_profile_value_names_its_segment(tmp_path, case):
     """Property: one bad profile value (NaN, an infinity, an int past the float
     range, g or t_cell outside the envelope, or a t_start out of order) at a
     random segment is named by that segment's index and its field, by
-    ``Scenario`` and by ``simulate`` on one error line with exit 1."""
+    ``Scenario`` and by ``simulate`` on one error line with exit 1, which ends
+    with the document's path."""
     profiles, profile, k, field = case
     located = f"{profile} profile segment {k}: {field} must be "
     base = parse_scenario(bundled_scenario_text("case1"))
@@ -726,7 +771,7 @@ def test_bad_profile_value_names_its_segment(tmp_path, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["simulate", str(path)])
     assert (code, out.getvalue()) == (1, "")
-    assert err.getvalue() == f"error: InvalidValue: {failure.value}\n"
+    assert err.getvalue() == f"error: InvalidValue: {failure.value} (in {path})\n"
 
 
 # ======================================================================
@@ -771,6 +816,27 @@ class TestFieldDrift:
 # ======================================================================
 # simulate
 # ======================================================================
+
+
+_CASE1 = json.loads(bundled_scenario_text("case1"))
+
+
+def _section_keys() -> list:
+    """(section, its other keys, key, the name its error gives, its bound, whether it
+    is an integer) of every numeric key of every document section, each compensator
+    mode's included.  The scenario judges the ``inverter`` and ``sim`` keys as its
+    own fields."""
+    sections = [(name, _CASE1.get(name, {}), cls) for name, cls in scenario_io._SECTIONS.items()]
+    sections += [("compensator", doc, COMPENSATORS[doc["mode"]]) for doc in COMPENSATOR_DOCS]
+    params = []
+    for section, doc, cls in sections:
+        for key in numeric_fields(cls):
+            field = "inverter_efficiency" if section == "inverter" else key
+            record = Scenario if section in ("inverter", "sim") else cls
+            name = f"grid {key}" if section == "grid" else field
+            params.append(pytest.param(section, doc, key, name, *numeric_fields(record)[field][:2],
+                                       id=f"{doc.get('mode', section)}-{key}"))
+    return params
 
 
 class TestSimulate:
@@ -869,8 +935,8 @@ class TestSimulate:
     def test_failing_document_is_named(self, capsys, tmp_path):
         """A batch stops at its first failing document, keeps what it wrote
         before and names that document on the one error line, exit 1; compare
-        names whichever of its two documents fails.  A single-file simulate
-        keeps its line as it was."""
+        names whichever of its two documents fails, and so does a single-file
+        simulate, a batch of one."""
         doc = json.loads(bundled_scenario_text("case1"))
         src_dir, out_dir = tmp_path / "in", tmp_path / "out"
         src_dir.mkdir()
@@ -886,8 +952,9 @@ class TestSimulate:
         for argv in (["compare", str(b), str(a)], ["compare", str(a), str(b)]):
             assert cli.main(argv) == 1
             assert capsys.readouterr() == ("", f"{line} (in {b})\n")
-        assert cli.main(["simulate", str(b)]) == 1
-        assert capsys.readouterr() == ("", f"{line}\n")
+        for argv in (["simulate", str(b)], ["simulate", str(b), "--report"]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr() == ("", f"{line} (in {b})\n")
 
     def test_batch_empty_dir_exits_1(self, capsys, tmp_path):
         """A batch directory without scenarios is an error."""
@@ -983,22 +1050,23 @@ class TestSimulate:
                          f"[0, 2000] W/m², got {int(sys.float_info.max) + 1}",
                          id="g-past-largest-double"),
             pytest.param(("grid", "v_phase"), math.nan,
-                         "ParseError: grid: key 'v_phase' must be a finite number",
+                         "InvalidValue: grid v_phase must be finite and positive, got nan",
                          id="v_phase-nan"),
             pytest.param(("sim", "t_end"), math.inf,
-                         "ParseError: sim: key 't_end' must be a finite number", id="t_end-inf"),
+                         "InvalidValue: t_end must be finite and non-negative, got inf",
+                         id="t_end-inf"),
             pytest.param(("pv_module", "p_mp"), 10**400,
-                         "ParseError: pv_module: key 'p_mp' must be a finite number",
+                         f"InvalidValue: p_mp must be finite and positive, got {10**400}",
                          id="p_mp-beyond-float"),
             pytest.param(("pv_array", "n_series"), 10**400,
-                         "ParseError: pv_array: key 'n_series' must be a finite number",
+                         f"InvalidValue: n_series must be finite and at least 1, got {10**400}",
                          id="n_series-beyond-float"),
         ],
     )
     def test_non_finite_number_exits_1(self, capsys, tmp_path, path, value, named):
-        """NaN, Infinity and out-of-range literals are rejected, not simulated:
-        a section key by the parser as a ParseError, a profile value by the
-        scenario as an InvalidValue."""
+        """NaN, Infinity and out-of-range literals are rejected, not simulated: a
+        section key by its record and a profile value by the scenario, each as an
+        InvalidValue on a line that ends with the document's path."""
         doc = json.loads(bundled_scenario_text("case3"))
         node = doc
         for step in path[:-1]:
@@ -1007,7 +1075,29 @@ class TestSimulate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["simulate", str(bad)]) == 1
-        assert capsys.readouterr().err == f"error: {named}\n"
+        assert capsys.readouterr().err == f"error: {named} (in {bad})\n"
+
+    @pytest.mark.parametrize(("section", "doc", "key", "name", "bound", "integer"),
+                             _section_keys())
+    def test_section_value_not_finite_is_the_records_error(self, capsys, tmp_path, section, doc,
+                                                           key, name, bound, integer):
+        """NaN, plus or minus Infinity and an int past the float range (one that
+        rounds to the largest double too) in any numeric key of any section exit
+        1 with the InvalidValue of the record that holds it, naming its field,
+        on a line that ends with the document's path.  A ``pv_module`` key's
+        line is the one ``pv-curve`` prints for the same flag value.  (NaN and
+        Infinity in an integer key are a JSON type error.)"""
+        flags = [f"{_MODULE_FLAGS[k]}={v!r}" for k, v in _CASE1["pv_module"].items()]
+        bad = tmp_path / "bad.json"
+        for value in [*([] if integer else [math.nan, math.inf, -math.inf]),
+                      10**400, int(sys.float_info.max) + 1]:
+            bad.write_text(json.dumps({**_CASE1, section: {**doc, key: value}}), encoding="utf-8")
+            line = f"error: InvalidValue: {name} must be {bound.text}, got {value!r}"
+            assert cli.main(["simulate", str(bad)]) == 1
+            assert capsys.readouterr() == ("", f"{line} (in {bad})\n")
+            if section == "pv_module" and key in _MODULE_FLAGS and integer == (type(value) is int):
+                assert cli.main(["pv-curve", *flags, f"{_MODULE_FLAGS[key]}={value!r}"]) == 1
+                assert capsys.readouterr() == ("", f"{line}\n")
 
     def test_record_count_beyond_cap_exits_1(self, capsys, tmp_path):
         """A horizon whose record count overflows is rejected before the run."""
@@ -1166,7 +1256,7 @@ class TestCompare:
     def test_delta_beyond_float_range_exits_1(self, capsys, tmp_path, json_flag):
         """Two runs whose q_grid are near plus and minus the largest double have a
         delta_q_grid past the float range, which JSON cannot hold: exit 1 and one
-        error line naming the first such instant, without a warning."""
+        error line naming the first such step, without a warning."""
         paths = []
         for name, q in (("a", 1.7e308), ("b", -1.7e308)):
             doc = json.loads(bundled_scenario_text("case1"))
@@ -1176,7 +1266,7 @@ class TestCompare:
             paths[-1].write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["compare", *map(str, paths), *json_flag]) == 1
         assert capsys.readouterr() == (
-            "", "error: InvalidValue: delta_q_grid at t = 0.0 s is beyond the float range\n"
+            "", "error: InvalidValue: comparison step 0: delta_q_grid must be finite, got -inf\n"
         )
 
     def test_mismatched_grids_exit_1(self, capsys, case_file, tmp_path):

@@ -358,11 +358,13 @@ class TestCapbankSize:
             pytest.param(1e5, 1e-200, 50.0, id="voltage-square-underflow"),
             pytest.param(1e5, 1e200, 50.0, id="voltage-square-overflow"),
             pytest.param(1e300, 1e-100, 50.0, id="capacitance-overflow"),
+            pytest.param(5e-324, 230.0, 50.0, id="capacitance-underflow"),
         ],
     )
     def test_beyond_float_range_is_degenerate(self, q_rated, v_phase, f_g):
         """Finite ratings whose capacitance arithmetic leaves the float range are
-        rejected as InvalidValue naming the inputs, not a ZeroDivisionError."""
+        rejected as InvalidValue naming the inputs, not a ZeroDivisionError; a
+        positive rating whose capacitance underflows is not a zero bank."""
         with pytest.raises(InvalidValue) as err:
             capbank_size(q_rated, v_phase, f_g)
         assert str(err.value) == (
