@@ -11,26 +11,27 @@ goes to stdout or to the ``-o`` target.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from itertools import chain
 from pathlib import Path
 
-from .errors import DarkArray, NonConvergence, PVGridError
+from .errors import DarkArray, NonConvergence, PVGridError, numeric_fields
 from .units import format_si, shown_magnitude
 
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with status 1, not 2, and that reads a
-    negative number in exponent form (``--beta-voc -3.6e-3``) as a value, not a flag."""
+    negative number in exponent form (``-3.6e-3``), ``-inf`` or ``-nan`` as a value."""
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")  # argparse's omits "-4e1"
+        super().__init__(*args, **kwargs)  # argparse's matcher omits "-4e1" and "-inf"
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -240,87 +241,82 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # ============================================================================
 
 
-# Every required flag takes a float.
-_REQUIRED = {"type": float, "required": True}
+# The records each command builds from its flags, by module.  Each int or float field
+# has one flag, "--" and its name, unless _SPELLINGS has it (None: no flag): "_" is
+# dropped after a one-letter symbol (``--vin``, ``--pmp``), else "-" (``--alpha-isc``).
+# It is required unless its field has a default, in the record or in _CLI_DEFAULTS.
+_RECORDS = {
+    "design-boost": ("component_design", ["BoostDesignInput"]),
+    "design-lcl": ("component_design", ["LCLDesignInput"]),
+    "pv-curve": ("pv_model", ["PVModuleSpec", "PVArraySpec", "EnvCondition"]),
+}
+_SPELLINGS = {"f_s": "--fsw", "n_series": "--ns", "n_parallel": "--np", "g_stc": None,
+              "t_stc": None}
+_CLI_DEFAULTS = {"n_series": 1, "n_parallel": 1, "g": 1000.0, "t": 25.0}  # pv-curve's
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-    sub.add_argument("-o", "--output", metavar="FILE", help="write the artifact to FILE")
+def _add_record_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    """One flag per int or float field of each record ``command`` builds, its help the
+    field's unit and bound.  A flag left out stores None (but for ``_CLI_DEFAULTS``),
+    which :func:`_record` drops, so the record's default holds."""
+    module_name, names = _RECORDS[command]
+    module = importlib.import_module(f"{__package__}.{module_name}")
+    for cls in (getattr(module, name) for name in names):
+        units = {f.name: f.metadata.get("unit") for f in fields(cls)}
+        for name, (bound, integer, default) in numeric_fields(cls).items():
+            flag = _SPELLINGS.get(name, "--" + name.replace("_", "" if name[1:2] == "_" else "-"))
+            if flag is not None:
+                sub.add_argument(flag, dest=name, type=int if integer else float,
+                                 required=default is MISSING and name not in _CLI_DEFAULTS,
+                                 default=_CLI_DEFAULTS.get(name),
+                                 help=", ".join(filter(None, [units[name], bound.text])))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``pvgrid`` parser.  Only ``command``'s subparser gets the flags of the
+    records it builds, and only its module is imported for them: a design command
+    loads no numpy, and no command a module it does not run."""
     parser = _Parser(prog="pvgrid", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    boost = subs.add_parser("design-boost", help="size the dc-dc boost stage")
-    boost.add_argument("--p", **_REQUIRED, help="PV power at STC, W")
-    boost.add_argument("--vin", dest="v_in", **_REQUIRED, help="PV voltage at STC, V")
-    boost.add_argument("--vout", dest="v_out", **_REQUIRED, help="dc-link voltage, V")
-    boost.add_argument("--fsw", dest="f_s", **_REQUIRED, help="switching frequency, Hz")
-    boost.add_argument("--ripple-i-frac", type=float)
-    boost.add_argument("--ripple-v-frac", type=float)
-    _add_common(boost)
-    boost.set_defaults(handler=_cmd_design_boost)
+    def sub(name: str, handler, text: str) -> argparse.ArgumentParser:
+        one = subs.add_parser(name, help=text)
+        one.set_defaults(handler=handler)
+        if name == command and name in _RECORDS:
+            _add_record_flags(one, name)
+        return one
 
-    lcl = subs.add_parser("design-lcl", help="size the grid-side LCL filter")
-    lcl.add_argument("--p", **_REQUIRED, help="converter power, W")
-    lcl.add_argument("--vg", dest="v_g", **_REQUIRED, help="grid phase voltage, V")
-    lcl.add_argument("--fg", dest="f_g", **_REQUIRED, help="grid frequency, Hz")
-    lcl.add_argument("--vdc", dest="v_dc", **_REQUIRED, help="dc-link voltage, V")
-    lcl.add_argument("--fsw", dest="f_sw", **_REQUIRED, help="switching frequency, Hz")
-    lcl.add_argument("--cap-frac", type=float)
-    lcl.add_argument("--ripple-frac", type=float)
-    lcl.add_argument("--atten-factor", type=float)
-    _add_common(lcl)
-    lcl.set_defaults(handler=_cmd_design_lcl)
+    sub("design-boost", _cmd_design_boost, "size the dc-dc boost stage")
+    sub("design-lcl", _cmd_design_lcl, "size the grid-side LCL filter")
 
-    res = subs.add_parser("check-resonance", help="place the LCL resonance frequency")
-    res.add_argument("--l1", **_REQUIRED, help="inverter-side inductor, H")
-    res.add_argument("--l2", **_REQUIRED, help="grid-side inductor, H")
-    res.add_argument("--cg", **_REQUIRED, help="filter capacitor, F")
-    res.add_argument("--fg", **_REQUIRED, help="grid frequency, Hz")
-    res.add_argument("--fsw", **_REQUIRED, help="switching frequency, Hz")
-    _add_common(res)
-    res.set_defaults(handler=_cmd_check_resonance)
+    res = sub("check-resonance", _cmd_check_resonance, "place the LCL resonance frequency")
+    for flag, text in (("--l1", "inverter-side inductor, H"), ("--l2", "grid-side inductor, H"),
+                       ("--cg", "filter capacitor, F"), ("--fg", "grid frequency, Hz"),
+                       ("--fsw", "switching frequency, Hz")):
+        res.add_argument(flag, type=float, required=True, help=text)
 
-    curve = subs.add_parser("pv-curve", help="sweep the array I-V / P-V curve")
-    curve.add_argument("--pmp", dest="p_mp", **_REQUIRED, help="module power, W")
-    curve.add_argument("--vmp", dest="v_mp", **_REQUIRED, help="module MPP voltage, V")
-    curve.add_argument("--imp", dest="i_mp", **_REQUIRED, help="module MPP current, A")
-    curve.add_argument("--voc", dest="v_oc", **_REQUIRED, help="module open-circuit voltage, V")
-    curve.add_argument("--isc", dest="i_sc", **_REQUIRED, help="module short-circuit current, A")
-    curve.add_argument("--ncells", dest="n_cells", type=int)
-    curve.add_argument("--alpha-isc", type=float)
-    curve.add_argument("--beta-voc", type=float)
-    curve.add_argument("--ns", dest="n_series", type=int, default=1, help="modules in series")
-    curve.add_argument("--np", dest="n_parallel", type=int, default=1, help="strings in parallel")
-    curve.add_argument("--g", type=float, default=1000.0, help="irradiance, W/m²")
-    curve.add_argument("--t", type=float, default=25.0, help="cell temperature, °C")
-    curve.add_argument("--points", type=int, default=500)
-    _add_common(curve)
-    curve.set_defaults(handler=_cmd_pv_curve)
+    sub("pv-curve", _cmd_pv_curve, "sweep the array I-V / P-V curve").add_argument(
+        "--points", type=int, default=500)
 
-    sim = subs.add_parser("simulate", help="run a scenario to CSV")
+    sim = sub("simulate", _cmd_simulate, "run a scenario to CSV")
     sim.add_argument("scenario", nargs="?", help="scenario JSON file")
     batch_or_report = sim.add_mutually_exclusive_group()
     batch_or_report.add_argument("--batch", metavar="DIR", help="run every *.json in DIR")
     batch_or_report.add_argument("--report", action="store_true", help="print a human summary")
-    _add_common(sim)
-    sim.set_defaults(handler=_cmd_simulate)
 
-    comp = subs.add_parser("compare", help="run two scenarios and compare grid Q")
+    comp = sub("compare", _cmd_compare, "run two scenarios and compare grid Q")
     comp.add_argument("scenario_a", help="first scenario JSON file")
     comp.add_argument("scenario_b", help="second scenario JSON file")
-    _add_common(comp)
-    comp.set_defaults(handler=_cmd_compare)
 
+    for one in subs.choices.values():
+        one.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
+        one.add_argument("-o", "--output", metavar="FILE", help="write the artifact to FILE")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except PVGridError as exc:

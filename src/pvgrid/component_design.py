@@ -45,10 +45,10 @@ def _design(cls: type, given: dict[str, float], **values: float):
 class BoostDesignInput:
     """Ratings and ripple targets for the dc-dc step-up stage."""
 
-    p: float = bounded(POSITIVE)  # W, PV array power at STC
-    v_in: float = bounded(POSITIVE)  # V, PV array voltage at STC
-    v_out: float = bounded(POSITIVE)  # V, dc-link voltage
-    f_s: float = bounded(POSITIVE)  # Hz, switching frequency
+    p: float = bounded(POSITIVE, unit="W")  # PV array power at STC
+    v_in: float = bounded(POSITIVE, unit="V")  # PV array voltage at STC
+    v_out: float = bounded(POSITIVE, unit="V")  # dc-link voltage
+    f_s: float = bounded(POSITIVE, unit="Hz")  # switching frequency
     ripple_i_frac: float = bounded(_FRACTION, 0.07)  # inductor current ripple fraction
     ripple_v_frac: float = bounded(_FRACTION, 0.007)  # output voltage ripple fraction
 
@@ -107,11 +107,11 @@ def boost_design(inp: BoostDesignInput) -> BoostDesign:
 class LCLDesignInput:
     """Ratings and design fractions for the grid-side LCL filter."""
 
-    p: float = bounded(POSITIVE)  # W, converter power rating
-    v_g: float = bounded(POSITIVE)  # V, grid phase voltage (RMS)
-    f_g: float = bounded(POSITIVE)  # Hz, grid frequency
-    v_dc: float = bounded(POSITIVE)  # V, dc-link voltage
-    f_sw: float = bounded(POSITIVE)  # Hz, inverter switching frequency
+    p: float = bounded(POSITIVE, unit="W")  # converter power rating
+    v_g: float = bounded(POSITIVE, unit="V")  # grid phase voltage (RMS)
+    f_g: float = bounded(POSITIVE, unit="Hz")  # grid frequency
+    v_dc: float = bounded(POSITIVE, unit="V")  # dc-link voltage
+    f_sw: float = bounded(POSITIVE, unit="Hz")  # inverter switching frequency
     cap_frac: float = bounded(_FRACTION, 0.05)  # filter capacitance as fraction of base
     ripple_frac: float = bounded(_FRACTION, 0.10)  # inductor current ripple fraction
     atten_factor: float = bounded(_FRACTION, 0.2)  # switching-harmonic attenuation constant

@@ -89,16 +89,16 @@ def thermal_voltage(t_c: float) -> float:
 class PVModuleSpec:
     """Datasheet ratings of one PV module at standard test conditions."""
 
-    p_mp: float = bounded(POSITIVE)  # W, rated maximum power
-    v_mp: float = bounded(POSITIVE)  # V, voltage at maximum power
-    i_mp: float = bounded(POSITIVE)  # A, current at maximum power
-    v_oc: float = bounded(POSITIVE)  # V, open-circuit voltage
-    i_sc: float = bounded(POSITIVE)  # A, short-circuit current
+    p_mp: float = bounded(POSITIVE, unit="W")  # rated maximum power
+    v_mp: float = bounded(POSITIVE, unit="V")  # voltage at maximum power
+    i_mp: float = bounded(POSITIVE, unit="A")  # current at maximum power
+    v_oc: float = bounded(POSITIVE, unit="V")  # open-circuit voltage
+    i_sc: float = bounded(POSITIVE, unit="A")  # short-circuit current
     n_cells: int = bounded(_COUNT, 60)  # series cells per module
-    alpha_isc: float = bounded(POSITIVE, 0.00102)  # 1/°C, short-circuit current coefficient
-    beta_voc: float = bounded(_NEGATIVE, -0.0036)  # 1/°C, open-circuit voltage coefficient
-    g_stc: float = bounded(POSITIVE, 1000.0)  # W/m²
-    t_stc: float = 25.0  # °C
+    alpha_isc: float = bounded(POSITIVE, 0.00102, unit="1/°C")  # of the short-circuit current
+    beta_voc: float = bounded(_NEGATIVE, -0.0036, unit="1/°C")  # of the open-circuit voltage
+    g_stc: float = bounded(POSITIVE, 1000.0, unit="W/m²")
+    t_stc: float = bounded(FINITE, 25.0, unit="°C")
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -116,8 +116,8 @@ class PVArraySpec:
     """Series/parallel composition of identical modules."""
 
     module: PVModuleSpec
-    n_series: int = bounded(_COUNT)
-    n_parallel: int = bounded(_COUNT)
+    n_series: int = bounded(_COUNT)  # modules in series
+    n_parallel: int = bounded(_COUNT)  # strings in parallel
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -155,12 +155,12 @@ class SingleDiodeParams:
 class EnvCondition:
     """Operating environment: irradiance and cell temperature, inside :data:`ENVELOPE`."""
 
-    g: float  # W/m²
-    t: float  # °C, cell temperature
+    g: float = bounded(ENVELOPE["g"], unit="W/m²")
+    t: float = bounded(ENVELOPE["t_cell"], unit="°C")  # cell temperature
 
     def __post_init__(self) -> None:
         require({"g": self.g}, ENVELOPE["g"])
-        require({"t_cell": self.t}, ENVELOPE["t_cell"])
+        require({"t_cell": self.t}, ENVELOPE["t_cell"])  # named as a profile names it
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,8 +28,8 @@ from .errors import (
 )
 from .pv_model import PVArraySpec, SingleDiodeParams
 
-# Tolerance slack applied when counting whole steps in t_end/dt, so a
-# horizon that is an exact multiple of dt includes its final instant.
+# Slack, in steps, for the rounding of k*dt: a horizon (t_end) or a profile
+# breakpoint that is an exact multiple of dt includes, or starts at, its instant.
 _GRID_EPS = 1e-9
 
 # Most records one run may hold (t_end/dt + 1): over eleven days at 1 s.
@@ -76,7 +76,8 @@ class Scenario:
     has the rows t_start (s), g (W/m²) and t_cell (°C), ``load`` the rows
     t_start (s), p (W) and q (var).  Column ``k`` is segment ``k``, the
     index an error names for a value that fails its field's bound (else
-    finite), or a t_start that is not 0, then rising.
+    finite), or a t_start that is not 0, then rising.  The instant k*dt takes
+    the last segment with t_start <= (k + 1e-9)*dt, the slack of :meth:`times`.
 
     The keyword defaults are the ones a scenario document gets when it
     omits its ``inverter`` or ``sim`` section.
@@ -205,15 +206,16 @@ class ComparisonReport:
 def _columns(scenario: Scenario, params: SingleDiodeParams, times) -> dict[str, np.ndarray]:
     """The balance at each instant, one array per column.
 
-    Each instant takes the segment with the largest t_start <= t.  The
+    Each instant t takes the last segment with t_start <= t + 1e-9*dt.  The
     array maximum power is solved once for every lit irradiance segment
     in use, and the compensator is dispatched once on the load-q column.
     """
     t = np.asarray(times, dtype=float)
     irr_start, g, t_cell = scenario.irradiance
     load_start, p, q = scenario.load
-    k_irr = np.searchsorted(irr_start, t, side="right") - 1
-    k_load = np.searchsorted(load_start, t, side="right") - 1
+    at = t + _GRID_EPS * scenario.dt  # k*dt may round to just below its breakpoint
+    k_irr = np.searchsorted(irr_start, at, side="right") - 1
+    k_load = np.searchsorted(load_start, at, side="right") - 1
 
     lit = (np.bincount(k_irr, minlength=len(g)) > 0) & (g > 0.0)  # lit segments in use
     p_seg = np.zeros(len(g))

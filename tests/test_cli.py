@@ -427,7 +427,9 @@ def test_rating_beyond_float_range_names_the_temperature(capsys, tmp_path, key, 
 def test_negative_flag_value_in_exponent_form(capsys):
     """A negative flag value in exponent form is a value, as its decimal
     spelling is, after a space or an ``=``: ``--beta-voc -3.6e-3 --t -4e1``
-    prints what ``--beta-voc -0.0036 --t -40`` prints."""
+    prints what ``--beta-voc -0.0036 --t -40`` prints.  So is ``-inf`` or
+    ``-nan`` in any spelling ``float`` takes, which the record rejects with
+    one error line and no usage."""
     outs = set()
     for beta_voc, t in (("-0.0036", "-40"), ("-3.6e-3", "-4e1"), ("-36E-4", "-.4e2")):
         for flags in (["--beta-voc", beta_voc, "--t", t], [f"--beta-voc={beta_voc}", f"--t={t}"]):
@@ -436,6 +438,16 @@ def test_negative_flag_value_in_exponent_form(capsys):
             assert err == "" and out.startswith("v,i,p\n")
             outs.add(out)
     assert len(outs) == 1
+    t_cell = "t_cell must be finite and in [-40, 90] °C, got -inf"
+    for flag, value, line in (
+        ("--t", "-inf", t_cell), ("--t", "-Infinity", t_cell), ("--t", "-INF", t_cell),
+        ("--g", "-nan", "g must be finite and in [0, 2000] W/m², got nan"),
+        ("--beta-voc", "-NaN", "beta_voc must be finite and negative, got nan"),
+        ("--pmp", "-infinity", "p_mp must be finite and positive, got -inf"),
+    ):
+        for flags in ([flag, value], [f"{flag}={value}"]):
+            assert cli.main(MODULE_ARGS + flags) == 1
+            assert capsys.readouterr() == ("", f"error: InvalidValue: {line}\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -779,6 +791,72 @@ def test_bad_profile_value_names_its_segment(tmp_path, case):
 # ======================================================================
 
 
+# ``pvgrid COMMAND --help`` of each command that takes the flags of a record, at 100
+# columns and up to its -o entry.
+_HELP = {
+    "design-boost": """\
+usage: pvgrid design-boost [-h] --p P --vin V_IN --vout V_OUT --fsw F_S
+                           [--ripple-i-frac RIPPLE_I_FRAC] [--ripple-v-frac RIPPLE_V_FRAC]
+                           [--json] [-o FILE]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 W, finite and positive
+  --vin V_IN            V, finite and positive
+  --vout V_OUT          V, finite and positive
+  --fsw F_S             Hz, finite and positive
+  --ripple-i-frac RIPPLE_I_FRAC
+                        finite and in (0, 1)
+  --ripple-v-frac RIPPLE_V_FRAC
+                        finite and in (0, 1)
+  --json                emit a JSON object instead of text
+""",
+    "design-lcl": """\
+usage: pvgrid design-lcl [-h] --p P --vg V_G --fg F_G --vdc V_DC --fsw F_SW [--cap-frac CAP_FRAC]
+                         [--ripple-frac RIPPLE_FRAC] [--atten-factor ATTEN_FACTOR] [--json]
+                         [-o FILE]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 W, finite and positive
+  --vg V_G              V, finite and positive
+  --fg F_G              Hz, finite and positive
+  --vdc V_DC            V, finite and positive
+  --fsw F_SW            Hz, finite and positive
+  --cap-frac CAP_FRAC   finite and in (0, 1)
+  --ripple-frac RIPPLE_FRAC
+                        finite and in (0, 1)
+  --atten-factor ATTEN_FACTOR
+                        finite and in (0, 1)
+  --json                emit a JSON object instead of text
+""",
+    "pv-curve": """\
+usage: pvgrid pv-curve [-h] --pmp P_MP --vmp V_MP --imp I_MP --voc V_OC --isc I_SC
+                       [--ncells N_CELLS] [--alpha-isc ALPHA_ISC] [--beta-voc BETA_VOC]
+                       [--ns N_SERIES] [--np N_PARALLEL] [--g G] [--t T] [--points POINTS]
+                       [--json] [-o FILE]
+
+options:
+  -h, --help            show this help message and exit
+  --pmp P_MP            W, finite and positive
+  --vmp V_MP            V, finite and positive
+  --imp I_MP            A, finite and positive
+  --voc V_OC            V, finite and positive
+  --isc I_SC            A, finite and positive
+  --ncells N_CELLS      finite and at least 1
+  --alpha-isc ALPHA_ISC
+                        1/°C, finite and positive
+  --beta-voc BETA_VOC   1/°C, finite and negative
+  --ns N_SERIES         finite and at least 1
+  --np N_PARALLEL       finite and at least 1
+  --g G                 W/m², finite and in [0, 2000] W/m²
+  --t T                 °C, finite and in [-40, 90] °C
+  --points POINTS
+  --json                emit a JSON object instead of text
+""",
+}
+
+
 class TestFieldDrift:
     """Output blocks and input records are derived from the dataclasses."""
 
@@ -809,8 +887,44 @@ class TestFieldDrift:
     def test_flag_dests_are_record_fields(self, argv, records, unexposed):
         """Every dest names a field of a record the command builds, and every
         field but the listed unexposed ones has a flag."""
-        dests = set(vars(cli.build_parser().parse_args(argv))) - self.CLI_ONLY
+        dests = set(vars(cli.build_parser(argv[0]).parse_args(argv))) - self.CLI_ONLY
         assert dests == {f.name for cls in records for f in fields(cls)} - unexposed
+
+    @pytest.mark.parametrize(
+        ("command", "records"),
+        [
+            pytest.param("design-boost", (BoostDesignInput,), id="design-boost"),
+            pytest.param("design-lcl", (LCLDesignInput,), id="design-lcl"),
+            pytest.param("pv-curve", (PVModuleSpec, PVArraySpec, EnvCondition), id="pv-curve"),
+        ],
+    )
+    def test_flag_help_gives_unit_and_bound(self, command, records):
+        """Each record flag's help opens with its field's unit and its bound's text,
+        as the record declares them, and the field's flag is built only for its
+        command."""
+        declared = {}  # field -> (unit, bound text)
+        for cls in records:
+            units = {f.name: f.metadata.get("unit") for f in fields(cls)}
+            declared.update((name, (units[name], bound.text))
+                            for name, (bound, *_) in numeric_fields(cls).items())
+        commands = cli.build_parser(command)._actions[-1].choices  # the subparsers
+        helps = {action.dest: action.help for action in commands[command]._actions
+                 if action.dest in declared}
+        assert helps and all(text.startswith(", ".join(filter(None, declared[dest])))
+                             for dest, text in helps.items()), helps
+        assert not declared.keys() & {action.dest for other, sub in commands.items()
+                                      if other != command for action in sub._actions}
+
+    @pytest.mark.parametrize("command", list(_HELP))
+    def test_help_text_is_pinned(self, monkeypatch, capsys, command):
+        """``pvgrid COMMAND --help`` at 100 columns, up to its ``-o`` entry, which
+        Python 3.13 prints as ``-o, --output FILE`` and older ones as ``-o FILE,
+        --output FILE``."""
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exited:
+            cli.main([command, "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.partition("\n  -o")[0] + "\n" == _HELP[command]
 
 
 # ======================================================================

@@ -147,3 +147,24 @@ def test_design_commands_run_without_numpy(tmp_path, argv, err):
     out = _run([SCRIPT, *argv], tmp_path, PYTHONPATH=str(blocked))
     assert (out.returncode, out.stdout, out.stderr) == _in_process(argv)
     assert (out.returncode, out.stderr) == (1 if err else 0, err)
+
+
+@pytest.mark.parametrize(
+    ("flag", "err"),
+    [
+        pytest.param(["--beta-voc", "-3.6e-3"], "", id="exponent-form"),
+        pytest.param(["--t", "-inf"],
+                     "error: InvalidValue: t_cell must be finite and in [-40, 90] °C, got -inf\n",
+                     id="minus-inf"),
+    ],
+)
+def test_negative_flag_value_after_a_space(tmp_path, flag, err):
+    """A negative value after a space, in exponent form or as ``-inf``, is the
+    flag's value on the script's Python, whose argparse reads negative numbers
+    by a rule of its own version: exit 0, or exit 1 with the record's one error
+    line and no usage line, as ``cli.main`` prints in-process."""
+    argv = ["pv-curve", "--pmp", "213.15", "--vmp", "29", "--imp", "7.35", "--voc", "36.3",
+            "--isc", "7.84", "--points", "5", *flag]
+    out = _run([SCRIPT, *argv], tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == _in_process(argv)
+    assert (out.returncode, out.stderr) == (1 if err else 0, err)

@@ -349,6 +349,20 @@ class TestStep:
         assert boundary.p_load == 99_000.0
         assert boundary.q_load == 5_000.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(dt=st.integers(1, 10_000).map(lambda n: n / 1000), k=st.integers(1, 10_000),
+           between=st.booleans())
+    def test_breakpoint_starts_at_its_instant(self, ref_params, dt, k, between):
+        """A breakpoint written in decimal as k*dt starts at the instant k*dt, though
+        k*dt may round below it (3*0.3 is 0.8999999999999999), and one written as
+        (k - 1/2)*dt, strictly between two instants, starts at the later one."""
+        t_start = float(f"{(k - between / 2) * dt:.10g}")
+        s = make_scenario(load=((0.0, 10_000.0, 0.0), (t_start, 99_000.0, 0.0)), t_end=k * dt,
+                          dt=dt)
+        columns = _columns(s, ref_params, s.times()[-2:])
+        assert columns["p_load"].tolist() == [10_000.0, 99_000.0]
+        assert columns["t"].tolist() == [(k - 1) * dt, k * dt]
+
     def test_dark_step_produces_zero_pv(self, ref_params):
         """g = 0 yields p_pv = 0 without raising."""
         s = make_scenario(irradiance=((0.0, 0.0, 25.0),))
